@@ -1,6 +1,7 @@
 # Tier-1 verification is `make ci`: build + tests + smoke runs of the MC
-# throughput bench, the exhaustive-enumeration bench (the latter refreshes
-# BENCH_enum.json, including the inc4 SC/TSO exhaustive counts), the
+# throughput bench, the exhaustive-enumeration bench (including the inc4
+# SC/TSO exhaustive counts; like every smoke run it writes under /tmp, so
+# the committed BENCH_*.json rows come only from full runs), the
 # axiomatic-vs-operational differential, the candidate-generation bench, the
 # robustness smoke (checkpoint/resume + fault-retry bit-identity, plus the
 # CLI's exit-3 partial-result contract), the service smoke (daemon
@@ -32,7 +33,7 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_mc.json
 
-# full-scale enumeration bench (legacy vs packed key, POR); writes BENCH_enum.json
+# full-scale enumeration bench (packed-key throughput, POR, extmem); writes BENCH_enum.json
 bench-enum:
 	dune exec bench/main.exe -- --json-enum BENCH_enum.json
 
@@ -69,7 +70,7 @@ ci:
 	dune exec bin/memrel_cli.exe -- axiom sb mp lb inc3 inc4 --engine both
 	# --json-mc-smoke asserts streaming = Reference in-process before timing
 	dune exec bench/main.exe -- --json-mc-smoke /tmp/BENCH_mc_smoke.json
-	dune exec bench/main.exe -- --json-enum-smoke BENCH_enum.json
+	dune exec bench/main.exe -- --json-enum-smoke /tmp/BENCH_enum_smoke.json
 	dune exec bench/main.exe -- --json-axiom-smoke /tmp/BENCH_axiom_smoke.json
 	dune exec bench/main.exe -- --json-exact-smoke /tmp/BENCH_exact_smoke.json
 	dune exec bench/main.exe -- --json-robust-smoke /tmp/BENCH_robust_smoke.json

@@ -721,9 +721,9 @@ let mc_json ~file ~scale =
 (* -- enumeration bench (--json-enum) ----------------------------------- *)
 
 (* Measures the exhaustive litmus enumerator on the increment_n family:
-   legacy printf-key vs packed-key dedup throughput (states/sec), and the
-   ample-set POR's state-count reduction, all with outcome sets
-   cross-checked between configurations. Writes BENCH_enum.json; invoked by
+   packed-key dedup throughput (states/sec) and the ample-set POR's
+   state-count reduction, with outcome sets cross-checked between the
+   two configurations. Writes BENCH_enum.json; invoked by
    `make ci` in smoke form so the enumerator's perf trajectory is tracked
    across PRs alongside the MC throughput numbers. *)
 
@@ -732,7 +732,6 @@ type enum_row = {
   ediscipline : string;
   estates : int;
   eterminals : int;
-  legacy_secs : float;
   packed_secs : float;
   por_states : int;
   por_secs : float;
@@ -741,8 +740,8 @@ type enum_row = {
 
 let enum_rows ~smoke =
   let workloads =
-    (* (test, discipline); the legacy-key pass dominates the budget, so the
-       smoke list stops at inc5 while the full bench climbs to inc6 *)
+    (* (test, discipline); the smoke list stops at inc5 while the full
+       bench climbs to inc6 *)
     let base = [ (4, Model.Sequential_consistency); (4, Model.Total_store_order);
                  (5, Model.Total_store_order) ] in
     if smoke then base
@@ -752,14 +751,11 @@ let enum_rows ~smoke =
     (fun (n, family) ->
       let t = Litmus.increment_n n in
       let d = Semantics.of_model family in
-      let run ?(por = false) ?(legacy_key = false) () =
-        Enumerate.outcomes ~por ~legacy_key d (Litmus.initial_state t)
-          ~observe:t.Litmus.observe
+      let run ?(por = false) () =
+        Enumerate.outcomes ~por d (Litmus.initial_state t) ~observe:t.Litmus.observe
       in
       let packed = run () in
-      let legacy = run ~legacy_key:true () in
       let por = run ~por:true () in
-      assert (packed.Enumerate.outcomes = legacy.Enumerate.outcomes);
       assert (packed.Enumerate.outcomes = por.Enumerate.outcomes);
       assert (packed.Enumerate.terminals = por.Enumerate.terminals);
       {
@@ -767,7 +763,6 @@ let enum_rows ~smoke =
         ediscipline = String.lowercase_ascii (Model.family_name family);
         estates = packed.Enumerate.states_visited;
         eterminals = packed.Enumerate.terminals;
-        legacy_secs = legacy.Enumerate.stats.elapsed_s;
         packed_secs = packed.Enumerate.stats.elapsed_s;
         por_states = por.Enumerate.states_visited;
         por_secs = por.Enumerate.stats.elapsed_s;
@@ -960,16 +955,11 @@ let enum_json ~file ~smoke =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"test\": %S, \"discipline\": %S, \"states\": %d, \"terminals\": %d,\n\
-           \     \"legacy_key_seconds\": %.6f, \"legacy_key_states_per_sec\": %.1f,\n\
            \     \"packed_key_seconds\": %.6f, \"packed_key_states_per_sec\": %.1f,\n\
-           \     \"key_speedup\": %.3f,\n\
            \     \"por_states\": %d, \"por_seconds\": %.6f, \"por_pruned\": %d, \
             \"por_state_reduction\": %.3f}%s\n"
-           r.etest r.ediscipline r.estates r.eterminals r.legacy_secs
-           (sps r.estates r.legacy_secs)
-           r.packed_secs
+           r.etest r.ediscipline r.estates r.eterminals r.packed_secs
            (sps r.estates r.packed_secs)
-           (if r.packed_secs > 0.0 then r.legacy_secs /. r.packed_secs else 0.0)
            r.por_states r.por_secs r.por_pruned
            (if r.por_states > 0 then float_of_int r.estates /. float_of_int r.por_states
             else 0.0)
@@ -1015,12 +1005,9 @@ let enum_json ~file ~smoke =
   List.iter
     (fun r ->
       Printf.printf
-        "%-5s %-4s %9d states  legacy %8.0f/s  packed %8.0f/s (%.2fx)  POR %8d states \
-         (%.2fx fewer)\n"
+        "%-5s %-4s %9d states  packed %8.0f/s  POR %8d states (%.2fx fewer)\n"
         r.etest r.ediscipline r.estates
-        (sps r.estates r.legacy_secs)
         (sps r.estates r.packed_secs)
-        (if r.packed_secs > 0.0 then r.legacy_secs /. r.packed_secs else 0.0)
         r.por_states
         (if r.por_states > 0 then float_of_int r.estates /. float_of_int r.por_states else 0.0))
     rows;

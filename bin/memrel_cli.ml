@@ -605,8 +605,8 @@ let verify_cmd =
 (* -- enumerate --------------------------------------------------------- *)
 
 let enumerate_cmd =
-  let run name model por max_states legacy_key window deadline max_mem extmem spill_dir
-      mem_budget resume =
+  let run name model por max_states window deadline max_mem extmem spill_dir mem_budget
+      resume =
     match find_litmus name with
     | Error msg ->
       Printf.eprintf "memrel: %s\n" msg;
@@ -616,9 +616,8 @@ let enumerate_cmd =
       let use_extmem = extmem || spill_dir <> None || resume in
       let r, ext =
         if not use_extmem then
-          ( Enumerate.outcomes ~max_states ~por ~legacy_key
-              ?budget:(budget_of deadline max_mem) discipline (Litmus.initial_state t)
-              ~observe:t.observe,
+          ( Enumerate.outcomes ~max_states ~por ?budget:(budget_of deadline max_mem) discipline
+              (Litmus.initial_state t) ~observe:t.observe,
             None )
         else begin
           (* an explicit --spill-dir is kept for later resumption; the
@@ -706,10 +705,6 @@ let enumerate_cmd =
            ~doc:"Stop after admitting N distinct states and report the partial exploration \
                  (exit code 3).")
   in
-  let legacy_key_arg =
-    Arg.(value & flag & info [ "legacy-key" ]
-           ~doc:"Deduplicate with the legacy printf-built state key (for benchmarking).")
-  in
   let window_arg =
     Arg.(value & opt int 8 & info [ "window" ] ~docv:"W"
            ~doc:"Out-of-order window for the wo model.")
@@ -739,10 +734,10 @@ let enumerate_cmd =
                  --spill-dir. The final result is bit-identical to an uninterrupted run; \
                  corrupt or mismatched spill state is rejected.")
   in
-  let run name model por max_states legacy_key window deadline max_mem extmem spill_dir
-      mem_budget resume =
-    try run name model por max_states legacy_key window deadline max_mem extmem spill_dir
-          mem_budget resume
+  let run name model por max_states window deadline max_mem extmem spill_dir mem_budget
+      resume =
+    try run name model por max_states window deadline max_mem extmem spill_dir mem_budget
+          resume
     with Extmem.Spill_error msg ->
       Printf.eprintf "memrel: %s\n" msg;
       Cmd.Exit.some_error
@@ -750,9 +745,9 @@ let enumerate_cmd =
   Cmd.v
     (Cmd.info "enumerate" ~exits:budget_exits
        ~doc:"Exhaustively enumerate a litmus test's state space with statistics.")
-    Term.(const run $ name_arg $ model_arg $ por_arg $ max_states_arg $ legacy_key_arg
-          $ window_arg $ deadline_arg $ max_mem_arg $ extmem_arg $ spill_dir_arg
-          $ mem_budget_arg $ resume_enum_arg)
+    Term.(const run $ name_arg $ model_arg $ por_arg $ max_states_arg $ window_arg
+          $ deadline_arg $ max_mem_arg $ extmem_arg $ spill_dir_arg $ mem_budget_arg
+          $ resume_enum_arg)
 
 (* -- axiom ------------------------------------------------------------- *)
 

@@ -1,4 +1,4 @@
-module IntMap = Memrel_machine.State.IntMap
+module IntMap = Map.Make (Int)
 module Instr = Memrel_machine.Instr
 module State = Memrel_machine.State
 
@@ -129,26 +129,21 @@ let compute c =
    have, so one [observe] function serves both sides of the differential *)
 let to_state c =
   let v = compute c in
-  let mem =
-    List.fold_left (fun m (loc, x) -> IntMap.add loc x m) IntMap.empty c.initial_mem
-  in
-  let mem =
+  let st = State.init ~programs:(Array.to_list c.programs) ~initial_mem:c.initial_mem in
+  let st =
     List.fold_left
-      (fun m (loc, order) ->
-        match List.rev order with [] -> m | last :: _ -> IntMap.add loc v.write_v.(last) m)
-      mem c.co
+      (fun st (loc, order) ->
+        match List.rev order with [] -> st | last :: _ -> State.set_mem st loc v.write_v.(last))
+      st c.co
   in
   let threads =
     Array.mapi
-      (fun k prog ->
-        { State.prog;
-          executed = (1 lsl Array.length prog) - 1;
-          regs = v.regs.(k);
-          fifo = [];
-          perloc = IntMap.empty })
-      c.programs
+      (fun k th ->
+        let th = IntMap.fold (fun r x th -> State.set_reg th r x) v.regs.(k) th in
+        { th with State.executed = (1 lsl Array.length th.State.prog) - 1 })
+      st.State.threads
   in
-  { State.mem; threads }
+  { st with State.threads }
 
 let outcome c ~observe = observe (to_state c)
 

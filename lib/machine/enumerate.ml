@@ -1,5 +1,3 @@
-module IntMap = State.IntMap
-
 type stats = {
   elapsed_s : float;
   states_per_sec : float;
@@ -72,7 +70,7 @@ let thread_footprint th =
       end)
     th.State.prog;
   List.iter (fun (l, _) -> add all l; add writes l) th.State.fifo;
-  IntMap.iter (fun l q -> if q <> [] then (add all l; add writes l)) th.State.perloc;
+  Array.iteri (fun l q -> if q <> [] then (add all l; add writes l)) th.State.perloc;
   (!all, !writes)
 
 let select_ample ~buffered st per_thread =
@@ -130,18 +128,12 @@ let expand ~por discipline st =
 
 (* -- iterative exploration --------------------------------------------- *)
 
-let outcomes ?(max_states = 2_000_000) ?(por = false) ?(legacy_key = false) ?budget
-    ?(legacy_raise = false) discipline st ~observe =
-  let scratch = Buffer.create 128 in
-  let key st =
-    if legacy_key then State.key st
-    else begin
-      Buffer.clear scratch;
-      State.add_packed scratch st;
-      Buffer.contents scratch
-    end
-  in
-  let visited = Hashtbl.create 4096 in
+let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget ?(legacy_raise = false)
+    discipline st ~observe =
+  (* one packer and one arena per call: keys are packed into the scratch
+     bytes and probed from there, and copied only when new *)
+  let packer = State.packer () in
+  let visited = Arena_set.create () in
   let outcome_counts = Hashtbl.create 64 in
   let terminals = ref 0 in
   let expanded = ref 0 in
@@ -161,12 +153,10 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?(legacy_key = false) ?bud
      kept behind [legacy_raise] only) *)
   let exception Stop of Memrel_prob.Budget.cause in
   let visit st depth =
-    let k = key st in
-    if Hashtbl.mem visited k then incr dedup_hits
-    else begin
-      Hashtbl.add visited k ();
+    State.pack packer st;
+    if Arena_set.add visited (State.packed_bytes packer) (State.packed_length packer) then
       Stack.push (st, depth) stack
-    end
+    else incr dedup_hits
   in
   let successors st =
     let ts, pruned = expand ~por discipline st in

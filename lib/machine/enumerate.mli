@@ -65,7 +65,6 @@ val expand :
 val outcomes :
   ?max_states:int ->
   ?por:bool ->
-  ?legacy_key:bool ->
   ?budget:Memrel_prob.Budget.t ->
   ?legacy_raise:bool ->
   Semantics.discipline ->
@@ -85,10 +84,10 @@ val outcomes :
     every expansion, spending one work unit per expanded state; tripping
     any of its limits (deadline, work cap, memory watermark) likewise
     yields a partial result. [por] (default [false]) enables the ample-set
-    partial-order reduction. [legacy_key] (default [false]) deduplicates
-    with the original [Printf]-built {!State.key} instead of
-    {!State.packed_key} — kept so the bench can measure the two paths
-    against each other. *)
+    partial-order reduction. States are deduplicated on their
+    {!State.packed_key} bytes, held in an {!Arena_set}. The call owns all of
+    its scratch (packer, visited set, worklist), so concurrent calls from
+    several domains are independent. *)
 
 val outcome_set : 'a result -> 'a list
 (** The distinct observations of a result, without their terminal-state

@@ -40,7 +40,8 @@ type 'a eng = {
   run_cap : int;  (* payload bytes per run file / per in-RAM batch *)
   bloom : Bytes.t;
   bloom_bits : int;
-  programs : Instr.t array list;
+  decoder : State.decoder;  (* the root's layout, computed once per run *)
+  packer : State.packer;
   discipline : Semantics.discipline;
   por : bool;
   outcome_counts : ('a, int) Hashtbl.t;
@@ -500,7 +501,7 @@ let expand_level eng ~observe ~max_states ~budget =
        | None -> ( match budget with None -> () | Some b -> Budget.spend b 1));
       eng.expanded <- eng.expanded + 1;
       let st =
-        try State.of_packed_key ~programs:eng.programs key
+        try State.decode eng.decoder key
         with Invalid_argument _ -> spill_error "corrupt state key in spill run"
       in
       let succs, pruned = Enumerate.expand ~por:eng.por eng.discipline st in
@@ -518,7 +519,8 @@ let expand_level eng ~observe ~max_states ~budget =
          List.iter
            (fun (_, st') ->
              eng.transitions <- eng.transitions + 1;
-             let k = State.packed_key st' in
+             State.pack eng.packer st';
+             let k = State.packed_string eng.packer in
              cand := k :: !cand;
              incr cand_total;
              cand_bytes := !cand_bytes + String.length k + 16;
@@ -643,7 +645,7 @@ let maybe_compact eng =
 
 let default_mem_budget = 64 * 1024 * 1024
 
-let create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~programs discipline =
+let create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~root discipline =
   let mem_budget = max 65536 mem_budget_bytes in
   let bloom_bytes = max 4096 (min (mem_budget / 4) (1 lsl 28)) in
   {
@@ -652,7 +654,8 @@ let create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~programs disciplin
     run_cap = max 4096 (mem_budget / 8);
     bloom = Bytes.make bloom_bytes '\000';
     bloom_bits = bloom_bytes * 8;
-    programs;
+    decoder = State.decoder root;
+    packer = State.packer ();
     discipline;
     por;
     outcome_counts = Hashtbl.create 64;
@@ -723,8 +726,7 @@ let init_resume eng =
 let outcomes ?(max_states = max_int) ?(por = false) ?budget
     ?(mem_budget_bytes = default_mem_budget) ?(resume = false) ~spill_dir ~resume_key
     discipline root ~observe =
-  let programs = Array.to_list (Array.map (fun th -> th.State.prog) root.State.threads) in
-  let eng = create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~programs discipline in
+  let eng = create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~root discipline in
   let t0 = Unix.gettimeofday () in
   if resume then init_resume eng else init_fresh eng root;
   let exhausted = ref None in

@@ -1,6 +1,5 @@
 module Fence = Memrel_memmodel.Fence
 module Model = Memrel_memmodel.Model
-module IntMap = State.IntMap
 
 type discipline = Sc | Tso | Pso | Wo of { window : int }
 
@@ -22,8 +21,6 @@ let eval th = function Instr.Reg r -> State.reg th r | Instr.Imm i -> i
 
 let apply_binop op a b =
   match op with Instr.Add -> a + b | Instr.Sub -> a - b | Instr.Mul -> a * b
-
-let set_thread st k th = { st with State.threads = Array.mapi (fun i t -> if i = k then th else t) st.State.threads }
 
 let mark th i = { th with State.executed = th.State.executed lor (1 lsl i) }
 
@@ -57,6 +54,8 @@ let conflicts prog j i =
     in
     reg_hazard || mem_hazard
 
+let drained ~pso th = if pso then State.perloc_empty th else th.State.fifo = []
+
 (* execute instruction [i] of thread [k] under in-order buffered semantics;
    [buffered] selects TSO (fifo) or PSO (per-location) buffering. Returns
    None when the instruction is not currently executable (fence awaiting an
@@ -67,43 +66,33 @@ let exec_buffered ~pso st k i =
   match th.State.prog.(i) with
   | Binop { dst; op; a; b } ->
     let v = apply_binop op (eval th a) (eval th b) in
-    Some (set_thread st k (mark { th with State.regs = IntMap.add dst v th.State.regs } i))
+    Some (State.set_thread st k (mark (State.set_reg th dst v) i))
   | Load { reg; loc } ->
     let buffered =
       if pso then State.buffered_read_perloc th loc else State.buffered_read_fifo th loc
     in
     let v = match buffered with Some v -> v | None -> State.mem_read st loc in
-    Some (set_thread st k (mark { th with State.regs = IntMap.add reg v th.State.regs } i))
+    Some (State.set_thread st k (mark (State.set_reg th reg v) i))
   | Store { loc; src } ->
     let v = eval th src in
     let th =
-      if pso then begin
-        let q = Option.value ~default:[] (IntMap.find_opt loc th.State.perloc) in
-        { th with State.perloc = IntMap.add loc (q @ [ v ]) th.State.perloc }
-      end
+      if pso then State.set_perloc_queue th loc (State.perloc_queue th loc @ [ v ])
       else { th with State.fifo = th.State.fifo @ [ (loc, v) ] }
     in
-    Some (set_thread st k (mark th i))
+    Some (State.set_thread st k (mark th i))
   | Rmw { reg; loc; op; operand } ->
     (* locked instruction: only executable on an empty buffer, then an
        atomic read-modify-write straight against memory *)
-    let empty =
-      if pso then IntMap.for_all (fun _ l -> l = []) th.State.perloc else th.State.fifo = []
-    in
-    if empty then begin
+    if drained ~pso th then begin
       let old_v = State.mem_read st loc in
       let new_v = apply_binop op old_v (eval th operand) in
-      let st = { st with State.mem = IntMap.add loc new_v st.State.mem } in
-      let th = st.State.threads.(k) in
-      Some (set_thread st k (mark { th with State.regs = IntMap.add reg old_v th.State.regs } i))
+      let st = State.set_mem st loc new_v in
+      Some (State.set_thread st k (mark (State.set_reg th reg old_v) i))
     end
     else None
   | Fence (Fence.Full | Fence.Release) ->
-    let empty =
-      if pso then IntMap.for_all (fun _ l -> l = []) th.State.perloc else th.State.fifo = []
-    in
-    if empty then Some (set_thread st k (mark th i)) else None
-  | Fence Fence.Acquire -> Some (set_thread st k (mark th i))
+    if drained ~pso th then Some (State.set_thread st k (mark th i)) else None
+  | Fence Fence.Acquire -> Some (State.set_thread st k (mark th i))
 
 let exec_direct st k i =
   let th = st.State.threads.(k) in
@@ -111,40 +100,41 @@ let exec_direct st k i =
   match th.State.prog.(i) with
   | Binop { dst; op; a; b } ->
     let v = apply_binop op (eval th a) (eval th b) in
-    set_thread st k (mark { th with State.regs = IntMap.add dst v th.State.regs } i)
+    State.set_thread st k (mark (State.set_reg th dst v) i)
   | Load { reg; loc } ->
     let v = State.mem_read st loc in
-    set_thread st k (mark { th with State.regs = IntMap.add reg v th.State.regs } i)
+    State.set_thread st k (mark (State.set_reg th reg v) i)
   | Store { loc; src } ->
     let v = eval th src in
-    let st = { st with State.mem = IntMap.add loc v st.State.mem } in
-    set_thread st k (mark st.State.threads.(k) i)
+    State.set_thread (State.set_mem st loc v) k (mark th i)
   | Rmw { reg; loc; op; operand } ->
     let old_v = State.mem_read st loc in
     let new_v = apply_binop op old_v (eval th operand) in
-    let st = { st with State.mem = IntMap.add loc new_v st.State.mem } in
-    let th = st.State.threads.(k) in
-    set_thread st k (mark { th with State.regs = IntMap.add reg old_v th.State.regs } i)
-  | Fence _ -> set_thread st k (mark th i)
+    State.set_thread (State.set_mem st loc new_v) k (mark (State.set_reg th reg old_v) i)
+  | Fence _ -> State.set_thread st k (mark th i)
 
 let flush_transitions ~pso st k =
   let th = st.State.threads.(k) in
-  if pso then
-    IntMap.fold
-      (fun loc q acc ->
-        match q with
-        | [] -> acc
-        | v :: rest ->
-          let th' = { th with State.perloc = IntMap.add loc rest th.State.perloc } in
-          let st' = { (set_thread st k th') with State.mem = IntMap.add loc v st.State.mem } in
-          (Flush { thread = k; loc }, st') :: acc)
-      th.State.perloc []
+  if pso then begin
+    (* highest location first, the order the transition lists have always
+       had: it fixes the in-RAM worklist's visiting order, hence its
+       max-frontier statistic *)
+    let acc = ref [] in
+    for loc = 0 to Array.length th.State.perloc - 1 do
+      match th.State.perloc.(loc) with
+      | [] -> ()
+      | v :: rest ->
+        let th' = State.set_perloc_queue th loc rest in
+        let st' = State.set_thread (State.set_mem st loc v) k th' in
+        acc := (Flush { thread = k; loc }, st') :: !acc
+    done;
+    !acc
+  end
   else begin
     match th.State.fifo with
     | [] -> []
     | (loc, v) :: rest ->
-      let th' = { th with State.fifo = rest } in
-      let st' = { (set_thread st k th') with State.mem = IntMap.add loc v st.State.mem } in
+      let st' = State.set_thread (State.set_mem st loc v) k { th with State.fifo = rest } in
       [ (Flush { thread = k; loc }, st') ]
   end
 

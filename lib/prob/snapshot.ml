@@ -22,19 +22,20 @@ let error_to_string = function
 
 (* -- CRC-32 (IEEE 802.3, polynomial 0xEDB88320) ------------------------ *)
 
+(* built eagerly at module initialization: forcing a shared [lazy] from two
+   domains at once (two serve workers' first disk IO) raises
+   [CamlinternalLazy.Undefined] *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  String.iter (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
   !c lxor 0xFFFFFFFF
 
 (* -- big-endian fixed-width fields ------------------------------------- *)

@@ -43,7 +43,11 @@ let connect ?(retry_for = 0.) address =
 
 let request t req =
   try
-    P.write_frame t.fd (P.encode_request req);
+    (* a shed connection is sent its typed [Overloaded] reply and closed,
+       possibly before our request is written: the write then fails with
+       EPIPE while the reply still waits to be read *)
+    (try P.write_frame t.fd (P.encode_request req)
+     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
     match P.read_frame t.fd with
     | Ok (Some payload) -> P.decode_response payload
     | Ok None -> Error "server closed the connection"

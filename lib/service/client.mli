@@ -12,7 +12,8 @@ val connect : ?retry_for:float -> Protocol.address -> (t, string) result
 
 val request : t -> Protocol.request -> (Protocol.response, string) result
 (** One request/response round trip. The connection is unusable after an
-    [Error]. *)
+    [Error]. A reply the daemon sent before hanging up (a shed connection's
+    [Overloaded]) is returned even when the request's write failed. *)
 
 val query : ?limits:Protocol.limits -> t -> Protocol.query -> (Protocol.response, string) result
 

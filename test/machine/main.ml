@@ -5,6 +5,7 @@ let () =
       ("state", Test_state.suite);
       ("semantics", Test_semantics.suite);
       ("enumerate", Test_enumerate.suite);
+      ("arena_set", Test_arena_set.suite);
       ("extmem", Test_extmem.suite);
       ("litmus", Test_litmus.suite);
       ("parse", Test_parse.suite);

@@ -126,20 +126,21 @@ let test_dedup_effectiveness () =
 
 let test_packed_key_agrees_with_legacy () =
   (* the packed structural key and the legacy printf key must induce the
-     same state equivalence: identical visit/terminal/outcome accounting
-     on every corpus test under every discipline *)
+     same state equivalence: the enumerator (packed keys in an arena set)
+     and a plain DFS over the printf key agree on visit/terminal/outcome
+     accounting on every corpus test under every discipline *)
   List.iter
     (fun (t : L.t) ->
       List.iter
         (fun (dname, d) ->
-          let run legacy_key =
-            E.outcomes ~legacy_key d (L.initial_state t) ~observe:t.observe
+          let packed = E.outcomes d (L.initial_state t) ~observe:t.observe in
+          let states, terminals, outcomes =
+            Legacy_key.enumerate d (L.initial_state t) ~observe:t.observe
           in
-          let packed = run false and legacy = run true in
           let label = Printf.sprintf "%s/%s" t.name dname in
-          Alcotest.(check int) (label ^ " states") legacy.states_visited packed.states_visited;
-          Alcotest.(check int) (label ^ " terminals") legacy.terminals packed.terminals;
-          Alcotest.(check bool) (label ^ " outcomes") true (legacy.outcomes = packed.outcomes))
+          Alcotest.(check int) (label ^ " states") states packed.states_visited;
+          Alcotest.(check int) (label ^ " terminals") terminals packed.terminals;
+          Alcotest.(check bool) (label ^ " outcomes") true (outcomes = packed.outcomes))
         disciplines)
     L.all
 
@@ -226,6 +227,33 @@ let test_find_incn () =
   Alcotest.check_raises "inc1 rejected" Not_found (fun () -> ignore (L.find "inc1"));
   Alcotest.check_raises "incx rejected" Not_found (fun () -> ignore (L.find "incx"))
 
+let test_two_domains_agree () =
+  (* serve workers enumerate from several domains at once: each call owns
+     its packer, arena and worklist, so concurrent runs cannot interfere *)
+  let t = L.increment_n 4 in
+  let run () =
+    let r = E.outcomes Sem.Tso (L.initial_state t) ~observe:t.L.observe in
+    (r.outcomes, r.states_visited, r.terminals, r.stats.transitions, r.stats.dedup_hits)
+  in
+  let alone = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "first domain = sequential run" true (r1 = alone);
+  Alcotest.(check bool) "second domain = sequential run" true (r2 = alone)
+
+let test_minor_words_per_transition () =
+  (* allocation guard: packing into the scratch bytes and probing the arena
+     allocate nothing per successor, so what remains is mostly building the
+     successor states themselves *)
+  let t = L.increment_n 4 in
+  let root = L.initial_state t in
+  ignore (E.outcomes Sem.Tso root ~observe:t.L.observe);
+  let before = Gc.minor_words () in
+  let r = E.outcomes Sem.Tso root ~observe:t.L.observe in
+  let words = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per transition <= 80" words) true
+    (words <= 80.0)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -248,4 +276,6 @@ let suite =
       ("deep linear space iterates", test_deep_linear_space);
       ("observability counters", test_stats_observability);
       ("find resolves incN names", test_find_incn);
+      ("two domains enumerate inc4 identically", test_two_domains_agree);
+      ("minor words per transition on inc4/TSO", test_minor_words_per_transition);
     ]

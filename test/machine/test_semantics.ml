@@ -189,7 +189,7 @@ let prop_outcome_monotonicity =
        ~count:150 arb_small_program
        (fun (p0, p1) ->
          let st = mk [ Array.of_list p0; Array.of_list p1 ] in
-         let observe s = Memrel_machine.State.key s in
+         let observe s = Legacy_key.key s in
          let outcomes d =
            List.map fst (Memrel_machine.Enumerate.outcomes d st ~observe).outcomes
          in

@@ -1,5 +1,7 @@
 module State = Memrel_machine.State
 module I = Memrel_machine.Instr
+module Sem = Memrel_machine.Semantics
+module L = Memrel_machine.Litmus
 
 let test_init_defaults () =
   let st = State.init ~programs:[ [| I.load ~reg:0 ~loc:0 |] ] ~initial_mem:[ (3, 7) ] in
@@ -25,20 +27,23 @@ let test_buffered_reads () =
   Alcotest.(check (option int)) "newest wins" (Some 2) (State.buffered_read_fifo th 0);
   Alcotest.(check (option int)) "other loc" (Some 5) (State.buffered_read_fifo th 1);
   Alcotest.(check (option int)) "absent" None (State.buffered_read_fifo th 9);
-  let th2 =
-    { (st.State.threads.(0)) with State.perloc = State.IntMap.add 0 [ 1; 2 ] State.IntMap.empty }
-  in
+  let th2 = { (st.State.threads.(0)) with State.perloc = [| [ 1; 2 ] |] } in
   Alcotest.(check (option int)) "perloc newest is last" (Some 2) (State.buffered_read_perloc th2 0);
   Alcotest.(check (option int)) "perloc absent" None (State.buffered_read_perloc th2 1)
 
 let test_key_canonical () =
   (* zero-valued writes must not split states *)
   let st = State.init ~programs:[ [||] ] ~initial_mem:[] in
-  let st_explicit_zero = { st with State.mem = State.IntMap.add 0 0 st.State.mem } in
-  Alcotest.(check string) "zero binding same key" (State.key st) (State.key st_explicit_zero);
-  let st_one = { st with State.mem = State.IntMap.add 0 1 st.State.mem } in
+  let st_explicit_zero = { st with State.mem = [| 0 |] } in
+  Alcotest.(check string) "zero binding same key" (Legacy_key.key st)
+    (Legacy_key.key st_explicit_zero);
+  Alcotest.(check string) "zero binding same packed key" (State.packed_key st)
+    (State.packed_key st_explicit_zero);
+  let st_one = { st with State.mem = [| 1 |] } in
   Alcotest.(check bool) "different values different keys" true
-    (State.key st <> State.key st_one)
+    (Legacy_key.key st <> Legacy_key.key st_one);
+  Alcotest.(check bool) "different values different packed keys" true
+    (State.packed_key st <> State.packed_key st_one)
 
 let test_key_distinguishes_buffers () =
   let st = State.init ~programs:[ [||] ] ~initial_mem:[] in
@@ -46,7 +51,9 @@ let test_key_distinguishes_buffers () =
     { st with
       State.threads = [| { (st.State.threads.(0)) with State.fifo = [ (0, 1) ] } |] }
   in
-  Alcotest.(check bool) "buffer state in key" true (State.key st <> State.key with_fifo)
+  Alcotest.(check bool) "buffer state in key" true (Legacy_key.key st <> Legacy_key.key with_fifo);
+  Alcotest.(check bool) "buffer state in packed key" true
+    (State.packed_key st <> State.packed_key with_fifo)
 
 (* -- packed-key round-trip ---------------------------------------------- *)
 
@@ -58,27 +65,42 @@ let roundtrip st =
   Alcotest.(check string) "re-encodes to the same key" k (State.packed_key st');
   st'
 
-let test_of_packed_key_handcrafted () =
-  (* exercise every section: memory, executed masks, registers, both buffer
-     shapes, negative values, and zero-valued bindings (normalized away) *)
+(* every section: memory, executed masks, registers, both buffer shapes,
+   negative and wide values; memory location 9 lies past the programs'
+   locations (it is only initially bound) *)
+let handcrafted () =
   let st =
     State.init
       ~programs:[ Array.init 5 (fun i -> I.load ~reg:i ~loc:i); [| I.load ~reg:0 ~loc:0 |] ]
       ~initial_mem:[ (0, 7); (3, -42); (9, 1 lsl 40) ]
   in
   let t0 =
-    { (st.State.threads.(0)) with
+    { (State.set_reg (State.set_reg st.State.threads.(0) 0 3) 2 (-5)) with
       State.executed = 0b10110;
-      regs = State.IntMap.add 2 (-5) (State.IntMap.add 0 3 State.IntMap.empty);
       fifo = [ (0, 1); (1, 5); (0, 2) ];
     }
   in
   let t1 =
-    { (st.State.threads.(1)) with
-      State.perloc = State.IntMap.add 4 [ 1; 2; 3 ] (State.IntMap.add 0 [ 9 ] State.IntMap.empty);
-    }
+    State.set_perloc_queue (State.set_perloc_queue st.State.threads.(1) 0 [ 9 ]) 4 [ 1; 2; 3 ]
   in
-  let st = { st with State.threads = [| t0; t1 |] } in
+  { st with State.threads = [| t0; t1 |] }
+
+let hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let unhex h =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* the packed key of [handcrafted ()], as the IntMap-based encoder wrote
+   it: spill runs and resume checkpoints written before the array layout
+   must stay readable, and new ones byte-identical *)
+let golden_handcrafted =
+  "06000e0653128080808080402c0400060409060002020a000400000000040002120806020406"
+
+let test_of_packed_key_handcrafted () =
+  let st = handcrafted () in
   let st' = roundtrip st in
   Alcotest.(check (option int)) "fifo order preserved (newest wins)" (Some 2)
     (State.buffered_read_fifo st'.State.threads.(0) 0);
@@ -88,16 +110,65 @@ let test_of_packed_key_handcrafted () =
   Alcotest.(check int) "wide memory value" (1 lsl 40) (State.mem_read st' 9);
   Alcotest.(check int) "negative register" (-5) (State.reg st'.State.threads.(0) 2);
   (* a state with explicit zero bindings decodes to the canonical form *)
-  let zeroed = { st with State.mem = State.IntMap.add 5 0 st.State.mem } in
+  let zeroed = State.set_mem st 5 0 in
   ignore (roundtrip zeroed)
+
+let test_packed_key_golden () =
+  let st = handcrafted () in
+  Alcotest.(check string) "packed key bytes" golden_handcrafted (hex (State.packed_key st));
+  let buf = Buffer.create 8 in
+  Buffer.add_string buf "x";
+  State.add_packed buf st;
+  Alcotest.(check string) "add_packed appends the same bytes" ("78" ^ golden_handcrafted)
+    (hex (Buffer.contents buf));
+  let p = State.packer () in
+  State.pack p (State.init ~programs:[ [||] ] ~initial_mem:[]);
+  State.pack p st;
+  Alcotest.(check string) "a reused packer overwrites" golden_handcrafted
+    (hex (State.packed_string p));
+  (* the golden bytes decode through either decoder, in or past the layout *)
+  let key = unhex golden_handcrafted in
+  List.iter
+    (fun (label, st') ->
+      Alcotest.(check string) (label ^ " re-encodes") golden_handcrafted
+        (hex (State.packed_key st'));
+      Alcotest.(check int) (label ^ " wide memory value") (1 lsl 40) (State.mem_read st' 9))
+    [ ("of_packed_key", State.of_packed_key ~programs:(programs_of st) key);
+      ("decoder", State.decode (State.decoder st) key) ]
+
+(* digests of every reachable state's packed key (sorted, newline-joined),
+   taken from the IntMap-based state: the array layout must pack every
+   machine-generated state to the same bytes *)
+let golden_spaces =
+  [ ("inc3", Sem.Pso, 308, "ddffe6f0e46a0544d8dd08c99c413d7f");
+    ("sb", Sem.Tso, 34, "53fdb79e1f436d0c8cc36977889ad54e");
+    ("mp", Sem.Pso, 29, "a09d9dbe7d188e3e587dd07ba4e6f985");
+    ("iriw", Sem.Wo { window = 3 }, 169, "0948061e2cfcfc9b470231ba6247feeb");
+    ("inc3", Sem.Sc, 175, "3dcb0aeba72631ce13375aea81c8ebe5") ]
+
+let test_packed_keys_golden_spaces () =
+  List.iter
+    (fun (name, d, n, digest) ->
+      let seen = Hashtbl.create 1024 in
+      let rec go st =
+        let k = State.packed_key st in
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.add seen k ();
+          List.iter (fun (_, s) -> go s) (Sem.transitions d st)
+        end
+      in
+      go (L.initial_state (L.find name));
+      let keys = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []) in
+      Alcotest.(check int) (name ^ " states") n (List.length keys);
+      Alcotest.(check string) (name ^ " key digest") digest
+        (Digest.to_hex (Digest.string (String.concat "\n" keys))))
+    golden_spaces
 
 let test_of_packed_key_random_walks () =
   (* real states: random walks of the operational semantics under every
      discipline, so buffers/registers/memory take machine-generated shapes;
      at each step the decoded state must re-encode identically AND offer
      exactly the original state's transitions *)
-  let module Sem = Memrel_machine.Semantics in
-  let module L = Memrel_machine.Litmus in
   let rng = Random.State.make [| 0x5EED |] in
   List.iter
     (fun d ->
@@ -179,4 +250,6 @@ let suite =
       ("of_packed_key round-trips handcrafted states", test_of_packed_key_handcrafted);
       ("of_packed_key round-trips random walks", test_of_packed_key_random_walks);
       ("of_packed_key rejects malformed keys", test_of_packed_key_rejects_malformed);
+      ("packed key bytes match the golden encoding", test_packed_key_golden);
+      ("reachable packed keys match golden digests", test_packed_keys_golden_spaces);
     ]

@@ -141,6 +141,27 @@ let test_crc32_known_vector () =
   Alcotest.(check int) "crc32(\"123456789\")" 0xCBF43926 (Snapshot.crc32 "123456789");
   Alcotest.(check int) "crc32(\"\")" 0 (Snapshot.crc32 "")
 
+let test_crc32_from_two_domains () =
+  (* serve workers checksum from several domains at once; both must see
+     the full table from their very first call *)
+  let payload = String.init 4096 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let expected = Snapshot.crc32 payload in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.init 50 (fun _ -> Snapshot.crc32 payload)
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  List.iter
+    (fun d ->
+      List.iter (Alcotest.(check int) "same crc from every domain" expected) (Domain.join d))
+    [ d1; d2 ];
+  Alcotest.(check int) "check value from a domain" 0xCBF43926
+    (Domain.join (Domain.spawn (fun () -> Snapshot.crc32 "123456789")))
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -159,4 +180,5 @@ let suite =
       ("failed rename removes the tmp file", test_failed_write_cleans_tmp);
       ("unwritable target leaves no tmp residue", test_unwritable_target_cleans_tmp);
       ("crc32 matches the IEEE check value", test_crc32_known_vector);
+      ("crc32 from two domains at once", test_crc32_from_two_domains);
     ]
