@@ -4,7 +4,8 @@
 # the committed BENCH_*.json rows come only from full runs), the
 # axiomatic-vs-operational differential, the candidate-generation bench, the
 # robustness smoke (checkpoint/resume + fault-retry bit-identity, plus the
-# CLI's exit-3 partial-result contract), the service smoke (daemon
+# CLI's exit-3 partial-result, checkpoint-identity and positive-count
+# contracts), the service smoke (daemon
 # cold/warm/restart cache behavior plus its error and partial exit codes),
 # the chaos smoke (seeded fault plans vs a clean oracle, kill -9 recovery,
 # overload shedding, live-socket refusal, SIGTERM drain), and the
@@ -49,9 +50,9 @@ bench-axiom:
 bench-exact:
 	dune exec bench/main.exe -- --json-exact BENCH_exact.json
 
-# robustness bench: governance/checkpoint overhead vs the baseline engine,
-# snapshot size, restore cost; resume and fault-retry runs asserted
-# bit-identical to the baseline; writes BENCH_robust.json
+# robustness bench: checkpoint, resume and fault-retry runs of the Monte
+# Carlo engine vs a bare run (overhead, snapshot size, restore cost), each
+# asserted bit-identical to the bare run; writes BENCH_robust.json
 bench-robust:
 	dune exec bench/main.exe -- --json-robust BENCH_robust.json
 
@@ -101,6 +102,16 @@ ci:
 	dune exec bin/memrel_cli.exe -- shift --target-width 0.01 --seed 4 | grep -q "adaptive: target width"
 	dune exec bin/memrel_cli.exe -- joint --model sc -n 2 --target-width 0.01 > /dev/null
 	dune exec bin/memrel_cli.exe -- shift --target-width 0.01 --deadline 0 > /dev/null; test $$? -eq 3
+	# checkpoint identity: a snapshot resumes only the estimator that wrote
+	# it; any other is refused with a one-line error and exit 123
+	rm -f /tmp/memrel_ci.ck
+	dune exec bin/memrel_cli.exe -- shift --seed 7 --trials 100000 --jobs 1 --checkpoint /tmp/memrel_ci.ck > /dev/null
+	dune exec bin/memrel_cli.exe -- joint --model sc -n 2 --seed 7 --trials 100000 --jobs 1 --resume /tmp/memrel_ci.ck > /dev/null 2>&1; test $$? -eq 123
+	dune exec bin/memrel_cli.exe -- window --seed 7 --trials 100000 --jobs 1 --resume /tmp/memrel_ci.ck > /dev/null 2>&1; test $$? -eq 123
+	rm -f /tmp/memrel_ci.ck
+	# nonpositive trial counts are usage errors (124), not internal errors
+	dune exec bin/memrel_cli.exe -- shift --trials 0 > /dev/null 2>&1; test $$? -eq 124
+	dune exec bin/memrel_cli.exe -- window --trials 0 > /dev/null 2>&1; test $$? -eq 124
 
 clean:
 	dune clean

@@ -7,6 +7,7 @@
 
 open Memrel
 module Q = Rational
+module Oracle = Memrel_oracle
 
 let hr title =
   Printf.printf "\n==============================================================\n";
@@ -554,7 +555,7 @@ let mc_throughput_rows ~jobs_n ~scale =
         ignore (Shift.estimate ~jobs ~trials (Rng.create seed) [| 2; 3; 2; 4 |]));
   ]
 
-(* streaming vs the kept closure-based Reference path, at jobs=1 (the
+(* streaming vs the closure-based oracle (test/oracle), at jobs=1 (the
    honest single-core number). The differential check runs IN-PROCESS and
    BEFORE any timing: a speedup over a path that computes something else
    would be meaningless, so a mismatch aborts the bench. *)
@@ -568,7 +569,7 @@ type sr_row = {
 
 let streaming_vs_reference_rows ~scale =
   let row sname strials ~equal ~reference ~streaming =
-    if not (equal ()) then failwith (sname ^ ": streaming result differs from Reference");
+    if not (equal ()) then failwith (sname ^ ": streaming result differs from the oracle");
     reference (max 1 (strials / 100));
     streaming (max 1 (strials / 100));
     let sref_secs = wall (fun () -> reference strials) in
@@ -579,26 +580,25 @@ let streaming_vs_reference_rows ~scale =
     row "settling_estimate_tso" (300_000 / scale)
       ~equal:(fun () ->
         Window_mc.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) (Rng.create seed)
-        = Window_mc.Reference.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) (Rng.create seed))
+        = Oracle.Mc.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) (Rng.create seed))
       ~reference:(fun trials ->
-        ignore (Window_mc.Reference.estimate ~jobs:1 ~trials (Model.tso ()) (Rng.create seed)))
+        ignore (Oracle.Mc.estimate ~jobs:1 ~trials (Model.tso ()) (Rng.create seed)))
       ~streaming:(fun trials ->
         ignore (Window_mc.estimate ~jobs:1 ~trials (Model.tso ()) (Rng.create seed)));
     row "shift_estimate_n4" (3_000_000 / scale)
       ~equal:(fun () ->
         Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create seed) [| 2; 3; 2; 4 |]
-        = Shift.Reference.estimate ~jobs:1 ~trials:50_000 (Rng.create seed) [| 2; 3; 2; 4 |])
+        = Oracle.Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create seed) [| 2; 3; 2; 4 |])
       ~reference:(fun trials ->
-        ignore (Shift.Reference.estimate ~jobs:1 ~trials (Rng.create seed) [| 2; 3; 2; 4 |]))
+        ignore (Oracle.Shift.estimate ~jobs:1 ~trials (Rng.create seed) [| 2; 3; 2; 4 |]))
       ~streaming:(fun trials ->
         ignore (Shift.estimate ~jobs:1 ~trials (Rng.create seed) [| 2; 3; 2; 4 |]));
     row "joint_estimate_tso_n2" (200_000 / scale)
       ~equal:(fun () ->
         Joint.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create seed)
-        = Joint.Reference.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2
-            (Rng.create seed))
+        = Oracle.Joint.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create seed))
       ~reference:(fun trials ->
-        ignore (Joint.Reference.estimate ~jobs:1 ~trials (Model.tso ()) ~n:2 (Rng.create seed)))
+        ignore (Oracle.Joint.estimate ~jobs:1 ~trials (Model.tso ()) ~n:2 (Rng.create seed)))
       ~streaming:(fun trials ->
         ignore (Joint.estimate ~jobs:1 ~trials (Model.tso ()) ~n:2 (Rng.create seed)));
   ]
@@ -1438,20 +1438,19 @@ let exact_json ~file ~smoke =
 
 (* -- robustness bench (--json-robust) ---------------------------------- *)
 
-(* Measures what governance costs the governed MC engine: baseline Par.count
-   vs count_governed bare, vs governed with periodic checkpointing; snapshot
-   size on disk and the wall cost of a resume; and a fault-injected run with
-   retries. Every configuration is asserted bit-identical to the baseline
-   before any timing is reported — the numbers are only meaningful if the
-   determinism contract holds. Writes BENCH_robust.json; `make ci` runs the
-   smoke form. *)
+(* Measures what checkpointing, resume and fault retry cost the Monte Carlo
+   engine: a bare Par.count run vs the same run with periodic checkpoints,
+   snapshot size on disk, the wall cost of a resume, and a fault-injected
+   run with retries. Every configuration is asserted bit-identical to the
+   bare run before any timing is reported — the numbers are only
+   meaningful if the determinism contract holds. Writes BENCH_robust.json;
+   `make ci` runs the smoke form. *)
 
 type robust_numbers = {
   r_jobs : int;
   r_trials : int;
   r_chunks : int;
   r_baseline_secs : float;
-  r_governed_secs : float;
   r_checkpointed_secs : float;
   r_checkpoints_written : int;
   r_snapshot_bytes : int;
@@ -1468,52 +1467,38 @@ let robust_numbers ~smoke =
   let chunk = 2048 in
   let chunks = (trials + chunk - 1) / chunk in
   let jobs = max 4 (Par.default_jobs ()) in
-  let model = Model.tso () in
-  let trial r =
-    let prog = Program.generate r ~m:48 in
-    let pi = Settle.run model r prog in
-    Window.gamma prog pi >= 1
+  let worker () =
+    let s = Window_scratch.create ~m:48 (Model.tso ()) in
+    fun r -> Window_scratch.sample_gamma s r >= 1
   in
-  let fresh () = Rng.create seed in
-  ignore (Par.count ~jobs ~chunk ~trials:(max 1 (trials / 20)) trial (fresh ()));
+  let count ?budget ?checkpoint ?resume ?fault ~trials () =
+    Par.count ~jobs ~chunk ?budget ?checkpoint ~checkpoint_every:4 ?resume ?fault ~trials ~worker
+      (Rng.create seed)
+  in
+  ignore (count ~trials:(max 1 (trials / 20)) ());
   let baseline = ref 0 in
-  let r_baseline_secs =
-    wall (fun () -> baseline := Par.count ~jobs ~chunk ~trials trial (fresh ()))
-  in
-  let governed = ref 0 in
-  let r_governed_secs =
-    wall (fun () ->
-        let g = Par.count_governed ~jobs ~chunk ~trials trial (fresh ()) in
-        assert (g.Par.exhausted = None);
-        governed := g.Par.value)
-  in
-  assert (!governed = !baseline);
+  let r_baseline_secs = wall (fun () -> baseline := (count ~trials ()).Par.value) in
   let snap = Filename.temp_file "memrel_robust" ".snap" in
   let checkpointed = ref 0 and r_checkpoints_written = ref 0 in
   let r_checkpointed_secs =
     wall (fun () ->
-        let g =
-          Par.count_governed ~jobs ~chunk ~checkpoint:snap ~checkpoint_every:4 ~trials trial
-            (fresh ())
-        in
-        r_checkpoints_written := g.Par.run_stats.Par.checkpoints_written;
+        let g = count ~checkpoint:snap ~trials () in
+        r_checkpoints_written := g.Par.checkpoints_written;
         checkpointed := g.Par.value)
   in
   assert (!checkpointed = !baseline);
   (* interrupt half-way with a deterministic work cap, snapshot, resume *)
   let partial =
-    Par.count_governed ~jobs ~chunk
-      ~budget:(Budget.create ~max_work:(chunks / 2) ())
-      ~checkpoint:snap ~checkpoint_every:4 ~trials trial (fresh ())
+    count ~budget:(Budget.create ~max_work:(chunks / 2) ()) ~checkpoint:snap ~trials ()
   in
   assert (partial.Par.exhausted <> None);
-  let r_partial_chunks = partial.Par.run_stats.Par.chunks_done in
+  let r_partial_chunks = partial.Par.chunks_done in
   let r_snapshot_bytes = (Unix.stat snap).Unix.st_size in
   let resumed = ref 0 in
   let r_restore_secs =
     wall (fun () ->
-        let g = Par.count_governed ~jobs ~chunk ~resume:snap ~trials trial (fresh ()) in
-        assert (g.Par.run_stats.Par.chunks_resumed = r_partial_chunks);
+        let g = count ~resume:snap ~trials () in
+        assert (g.Par.chunks_resumed = r_partial_chunks);
         resumed := g.Par.value)
   in
   Sys.remove snap;
@@ -1523,8 +1508,8 @@ let robust_numbers ~smoke =
   let faulted = ref 0 and r_fault_retries = ref 0 in
   let r_fault_secs =
     wall (fun () ->
-        let g = Par.count_governed ~jobs ~chunk ~fault ~trials trial (fresh ()) in
-        r_fault_retries := g.Par.run_stats.Par.retries;
+        let g = count ~fault ~trials () in
+        r_fault_retries := g.Par.retries;
         faulted := g.Par.value)
   in
   let r_fault_equal = !faulted = !baseline in
@@ -1534,7 +1519,6 @@ let robust_numbers ~smoke =
     r_trials = trials;
     r_chunks = chunks;
     r_baseline_secs;
-    r_governed_secs;
     r_checkpointed_secs;
     r_checkpoints_written = !r_checkpoints_written;
     r_snapshot_bytes;
@@ -1556,10 +1540,6 @@ let robust_json ~file ~smoke =
   Buffer.add_string buf (Printf.sprintf "  \"trials\": %d,\n" n.r_trials);
   Buffer.add_string buf (Printf.sprintf "  \"chunks\": %d,\n" n.r_chunks);
   Buffer.add_string buf (Printf.sprintf "  \"baseline_seconds\": %.6f,\n" n.r_baseline_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"governed_seconds\": %.6f,\n" n.r_governed_secs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"governance_overhead\": %.4f,\n"
-       (overhead n.r_baseline_secs n.r_governed_secs));
   Buffer.add_string buf
     (Printf.sprintf "  \"checkpointed_seconds\": %.6f,\n" n.r_checkpointed_secs);
   Buffer.add_string buf
@@ -1579,14 +1559,12 @@ let robust_json ~file ~smoke =
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf
-    "governed MC (%d trials, %d chunks, jobs=%d):\n\
+    "Monte Carlo engine (%d trials, %d chunks, jobs=%d):\n\
     \  baseline      %8.3fs\n\
-    \  governed      %8.3fs (%.2fx baseline)\n\
     \  checkpointed  %8.3fs (%.2fx baseline, %d snapshots, %d bytes each)\n\
     \  resume        %8.3fs from %d/%d chunks  bit-identical: %b\n\
     \  fault-retried %8.3fs (%d retries)       bit-identical: %b\n"
-    n.r_trials n.r_chunks n.r_jobs n.r_baseline_secs n.r_governed_secs
-    (overhead n.r_baseline_secs n.r_governed_secs)
+    n.r_trials n.r_chunks n.r_jobs n.r_baseline_secs
     n.r_checkpointed_secs
     (overhead n.r_baseline_secs n.r_checkpointed_secs)
     n.r_checkpoints_written n.r_snapshot_bytes n.r_restore_secs n.r_partial_chunks n.r_chunks

@@ -22,8 +22,17 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* trial and chunk counts: zero or a negative value is a usage error *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let trials_arg default =
-  Arg.(value & opt int default & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials.")
+  Arg.(value & opt pos_int default & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials.")
 
 let threads_arg =
   Arg.(value & opt int 2 & info [ "n"; "threads" ] ~docv:"N" ~doc:"Number of threads.")
@@ -47,7 +56,7 @@ let target_width_arg =
                combinable with --checkpoint/--resume.")
 
 let max_trials_arg =
-  Arg.(value & opt (some int) None & info [ "max-trials" ] ~docv:"N"
+  Arg.(value & opt (some pos_int) None & info [ "max-trials" ] ~docv:"N"
          ~doc:"Trial cap for $(b,--target-width) (default: the --trials value).")
 
 let progress_arg =
@@ -59,27 +68,32 @@ let progress_report ~label enabled =
   else
     Some
       (fun ~trials ~successes ->
-        let p = Stats.binomial_point ~successes ~trials in
-        let ci = Stats.wilson_ci ~successes ~trials ~z:1.96 in
+        let p, ci = Stats.proportion ~successes ~trials in
         Printf.eprintf "memrel: %s %9d trials  %.6f [%.6f, %.6f]  width %.6f\n%!" label trials
           p ci.Stats.lo ci.Stats.hi (ci.Stats.hi -. ci.Stats.lo))
 
-(* the adaptive streaming engines run without checkpoints: reject the
-   combination instead of silently ignoring the flags *)
-let check_adaptive_flags checkpoint resume =
-  if checkpoint <> None || resume <> None then begin
+(* The engine can checkpoint an adaptive run, but a snapshot is keyed by the
+   schedule length, which is --max-trials here and --trials otherwise, and
+   what a resumed adaptive run should report has not been specified yet:
+   reject the combination instead of guessing *)
+let check_adaptive_flags target_width checkpoint resume =
+  if target_width <> None && (checkpoint <> None || resume <> None) then begin
     prerr_endline "memrel: --target-width cannot be combined with --checkpoint/--resume";
     false
   end
   else true
 
-let adaptive_status ~(streamed : _ Par.streamed) ~target_width =
-  if streamed.Par.target_met then
+(* --max-trials caps an adaptive run only *)
+let trial_cap ~trials ~max_trials target_width =
+  if target_width = None then trials else Option.value max_trials ~default:trials
+
+let adaptive_status ~(run : _ Par.outcome) ~target_width =
+  if run.Par.target_met then
     Printf.printf "adaptive: target width %g reached after %d trials\n" target_width
-      streamed.Par.trials_done
+      run.Par.trials_done
   else
     Printf.printf "adaptive: target width %g NOT reached within %d trials\n" target_width
-      streamed.Par.trials_done
+      run.Par.trials_done
 
 (* -- resource governance (budgets, checkpoints, resume) ----------------- *)
 
@@ -102,7 +116,7 @@ let checkpoint_arg =
                completion.")
 
 let checkpoint_every_arg =
-  Arg.(value & opt int Par.default_checkpoint_every & info [ "checkpoint-every" ] ~docv:"N"
+  Arg.(value & opt pos_int Par.default_checkpoint_every & info [ "checkpoint-every" ] ~docv:"N"
          ~doc:"Snapshot after every N completed chunks (with --checkpoint).")
 
 let resume_arg =
@@ -243,13 +257,13 @@ let window_cmd =
       | (Model.Sequential_consistency | Model.Custom), Some _ -> model
     in
     let rng = Rng.create seed in
-    Printf.printf "critical-window growth Pr[B_gamma] under %s (p = %.2f, s = %.2f)\n\n"
-      (Model.name model) p (Model.s model);
     let g =
       Window_mc.estimate_governed ~p ?jobs:(resolve_jobs jobs)
         ?budget:(budget_of deadline max_mem) ?checkpoint ~checkpoint_every ?resume ~trials
         model rng
     in
+    Printf.printf "critical-window growth Pr[B_gamma] under %s (p = %.2f, s = %.2f)\n\n"
+      (Model.name model) p (Model.s model);
     let mc = g.Par.value in
     let dp =
       match Model.family model with
@@ -311,34 +325,27 @@ let shift_cmd =
         (String.concat "," (List.map string_of_int gammas))
         (Rational.to_string exact) (Rational.to_float exact) est ci.lo ci.hi
     in
-    match target_width with
-    | Some w ->
-      if not (check_adaptive_flags checkpoint resume) then Cmd.Exit.some_error
-      else begin
-        let max_trials = Option.value max_trials ~default:trials in
-        let s =
-          Shift.estimate_adaptive ?jobs ?budget ?report:(progress_report ~label:"shift" progress)
-            ~target_width:w ~max_trials rng g
-        in
-        let est, ci = s.Par.value in
-        print_result est ci;
-        adaptive_status ~streamed:s ~target_width:w;
+    if not (check_adaptive_flags target_width checkpoint resume) then Cmd.Exit.some_error
+    else begin
+      let s =
+        Shift.estimate_adaptive ?jobs ?budget ?report:(progress_report ~label:"shift" progress)
+          ?target_width ?checkpoint ~checkpoint_every ?resume
+          ~max_trials:(trial_cap ~trials ~max_trials target_width) rng g
+      in
+      let est, ci = s.Par.value in
+      print_result est ci;
+      match target_width with
+      | Some w ->
+        adaptive_status ~run:s ~target_width:w;
         partial_exit
           ~engine:(Printf.sprintf "shift (simulated over %d trials)" s.Par.trials_done)
           s.Par.exhausted
-      end
-    | None ->
-      let gov =
-        Shift.estimate_governed ?jobs ?budget ?checkpoint ~checkpoint_every ?resume ~trials rng
-          g
-      in
-      let est, ci = gov.Par.value in
-      print_result est ci;
-      partial_exit
-        ~engine:
-          (Printf.sprintf "shift (simulated over %d of %d trials)"
-             gov.Par.run_stats.Par.trials_done trials)
-        gov.Par.exhausted
+      | None ->
+        partial_exit
+          ~engine:
+            (Printf.sprintf "shift (simulated over %d of %d trials)" s.Par.trials_done trials)
+          s.Par.exhausted
+    end
   in
   let gammas_arg =
     Arg.(value & opt (list int) [ 3; 2; 5 ] & info [ "gammas" ] ~docv:"G,G,..."
@@ -360,40 +367,31 @@ let joint_cmd =
     with_exact_stats stats @@ fun () ->
     let jobs = resolve_jobs jobs in
     let rng = Rng.create seed in
-    match target_width with
-    | Some w ->
-      if not (check_adaptive_flags checkpoint resume) then Cmd.Exit.some_error
-      else begin
-        let max_trials = Option.value max_trials ~default:trials in
-        let s =
-          Joint.estimate_adaptive ?jobs ?budget:(budget_of deadline max_mem)
-            ?report:(progress_report ~label:"joint" progress) ~target_width:w ~max_trials model
-            ~n rng
-        in
-        let e = s.Par.value in
-        Printf.printf "Pr[A] (%s, n=%d): simulated %.6f [%.6f, %.6f]\n" (Model.name model) n
-          e.pr_no_bug e.ci.lo e.ci.hi;
-        adaptive_status ~streamed:s ~target_width:w;
-        partial_exit
-          ~engine:(Printf.sprintf "joint (simulated over %d trials)" s.Par.trials_done)
-          s.Par.exhausted
-      end
-    | None ->
-    let g =
-      Joint.estimate_governed ?jobs ?budget:(budget_of deadline max_mem) ?checkpoint
-        ~checkpoint_every ?resume ~trials model ~n rng
+    if not (check_adaptive_flags target_width checkpoint resume) then Cmd.Exit.some_error
+    else begin
+    let s =
+      Joint.estimate_adaptive ?jobs ?budget:(budget_of deadline max_mem)
+        ?report:(progress_report ~label:"joint" progress) ?target_width ?checkpoint
+        ~checkpoint_every ?resume ~max_trials:(trial_cap ~trials ~max_trials target_width) model
+        ~n rng
     in
-    let e = g.Par.value in
+    let e = s.Par.value in
     Printf.printf "Pr[A] (%s, n=%d): simulated %.6f [%.6f, %.6f]\n" (Model.name model) n
       e.pr_no_bug e.ci.lo e.ci.hi;
-    if g.Par.exhausted <> None then
+    match target_width with
+    | Some w ->
+      adaptive_status ~run:s ~target_width:w;
+      partial_exit
+        ~engine:(Printf.sprintf "joint (simulated over %d trials)" s.Par.trials_done)
+        s.Par.exhausted
+    | None when s.Par.exhausted <> None ->
       (* the budget is spent: skip the exact/semi-analytic companions and
          report the partial estimate honestly *)
       partial_exit
         ~engine:
           (Printf.sprintf "joint (simulated over %d of %d trials)" e.Joint.trials trials)
-        g.Par.exhausted
-    else begin
+        s.Par.exhausted
+    | None ->
     (match Model.family model with
      | Model.Sequential_consistency ->
        Printf.printf "exact: %s\n" (Rational.to_string (Manifestation.pr_a_sc ~n))
@@ -537,7 +535,7 @@ let fences_cmd =
     let pr_with every =
       let hits =
         Par.count ?jobs:(resolve_jobs jobs) ~trials
-          (fun r ->
+          ~worker:(fun () r ->
             let prog = Program.generate r ~m:37 in
             let prog =
               match every with
@@ -551,6 +549,7 @@ let fences_cmd =
             (Shift.sample r [| gamma (); gamma () |]).disjoint)
           rng
       in
+      let hits = hits.Par.value in
       float_of_int hits /. float_of_int trials
     in
     Printf.printf "WO + acquire fences, n=2, m=37, %d trials per row\n" trials;

@@ -103,64 +103,29 @@ let sample_worker ~p ~m ~gap ~convention model ~n () =
       done;
       !ok
 
-let estimate_of_streamed (s : int Par.streamed) =
-  let successes = s.Par.value and trials = s.Par.trials_done in
-  let value =
-    if trials = 0 then { pr_no_bug = Float.nan; ci = { Stats.lo = 0.0; hi = 1.0 }; trials = 0 }
-    else
-      {
-        pr_no_bug = Stats.binomial_point ~successes ~trials;
-        ci = Stats.wilson_ci ~successes ~trials ~z:1.96;
-        trials;
-      }
-  in
-  { s with Par.value }
-
-let estimate ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs ~trials model
+let estimate_adaptive ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs
+    ?chunk ?budget ?report ?target_width ?checkpoint ?checkpoint_every ?resume ~max_trials model
     ~n rng =
   check_n n;
-  if trials <= 0 then invalid_arg "Joint.estimate: trials must be positive";
-  let s =
-    Par.count_streaming ?jobs ~max_trials:trials
-      ~worker:(sample_worker ~p ~m ~gap ~convention model ~n)
-      rng
-  in
-  (estimate_of_streamed s).Par.value
-
-let estimate_adaptive ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs
-    ?chunk ?budget ?report ?report_every ~target_width ~max_trials model ~n rng =
-  check_n n;
   if max_trials <= 0 then invalid_arg "Joint.estimate_adaptive: max_trials must be positive";
-  let s =
-    Par.count_streaming ?jobs ?chunk ?budget ~target_width ?report ?report_every ~max_trials
+  let identity =
+    Printf.sprintf "joint.estimate %s n=%d convention=%s" (Scratch.identity ~p ~gap ~m model) n
+      (match convention with `Paper -> "paper" | `Strict -> "strict")
+  in
+  let r =
+    Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
+      ~identity ~trials:max_trials
       ~worker:(sample_worker ~p ~m ~gap ~convention model ~n)
       rng
   in
-  estimate_of_streamed s
+  let trials = r.Par.trials_done in
+  let pr_no_bug, ci = Stats.proportion ~successes:r.Par.value ~trials in
+  { r with Par.value = { pr_no_bug; ci; trials } }
 
-let estimate_governed ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs
-    ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault ~trials model ~n rng =
+let estimate ?p ?m ?gap ?convention ?jobs ~trials model ~n rng =
   check_n n;
   if trials <= 0 then invalid_arg "Joint.estimate: trials must be positive";
-  let g =
-    Par.count_governed ?jobs ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-      ~trials
-      (fun r -> sample ~p ~m ~gap ~convention model ~n r)
-      rng
-  in
-  let successes = g.Par.value in
-  let trials = g.Par.run_stats.Par.trials_done in
-  let value =
-    if trials = 0 then
-      { pr_no_bug = Float.nan; ci = { Stats.lo = 0.0; hi = 1.0 }; trials = 0 }
-    else
-      {
-        pr_no_bug = Stats.binomial_point ~successes ~trials;
-        ci = Stats.wilson_ci ~successes ~trials ~z:1.96;
-        trials;
-      }
-  in
-  { g with Par.value }
+  (estimate_adaptive ?p ?m ?gap ?convention ?jobs ~max_trials:trials model ~n rng).Par.value
 
 let semi_analytic ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?jobs ~trials model ~n rng =
   check_n n;
@@ -170,7 +135,7 @@ let semi_analytic ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?jobs ~trials model ~n 
      assignment of threads to exponents. Par's fixed fold order keeps the
      float sum bit-identical at every jobs count. *)
   let s =
-    Par.run_streaming ?jobs ~max_trials:trials
+    Par.run ?jobs ~trials
       ~init:(fun () -> 0.0)
       ~worker:(fun () ->
         let scratch = Scratch.create ~p ~gap ~m model in
@@ -188,43 +153,3 @@ let semi_analytic ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?jobs ~trials model ~n 
   let prefactor = Memrel_prob.Rational.to_float (Memrel_shift.Exact.prefactor n) in
   let fact = Memrel_prob.Bigint.to_float (Memrel_prob.Combinatorics.factorial n) in
   prefactor *. fact *. mean
-
-(* -- closure-based reference path --------------------------------------- *)
-
-(* The pre-streaming per-trial closures, kept for differential tests and
-   benchmarks: the streaming workers must reproduce these bit-for-bit. *)
-module Reference = struct
-  let estimate ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs ~trials
-      model ~n rng =
-    check_n n;
-    if trials <= 0 then invalid_arg "Joint.estimate: trials must be positive";
-    let successes =
-      Par.count ?jobs ~trials (fun r -> sample ~p ~m ~gap ~convention model ~n r) rng
-    in
-    {
-      pr_no_bug = Stats.binomial_point ~successes ~trials;
-      ci = Stats.wilson_ci ~successes ~trials ~z:1.96;
-      trials;
-    }
-
-  let semi_analytic ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?jobs ~trials model ~n rng =
-    check_n n;
-    if trials <= 0 then invalid_arg "Joint.semi_analytic: trials must be positive";
-    let acc =
-      Par.sum_float ?jobs ~trials
-        (fun r ->
-          let prog = Program.generate_with_gap ~p r ~m ~gap in
-          let exponent = ref 0 in
-          for i = 1 to n - 1 do
-            let pi = Settle.run model r prog in
-            let gamma_len = Window.gamma prog pi + 2 in
-            exponent := !exponent + (i * gamma_len)
-          done;
-          Float.pow 2.0 (float_of_int (- !exponent)))
-        rng
-    in
-    let mean = acc /. float_of_int trials in
-    let prefactor = Memrel_prob.Rational.to_float (Memrel_shift.Exact.prefactor n) in
-    let fact = Memrel_prob.Bigint.to_float (Memrel_prob.Combinatorics.factorial n) in
-    prefactor *. fact *. mean
-end

@@ -47,45 +47,18 @@ val estimate :
 val estimate_adaptive :
   ?p:float -> ?m:int -> ?gap:int -> ?convention:convention -> ?jobs:int -> ?chunk:int ->
   ?budget:Memrel_prob.Budget.t ->
-  ?report:(trials:int -> successes:int -> unit) -> ?report_every:int ->
-  target_width:float -> max_trials:int ->
-  Memrel_memmodel.Model.t -> n:int -> Memrel_prob.Rng.t ->
-  estimate Memrel_prob.Par.streamed
-(** Adaptive {!estimate}: runs until the 95% Wilson interval for Pr[A] has
-    width [<= target_width] (checked at chunk boundaries on the
-    schedule-order prefix — the stopping trial count is deterministic per
-    (seed, schedule) and jobs-invariant), up to [max_trials]. Composes with
-    [budget] (typed partial, honestly widened interval) and [report]
-    (running estimate every [report_every] chunks). See
-    {!Memrel_prob.Par.count_streaming}. *)
-
-(** The pre-streaming per-trial closure path ({!sample} under [Par.count]),
-    kept as the differential-test and benchmark baseline: the streaming
-    estimators reproduce these results bit-for-bit. *)
-module Reference : sig
-  val estimate :
-    ?p:float -> ?m:int -> ?gap:int -> ?convention:convention -> ?jobs:int -> trials:int ->
-    Memrel_memmodel.Model.t -> n:int -> Memrel_prob.Rng.t -> estimate
-
-  val semi_analytic :
-    ?p:float -> ?m:int -> ?gap:int -> ?jobs:int -> trials:int ->
-    Memrel_memmodel.Model.t -> n:int -> Memrel_prob.Rng.t -> float
-end
-
-val estimate_governed :
-  ?p:float -> ?m:int -> ?gap:int -> ?convention:convention -> ?jobs:int ->
-  ?budget:Memrel_prob.Budget.t ->
+  ?report:(trials:int -> successes:int -> unit) ->
+  ?target_width:float ->
   ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?max_retries:int ->
-  ?fault:(chunk:int -> attempt:int -> Memrel_prob.Par.fault option) ->
-  trials:int ->
+  max_trials:int ->
   Memrel_memmodel.Model.t -> n:int -> Memrel_prob.Rng.t ->
-  estimate Memrel_prob.Par.governed
-(** {!estimate} under resource governance (budgets, checkpoint/resume,
-    fault-injection retry — see {!Memrel_prob.Par.run_governed}). A partial
-    run reports the estimate over [run_stats.trials_done] with an honestly
-    widened Wilson interval; a complete run is bit-identical to
-    {!estimate}. *)
+  estimate Memrel_prob.Par.outcome
+(** {!estimate} with every option of {!Memrel_prob.Par.count}. With
+    [target_width] it runs until the 95% Wilson interval for Pr[A] has
+    width [<= target_width] (the stopping trial count is deterministic per
+    (seed, schedule) and jobs-invariant), up to [max_trials]; without it,
+    all [max_trials] run. A budget partial reports the estimate over
+    [trials_done] with an honestly widened interval. *)
 
 val semi_analytic :
   ?p:float -> ?m:int -> ?gap:int -> ?jobs:int -> trials:int ->

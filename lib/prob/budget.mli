@@ -16,7 +16,7 @@
     chunk/state/candidate granularity, so a deadline is honoured to within
     one work unit, not preemptively. On exhaustion an engine does not raise:
     it returns a typed partial result carrying everything computed so far
-    plus the {!exhaustion} record (see [Par.run_governed],
+    plus the {!exhaustion} record (see [Par.run],
     [Enumerate.outcomes], [Generate.iter]).
 
     A budget is single-use: it anchors its deadline at creation and its work

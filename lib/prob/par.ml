@@ -1,5 +1,12 @@
 let default_chunk = 4096
 
+let default_checkpoint_every = 16
+
+(* fixed policy: progress every 16 merged chunks, three attempts per chunk *)
+let report_every = 16
+
+let max_attempts = 3
+
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 (* explicit jobs values must be positive; only the absent default is
@@ -20,7 +27,18 @@ let fan_out ~workers f =
     List.iter (function Error e -> raise e | Ok () -> ()) (here :: joined)
   end
 
-(* -- resource governance ----------------------------------------------- *)
+type 'a outcome = {
+  value : 'a;
+  trials_done : int;
+  chunks_done : int;
+  target_met : bool;
+  exhausted : Budget.exhaustion option;
+  chunks_total : int;
+  chunks_resumed : int;
+  retries : int;
+  worker_failures : int;
+  checkpoints_written : int;
+}
 
 type fault = Crash | Wedge
 
@@ -30,540 +48,284 @@ exception Retries_exhausted of { chunk : int; attempts : int; last_error : strin
 
 exception Invalid_snapshot of string
 
-type run_stats = {
-  chunks_total : int;
-  chunks_done : int;
-  chunks_resumed : int;
-  trials_done : int;
-  retries : int;
-  worker_failures : int;
-  checkpoints_written : int;
-}
+(* -- checkpoints ----------------------------------------------------------
 
-type 'a governed = {
-  value : 'a;
-  run_stats : run_stats;
-  exhausted : Budget.exhaustion option;
-}
+   The payload is [(header, chunks)]: the schedule key and the writer's
+   identity, plus every completed chunk's accumulator, each marshalled on
+   its own. Chunk accumulators are pure functions of (base, id), so this is
+   the entire state of a run. The header and the chunk table are plain
+   data, so they decode safely whoever wrote them; an accumulator is
+   decoded only after the header matched, which is what keeps a snapshot
+   of one estimator from being unpacked as another's accumulator type. *)
 
-let default_max_retries = 2
+type header = { identity : string; base : int64; trials : int; chunk : int }
 
-let default_checkpoint_every = 16
+let snapshot_tag = "par/run"
 
-(* checkpoint payload: the schedule key plus every completed chunk's
-   accumulator. Chunk accumulators are pure functions of (base, id), so
-   this is the entire state of a run — no RNG positions beyond [base] need
-   saving (a chunk is either absent or complete, never half-drawn). *)
-type 'acc checkpoint_payload = {
-  cp_base : int64;
-  cp_trials : int;
-  cp_chunk : int;
-  cp_done : (int * 'acc) array; (* sorted by chunk id, ids distinct *)
-}
-
-let snapshot_tag = "par/chunks"
-
-let save_checkpoint ~file ~base ~trials ~chunk done_list =
-  let cp_done = Array.of_list done_list in
-  Array.sort (fun (a, _) (b, _) -> compare a b) cp_done;
-  let payload =
-    Marshal.to_string { cp_base = base; cp_trials = trials; cp_chunk = chunk; cp_done } []
-  in
-  match Snapshot.write ~file ~tag:snapshot_tag payload with
+let save_checkpoint ~file header saved =
+  let chunks = Array.of_list saved in
+  Array.sort (fun (a, _) (b, _) -> compare a b) chunks;
+  match Snapshot.write ~file ~tag:snapshot_tag (Marshal.to_string (header, chunks) []) with
   | Ok () -> ()
   | Error e ->
     raise (Invalid_snapshot ("checkpoint write failed: " ^ Snapshot.error_to_string e))
 
-let load_checkpoint ~file ~base ~trials ~chunk ~n_chunks =
+let load_checkpoint ~file ~n_chunks (live : header) =
   match Snapshot.read ~file ~tag:snapshot_tag with
   | Error e -> raise (Invalid_snapshot (Snapshot.error_to_string e))
   | Ok payload ->
-    let cp =
-      try (Marshal.from_string payload 0 : _ checkpoint_payload)
+    let (cp : header), (chunks : (int * string) array) =
+      try Marshal.from_string payload 0
       with _ -> raise (Invalid_snapshot "undecodable checkpoint payload")
     in
-    if not (Int64.equal cp.cp_base base) then
-      raise
-        (Invalid_snapshot
-           "checkpoint was taken from a different RNG stream (same seed required to resume)");
-    if cp.cp_trials <> trials then
-      raise
-        (Invalid_snapshot
-           (Printf.sprintf "checkpoint is for trials=%d, this run asks for trials=%d"
-              cp.cp_trials trials));
-    if cp.cp_chunk <> chunk then
-      raise
-        (Invalid_snapshot
-           (Printf.sprintf "checkpoint is for chunk=%d, this run asks for chunk=%d" cp.cp_chunk
-              chunk));
-    let seen = Hashtbl.create (Array.length cp.cp_done) in
+    let reject fmt = Printf.ksprintf (fun m -> raise (Invalid_snapshot m)) fmt in
+    if cp.identity <> live.identity then
+      reject "checkpoint was written by %S, this run is %S" cp.identity live.identity;
+    if not (Int64.equal cp.base live.base) then
+      reject "checkpoint was taken from a different RNG stream (same seed required to resume)";
+    if cp.trials <> live.trials then
+      reject "checkpoint is for trials=%d, this run asks for trials=%d" cp.trials live.trials;
+    if cp.chunk <> live.chunk then
+      reject "checkpoint is for chunk=%d, this run asks for chunk=%d" cp.chunk live.chunk;
+    let seen = Array.make n_chunks false in
     Array.iter
       (fun (id, _) ->
-        if id < 0 || id >= n_chunks || Hashtbl.mem seen id then
-          raise (Invalid_snapshot "checkpoint chunk ids out of range or duplicated");
-        Hashtbl.add seen id ())
-      cp.cp_done;
-    Array.to_list cp.cp_done
+        if id < 0 || id >= n_chunks || seen.(id) then
+          reject "checkpoint chunk ids out of range or duplicated";
+        seen.(id) <- true)
+      chunks;
+    chunks
 
-let run_governed ?jobs ?(chunk = default_chunk) ?budget ?checkpoint
-    ?(checkpoint_every = default_checkpoint_every) ?resume ?(max_retries = default_max_retries)
-    ?fault ~trials ~init ~accumulate ~merge rng =
+(* -- the scheduler ------------------------------------------------------- *)
+
+let run ?jobs ?(chunk = default_chunk) ?budget ?stop ?report ?checkpoint
+    ?(checkpoint_every = default_checkpoint_every) ?resume ?(identity = "") ?fault ~trials
+    ~init ~worker ~merge rng =
   if trials <= 0 then invalid_arg "Par.run: trials must be positive";
   if chunk <= 0 then invalid_arg "Par.run: chunk must be positive";
-  if checkpoint_every <= 0 then
-    invalid_arg "Par.run_governed: checkpoint_every must be positive";
-  if max_retries < 0 then invalid_arg "Par.run_governed: max_retries must be nonnegative";
+  if checkpoint_every <= 0 then invalid_arg "Par.run: checkpoint_every must be positive";
   let jobs = resolve_jobs jobs in
   (* one draw from the caller's generator, independent of [jobs], keys the
-     whole schedule: chunk [id] always runs on [Rng.substream base id].
-     A resumed run re-derives the same [base] from the same seed; the
-     checkpoint records it so a mismatched resume is rejected, and the
-     caller's generator advances identically either way. *)
+     whole schedule: chunk [id] always runs on [Rng.substream base id]. A
+     resumed run re-derives the same [base] from the same seed. *)
   let base = Rng.bits64 rng in
   let n_chunks = (trials + chunk - 1) / chunk in
   let chunk_trials id = min chunk (trials - (id * chunk)) in
-  let run_chunk id =
-    let r = Rng.substream base id in
-    let count = chunk_trials id in
-    let acc = ref (init ()) in
-    for _ = 1 to count do
-      acc := accumulate !acc r
-    done;
-    !acc
-  in
-  let resumed =
-    match resume with
-    | None -> []
-    | Some file -> load_checkpoint ~file ~base ~trials ~chunk ~n_chunks
-  in
-  let chunks_resumed = List.length resumed in
-  let pending =
-    let done_ids = Hashtbl.create (max 16 chunks_resumed) in
-    List.iter (fun (id, _) -> Hashtbl.replace done_ids id ()) resumed;
-    Array.of_list
-      (List.filter (fun id -> not (Hashtbl.mem done_ids id)) (List.init n_chunks Fun.id))
-  in
-  (* shared scheduler state. [completed]/[abandoned]/[checkpoint] live under
-     [mutex]: the lock's happens-before is what lets the checkpointing (or
-     merging) domain safely read accumulators mutated by other domains. *)
-  let next = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let retries = Atomic.make 0 in
-  let failures = Atomic.make 0 in
+  let header = { identity; base; trials; chunk } in
+  (* Scheduler state, guarded by [mutex]: the lock's happens-before is what
+     lets the merging (or checkpointing) domain read accumulators other
+     domains built. [completed] holds a completed chunk until the prefix
+     reaches it, so it only grows with how far chunks finish out of order;
+     [saved] holds every completed chunk, marshalled before any merge can
+     mutate it, for the checkpoints. *)
   let mutex = Mutex.create () in
-  let completed = ref resumed in
-  let completed_n = ref chunks_resumed in
-  let since_ckpt = ref 0 in
-  let ckpts = ref 0 in
-  let exhausted_cause = ref None in
-  let fatal = ref None in
-  (* wedged chunks: claimed by a worker that then stopped responding;
-     (chunk id, attempts already burned) *)
+  let completed = Hashtbl.create 16 in
+  let saved = ref [] in
+  let since_checkpoint = ref 0 and checkpoints = ref 0 in
+  let prefix = ref 0 and value = ref None and trials_done = ref 0 in
+  let target_met = ref false and cause = ref None and fatal = ref None in
+  (* wedged chunks: claimed by a worker that then stopped responding, with
+     the attempts already burned *)
   let abandoned = ref [] in
+  let halt = Atomic.make false in
+  let retries = Atomic.make 0 and failures = Atomic.make 0 in
   let write_checkpoint_locked () =
-    match checkpoint with
-    | None -> ()
-    | Some file ->
-      save_checkpoint ~file ~base ~trials ~chunk !completed;
-      incr ckpts;
-      since_ckpt := 0
+    Option.iter
+      (fun file ->
+        save_checkpoint ~file header !saved;
+        incr checkpoints;
+        since_checkpoint := 0)
+      checkpoint
   in
-  let record_done id acc =
-    Mutex.lock mutex;
-    completed := (id, acc) :: !completed;
-    incr completed_n;
-    incr since_ckpt;
-    (match budget with Some b -> Budget.spend b 1 | None -> ());
-    if !since_ckpt >= checkpoint_every then write_checkpoint_locked ();
-    Mutex.unlock mutex
+  (* merge the completed chunks that extend the prefix; the stop predicate
+     and the report see each extension, so the stopping chunk is the least
+     [k] whose prefix satisfies [stop] whatever order chunks complete in *)
+  let rec advance_locked () =
+    if (not !target_met) && !prefix < n_chunks then
+      match Hashtbl.find_opt completed !prefix with
+      | None -> ()
+      | Some acc ->
+        Hashtbl.remove completed !prefix;
+        let v = match !value with None -> acc | Some v -> merge v acc in
+        value := Some v;
+        trials_done := !trials_done + chunk_trials !prefix;
+        incr prefix;
+        (match stop with
+         | Some f when f ~trials:!trials_done v ->
+           target_met := true;
+           Atomic.set halt true
+         | _ -> ());
+        (match report with
+         | Some f when !prefix mod report_every = 0 && not !target_met -> f ~trials:!trials_done v
+         | _ -> ());
+        advance_locked ()
   in
-  (* one chunk with in-worker crash retries; [`Wedge] simulates the worker
-     dying mid-chunk (it stops taking work; the chunk is re-run later on a
-     surviving domain). Determinism: every attempt replays the same
-     substream, so a retried chunk's accumulator is bit-identical to an
-     untroubled one. *)
-  let rec attempt_chunk id attempt =
-    let injected = match fault with None -> None | Some f -> f ~chunk:id ~attempt in
-    match
-      match injected with
-      | Some Crash -> raise (Injected_crash { chunk = id; attempt })
-      | Some Wedge -> `Wedge
-      | None -> `Acc (run_chunk id)
-    with
-    | `Wedge ->
-      ignore (Atomic.fetch_and_add failures 1);
-      `Wedge attempt
-    | `Acc acc -> `Done acc
-    | exception e ->
-      ignore (Atomic.fetch_and_add failures 1);
-      if attempt > max_retries then `Failed (e, attempt)
-      else begin
-        ignore (Atomic.fetch_and_add retries 1);
-        attempt_chunk id (attempt + 1)
-      end
+  (* chunks loaded from the resume checkpoint; read-only once workers run *)
+  let resumed = Hashtbl.create 16 in
+  Option.iter
+    (fun file ->
+      let loaded = load_checkpoint ~file ~n_chunks header in
+      Array.iter
+        (fun (id, bytes) ->
+          Hashtbl.replace resumed id ();
+          Hashtbl.replace completed id
+            (try Marshal.from_string bytes 0
+             with _ -> raise (Invalid_snapshot "undecodable checkpoint payload")))
+        loaded;
+      saved := Array.to_list loaded)
+    resume;
+  advance_locked ();
+  let record id acc =
+    let bytes = if Option.is_some checkpoint then Marshal.to_string acc [] else "" in
+    Mutex.protect mutex (fun () ->
+        if Option.is_some checkpoint then saved := (id, bytes) :: !saved;
+        Hashtbl.replace completed id acc;
+        Option.iter (fun b -> Budget.spend b 1) budget;
+        incr since_checkpoint;
+        if !since_checkpoint >= checkpoint_every then write_checkpoint_locked ();
+        advance_locked ())
   in
-  let worker _w =
-    let continue = ref true in
-    while !continue do
-      if Atomic.get stop then continue := false
-      else begin
-        match match budget with None -> None | Some b -> Budget.check b with
-        | Some cause ->
-          Mutex.lock mutex;
-          if !exhausted_cause = None then exhausted_cause := Some cause;
-          Mutex.unlock mutex;
-          Atomic.set stop true;
-          continue := false
-        | None ->
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= Array.length pending then continue := false
-          else begin
-            let id = pending.(i) in
-            match attempt_chunk id 1 with
-            | `Done acc -> record_done id acc
-            | `Wedge attempt ->
-              Mutex.lock mutex;
-              abandoned := (id, attempt) :: !abandoned;
-              Mutex.unlock mutex;
-              continue := false
-            | `Failed (e, attempts) ->
-              Mutex.lock mutex;
-              if !fatal = None then
-                fatal :=
-                  Some
-                    (Retries_exhausted
-                       { chunk = id; attempts; last_error = Printexc.to_string e });
-              Mutex.unlock mutex;
-              Atomic.set stop true;
-              continue := false
-          end
-      end
-    done
+  let fail e =
+    Mutex.protect mutex (fun () -> if Option.is_none !fatal then fatal := Some e);
+    Atomic.set halt true
   in
-  let workers = min jobs (max 1 (Array.length pending)) in
-  if Array.length pending > 0 then fan_out ~workers worker;
-  (match !fatal with Some e -> raise e | None -> ());
-  (* Recovery on the calling domain (it survived the join): re-run chunks
-     whose worker wedged away, each continuing its attempt count, then drain
-     any chunks those lost workers never claimed. The calling domain cannot
-     wedge away, so a simulated wedge here burns an attempt like a crash
-     does. Determinism: recovered chunks replay the same substreams, so the
-     merged result is bit-identical to an untroubled run. *)
-  let run_on_caller id burned =
-    let rec go attempt =
-      match attempt_chunk id attempt with
-      | `Done acc -> record_done id acc
-      | `Failed (e, attempts) ->
-        raise (Retries_exhausted { chunk = id; attempts; last_error = Printexc.to_string e })
-      | `Wedge attempts ->
-        if attempts > max_retries then
-          raise
-            (Retries_exhausted { chunk = id; attempts; last_error = "simulated worker wedge" })
-        else begin
-          ignore (Atomic.fetch_and_add retries 1);
-          go (attempts + 1)
-        end
-    in
-    if burned > 0 then ignore (Atomic.fetch_and_add retries 1);
-    go (burned + 1)
+  (* checked before every chunk claim; the first cause seen is kept *)
+  let budget_tripped () =
+    match Option.bind budget Budget.check with
+    | None -> false
+    | Some c ->
+      Mutex.protect mutex (fun () -> if Option.is_none !cause then cause := Some c);
+      Atomic.set halt true;
+      true
   in
-  let with_budget_check k =
-    if !exhausted_cause = None then
-      match match budget with None -> None | Some b -> Budget.check b with
-      | Some cause -> exhausted_cause := Some cause
-      | None -> k ()
-  in
-  List.iter
-    (fun (id, burned) -> with_budget_check (fun () -> run_on_caller id burned))
-    (List.sort compare !abandoned);
-  let rec drain () =
-    with_budget_check (fun () ->
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length pending then begin
-          run_on_caller pending.(i) 0;
-          drain ()
-        end)
-  in
-  if !abandoned <> [] then drain ();
-  (* final checkpoint: flush everything completed, so a later resume picks
-     up exactly here (a snapshot of a finished run resumes to a no-op) *)
-  (match checkpoint with
-   | None -> ()
-   | Some _ ->
-     Mutex.lock mutex;
-     write_checkpoint_locked ();
-     Mutex.unlock mutex);
-  let done_sorted = List.sort (fun (a, _) (b, _) -> compare a b) !completed in
-  let trials_done = List.fold_left (fun acc (id, _) -> acc + chunk_trials id) 0 done_sorted in
-  (* merge in chunk-index order — the same left fold as a sequential run,
-     so even non-associative merges (float sums) agree bit-for-bit *)
-  let value =
-    match done_sorted with
-    | [] -> init ()
-    | (_, first) :: rest -> List.fold_left (fun acc (_, a) -> merge acc a) first rest
-  in
-  let exhausted =
-    match (!exhausted_cause, budget) with
-    | Some cause, Some b -> Some (Budget.exhaustion b cause)
-    | Some cause, None ->
-      (* unreachable: a cause only arises from a budget check *)
-      Some { Budget.cause; work_done = !completed_n; elapsed_s = 0.0 }
-    | None, _ -> None
-  in
-  {
-    value;
-    run_stats =
-      {
-        chunks_total = n_chunks;
-        chunks_done = !completed_n;
-        chunks_resumed;
-        trials_done;
-        retries = Atomic.get retries;
-        worker_failures = Atomic.get failures;
-        checkpoints_written = !ckpts;
-      };
-    exhausted;
-  }
-
-(* -- streaming engine: per-worker scratch + adaptive stopping ----------- *)
-
-type 'a streamed = {
-  value : 'a;
-  trials_done : int;
-  chunks_done : int;
-  target_met : bool;
-  exhausted : Budget.exhaustion option;
-}
-
-let default_report_every = 16
-
-(* Same schedule as [run] — one base draw, chunk [id] on
-   [Rng.substream base id], merge as a left fold in chunk-index order — but
-   the trial function is built once per worker ([worker ()] allocates the
-   scratch that the per-trial closure reuses), and the fold is evaluated
-   incrementally so a stop predicate can end the run at a chunk boundary.
-
-   Stopping determinism: the predicate is evaluated on the merged
-   {e schedule-order prefix} after each prefix extension, so the stopping
-   chunk is min k such that [stop] holds over chunks [0..k] — a pure
-   function of (seed, schedule, predicate). With [jobs > 1] workers may
-   complete chunks beyond the stopping point or out of order; chunks past
-   the stopping point (or past a hole at budget exhaustion) are discarded,
-   never merged, keeping the result and the stopping trial count
-   jobs-invariant. *)
-let run_streaming ?jobs ?(chunk = default_chunk) ?budget ?stop ?report
-    ?(report_every = default_report_every) ~max_trials ~init ~worker ~merge rng =
-  if max_trials <= 0 then invalid_arg "Par.run_streaming: max_trials must be positive";
-  if chunk <= 0 then invalid_arg "Par.run_streaming: chunk must be positive";
-  if report_every <= 0 then invalid_arg "Par.run_streaming: report_every must be positive";
-  let jobs = resolve_jobs jobs in
-  let base = Rng.bits64 rng in
-  let n_chunks = (max_trials + chunk - 1) / chunk in
-  let chunk_trials id = min chunk (max_trials - (id * chunk)) in
   let run_chunk accumulate id =
     let r = Rng.substream base id in
-    let count = chunk_trials id in
     let acc = ref (init ()) in
-    for _ = 1 to count do
+    for _ = 1 to chunk_trials id do
       acc := accumulate !acc r
     done;
     !acc
   in
-  let finish ~value ~trials ~chunks ~target_met ~cause =
-    let exhausted =
-      match (cause, budget) with
-      | Some c, Some b -> Some (Budget.exhaustion b c)
-      | Some c, None ->
-        (* unreachable: a cause only arises from a budget check *)
-        Some { Budget.cause = c; work_done = chunks; elapsed_s = 0.0 }
-      | None, _ -> None
-    in
-    let value = match value with Some v -> v | None -> init () in
-    { value; trials_done = trials; chunks_done = chunks; target_met; exhausted }
-  in
-  let workers = min jobs n_chunks in
-  if workers = 1 then begin
-    (* sequential path: the reference semantics the parallel path must match *)
-    let accumulate = worker () in
-    let value = ref None in
-    let trials = ref 0 in
-    let chunks = ref 0 in
-    let target_met = ref false in
-    let cause = ref None in
-    let id = ref 0 in
-    while !id < n_chunks && (not !target_met) && !cause = None do
-      (match match budget with None -> None | Some b -> Budget.check b with
-       | Some c -> cause := Some c
-       | None ->
-         let acc = run_chunk accumulate !id in
-         (match budget with Some b -> Budget.spend b 1 | None -> ());
-         value := Some (match !value with None -> acc | Some v -> merge v acc);
-         trials := !trials + chunk_trials !id;
-         incr chunks;
-         let v = Option.get !value in
-         (match stop with
-          | Some f when f ~trials:!trials v -> target_met := true
-          | _ -> ());
-         (match report with
-          | Some f when !chunks mod report_every = 0 && not !target_met -> f ~trials:!trials v
-          | _ -> ());
-         incr id)
-    done;
-    finish ~value:!value ~trials:!trials ~chunks:!chunks ~target_met:!target_met ~cause:!cause
-  end
-  else begin
-    (* dynamic chunk claims + in-order prefix merging under a mutex. Every
-       slot of [results] is written once; the prefix pointer only advances
-       over contiguous completed chunks, so the merged value replays the
-       sequential fold exactly. *)
-    let results = Array.make n_chunks None in
-    let next = Atomic.make 0 in
-    let stop_flag = Atomic.make false in
-    let mutex = Mutex.create () in
-    let prefix = ref 0 in
-    let value = ref None in
-    let trials = ref 0 in
-    let target_met = ref false in
-    let cause = ref None in
-    let advance_prefix_locked () =
-      let continue = ref true in
-      while !continue && (not !target_met) && !prefix < n_chunks do
-        match results.(!prefix) with
-        | None -> continue := false
-        | Some acc ->
-          value := Some (match !value with None -> acc | Some v -> merge v acc);
-          trials := !trials + chunk_trials !prefix;
-          incr prefix;
-          let v = Option.get !value in
-          (match stop with
-           | Some f when f ~trials:!trials v ->
-             target_met := true;
-             Atomic.set stop_flag true
-           | _ -> ());
-          (match report with
-           | Some f when !prefix mod report_every = 0 && not !target_met ->
-             f ~trials:!trials v
-           | _ -> ())
-      done
-    in
-    let worker_loop _w =
-      let accumulate = worker () in
-      let continue = ref true in
-      while !continue do
-        if Atomic.get stop_flag then continue := false
+  (* One attempt of chunk [id]; a failed attempt rebuilds the worker, so
+     scratch a trial left half-updated cannot leak into the replay, and
+     replays the same substream. *)
+  let rec attempt accumulate id n =
+    let injected = match fault with None -> None | Some f -> f ~chunk:id ~attempt:n in
+    if injected = Some Wedge then begin
+      Atomic.incr failures;
+      `Wedged n
+    end
+    else
+      match
+        if injected = Some Crash then raise (Injected_crash { chunk = id; attempt = n });
+        run_chunk !accumulate id
+      with
+      | acc -> `Done acc
+      | exception e ->
+        Atomic.incr failures;
+        if n >= max_attempts then
+          let last_error = Printexc.to_string e in
+          `Failed (Retries_exhausted { chunk = id; attempts = n; last_error })
         else begin
-          match match budget with None -> None | Some b -> Budget.check b with
-          | Some c ->
-            Mutex.lock mutex;
-            if !cause = None then cause := Some c;
-            Mutex.unlock mutex;
-            Atomic.set stop_flag true;
-            continue := false
-          | None ->
-            let id = Atomic.fetch_and_add next 1 in
-            if id >= n_chunks then continue := false
-            else begin
-              let acc = run_chunk accumulate id in
-              Mutex.lock mutex;
-              results.(id) <- Some acc;
-              (match budget with Some b -> Budget.spend b 1 | None -> ());
-              advance_prefix_locked ();
-              Mutex.unlock mutex
-            end
+          Atomic.incr retries;
+          accumulate := worker ();
+          attempt accumulate id (n + 1)
         end
-      done
+  in
+  (* the next chunk to run, unless the run has stopped; the budget is
+     checked only when there is a chunk left to spend it on *)
+  let next = Atomic.make 0 in
+  let rec claim () =
+    if Atomic.get halt then None
+    else
+      let id = Atomic.fetch_and_add next 1 in
+      if id >= n_chunks then None
+      else if Hashtbl.mem resumed id then claim ()
+      else if budget_tripped () then None
+      else Some id
+  in
+  let work _ =
+    try
+      let accumulate = ref (worker ()) in
+      let rec loop () =
+        match claim () with
+        | None -> ()
+        | Some id -> (
+          match attempt accumulate id 1 with
+          | `Done acc ->
+            record id acc;
+            loop ()
+          | `Wedged n -> Mutex.protect mutex (fun () -> abandoned := (id, n) :: !abandoned)
+          | `Failed e -> fail e)
+      in
+      loop ()
+    with e -> fail e
+  in
+  let pending = n_chunks - Hashtbl.length resumed in
+  if pending > 0 && not (Atomic.get halt) then fan_out ~workers:(min jobs pending) work;
+  Option.iter raise !fatal;
+  (* Recovery on the calling domain (it survived the join): re-run chunks
+     whose worker wedged away, each continuing its attempt count, then drain
+     the chunks those workers never claimed. The calling domain cannot
+     wedge away, so a simulated wedge here burns an attempt like a crash. *)
+  if !abandoned <> [] then begin
+    let accumulate = ref (worker ()) in
+    let recover id burned =
+      if burned > 0 then Atomic.incr retries;
+      let rec go n =
+        match attempt accumulate id n with
+        | `Done acc -> record id acc
+        | `Failed e -> raise e
+        | `Wedged n when n >= max_attempts ->
+          let last_error = "simulated worker wedge" in
+          raise (Retries_exhausted { chunk = id; attempts = n; last_error })
+        | `Wedged n ->
+          Atomic.incr retries;
+          go (n + 1)
+      in
+      go (burned + 1)
     in
-    fan_out ~workers worker_loop;
-    finish ~value:!value ~trials:!trials ~chunks:!prefix ~target_met:!target_met ~cause:!cause
-  end
+    List.iter
+      (fun (id, burned) -> if not (Atomic.get halt || budget_tripped ()) then recover id burned)
+      (List.sort compare !abandoned);
+    let rec drain () = Option.iter (fun id -> recover id 0; drain ()) (claim ()) in
+    drain ()
+  end;
+  (* final checkpoint: flush everything completed, so a later resume picks
+     up exactly here (a snapshot of a finished run resumes to a no-op) *)
+  if Option.is_some checkpoint then Mutex.protect mutex write_checkpoint_locked;
+  {
+    value = (match !value with Some v -> v | None -> init ());
+    trials_done = !trials_done;
+    chunks_done = !prefix;
+    target_met = !target_met;
+    exhausted =
+      (match (!cause, budget) with Some c, Some b -> Some (Budget.exhaustion b c) | _ -> None);
+    chunks_total = n_chunks;
+    chunks_resumed = Hashtbl.length resumed;
+    retries = Atomic.get retries;
+    worker_failures = Atomic.get failures;
+    checkpoints_written = !checkpoints;
+  }
 
-let count_streaming ?jobs ?chunk ?budget ?target_width ?(z = 1.96) ?report ?report_every
-    ~max_trials ~worker rng =
-  (match target_width with
-   | Some w when not (w > 0.0) ->
-     invalid_arg "Par.count_streaming: target_width must be positive"
-   | _ -> ());
+let count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
+    ?identity ?fault ~trials ~worker rng =
   let stop =
     Option.map
-      (fun w ~trials successes ->
-        let ci = Stats.wilson_ci ~successes ~trials ~z in
-        ci.Stats.hi -. ci.Stats.lo <= w)
+      (fun w ->
+        if not (w > 0.0) then invalid_arg "Par.count: target_width must be positive";
+        fun ~trials successes ->
+          let ci = Stats.wilson_ci ~successes ~trials ~z:1.96 in
+          ci.Stats.hi -. ci.Stats.lo <= w)
       target_width
   in
   let report = Option.map (fun f ~trials successes -> f ~trials ~successes) report in
-  run_streaming ?jobs ?chunk ?budget ?stop ?report ?report_every ~max_trials
+  run ?jobs ?chunk ?budget ?stop ?report ?checkpoint ?checkpoint_every ?resume ?identity ?fault
+    ~trials
     ~init:(fun () -> 0)
     ~worker:(fun () ->
       let f = worker () in
       fun acc r -> if f r then acc + 1 else acc)
-    ~merge:( + ) rng
-
-(* -- ungoverned entry points (the hot paths) ---------------------------- *)
-
-let run ?jobs ?(chunk = default_chunk) ~trials ~init ~accumulate ~merge rng =
-  if trials <= 0 then invalid_arg "Par.run: trials must be positive";
-  if chunk <= 0 then invalid_arg "Par.run: chunk must be positive";
-  let jobs = resolve_jobs jobs in
-  let base = Rng.bits64 rng in
-  let n_chunks = (trials + chunk - 1) / chunk in
-  let run_chunk id =
-    let r = Rng.substream base id in
-    let count = min chunk (trials - (id * chunk)) in
-    let acc = ref (init ()) in
-    for _ = 1 to count do
-      acc := accumulate !acc r
-    done;
-    !acc
-  in
-  let workers = min jobs n_chunks in
-  if workers = 1 then begin
-    (* sequential path: same chunk schedule, no domains spawned *)
-    let acc = ref (run_chunk 0) in
-    for id = 1 to n_chunks - 1 do
-      acc := merge !acc (run_chunk id)
-    done;
-    !acc
-  end
-  else begin
-    (* static strided assignment: chunk costs are uniform (equal trial
-       counts), so striding balances without a work queue; each slot of
-       [results] is written by exactly one domain and read only after the
-       join barrier *)
-    let results = Array.make n_chunks None in
-    fan_out ~workers (fun w ->
-        let id = ref w in
-        while !id < n_chunks do
-          results.(!id) <- Some (run_chunk !id);
-          id := !id + workers
-        done);
-    let get i = match results.(i) with Some a -> a | None -> assert false in
-    (* merge in chunk-index order — the same left fold as the sequential
-       path, so even non-associative merges (float sums) agree bit-for-bit *)
-    let acc = ref (get 0) in
-    for id = 1 to n_chunks - 1 do
-      acc := merge !acc (get id)
-    done;
-    !acc
-  end
-
-let count ?jobs ?chunk ~trials f rng =
-  run ?jobs ?chunk ~trials
-    ~init:(fun () -> 0)
-    ~accumulate:(fun acc r -> if f r then acc + 1 else acc)
-    ~merge:( + ) rng
-
-let sum_float ?jobs ?chunk ~trials f rng =
-  run ?jobs ?chunk ~trials
-    ~init:(fun () -> 0.0)
-    ~accumulate:(fun acc r -> acc +. f r)
-    ~merge:( +. ) rng
-
-let count_governed ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries
-    ?fault ~trials f rng =
-  run_governed ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-    ~trials
-    ~init:(fun () -> 0)
-    ~accumulate:(fun acc r -> if f r then acc + 1 else acc)
     ~merge:( + ) rng
 
 let map_array ?jobs f a =

@@ -1,29 +1,36 @@
 (** Deterministic multicore Monte Carlo engine (OCaml 5 [Domain] fan-out).
 
     Every estimator in memrel is a loop of independent trials folded into an
-    accumulator. This module runs such loops across domains while keeping
-    the results {e bit-identical regardless of how many domains run} — the
-    determinism that makes the rest of the test suite (and every number in
-    EXPERIMENTS.md) reproducible from a seed is preserved on multicore.
+    accumulator. {!run} is the one scheduler for all of them: it runs such
+    loops across domains while keeping the results {e bit-identical
+    regardless of how many domains run} — the determinism that makes the
+    rest of the test suite (and every number in EXPERIMENTS.md)
+    reproducible from a seed is preserved on multicore.
 
     The scheme:
 
-    - The [trials] are cut into fixed-size chunks. The schedule is keyed by
+    - The trials are cut into fixed-size chunks. The schedule is keyed by
       the chunk index only: chunk [i] always processes the same trials with
       the same generator, no matter which domain executes it or in what
       order.
     - One [Rng.bits64] draw from the caller's generator yields a base
       entropy word; chunk [i] then runs on [Rng.substream base i], a pure
       function of [(base, i)]. No generator state is shared across domains.
-    - Chunk accumulators are merged in chunk-index order by a left fold —
-      the identical fold the sequential path performs — so even merges that
-      are only associative up to rounding (float sums) reproduce exactly.
+    - Domains claim chunks dynamically. Completed chunks merge into the
+      result as a left fold over the {e schedule-order prefix}: chunk [k]
+      merges only once chunks [0..k-1] have, so even merges that are only
+      associative up to rounding (float sums) reproduce exactly.
 
-    Consequently [run ~jobs:1] and [run ~jobs:64] return equal results; the
-    contract is checked in [test/prob/test_par.ml]. Note that the chunked
-    schedule is a {e different} (equally valid) sampling order than a plain
-    single-generator loop, so estimates differ from the pre-parallel
-    sequential code by sampling noise only. *)
+    Consequently [run ~jobs:1] and [run ~jobs:64] return equal results;
+    [jobs:1] runs the same scheduler on the calling domain, spawning
+    nothing. The contract is checked in [test/prob/test_par.ml].
+
+    Everything else is an option of the same scheduler: a {!Budget} checked
+    before every chunk claim, a stop predicate and a progress report
+    evaluated on the merged prefix, checkpoint/resume through {!Snapshot},
+    and a fault-injection hook for tests. A trial exception is retried: the
+    chunk replays its substream on a freshly built worker, up to three
+    attempts in all. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (the caller's domain also
@@ -35,155 +42,32 @@ val default_chunk : int
     the schedule key — changing it changes which substream a trial draws
     from, hence the sampled values (never the distribution). *)
 
+val default_checkpoint_every : int
+(** Checkpoint after every 16 completed chunks (when [~checkpoint] is
+    given); a final checkpoint is always written on return. *)
+
 val resolve_jobs : int option -> int
 (** [resolve_jobs None] is {!default_jobs}[ ()]; [resolve_jobs (Some j)] is
     [j]. An explicit [j <= 0] raises [Invalid_argument] — the engine never
     silently clamps a nonsensical jobs count. *)
 
-val run :
-  ?jobs:int ->
-  ?chunk:int ->
-  trials:int ->
-  init:(unit -> 'acc) ->
-  accumulate:('acc -> Rng.t -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  Rng.t ->
-  'acc
-(** [run ~trials ~init ~accumulate ~merge rng] folds [trials] independent
-    trials into an accumulator, fanning out over [jobs] domains (default
-    {!default_jobs}; [jobs:1] runs on the calling domain only, spawning
-    nothing). [accumulate acc r] performs one trial drawing randomness from
-    [r] and returns the updated accumulator (in-place mutation of [acc] is
-    fine — each accumulator is owned by one domain). [merge] must combine
-    two chunk accumulators; associativity up to the fixed fold order is
-    enough. Laws: [merge (init ()) a = a] observationally, and [merge]
-    must commute with [accumulate] over disjoint trial sets.
-
-    Advances the caller's [rng] by exactly one [bits64] draw regardless of
-    [jobs], [chunk], and [trials]. Raises [Invalid_argument] if [trials] or
-    [chunk] is nonpositive. *)
-
-val count : ?jobs:int -> ?chunk:int -> trials:int -> (Rng.t -> bool) -> Rng.t -> int
-(** [count ~trials f rng] is the number of trials on which [f] returned
-    [true] — the success counter of every Bernoulli estimator. *)
-
-val sum_float : ?jobs:int -> ?chunk:int -> trials:int -> (Rng.t -> float) -> Rng.t -> float
-(** [sum_float ~trials f rng] sums one float per trial (deterministically:
-    the summation order is the fixed chunk schedule). *)
-
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f a] is [Array.map f a] with the elements evaluated across
-    domains. [f] must be pure (it runs concurrently and in arbitrary
-    order); the result order is the input order. Used for embarrassingly
-    parallel analytic sweeps (e.g. scaling tables), not for Monte Carlo. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** List counterpart of {!map_array}. *)
-
-(** {1 Streaming execution with adaptive stopping}
-
-    [run_streaming] is {!run} restructured for the hot paths: the per-trial
-    function is built once per worker domain ([worker ()] allocates whatever
-    preallocated scratch the trial closure reuses, so the steady-state inner
-    loop allocates nothing), and the chunk accumulators are folded
-    {e incrementally} in schedule order, which lets the engine (a) stop at a
-    chunk boundary once a predicate over the running accumulator holds,
-    (b) report running results every few chunks, and (c) honor a {!Budget}.
-
-    The schedule and the fold are identical to {!run} — one [bits64] draw
-    keys the chunk substreams, merge is the left fold in chunk-index order —
-    so a run without [stop]/[budget] returns a value bit-identical to {!run}
-    with the same seed and chunk size, at any [jobs].
-
-    Sequential-stopping determinism: [stop] is evaluated on the merged
-    schedule-order {e prefix} each time the prefix extends, so the stopping
-    chunk is the least [k] such that the predicate holds over chunks
-    [0..k] — a pure function of (seed, schedule, predicate). Workers racing
-    past the stopping point (or past a hole when the budget trips) have
-    their chunks discarded, never merged: the stopping trial count and the
-    returned value are jobs-invariant. On budget exhaustion the result is
-    the merged contiguous prefix — a typed partial, like
-    {!run_governed}. *)
-
-type 'a streamed = {
+type 'a outcome = {
   value : 'a;
       (** merged accumulator over the schedule-order prefix of completed
           chunks: all of them when the run finished, the prefix at the
-          stopping point or at budget exhaustion otherwise *)
+          stopping point or at budget exhaustion otherwise ([init ()] when
+          the prefix is empty) *)
   trials_done : int;  (** trials covered by [value] *)
-  chunks_done : int;  (** chunks merged into [value] *)
-  target_met : bool;  (** the [stop] predicate ended the run *)
+  chunks_done : int;  (** chunks merged into [value], resumed ones included *)
+  target_met : bool;  (** the stop predicate ended the run *)
   exhausted : Budget.exhaustion option;
-      (** [Some _] iff the budget tripped before completion/stop *)
+      (** [Some _] iff the budget tripped before completion or stop *)
+  chunks_total : int;  (** chunks in the full schedule *)
+  chunks_resumed : int;  (** chunks loaded from the resume checkpoint *)
+  retries : int;  (** chunk re-attempts after injected or trial failures *)
+  worker_failures : int;  (** individual failure events observed *)
+  checkpoints_written : int;
 }
-
-val default_report_every : int
-(** Report every 16 merged chunks (when [~report] is given). *)
-
-val run_streaming :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?budget:Budget.t ->
-  ?stop:(trials:int -> 'acc -> bool) ->
-  ?report:(trials:int -> 'acc -> unit) ->
-  ?report_every:int ->
-  max_trials:int ->
-  init:(unit -> 'acc) ->
-  worker:(unit -> 'acc -> Rng.t -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  Rng.t ->
-  'acc streamed
-(** [run_streaming ~max_trials ~init ~worker ~merge rng] folds up to
-    [max_trials] trials. [worker ()] runs once per worker domain and
-    returns the per-trial accumulate function — allocate reusable scratch
-    there, not per trial. [init] creates one accumulator per chunk (as in
-    {!run}); [stop ~trials acc] is checked at chunk boundaries on the
-    merged prefix; [report] is called every [report_every] merged chunks
-    (under the scheduler lock when [jobs > 1] — keep it fast, and don't
-    re-enter the engine from it). [budget] is checked before every chunk
-    claim and charged one work unit per completed chunk.
-
-    Advances the caller's [rng] by exactly one [bits64] draw. Raises
-    [Invalid_argument] on nonpositive [max_trials]/[chunk]/
-    [report_every]. *)
-
-val count_streaming :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?budget:Budget.t ->
-  ?target_width:float ->
-  ?z:float ->
-  ?report:(trials:int -> successes:int -> unit) ->
-  ?report_every:int ->
-  max_trials:int ->
-  worker:(unit -> Rng.t -> bool) ->
-  Rng.t ->
-  int streamed
-(** Streaming {!count} with Wilson-interval adaptive stopping: when
-    [target_width] is given, the run stops at the first chunk boundary
-    where the [z]-score (default 1.96, 95%) Wilson interval for the success
-    probability has width [<= target_width]; otherwise it runs the full
-    [max_trials]. [target_met] tells which. A run without
-    [target_width]/[budget] equals {!count} exactly. Raises
-    [Invalid_argument] on nonpositive [target_width]. *)
-
-(** {1 Resource-governed execution}
-
-    [run_governed] is {!run} under governance: a cooperative {!Budget}
-    checked before every chunk claim, periodic {!Snapshot}-backed
-    checkpoints, resume from a checkpoint, and worker-failure retry. It
-    degrades gracefully — on budget exhaustion it returns whatever chunks
-    completed (a typed partial result) instead of raising.
-
-    Determinism contract: chunk [i]'s accumulator is a pure function of the
-    schedule key [(base, i)] and the merge is a fixed left fold in chunk
-    order, so (a) a complete governed run is bit-identical to {!run} with
-    the same seed/chunk, on any jobs count; (b) kill + resume reproduces
-    the uninterrupted result bit-for-bit; (c) a chunk retried after a
-    worker failure — on any domain, any attempt — contributes bit-identical
-    state. Only {e partial} results may differ across runs (which chunks
-    finished before exhaustion is timing-dependent unless the budget is a
-    deterministic work cap). *)
 
 type fault = Crash | Wedge
     (** Injected worker failure modes (test-only): [Crash] raises inside the
@@ -195,89 +79,101 @@ exception Injected_crash of { chunk : int; attempt : int }
 (** The exception an injected [Crash] raises. *)
 
 exception Retries_exhausted of { chunk : int; attempts : int; last_error : string }
-(** A chunk failed [attempts] times (1 initial + [max_retries] retries). *)
+(** A chunk failed on all of its three attempts. *)
 
 exception Invalid_snapshot of string
 (** Checkpoint file rejected: corrupted, truncated, wrong format version,
-    wrong engine tag, or taken under different run parameters
-    (seed/trials/chunk). The message says which. *)
+    wrong engine tag, written by a different estimator, or taken under
+    different run parameters (seed/trials/chunk). The message says which,
+    on one line. *)
 
-type run_stats = {
-  chunks_total : int;  (** chunks in the full schedule *)
-  chunks_done : int;  (** chunks merged into the result (incl. resumed) *)
-  chunks_resumed : int;  (** chunks loaded from the resume checkpoint *)
-  trials_done : int;  (** trials covered by the merged chunks *)
-  retries : int;  (** chunk re-attempts after injected/user failures *)
-  worker_failures : int;  (** individual failure events observed *)
-  checkpoints_written : int;
-}
-
-type 'a governed = {
-  value : 'a;
-      (** merged accumulator over the completed chunks — the full result
-          when [exhausted = None], a partial one otherwise *)
-  run_stats : run_stats;
-  exhausted : Budget.exhaustion option;
-      (** [Some _] iff the budget tripped before all chunks completed *)
-}
-
-val default_max_retries : int
-(** 2 — a chunk may run up to 3 times before [Retries_exhausted]. *)
-
-val default_checkpoint_every : int
-(** Checkpoint after every 16 completed chunks (when [~checkpoint] is
-    given); a final checkpoint is always written on return. *)
-
-val run_governed :
+val run :
   ?jobs:int ->
   ?chunk:int ->
   ?budget:Budget.t ->
+  ?stop:(trials:int -> 'acc -> bool) ->
+  ?report:(trials:int -> 'acc -> unit) ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
   ?resume:string ->
-  ?max_retries:int ->
+  ?identity:string ->
   ?fault:(chunk:int -> attempt:int -> fault option) ->
   trials:int ->
   init:(unit -> 'acc) ->
-  accumulate:('acc -> Rng.t -> 'acc) ->
+  worker:(unit -> 'acc -> Rng.t -> 'acc) ->
   merge:('acc -> 'acc -> 'acc) ->
   Rng.t ->
-  'acc governed
-(** [run_governed ~trials ~init ~accumulate ~merge rng] — {!run} with
-    governance. Like {!run} it advances the caller's [rng] by exactly one
-    [bits64] draw.
+  'acc outcome
+(** [run ~trials ~init ~worker ~merge rng] folds up to [trials] independent
+    trials into an accumulator over [jobs] domains (default
+    {!default_jobs}). [worker ()] runs once per domain and returns the
+    per-trial function [accumulate acc r], which performs one trial drawing
+    randomness from [r]; allocate reusable scratch in [worker ()], not per
+    trial. [init] creates one accumulator per chunk (in-place mutation of
+    it is fine — each accumulator is owned by one domain). [merge] combines
+    two chunk accumulators; associativity up to the fixed fold order is
+    enough. Laws: [merge (init ()) a = a] observationally, and [merge] must
+    commute with [accumulate] over disjoint trial sets.
 
-    - [budget]: checked before every chunk claim; one work unit is spent
-      per completed chunk. On exhaustion, surviving workers stop and the
-      completed chunks are merged into a partial [value] with
-      [exhausted = Some _].
-    - [checkpoint]: snapshot file, written atomically (tmp + rename) every
-      [checkpoint_every] completed chunks and once on return.
-    - [resume]: load a prior checkpoint and skip its chunks. The run must
-      use the same seed, [trials] and [chunk]; anything else (or a damaged
-      file) raises {!Invalid_snapshot}.
-    - [fault]: test hook consulted before each chunk attempt. Crashed
-      chunks retry in-worker; wedged workers stop, and their claimed and
-      unclaimed chunks are re-run on the calling domain after the join.
-      More than [max_retries] retries of one chunk raises
-      {!Retries_exhausted}. User exceptions from [accumulate] are retried
-      the same way (they count as worker failures).
+    - [stop ~trials acc] is checked each time the merged prefix grows; the
+      run stops at the least chunk [k] for which it holds over chunks
+      [0..k], so the stopping trial count is a pure function of (seed,
+      chunk, predicate) and the same at every [jobs]. Chunks completed past
+      that point are checkpointed but never merged.
+    - [report] is called every 16 merged chunks (under the scheduler lock
+      when [jobs > 1] — keep it fast, and don't re-enter the engine).
+    - [budget] is checked before every chunk claim and charged one work
+      unit per completed chunk. On exhaustion the result is the merged
+      prefix, with [exhausted = Some _].
+    - [checkpoint]: snapshot file, written atomically every
+      [checkpoint_every] completed chunks and once on return. Every
+      completed chunk is saved, merged or not.
+    - [resume]: load a checkpoint and skip its chunks. The snapshot must
+      carry the same [identity] (default [""]; estimators pass their name
+      and every parameter of the trial function), seed, [trials] and
+      [chunk]; anything else, or a damaged file, raises {!Invalid_snapshot}
+      before any accumulator is decoded. Kill + resume reproduces the
+      uninterrupted result bit-for-bit.
+    - [fault]: test hook consulted before each chunk attempt. A crashed
+      chunk (or one whose trial raised) is retried on a rebuilt worker;
+      a wedged worker stops, and its chunk and the chunks it never claimed
+      are re-run on the calling domain after the join. A chunk failing its
+      third attempt raises {!Retries_exhausted}. Every attempt replays the
+      same substream, so recovery is bit-identical too.
 
-    Raises [Invalid_argument] on nonpositive [trials]/[chunk]/
-    [checkpoint_every], negative [max_retries], or [jobs <= 0]. *)
+    An exception from the first [worker ()] call on a domain (argument
+    checks) propagates unchanged. Advances the caller's [rng] by exactly
+    one [bits64] draw regardless of [jobs], [chunk] and [trials]. Raises
+    [Invalid_argument] on nonpositive [trials]/[chunk]/[checkpoint_every]
+    or [jobs <= 0]. *)
 
-val count_governed :
+val count :
   ?jobs:int ->
   ?chunk:int ->
   ?budget:Budget.t ->
+  ?target_width:float ->
+  ?report:(trials:int -> successes:int -> unit) ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
   ?resume:string ->
-  ?max_retries:int ->
+  ?identity:string ->
   ?fault:(chunk:int -> attempt:int -> fault option) ->
   trials:int ->
-  (Rng.t -> bool) ->
+  worker:(unit -> Rng.t -> bool) ->
   Rng.t ->
-  int governed
-(** Governed {!count}: the success counter under budgets, checkpoints and
-    fault injection. A complete governed count equals {!count} exactly. *)
+  int outcome
+(** The success counter of every Bernoulli estimator: {!run} counting the
+    trials on which the per-worker predicate returned [true]. With
+    [target_width] the run stops at the first chunk boundary where the 95%
+    Wilson interval for the success probability has width
+    [<= target_width]; otherwise it runs all [trials]. [target_met] tells
+    which. Raises [Invalid_argument] on nonpositive [target_width]. *)
+
+val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map_array f a] is [Array.map f a] with the elements evaluated across
+    domains. [f] must be pure (it runs concurrently and in arbitrary
+    order); the result order is the input order. Used for embarrassingly
+    parallel analytic sweeps (e.g. scaling tables), not for Monte Carlo. *)
+
+val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** List counterpart of {!map_array}. *)

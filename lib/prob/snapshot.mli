@@ -1,7 +1,7 @@
 (** Versioned, CRC-guarded, atomically written snapshot files.
 
     The container format under every checkpoint in memrel (see
-    [Par.run_governed]). A snapshot is a single binary file:
+    [Par.run]). A snapshot is a single binary file:
 
     {v
       offset  size  field

@@ -67,6 +67,10 @@ let wilson_ci ~successes ~trials ~z =
 
 let binomial_point ~successes ~trials = float_of_int successes /. float_of_int trials
 
+let proportion ~successes ~trials =
+  if trials = 0 then (Float.nan, { lo = 0.0; hi = 1.0 })
+  else (binomial_point ~successes ~trials, wilson_ci ~successes ~trials ~z:1.96)
+
 type histogram = { bins : (int * int) list; total : int }
 
 let histogram_of_counts tbl =

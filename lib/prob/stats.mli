@@ -39,6 +39,11 @@ val wilson_ci : successes:int -> trials:int -> z:float -> interval
 val binomial_point : successes:int -> trials:int -> float
 (** Plain proportion estimate. *)
 
+val proportion : successes:int -> trials:int -> float * interval
+(** The summary every Bernoulli estimator reports: {!binomial_point} and
+    the 95% Wilson interval. A run that completed no trials gets a [nan]
+    point inside the vacuous interval [[0, 1]]. *)
+
 type histogram = { bins : (int * int) list; total : int }
 (** Sparse integer histogram: [(value, count)] sorted by value. *)
 

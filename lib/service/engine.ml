@@ -246,70 +246,32 @@ let run ~caps ?extmem (q : P.query) (limits : P.limits) =
   end
   | P.Estimate { kind; family; seed; trials; target_width } ->
     let rng = Rng.create seed in
-    let estimated ~point ~(ci : Memrel_prob.Stats.interval) ~trials ~target_met exhausted =
-      result ?exhausted
+    let estimated (r : _ Memrel_prob.Par.outcome) (point, (ci : Memrel_prob.Stats.interval)) =
+      result ?exhausted:r.Memrel_prob.Par.exhausted
         (P.Estimated
-           { point; lo = ci.Memrel_prob.Stats.lo; hi = ci.Memrel_prob.Stats.hi; trials;
-             target_met })
+           { point; lo = ci.Memrel_prob.Stats.lo; hi = ci.Memrel_prob.Stats.hi;
+             trials = r.Memrel_prob.Par.trials_done; target_met = r.Memrel_prob.Par.target_met })
     in
     Ok
       (match kind with
-       | P.Settling { gamma; p; m } -> begin
-         let model = model_of_family family in
-         match target_width with
-         | None ->
-           let g =
-             Mc.probability_b_governed ~p ~m ~jobs:1 ?budget ~trials ~gamma model rng
-           in
-           let point, ci = g.Memrel_prob.Par.value in
-           estimated ~point ~ci
-             ~trials:g.Memrel_prob.Par.run_stats.Memrel_prob.Par.trials_done
-             ~target_met:false g.Memrel_prob.Par.exhausted
-         | Some target_width ->
-           let s =
-             Mc.probability_b_adaptive ~p ~m ~jobs:1 ?budget ~target_width ~max_trials:trials
-               ~gamma model rng
-           in
-           let point, ci = s.Memrel_prob.Par.value in
-           estimated ~point ~ci ~trials:s.Memrel_prob.Par.trials_done
-             ~target_met:s.Memrel_prob.Par.target_met s.Memrel_prob.Par.exhausted
-       end
-       | P.Shift { gammas } -> begin
-         match target_width with
-         | None ->
-           let g = Process.estimate_governed ~jobs:1 ?budget ~trials rng gammas in
-           let point, ci = g.Memrel_prob.Par.value in
-           estimated ~point ~ci
-             ~trials:g.Memrel_prob.Par.run_stats.Memrel_prob.Par.trials_done
-             ~target_met:false g.Memrel_prob.Par.exhausted
-         | Some target_width ->
-           let s =
-             Process.estimate_adaptive ~jobs:1 ?budget ~target_width ~max_trials:trials rng
-               gammas
-           in
-           let point, ci = s.Memrel_prob.Par.value in
-           estimated ~point ~ci ~trials:s.Memrel_prob.Par.trials_done
-             ~target_met:s.Memrel_prob.Par.target_met s.Memrel_prob.Par.exhausted
-       end
-       | P.Joint { n } -> begin
-         let model = model_of_family family in
-         match target_width with
-         | None ->
-           let g = Joint.estimate_governed ~jobs:1 ?budget ~trials model ~n rng in
-           let e = g.Memrel_prob.Par.value in
-           estimated ~point:e.Joint.pr_no_bug ~ci:e.Joint.ci
-             ~trials:g.Memrel_prob.Par.run_stats.Memrel_prob.Par.trials_done
-             ~target_met:false g.Memrel_prob.Par.exhausted
-         | Some target_width ->
-           let s =
-             Joint.estimate_adaptive ~jobs:1 ?budget ~target_width ~max_trials:trials model ~n
-               rng
-           in
-           let e = s.Memrel_prob.Par.value in
-           estimated ~point:e.Joint.pr_no_bug ~ci:e.Joint.ci
-             ~trials:s.Memrel_prob.Par.trials_done ~target_met:s.Memrel_prob.Par.target_met
-             s.Memrel_prob.Par.exhausted
-       end)
+       | P.Settling { gamma; p; m } ->
+         let r =
+           Mc.probability_b_adaptive ~p ~m ~jobs:1 ?budget ?target_width ~max_trials:trials
+             ~gamma (model_of_family family) rng
+         in
+         estimated r r.Memrel_prob.Par.value
+       | P.Shift { gammas } ->
+         let r =
+           Process.estimate_adaptive ~jobs:1 ?budget ?target_width ~max_trials:trials rng gammas
+         in
+         estimated r r.Memrel_prob.Par.value
+       | P.Joint { n } ->
+         let r =
+           Joint.estimate_adaptive ~jobs:1 ?budget ?target_width ~max_trials:trials
+             (model_of_family family) ~n rng
+         in
+         let e = r.Memrel_prob.Par.value in
+         estimated r (e.Joint.pr_no_bug, e.Joint.ci))
 
 let run ~caps ?extmem q limits =
   match run ~caps ?extmem q limits with

@@ -10,35 +10,27 @@ type estimate = {
 
 let default_m = 64
 
-let sample_gamma_program model rng prog =
+let sample_gamma ?(p = 0.5) ?(m = default_m) model rng =
+  let prog = Program.generate ~p rng ~m in
   let pi = Settle.run model rng prog in
   Window.gamma prog pi
 
-let sample_gamma ?(p = 0.5) ?(m = default_m) model rng =
-  let prog = Program.generate ~p rng ~m in
-  sample_gamma_program model rng prog
-
-(* per-chunk accumulator of the streaming path: a dense count array (gamma
-   ranges over 0..m for gap-free programs) plus the running gamma sum;
-   counts merge by addition so the merged histogram is independent of chunk
-   execution order *)
+(* per-chunk accumulator: a dense count array (gamma ranges over 0..m for
+   gap-free programs) plus the running gamma sum; counts merge by addition
+   so the merged histogram is independent of chunk execution order *)
 type gamma_acc = { counts : int array; mutable sum : int }
-
-let gamma_acc_init ~m () = { counts = Array.make (m + 1) 0; sum = 0 }
 
 let gamma_acc_merge a b =
   Array.iteri (fun g c -> a.counts.(g) <- a.counts.(g) + c) b.counts;
   a.sum <- a.sum + b.sum;
   a
 
-let empty_estimate =
-  { gamma_pmf = []; trials = 0; mean_gamma = Float.nan; histogram = { Stats.bins = []; total = 0 } }
-
 let estimate_of_acc ~trials acc =
   if trials = 0 then
     (* nothing completed before the budget tripped: an honestly empty
        estimate rather than 0/0 *)
-    empty_estimate
+    let histogram = { Stats.bins = []; total = 0 } in
+    { gamma_pmf = []; trials = 0; mean_gamma = Float.nan; histogram }
   else begin
     let bins = ref [] in
     for g = Array.length acc.counts - 1 downto 0 do
@@ -53,10 +45,14 @@ let estimate_of_acc ~trials acc =
     }
   end
 
-let estimate ?(p = 0.5) ?(m = default_m) ?jobs ~trials model rng =
+let estimate_governed ?(p = 0.5) ?(m = default_m) ?jobs ?budget ?checkpoint ?checkpoint_every
+    ?resume ~trials model rng =
   if trials <= 0 then invalid_arg "Mc.estimate: trials must be positive";
-  let s =
-    Par.run_streaming ?jobs ~max_trials:trials ~init:(gamma_acc_init ~m)
+  let r =
+    Par.run ?jobs ?budget ?checkpoint ?checkpoint_every ?resume
+      ~identity:("mc.estimate " ^ Scratch.identity ~p ~m model)
+      ~trials
+      ~init:(fun () -> { counts = Array.make (m + 1) 0; sum = 0 })
       ~worker:(fun () ->
         let scratch = Scratch.create ~p ~m model in
         fun acc r ->
@@ -66,122 +62,26 @@ let estimate ?(p = 0.5) ?(m = default_m) ?jobs ~trials model rng =
           acc)
       ~merge:gamma_acc_merge rng
   in
-  estimate_of_acc ~trials s.Par.value
+  (* the estimate is over the trials that actually ran *)
+  { r with Par.value = estimate_of_acc ~trials:r.Par.trials_done r.Par.value }
 
-let probability_b_worker ~p ~m ~gamma model () =
-  let scratch = Scratch.create ~p ~m model in
-  fun r -> Scratch.sample_gamma scratch r = gamma
-
-let bernoulli_of_streamed (s : int Par.streamed) =
-  let successes = s.Par.value and trials = s.Par.trials_done in
-  (* intervals widen honestly as trials_done shrinks; with nothing done the
-     interval is the vacuous [0, 1] *)
-  let value =
-    if trials = 0 then (Float.nan, { Stats.lo = 0.0; hi = 1.0 })
-    else (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-  in
-  { s with Par.value }
-
-let probability_b ?(p = 0.5) ?(m = default_m) ?jobs ~trials ~gamma model rng =
-  if trials <= 0 then invalid_arg "Mc.probability_b: trials must be positive";
-  let s =
-    Par.count_streaming ?jobs ~max_trials:trials
-      ~worker:(probability_b_worker ~p ~m ~gamma model)
-      rng
-  in
-  (bernoulli_of_streamed s).Par.value
+let estimate ?p ?m ?jobs ~trials model rng =
+  (estimate_governed ?p ?m ?jobs ~trials model rng).Par.value
 
 let probability_b_adaptive ?(p = 0.5) ?(m = default_m) ?jobs ?chunk ?budget ?report
-    ?report_every ~target_width ~max_trials ~gamma model rng =
+    ?target_width ?checkpoint ?checkpoint_every ?resume ~max_trials ~gamma model rng =
   if max_trials <= 0 then invalid_arg "Mc.probability_b_adaptive: max_trials must be positive";
-  let s =
-    Par.count_streaming ?jobs ?chunk ?budget ~target_width ?report ?report_every ~max_trials
-      ~worker:(probability_b_worker ~p ~m ~gamma model)
+  let r =
+    Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
+      ~identity:(Printf.sprintf "mc.probability_b %s gamma=%d" (Scratch.identity ~p ~m model) gamma)
+      ~trials:max_trials
+      ~worker:(fun () ->
+        let scratch = Scratch.create ~p ~m model in
+        fun r -> Scratch.sample_gamma scratch r = gamma)
       rng
   in
-  bernoulli_of_streamed s
+  { r with Par.value = Stats.proportion ~successes:r.Par.value ~trials:r.Par.trials_done }
 
-(* -- closure-based reference path --------------------------------------- *)
-
-(* The pre-streaming per-trial closures ([Program.generate] + [Settle.run]
-   allocating fresh structures every trial), kept for differential tests and
-   benchmarks: the streaming kernel must reproduce these results
-   bit-for-bit. *)
-module Reference = struct
-  let estimate ?(p = 0.5) ?(m = default_m) ?jobs ~trials model rng =
-    if trials <= 0 then invalid_arg "Mc.estimate: trials must be positive";
-    let s =
-      Par.run ?jobs ~trials ~init:(gamma_acc_init ~m)
-        ~accumulate:(fun acc r ->
-          let g = sample_gamma ~p ~m model r in
-          acc.counts.(g) <- acc.counts.(g) + 1;
-          acc.sum <- acc.sum + g;
-          acc)
-        ~merge:gamma_acc_merge rng
-    in
-    estimate_of_acc ~trials s
-
-  let probability_b ?(p = 0.5) ?(m = default_m) ?jobs ~trials ~gamma model rng =
-    if trials <= 0 then invalid_arg "Mc.probability_b: trials must be positive";
-    let successes = Par.count ?jobs ~trials (fun r -> sample_gamma ~p ~m model r = gamma) rng in
-    (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-end
-
-(* -- governed paths (checkpoint/retry; not the hot loop) ----------------- *)
-
-let gamma_fold ~p ~m model =
-  let init () = (Hashtbl.create 32, ref 0) in
-  let accumulate ((counts, sum) as acc) r =
-    let g = sample_gamma ~p ~m model r in
-    sum := !sum + g;
-    Hashtbl.replace counts g (1 + Option.value ~default:0 (Hashtbl.find_opt counts g));
-    acc
-  in
-  let merge ((c1, s1) as acc) (c2, s2) =
-    Hashtbl.iter
-      (fun g c -> Hashtbl.replace c1 g (c + Option.value ~default:0 (Hashtbl.find_opt c1 g)))
-      c2;
-    s1 := !s1 + !s2;
-    acc
-  in
-  (init, accumulate, merge)
-
-let estimate_of ~trials (counts, sum) =
-  if trials = 0 then empty_estimate
-  else begin
-    let histogram = Stats.histogram_of_counts counts in
-    {
-      gamma_pmf = Stats.empirical_pmf histogram;
-      trials;
-      mean_gamma = float_of_int !sum /. float_of_int trials;
-      histogram;
-    }
-  end
-
-let estimate_governed ?(p = 0.5) ?(m = default_m) ?jobs ?budget ?checkpoint ?checkpoint_every
-    ?resume ?max_retries ?fault ~trials model rng =
-  if trials <= 0 then invalid_arg "Mc.estimate: trials must be positive";
-  let init, accumulate, merge = gamma_fold ~p ~m model in
-  let g =
-    Par.run_governed ?jobs ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-      ~trials ~init ~accumulate ~merge rng
-  in
-  (* the estimate is over the trials that actually ran; on a complete run
-     [trials_done = trials] and this equals {!estimate} bit-for-bit *)
-  { g with Par.value = estimate_of ~trials:g.Par.run_stats.Par.trials_done g.Par.value }
-
-let probability_b_governed ?(p = 0.5) ?(m = default_m) ?jobs ?budget ?checkpoint
-    ?checkpoint_every ?resume ?max_retries ?fault ~trials ~gamma model rng =
+let probability_b ?p ?m ?jobs ~trials ~gamma model rng =
   if trials <= 0 then invalid_arg "Mc.probability_b: trials must be positive";
-  let g =
-    Par.count_governed ?jobs ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-      ~trials
-      (fun r -> sample_gamma ~p ~m model r = gamma)
-      rng
-  in
-  let successes = g.Par.value and trials = g.Par.run_stats.Par.trials_done in
-  let value =
-    if trials = 0 then (Float.nan, { Stats.lo = 0.0; hi = 1.0 })
-    else (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-  in
-  { g with Par.value }
+  (probability_b_adaptive ?p ?m ?jobs ~max_trials:trials ~gamma model rng).Par.value

@@ -4,7 +4,12 @@
     Pr[B_gamma] empirically, with confidence intervals. The prefix length
     [m] stands in for the paper's m -> infinity limit; the default 64 makes
     truncation effects (a critical LD bubbling off the top) smaller than
-    2^-40, far below sampling noise. *)
+    2^-40, far below sampling noise.
+
+    Every estimator runs the zero-allocation {!Scratch} kernel on
+    {!Memrel_prob.Par.run}: for a fixed seed the result is bit-identical at
+    every [jobs] (default {!Memrel_prob.Par.default_jobs}; [jobs:1] stays
+    on the calling domain). *)
 
 type estimate = {
   gamma_pmf : (int * float) list;  (** empirical Pr[B_gamma] *)
@@ -16,83 +21,47 @@ type estimate = {
 val sample_gamma :
   ?p:float -> ?m:int -> Memrel_memmodel.Model.t -> Memrel_prob.Rng.t -> int
 (** [sample_gamma model rng] draws one program, settles it, and returns the
-    window growth gamma. *)
+    window growth gamma. The {!Scratch} kernel replays its draws exactly. *)
 
 val estimate :
   ?p:float -> ?m:int -> ?jobs:int -> trials:int ->
   Memrel_memmodel.Model.t -> Memrel_prob.Rng.t -> estimate
-(** [estimate ~trials model rng] aggregates [trials] samples, fanned out
-    over [jobs] domains by {!Memrel_prob.Par} (default
-    {!Memrel_prob.Par.default_jobs}; [jobs:1] stays on the calling domain).
-    For a fixed seed the result is bit-identical at every [jobs]. *)
+(** [estimate ~trials model rng] aggregates [trials] samples of gamma. *)
+
+val estimate_governed :
+  ?p:float -> ?m:int -> ?jobs:int ->
+  ?budget:Memrel_prob.Budget.t ->
+  ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
+  trials:int ->
+  Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
+  estimate Memrel_prob.Par.outcome
+(** {!estimate} with a budget and checkpoint/resume (see
+    {!Memrel_prob.Par.run}). On budget exhaustion the estimate covers the
+    trials that completed ([trials_done]), with [exhausted = Some _]; a
+    complete run is bit-identical to {!estimate}. An immediately exhausted
+    run returns the empty estimate ([trials = 0], [mean_gamma = nan]). *)
 
 val probability_b :
   ?p:float -> ?m:int -> ?jobs:int -> trials:int -> gamma:int ->
   Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
   float * Memrel_prob.Stats.interval
 (** [probability_b ~trials ~gamma model rng] is the point estimate of
-    Pr[B_gamma] with its 95% Wilson interval. [jobs] as in {!estimate}. *)
+    Pr[B_gamma] with its 95% Wilson interval. *)
 
 val probability_b_adaptive :
   ?p:float -> ?m:int -> ?jobs:int -> ?chunk:int ->
   ?budget:Memrel_prob.Budget.t ->
-  ?report:(trials:int -> successes:int -> unit) -> ?report_every:int ->
-  target_width:float -> max_trials:int -> gamma:int ->
-  Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
-  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.streamed
-(** Adaptive {!probability_b}: runs until the 95% Wilson interval for
-    Pr[B_gamma] has width [<= target_width] (checked at chunk boundaries on
-    the schedule-order prefix — the stopping trial count is deterministic
-    per (seed, schedule) and jobs-invariant), up to [max_trials]. Composes
-    with [budget] (typed partial with an honestly widened interval, vacuous
-    [[0, 1]] when nothing completed) and [report] (running estimate every
-    [report_every] chunks). See {!Memrel_prob.Par.count_streaming}. *)
-
-(** The pre-streaming per-trial closure path (fresh program/permutation
-    structures every trial), kept as the differential-test and benchmark
-    baseline: the streaming estimators reproduce these results
-    bit-for-bit. *)
-module Reference : sig
-  val estimate :
-    ?p:float -> ?m:int -> ?jobs:int -> trials:int ->
-    Memrel_memmodel.Model.t -> Memrel_prob.Rng.t -> estimate
-
-  val probability_b :
-    ?p:float -> ?m:int -> ?jobs:int -> trials:int -> gamma:int ->
-    Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
-    float * Memrel_prob.Stats.interval
-end
-
-val estimate_governed :
-  ?p:float -> ?m:int -> ?jobs:int ->
-  ?budget:Memrel_prob.Budget.t ->
+  ?report:(trials:int -> successes:int -> unit) ->
+  ?target_width:float ->
   ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?max_retries:int ->
-  ?fault:(chunk:int -> attempt:int -> Memrel_prob.Par.fault option) ->
-  trials:int ->
+  max_trials:int -> gamma:int ->
   Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
-  estimate Memrel_prob.Par.governed
-(** {!estimate} under resource governance (see
-    {!Memrel_prob.Par.run_governed}). On budget exhaustion the estimate
-    covers the trials that completed ([run_stats.trials_done]), with
-    [exhausted = Some _]; a complete governed run is bit-identical to
-    {!estimate}. An immediately exhausted run returns the empty estimate
-    ([trials = 0], [mean_gamma = nan]). *)
-
-val probability_b_governed :
-  ?p:float -> ?m:int -> ?jobs:int ->
-  ?budget:Memrel_prob.Budget.t ->
-  ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?max_retries:int ->
-  ?fault:(chunk:int -> attempt:int -> Memrel_prob.Par.fault option) ->
-  trials:int -> gamma:int ->
-  Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
-  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.governed
-(** Governed {!probability_b}. A partial run reports the estimate over the
-    completed trials; the Wilson interval widens accordingly (with zero
-    completed trials it is the vacuous [[0, 1]] around a [nan] point). *)
-
-val sample_gamma_program :
-  Memrel_memmodel.Model.t -> Memrel_prob.Rng.t -> Program.t -> int
-(** Settle one given program (used when several threads must share the same
-    initial program, as in the joined model). *)
+  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.outcome
+(** {!probability_b} with every option of {!Memrel_prob.Par.count}. With
+    [target_width] it runs until the 95% Wilson interval for Pr[B_gamma]
+    has width [<= target_width] (the stopping trial count is deterministic
+    per (seed, schedule) and jobs-invariant), up to [max_trials]; without
+    it, all [max_trials] run. A budget partial reports the estimate over
+    [trials_done] with an honestly widened interval (the vacuous [[0, 1]]
+    around a [nan] point when nothing completed); [report] prints the
+    running estimate every 16 chunks. *)

@@ -27,6 +27,11 @@ type t = {
   mutable store_pos : int;  (* settled position of the critical store *)
 }
 
+let identity ?(p = 0.5) ?(gap = 0) ~m model =
+  let rho earlier later = Model.swap_probability model ~earlier ~later in
+  Printf.sprintf "model=%s rho=%h,%h,%h,%h p=%h m=%d gap=%d" (Model.name model)
+    (rho Op.ST Op.ST) (rho Op.ST Op.LD) (rho Op.LD Op.ST) (rho Op.LD Op.LD) p m gap
+
 let create ?(p = 0.5) ?(gap = 0) ~m model =
   if m < 0 then invalid_arg "Scratch.create: m < 0";
   if gap < 0 then invalid_arg "Scratch.create: gap < 0";

@@ -14,7 +14,7 @@
     happens iff the swap probability is positive, with bit-identical
     verdicts — see {!Memrel_prob.Rng.scale_probability}). Hence estimators
     built on this kernel return results bit-identical to the closure-based
-    [Reference] path; the differential tests pin this.
+    oracle in the test suite; the differential tests pin this.
 
     Only fence-free generated programs are representable here; programs
     with fences (e.g. {!Program.with_fences}) take the {!Settle.run}
@@ -28,6 +28,12 @@ val create : ?p:float -> ?gap:int -> m:int -> Memrel_memmodel.Model.t -> t
     ops, [gap] plain ops inside the critical section (default 0), and ST
     probability [p] (default 0.5). Raises [Invalid_argument] as
     {!Program.generate_with_gap} would. *)
+
+val identity : ?p:float -> ?gap:int -> m:int -> Memrel_memmodel.Model.t -> string
+(** Every parameter that shapes the kernel's draws (model name and swap
+    matrix, [p], [m], [gap]) as one string: the estimators fold it into
+    their checkpoint identity, so a snapshot only resumes the same trial
+    function. *)
 
 val generate : t -> Memrel_prob.Rng.t -> unit
 (** Draw a fresh program into the scratch. *)

@@ -83,66 +83,27 @@ let worker_geom ~q gammas () =
     done;
     disjoint_scratch ~shifts ~idx ~gammas
 
-let bernoulli_of_streamed (s : int Par.streamed) =
-  let successes = s.Par.value and trials = s.Par.trials_done in
-  let value =
-    if trials = 0 then (Float.nan, { Stats.lo = 0.0; hi = 1.0 })
-    else (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
+let proportion (r : int Par.outcome) =
+  { r with Par.value = Stats.proportion ~successes:r.Par.value ~trials:r.Par.trials_done }
+
+let estimate_adaptive ?jobs ?chunk ?budget ?report ?target_width ?checkpoint ?checkpoint_every
+    ?resume ~max_trials rng gammas =
+  if max_trials <= 0 then invalid_arg "Process.estimate_adaptive: max_trials must be positive";
+  check_gammas "Process.estimate_adaptive" gammas;
+  let identity =
+    "shift.estimate gammas="
+    ^ String.concat "," (Array.to_list (Array.map string_of_int gammas))
   in
-  { s with Par.value }
+  proportion
+    (Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every
+       ?resume ~identity ~trials:max_trials ~worker:(worker_half gammas) rng)
 
 let estimate ?jobs ~trials rng gammas =
   if trials <= 0 then invalid_arg "Process.estimate: trials must be positive";
-  check_gammas "Process.estimate" gammas;
-  let s = Par.count_streaming ?jobs ~max_trials:trials ~worker:(worker_half gammas) rng in
-  (bernoulli_of_streamed s).Par.value
+  (estimate_adaptive ?jobs ~max_trials:trials rng gammas).Par.value
 
 let estimate_geom ?jobs ~q ~trials rng gammas =
   if trials <= 0 then invalid_arg "Process.estimate_geom: trials must be positive";
   if not (q > 0.0 && q < 1.0) then invalid_arg "Process.sample_geom: q must be in (0,1)";
   check_gammas "Process.estimate_geom" gammas;
-  let s = Par.count_streaming ?jobs ~max_trials:trials ~worker:(worker_geom ~q gammas) rng in
-  (bernoulli_of_streamed s).Par.value
-
-let estimate_adaptive ?jobs ?chunk ?budget ?report ?report_every ~target_width ~max_trials rng
-    gammas =
-  if max_trials <= 0 then invalid_arg "Process.estimate_adaptive: max_trials must be positive";
-  check_gammas "Process.estimate_adaptive" gammas;
-  let s =
-    Par.count_streaming ?jobs ?chunk ?budget ~target_width ?report ?report_every ~max_trials
-      ~worker:(worker_half gammas) rng
-  in
-  bernoulli_of_streamed s
-
-(* -- closure-based reference path --------------------------------------- *)
-
-(* The pre-streaming estimators (fresh shift/index arrays per trial), kept
-   for differential tests and benchmarks. *)
-module Reference = struct
-  let estimate ?jobs ~trials rng gammas =
-    if trials <= 0 then invalid_arg "Process.estimate: trials must be positive";
-    let successes = Par.count ?jobs ~trials (fun r -> (sample r gammas).disjoint) rng in
-    (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-
-  let estimate_geom ?jobs ~q ~trials rng gammas =
-    if trials <= 0 then invalid_arg "Process.estimate_geom: trials must be positive";
-    let successes = Par.count ?jobs ~trials (fun r -> (sample_geom ~q r gammas).disjoint) rng in
-    (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-end
-
-let estimate_governed ?jobs ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-    ~trials rng gammas =
-  if trials <= 0 then invalid_arg "Process.estimate: trials must be positive";
-  let g =
-    Par.count_governed ?jobs ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries ?fault
-      ~trials
-      (fun r -> (sample r gammas).disjoint)
-      rng
-  in
-  let successes = g.Par.value in
-  let trials = g.Par.run_stats.Par.trials_done in
-  let value =
-    if trials = 0 then (Float.nan, { Stats.lo = 0.0; hi = 1.0 })
-    else (Stats.binomial_point ~successes ~trials, Stats.wilson_ci ~successes ~trials ~z:1.96)
-  in
-  { g with Par.value }
+  (proportion (Par.count ?jobs ~trials ~worker:(worker_geom ~q gammas) rng)).Par.value

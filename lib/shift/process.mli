@@ -36,47 +36,22 @@ val estimate :
     domains via {!Memrel_prob.Par} (default
     {!Memrel_prob.Par.default_jobs}); bit-identical at every [jobs]. *)
 
-val estimate_governed :
-  ?jobs:int ->
-  ?budget:Memrel_prob.Budget.t ->
-  ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?max_retries:int ->
-  ?fault:(chunk:int -> attempt:int -> Memrel_prob.Par.fault option) ->
-  trials:int -> Memrel_prob.Rng.t -> int array ->
-  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.governed
-(** {!estimate} under resource governance (see
-    {!Memrel_prob.Par.run_governed}). A partial run reports the estimate
-    over [run_stats.trials_done] with an honestly widened Wilson interval
-    (vacuous [[0, 1]] when nothing completed); a complete run is
-    bit-identical to {!estimate}. *)
-
 val estimate_adaptive :
   ?jobs:int -> ?chunk:int ->
   ?budget:Memrel_prob.Budget.t ->
-  ?report:(trials:int -> successes:int -> unit) -> ?report_every:int ->
-  target_width:float -> max_trials:int ->
+  ?report:(trials:int -> successes:int -> unit) ->
+  ?target_width:float ->
+  ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
+  max_trials:int ->
   Memrel_prob.Rng.t -> int array ->
-  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.streamed
-(** Adaptive {!estimate}: runs until the 95% Wilson interval has width
-    [<= target_width] (checked at chunk boundaries on the schedule-order
-    prefix — the stopping trial count is deterministic per (seed, schedule)
-    and jobs-invariant), up to [max_trials]. Composes with [budget] (typed
-    partial, honestly widened interval) and [report] (running estimate
-    every [report_every] chunks). See
-    {!Memrel_prob.Par.count_streaming}. *)
-
-(** The pre-streaming per-trial closure path (fresh shift/index arrays per
-    trial), kept as the differential-test and benchmark baseline: the
-    streaming estimators reproduce these results bit-for-bit. *)
-module Reference : sig
-  val estimate :
-    ?jobs:int -> trials:int -> Memrel_prob.Rng.t -> int array ->
-    float * Memrel_prob.Stats.interval
-
-  val estimate_geom :
-    ?jobs:int -> q:float -> trials:int -> Memrel_prob.Rng.t -> int array ->
-    float * Memrel_prob.Stats.interval
-end
+  (float * Memrel_prob.Stats.interval) Memrel_prob.Par.outcome
+(** {!estimate} with every option of {!Memrel_prob.Par.count}. With
+    [target_width] it runs until the 95% Wilson interval has width
+    [<= target_width] (the stopping trial count is deterministic per (seed,
+    schedule) and jobs-invariant), up to [max_trials]; without it, all
+    [max_trials] run. A budget partial reports the estimate over
+    [trials_done] with an honestly widened interval (the vacuous [[0, 1]]
+    around a [nan] point when nothing completed). *)
 
 val sample_geom : q:float -> Memrel_prob.Rng.t -> int array -> sample
 (** Like {!sample} but with geometric(q) shifts — pmf [(1-q) q^k] — the

@@ -1,0 +1,74 @@
+(* Runs the built memrel binary and checks exit codes and stderr. *)
+
+let cli = Filename.concat (Filename.concat ".." "..") (Filename.concat "bin" "memrel_cli.exe")
+
+(* (exit code, stdout, stderr lines) of [memrel args] *)
+let memrel args =
+  let out = Filename.temp_file "memrel_cli" ".out" in
+  let err = Filename.temp_file "memrel_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args (Filename.quote out)
+             (Filename.quote err))
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      let lines = String.split_on_char '\n' (String.trim (read err)) in
+      (code, read out, List.filter (( <> ) "") lines))
+
+let with_checkpoint f =
+  let file = Filename.temp_file "memrel_cli" ".ck" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
+
+(* a shift checkpoint resumed by another estimator: a one-line error and
+   exit 123, never another estimator's numbers or a crash *)
+let resume_refused other () =
+  with_checkpoint @@ fun ck ->
+  let code, _, _ = memrel ("shift --seed 7 --trials 100000 --jobs 1 --checkpoint " ^ ck) in
+  Alcotest.(check int) "checkpointed shift run" 0 code;
+  let code, out, err = memrel (Printf.sprintf "%s --resume %s" other ck) in
+  Alcotest.(check int) "exit code" 123 code;
+  Alcotest.(check bool) ("no estimate printed: " ^ out) false
+    (Astring.String.is_infix ~affix:"simulated" out);
+  match err with
+  | [ line ] ->
+    Alcotest.(check bool) line true
+      (Astring.String.is_prefix ~affix:"memrel: checkpoint was written by \"shift" line)
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length err)
+
+let usage_error args () =
+  let code, _, err = memrel args in
+  (* cmdliner wraps long messages: compare with the whitespace collapsed *)
+  let err =
+    String.concat " " (List.concat_map (Astring.String.fields ~empty:false) err)
+  in
+  Alcotest.(check int) (args ^ ": exit code") 124 code;
+  Alcotest.(check bool) (args ^ ": names the positive-integer requirement") true
+    (Astring.String.is_infix ~affix:"expected a positive integer" err);
+  Alcotest.(check bool) (args ^ ": no internal error") false
+    (Astring.String.is_infix ~affix:"internal error" err)
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "checkpoint identity",
+        [
+          Alcotest.test_case "joint refuses a shift checkpoint" `Quick
+            (resume_refused "joint --model sc -n 2 --seed 7 --trials 100000 --jobs 1");
+          Alcotest.test_case "window refuses a shift checkpoint" `Quick
+            (resume_refused "window --seed 7 --trials 100000 --jobs 1");
+        ] );
+      ( "positive counts",
+        List.map
+          (fun args -> Alcotest.test_case args `Quick (usage_error args))
+          [
+            "window --trials 0";
+            "shift --trials 0";
+            "joint --trials=-3";
+            "fences --trials 0";
+            "shift --target-width 0.01 --max-trials 0";
+            "joint --checkpoint-every 0";
+          ] );
+    ]

@@ -110,7 +110,7 @@ let test_guards () =
   Alcotest.check_raises "trials=0" (Invalid_argument "Joint.estimate: trials must be positive")
     (fun () -> ignore (J.estimate ~trials:0 Model.sc ~n:2 rng))
 
-(* -- streaming path vs reference closures -------------------------------- *)
+(* -- streaming path vs the closure-based oracle ---------------------------- *)
 
 module Par = Memrel_prob.Par
 
@@ -123,7 +123,7 @@ let test_streaming_equals_reference () =
         J.estimate ~convention ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:3 (Rng.create 501)
       in
       let r =
-        J.Reference.estimate ~convention ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:3
+        Memrel_oracle.Joint.estimate ~convention ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:3
           (Rng.create 501)
       in
       Alcotest.(check bool) "estimate identical" true (s = r))
@@ -131,7 +131,7 @@ let test_streaming_equals_reference () =
 
 let test_semi_analytic_equals_reference () =
   let s = J.semi_analytic ~jobs:1 ~trials:20_000 (Model.wo ()) ~n:4 (Rng.create 503) in
-  let r = J.Reference.semi_analytic ~jobs:1 ~trials:20_000 (Model.wo ()) ~n:4 (Rng.create 503) in
+  let r = Memrel_oracle.Joint.semi_analytic ~jobs:1 ~trials:20_000 (Model.wo ()) ~n:4 (Rng.create 503) in
   Alcotest.(check bool) "bitwise identical" true
     (Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float r))
 

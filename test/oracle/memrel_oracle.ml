@@ -1,0 +1,89 @@
+(* The per-trial closures that predate the zero-allocation kernels: every
+   trial builds a fresh program, permutation and shift array, and runs on
+   the same Par schedule as the estimators in lib/. The estimators must
+   reproduce these results bit for bit. *)
+
+module Par = Memrel_prob.Par
+module Stats = Memrel_prob.Stats
+
+let proportion ?jobs ~trials f rng =
+  let successes = (Par.count ?jobs ~trials ~worker:(fun () -> f) rng).Par.value in
+  Stats.proportion ~successes ~trials
+
+let sum_float ?jobs ~trials f rng =
+  (Par.run ?jobs ~trials ~init:(fun () -> 0.0) ~worker:(fun () acc r -> acc +. f r) ~merge:( +. )
+     rng)
+    .Par.value
+
+module Mc = struct
+  module Mc = Memrel_settling.Mc
+
+  let estimate ?(p = 0.5) ?(m = 64) ?jobs ~trials model rng : Mc.estimate =
+    let counts, sum =
+      (Par.run ?jobs ~trials
+         ~init:(fun () -> (Array.make (m + 1) 0, ref 0))
+         ~worker:(fun () ((counts, sum) as acc) r ->
+           let g = Mc.sample_gamma ~p ~m model r in
+           counts.(g) <- counts.(g) + 1;
+           sum := !sum + g;
+           acc)
+         ~merge:(fun ((c1, s1) as acc) (c2, s2) ->
+           Array.iteri (fun g c -> c1.(g) <- c1.(g) + c) c2;
+           s1 := !s1 + !s2;
+           acc)
+         rng)
+        .Par.value
+    in
+    let bins = List.mapi (fun g c -> (g, c)) (Array.to_list counts) in
+    let bins = List.filter (fun (_, c) -> c > 0) bins in
+    let histogram = { Stats.bins; total = trials } in
+    {
+      Mc.gamma_pmf = Stats.empirical_pmf histogram;
+      trials;
+      mean_gamma = float_of_int !sum /. float_of_int trials;
+      histogram;
+    }
+
+  let probability_b ?(p = 0.5) ?(m = 64) ?jobs ~trials ~gamma model rng =
+    proportion ?jobs ~trials (fun r -> Mc.sample_gamma ~p ~m model r = gamma) rng
+end
+
+module Shift = struct
+  module P = Memrel_shift.Process
+
+  let estimate ?jobs ~trials rng gammas =
+    proportion ?jobs ~trials (fun r -> (P.sample r gammas).P.disjoint) rng
+
+  let estimate_geom ?jobs ~q ~trials rng gammas =
+    proportion ?jobs ~trials (fun r -> (P.sample_geom ~q r gammas).P.disjoint) rng
+end
+
+module Joint = struct
+  module J = Memrel_interleave.Joint
+  module Program = Memrel_settling.Program
+  module Settle = Memrel_settling.Settle
+  module Window = Memrel_settling.Window
+
+  let estimate ?p ?m ?gap ?convention ?jobs ~trials model ~n rng : J.estimate =
+    let pr_no_bug, ci =
+      proportion ?jobs ~trials (fun r -> J.sample ?p ?m ?gap ?convention model ~n r) rng
+    in
+    { J.pr_no_bug; ci; trials }
+
+  let semi_analytic ?(p = 0.5) ?(m = 64) ?(gap = 0) ?jobs ~trials model ~n rng =
+    let acc =
+      sum_float ?jobs ~trials
+        (fun r ->
+          let prog = Program.generate_with_gap ~p r ~m ~gap in
+          let exponent = ref 0 in
+          for i = 1 to n - 1 do
+            let pi = Settle.run model r prog in
+            exponent := !exponent + (i * (Window.gamma prog pi + 2))
+          done;
+          Float.pow 2.0 (float_of_int (- !exponent)))
+        rng
+    in
+    let prefactor = Memrel_prob.Rational.to_float (Memrel_shift.Exact.prefactor n) in
+    let fact = Memrel_prob.Bigint.to_float (Memrel_prob.Combinatorics.factorial n) in
+    prefactor *. fact *. (acc /. float_of_int trials)
+end

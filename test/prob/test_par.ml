@@ -1,10 +1,23 @@
 module Rng = Memrel_prob.Rng
 module Par = Memrel_prob.Par
+module Budget = Memrel_prob.Budget
+module Stats = Memrel_prob.Stats
 
 (* a deliberately order-sensitive accumulator: float sum of Rng.float draws;
    any schedule change shows up in the low bits *)
-let float_sum ?jobs ?chunk ~trials seed =
-  Par.sum_float ?jobs ?chunk ~trials (fun r -> Rng.float r) (Rng.create seed)
+let float_sum_run ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?identity ?fault
+    ~trials seed =
+  Par.run ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?identity ?fault ~trials
+    ~init:(fun () -> 0.0)
+    ~worker:(fun () acc r -> acc +. Rng.float r)
+    ~merge:( +. ) (Rng.create seed)
+
+let float_sum ?jobs ?chunk ~trials seed = (float_sum_run ?jobs ?chunk ~trials seed).Par.value
+
+let bits f = Int64.bits_of_float f
+
+(* a Bernoulli(0.3) worker for the counting paths *)
+let coin () r = Rng.float r < 0.3
 
 let test_run_jobs_invariant () =
   (* bit-identical across jobs, including trial counts that don't divide the
@@ -42,7 +55,7 @@ let test_run_advances_caller_rng_uniformly () =
     (fun (jobs, trials, chunk) ->
       let v =
         next_after (fun rng ->
-            ignore (Par.count ~jobs ~chunk ~trials (fun r -> Rng.bool r) rng))
+            ignore (Par.count ~jobs ~chunk ~trials ~worker:(fun () r -> Rng.bool r) rng))
       in
       Alcotest.(check int64)
         (Printf.sprintf "jobs=%d trials=%d chunk=%d" jobs trials chunk)
@@ -52,7 +65,10 @@ let test_run_advances_caller_rng_uniformly () =
 let test_count_matches_manual () =
   (* jobs:1 chunked count equals a hand-rolled loop over the same substreams *)
   let trials = 10_000 and chunk = 512 in
-  let got = Par.count ~jobs:3 ~chunk ~trials (fun r -> Rng.bernoulli r 0.3) (Rng.create 5) in
+  let got =
+    (Par.count ~jobs:3 ~chunk ~trials ~worker:(fun () r -> Rng.bernoulli r 0.3) (Rng.create 5))
+      .Par.value
+  in
   let base = Rng.bits64 (Rng.create 5) in
   let expected = ref 0 in
   let n_chunks = (trials + chunk - 1) / chunk in
@@ -71,9 +87,9 @@ let test_histogram_accumulator_merge () =
   (* the estimate-style accumulator (hashtable + merge by addition) must be
      jobs-invariant and conserve mass *)
   let run jobs =
-    Par.run ~jobs ~chunk:128 ~trials:30_000
+    (Par.run ~jobs ~chunk:128 ~trials:30_000
       ~init:(fun () -> Hashtbl.create 16)
-      ~accumulate:(fun h r ->
+      ~worker:(fun () h r ->
         let k = Rng.geometric_half r in
         Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k));
         h)
@@ -82,7 +98,8 @@ let test_histogram_accumulator_merge () =
           (fun k c -> Hashtbl.replace a k (c + Option.value ~default:0 (Hashtbl.find_opt a k)))
           b;
         a)
-      (Rng.create 13)
+      (Rng.create 13))
+      .Par.value
   in
   let sorted h =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
@@ -141,10 +158,11 @@ let test_map_array_exception_propagates () =
 
 let test_guards () =
   let rng = Rng.create 1 in
+  let always () _ = true in
   Alcotest.check_raises "trials 0" (Invalid_argument "Par.run: trials must be positive")
-    (fun () -> ignore (Par.count ~trials:0 (fun _ -> true) rng));
+    (fun () -> ignore (Par.count ~trials:0 ~worker:always rng));
   Alcotest.check_raises "chunk 0" (Invalid_argument "Par.run: chunk must be positive")
-    (fun () -> ignore (Par.count ~chunk:0 ~trials:10 (fun _ -> true) rng));
+    (fun () -> ignore (Par.count ~chunk:0 ~trials:10 ~worker:always rng));
   Alcotest.(check bool) "default_jobs >= 1" true (Par.default_jobs () >= 1);
   (* explicit nonsensical jobs values are rejected, not silently clamped *)
   List.iter
@@ -152,52 +170,58 @@ let test_guards () =
       Alcotest.check_raises
         (Printf.sprintf "jobs %d" jobs)
         (Invalid_argument "Par: jobs must be positive")
-        (fun () -> ignore (Par.count ~jobs ~trials:10 (fun _ -> true) rng)))
+        (fun () -> ignore (Par.count ~jobs ~trials:10 ~worker:always rng)))
     [ 0; -1; -7 ];
   Alcotest.check_raises "map_array jobs 0" (Invalid_argument "Par: jobs must be positive")
     (fun () -> ignore (Par.map_array ~jobs:0 Fun.id [| 1 |]));
-  Alcotest.check_raises "governed checkpoint_every 0"
-    (Invalid_argument "Par.run_governed: checkpoint_every must be positive") (fun () ->
-      ignore (Par.count_governed ~checkpoint_every:0 ~trials:10 (fun _ -> true) rng));
-  Alcotest.check_raises "governed max_retries -1"
-    (Invalid_argument "Par.run_governed: max_retries must be nonnegative") (fun () ->
-      ignore (Par.count_governed ~max_retries:(-1) ~trials:10 (fun _ -> true) rng))
+  Alcotest.check_raises "checkpoint_every 0"
+    (Invalid_argument "Par.run: checkpoint_every must be positive") (fun () ->
+      ignore (Par.count ~checkpoint_every:0 ~trials:10 ~worker:always rng));
+  Alcotest.check_raises "target_width 0"
+    (Invalid_argument "Par.count: target_width must be positive") (fun () ->
+      ignore (Par.count ~target_width:0.0 ~trials:10 ~worker:always rng));
+  (* an exception from building a worker (argument checks) propagates
+     unchanged, at any jobs count *)
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "worker construction, jobs %d" jobs)
+        (Invalid_argument "bad parameter")
+        (fun () ->
+          ignore
+            (Par.count ~jobs ~chunk:16 ~trials:100
+               ~worker:(fun () -> invalid_arg "bad parameter")
+               rng)))
+    [ 1; 4 ]
 
-(* -- resource-governed execution ---------------------------------------- *)
-
-module Budget = Memrel_prob.Budget
-
-let bits f = Int64.bits_of_float f
-
-let float_sum_governed ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries
-    ?fault ~trials seed =
-  Par.run_governed ?jobs ?chunk ?budget ?checkpoint ?checkpoint_every ?resume ?max_retries
-    ?fault ~trials
-    ~init:(fun () -> 0.0)
-    ~accumulate:(fun acc r -> acc +. Rng.float r)
-    ~merge:( +. ) (Rng.create seed)
+(* -- budgets and checkpoints --------------------------------------------- *)
 
 let with_tmp f =
   let file = Filename.temp_file "memrel_par" ".snap" in
   Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
 
 let test_governed_equals_plain_run () =
-  (* with no budget/fault/checkpoint, the governed scheduler (dynamic chunk
-     claiming) must reproduce the static-stride hot path bit-for-bit, at
-     every jobs count *)
+  (* a generous budget and a checkpoint file change nothing: the result is
+     the plain jobs:1 run bit-for-bit, at every jobs count *)
   List.iter
     (fun (trials, chunk) ->
       let reference = float_sum ~jobs:1 ~chunk ~trials 42 in
       List.iter
         (fun jobs ->
-          let g = float_sum_governed ~jobs ~chunk ~trials 42 in
+          with_tmp @@ fun file ->
+          let g =
+            float_sum_run ~jobs ~chunk ~trials ~budget:(Budget.create ~max_work:1_000_000 ())
+              ~checkpoint:file 42
+          in
           Alcotest.(check bool)
             (Printf.sprintf "trials=%d chunk=%d jobs=%d" trials chunk jobs)
             true
             (Int64.equal (bits g.Par.value) (bits reference));
           Alcotest.(check bool) "complete" true (g.Par.exhausted = None);
-          Alcotest.(check int) "all trials done" trials g.Par.run_stats.Par.trials_done;
-          Alcotest.(check int) "no retries" 0 g.Par.run_stats.Par.retries)
+          Alcotest.(check int) "all trials done" trials g.Par.trials_done;
+          Alcotest.(check int) "all chunks done" g.Par.chunks_total g.Par.chunks_done;
+          Alcotest.(check bool) "checkpointed" true (g.Par.checkpoints_written >= 1);
+          Alcotest.(check int) "no retries" 0 g.Par.retries)
         [ 1; 2; 4 ])
     [ (10_000, 256); (1000, 999); (5, 2) ]
 
@@ -209,24 +233,26 @@ let test_governed_advances_caller_rng_uniformly () =
   in
   let reference = next_after (fun rng -> ignore (Rng.bits64 rng)) in
   let v =
+    with_tmp @@ fun file ->
     next_after (fun rng ->
-        ignore (Par.count_governed ~jobs:2 ~chunk:64 ~trials:1000 (fun r -> Rng.bool r) rng))
+        ignore
+          (Par.count ~jobs:2 ~chunk:64 ~budget:(Budget.create ~max_work:5 ()) ~checkpoint:file
+             ~trials:1000 ~worker:(fun () r -> Rng.bool r) rng))
   in
-  Alcotest.(check int64) "one draw, like run" reference v
+  Alcotest.(check int64) "one draw, whatever the options" reference v
 
 let test_work_cap_partial () =
   (* a work cap of k chunks yields a partial result covering exactly the
      chunks completed before the cap, each a bit-exact replay *)
   let trials = 10_000 and chunk = 256 in
   let budget = Budget.create ~max_work:5 () in
-  let g = float_sum_governed ~jobs:1 ~chunk ~budget ~trials 42 in
+  let g = float_sum_run ~jobs:1 ~chunk ~budget ~trials 42 in
   (match g.Par.exhausted with
    | Some e -> Alcotest.(check bool) "cause Work" true (e.Budget.cause = Budget.Work)
    | None -> Alcotest.fail "expected exhaustion");
-  Alcotest.(check int) "5 chunks done" 5 g.Par.run_stats.Par.chunks_done;
-  Alcotest.(check int) "trials_done matches" (5 * chunk) g.Par.run_stats.Par.trials_done;
-  (* jobs:1 completes chunks in schedule order, so the partial value is the
-     prefix sum over substreams 0..4 *)
+  Alcotest.(check int) "5 chunks done" 5 g.Par.chunks_done;
+  Alcotest.(check int) "trials_done matches" (5 * chunk) g.Par.trials_done;
+  (* the partial value is the prefix sum over substreams 0..4 *)
   let base = Rng.bits64 (Rng.create 42) in
   let expected = ref 0.0 in
   for id = 0 to 4 do
@@ -236,13 +262,20 @@ let test_work_cap_partial () =
     done
   done;
   Alcotest.(check bool) "partial value = prefix chunks" true
-    (Int64.equal (bits g.Par.value) (bits !expected))
+    (Int64.equal (bits g.Par.value) (bits !expected));
+  (* a cap that exactly covers the schedule is not an exhaustion *)
+  List.iter
+    (fun jobs ->
+      let g = float_sum_run ~jobs ~chunk ~budget:(Budget.create ~max_work:40 ()) ~trials 42 in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: exact cap completes" jobs) true
+        (g.Par.exhausted = None && g.Par.trials_done = trials))
+    [ 1; 4 ]
 
 let test_zero_budget_partial_is_empty () =
   let budget = Budget.create ~max_work:0 () in
-  let g = float_sum_governed ~jobs:4 ~chunk:64 ~budget ~trials:10_000 42 in
+  let g = float_sum_run ~jobs:4 ~chunk:64 ~budget ~trials:10_000 42 in
   Alcotest.(check bool) "exhausted" true (g.Par.exhausted <> None);
-  Alcotest.(check int) "nothing done" 0 g.Par.run_stats.Par.trials_done;
+  Alcotest.(check int) "nothing done" 0 g.Par.trials_done;
   Alcotest.(check bool) "init value" true (g.Par.value = 0.0)
 
 let checkpoint_roundtrip_for ~jobs () =
@@ -251,21 +284,19 @@ let checkpoint_roundtrip_for ~jobs () =
      an uninterrupted run *)
   let trials = 20_000 and chunk = 256 in
   with_tmp @@ fun file ->
-  let reference = float_sum_governed ~jobs ~chunk ~trials 42 in
+  let reference = float_sum ~jobs ~chunk ~trials 42 in
   let first =
-    float_sum_governed ~jobs ~chunk ~trials
+    float_sum_run ~jobs ~chunk ~trials
       ~budget:(Budget.create ~max_work:13 ())
       ~checkpoint:file ~checkpoint_every:4 42
   in
   Alcotest.(check bool) "first run is partial" true (first.Par.exhausted <> None);
-  Alcotest.(check bool) "snapshots were written" true
-    (first.Par.run_stats.Par.checkpoints_written > 0);
-  let resumed = float_sum_governed ~jobs ~chunk ~trials ~resume:file 42 in
+  Alcotest.(check bool) "snapshots were written" true (first.Par.checkpoints_written > 0);
+  let resumed = float_sum_run ~jobs ~chunk ~trials ~resume:file 42 in
   Alcotest.(check bool) "resumed = uninterrupted (bitwise)" true
-    (Int64.equal (bits resumed.Par.value) (bits reference.Par.value));
-  Alcotest.(check int) "all trials accounted" trials resumed.Par.run_stats.Par.trials_done;
-  Alcotest.(check int) "resumed chunk count" first.Par.run_stats.Par.chunks_done
-    resumed.Par.run_stats.Par.chunks_resumed;
+    (Int64.equal (bits resumed.Par.value) (bits reference));
+  Alcotest.(check int) "all trials accounted" trials resumed.Par.trials_done;
+  Alcotest.(check int) "resumed chunk count" first.Par.chunks_done resumed.Par.chunks_resumed;
   Alcotest.(check bool) "resume is complete" true (resumed.Par.exhausted = None)
 
 let test_checkpoint_roundtrip_jobs1 () = checkpoint_roundtrip_for ~jobs:1 ()
@@ -274,12 +305,11 @@ let test_checkpoint_roundtrip_jobs4 () = checkpoint_roundtrip_for ~jobs:4 ()
 
 let test_resume_from_finished_checkpoint_is_noop () =
   with_tmp @@ fun file ->
-  let full = float_sum_governed ~jobs:2 ~chunk:512 ~trials:10_000 ~checkpoint:file 42 in
-  let resumed = float_sum_governed ~jobs:2 ~chunk:512 ~trials:10_000 ~resume:file 42 in
+  let full = float_sum_run ~jobs:2 ~chunk:512 ~trials:10_000 ~checkpoint:file 42 in
+  let resumed = float_sum_run ~jobs:2 ~chunk:512 ~trials:10_000 ~resume:file 42 in
   Alcotest.(check bool) "same value" true
     (Int64.equal (bits resumed.Par.value) (bits full.Par.value));
-  Alcotest.(check int) "nothing re-run" 0
-    (resumed.Par.run_stats.Par.chunks_done - resumed.Par.run_stats.Par.chunks_resumed)
+  Alcotest.(check int) "nothing re-run" 0 (resumed.Par.chunks_done - resumed.Par.chunks_resumed)
 
 let expect_invalid_snapshot name f =
   match f () with
@@ -289,7 +319,7 @@ let expect_invalid_snapshot name f =
 let test_resume_rejects_damaged_snapshots () =
   with_tmp @@ fun file ->
   let run ?(seed = 42) ?(trials = 10_000) ?(chunk = 256) ?checkpoint ?resume () =
-    float_sum_governed ~jobs:1 ~chunk ~trials ?checkpoint ?resume seed
+    float_sum_run ~jobs:1 ~chunk ~trials ?checkpoint ?resume seed
   in
   ignore (run ~checkpoint:file ());
   let original = In_channel.with_open_bin file In_channel.input_all in
@@ -316,6 +346,36 @@ let test_resume_rejects_damaged_snapshots () =
   (* and the pristine file still resumes fine *)
   ignore (run ~resume:file ())
 
+let test_resume_rejects_other_estimator () =
+  (* a snapshot records which trial function wrote it: resuming under
+     another identity is refused before any accumulator is decoded, even
+     when seed, trials and chunk all match and the accumulator types
+     differ (an int count here, a float sum there) *)
+  with_tmp @@ fun file ->
+  ignore
+    (Par.count ~jobs:1 ~chunk:256 ~trials:10_000 ~checkpoint:file ~identity:"coin p=0.3"
+       ~worker:coin (Rng.create 42));
+  (match float_sum_run ~jobs:1 ~chunk:256 ~trials:10_000 ~resume:file ~identity:"sum" 42 with
+   | _ -> Alcotest.fail "expected Invalid_snapshot"
+   | exception Par.Invalid_snapshot msg ->
+     Alcotest.(check bool) ("one-line message: " ^ msg) false (String.contains msg '\n');
+     Alcotest.(check bool) "names both identities" true
+       (Astring.String.is_infix ~affix:"coin p=0.3" msg
+        && Astring.String.is_infix ~affix:"\"sum\"" msg));
+  (* the same identity resumes *)
+  let again =
+    Par.count ~jobs:1 ~chunk:256 ~trials:10_000 ~resume:file ~identity:"coin p=0.3"
+      ~worker:coin (Rng.create 42)
+  in
+  Alcotest.(check int) "resumed everything" again.Par.chunks_total again.Par.chunks_resumed;
+  (* a snapshot under an earlier engine tag is refused by the container *)
+  (match Memrel_prob.Snapshot.write ~file ~tag:"par/chunks" "old payload" with
+   | Ok () -> ()
+   | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e));
+  expect_invalid_snapshot "old engine tag" (fun () ->
+      Par.count ~jobs:1 ~chunk:256 ~trials:10_000 ~resume:file ~identity:"coin p=0.3"
+        ~worker:coin (Rng.create 42))
+
 (* -- fault injection ----------------------------------------------------- *)
 
 let fault_on ~kind ~chunks ~attempts_below ~chunk:id ~attempt =
@@ -324,14 +384,14 @@ let fault_on ~kind ~chunks ~attempts_below ~chunk:id ~attempt =
 let fault_equal_baseline name ~jobs ~fault ~expect_retries =
   let trials = 10_000 and chunk = 256 in
   let baseline = float_sum ~jobs:1 ~chunk ~trials 42 in
-  let g = float_sum_governed ~jobs ~chunk ~trials ~fault 42 in
+  let g = float_sum_run ~jobs ~chunk ~trials ~fault 42 in
   Alcotest.(check bool) (name ^ ": value = baseline (bitwise)") true
     (Int64.equal (bits g.Par.value) (bits baseline));
   Alcotest.(check bool) (name ^ ": complete") true (g.Par.exhausted = None);
-  Alcotest.(check int) (name ^ ": all trials") trials g.Par.run_stats.Par.trials_done;
-  Alcotest.(check int) (name ^ ": retries") expect_retries g.Par.run_stats.Par.retries;
+  Alcotest.(check int) (name ^ ": all trials") trials g.Par.trials_done;
+  Alcotest.(check int) (name ^ ": retries") expect_retries g.Par.retries;
   Alcotest.(check bool) (name ^ ": failures recorded") true
-    (g.Par.run_stats.Par.worker_failures >= expect_retries)
+    (g.Par.worker_failures >= expect_retries)
 
 let test_crash_first_chunk () =
   List.iter
@@ -354,8 +414,8 @@ let test_crash_middle_chunk () =
     [ 1; 4 ]
 
 let test_crash_repeated_up_to_max_retries () =
-  (* two consecutive crashes with max_retries = 2: the third attempt
-     succeeds and the result is untouched *)
+  (* two consecutive crashes: the third and last attempt succeeds and the
+     result is untouched *)
   List.iter
     (fun jobs ->
       fault_equal_baseline
@@ -366,12 +426,12 @@ let test_crash_repeated_up_to_max_retries () =
     [ 1; 4 ]
 
 let test_crash_exhausts_retries () =
-  (* a chunk that crashes on every attempt surfaces as a typed error, on any
-     jobs count *)
+  (* a chunk that crashes on every attempt surfaces as a typed error after
+     three attempts, on any jobs count *)
   List.iter
     (fun jobs ->
       match
-        float_sum_governed ~jobs ~chunk:256 ~trials:10_000 ~max_retries:2
+        float_sum_run ~jobs ~chunk:256 ~trials:10_000
           ~fault:(fun ~chunk:id ~attempt:_ -> if id = 3 then Some Par.Crash else None)
           42
       with
@@ -397,35 +457,42 @@ let test_wedge_recovers () =
     [ 1; 4 ]
 
 let test_wedge_exhausts_retries () =
+  (* a chunk that wedges every worker it lands on, the calling domain's
+     recovery included, fails after three attempts *)
   match
-    float_sum_governed ~jobs:2 ~chunk:256 ~trials:10_000 ~max_retries:1
+    float_sum_run ~jobs:2 ~chunk:256 ~trials:10_000
       ~fault:(fun ~chunk:id ~attempt:_ -> if id = 0 then Some Par.Wedge else None)
       42
   with
   | _ -> Alcotest.fail "expected Retries_exhausted"
   | exception Par.Retries_exhausted { chunk; attempts; _ } ->
     Alcotest.(check int) "failing chunk" 0 chunk;
-    Alcotest.(check int) "1 try + 1 retry" 2 attempts
+    Alcotest.(check int) "1 try + 2 retries" 3 attempts
 
 let test_user_exception_is_retried () =
   (* a transient user exception (fails on the first visit to one chunk) is
-     retried like an injected crash, via the same substream replay *)
+     retried like an injected crash, on a rebuilt worker, via the same
+     substream replay *)
   let trials = 5_000 and chunk = 256 in
   let baseline = float_sum ~jobs:1 ~chunk ~trials 42 in
   let poisoned = Atomic.make true in
+  let built = Atomic.make 0 in
   let g =
-    Par.run_governed ~jobs:1 ~chunk ~trials
+    Par.run ~jobs:1 ~chunk ~trials
       ~init:(fun () -> 0.0)
-      ~accumulate:(fun acc r ->
-        (* fail exactly once, on the first trial ever executed; the retry
-           replays the whole chunk from its substream start *)
-        if Atomic.compare_and_set poisoned true false then failwith "transient";
-        acc +. Rng.float r)
+      ~worker:(fun () ->
+        Atomic.incr built;
+        fun acc r ->
+          (* fail exactly once, on the first trial ever executed; the retry
+             replays the whole chunk from its substream start *)
+          if Atomic.compare_and_set poisoned true false then failwith "transient";
+          acc +. Rng.float r)
       ~merge:( +. ) (Rng.create 42)
   in
   Alcotest.(check bool) "value = baseline despite the transient failure" true
     (Int64.equal (bits g.Par.value) (bits baseline));
-  Alcotest.(check int) "one retry" 1 g.Par.run_stats.Par.retries
+  Alcotest.(check int) "one retry" 1 g.Par.retries;
+  Alcotest.(check int) "the retry rebuilt the worker" 2 (Atomic.get built)
 
 let test_fault_with_checkpoint_resume () =
   (* the full gauntlet: faults + budget + checkpoint on the first run,
@@ -435,61 +502,72 @@ let test_fault_with_checkpoint_resume () =
   let reference = float_sum ~jobs:1 ~chunk ~trials 42 in
   let fault = fault_on ~kind:Par.Crash ~chunks:[ 1; 30 ] ~attempts_below:1 in
   let first =
-    float_sum_governed ~jobs:4 ~chunk ~trials
+    float_sum_run ~jobs:4 ~chunk ~trials
       ~budget:(Budget.create ~max_work:40 ())
       ~checkpoint:file ~checkpoint_every:8 ~fault 42
   in
   Alcotest.(check bool) "first is partial" true (first.Par.exhausted <> None);
-  let resumed = float_sum_governed ~jobs:4 ~chunk ~trials ~resume:file ~fault 42 in
+  let resumed = float_sum_run ~jobs:4 ~chunk ~trials ~resume:file ~fault 42 in
   Alcotest.(check bool) "resumed = plain run (bitwise)" true
     (Int64.equal (bits resumed.Par.value) (bits reference))
 
-(* -- streaming engine / adaptive stopping ------------------------------- *)
+let test_stop_checkpoint_resume_crash () =
+  (* the combination one engine allows: an adaptive count interrupted by a
+     work cap, checkpointed, hit by crashes, then resumed (crashing again)
+     stops at exactly the trial count and value of a clean adaptive run *)
+  List.iter
+    (fun jobs ->
+      with_tmp @@ fun file ->
+      let count ?budget ?checkpoint ?resume ?fault () =
+        Par.count ~jobs ~chunk:256 ?budget ?checkpoint ~checkpoint_every:3 ?resume ?fault
+          ~target_width:0.02 ~trials:1_000_000 ~worker:coin (Rng.create 11)
+      in
+      let clean = count () in
+      Alcotest.(check bool) "clean run met the target" true clean.Par.target_met;
+      let fault = fault_on ~kind:Par.Crash ~chunks:[ 1; 5; 20 ] ~attempts_below:1 in
+      let first = count ~budget:(Budget.create ~max_work:10 ()) ~checkpoint:file ~fault () in
+      Alcotest.(check bool) "interrupted before the target" true
+        (first.Par.exhausted <> None && not first.Par.target_met);
+      Alcotest.(check bool) "crashes retried" true (first.Par.retries >= 2);
+      let resumed = count ~resume:file ~checkpoint:file ~fault () in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: target met" jobs) true resumed.Par.target_met;
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: same stopping trial count" jobs)
+        clean.Par.trials_done resumed.Par.trials_done;
+      Alcotest.(check int) (Printf.sprintf "jobs %d: same count" jobs) clean.Par.value
+        resumed.Par.value;
+      Alcotest.(check bool) "resumed the interrupted chunks" true
+        (resumed.Par.chunks_resumed >= first.Par.chunks_done);
+      (* the stopped run's own checkpoint covers at least its prefix *)
+      let again = count ~resume:file () in
+      Alcotest.(check bool) "checkpoint of a stopped run" true
+        (again.Par.chunks_resumed >= clean.Par.chunks_done
+         && again.Par.trials_done = clean.Par.trials_done))
+    [ 1; 4 ]
 
-module Stats = Memrel_prob.Stats
-
-(* the same order-sensitive float sum, through the streaming engine *)
-let float_sum_streaming ?jobs ?chunk ~max_trials seed =
-  let s =
-    Par.run_streaming ?jobs ?chunk ~max_trials
-      ~init:(fun () -> 0.0)
-      ~worker:(fun () acc r -> acc +. Rng.float r)
-      ~merge:( +. ) (Rng.create seed)
-  in
-  s.Par.value
-
-(* a Bernoulli(0.3) worker for the counting paths *)
-let coin () r = Rng.float r < 0.3
+(* -- stopping and reporting ---------------------------------------------- *)
 
 let test_streaming_equals_run () =
-  (* without stop/budget the streaming engine is [run]/[count] exactly:
-     same schedule, same merge order, bit-identical result *)
-  List.iter
-    (fun (trials, chunk) ->
-      let reference = float_sum ~jobs:1 ~chunk ~trials 42 in
-      List.iter
-        (fun jobs ->
-          let v = float_sum_streaming ~jobs ~chunk ~max_trials:trials 42 in
-          Alcotest.(check bool)
-            (Printf.sprintf "trials=%d chunk=%d jobs=%d" trials chunk jobs)
-            true
-            (Int64.equal (bits v) (bits reference)))
-        [ 1; 2; 4 ])
-    [ (10_000, 256); (1000, 999); (5, 2); (100, 4096) ];
-  let c_ref = Par.count ~jobs:1 ~trials:30_000 (fun r -> coin () r) (Rng.create 9) in
-  let c = Par.count_streaming ~jobs:1 ~max_trials:30_000 ~worker:coin (Rng.create 9) in
-  Alcotest.(check int) "count_streaming = count" c_ref c.Par.value;
+  (* the counter is [run] with a counting worker: same schedule, same
+     merge order, same record *)
+  let c = Par.count ~jobs:1 ~trials:30_000 ~worker:coin (Rng.create 9) in
+  let r =
+    Par.run ~jobs:1 ~trials:30_000
+      ~init:(fun () -> 0)
+      ~worker:(fun () acc r -> if coin () r then acc + 1 else acc)
+      ~merge:( + ) (Rng.create 9)
+  in
+  Alcotest.(check int) "count = run" r.Par.value c.Par.value;
   Alcotest.(check int) "all trials done" 30_000 c.Par.trials_done;
   Alcotest.(check bool) "no stop requested" false c.Par.target_met;
-  Alcotest.(check bool) "no budget" true (c.Par.exhausted = None)
+  Alcotest.(check bool) "no budget" true (c.Par.exhausted = None);
+  Alcotest.(check int) "nothing resumed" 0 c.Par.chunks_resumed;
+  Alcotest.(check int) "no checkpoints" 0 c.Par.checkpoints_written
 
 let test_streaming_advances_caller_rng () =
-  (* like [run], the engine takes exactly one draw from the caller's rng *)
+  (* a stopped run also takes exactly one draw from the caller's rng *)
   let a = Rng.create 5 in
-  ignore (Par.run_streaming ~jobs:2 ~max_trials:5000
-            ~init:(fun () -> 0)
-            ~worker:(fun () acc r -> acc + (Int64.to_int (Rng.bits64 r) land 1))
-            ~merge:( + ) a);
+  ignore (Par.count ~jobs:2 ~target_width:0.05 ~trials:50_000 ~worker:coin a);
   let b = Rng.create 5 in
   ignore (Rng.bits64 b);
   for _ = 1 to 10 do
@@ -497,16 +575,14 @@ let test_streaming_advances_caller_rng () =
   done
 
 let adaptive ?jobs ?chunk ?budget ?report seed =
-  Par.count_streaming ?jobs ?chunk ?budget ?report ~target_width:0.02
-    ~max_trials:1_000_000 ~worker:coin (Rng.create seed)
+  Par.count ?jobs ?chunk ?budget ?report ~target_width:0.02 ~trials:1_000_000 ~worker:coin
+    (Rng.create seed)
 
 let test_adaptive_stops_within_width () =
   let s = adaptive 11 in
   Alcotest.(check bool) "target met" true s.Par.target_met;
   Alcotest.(check bool) "stopped early" true (s.Par.trials_done < 1_000_000);
-  let ci =
-    Stats.wilson_ci ~successes:s.Par.value ~trials:s.Par.trials_done ~z:1.96
-  in
+  let ci = Stats.wilson_ci ~successes:s.Par.value ~trials:s.Par.trials_done ~z:1.96 in
   Alcotest.(check bool)
     (Printf.sprintf "width %f <= 0.02" (ci.Stats.hi -. ci.Stats.lo))
     true
@@ -528,10 +604,7 @@ let test_adaptive_deterministic_and_jobs_invariant () =
 
 let test_adaptive_max_trials_cap () =
   (* an unreachable width runs to the cap and says the target was missed *)
-  let s =
-    Par.count_streaming ~jobs:1 ~target_width:0.0001 ~max_trials:20_000 ~worker:coin
-      (Rng.create 3)
-  in
+  let s = Par.count ~jobs:1 ~target_width:0.0001 ~trials:20_000 ~worker:coin (Rng.create 3) in
   Alcotest.(check bool) "target not met" false s.Par.target_met;
   Alcotest.(check int) "ran to the cap" 20_000 s.Par.trials_done
 
@@ -540,41 +613,41 @@ let test_streaming_budget_partial () =
      value equals an honest k*chunk-trial run with the same seed *)
   let chunk = 512 in
   let s =
-    Par.count_streaming ~jobs:1 ~chunk ~budget:(Budget.create ~max_work:4 ())
-      ~max_trials:100_000 ~worker:coin (Rng.create 21)
+    Par.count ~jobs:1 ~chunk ~budget:(Budget.create ~max_work:4 ()) ~trials:100_000
+      ~worker:coin (Rng.create 21)
   in
   Alcotest.(check bool) "exhausted" true (s.Par.exhausted <> None);
   Alcotest.(check int) "prefix trials" (4 * chunk) s.Par.trials_done;
   Alcotest.(check int) "prefix chunks" 4 s.Par.chunks_done;
-  let reference = Par.count ~jobs:1 ~chunk ~trials:(4 * chunk) (fun r -> coin () r)
-      (Rng.create 21) in
-  Alcotest.(check int) "prefix value = honest short run" reference s.Par.value;
+  let reference = Par.count ~jobs:1 ~chunk ~trials:(4 * chunk) ~worker:coin (Rng.create 21) in
+  Alcotest.(check int) "prefix value = honest short run" reference.Par.value s.Par.value;
   (* zero budget: nothing ran, and the record says so *)
   let z =
-    Par.count_streaming ~jobs:1 ~budget:(Budget.create ~max_work:0 ())
-      ~max_trials:100_000 ~worker:coin (Rng.create 21)
+    Par.count ~jobs:1 ~budget:(Budget.create ~max_work:0 ()) ~trials:100_000 ~worker:coin
+      (Rng.create 21)
   in
   Alcotest.(check int) "zero trials" 0 z.Par.trials_done;
   Alcotest.(check bool) "zero exhausted" true (z.Par.exhausted <> None)
 
 let test_streaming_report () =
-  (* sequential path: reports fire every report_every merged chunks, with
-     monotone trial counts consistent with the running prefix *)
-  let calls = ref [] in
+  (* reports fire every 16 merged chunks, with monotone trial counts
+     consistent with the running prefix, at any jobs count *)
   let chunk = 100 in
-  let s =
-    Par.count_streaming ~jobs:1 ~chunk ~report_every:2
-      ~report:(fun ~trials ~successes -> calls := (trials, successes) :: !calls)
-      ~max_trials:1_000 ~worker:coin (Rng.create 7)
-  in
-  let calls = List.rev !calls in
-  Alcotest.(check bool) "reported" true (List.length calls >= 4);
-  List.iteri
-    (fun i (trials, successes) ->
-      Alcotest.(check int) "every 2 chunks" ((i + 1) * 2 * chunk) trials;
-      Alcotest.(check bool) "successes sane" true (0 <= successes && successes <= trials))
-    calls;
-  ignore s
+  List.iter
+    (fun jobs ->
+      let calls = ref [] in
+      ignore
+        (Par.count ~jobs ~chunk
+           ~report:(fun ~trials ~successes -> calls := (trials, successes) :: !calls)
+           ~trials:10_000 ~worker:coin (Rng.create 7));
+      let calls = List.rev !calls in
+      Alcotest.(check int) "100 chunks, a report every 16" 6 (List.length calls);
+      List.iteri
+        (fun i (trials, successes) ->
+          Alcotest.(check int) "every 16 chunks" ((i + 1) * 16 * chunk) trials;
+          Alcotest.(check bool) "successes sane" true (0 <= successes && successes <= trials))
+        calls)
+    [ 1; 4 ]
 
 let test_streaming_guards () =
   let check_invalid name f =
@@ -582,13 +655,13 @@ let test_streaming_guards () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  check_invalid "max_trials" (fun () ->
-      Par.count_streaming ~max_trials:0 ~worker:coin (Rng.create 1));
+  check_invalid "trials" (fun () -> Par.count ~trials:0 ~worker:coin (Rng.create 1));
   check_invalid "target_width" (fun () ->
-      Par.count_streaming ~target_width:0.0 ~max_trials:10 ~worker:coin (Rng.create 1));
-  check_invalid "report_every" (fun () ->
-      Par.count_streaming ~report_every:0 ~report:(fun ~trials:_ ~successes:_ -> ())
-        ~max_trials:10 ~worker:coin (Rng.create 1))
+      Par.count ~target_width:0.0 ~trials:10 ~worker:coin (Rng.create 1));
+  check_invalid "negative target_width" (fun () ->
+      Par.count ~target_width:(-0.1) ~trials:10 ~worker:coin (Rng.create 1));
+  check_invalid "nan target_width" (fun () ->
+      Par.count ~target_width:Float.nan ~trials:10 ~worker:coin (Rng.create 1))
 
 let suite =
   List.map
@@ -620,6 +693,8 @@ let suite =
       ("persistent wedge exhausts retries", test_wedge_exhausts_retries);
       ("transient user exception retried", test_user_exception_is_retried);
       ("faults + checkpoint + resume bit-identical", test_fault_with_checkpoint_resume);
+      ("checkpoint from another estimator rejected", test_resume_rejects_other_estimator);
+      ("stop + checkpoint/resume + crash = clean adaptive run", test_stop_checkpoint_resume_crash);
       ("streaming = run/count (bitwise)", test_streaming_equals_run);
       ("streaming advances caller rng by one draw", test_streaming_advances_caller_rng);
       ("adaptive stop reaches the target width", test_adaptive_stops_within_width);

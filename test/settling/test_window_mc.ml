@@ -172,7 +172,12 @@ let test_governed_complete_equals_estimate () =
   Alcotest.(check bool) "mean bitwise" true
     (Int64.equal (Int64.bits_of_float plain.Mc.mean_gamma) (Int64.bits_of_float e.Mc.mean_gamma));
   Alcotest.(check (list (pair int (float 0.0)))) "pmf identical" plain.Mc.gamma_pmf
-    e.Mc.gamma_pmf
+    e.Mc.gamma_pmf;
+  (* and the Bernoulli entry without a target width is probability_b *)
+  let fixed = Mc.probability_b ~jobs:2 ~trials:20_000 ~gamma:1 model (Rng.create 79) in
+  let r = Mc.probability_b_adaptive ~jobs:2 ~max_trials:20_000 ~gamma:1 model (Rng.create 79) in
+  Alcotest.(check bool) "probability_b_adaptive without a target = probability_b" true
+    (r.Par.value = fixed && r.Par.trials_done = 20_000 && not r.Par.target_met)
 
 let test_governed_partial_interval_honest () =
   (* a deadline-limited probability_b covers fewer trials; its Wilson
@@ -180,14 +185,14 @@ let test_governed_partial_interval_honest () =
   let model = Model.tso () in
   let full, _ = Mc.probability_b ~jobs:1 ~trials:50_000 ~gamma:1 model (Rng.create 9) in
   let g =
-    Mc.probability_b_governed ~jobs:1
+    Mc.probability_b_adaptive ~jobs:1
       ~budget:(Budget.create ~max_work:6 ())
-      ~trials:50_000 ~gamma:1 model (Rng.create 9)
+      ~max_trials:50_000 ~gamma:1 model (Rng.create 9)
   in
   (match g.Par.exhausted with
    | Some e -> Alcotest.(check bool) "work cap" true (e.Budget.cause = Budget.Work)
    | None -> Alcotest.fail "expected a partial run");
-  let partial_trials = g.Par.run_stats.Par.trials_done in
+  let partial_trials = g.Par.trials_done in
   Alcotest.(check bool) "fewer trials" true (partial_trials > 0 && partial_trials < 50_000);
   let point, ci = g.Par.value in
   Alcotest.(check bool)
@@ -203,9 +208,9 @@ let test_governed_partial_interval_honest () =
 let test_governed_zero_trials_vacuous () =
   let model = Model.sc in
   let g =
-    Mc.probability_b_governed ~jobs:1
+    Mc.probability_b_adaptive ~jobs:1
       ~budget:(Budget.create ~max_work:0 ())
-      ~trials:10_000 ~gamma:0 model (Rng.create 3)
+      ~max_trials:10_000 ~gamma:0 model (Rng.create 3)
   in
   let point, ci = g.Par.value in
   Alcotest.(check bool) "nan point" true (Float.is_nan point);
@@ -216,7 +221,7 @@ let test_governed_zero_trials_vacuous () =
   Alcotest.(check int) "empty estimate" 0 ge.Par.value.Mc.trials;
   Alcotest.(check bool) "nan mean" true (Float.is_nan ge.Par.value.Mc.mean_gamma)
 
-(* -- streaming kernel vs reference closures ------------------------------ *)
+(* -- streaming kernel vs the closure-based oracle ------------------------- *)
 
 module Scratch = Memrel_settling.Scratch
 
@@ -238,10 +243,10 @@ let test_streaming_equals_reference () =
      pre-streaming closure path on the same seed *)
   let model = Model.tso () in
   let s = Mc.estimate ~jobs:1 ~trials:20_000 model (Rng.create 303) in
-  let r = Mc.Reference.estimate ~jobs:1 ~trials:20_000 model (Rng.create 303) in
+  let r = Memrel_oracle.Mc.estimate ~jobs:1 ~trials:20_000 model (Rng.create 303) in
   Alcotest.(check bool) "estimate identical" true (s = r);
   let sp = Mc.probability_b ~jobs:1 ~trials:20_000 ~gamma:1 model (Rng.create 305) in
-  let rp = Mc.Reference.probability_b ~jobs:1 ~trials:20_000 ~gamma:1 model (Rng.create 305) in
+  let rp = Memrel_oracle.Mc.probability_b ~jobs:1 ~trials:20_000 ~gamma:1 model (Rng.create 305) in
   Alcotest.(check bool) "probability_b identical" true (sp = rp)
 
 let test_scratch_zero_alloc () =

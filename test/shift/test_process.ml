@@ -136,10 +136,10 @@ let test_disjoint_scratch_matches () =
 let test_streaming_equals_reference () =
   let gammas = [| 2; 3; 1; 2 |] in
   let s = P.estimate ~jobs:1 ~trials:50_000 (Rng.create 403) gammas in
-  let r = P.Reference.estimate ~jobs:1 ~trials:50_000 (Rng.create 403) gammas in
+  let r = Memrel_oracle.Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create 403) gammas in
   Alcotest.(check bool) "estimate identical" true (s = r);
   let sg = P.estimate_geom ~jobs:1 ~q:0.3 ~trials:50_000 (Rng.create 405) gammas in
-  let rg = P.Reference.estimate_geom ~jobs:1 ~q:0.3 ~trials:50_000 (Rng.create 405) gammas in
+  let rg = Memrel_oracle.Shift.estimate_geom ~jobs:1 ~q:0.3 ~trials:50_000 (Rng.create 405) gammas in
   Alcotest.(check bool) "estimate_geom identical" true (sg = rg)
 
 let test_inner_loop_zero_alloc () =
