@@ -66,9 +66,6 @@ ci:
 	dune build
 	dune runtest
 	dune exec bin/memrel_cli.exe -- axiom sb mp lb inc3 inc4
-	# solver-vs-generate differential smoke: both engines against the
-	# operational machine, per-outcome candidate counts cross-checked
-	dune exec bin/memrel_cli.exe -- axiom sb mp lb inc3 inc4 --engine both
 	# --json-mc-smoke asserts streaming = Reference in-process before timing
 	dune exec bench/main.exe -- --json-mc-smoke /tmp/BENCH_mc_smoke.json
 	dune exec bench/main.exe -- --json-enum-smoke /tmp/BENCH_enum_smoke.json

@@ -1034,12 +1034,12 @@ let enum_json ~file ~smoke =
 
 (* -- axiomatic bench (--json-axiom) ------------------------------------ *)
 
-(* Measures BOTH axiomatic engines (lib/axiom) across the corpus and the
-   increment family under all four models — the generate-and-prune
-   reference and the conflict-driven solver, three-way cross-checked
-   against the operational machine including per-outcome candidate counts.
-   The full form climbs the increment family to inc7, where the reference
-   engine exceeds a 60-second budget and only the solver (and the
+(* Measures the conflict-driven solver (lib/axiom) against its
+   generate-and-prune oracle (test/oracle) across the corpus and the
+   increment family under all four models, three-way cross-checked against
+   the operational machine including per-outcome candidate counts. The
+   full form climbs the increment family to inc7, where the oracle exceeds
+   a 60-second budget and only the solver (and the
    POR-reduced operational enumerator) conclude — the candidate-space
    reduction rows of DESIGN.md section 13. Naive-space columns are
    reported in log10 (the seed's linear product overflowed around 171
@@ -1051,37 +1051,38 @@ type axiom_row = {
   afamily : string;
   aoutcomes : int;
   aagree : bool;
-  agen : Axiom.stats;
+  agen : Oracle.Generate.stats;
   agen_partial : bool;  (* generate hit its budget; its columns are a lower bound *)
   asol : Axiom_solver.stats;
   aop_states : int;
 }
 
 let axiom_three_way ?max_states ?por (t : Litmus.t) family =
-  let tw = Axiom_differential.three_way ?max_states ?por t family in
-  let r = tw.Axiom_differential.solver_report in
-  assert tw.Axiom_differential.agree;
+  let tw = Oracle.Three_way.run ?max_states ?por t family in
+  let r = tw.Oracle.Three_way.report in
+  assert tw.Oracle.Three_way.agree;
   {
     atest = t.Litmus.name;
     afamily = String.lowercase_ascii (Model.family_name family);
     aoutcomes = List.length r.Axiom_differential.axiomatic;
-    aagree = tw.Axiom_differential.agree;
-    agen = tw.Axiom_differential.generate_stats;
+    aagree = tw.Oracle.Three_way.agree;
+    agen = tw.Oracle.Three_way.generate_stats;
     agen_partial = false;
-    asol = tw.Axiom_differential.solver_stats;
+    asol = r.Axiom_differential.stats;
     aop_states = r.Axiom_differential.operational_states;
   }
 
-(* inc7: ~25M allowed SC candidates. Generate-and-prune gets a 60 s
-   deadline and is expected to come back partial; the solver must finish,
-   and is cross-checked against the POR-reduced operational enumeration. *)
+(* inc7: ~25M allowed SC candidates. The generate-and-prune oracle gets a
+   60 s deadline and is expected to come back partial; the solver must
+   finish, and is cross-checked against the POR-reduced operational
+   enumeration. *)
 let axiom_frontier_row () =
   let t = Litmus.increment_n 7 in
   let family = Model.Sequential_consistency in
   let sr = Axiom_solver.run t family in
   let solver_outcomes = List.map (fun (e : Axiom_solver.entry) -> e.Axiom_solver.outcome) sr.Axiom_solver.entries in
   let budget = Budget.create ~deadline_s:60.0 () in
-  let gr = Axiom.run ~budget t family in
+  let gr = Oracle.Generate.run ~budget t family in
   let opr = Litmus.run_exhaustive ~max_states:50_000_000 ~por:true t family in
   let agree =
     sr.Axiom_solver.stats.Axiom_solver.exhausted = None
@@ -1094,8 +1095,8 @@ let axiom_frontier_row () =
     afamily = "sc";
     aoutcomes = List.length solver_outcomes;
     aagree = agree;
-    agen = gr.Axiom.stats;
-    agen_partial = gr.Axiom.stats.Axiom.exhausted <> None;
+    agen = gr.Oracle.Generate.stats;
+    agen_partial = gr.Oracle.Generate.stats.Oracle.Generate.exhausted <> None;
     asol = sr.Axiom_solver.stats;
     aop_states = opr.Enumerate.terminals;
   }
@@ -1147,9 +1148,9 @@ let axiom_json ~file ~smoke =
            \                \"seconds\": %.6f, \"candidates_per_sec\": %.1f},\n\
            \     \"operational_states\": %d}%s\n"
            r.atest r.afamily s.Axiom_solver.events r.aoutcomes
-           s.Axiom_solver.log10_naive_space (log10_reduction r) r.aagree g.Axiom.accepted
-           g.Axiom.co_branches g.Axiom.rf_branches g.Axiom.pruned g.Axiom.elapsed_s
-           g.Axiom.candidates_per_sec r.agen_partial s.Axiom_solver.accepted
+           s.Axiom_solver.log10_naive_space (log10_reduction r) r.aagree g.Oracle.Generate.accepted
+           g.Oracle.Generate.co_branches g.Oracle.Generate.rf_branches g.Oracle.Generate.pruned g.Oracle.Generate.elapsed_s
+           g.Oracle.Generate.candidates_per_sec r.agen_partial s.Axiom_solver.accepted
            s.Axiom_solver.decisions s.Axiom_solver.propagations s.Axiom_solver.conflicts
            s.Axiom_solver.backjumps s.Axiom_solver.forced s.Axiom_solver.memo_hits
            s.Axiom_solver.distinct_keys s.Axiom_solver.elapsed_s
@@ -1167,7 +1168,7 @@ let axiom_json ~file ~smoke =
         "%-8s %-4s %2d events  %8d candidates (%d outcomes)  naive 10^%-5.1f  generate \
          %8.0f/s%s  solver %8.0f/s (bj %d, memo %d)  %s\n"
         r.atest r.afamily s.Axiom_solver.events s.Axiom_solver.accepted r.aoutcomes
-        s.Axiom_solver.log10_naive_space g.Axiom.candidates_per_sec
+        s.Axiom_solver.log10_naive_space g.Oracle.Generate.candidates_per_sec
         (if r.agen_partial then " (PARTIAL)" else "")
         s.Axiom_solver.candidates_per_sec s.Axiom_solver.backjumps s.Axiom_solver.memo_hits
         (if r.aagree then "agree" else "DISAGREE"))
@@ -1177,16 +1178,17 @@ let axiom_json ~file ~smoke =
 (* -- exact-arithmetic bench (--json-exact) ----------------------------- *)
 
 (* Measures the fixnum fast path + Knuth-normalized rationals against the
-   seed implementation (Bigint.Reference / Rational.Reference), running the
-   SAME functorized DP code over both scalar types in one process: the
+   seed implementation (the oracle's Bigint_reference and
+   Rational_reference), running the SAME functorized DP code over both
+   scalar types in one process: the
    settling window DP at the Figure 1/2 parameters, the exact joint window
    transform, the Theorem 5.1 permutation sums, the phi partition tables,
    and raw add/mul/gcd microbenchmarks. Every row cross-checks that the two
    implementations produce identical results before timing is reported.
    Writes BENCH_exact.json; `make ci` runs the smoke form. *)
 
-module QRef = Rational.Reference
-module BRef = Bigint.Reference
+module QRef = Oracle.Rational_reference
+module BRef = Oracle.Bigint_reference
 module DQref = Window_exact_dp_q.Make (QRef)
 module JQref = Window_joint_dp_q.Make (QRef)
 module SEref = Shift_exact.Make (QRef)

@@ -22,14 +22,19 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-(* trial and chunk counts: zero or a negative value is a usage error *)
-let pos_int =
+(* counts, windows and thread bounds: a value below [lo] is a usage error
+   (exit 124), never a library exception or a wrong answer *)
+let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ when lo = 1 ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
 
 let trials_arg default =
   Arg.(value & opt pos_int default & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials.")
@@ -443,7 +448,8 @@ let scaling_cmd =
     0
   in
   let n_max_arg =
-    Arg.(value & opt int 16 & info [ "n-max" ] ~docv:"N" ~doc:"Largest thread count.")
+    Arg.(value & opt (int_at_least 2) 16 & info [ "n-max" ] ~docv:"N"
+           ~doc:"Largest thread count (at least 2).")
   in
   Cmd.v (Cmd.info "scaling" ~doc:"Thread-scaling table (Theorem 6.3).")
     Term.(const run $ n_max_arg $ jobs_arg)
@@ -705,7 +711,7 @@ let enumerate_cmd =
                  (exit code 3).")
   in
   let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"W"
+    Arg.(value & opt pos_int 8 & info [ "window" ] ~docv:"W"
            ~doc:"Out-of-order window for the wo model.")
   in
   let extmem_arg =
@@ -751,7 +757,7 @@ let enumerate_cmd =
 (* -- axiom ------------------------------------------------------------- *)
 
 let axiom_cmd =
-  let run names model engine no_diff window deadline max_mem max_candidates =
+  let run names model no_diff window deadline max_mem max_candidates =
     let tests =
       match names with
       | [] -> Ok Litmus.all
@@ -784,58 +790,18 @@ let axiom_cmd =
       in
       let partials = ref 0 in
       (* budgets are single-use (the deadline anchors at creation): one per
-         engine x test x family run *)
+         test x family run *)
       let mk_budget () =
         if budget_requested then budget_of ?max_work:max_candidates deadline max_mem
         else None
       in
-      let print_details entries =
-        if detail then
-          List.iter
-            (fun (o, candidates) ->
-              Printf.printf "       %-30s %4d candidate%s\n"
-                (Axiom_differential.outcome_to_string o)
-                candidates
-                (if candidates = 1 then "" else "s"))
-            entries
-      in
-      let print_relaxed (t : Litmus.t) entries partial =
-        Printf.printf "       relaxed outcome %s: %s\n"
-          (Axiom_differential.outcome_to_string t.relaxed_outcome)
-          (if List.mem_assoc t.relaxed_outcome entries then "ALLOWED"
-           else if partial then "not seen (coverage incomplete)"
-           else "forbidden")
-      in
-      let print_exhausted = function
-        | Some e ->
-          incr partials;
-          Printf.printf
-            "       enumeration stopped early (%s); allowed outcomes are a lower bound\n"
-            (Budget.describe e)
-        | None -> ()
-      in
-      (* the no-diff path, one engine: returns the counted outcome entries
-         so --engine both can cross-check the two engines directly *)
-      let generate_only t family =
-        let r = Axiom.run ~window ?budget:(mk_budget ()) t family in
-        let s = r.Axiom.stats in
-        let partial = s.Axiom.exhausted <> None in
-        Printf.printf
-          "  %-4s [generate] %d allowed outcomes (%d candidates of naive 10^%.1f; pruned %d; \
-           %.0f cand/s)%s\n"
-          (Model.family_name family) (List.length r.Axiom.entries) s.Axiom.accepted
-          s.Axiom.log10_naive_space s.Axiom.pruned s.Axiom.candidates_per_sec
-          (if partial then " (PARTIAL coverage)" else "");
-        print_exhausted s.Axiom.exhausted;
-        (List.map (fun (e : Axiom.entry) -> (e.Axiom.outcome, e.Axiom.candidates)) r.Axiom.entries,
-         partial)
-      in
-      let solver_only t family =
+      (* the no-diff path: the solver alone *)
+      let solve (t : Litmus.t) family =
         let r = Axiom_solver.run ~window ?budget:(mk_budget ()) t family in
         let s = r.Axiom_solver.stats in
         let partial = s.Axiom_solver.exhausted <> None in
         Printf.printf
-          "  %-4s [solver]   %d allowed outcomes (%d candidates of naive 10^%.1f; %.0f cand/s)\n\
+          "  %-4s %d allowed outcomes (%d candidates of naive 10^%.1f; %.0f cand/s)\n\
           \       decisions %d; propagations %d; conflicts %d; backjumps %d; forced %d; memo \
            hits %d%s\n"
           (Model.family_name family)
@@ -845,108 +811,62 @@ let axiom_cmd =
           s.Axiom_solver.conflicts s.Axiom_solver.backjumps s.Axiom_solver.forced
           s.Axiom_solver.memo_hits
           (if partial then " (PARTIAL coverage)" else "");
-        print_exhausted s.Axiom_solver.exhausted;
-        (List.map
-           (fun (e : Axiom_solver.entry) -> (e.Axiom_solver.outcome, e.Axiom_solver.candidates))
-           r.Axiom_solver.entries,
-         partial)
+        Option.iter
+          (fun e ->
+            incr partials;
+            Printf.printf
+              "       enumeration stopped early (%s); allowed outcomes are a lower bound\n"
+              (Budget.describe e))
+          s.Axiom_solver.exhausted;
+        if detail then
+          List.iter
+            (fun (e : Axiom_solver.entry) ->
+              let n = e.Axiom_solver.candidates in
+              Printf.printf "       %-30s %4d candidate%s\n"
+                (Axiom_differential.outcome_to_string e.Axiom_solver.outcome)
+                n
+                (if n = 1 then "" else "s"))
+            r.Axiom_solver.entries;
+        Printf.printf "       relaxed outcome %s: %s\n"
+          (Axiom_differential.outcome_to_string t.relaxed_outcome)
+          (if
+             List.exists
+               (fun (e : Axiom_solver.entry) -> e.Axiom_solver.outcome = t.relaxed_outcome)
+               r.Axiom_solver.entries
+           then "ALLOWED"
+           else if partial then "not seen (coverage incomplete)"
+           else "forbidden")
+      in
+      (* the default path: the solver against the operational machine *)
+      let differential (t : Litmus.t) family =
+        let r = Axiom_differential.run ~window t family in
+        let s = r.Axiom_differential.stats in
+        if r.Axiom_differential.agree then begin
+          Printf.printf
+            "  %-4s agree: %d outcomes axiomatic = operational (%d candidates of naive \
+             10^%.1f; %.0f cand/s; %d terminal states); relaxed %s\n"
+            (Model.family_name family)
+            (List.length r.Axiom_differential.axiomatic)
+            s.Axiom_solver.accepted s.Axiom_solver.log10_naive_space
+            s.Axiom_solver.candidates_per_sec r.Axiom_differential.operational_states
+            (if List.mem_assoc t.relaxed_outcome r.Axiom_differential.axiomatic then "ALLOWED"
+             else "forbidden");
+          if detail then
+            List.iter
+              (fun (o, _) -> Printf.printf "       %s\n" (Axiom_differential.outcome_to_string o))
+              r.Axiom_differential.axiomatic
+        end
+        else begin
+          incr disagreements;
+          print_string (Axiom_differential.describe r)
+        end
       in
       List.iter
         (fun (t : Litmus.t) ->
           Printf.printf "%s: %s\n" t.name t.description;
           List.iter
             (fun family ->
-              if no_diff || budget_requested then begin
-                match engine with
-                | `Generate ->
-                  let entries, partial = generate_only t family in
-                  print_details entries;
-                  print_relaxed t entries partial
-                | `Solver ->
-                  let entries, partial = solver_only t family in
-                  print_details entries;
-                  print_relaxed t entries partial
-                | `Both ->
-                  let gen, gpartial = generate_only t family in
-                  let sol, spartial = solver_only t family in
-                  let partial = gpartial || spartial in
-                  if partial then
-                    print_string "       engines ran under budgets; count comparison skipped\n"
-                  else if gen = sol then
-                    print_string "       engines agree (outcomes and candidate counts)\n"
-                  else begin
-                    incr disagreements;
-                    print_string "       ENGINES DISAGREE on outcomes or candidate counts\n"
-                  end;
-                  print_details sol;
-                  print_relaxed t sol partial
-              end
-              else begin
-                match engine with
-                | `Both ->
-                  let tw = Axiom_differential.three_way ~window t family in
-                  let r = tw.Axiom_differential.solver_report in
-                  let g = tw.Axiom_differential.generate_stats
-                  and s = tw.Axiom_differential.solver_stats in
-                  if tw.Axiom_differential.agree then begin
-                    Printf.printf
-                      "  %-4s agree: %d outcomes solver = generate = operational (%d \
-                       candidates, counts equal; solver %.0f cand/s vs generate %.0f; %d \
-                       terminal states); relaxed %s\n"
-                      (Model.family_name family)
-                      (List.length r.Axiom_differential.axiomatic)
-                      s.Axiom_solver.accepted s.Axiom_solver.candidates_per_sec
-                      g.Axiom.candidates_per_sec r.Axiom_differential.operational_states
-                      (if List.mem t.relaxed_outcome r.Axiom_differential.axiomatic then
-                         "ALLOWED"
-                       else "forbidden");
-                    if detail then
-                      List.iter
-                        (fun o ->
-                          Printf.printf "       %s\n" (Axiom_differential.outcome_to_string o))
-                        r.Axiom_differential.axiomatic
-                  end
-                  else begin
-                    incr disagreements;
-                    if not tw.Axiom_differential.counts_agree then
-                      Printf.printf "  %-4s ENGINES DISAGREE on per-outcome candidate counts\n"
-                        (Model.family_name family);
-                    print_string (Axiom_differential.describe r)
-                  end
-                | (`Generate | `Solver) as e ->
-                  let de =
-                    match e with
-                    | `Generate -> Axiom_differential.Generate_engine
-                    | `Solver -> Axiom_differential.Solver_engine
-                  in
-                  let r = Axiom_differential.run ~window ~engine:de t family in
-                  let s = r.Axiom_differential.stats in
-                  if r.Axiom_differential.agree then begin
-                    Printf.printf
-                      "  %-4s agree: %d outcomes axiomatic = operational (%d candidates of \
-                       naive 10^%.1f; %.0f cand/s; %d terminal states); relaxed %s\n"
-                      (Model.family_name family)
-                      (List.length r.Axiom_differential.axiomatic)
-                      (Axiom_differential.stats_accepted s)
-                      (Axiom_differential.stats_log10_naive_space s)
-                      (let a = Axiom_differential.stats_accepted s
-                       and el = Axiom_differential.stats_elapsed s in
-                       if el > 0.0 then float_of_int a /. el else 0.0)
-                      r.Axiom_differential.operational_states
-                      (if List.mem t.relaxed_outcome r.Axiom_differential.axiomatic then
-                         "ALLOWED"
-                       else "forbidden");
-                    if detail then
-                      List.iter
-                        (fun o ->
-                          Printf.printf "       %s\n" (Axiom_differential.outcome_to_string o))
-                        r.Axiom_differential.axiomatic
-                  end
-                  else begin
-                    incr disagreements;
-                    print_string (Axiom_differential.describe r)
-                  end
-              end)
+              if no_diff || budget_requested then solve t family else differential t family)
             families)
         tests;
       if !disagreements > 0 then begin
@@ -977,16 +897,8 @@ let axiom_cmd =
     Arg.(value & flag & info [ "no-diff" ]
            ~doc:"Skip the operational cross-check; report the axiomatic side only.")
   in
-  let engine_arg =
-    Arg.(value
-         & opt (enum [ ("generate", `Generate); ("solver", `Solver); ("both", `Both) ]) `Generate
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Axiomatic engine: the reference generate-and-prune enumeration (generate), \
-                   the conflict-driven solver (solver), or both cross-checked against each \
-                   other including per-outcome candidate counts (both).")
-  in
   let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"W"
+    Arg.(value & opt pos_int 8 & info [ "window" ] ~docv:"W"
            ~doc:"Out-of-order window for the wo model (both sides of the differential).")
   in
   let max_candidates_arg =
@@ -1001,11 +913,12 @@ let axiom_cmd =
   Cmd.v
     (Cmd.info "axiom" ~exits
        ~doc:"Enumerate axiomatically allowed executions (event graphs; acyclicity axioms \
-             per model) and cross-check against the operational enumeration. Budget flags \
-             (--deadline, --max-mem, --max-candidates) apply per test and model, imply \
-             --no-diff, and report partial coverage honestly.")
-    Term.(const run $ names_arg $ model_opt_arg $ engine_arg $ no_diff_arg $ window_arg
-          $ deadline_arg $ max_mem_arg $ max_candidates_arg)
+             per model) with the conflict-driven co/rf solver and cross-check them against \
+             the operational enumeration. Budget flags (--deadline, --max-mem, \
+             --max-candidates) apply per test and model, imply --no-diff, and report \
+             partial coverage honestly.")
+    Term.(const run $ names_arg $ model_opt_arg $ no_diff_arg $ window_arg $ deadline_arg
+          $ max_mem_arg $ max_candidates_arg)
 
 (* -- serve / query (service mode) -------------------------------------- *)
 

@@ -105,30 +105,6 @@ let fence_edges programs events =
     programs;
   List.rev !acc
 
-(* the seed's dense emission, kept as the oracle for the corpus-wide
-   closure-equality test *)
-let fence_edges_reference programs events =
-  let acc = ref [] in
-  List.iteri
-    (fun thread prog ->
-      Array.iteri
-        (fun f ins ->
-          match ins with
-          | Instr.Fence (Fence.Full | Fence.Release) ->
-            Array.iter
-              (fun (a : Event.t) ->
-                if a.Event.thread = thread && a.Event.index < f then
-                  Array.iter
-                    (fun (b : Event.t) ->
-                      if b.Event.thread = thread && b.Event.index > f then
-                        acc := (a.Event.id, b.Event.id) :: !acc)
-                    events)
-              events
-          | _ -> ())
-        prog)
-    programs;
-  List.rev !acc
-
 (* WO's per-thread issue order: an instruction may run ahead of program
    order only past non-conflicting instructions (Semantics.conflicts — the
    same predicate the operational window machine consults) and never more

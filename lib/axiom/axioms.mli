@@ -4,7 +4,7 @@
     An {!instance} is one such axiom: a set of static edges (derived from
     program order, the Table-1 reordering matrix of
     {!Memrel_memmodel.Model}, and fences) plus a selector saying which
-    communication edges (rf / co / fr) the axiom constrains. The generator
+    communication edges (rf / co / fr) the axiom constrains. The solver
     keeps one incremental {!Order} per instance and rejects an rf/co
     choice the moment any instance's order would close a cycle.
 
@@ -43,10 +43,5 @@ val fence_edges :
 (** Ordering edges contributed by Full/Release fences: per-thread event
     slices only (the seed scanned the whole event array twice per fence —
     O(fences * E^2)), emitting a transitively-irredundant subset whose
-    closure equals the full before x after product. Exposed with
-    {!fence_edges_reference} for the corpus-wide closure-equality test. *)
-
-val fence_edges_reference :
-  Memrel_machine.Instr.t array list -> Event.t array -> (int * int) list
-(** The seed's dense emission — the oracle: closure(fence_edges) must equal
-    closure(fence_edges_reference) on every program. *)
+    closure equals the full before x after product; the test oracle
+    library's dense emission pins that corpus-wide. *)

@@ -2,7 +2,7 @@
 
     [fr] is derived, values are computed, and the terminal machine state is
     synthesized — no operational run is involved. This is the object the
-    generator hands to its visitor and the differential renders as a
+    solver keeps as an outcome's witness and the differential renders as a
     counterexample. *)
 
 type t = {

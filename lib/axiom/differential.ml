@@ -1,28 +1,6 @@
 module Model = Memrel_memmodel.Model
 module Litmus = Memrel_machine.Litmus
 
-type engine = Generate_engine | Solver_engine
-
-let engine_name = function Generate_engine -> "generate" | Solver_engine -> "solver"
-
-type engine_stats = Generated of Generate.stats | Solved of Solver.stats
-
-let stats_accepted = function
-  | Generated s -> s.Generate.accepted
-  | Solved s -> s.Solver.accepted
-
-let stats_elapsed = function
-  | Generated s -> s.Generate.elapsed_s
-  | Solved s -> s.Solver.elapsed_s
-
-let stats_log10_naive_space = function
-  | Generated s -> s.Generate.log10_naive_space
-  | Solved s -> s.Solver.log10_naive_space
-
-let stats_exhausted = function
-  | Generated s -> s.Generate.exhausted
-  | Solved s -> s.Solver.exhausted
-
 type disagreement = {
   outcome : Litmus.outcome;
   axiomatic : bool;
@@ -34,13 +12,12 @@ type report = {
   test : string;
   family : Model.family;
   window : int;
-  engine : engine;
-  axiomatic : Litmus.outcome list;
+  axiomatic : (Litmus.outcome * int) list;
   operational : Litmus.outcome list;
   agree : bool;
   partial : bool;
   disagreements : disagreement list;
-  stats : engine_stats;
+  stats : Solver.stats;
   operational_states : int;
 }
 
@@ -52,46 +29,36 @@ let standard_families =
 let loc_name l =
   if l = Litmus.x then "x" else if l = Litmus.y then "y" else Printf.sprintf "m%d" l
 
-let run ?(window = 8) ?max_states ?por ?budget ?(engine = Generate_engine) (t : Litmus.t)
-    family =
-  let witnessed, stats =
-    match engine with
-    | Generate_engine ->
-      let r = Generate.run ~window ?budget t family in
-      ( List.map
-          (fun (e : Generate.entry) -> (e.Generate.outcome, e.Generate.witness))
-          r.Generate.entries,
-        Generated r.Generate.stats )
-    | Solver_engine ->
-      let r = Solver.run ~window ?budget t family in
-      ( List.map (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.witness)) r.Solver.entries,
-        Solved r.Solver.stats )
+let run ?(window = 8) ?max_states ?por ?budget (t : Litmus.t) family =
+  let r = Solver.run ~window ?budget t family in
+  let axiomatic =
+    List.map (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.candidates)) r.Solver.entries
   in
-  let axiomatic = List.map fst witnessed in
   let opr = Litmus.run_exhaustive ~window ?max_states ?por t family in
   let operational = Memrel_machine.Enumerate.outcome_set opr in
   (* a partial axiomatic run covers a subset of the allowed outcomes — it
      can honestly witness "allowed", never "forbidden", so the comparison
      is refused rather than reported as disagreement (the PR5 contract) *)
   let partial =
-    stats_exhausted stats <> None
+    r.Solver.stats.Solver.exhausted <> None
     || opr.Memrel_machine.Enumerate.exhausted <> None
   in
   let witness_of o =
-    List.assoc_opt o witnessed |> Option.map (Candidate.describe ~loc_name)
+    List.find_opt (fun (e : Solver.entry) -> e.Solver.outcome = o) r.Solver.entries
+    |> Option.map (fun (e : Solver.entry) -> Candidate.describe ~loc_name e.Solver.witness)
   in
   let disagreements =
     if partial then []
     else
       List.filter_map
-        (fun o ->
+        (fun (o, _) ->
           if List.mem o operational then None
           else
             Some { outcome = o; axiomatic = true; operational = false; witness = witness_of o })
         axiomatic
       @ List.filter_map
           (fun o ->
-            if List.mem o axiomatic then None
+            if List.mem_assoc o axiomatic then None
             else Some { outcome = o; axiomatic = false; operational = true; witness = None })
           operational
   in
@@ -99,51 +66,13 @@ let run ?(window = 8) ?max_states ?por ?budget ?(engine = Generate_engine) (t : 
     test = t.Litmus.name;
     family;
     window;
-    engine;
     axiomatic;
     operational;
     agree = (not partial) && disagreements = [];
     partial;
     disagreements;
-    stats;
+    stats = r.Solver.stats;
     operational_states = opr.Memrel_machine.Enumerate.terminals;
-  }
-
-let run_corpus ?window ?max_states ?por ?engine () =
-  List.concat_map
-    (fun t ->
-      List.map (fun family -> run ?window ?max_states ?por ?engine t family) standard_families)
-    Litmus.all
-
-(* both axiomatic engines claim to walk the same decision tree; the
-   three-way check holds them to it — not just equal outcome sets against
-   the operational machine, but equal per-outcome candidate counts against
-   each other *)
-type three_way = {
-  solver_report : report;
-  generate_stats : Generate.stats;
-  solver_stats : Solver.stats;
-  counts_agree : bool;
-  agree : bool;
-}
-
-let three_way ?(window = 8) ?max_states ?por (t : Litmus.t) family =
-  let g = Generate.run ~window t family in
-  let s = Solver.run ~window t family in
-  let solver_report = run ~window ?max_states ?por ~engine:Solver_engine t family in
-  let counted_g =
-    List.map (fun (e : Generate.entry) -> (e.Generate.outcome, e.Generate.candidates)) g.Generate.entries
-  in
-  let counted_s =
-    List.map (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.candidates)) s.Solver.entries
-  in
-  let counts_agree = counted_g = counted_s in
-  {
-    solver_report;
-    generate_stats = g.Generate.stats;
-    solver_stats = s.Solver.stats;
-    counts_agree;
-    agree = solver_report.agree && counts_agree;
   }
 
 let outcome_to_string o =
@@ -152,8 +81,8 @@ let outcome_to_string o =
 let describe r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "%s under %s [%s]: %s (%d axiomatic = %d operational outcomes)\n" r.test
-       (Model.family_name r.family) (engine_name r.engine)
+    (Printf.sprintf "%s under %s: %s (%d axiomatic = %d operational outcomes)\n" r.test
+       (Model.family_name r.family)
        (if r.partial then "PARTIAL (comparison refused)"
         else if r.agree then "agree"
         else "DISAGREE")

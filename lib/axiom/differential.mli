@@ -1,31 +1,12 @@
 (** Axiomatic-vs-operational differential validation.
 
-    For a litmus test and a model family, compares the outcome set allowed
-    by the axioms with the outcome set reachable by the operational
-    machine ({!Memrel_machine.Litmus.run_exhaustive}). The axiomatic side
-    can run on either engine — the reference generate-and-prune
-    enumeration ({!Generate}) or the conflict-driven solver ({!Solver}) —
-    and {!three_way} runs both, additionally requiring their per-outcome
-    candidate counts to be identical: the engines claim to walk the same
-    decision tree, and the count equality is what holds them to it.
+    For a litmus test and a model family, compares the outcome set the
+    axioms allow ({!Solver}) with the outcome set reachable by the
+    operational machine ({!Memrel_machine.Litmus.run_exhaustive}).
     Disagreements carry a rendered counterexample event graph when the
     axiomatic side has a witness. A budgeted run that comes back partial
     {e refuses} the comparison (partial coverage is sound for "allowed",
     never for "forbidden") instead of reporting false disagreements. *)
-
-type engine = Generate_engine | Solver_engine
-
-val engine_name : engine -> string
-(** ["generate"] / ["solver"] — the CLI's [--engine] vocabulary. *)
-
-(** The axiomatic run's statistics, tagged by which engine produced
-    them. *)
-type engine_stats = Generated of Generate.stats | Solved of Solver.stats
-
-val stats_accepted : engine_stats -> int
-val stats_elapsed : engine_stats -> float
-val stats_log10_naive_space : engine_stats -> float
-val stats_exhausted : engine_stats -> Memrel_prob.Budget.exhaustion option
 
 type disagreement = {
   outcome : Memrel_machine.Litmus.outcome;
@@ -41,8 +22,9 @@ type report = {
   test : string;
   family : Memrel_memmodel.Model.family;
   window : int;
-  engine : engine;
-  axiomatic : Memrel_machine.Litmus.outcome list;
+  axiomatic : (Memrel_machine.Litmus.outcome * int) list;
+      (** allowed outcomes with their accepted-candidate counts, sorted by
+          outcome *)
   operational : Memrel_machine.Litmus.outcome list;
   agree : bool;  (** the two outcome sets are equal (always [false] when
                      [partial] — an unfinished side proves nothing) *)
@@ -50,7 +32,7 @@ type report = {
       (** some side exhausted its budget/state cap; the comparison was
           refused and [disagreements] is empty *)
   disagreements : disagreement list;
-  stats : engine_stats;
+  stats : Solver.stats;
   operational_states : int;  (** distinct terminal states explored *)
 }
 
@@ -62,36 +44,12 @@ val run :
   ?max_states:int ->
   ?por:bool ->
   ?budget:Memrel_prob.Budget.t ->
-  ?engine:engine ->
   Memrel_machine.Litmus.t ->
   Memrel_memmodel.Model.family ->
   report
 (** One test under one model. [window] (default 8) is used on both sides;
     [max_states] and [por] go to the operational enumerator; [budget] to
-    the axiomatic engine (default {!Generate_engine}). *)
-
-val run_corpus :
-  ?window:int -> ?max_states:int -> ?por:bool -> ?engine:engine -> unit -> report list
-(** Every corpus test under every standard family. *)
-
-type three_way = {
-  solver_report : report;  (** solver vs operational *)
-  generate_stats : Generate.stats;
-  solver_stats : Solver.stats;
-  counts_agree : bool;
-      (** generate and solver produced identical (outcome, candidate
-          count) lists — leaf-set equality, not just outcome equality *)
-  agree : bool;  (** [solver_report.agree && counts_agree] *)
-}
-
-val three_way :
-  ?window:int ->
-  ?max_states:int ->
-  ?por:bool ->
-  Memrel_machine.Litmus.t ->
-  Memrel_memmodel.Model.family ->
-  three_way
-(** Solver = generate-and-prune = operational, in one verdict. *)
+    the solver. *)
 
 val outcome_to_string : Memrel_machine.Litmus.outcome -> string
 

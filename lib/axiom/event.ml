@@ -69,3 +69,7 @@ let log10_naive_space events =
         acc +. log10 (float_of_int (1 + others))
       else acc)
     co events
+
+(* exact for the sizes a human reads off a report, saturating (never
+   infinity/nan) beyond float range *)
+let naive_space_of_log10 lg = if lg > 308.0 then max_float else 10.0 ** lg

@@ -54,3 +54,7 @@ val log10_naive_space : t array -> float
     the linear-space product of float factorials overflows to [infinity]
     around 171 same-location writes, poisoning downstream ratios with
     [nan]. *)
+
+val naive_space_of_log10 : float -> float
+(** The linear-space convenience [10 ** lg], saturating at [max_float] —
+    never [infinity]/[nan]. *)

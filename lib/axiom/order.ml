@@ -2,19 +2,11 @@
    v"), flattened into one int array, row-major. Backtracking is a trail of
    per-word undo records: [add] saves each word it actually changes, [push]
    opens a trail scope in O(1), [pop] rewinds exactly the touched words —
-   the seed implementation copied every row at every search node (see
-   {!Reference}, kept as the equivalence oracle). *)
+   the seed implementation copied every row at every search node. *)
 
 let bpw = Sys.int_size
 
 let max_vertices = 1024
-
-let words_for n = max 1 ((n + bpw - 1) / bpw)
-
-let check_vertices n =
-  if n < 0 || n > max_vertices then
-    invalid_arg
-      (Printf.sprintf "Order.create: %d vertices (at most %d supported)" n max_vertices)
 
 type t = {
   n : int;
@@ -28,8 +20,10 @@ type t = {
 }
 
 let create n =
-  check_vertices n;
-  let words = words_for n in
+  if n < 0 || n > max_vertices then
+    invalid_arg
+      (Printf.sprintf "Order.create: %d vertices (at most %d supported)" n max_vertices);
+  let words = max 1 ((n + bpw - 1) / bpw) in
   let reach = Array.make (max 1 (n * words)) 0 in
   {
     n;
@@ -85,63 +79,3 @@ let pop t =
 let additions t = t.additions
 let rejections t = t.rejections
 let undo_records t = Trail.records t.trail
-
-(* The seed engine: same closure maintenance, but push copies the whole
-   reachability store and pop swaps it back — O(n * words) per search node
-   regardless of how little the node changed. Kept verbatim in spirit as
-   the oracle the trail implementation is randomized-tested against. *)
-module Reference = struct
-  type t = {
-    n : int;
-    words : int;
-    mutable reach : int array;
-    mutable saved : int array list;
-    mutable additions : int;
-    mutable rejections : int;
-  }
-
-  let create n =
-    check_vertices n;
-    let words = words_for n in
-    { n; words; reach = Array.make (max 1 (n * words)) 0; saved = []; additions = 0;
-      rejections = 0 }
-
-  let reaches t u v = t.reach.((u * t.words) + (v / bpw)) land (1 lsl (v mod bpw)) <> 0
-
-  let add t u v =
-    if u = v || reaches t v u then begin
-      t.rejections <- t.rejections + 1;
-      false
-    end
-    else begin
-      t.additions <- t.additions + 1;
-      let words = t.words and reach = t.reach in
-      let closure = Array.make words 0 in
-      let base_v = v * words in
-      for k = 0 to words - 1 do
-        closure.(k) <- reach.(base_v + k)
-      done;
-      closure.(v / bpw) <- closure.(v / bpw) lor (1 lsl (v mod bpw));
-      let uw = u / bpw and ub = 1 lsl (u mod bpw) in
-      for w = 0 to t.n - 1 do
-        let base = w * words in
-        if w = u || reach.(base + uw) land ub <> 0 then
-          for k = 0 to words - 1 do
-            reach.(base + k) <- reach.(base + k) lor closure.(k)
-          done
-      done;
-      true
-    end
-
-  let push t = t.saved <- Array.copy t.reach :: t.saved
-
-  let pop t =
-    match t.saved with
-    | [] -> invalid_arg "Order.Reference.pop: no snapshot"
-    | r :: rest ->
-      t.reach <- r;
-      t.saved <- rest
-
-  let additions t = t.additions
-  let rejections t = t.rejections
-end

@@ -12,8 +12,8 @@
     {!pop} restores exactly the words touched since — an [add] that
     installs nothing (the edge was already implied) costs nothing to
     rewind. The seed behaviour (copy the whole store per snapshot) survives
-    as {!Reference}, the oracle the trail implementation is
-    randomized-tested against. *)
+    in the test oracle library, which this module is randomized-tested
+    against. *)
 
 type t
 
@@ -49,18 +49,3 @@ val rejections : t -> int
 val undo_records : t -> int
 (** Total words ever trailed (monotonic) — the work a snapshot scheme
     would have copied wholesale; telemetry for the trail-vs-copy bench. *)
-
-(** The seed implementation: identical closure maintenance, but {!push}
-    copies the entire reachability store and {!pop} swaps it back. Kept as
-    the equivalence oracle for the trail-based engine. *)
-module Reference : sig
-  type t
-
-  val create : int -> t
-  val add : t -> int -> int -> bool
-  val reaches : t -> int -> int -> bool
-  val push : t -> unit
-  val pop : t -> unit
-  val additions : t -> int
-  val rejections : t -> int
-end

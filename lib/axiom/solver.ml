@@ -1,11 +1,12 @@
 (* Conflict-driven enumeration of allowed candidate executions.
 
-   Same decision tree as Generate — coherence order per location slot by
-   slot (locations in sorted order, remaining writes in ascending-id
-   order), then a reads-from source per read (initial value first, then
-   writers ascending) — so the two engines visit the same set of leaves
-   and their accepted-candidate counts are directly comparable. What
-   changes is everything around the tree:
+   Same decision tree as the generate-and-prune enumeration kept as its
+   test oracle — coherence order per location slot by slot (locations in
+   sorted order, remaining writes in ascending-id order), then a
+   reads-from source per read (initial value first, then writers
+   ascending) — so the two visit the same set of leaves and their
+   accepted-candidate counts are directly comparable. What changes is
+   everything around the tree:
 
    - acyclicity propagates through the trail-based {!Order} (per-word undo
      records instead of whole-store snapshots), and an edge only touches
@@ -33,7 +34,7 @@
    above it, so once one is seen the level must be exhausted
    chronologically). With that guard only leafless subtrees are skipped
    and the leaf set — hence every outcome's candidate count — is exactly
-   Generate's. *)
+   generate-and-prune's. *)
 
 module Semantics = Memrel_machine.Semantics
 module Litmus = Memrel_machine.Litmus
@@ -645,7 +646,7 @@ let run ?(window = 8) ?budget (t : Litmus.t) family =
       memo_hits = !memo_hits;
       distinct_keys = Hashtbl.length key_tbl;
       log10_naive_space;
-      naive_space = Generate.naive_space_of_log10 log10_naive_space;
+      naive_space = Event.naive_space_of_log10 log10_naive_space;
       elapsed_s;
       candidates_per_sec =
         (if elapsed_s > 0.0 then float_of_int !accepted /. elapsed_s else 0.0);

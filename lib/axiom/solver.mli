@@ -1,19 +1,20 @@
-(** Conflict-driven enumeration of allowed candidate executions.
+(** Conflict-driven enumeration of allowed candidate executions — the
+    axiomatic engine.
 
-    The solver walks the {e same} decision tree as {!Generate} — a
-    coherence-order slot per location then a reads-from source per read,
-    values in the same sequence — so the two engines accept the same
-    candidate set and their per-outcome candidate counts are directly
-    comparable (the differential harness pins both). The difference is
-    machinery: trail-based incremental acyclicity with per-instance
-    watched wakeups, root propagation (static rf-domain filtering, forced
-    assignments, cross-instance implied coherence edges recorded in a
-    {!Relations} layer and turned into must-precede pruning), conflict
-    analysis that recovers the decision levels a detected cycle actually
-    depends on, backjumping over levels that provably did not contribute
-    (guarded so only leafless subtrees are skipped), and memoized leaf
-    outcomes keyed by the rf vector and each location's coherence-maximal
-    write. *)
+    The solver walks the {e same} decision tree as a plain generate-and-prune
+    enumeration — a coherence-order slot per location then a reads-from
+    source per read, values in the same sequence — so it accepts exactly the
+    candidate set generate-and-prune does, with the same per-outcome
+    candidate counts; that enumeration is kept in the test oracle library
+    as the solver's differential reference. The difference is machinery:
+    trail-based incremental acyclicity with per-instance watched wakeups,
+    root propagation (static rf-domain filtering, forced assignments,
+    cross-instance implied coherence edges recorded in a {!Relations} layer
+    and turned into must-precede pruning), conflict analysis that recovers
+    the decision levels a detected cycle actually depends on, backjumping
+    over levels that provably did not contribute (guarded so only leafless
+    subtrees are skipped), and memoized leaf outcomes keyed by the rf
+    vector and each location's coherence-maximal write. *)
 
 type stats = {
   events : int;
@@ -25,14 +26,18 @@ type stats = {
   forced : int;  (** root-propagation facts: forced rf + implied co *)
   memo_hits : int;  (** leaves answered by the outcome memo table *)
   distinct_keys : int;  (** distinct (rf, co-last) keys seen at leaves *)
-  log10_naive_space : float;  (** as {!Generate.stats} *)
-  naive_space : float;  (** as {!Generate.stats} *)
+  log10_naive_space : float;
+      (** log10 of |co permutations| x |rf assignments|
+          ({!Event.log10_naive_space}) *)
+  naive_space : float;  (** {!Event.naive_space_of_log10} of the above *)
   elapsed_s : float;
   candidates_per_sec : float;
   exhausted : Memrel_prob.Budget.exhaustion option;
-      (** [None] iff the enumeration ran to completion — the same partial
-          contract as {!Generate.stats}: work units are accepted
-          candidates, a partial run is sound for "allowed" only. *)
+      (** [None] iff the enumeration ran to completion. [Some _] marks a
+          {e partial} enumeration: the candidates visited before a
+          {!Memrel_prob.Budget} limit tripped (work units are accepted
+          candidates). Partial coverage is sound for "allowed", never for
+          "forbidden". *)
 }
 
 type entry = {
@@ -50,7 +55,7 @@ val run :
   Memrel_memmodel.Model.family ->
   run
 (** Enumerate and group by observed outcome, sorted by outcome — entry
-    outcomes {e and} candidate counts must equal {!Generate.run}'s on a
+    outcomes {e and} candidate counts equal generate-and-prune's on a
     complete run. [window] sizes the WO reorder window. [budget] is
     checked at every decision and one work unit is spent per accepted
     candidate. Raises [Invalid_argument] for [Custom] models and programs
@@ -63,5 +68,4 @@ val outcome_set :
   Memrel_memmodel.Model.family ->
   Memrel_machine.Litmus.outcome list
 (** Just the distinct outcomes, sorted — comparable with
-    {!Memrel_machine.Litmus.outcome_set} and {!Generate.outcome_set} (only
-    when complete). *)
+    {!Memrel_machine.Litmus.outcome_set} (only when complete). *)

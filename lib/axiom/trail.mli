@@ -6,8 +6,7 @@
     opens a decision scope in O(1) and {!undo} rewinds exactly the slots
     the scope touched — the cost of backtracking becomes proportional to
     the work done inside the scope, not to the size of the structure (the
-    seed implementation copied every row at every search node; see
-    [Order.Reference]). Records are replayed newest-first so a slot saved
+    seed implementation copied every row at every search node). Records are replayed newest-first so a slot saved
     twice within one scope ends on its oldest value. *)
 
 type t

@@ -76,7 +76,6 @@ module Axiom_trail = Memrel_axiom.Trail
 module Axiom_relations = Memrel_axiom.Relations
 module Axioms = Memrel_axiom.Axioms
 module Axiom_candidate = Memrel_axiom.Candidate
-module Axiom = Memrel_axiom.Generate
 module Axiom_solver = Memrel_axiom.Solver
 module Axiom_differential = Memrel_axiom.Differential
 

@@ -17,8 +17,6 @@ type 'a result = {
   exhausted : Memrel_prob.Budget.exhaustion option;
 }
 
-exception State_limit of { max_states : int; states_visited : int; terminals : int }
-
 (* -- partial-order reduction (ample sets) ------------------------------
 
    At each state we try to pick ONE thread and explore only its enabled
@@ -128,8 +126,7 @@ let expand ~por discipline st =
 
 (* -- iterative exploration --------------------------------------------- *)
 
-let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget ?(legacy_raise = false)
-    discipline st ~observe =
+let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~observe =
   (* one packer and one arena per call: keys are packed into the scratch
      bytes and probed from there, and copied only when new *)
   let packer = State.packer () in
@@ -149,8 +146,7 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget ?(legacy_raise = f
      abandoned below it. *)
   let stack = Stack.create () in
   (* every stop — state cap, deadline, work cap, memory watermark — unwinds
-     through one path and yields a partial result (the legacy exception is
-     kept behind [legacy_raise] only) *)
+     through one path and yields a partial result *)
   let exception Stop of Memrel_prob.Budget.cause in
   let visit st depth =
     State.pack packer st;
@@ -171,13 +167,7 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget ?(legacy_raise = f
      visit st 0;
      while not (Stack.is_empty stack) do
        let st, depth = Stack.pop stack in
-       if !expanded >= max_states then begin
-         if legacy_raise then
-           raise
-             (State_limit
-                { max_states; states_visited = !expanded; terminals = !terminals });
-         raise (Stop Memrel_prob.Budget.Work)
-       end;
+       if !expanded >= max_states then raise (Stop Memrel_prob.Budget.Work);
        (match budget with
         | None -> ()
         | Some b -> (

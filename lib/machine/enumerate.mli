@@ -45,12 +45,6 @@ type 'a result = {
           "outcome X is impossible". *)
 }
 
-exception State_limit of { max_states : int; states_visited : int; terminals : int }
-(** @deprecated Exceeding [max_states] now returns a partial result (see
-    the [exhausted] field). This pre-governance exception is kept for
-    callers that preferred the abort and is raised only when {!outcomes} is
-    called with [~legacy_raise:true]. *)
-
 val expand :
   por:bool -> Semantics.discipline -> State.t -> (Semantics.label * State.t) list * int
 (** [expand ~por d st] is one state's successor computation — the enabled
@@ -66,7 +60,6 @@ val outcomes :
   ?max_states:int ->
   ?por:bool ->
   ?budget:Memrel_prob.Budget.t ->
-  ?legacy_raise:bool ->
   Semantics.discipline ->
   State.t ->
   observe:(State.t -> 'a) ->
@@ -74,15 +67,14 @@ val outcomes :
 (** [outcomes d st ~observe] explores exhaustively. At most [max_states]
     (default 2_000_000) distinct states are {e expanded}; at the cap the
     exploration stops and returns a partial result with
-    [exhausted = Some { cause = Work; _ }] (or raises {!State_limit} when
-    [legacy_raise] is [true]). The cap, the budget and [states_visited] all
-    count unique states actually expanded — never duplicates, and never
-    states merely sitting on the worklist — so a partial run has explored
-    exactly [max_states] distinct states (historically the cap fired on
-    {e admission}, while the worklist could still hold unexplored unique
-    states that were then abandoned and miscounted). [budget] is checked at
-    every expansion, spending one work unit per expanded state; tripping
-    any of its limits (deadline, work cap, memory watermark) likewise
+    [exhausted = Some { cause = Work; _ }]. The cap, the budget and
+    [states_visited] all count unique states actually expanded — never
+    duplicates, and never states merely sitting on the worklist — so a partial
+    run has explored exactly [max_states] distinct states (historically the
+    cap fired on {e admission}, while the worklist could still hold unexplored
+    unique states that were then abandoned and miscounted). [budget] is
+    checked at every expansion, spending one work unit per expanded state;
+    tripping any of its limits (deadline, work cap, memory watermark) likewise
     yields a partial result. [por] (default [false]) enables the ample-set
     partial-order reduction. States are deduplicated on their
     {!State.packed_key} bytes, held in an {!Arena_set}. The call owns all of

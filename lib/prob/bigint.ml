@@ -3,16 +3,13 @@
    [Small v] holds every value whose magnitude fits a native int, i.e.
    |v| <= max_int (min_int itself is excluded so that [abs]/[neg] never
    overflow). [Big] is the seed sign-magnitude limb form (little-endian base
-   2^15, no high zero limbs, sign <> 0), reused verbatim from
-   {!Bigint_reference} and reached only when a checked native operation
-   overflows.
+   2^15, no high zero limbs, sign <> 0), reached only when a checked native
+   operation overflows.
 
    Canonicality invariant: every constructor demotes, so a [Big] value
    ALWAYS has a magnitude of at least 63 bits. Mixed-variant comparison and
    division shortcuts, and structural equality of the representation,
    all rely on this invariant. *)
-
-module Reference = Bigint_reference
 
 let base_bits = 15
 let base = 1 lsl base_bits
@@ -146,8 +143,9 @@ let shift_right_mag a k =
     r
   end
 
-(* Binary long division on magnitudes; see Bigint_reference for the cost
-   rationale. *)
+(* Binary long division on magnitudes. Magnitudes in this code base stay
+   below a few thousand bits, so the O(bits * limbs) cost is irrelevant next
+   to implementation transparency. *)
 let divmod_mag u v =
   let bit u i = (u.((i / base_bits)) lsr (i mod base_bits)) land 1 in
   let nu = Array.length u * base_bits in

@@ -12,8 +12,9 @@
     small (at most a few thousand bits), so asymptotically fancy
     multiplication would be wasted complexity.
 
-    The pre-fast-path seed implementation is kept alive, verbatim, as
-    {!Reference} for differential testing and benchmarking. *)
+    The pre-fast-path seed implementation lives in the test oracle library
+    ([test/oracle]), which pins this one against it operation by
+    operation. *)
 
 type t
 (** An immutable arbitrary-precision integer. *)
@@ -118,7 +119,3 @@ val reset_stats : unit -> unit
 val small_hit_rate : stats -> float
 (** Fraction of operations that stayed on the native path ([1.0] when no
     operations were counted). *)
-
-(** The seed (always-allocating limb) implementation, for differential
-    tests and fast-vs-reference benchmarks. *)
-module Reference : module type of Bigint_reference

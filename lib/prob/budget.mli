@@ -17,7 +17,7 @@
     one work unit, not preemptively. On exhaustion an engine does not raise:
     it returns a typed partial result carrying everything computed so far
     plus the {!exhaustion} record (see [Par.run],
-    [Enumerate.outcomes], [Generate.iter]).
+    [Enumerate.outcomes], [Solver.run]).
 
     A budget is single-use: it anchors its deadline at creation and its work
     counter only grows. Create a fresh one per run. [spend]/[check] are

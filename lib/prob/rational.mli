@@ -9,8 +9,8 @@
     Addition and multiplication use the Knuth 4.5.1 reductions (gcd of the
     denominators before cross-multiplying, cross-gcds before multiplying),
     which keep intermediates at canonical size instead of gcd-ing full-width
-    products after the fact — the seed behaviour, preserved as
-    {!Reference}. *)
+    products after the fact, the seed behaviour (kept as an oracle in
+    [test/oracle]). *)
 
 type t
 (** A normalized rational number. *)
@@ -99,8 +99,3 @@ type stats = {
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
-
-(** The seed implementation — naive cross-multiply-then-normalize over
-    {!Bigint.Reference} — for differential tests and fast-vs-reference
-    benchmarks. Satisfies {!Sigs.RATIONAL}. *)
-module Reference : Sigs.RATIONAL

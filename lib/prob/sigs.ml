@@ -2,8 +2,9 @@
 
     The exact DP consumers in [lib/settling] and [lib/shift] are functorized
     over [RATIONAL] so the bench harness can instantiate each one twice — over
-    the fast-path {!Rational} and over {!Rational.Reference} — and measure a
-    like-for-like speedup in a single process. The signature deliberately
+    the fast-path {!Rational} and over the seed rationals kept in the test
+    oracle library — and measure a like-for-like speedup in a single
+    process. The signature deliberately
     carries no [Bigint.t]-typed members so both implementations (which sit on
     different bignum types) satisfy it as-is. *)
 

@@ -6,7 +6,6 @@ module Litmus = Memrel_machine.Litmus
 module Enumerate = Memrel_machine.Enumerate
 module Extmem = Memrel_machine.Extmem
 module Semantics = Memrel_machine.Semantics
-module Generate = Memrel_axiom.Generate
 module Solver = Memrel_axiom.Solver
 module Mc = Memrel_settling.Mc
 module Process = Memrel_shift.Process
@@ -69,13 +68,11 @@ let cache_key (q : P.query) =
     let* window = check_window window in
     let* hash, _ = litmus_hash test in
     Ok (Printf.sprintf "enum|%s|%s|w%d|por%d" hash (fam family) window (if por then 1 else 0))
-  | P.Axiom { test; family; window; engine } ->
+  | P.Axiom { test; family; window } ->
     let* family = check_family family in
     let* window = check_window window in
     let* hash, _ = litmus_hash test in
-    Ok
-      (Printf.sprintf "axiom|%s|%s|w%d|%s" hash (fam family) window
-         (match engine with P.Generate -> "generate" | P.Solver -> "solver"))
+    Ok (Printf.sprintf "axiom|%s|%s|w%d" hash (fam family) window)
   | P.Estimate { kind; family; seed; trials; target_width } ->
     let* family = check_family family in
     let* () = if trials >= 1 then Ok () else bad "trials must be >= 1 (got %d)" trials in
@@ -216,34 +213,19 @@ let run ~caps ?extmem (q : P.query) (limits : P.limits) =
               terminals = r.Enumerate.terminals;
               states = r.Enumerate.states_visited;
             }))
-  | P.Axiom { test; family; window; engine } -> begin
+  | P.Axiom { test; family; window } ->
     let* _, t = litmus_hash test in
-    match engine with
-    | P.Generate ->
-      let r = Generate.run ~window ?budget t family in
-      Ok
-        (result ?exhausted:r.Generate.stats.Generate.exhausted
-           (P.Axiom_outcomes
-              {
-                entries =
-                  List.map
-                    (fun (e : Generate.entry) -> (e.Generate.outcome, e.Generate.candidates))
-                    r.Generate.entries;
-                accepted = r.Generate.stats.Generate.accepted;
-              }))
-    | P.Solver ->
-      let r = Solver.run ~window ?budget t family in
-      Ok
-        (result ?exhausted:r.Solver.stats.Solver.exhausted
-           (P.Axiom_outcomes
-              {
-                entries =
-                  List.map
-                    (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.candidates))
-                    r.Solver.entries;
-                accepted = r.Solver.stats.Solver.accepted;
-              }))
-  end
+    let r = Solver.run ~window ?budget t family in
+    Ok
+      (result ?exhausted:r.Solver.stats.Solver.exhausted
+         (P.Axiom_outcomes
+            {
+              entries =
+                List.map
+                  (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.candidates))
+                  r.Solver.entries;
+              accepted = r.Solver.stats.Solver.accepted;
+            }))
   | P.Estimate { kind; family; seed; trials; target_width } ->
     let rng = Rng.create seed in
     let estimated (r : _ Memrel_prob.Par.outcome) (point, (ci : Memrel_prob.Stats.interval)) =

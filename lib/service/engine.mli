@@ -1,13 +1,12 @@
 (** Query dispatch: protocol queries onto the repo's engines.
 
     Each {!Protocol.query} kind maps to one engine — [Verify]/[Enumerate]
-    to the exhaustive enumerator, [Axiom] to the axiomatic generator or the
-    conflict-driven solver, [Estimate] to the governed (or, with a target
-    width, adaptive) Monte Carlo estimators at [jobs:1], so every answer is
-    deterministic per query. Per-request {!Protocol.limits} are clamped
-    field-wise by the server's {!caps} and become a
-    {!Memrel_prob.Budget}; exhaustion yields a typed partial result, never
-    an error. *)
+    to the exhaustive enumerator, [Axiom] to the conflict-driven solver,
+    [Estimate] to the Monte Carlo estimators (fixed-trial or, with a target
+    width, adaptive) at [jobs:1], so every answer is deterministic per
+    query. Per-request {!Protocol.limits} are clamped field-wise by the
+    server's {!caps} and become a {!Memrel_prob.Budget}; exhaustion yields
+    a typed partial result, never an error. *)
 
 type caps = {
   max_deadline_s : float option;
@@ -31,10 +30,10 @@ type extmem = { spill_root : string; mem_budget_bytes : int }
 type error = { code : Protocol.error_code; message : string }
 
 val cache_key : Protocol.query -> (string, error) result
-(** Canonical cache key, e.g. ["verify|{hash}|TSO|w8"]. Built on
-    {!Memrel_machine.Litmus.hash}, so renaming a test cannot split or
-    alias an entry; floats are rendered with [%h] so distinct estimator
-    parameters cannot collide. Also the single validation point:
+(** Canonical cache key, e.g. ["verify|{hash}|TSO|w8"] or
+    ["axiom|{hash}|TSO|w8"]. Built on {!Memrel_machine.Litmus.hash}, so
+    renaming a test cannot split or alias an entry; floats are rendered
+    with [%h] so distinct estimator parameters cannot collide. Also the single validation point:
     [Bad_request] for out-of-range parameters, [Unknown_test],
     [Unsupported] for [Custom] families. *)
 

@@ -1,13 +1,11 @@
 module Model = Memrel_memmodel.Model
 module Budget = Memrel_prob.Budget
 
-let version = 1
+let version = 2
 let frame_magic = "MRF1"
 let max_frame_bytes = 16 * 1024 * 1024
 
 (* -- typed messages ----------------------------------------------------- *)
-
-type axiom_engine = Generate | Solver
 
 type estimate_kind =
   | Settling of { gamma : int; p : float; m : int }
@@ -17,7 +15,7 @@ type estimate_kind =
 type query =
   | Verify of { test : string; family : Model.family; window : int }
   | Enumerate of { test : string; family : Model.family; window : int; por : bool }
-  | Axiom of { test : string; family : Model.family; window : int; engine : axiom_engine }
+  | Axiom of { test : string; family : Model.family; window : int }
   | Estimate of {
       kind : estimate_kind;
       family : Model.family;
@@ -253,13 +251,6 @@ let family_token = function
   | Model.Weak_ordering -> "wo"
   | Model.Custom -> "custom"
 
-let add_engine buf e = add_u8 buf (match e with Generate -> 0 | Solver -> 1)
-
-let get_engine c =
-  match get_u8 c with 0 -> Generate | 1 -> Solver | v -> fail "bad engine byte %d" v
-
-let engine_token = function Generate -> "generate" | Solver -> "solver"
-
 let add_kind buf = function
   | Settling { gamma; p; m } ->
     add_u8 buf 0;
@@ -300,12 +291,11 @@ let add_query buf = function
     add_family buf family;
     add_i64 buf window;
     add_bool buf por
-  | Axiom { test; family; window; engine } ->
+  | Axiom { test; family; window } ->
     add_u8 buf 2;
     add_string buf test;
     add_family buf family;
-    add_i64 buf window;
-    add_engine buf engine
+    add_i64 buf window
   | Estimate { kind; family; seed; trials; target_width } ->
     add_u8 buf 3;
     add_kind buf kind;
@@ -331,8 +321,7 @@ let get_query c =
     let test = get_string c in
     let family = get_family c in
     let window = get_i64 c in
-    let engine = get_engine c in
-    Axiom { test; family; window; engine }
+    Axiom { test; family; window }
   | 3 ->
     let kind = get_kind c in
     let family = get_family c in
@@ -825,7 +814,7 @@ let address_to_string = function
 
      verify TEST MODEL [window=W]
      enumerate TEST MODEL [window=W] [por]
-     axiom TEST MODEL [window=W] [engine=generate|solver]
+     axiom TEST MODEL [window=W] [engine=solver]
      estimate settling MODEL gamma=G [p=P] [m=M] [seed=S] [trials=N] [width=W]
      estimate shift gammas=3,2,5 [seed=S] [trials=N] [width=W]
      estimate joint MODEL n=N [seed=S] [trials=N] [width=W]
@@ -917,14 +906,15 @@ let parse_query text =
     let* kvs = kvs rest in
     let* () = known kvs [ "window"; "engine" ] in
     let* window = int_kv kvs "window" 8 in
-    let* engine =
+    (* the solver is the only axiomatic engine; the token is still accepted
+       so scripts written when there were two keep working *)
+    let* () =
       match List.assoc_opt "engine" kvs with
-      | None | Some (Some "generate") -> Ok Generate
-      | Some (Some "solver") -> Ok Solver
-      | Some (Some e) -> Error (Printf.sprintf "unknown engine %S (generate|solver)" e)
-      | Some None -> Error "engine needs a value (engine=generate|solver)"
+      | None | Some (Some "solver") -> Ok ()
+      | Some (Some e) -> Error (Printf.sprintf "unknown engine %S (only solver)" e)
+      | Some None -> Error "engine needs a value (engine=solver)"
     in
-    Ok (Axiom { test; family; window; engine })
+    Ok (Axiom { test; family; window })
   | "estimate" :: "settling" :: model :: rest ->
     let* family = family_of_token model in
     let* kvs = kvs rest in
@@ -977,9 +967,8 @@ let query_to_string = function
   | Enumerate { test; family; window; por } ->
     Printf.sprintf "enumerate %s %s window=%d%s" test (family_token family) window
       (if por then " por" else "")
-  | Axiom { test; family; window; engine } ->
-    Printf.sprintf "axiom %s %s window=%d engine=%s" test (family_token family) window
-      (engine_token engine)
+  | Axiom { test; family; window } ->
+    Printf.sprintf "axiom %s %s window=%d" test (family_token family) window
   | Estimate { kind; family; seed; trials; target_width } ->
     let width = match target_width with None -> "" | Some w -> Printf.sprintf " width=%g" w in
     (match kind with

@@ -17,8 +17,6 @@ val max_frame_bytes : int
 
 (** {1 Queries} *)
 
-type axiom_engine = Generate | Solver
-
 type estimate_kind =
   | Settling of { gamma : int; p : float; m : int }
       (** Pr[B_gamma] of the settling process *)
@@ -33,12 +31,8 @@ type query =
       window : int;
       por : bool;
     }
-  | Axiom of {
-      test : string;
-      family : Memrel_memmodel.Model.family;
-      window : int;
-      engine : axiom_engine;
-    }
+  | Axiom of { test : string; family : Memrel_memmodel.Model.family; window : int }
+      (** answered by the conflict-driven {!Memrel_axiom.Solver} *)
   | Estimate of {
       kind : estimate_kind;
       family : Memrel_memmodel.Model.family;
@@ -218,12 +212,14 @@ val address_to_string : address -> string
     {v
     verify TEST MODEL [window=W]
     enumerate TEST MODEL [window=W] [por]
-    axiom TEST MODEL [window=W] [engine=generate|solver]
+    axiom TEST MODEL [window=W] [engine=solver]
     estimate settling MODEL gamma=G [p=P] [m=M] [seed=S] [trials=N] [width=W]
     estimate shift gammas=3,2,5 [seed=S] [trials=N] [width=W]
     estimate joint MODEL n=N [seed=S] [trials=N] [width=W]
     v}
-    Defaults: window 8, seed 1, trials 100_000, p 0.5, m 64. *)
+    Defaults: window 8, seed 1, trials 100_000, p 0.5, m 64. [engine=solver]
+    parses to the same query as no token (the solver is the only axiomatic
+    engine); any other engine is an error. *)
 
 val parse_query : string -> (query, string) Stdlib.result
 

@@ -13,8 +13,8 @@
 
     The DP is a functor over {!Memrel_prob.Sigs.RATIONAL} so the bench
     harness can run the identical program over the fast-path rationals and
-    over {!Memrel_prob.Rational.Reference} and compare throughput; the
-    toplevel values are the fast-path instance. *)
+    over the seed rationals of the test oracle library and compare
+    throughput; the toplevel values are the fast-path instance. *)
 
 module Q = Memrel_prob.Rational
 

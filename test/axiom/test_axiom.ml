@@ -1,13 +1,14 @@
 (* Pinned allowed-outcome sets for the classic litmus shapes under each
-   model, computed purely axiomatically (no operational run). These are the
-   textbook verdicts: sb distinguishes SC from TSO, mp distinguishes TSO
+   model, computed purely axiomatically (no operational run) by the solver
+   and by its generate-and-prune oracle. These are the textbook verdicts: sb distinguishes SC from TSO, mp distinguishes TSO
    from PSO, lb and iriw distinguish PSO from WO. The differential suite in
    test/machine checks axiomatic = operational corpus-wide; here the exact
    sets are written out by hand so a simultaneous bug in both semantics
    cannot cancel out. *)
 
 module L = Memrel_machine.Litmus
-module G = Memrel_axiom.Generate
+module G = Memrel_oracle.Generate
+module S = Memrel_axiom.Solver
 module Model = Memrel_memmodel.Model
 
 let sc = Model.Sequential_consistency
@@ -18,8 +19,10 @@ let wo = Model.Weak_ordering
 let outcome_testable = Alcotest.(list (list (pair string int)))
 
 let check_set name t family expected () =
-  Alcotest.check outcome_testable name (List.sort compare expected)
-    (G.outcome_set t family)
+  Alcotest.check outcome_testable (name ^ " generate") (List.sort compare expected)
+    (G.outcome_set t family);
+  Alcotest.check outcome_testable (name ^ " solver") (List.sort compare expected)
+    (S.outcome_set t family)
 
 (* -- sb: labels 0:r0, 1:r0 --------------------------------------------- *)
 
@@ -107,7 +110,7 @@ let test_fence_edges_closure_equal () =
         o
       in
       let sparse = A.fence_edges t.L.programs events in
-      let dense = A.fence_edges_reference t.L.programs events in
+      let dense = Memrel_oracle.Axioms_reference.fence_edges t.L.programs events in
       let a = close sparse and b = close dense in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -131,11 +134,11 @@ let test_naive_space_log_overflow () =
   let lg = Memrel_axiom.Event.log10_naive_space events in
   Alcotest.(check bool) "log measure finite and past float range" true
     (Float.is_finite lg && lg > 308.0);
-  let linear = G.naive_space_of_log10 lg in
+  let linear = Memrel_axiom.Event.naive_space_of_log10 lg in
   Alcotest.(check bool) "linear form clamps instead of overflowing" true
     (Float.is_finite linear && linear = Float.max_float);
   Alcotest.(check (float 1e-9)) "small values survive the round-trip" 4.0
-    (G.naive_space_of_log10 (log10 4.0))
+    (Memrel_axiom.Event.naive_space_of_log10 (log10 4.0))
 
 let test_pruning_stats () =
   let t = L.find "sb" in

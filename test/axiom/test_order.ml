@@ -1,10 +1,11 @@
 (* The incremental transitive-closure order underpinning every acyclicity
    axiom: accepted edges must be exactly the cycle-free ones, reachability
    must be transitively closed after every insertion, and push/pop must
-   restore the closure bit-for-bit (the generator backtracks through it
+   restore the closure bit-for-bit (the solver backtracks through it
    thousands of times per test). *)
 
 module Order = Memrel_axiom.Order
+module R = Memrel_oracle.Order_reference
 
 let test_chain () =
   let o = Order.create 4 in
@@ -47,12 +48,12 @@ let test_randomized_vs_reference () =
   List.iter
     (fun (n, seed, steps) ->
       let st = Random.State.make [| seed |] in
-      let o = Order.create n and r = Order.Reference.create n in
+      let o = Order.create n and r = R.create n in
       let depth = ref 0 in
       let same_matrices step =
         for u = 0 to n - 1 do
           for v = 0 to n - 1 do
-            if Order.reaches o u v <> Order.Reference.reaches r u v then
+            if Order.reaches o u v <> R.reaches r u v then
               Alcotest.failf "n=%d seed=%d step %d: closures diverge at (%d,%d)" n seed step
                 u v
           done
@@ -62,15 +63,15 @@ let test_randomized_vs_reference () =
         (match Random.State.int st 10 with
         | 0 | 1 ->
           Order.push o;
-          Order.Reference.push r;
+          R.push r;
           incr depth
         | 2 when !depth > 0 ->
           Order.pop o;
-          Order.Reference.pop r;
+          R.pop r;
           decr depth
         | _ ->
           let u = Random.State.int st n and v = Random.State.int st n in
-          let a = Order.add o u v and b = Order.Reference.add r u v in
+          let a = Order.add o u v and b = R.add r u v in
           if a <> b then
             Alcotest.failf "n=%d seed=%d step %d: add %d->%d verdicts differ" n seed step u v);
         if step mod 97 = 0 then same_matrices step
@@ -79,13 +80,13 @@ let test_randomized_vs_reference () =
       (* rewind everything still open: the closures must keep agreeing *)
       while !depth > 0 do
         Order.pop o;
-        Order.Reference.pop r;
+        R.pop r;
         decr depth;
         same_matrices (-(!depth))
       done;
-      Alcotest.(check int) "same accepted count" (Order.Reference.additions r)
+      Alcotest.(check int) "same accepted count" (R.additions r)
         (Order.additions o);
-      Alcotest.(check int) "same rejected count" (Order.Reference.rejections r)
+      Alcotest.(check int) "same rejected count" (R.rejections r)
         (Order.rejections o))
     [ (40, 11, 4000); (70, 23, 4000); (100, 37, 3000) ]
 

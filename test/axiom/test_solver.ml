@@ -1,5 +1,5 @@
 (* The conflict-driven solver must be observationally indistinguishable
-   from the generate-and-prune engine: same decision tree, so not just the
+   from its generate-and-prune oracle: same decision tree, so not just the
    same outcome sets but the same accepted-candidate count per outcome.
    The parity tests below pin that across the whole corpus under all four
    models (and across WO windows, whose static edges reshape every
@@ -9,7 +9,7 @@
    enumerator. *)
 
 module L = Memrel_machine.Litmus
-module G = Memrel_axiom.Generate
+module G = Memrel_oracle.Generate
 module S = Memrel_axiom.Solver
 module Model = Memrel_memmodel.Model
 module Budget = Memrel_prob.Budget
@@ -118,7 +118,7 @@ let test_partial_refuses_differential () =
   let module D = Memrel_axiom.Differential in
   let t = L.find "sb" in
   let budget = Budget.create ~max_work:2 () in
-  let r = D.run ~budget ~engine:D.Solver_engine t Model.Total_store_order in
+  let r = D.run ~budget t Model.Total_store_order in
   Alcotest.(check bool) "partial flagged" true r.D.partial;
   Alcotest.(check bool) "agreement refused" false r.D.agree;
   Alcotest.(check int) "no disagreements fabricated" 0 (List.length r.D.disagreements);

@@ -38,15 +38,16 @@ let resume_refused other () =
       (Astring.String.is_prefix ~affix:"memrel: checkpoint was written by \"shift" line)
   | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length err)
 
-let usage_error args () =
+(* a value below an option's lower bound is a cmdliner usage error (exit
+   124) naming the bound, never a wrong answer or an internal error *)
+let usage_error ?(affix = "expected a positive integer") args () =
   let code, _, err = memrel args in
   (* cmdliner wraps long messages: compare with the whitespace collapsed *)
   let err =
     String.concat " " (List.concat_map (Astring.String.fields ~empty:false) err)
   in
   Alcotest.(check int) (args ^ ": exit code") 124 code;
-  Alcotest.(check bool) (args ^ ": names the positive-integer requirement") true
-    (Astring.String.is_infix ~affix:"expected a positive integer" err);
+  Alcotest.(check bool) (args ^ ": names the bound") true (Astring.String.is_infix ~affix err);
   Alcotest.(check bool) (args ^ ": no internal error") false
     (Astring.String.is_infix ~affix:"internal error" err)
 
@@ -70,5 +71,12 @@ let () =
             "fences --trials 0";
             "shift --target-width 0.01 --max-trials 0";
             "joint --checkpoint-every 0";
+            "enumerate sb --model wo --window 0";
+            "axiom sb --model wo --window 0";
           ] );
+      ( "lower bounds",
+        [
+          Alcotest.test_case "scaling --n-max 1" `Quick
+            (usage_error ~affix:"expected an integer >= 2" "scaling --n-max 1");
+        ] );
     ]

@@ -49,16 +49,6 @@ let test_max_states_cap () =
   Alcotest.(check bool) "partial terminal count is sane" true
     (r.terminals >= 0 && r.terminals <= 5)
 
-let test_max_states_cap_legacy_raise () =
-  let st = mk [ Array.init 10 (fun i -> I.load ~reg:i ~loc:i);
-                Array.init 10 (fun i -> I.load ~reg:i ~loc:i) ] in
-  match E.outcomes ~max_states:5 ~legacy_raise:true Sem.Sc st ~observe:(fun _ -> ()) with
-  | _ -> Alcotest.fail "expected State_limit"
-  | exception E.State_limit { max_states; states_visited; terminals } ->
-    Alcotest.(check int) "cap echoed" 5 max_states;
-    Alcotest.(check int) "exactly max_states admitted" 5 states_visited;
-    Alcotest.(check bool) "partial terminal count is sane" true (terminals >= 0 && terminals <= 5)
-
 let test_budget_deadline_partial () =
   (* an already-expired deadline stops the exploration before any state is
      admitted; the partial result is well-formed and empty *)
@@ -262,7 +252,7 @@ let suite =
       ("racing stores", test_interleaving_count_sc);
       ("state accounting", test_visited_accounting);
       ("max_states cap yields partial result", test_max_states_cap);
-      ("max_states cap raises under legacy_raise", test_max_states_cap_legacy_raise);
+      ("deep linear space iterates", test_deep_linear_space);
       ("cap counts expanded states only", test_cap_counts_expanded_states_only);
       ("expired deadline yields empty partial result", test_budget_deadline_partial);
       ("generous budget leaves run complete", test_budget_complete_run_not_exhausted);
@@ -273,7 +263,6 @@ let suite =
       ("POR preserves outcomes on the corpus", test_por_equals_full_on_corpus);
       ("increment_n 3 exact counts pinned", test_increment3_pinned);
       ("increment_n 4 exhaustive smoke", test_increment4_smoke);
-      ("deep linear space iterates", test_deep_linear_space);
       ("observability counters", test_stats_observability);
       ("find resolves incN names", test_find_incn);
       ("two domains enumerate inc4 identically", test_two_domains_agree);

@@ -1,5 +1,5 @@
 (* The seed (pre-fast-path) bignum, kept verbatim as the differential-testing
-   and benchmarking baseline for {!Bigint}: every operand is a heap-allocated
+   and benchmarking baseline for {!Memrel_prob.Bigint}: every operand is a heap-allocated
    sign-magnitude limb array, with no native-int shortcut anywhere.
 
    Sign-magnitude representation. [mag] is little-endian in base 2^15 with no

@@ -1,12 +1,11 @@
 (** The seed arbitrary-precision integer implementation, kept alive as the
     differential-testing and benchmarking baseline.
 
-    {!Bigint} carries the production representation (a native-int fast path
-    over these same limb algorithms); this module is the original
-    always-allocating sign-magnitude form, exposed as {!Bigint.Reference} so
-    randomized differential tests and the [--json-exact] bench can pin the
-    fast path against it operation by operation. Do not use it on hot
-    paths. *)
+    {!Memrel_prob.Bigint} carries the production representation (a
+    native-int fast path over these same limb algorithms); this module is
+    the original always-allocating sign-magnitude form, so randomized
+    differential tests and the [--json-exact] bench can pin the fast path
+    against it operation by operation. *)
 
 type t
 (** An immutable arbitrary-precision integer. *)

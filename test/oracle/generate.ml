@@ -1,4 +1,4 @@
-module Model = Memrel_memmodel.Model
+open Memrel_axiom
 module Semantics = Memrel_machine.Semantics
 module Litmus = Memrel_machine.Litmus
 
@@ -15,13 +15,6 @@ type stats = {
   candidates_per_sec : float;
   exhausted : Memrel_prob.Budget.exhaustion option;
 }
-
-(* the clamped linear-space convenience: exact for the sizes a human reads
-   off a report, saturating (never infinity/nan) beyond float range — the
-   seed multiplied float factorials, which overflows to infinity around 171
-   same-location writes and turns downstream ratios into nan *)
-let naive_space_of_log10 lg =
-  if lg > 308.0 then max_float else 10.0 ** lg
 
 let iter ?(window = 8) ?budget (t : Litmus.t) family f =
   let t0 = Unix.gettimeofday () in
@@ -169,7 +162,7 @@ let iter ?(window = 8) ?budget (t : Litmus.t) family f =
     rf_branches = !rf_branches;
     pruned;
     log10_naive_space;
-    naive_space = naive_space_of_log10 log10_naive_space;
+    naive_space = Event.naive_space_of_log10 log10_naive_space;
     pruning_ratio =
       (if explored = 0 then 0.0 else float_of_int pruned /. float_of_int explored);
     elapsed_s;

@@ -10,7 +10,13 @@
     an inconsistent branch is abandoned at its first bad edge instead of
     being completed and filtered — the [pruned] / [naive_space] statistics
     quantify how much of the naive space is never visited. Every leaf the
-    search reaches is therefore an allowed candidate execution. *)
+    search reaches is therefore an allowed candidate execution.
+
+    This is the differential oracle for {!Memrel_axiom.Solver}, which walks
+    the same decision tree: both must accept the same candidates, per
+    outcome. *)
+
+open Memrel_axiom
 
 type stats = {
   events : int;
@@ -39,10 +45,6 @@ type stats = {
           coverage is a subset of the allowed executions — sound for
           "allowed", never for "forbidden". *)
 }
-
-val naive_space_of_log10 : float -> float
-(** The clamp behind [stats.naive_space]: [10 ** lg], saturating at
-    [max_float]. Exposed for the overflow regression tests. *)
 
 val iter :
   ?window:int ->

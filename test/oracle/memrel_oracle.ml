@@ -1,3 +1,13 @@
+(* Oracles for the engines in lib/. The axiomatic and exact-arithmetic
+   references live in their own modules: *)
+
+module Generate = Generate
+module Three_way = Three_way
+module Axioms_reference = Axioms_reference
+module Order_reference = Order_reference
+module Bigint_reference = Bigint_reference
+module Rational_reference = Rational_reference
+
 (* The per-trial closures that predate the zero-allocation kernels: every
    trial builds a fresh program, permutation and shift array, and runs on
    the same Par schedule as the estimators in lib/. The estimators must

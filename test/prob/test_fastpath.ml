@@ -1,14 +1,14 @@
 (* Differential tests pinning the fixnum fast path to the seed
-   implementation: Bigint vs Bigint.Reference and Rational vs
-   Rational.Reference on randomized mixed small / boundary / multi-limb
-   operands from the deterministic Rng, plus pinned exact values for the
+   implementation kept in the oracle library: Bigint vs Bigint_reference
+   and Rational vs Rational_reference on randomized mixed small / boundary
+   / multi-limb operands from the deterministic Rng, plus pinned exact values for the
    paper's Figure 1/2 DP outputs so numeric results stay bit-identical to
    the seed across representation changes. *)
 
 module B = Memrel_prob.Bigint
-module BR = Memrel_prob.Bigint.Reference
+module BR = Memrel_oracle.Bigint_reference
 module Q = Memrel_prob.Rational
-module QRef = Memrel_prob.Rational.Reference
+module QRef = Memrel_oracle.Rational_reference
 module Rng = Memrel_prob.Rng
 module DQ = Memrel_settling.Exact_dp_q
 module JQ = Memrel_settling.Joint_dp_q

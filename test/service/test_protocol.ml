@@ -6,9 +6,8 @@ let sample_queries =
     P.Verify { test = "sb"; family = Model.Total_store_order; window = 8 };
     P.Enumerate { test = "inc"; family = Model.Sequential_consistency; window = 4; por = true };
     P.Enumerate { test = "mp"; family = Model.Weak_ordering; window = 12; por = false };
-    P.Axiom
-      { test = "lb"; family = Model.Partial_store_order; window = 8; engine = P.Generate };
-    P.Axiom { test = "iriw"; family = Model.Weak_ordering; window = 6; engine = P.Solver };
+    P.Axiom { test = "lb"; family = Model.Partial_store_order; window = 8 };
+    P.Axiom { test = "iriw"; family = Model.Weak_ordering; window = 6 };
     P.Estimate
       {
         kind = P.Settling { gamma = 2; p = 0.25; m = 64 };
@@ -160,14 +159,23 @@ let test_decode_rejects_garbage () =
   let is_error = function Error _ -> true | Ok _ -> false in
   Alcotest.(check bool) "empty" true (is_error (P.decode_request ""));
   Alcotest.(check bool) "bad version" true (is_error (P.decode_request "\xff\x00"));
-  Alcotest.(check bool) "bad tag" true (is_error (P.decode_request "\x01\xee"));
+  let v = String.make 1 (Char.chr P.version) in
+  Alcotest.(check bool) "bad tag" true (is_error (P.decode_request (v ^ "\xee")));
   Alcotest.(check bool) "truncated" true
     (is_error
        (let full = P.encode_request (P.Query (List.hd sample_queries, P.no_limits)) in
         P.decode_request (String.sub full 0 (String.length full - 3))));
   Alcotest.(check bool) "trailing bytes" true
     (is_error (P.decode_request (P.encode_request P.Ping ^ "x")));
-  Alcotest.(check bool) "response garbage" true (is_error (P.decode_response "\x01\x63"))
+  Alcotest.(check bool) "response garbage" true (is_error (P.decode_response (v ^ "\x63")));
+  (* version 2 dropped the Axiom engine byte: a version-1 frame is refused
+     by the version check instead of being misread *)
+  let axiom = P.Axiom { test = "sb"; family = Model.Total_store_order; window = 8 } in
+  let v2 = P.encode_request (P.Query (axiom, P.no_limits)) in
+  match P.decode_request ("\x01" ^ String.sub v2 1 (String.length v2 - 1)) with
+  | Error m ->
+    Alcotest.(check bool) m true (Astring.String.is_infix ~affix:"protocol version 1" m)
+  | Ok _ -> Alcotest.fail "version-1 request accepted"
 
 let test_parse_query_round_trip () =
   List.iter
@@ -186,10 +194,13 @@ let test_parse_query_defaults () =
    | Ok (P.Enumerate { test = "inc4"; window = 6; por = true; _ }) -> ()
    | Ok q -> Alcotest.failf "unexpected parse: %s" (P.query_to_string q)
    | Error m -> Alcotest.fail m);
-  (match P.parse_query "axiom mp wo engine=solver" with
-   | Ok (P.Axiom { engine = P.Solver; window = 8; _ }) -> ()
+  (match P.parse_query "axiom mp wo" with
+   | Ok (P.Axiom { test = "mp"; family = Model.Weak_ordering; window = 8 }) -> ()
    | Ok q -> Alcotest.failf "unexpected parse: %s" (P.query_to_string q)
    | Error m -> Alcotest.fail m);
+  (* the solver is the only engine: naming it changes nothing *)
+  Alcotest.(check bool) "engine=solver = no token" true
+    (P.parse_query "axiom mp wo engine=solver" = P.parse_query "axiom mp wo");
   (match P.parse_query "estimate settling tso gamma=2" with
    | Ok
        (P.Estimate
@@ -217,6 +228,8 @@ let test_parse_query_rejects () =
       "verify sb notamodel";
       "verify sb tso window=abc";
       "verify sb tso bogus=1";
+      "axiom sb tso engine=generate";
+      "axiom sb tso engine";
       "estimate warp sc";
       "estimate shift";
       "estimate shift gammas=1,x";

@@ -85,9 +85,7 @@ let test_all_query_kinds () =
    | r -> Alcotest.failf "enumerate: %s" (P.render_response r));
   (match
      request c
-       (P.Query
-          ( P.Axiom { test = "mp"; family = Model.Weak_ordering; window = 8; engine = P.Generate },
-            P.no_limits ))
+       (P.Query (P.Axiom { test = "mp"; family = Model.Weak_ordering; window = 8 }, P.no_limits))
    with
    | P.Result { result = { P.payload = P.Axiom_outcomes { entries; _ }; _ }; _ } ->
      Alcotest.(check bool) "mp axiom outcomes nonempty" true (entries <> [])
@@ -398,7 +396,7 @@ let test_chaos_responses_byte_identical () =
     [
       q_verify;
       P.Enumerate { test = "inc"; family = Model.Sequential_consistency; window = 8; por = true };
-      P.Axiom { test = "mp"; family = Model.Weak_ordering; window = 8; engine = P.Generate };
+      P.Axiom { test = "mp"; family = Model.Weak_ordering; window = 8 };
       q_verify (* a cache-hit path *);
     ]
   in

@@ -8,7 +8,7 @@ module JQ = Memrel_settling.Joint_dp_q
 module J = Memrel_settling.Joint_dp
 module Model = Memrel_memmodel.Model
 module Q = Memrel_prob.Rational
-module QRef = Memrel_prob.Rational.Reference
+module QRef = Memrel_oracle.Rational_reference
 module JRef = JQ.Make (QRef)
 
 let check_float = Alcotest.(check (float 1e-12))
