@@ -915,15 +915,18 @@ let extmem_rows ~smoke =
     List.concat_map (fun n -> List.map (fun f -> parity (n, f)) families)
       (if smoke then [ 4; 5 ] else [ 4; 5; 6 ])
   in
-  (* a deliberately tiny budget: the candidate buffer must spill repeatedly
-     mid-level (>= 2 forced generations) and the result must not change *)
-  let tiny =
-    let t = Litmus.increment_n 5 in
+  (* budgeted rows: a deliberately tiny 64 KiB budget on inc5/TSO and, in
+     the full bench, inc6/TSO at 1 MiB. The wider levels must overflow the
+     successor arena repeatedly (>= 2 overflow runs, merged at the level
+     end) and the result must not change *)
+  let budgeted (n, mem_budget) =
+    let t = Litmus.increment_n n in
     let family = Model.Total_store_order in
     let ram = Enumerate.outcomes (Semantics.of_model family) (Litmus.initial_state t)
         ~observe:t.Litmus.observe in
-    let x = run_ext ~mem_budget:65536 t family in
+    let x = run_ext ~mem_budget t family in
     assert (x.Extmem.base.Enumerate.outcomes = ram.Enumerate.outcomes);
+    assert (x.Extmem.base.Enumerate.states_visited = ram.Enumerate.states_visited);
     assert (x.Extmem.ext.Extmem.spill_generations >= 2);
     {
       xtest = t.Litmus.name;
@@ -931,14 +934,17 @@ let extmem_rows ~smoke =
       xstates = x.Extmem.base.Enumerate.states_visited;
       xterminals = x.Extmem.base.Enumerate.terminals;
       xsecs = x.Extmem.base.Enumerate.stats.elapsed_s;
-      xmem_budget = 65536;
+      xmem_budget = mem_budget;
       xext = x.Extmem.ext;
       xoracle = "in-ram";
       xinram_secs = Some ram.Enumerate.stats.elapsed_s;
       xinram_note = "";
     }
   in
-  rows @ [ tiny ] @ wall_rows
+  let budgeted_rows =
+    List.map budgeted ((5, 65536) :: (if smoke then [] else [ (6, mb) ]))
+  in
+  rows @ budgeted_rows @ wall_rows
 
 let enum_json ~file ~smoke =
   (* extmem first: its RAM-wall phases fork children that must inherit a
@@ -977,21 +983,14 @@ let enum_json ~file ~smoke =
             \"states_per_sec\": %.1f,\n\
            \     \"spill_bytes\": %d, \"bytes_per_state\": %.2f, \"spill_runs\": %d, \
             \"spill_generations\": %d,\n\
-           \     \"bloom_probes\": %d, \"bloom_hits\": %d, \"bloom_hit_rate\": %.6f, \
-            \"bloom_false_positives\": %d,\n\
-           \     \"compactions\": %d, \"levels\": %d, \"peak_level_states\": %d,\n\
+           \     \"merges\": %d, \"levels\": %d, \"peak_level_states\": %d,\n\
            \     \"parity_oracle\": %S, \"inram_seconds\": %s%s}%s\n"
            r.xtest r.xdiscipline r.xmem_budget r.xstates r.xterminals r.xsecs
            (sps r.xstates r.xsecs)
            e.Extmem.spill_bytes
            (if r.xstates > 0 then float_of_int e.Extmem.spill_bytes /. float_of_int r.xstates
             else 0.0)
-           e.Extmem.spill_runs e.Extmem.spill_generations e.Extmem.bloom_probes
-           e.Extmem.bloom_hits
-           (if e.Extmem.bloom_probes > 0 then
-              float_of_int e.Extmem.bloom_hits /. float_of_int e.Extmem.bloom_probes
-            else 0.0)
-           e.Extmem.bloom_false_positives e.Extmem.compactions e.Extmem.levels
+           e.Extmem.spill_runs e.Extmem.spill_generations e.Extmem.merges e.Extmem.levels
            e.Extmem.peak_level_states r.xoracle
            (match r.xinram_secs with Some s -> Printf.sprintf "%.6f" s | None -> "null")
            (if r.xinram_note = "" then ""
@@ -1015,8 +1014,8 @@ let enum_json ~file ~smoke =
     (fun r ->
       let e = r.xext in
       Printf.printf
-        "%-5s %-4s %9d states  extmem %8.0f/s (budget %s)  spill %d runs / %.1f MB / %d \
-         gens  %s%s\n"
+        "%-5s %-4s %9d states  extmem %8.0f/s (budget %s)  spill %d runs / %.1f MB / %d overflow \
+         runs  %s%s\n"
         r.xtest r.xdiscipline r.xstates
         (sps r.xstates r.xsecs)
         (if r.xmem_budget >= 1024 * 1024 then

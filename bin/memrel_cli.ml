@@ -684,15 +684,14 @@ let enumerate_cmd =
        | None -> ()
        | Some e ->
          Printf.printf
-           "extmem: %d levels (peak %d states)%s; %d spill runs, %d bytes, %d forced \
-            generations, %d compactions; bloom %d/%d hits (%d false positives)\n"
+           "extmem: %d levels (peak %d states)%s; %d spill runs, %d bytes, %d overflow \
+            runs, %d merges\n"
            e.Extmem.levels e.Extmem.peak_level_states
            (match e.Extmem.resumed_at_level with
             | Some l -> Printf.sprintf ", resumed at level %d" l
             | None -> "")
            e.Extmem.spill_runs e.Extmem.spill_bytes e.Extmem.spill_generations
-           e.Extmem.compactions e.Extmem.bloom_hits e.Extmem.bloom_probes
-           e.Extmem.bloom_false_positives);
+           e.Extmem.merges);
       partial_exit
         ~engine:(Printf.sprintf "enumerate (%d states expanded)" r.states_visited)
         r.Enumerate.exhausted
@@ -716,8 +715,9 @@ let enumerate_cmd =
   in
   let extmem_arg =
     Arg.(value & flag & info [ "extmem" ]
-           ~doc:"Use the external-memory BFS engine: the frontier and visited set spill to \
-                 sorted runs on disk, so state spaces larger than RAM enumerate exactly \
+           ~doc:"Use the external-memory BFS engine: only one BFS level is held at a time, \
+                 read from sorted runs on disk, and its successors are deduplicated in RAM \
+                 up to --mem-budget, so state spaces larger than RAM enumerate exactly \
                  (identical outcomes and terminal counts to the in-RAM engine). Implied by \
                  --spill-dir and --resume. Combine with --max-states to raise the state cap.")
   in
@@ -729,9 +729,9 @@ let enumerate_cmd =
   in
   let mem_budget_arg =
     Arg.(value & opt int 64 & info [ "mem-budget" ] ~docv:"MB"
-           ~doc:"RAM budget (MiB) for the external-memory engine's in-core structures \
-                 (candidate buffers, bloom filter). Smaller budgets spill more, never \
-                 change the result.")
+           ~doc:"RAM budget (MiB) for the external-memory engine's successor set: a BFS \
+                 level whose successors outgrow it spills them as sorted runs, merged at the \
+                 level's end. Smaller budgets spill more, never change the result.")
   in
   let resume_enum_arg =
     Arg.(value & flag & info [ "resume" ]

@@ -26,6 +26,7 @@ type t = {
   mutable nchunks : int;
   mutable cur : int;  (* the chunk new short keys are appended to *)
   mutable fill : int;  (* bytes used in [cur] *)
+  mutable chunk_bytes : int;  (* total size of the allocated chunks *)
 }
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -48,18 +49,22 @@ let hash_bytes b off len =
   let x = (!h lxor (!h lsr 29)) * prime in
   (x lxor (x lsr 32)) land max_int
 
+let initial_slots = 1024
+
 let create ?(hash = hash_bytes) () =
   {
     hash;
-    slots = Array.make 1024 0;
+    slots = Array.make initial_slots 0;
     count = 0;
     chunks = [| Bytes.create first_chunk_bytes |];
     nchunks = 1;
     cur = 0;
     fill = 0;
+    chunk_bytes = first_chunk_bytes;
   }
 
 let length t = t.count
+let footprint t = t.chunk_bytes + (8 * Array.length t.slots)
 
 let tag_of h = (h lsr 40) land tag_mask
 
@@ -115,6 +120,7 @@ let add_chunk t size =
   if t.nchunks >= (1 lsl chunk_bits) - 1 then failwith "Arena_set: arena full";
   t.chunks.(t.nchunks) <- Bytes.create size;
   t.nchunks <- t.nchunks + 1;
+  t.chunk_bytes <- t.chunk_bytes + size;
   t.nchunks - 1
 
 (* copy a key into the arena; returns its slot word. Short keys are
@@ -175,3 +181,61 @@ let add t b len =
     if 2 * t.count > Array.length t.slots then grow t;
     true
   end
+
+(* byte-lexicographic order of two slots' keys, a shorter prefix first:
+   [String.compare]'s order. Equal leading words are skipped 8 bytes at a
+   time (sorted neighbours share long prefixes). *)
+let compare_keys t a b =
+  let ca = chunk_of t a and oa = key_off a and la = key_len t a in
+  let cb = chunk_of t b and ob = key_off b and lb = key_len t b in
+  let n = min la lb and i = ref 0 in
+  while !i + 8 <= n && get64 ca (oa + !i) = get64 cb (ob + !i) do
+    i := !i + 8
+  done;
+  while !i < n && Bytes.unsafe_get ca (oa + !i) = Bytes.unsafe_get cb (ob + !i) do
+    incr i
+  done;
+  if !i < n then Char.compare (Bytes.unsafe_get ca (oa + !i)) (Bytes.unsafe_get cb (ob + !i))
+  else compare la lb
+
+let iter t f =
+  let slots = Array.of_seq (Seq.filter (fun s -> s <> 0) (Array.to_seq t.slots)) in
+  (* each key's first 14 bytes, big-endian and zero-padded, as two ints:
+     most comparisons are decided there without touching the arena *)
+  let prefix from =
+    Array.map
+      (fun s ->
+        let c = chunk_of t s and o = key_off s and l = key_len t s in
+        let p = ref 0 in
+        for i = from to from + 6 do
+          p := (!p lsl 8) lor if i < l then Char.code (Bytes.unsafe_get c (o + i)) else 0
+        done;
+        !p)
+      slots
+  in
+  let p0 = prefix 0 and p1 = prefix 7 in
+  let order = Array.init (Array.length slots) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let c = Int.compare (Array.unsafe_get p0 i) (Array.unsafe_get p0 j) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (Array.unsafe_get p1 i) (Array.unsafe_get p1 j) in
+        if c <> 0 then c else compare_keys t (Array.unsafe_get slots i) (Array.unsafe_get slots j))
+    order;
+  Array.iter
+    (fun i ->
+      let s = slots.(i) in
+      f (chunk_of t s) (key_off s) (key_len t s))
+    order
+
+(* back to a fresh set's shape, keeping only the first chunk *)
+let clear t =
+  if Array.length t.slots = initial_slots then Array.fill t.slots 0 initial_slots 0
+  else t.slots <- Array.make initial_slots 0;
+  Array.fill t.chunks 1 (t.nchunks - 1) Bytes.empty;
+  t.count <- 0;
+  t.nchunks <- 1;
+  t.cur <- 0;
+  t.fill <- 0;
+  t.chunk_bytes <- Bytes.length t.chunks.(0)

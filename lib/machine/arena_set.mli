@@ -1,5 +1,6 @@
 (** A set of byte strings stored in an append-only arena: the in-RAM
-    enumerator's visited set.
+    enumerator's visited set, and the external-memory enumerator's
+    per-level successor set.
 
     Keys live back to back in byte chunks (4 KiB, doubling up to 1 MiB)
     that are allocated as needed and never moved or copied again; an
@@ -27,3 +28,17 @@ val add : t -> Bytes.t -> int -> bool
 
 val length : t -> int
 (** Number of distinct keys. *)
+
+val footprint : t -> int
+(** Bytes the set holds: its arena chunks plus 8 per index slot. *)
+
+val iter : t -> (Bytes.t -> int -> int -> unit) -> unit
+(** [iter t f] calls [f b off len] once per key, in increasing key order
+    ([String.compare]'s order on the key bytes); the key is the [len]
+    bytes of [b] at [off]. [b] is the arena's own storage: read it inside
+    [f], never write it or keep it. [f] must not add to [t]. Allocates
+    only a few [int array]s of one word per key. *)
+
+val clear : t -> unit
+(** Remove every key and release all but the first chunk: afterwards the
+    set is as small as a fresh one, and reusable. *)

@@ -106,17 +106,13 @@ let select_ample ~buffered st per_thread =
    function of the state alone, so the two engines explore the same reduced
    graph regardless of traversal order. *)
 
-let buffered_of = function
-  | Semantics.Tso | Semantics.Pso -> true
-  | Semantics.Sc | Semantics.Wo _ -> false
-
 let expand ~por discipline st =
   if not por then (Semantics.transitions discipline st, 0)
   else begin
     let per_thread =
       Array.init (Array.length st.State.threads) (Semantics.thread_transitions discipline st)
     in
-    match select_ample ~buffered:(buffered_of discipline) st per_thread with
+    match select_ample ~buffered:(Semantics.buffered discipline) st per_thread with
     | Some k ->
       let total = Array.fold_left (fun acc l -> acc + List.length l) 0 per_thread in
       let chosen = per_thread.(k) in

@@ -6,16 +6,20 @@ exception Spill_error of string
 let spill_error fmt = Printf.ksprintf (fun m -> raise (Spill_error m)) fmt
 
 let run_tag = "extmem/run"
-let manifest_tag = "extmem/manifest"
+
+(* "2": the level-local layout (one frontier, no visited runs or bloom
+   counters). A spill directory written by the earlier layout fails the
+   tag check with a typed error instead of being misparsed. *)
+let manifest_tag = "extmem/manifest2"
 let manifest_file = "MANIFEST"
 let merge_fan_in = 8
-let compact_threshold = 24
 
 type ext_stats = {
   levels : int;
   spill_runs : int;
   spill_bytes : int;
   spill_generations : int;
+  merges : int;
   bloom_probes : int;
   bloom_hits : int;
   bloom_false_positives : int;
@@ -30,25 +34,13 @@ type 'a result = { base : 'a Enumerate.result; ext : ext_stats }
 
    A logical run ("lrun") is an ordered list of file names whose
    concatenated decoded key streams form one sorted, duplicate-free
-   sequence. [visited] is a list of lruns (newest first; its head is the
-   current frontier's lrun whenever the frontier is non-empty); their union
-   is exactly the set of states admitted so far. *)
+   sequence. Between levels the whole spill state is the manifest and the
+   frontier: the lrun of the level about to be expanded. *)
 
-type 'a eng = {
-  dir : string;
-  resume_key : string;
-  run_cap : int;  (* payload bytes per run file / per in-RAM batch *)
-  bloom : Bytes.t;
-  bloom_bits : int;
-  decoder : State.decoder;  (* the root's layout, computed once per run *)
-  packer : State.packer;
-  discipline : Semantics.discipline;
-  por : bool;
-  outcome_counts : ('a, int) Hashtbl.t;
-  mutable visited : string list list;
-  mutable frontier : string list;
+(* everything the manifest checkpoints besides the frontier and outcomes *)
+type counters = {
   mutable file_seq : int;
-  mutable level : int;  (* BFS depth of the states now in [frontier] *)
+  mutable level : int;  (* BFS depth of the states now in the frontier *)
   mutable deepest : int;  (* deepest level actually expanded *)
   mutable expanded : int;
   mutable terminals : int;
@@ -61,59 +53,27 @@ type 'a eng = {
   mutable spill_runs : int;
   mutable spill_bytes : int;
   mutable spill_generations : int;
-  mutable bloom_probes : int;
-  mutable bloom_hits : int;
-  mutable bloom_fp : int;
-  mutable compactions : int;
-  mutable gc_grace_level : int;
-  mutable resumed_at : int option;
+  mutable merges : int;
 }
 
-let alloc_file eng =
-  let name = Printf.sprintf "r%06d.run" eng.file_seq in
-  eng.file_seq <- eng.file_seq + 1;
-  name
+type 'a eng = {
+  dir : string;
+  run_cap : int;  (* payload bytes per run file *)
+  mem_budget : int;  (* footprint the successor arena may reach *)
+  resume_key : string;
+  c : counters;
+  arena : Arena_set.t;  (* the next level's keys not yet spilled *)
+  decoder : State.decoder;  (* the root's layout, computed once per run *)
+  packer : State.packer;
+  discipline : Semantics.discipline;
+  por : bool;
+  outcome_counts : ('a, int) Hashtbl.t;
+  mutable frontier : string list;
+  mutable gc_grace_level : int;
+}
 
 let delete_files eng files =
-  List.iter
-    (fun f -> try Sys.remove (Filename.concat eng.dir f) with Sys_error _ -> ())
-    files
-
-(* -- bloom filter front -------------------------------------------------
-
-   Double hashing over two FNV-1a-style 62-bit hashes, k = 4 probes. A
-   negative answer is definitive (the key was never inserted), so most new
-   states skip the disk probe entirely; a positive answer is resolved
-   against the on-disk visited runs. Sized at mem_budget/4 bytes. *)
-
-let bloom_k = 4
-
-let hash_string seed s =
-  let h = ref (seed lxor 0x3f29ce484222325) in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
-  let x = !h lxor (!h lsr 29) in
-  (x * 0x100000001b3) land max_int
-
-let bloom_probe eng key f =
-  let h1 = hash_string 0 key and h2 = hash_string 1 key lor 1 in
-  let ok = ref true in
-  for i = 0 to bloom_k - 1 do
-    if !ok then begin
-      let bit = (h1 + (i * h2)) land max_int mod eng.bloom_bits in
-      if not (f (bit lsr 3) (1 lsl (bit land 7))) then ok := false
-    end
-  done;
-  !ok
-
-let bloom_member eng key =
-  bloom_probe eng key (fun byte mask -> Char.code (Bytes.unsafe_get eng.bloom byte) land mask <> 0)
-
-let bloom_insert eng key =
-  ignore
-    (bloom_probe eng key (fun byte mask ->
-         Bytes.unsafe_set eng.bloom byte
-           (Char.unsafe_chr (Char.code (Bytes.unsafe_get eng.bloom byte) lor mask));
-         true))
+  List.iter (fun f -> try Sys.remove (Filename.concat eng.dir f) with Sys_error _ -> ()) files
 
 (* -- run codec ----------------------------------------------------------
 
@@ -137,126 +97,123 @@ let add_uvarint buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !u)
 
-type cursor = { src : string; ctx : string; mutable p : int }
+(* streaming reader over a logical run; the previous key is extended in
+   place in [key], so each key costs one string allocation *)
+type reader = {
+  rdir : string;
+  mutable files : string list;  (* still unread *)
+  mutable file : string;
+  mutable src : string;  (* the current file's payload *)
+  mutable p : int;
+  mutable remaining : int;  (* keys left in [src] *)
+  mutable key : Bytes.t;
+  mutable len : int;
+}
 
-let cursor ~ctx src = { src; ctx; p = 0 }
+let reader_open eng lrun =
+  { rdir = eng.dir; files = lrun; file = ""; src = ""; p = 0; remaining = 0;
+    key = Bytes.create 64; len = 0 }
 
-let cur_uvarint c =
+let read_uvarint r =
   let u = ref 0 and shift = ref 0 and again = ref true in
   while !again do
-    if c.p >= String.length c.src || !shift > Sys.int_size - 7 then
-      spill_error "%s: truncated or overlong varint" c.ctx;
-    let b = Char.code (String.unsafe_get c.src c.p) in
-    c.p <- c.p + 1;
+    if r.p >= String.length r.src || !shift > Sys.int_size - 7 then
+      spill_error "spill run %s: truncated or overlong varint" r.file;
+    let b = Char.code (String.unsafe_get r.src r.p) in
+    r.p <- r.p + 1;
     u := !u lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     if b land 0x80 = 0 then again := false
   done;
   !u
 
-let cur_string c =
-  let n = cur_uvarint c in
-  if c.p + n > String.length c.src then spill_error "%s: truncated string" c.ctx;
-  let s = String.sub c.src c.p n in
-  c.p <- c.p + n;
-  s
-
-(* streaming reader over a logical run *)
-type reader = {
-  rdir : string;
-  mutable rfiles : string list;
-  mutable rcur : cursor;
-  mutable rremaining : int;
-  mutable rprev : string;
-}
-
-let reader_open eng lrun =
-  { rdir = eng.dir; rfiles = lrun; rcur = cursor ~ctx:"" ""; rremaining = 0; rprev = "" }
-
 let rec reader_next r =
-  if r.rremaining > 0 then begin
-    let c = r.rcur in
-    let plen = cur_uvarint c in
-    let slen = cur_uvarint c in
-    if plen > String.length r.rprev || c.p + slen > String.length c.src then
-      spill_error "%s: corrupt delta entry" c.ctx;
-    let key = String.sub r.rprev 0 plen ^ String.sub c.src c.p slen in
-    c.p <- c.p + slen;
-    r.rremaining <- r.rremaining - 1;
-    r.rprev <- key;
-    Some key
+  if r.remaining > 0 then begin
+    let plen = read_uvarint r in
+    let slen = read_uvarint r in
+    if plen > r.len || r.p + slen > String.length r.src then
+      spill_error "spill run %s: corrupt delta entry" r.file;
+    let n = plen + slen in
+    if n > Bytes.length r.key then begin
+      let b = Bytes.create (max n (2 * Bytes.length r.key)) in
+      Bytes.blit r.key 0 b 0 plen;
+      r.key <- b
+    end;
+    Bytes.blit_string r.src r.p r.key plen slen;
+    r.p <- r.p + slen;
+    r.len <- n;
+    r.remaining <- r.remaining - 1;
+    Some (Bytes.sub_string r.key 0 n)
   end
   else
-    match r.rfiles with
+    match r.files with
     | [] -> None
     | f :: rest ->
-      r.rfiles <- rest;
+      r.files <- rest;
       (match Snapshot.read ~file:(Filename.concat r.rdir f) ~tag:run_tag with
        | Error e -> spill_error "spill run %s: %s" f (Snapshot.error_to_string e)
        | Ok payload ->
-         r.rcur <- cursor ~ctx:("spill run " ^ f) payload;
-         r.rprev <- "";
-         r.rremaining <- cur_uvarint r.rcur;
+         r.file <- f;
+         r.src <- payload;
+         r.p <- 0;
+         r.len <- 0;
+         r.remaining <- read_uvarint r;
          reader_next r)
 
 (* chunked writer: emits a new file whenever the encoded payload reaches
-   the cap, so a single logical run never needs more than one file of
-   payload in RAM at a time *)
+   the cap, so no reader ever holds more than one cap of payload. Keys are
+   taken as [len] bytes at [off], straight from the arena or a merge. *)
 type writer = {
-  weng : unit -> string;  (* allocate a file name *)
   wdir : string;
-  wcap : int;
-  wrecord : int -> unit;
+  cap : int;
+  wc : counters;
   mutable wfiles : string list;  (* reverse order *)
-  wbuf : Buffer.t;
-  mutable wprev : string;
-  mutable wcount : int;
+  buf : Buffer.t;
+  mutable prev : Bytes.t;  (* the previous key in this file, a copy *)
+  mutable prev_len : int;
+  mutable count : int;
 }
 
-let writer_make eng ~cap =
-  {
-    weng = (fun () -> alloc_file eng);
-    wdir = eng.dir;
-    wcap = cap;
-    wrecord =
-      (fun bytes ->
-        eng.spill_runs <- eng.spill_runs + 1;
-        eng.spill_bytes <- eng.spill_bytes + bytes);
-    wfiles = [];
-    wbuf = Buffer.create 65536;
-    wprev = "";
-    wcount = 0;
-  }
+let writer_make eng =
+  { wdir = eng.dir; cap = eng.run_cap; wc = eng.c; wfiles = []; buf = Buffer.create 65536;
+    prev = Bytes.create 64; prev_len = 0; count = 0 }
 
 let writer_flush w =
-  if w.wcount > 0 then begin
-    let payload = Buffer.create (Buffer.length w.wbuf + 10) in
-    add_uvarint payload w.wcount;
-    Buffer.add_buffer payload w.wbuf;
-    let name = w.weng () in
+  if w.count > 0 then begin
+    let payload = Buffer.create (Buffer.length w.buf + 10) in
+    add_uvarint payload w.count;
+    Buffer.add_buffer payload w.buf;
+    let name = Printf.sprintf "r%06d.run" w.wc.file_seq in
+    w.wc.file_seq <- w.wc.file_seq + 1;
     (match
-       Snapshot.write ~file:(Filename.concat w.wdir name) ~tag:run_tag
-         (Buffer.contents payload)
+       Snapshot.write ~file:(Filename.concat w.wdir name) ~tag:run_tag (Buffer.contents payload)
      with
      | Ok () -> ()
      | Error e -> spill_error "cannot write spill run %s: %s" name (Snapshot.error_to_string e));
-    w.wrecord (Buffer.length payload);
+    w.wc.spill_runs <- w.wc.spill_runs + 1;
+    w.wc.spill_bytes <- w.wc.spill_bytes + Buffer.length payload;
     w.wfiles <- name :: w.wfiles;
-    Buffer.clear w.wbuf;
-    w.wprev <- "";
-    w.wcount <- 0
+    Buffer.clear w.buf;
+    w.prev_len <- 0;
+    w.count <- 0
   end
 
-let writer_add w key =
-  let n = min (String.length key) (String.length w.wprev) in
-  let rec common i = if i < n && key.[i] = w.wprev.[i] then common (i + 1) else i in
-  let p = common 0 in
-  add_uvarint w.wbuf p;
-  add_uvarint w.wbuf (String.length key - p);
-  Buffer.add_substring w.wbuf key p (String.length key - p);
-  w.wprev <- key;
-  w.wcount <- w.wcount + 1;
-  if Buffer.length w.wbuf >= w.wcap then writer_flush w
+let writer_add w b off len =
+  let n = min len w.prev_len and p = ref 0 in
+  while !p < n && Bytes.unsafe_get b (off + !p) = Bytes.unsafe_get w.prev !p do
+    incr p
+  done;
+  let p = !p in
+  add_uvarint w.buf p;
+  add_uvarint w.buf (len - p);
+  Buffer.add_subbytes w.buf b (off + p) (len - p);
+  if len > Bytes.length w.prev then w.prev <- Bytes.create (max len (2 * Bytes.length w.prev));
+  Bytes.blit b off w.prev 0 len;
+  w.prev_len <- len;
+  w.count <- w.count + 1;
+  if Buffer.length w.buf >= w.cap then writer_flush w
+
+let writer_add_string w k = writer_add w (Bytes.unsafe_of_string k) 0 (String.length k)
 
 let writer_finish w =
   writer_flush w;
@@ -265,181 +222,92 @@ let writer_finish w =
 (* -- k-way merge --------------------------------------------------------
 
    Merges sorted-unique logical runs into one sorted stream, emitting each
-   distinct key once. Fan-in is capped at [merge_fan_in]; wider merges go
-   through [reduce_fan_in], which folds batches into intermediate lruns
-   first (hierarchical merge). *)
+   distinct key once, and deletes the inputs. Fan-in is capped at
+   [merge_fan_in]: wider merges first fold batches into intermediate lruns
+   (hierarchical merge). *)
 
 let merge_readers readers ~emit =
   let cur = Array.map reader_next readers in
   let rec loop () =
-    let min_key = ref None in
-    Array.iter
-      (fun c ->
-        match c with
-        | None -> ()
-        | Some k -> (
-          match !min_key with
-          | Some mk when String.compare mk k <= 0 -> ()
-          | _ -> min_key := Some k))
-      cur;
-    match !min_key with
+    let least m c =
+      match (m, c) with
+      | Some mk, Some k when String.compare mk k <= 0 -> m
+      | _, None -> m
+      | _ -> c
+    in
+    match Array.fold_left least None cur with
     | None -> ()
     | Some k ->
       Array.iteri
-        (fun i c ->
-          match c with
-          | Some k' when String.equal k' k -> cur.(i) <- reader_next readers.(i)
-          | _ -> ())
+        (fun i c -> if Option.equal String.equal c (Some k) then cur.(i) <- reader_next readers.(i))
         cur;
       emit k;
       loop ()
   in
   loop ()
 
-let merge_lruns eng lruns ~emit =
-  merge_readers (Array.of_list (List.map (reader_open eng) lruns)) ~emit
-
-let rec take n = function
-  | [] -> ([], [])
-  | l when n = 0 -> ([], l)
-  | x :: rest ->
-    let a, b = take (n - 1) rest in
-    (x :: a, b)
-
-(* [defer]: during compaction the inputs are referenced by the current
-   manifest, so their deletion is deferred until the next manifest is on
-   disk — a crash mid-compaction then leaves only orphans (cleaned on
-   resume), never a manifest pointing at deleted runs. *)
-let rec reduce_fan_in eng ?defer lruns =
-  if List.length lruns <= merge_fan_in then lruns
-  else begin
-    let batch, rest = take merge_fan_in lruns in
-    let w = writer_make eng ~cap:eng.run_cap in
-    merge_lruns eng batch ~emit:(writer_add w);
-    let merged = writer_finish w in
-    (match defer with
-     | Some acc -> acc := List.concat batch @ !acc
-     | None -> List.iter (delete_files eng) batch);
-    reduce_fan_in eng ?defer (rest @ [ merged ])
+let rec merge_runs eng lruns ~emit =
+  if List.length lruns <= merge_fan_in then begin
+    eng.c.merges <- eng.c.merges + 1;
+    merge_readers (Array.of_list (List.map (reader_open eng) lruns)) ~emit;
+    List.iter (delete_files eng) lruns
   end
-
-let merge_to_one eng ?defer lruns =
-  match reduce_fan_in eng ?defer lruns with
-  | [] -> []
-  | [ one ] -> one
-  | several ->
-    let w = writer_make eng ~cap:eng.run_cap in
-    merge_lruns eng several ~emit:(writer_add w);
-    let merged = writer_finish w in
-    (match defer with
-     | Some acc -> acc := List.concat several @ !acc
-     | None -> List.iter (delete_files eng) several);
-    merged
+  else begin
+    let w = writer_make eng in
+    merge_runs eng (List.filteri (fun i _ -> i < merge_fan_in) lruns) ~emit:(writer_add_string w);
+    merge_runs eng (List.filteri (fun i _ -> i >= merge_fan_in) lruns @ [ writer_finish w ]) ~emit
+  end
 
 (* -- manifest -----------------------------------------------------------
 
-   One per-level checkpoint (tag "extmem/manifest"), atomically replaced
-   after each completed level: the resume key, every counter, the visited
-   and frontier lrun file lists, and the outcome table. No mid-level
-   manifests exist, so a resume always restarts at the last complete level
-   and replays deterministically — bit-identical to an uninterrupted run. *)
+   One per-level checkpoint (tag "extmem/manifest2"), atomically replaced
+   after each completed level: the resume key, the counters, the frontier
+   lrun's file list and the outcome table, marshalled (the Snapshot CRC
+   and tag guard the bytes). No mid-level manifests exist, so a resume
+   always restarts at the last complete level and replays
+   deterministically — bit-identical to an uninterrupted run. *)
 
 let write_manifest eng =
   (* a named kill-at-a-seam drill point: chaos plans can kill the run at
      the exact instant before a level commits, proving resume replays the
      level rather than trusting half-committed state *)
   Memrel_prob.Faultio.crash_site "extmem/manifest";
-  let b = Buffer.create 4096 in
-  let str s =
-    add_uvarint b (String.length s);
-    Buffer.add_string b s
-  in
-  str eng.resume_key;
-  List.iter (add_uvarint b)
-    [
-      eng.file_seq; eng.level; eng.deepest; eng.expanded; eng.terminals; eng.transitions;
-      eng.dedup_hits; eng.frontier_states; eng.max_level_states; eng.por_ample_states;
-      eng.por_pruned; eng.spill_runs; eng.spill_bytes; eng.spill_generations;
-      eng.bloom_probes; eng.bloom_hits; eng.bloom_fp; eng.compactions;
-    ];
-  let lrun l =
-    add_uvarint b (List.length l);
-    List.iter str l
-  in
-  add_uvarint b (List.length eng.visited);
-  List.iter lrun eng.visited;
-  lrun eng.frontier;
   let outcomes =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) eng.outcome_counts [])
   in
-  str (Marshal.to_string outcomes []);
-  match
-    Snapshot.write ~file:(Filename.concat eng.dir manifest_file) ~tag:manifest_tag
-      (Buffer.contents b)
-  with
+  let payload = Marshal.to_string (eng.resume_key, eng.c, eng.frontier, outcomes) [] in
+  match Snapshot.write ~file:(Filename.concat eng.dir manifest_file) ~tag:manifest_tag payload with
   | Ok () -> ()
   | Error e -> spill_error "cannot write manifest: %s" (Snapshot.error_to_string e)
 
-let load_manifest eng =
-  let path = Filename.concat eng.dir manifest_file in
-  if not (Sys.file_exists path) then
-    spill_error "no manifest to resume from in %s" eng.dir;
+let read_manifest dir ~resume_key =
+  let path = Filename.concat dir manifest_file in
+  if not (Sys.file_exists path) then spill_error "no manifest to resume from in %s" dir;
   match Snapshot.read ~file:path ~tag:manifest_tag with
   | Error e -> spill_error "manifest: %s" (Snapshot.error_to_string e)
   | Ok payload ->
-    let c = cursor ~ctx:"manifest" payload in
-    let found_key = cur_string c in
-    if not (String.equal found_key eng.resume_key) then
+    let key, c, frontier, outcomes =
+      try (Marshal.from_string payload 0 : string * counters * string list * ('a * int) list)
+      with _ -> spill_error "manifest: corrupt payload"
+    in
+    if not (String.equal key resume_key) then
       spill_error
-        "spill directory %s belongs to a different enumeration (resume key %S, expected %S)"
-        eng.dir found_key eng.resume_key;
-    eng.file_seq <- cur_uvarint c;
-    eng.level <- cur_uvarint c;
-    eng.deepest <- cur_uvarint c;
-    eng.expanded <- cur_uvarint c;
-    eng.terminals <- cur_uvarint c;
-    eng.transitions <- cur_uvarint c;
-    eng.dedup_hits <- cur_uvarint c;
-    eng.frontier_states <- cur_uvarint c;
-    eng.max_level_states <- cur_uvarint c;
-    eng.por_ample_states <- cur_uvarint c;
-    eng.por_pruned <- cur_uvarint c;
-    eng.spill_runs <- cur_uvarint c;
-    eng.spill_bytes <- cur_uvarint c;
-    eng.spill_generations <- cur_uvarint c;
-    eng.bloom_probes <- cur_uvarint c;
-    eng.bloom_hits <- cur_uvarint c;
-    eng.bloom_fp <- cur_uvarint c;
-    eng.compactions <- cur_uvarint c;
-    let lrun () =
-      let n = cur_uvarint c in
-      List.init n (fun _ -> cur_string c)
-    in
-    let nvisited = cur_uvarint c in
-    eng.visited <- List.init nvisited (fun _ -> lrun ());
-    eng.frontier <- lrun ();
-    let blob = cur_string c in
-    if c.p <> String.length payload then spill_error "manifest: trailing bytes";
-    let outcomes =
-      try (Marshal.from_string blob 0 : ('a * int) list)
-      with _ -> spill_error "manifest: corrupt outcome table"
-    in
-    Hashtbl.reset eng.outcome_counts;
-    List.iter (fun (o, n) -> Hashtbl.replace eng.outcome_counts o n) outcomes
+        "spill directory %s belongs to a different enumeration (resume key %S, expected %S)" dir
+        key resume_key;
+    (c, frontier, outcomes)
 
-let clean_dir eng ~keep =
-  let keep_set = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace keep_set f ()) keep;
-  match Sys.readdir eng.dir with
+let is_spill_file f =
+  Filename.check_suffix f ".run" || Filename.check_suffix f ".tmp"
+  || String.equal f manifest_file
+
+let clean_dir dir ~keep =
+  match Sys.readdir dir with
   | exception Sys_error _ -> ()
   | entries ->
     Array.iter
       (fun f ->
-        if
-          (Filename.check_suffix f ".run" || Filename.check_suffix f ".tmp"
-          || String.equal f manifest_file)
-          && not (Hashtbl.mem keep_set f)
-        then try Sys.remove (Filename.concat eng.dir f) with Sys_error _ -> ())
+        if is_spill_file f && not (List.mem f keep) then
+          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       entries
 
 let rec mkdir_p d =
@@ -450,11 +318,14 @@ let rec mkdir_p d =
 
 (* -- level expansion ----------------------------------------------------
 
-   Every transition executes one instruction or drains one buffer entry,
-   so each state sits at exactly one BFS depth: levels partition the state
-   space, and the level-synchronized traversal expands each state exactly
-   once — the same reduced graph as the in-RAM worklist (the POR choice is
-   a per-state function; see Enumerate.expand). *)
+   Depth lemma (State.depth): every transition executes one instruction or
+   drains one buffered store, so a successor's depth is its parent's plus
+   one. BFS levels therefore partition the state space, a state can only
+   duplicate a state of its own level, and deduplicating each level on its
+   own is exact: the traversal expands each state exactly once, over the
+   same reduced graph as the in-RAM worklist (the POR choice is a
+   per-state function; see Enumerate.expand). The lemma is checked on
+   every state expanded. *)
 
 exception Stop of Budget.cause
 
@@ -463,7 +334,7 @@ let budget_check eng budget =
   | None -> None
   | Some b -> (
     match Budget.check b with
-    | Some Budget.Memory when eng.gc_grace_level <> eng.level ->
+    | Some Budget.Memory when eng.gc_grace_level <> eng.c.level ->
       (* a watermark trip may be transient garbage: compact the heap once
          per level and re-check before declaring the budget exhausted
          (the watermark reads Gc heap_words, which full_major alone never
@@ -471,272 +342,167 @@ let budget_check eng budget =
          compaction, and elsewhere — OCaml 5.0/5.1 — still frees every
          dead block for reuse, keeping heap_words at the live peak instead
          of compounding per level) *)
-      eng.gc_grace_level <- eng.level;
+      eng.gc_grace_level <- eng.c.level;
       Gc.compact ();
       Budget.check b
     | r -> r)
 
+(* write the arena's keys as one sorted run and empty the arena *)
+let spill_arena eng =
+  let w = writer_make eng in
+  Arena_set.iter eng.arena (writer_add w);
+  Arena_set.clear eng.arena;
+  writer_finish w
+
+(* expand the frontier level into its successors' keys: deduplicated in
+   the arena, which is written out as a sorted overflow run whenever its
+   footprint passes the budget. Returns the overflow runs, newest first. *)
 let expand_level eng ~observe ~max_states ~budget =
-  eng.deepest <- eng.level;
-  let cand_lruns = ref [] in
-  let cand = ref [] and cand_bytes = ref 0 and cand_total = ref 0 in
-  let spill ~forced =
-    if !cand <> [] then begin
-      if forced then eng.spill_generations <- eng.spill_generations + 1;
-      let w = writer_make eng ~cap:max_int in
-      List.iter (writer_add w) (List.sort_uniq String.compare !cand);
-      cand_lruns := writer_finish w :: !cand_lruns;
-      cand := [];
-      cand_bytes := 0
-    end
-  in
+  let c = eng.c in
+  c.deepest <- c.level;
+  let buffered = Semantics.buffered eng.discipline in
+  let overflow = ref [] and read = ref 0 in
   let r = reader_open eng eng.frontier in
   let rec go () =
     match reader_next r with
     | None -> ()
     | Some key ->
-      if eng.expanded >= max_states then raise (Stop Budget.Work);
+      if c.expanded >= max_states then raise (Stop Budget.Work);
       (match budget_check eng budget with
        | Some cause -> raise (Stop cause)
        | None -> ( match budget with None -> () | Some b -> Budget.spend b 1));
-      eng.expanded <- eng.expanded + 1;
+      c.expanded <- c.expanded + 1;
+      incr read;
       let st =
         try State.decode eng.decoder key
         with Invalid_argument _ -> spill_error "corrupt state key in spill run"
       in
+      let depth = State.depth ~buffered st in
+      if depth <> c.level then
+        spill_error "a depth-%d state in the level-%d frontier: levels must partition the states"
+          depth c.level;
       let succs, pruned = Enumerate.expand ~por:eng.por eng.discipline st in
       if pruned > 0 then begin
-        eng.por_ample_states <- eng.por_ample_states + 1;
-        eng.por_pruned <- eng.por_pruned + pruned
+        c.por_ample_states <- c.por_ample_states + 1;
+        c.por_pruned <- c.por_pruned + pruned
       end;
       (match succs with
        | [] ->
-         eng.terminals <- eng.terminals + 1;
+         c.terminals <- c.terminals + 1;
          let o = observe st in
          Hashtbl.replace eng.outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt eng.outcome_counts o))
        | ts ->
          List.iter
            (fun (_, st') ->
-             eng.transitions <- eng.transitions + 1;
+             c.transitions <- c.transitions + 1;
              State.pack eng.packer st';
-             let k = State.packed_string eng.packer in
-             cand := k :: !cand;
-             incr cand_total;
-             cand_bytes := !cand_bytes + String.length k + 16;
-             if !cand_bytes >= eng.run_cap then spill ~forced:true)
-           ts);
+             ignore
+               (Arena_set.add eng.arena (State.packed_bytes eng.packer)
+                  (State.packed_length eng.packer)))
+           ts;
+         if Arena_set.footprint eng.arena > eng.mem_budget then begin
+           c.spill_generations <- c.spill_generations + 1;
+           overflow := spill_arena eng :: !overflow
+         end);
       go ()
   in
-  go ();
-  spill ~forced:false;
-  (List.rev !cand_lruns, !cand_total)
+  (* an interrupted level leaves no overflow runs behind *)
+  (try go ()
+   with e ->
+     List.iter (delete_files eng) !overflow;
+     raise e);
+  if !read <> c.frontier_states then
+    spill_error "inconsistent spill directory: %d frontier keys on disk, manifest expects %d" !read
+      c.frontier_states;
+  !overflow
 
-(* resolve a sorted batch of bloom-positive keys against one visited lrun
-   (two-pointer scan); keys actually present are recorded in [seen] *)
-let resolve_against eng lrun batch seen =
-  let n = Array.length batch in
-  if n > 0 then begin
-    let r = reader_open eng lrun in
-    let i = ref 0 in
-    let rec go () =
-      match reader_next r with
-      | None -> ()
-      | Some k ->
-        while !i < n && String.compare batch.(!i) k < 0 do
-          incr i
-        done;
-        if !i < n then begin
-          if String.equal batch.(!i) k then begin
-            Hashtbl.replace seen batch.(!i) ();
-            incr i
-          end;
-          go ()
-        end
-    in
-    go ()
-  end
-
-(* duplicate detection for one level: merge the candidate runs (collapsing
-   in-level duplicates), screen each distinct key through the bloom filter,
-   and resolve the positives against the visited runs in batches. When no
-   key was actually seen before (the common case: levels partition the
-   state space, so cross-level duplicates are impossible here and every
-   bloom hit is a false positive) the pending run becomes the next frontier
-   as-is; otherwise it is rewritten without the seen keys. *)
-let dedup_level eng cand_lruns cand_total =
-  let pending = writer_make eng ~cap:eng.run_cap in
-  let unique = ref 0 in
-  let hits = ref [] and hits_bytes = ref 0 and hits_level = ref 0 in
-  let seen = Hashtbl.create 16 in
-  let resolve () =
-    if !hits <> [] then begin
-      let batch = Array.of_list (List.rev !hits) in
-      List.iter (fun lrun -> resolve_against eng lrun batch seen) eng.visited;
-      hits := [];
-      hits_bytes := 0
-    end
+(* close the level: the next frontier is the arena written out as-is when
+   the level never overflowed, else the k-way merge of its overflow runs
+   and the arena's remainder. The manifest then commits the new frontier,
+   and only after that is the old one deleted. *)
+let commit_level eng overflow ~level_transitions =
+  let c = eng.c in
+  let next, unique =
+    match overflow with
+    | [] ->
+      let n = Arena_set.length eng.arena in
+      (spill_arena eng, n)
+    | runs ->
+      let w = writer_make eng and unique = ref 0 in
+      merge_runs eng
+        (List.rev (spill_arena eng :: runs))
+        ~emit:(fun k ->
+          incr unique;
+          writer_add_string w k);
+      (writer_finish w, !unique)
   in
-  let lruns = reduce_fan_in eng cand_lruns in
-  if lruns <> [] then
-    merge_lruns eng lruns ~emit:(fun k ->
-        incr unique;
-        eng.bloom_probes <- eng.bloom_probes + 1;
-        if bloom_member eng k then begin
-          eng.bloom_hits <- eng.bloom_hits + 1;
-          incr hits_level;
-          hits := k :: !hits;
-          hits_bytes := !hits_bytes + String.length k + 16;
-          if !hits_bytes >= eng.run_cap then resolve ()
-        end;
-        bloom_insert eng k;
-        writer_add pending k);
-  resolve ();
-  let pending_files = writer_finish pending in
-  let seen_n = Hashtbl.length seen in
-  eng.bloom_fp <- eng.bloom_fp + (!hits_level - seen_n);
-  (* every duplicate drop — intra-batch sort_uniq, the merge collapse, and
-     the visited probe — lands in this one formula *)
-  eng.dedup_hits <- eng.dedup_hits + (cand_total - !unique) + seen_n;
-  let new_states = !unique - seen_n in
-  let next_frontier =
-    if seen_n = 0 then pending_files
-    else begin
-      let w = writer_make eng ~cap:eng.run_cap in
-      let r = reader_open eng pending_files in
-      let rec go () =
-        match reader_next r with
-        | None -> ()
-        | Some k ->
-          if not (Hashtbl.mem seen k) then writer_add w k;
-          go ()
-      in
-      go ();
-      let files = writer_finish w in
-      delete_files eng pending_files;
-      files
-    end
-  in
-  List.iter (delete_files eng) lruns;
-  eng.frontier_states <- new_states;
-  eng.level <- eng.level + 1;
-  if new_states = 0 then begin
-    delete_files eng next_frontier;
-    eng.frontier <- []
-  end
-  else begin
-    eng.frontier <- next_frontier;
-    eng.visited <- next_frontier :: eng.visited;
-    if new_states > eng.max_level_states then eng.max_level_states <- new_states
-  end;
-  new_states
-
-let maybe_compact eng =
-  match eng.visited with
-  | front :: rest when List.length rest > compact_threshold ->
-    eng.compactions <- eng.compactions + 1;
-    let defer = ref [] in
-    let merged = merge_to_one eng ~defer rest in
-    eng.visited <- [ front; merged ];
-    !defer
-  | _ -> []
+  (* every successor that is not a new unique key was a duplicate *)
+  c.dedup_hits <- c.dedup_hits + (c.transitions - level_transitions) - unique;
+  let old = eng.frontier in
+  c.level <- c.level + 1;
+  eng.frontier <- next;
+  c.frontier_states <- unique;
+  if unique > c.max_level_states then c.max_level_states <- unique;
+  write_manifest eng;
+  delete_files eng old
 
 (* -- driver ------------------------------------------------------------- *)
 
 let default_mem_budget = 64 * 1024 * 1024
 
-let create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~root discipline =
-  let mem_budget = max 65536 mem_budget_bytes in
-  let bloom_bytes = max 4096 (min (mem_budget / 4) (1 lsl 28)) in
-  {
-    dir = spill_dir;
-    resume_key;
-    run_cap = max 4096 (mem_budget / 8);
-    bloom = Bytes.make bloom_bytes '\000';
-    bloom_bits = bloom_bytes * 8;
-    decoder = State.decoder root;
-    packer = State.packer ();
-    discipline;
-    por;
-    outcome_counts = Hashtbl.create 64;
-    visited = [];
-    frontier = [];
-    file_seq = 0;
-    level = 0;
-    deepest = 0;
-    expanded = 0;
-    terminals = 0;
-    transitions = 0;
-    dedup_hits = 0;
-    frontier_states = 0;
-    max_level_states = 0;
-    por_ample_states = 0;
-    por_pruned = 0;
-    spill_runs = 0;
-    spill_bytes = 0;
-    spill_generations = 0;
-    bloom_probes = 0;
-    bloom_hits = 0;
-    bloom_fp = 0;
-    compactions = 0;
-    gc_grace_level = -1;
-    resumed_at = None;
-  }
-
-let init_fresh eng root =
-  mkdir_p eng.dir;
-  clean_dir eng ~keep:[];
-  let root_key = State.packed_key root in
-  bloom_insert eng root_key;
-  let w = writer_make eng ~cap:eng.run_cap in
-  writer_add w root_key;
-  let lrun = writer_finish w in
-  eng.frontier <- lrun;
-  eng.visited <- [ lrun ];
-  eng.frontier_states <- 1;
-  eng.max_level_states <- 1;
-  write_manifest eng
-
-let init_resume eng =
-  load_manifest eng;
-  (* rebuild the bloom filter by streaming every visited run — this also
-     CRC-validates each file, so truncated or corrupt spill state surfaces
-     here as a typed Spill_error instead of a silently wrong resume *)
-  let total = ref 0 in
-  List.iter
-    (fun lrun ->
-      let r = reader_open eng lrun in
-      let rec go () =
-        match reader_next r with
-        | None -> ()
-        | Some k ->
-          bloom_insert eng k;
-          incr total;
-          go ()
-      in
-      go ())
-    eng.visited;
-  if !total <> eng.expanded + eng.frontier_states then
-    spill_error "inconsistent spill directory: %d visited keys on disk, manifest expects %d"
-      !total
-      (eng.expanded + eng.frontier_states);
-  clean_dir eng ~keep:(manifest_file :: List.concat (eng.frontier :: eng.visited));
-  eng.resumed_at <- Some eng.level
-
 let outcomes ?(max_states = max_int) ?(por = false) ?budget
     ?(mem_budget_bytes = default_mem_budget) ?(resume = false) ~spill_dir ~resume_key
     discipline root ~observe =
-  let eng = create_eng ~spill_dir ~resume_key ~mem_budget_bytes ~por ~root discipline in
   let t0 = Unix.gettimeofday () in
-  if resume then init_resume eng else init_fresh eng root;
+  let c, frontier, outcomes =
+    if resume then read_manifest spill_dir ~resume_key
+    else begin
+      mkdir_p spill_dir;
+      ( {
+          file_seq = 0; level = 0; deepest = 0; expanded = 0; terminals = 0; transitions = 0;
+          dedup_hits = 0; frontier_states = 1; max_level_states = 1; por_ample_states = 0;
+          por_pruned = 0; spill_runs = 0; spill_bytes = 0; spill_generations = 0; merges = 0;
+        },
+        [],
+        [] )
+    end
+  in
+  let mem_budget = max 65536 mem_budget_bytes in
+  let eng =
+    {
+      dir = spill_dir;
+      run_cap = max 4096 (mem_budget / 16);
+      mem_budget;
+      resume_key;
+      c;
+      arena = Arena_set.create ();
+      decoder = State.decoder root;
+      packer = State.packer ();
+      discipline;
+      por;
+      outcome_counts = Hashtbl.create 64;
+      frontier;
+      gc_grace_level = -1;
+    }
+  in
+  List.iter (fun (o, n) -> Hashtbl.replace eng.outcome_counts o n) outcomes;
+  (* a resume keeps only what the manifest references; the frontier's runs
+     are CRC-checked, and counted against it, as the level reads them *)
+  clean_dir spill_dir ~keep:(if resume then manifest_file :: frontier else []);
+  if not resume then begin
+    let w = writer_make eng in
+    writer_add_string w (State.packed_key root);
+    eng.frontier <- writer_finish w;
+    write_manifest eng
+  end;
+  let resumed_at_level = if resume then Some c.level else None in
   let exhausted = ref None in
   (try
      while eng.frontier <> [] do
-       let cand_lruns, cand_total = expand_level eng ~observe ~max_states ~budget in
-       ignore (dedup_level eng cand_lruns cand_total);
-       let deferred = maybe_compact eng in
-       write_manifest eng;
-       delete_files eng deferred;
+       let level_transitions = c.transitions in
+       let overflow = expand_level eng ~observe ~max_states ~budget in
+       commit_level eng overflow ~level_transitions;
        (* hold the heap near its live size so a Budget memory watermark
           measures the engine's true footprint, not transient level
           garbage; where the runtime compacts (5.2+) this also shrinks
@@ -750,29 +516,24 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
          (match budget with
           | Some b -> Budget.exhaustion b cause
           | None ->
-            {
-              Budget.cause;
-              work_done = eng.expanded;
-              elapsed_s = Unix.gettimeofday () -. t0;
-            }));
+            { Budget.cause; work_done = c.expanded; elapsed_s = Unix.gettimeofday () -. t0 }));
   let elapsed_s = Unix.gettimeofday () -. t0 in
   let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) eng.outcome_counts [] in
   let base =
     {
       Enumerate.outcomes = List.sort compare l;
-      states_visited = eng.expanded;
-      terminals = eng.terminals;
+      states_visited = c.expanded;
+      terminals = c.terminals;
       stats =
         {
           Enumerate.elapsed_s;
-          states_per_sec =
-            (if elapsed_s > 0.0 then float_of_int eng.expanded /. elapsed_s else 0.0);
-          transitions = eng.transitions;
-          dedup_hits = eng.dedup_hits;
-          max_depth = eng.deepest;
-          max_frontier = eng.max_level_states;
-          por_ample_states = eng.por_ample_states;
-          por_pruned = eng.por_pruned;
+          states_per_sec = (if elapsed_s > 0.0 then float_of_int c.expanded /. elapsed_s else 0.0);
+          transitions = c.transitions;
+          dedup_hits = c.dedup_hits;
+          max_depth = c.deepest;
+          max_frontier = c.max_level_states;
+          por_ample_states = c.por_ample_states;
+          por_pruned = c.por_pruned;
         };
       exhausted = !exhausted;
     }
@@ -781,30 +542,22 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
     base;
     ext =
       {
-        levels = eng.level;
-        spill_runs = eng.spill_runs;
-        spill_bytes = eng.spill_bytes;
-        spill_generations = eng.spill_generations;
-        bloom_probes = eng.bloom_probes;
-        bloom_hits = eng.bloom_hits;
-        bloom_false_positives = eng.bloom_fp;
-        compactions = eng.compactions;
-        peak_level_states = eng.max_level_states;
-        resumed_at_level = eng.resumed_at;
+        levels = c.level;
+        spill_runs = c.spill_runs;
+        spill_bytes = c.spill_bytes;
+        spill_generations = c.spill_generations;
+        merges = c.merges;
+        bloom_probes = 0;
+        bloom_hits = 0;
+        bloom_false_positives = 0;
+        compactions = 0;
+        peak_level_states = c.max_level_states;
+        resumed_at_level;
       };
   }
 
 let can_resume dir = Sys.file_exists (Filename.concat dir manifest_file)
 
 let remove_spill_dir dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun f ->
-        if
-          Filename.check_suffix f ".run" || Filename.check_suffix f ".tmp"
-          || String.equal f manifest_file
-        then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      entries;
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  clean_dir dir ~keep:[];
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()

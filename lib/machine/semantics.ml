@@ -11,6 +11,8 @@ let of_model ?(window = 8) family =
   | Model.Weak_ordering -> Wo { window }
   | Model.Custom -> invalid_arg "Semantics.of_model: no operational semantics for Custom"
 
+let buffered = function Tso | Pso -> true | Sc | Wo _ -> false
+
 type label = Exec of { thread : int; index : int } | Flush of { thread : int; loc : int }
 
 let label_to_string = function

@@ -27,6 +27,10 @@ type discipline =
   | Pso
   | Wo of { window : int }  (** max distance an instruction may run ahead *)
 
+val buffered : discipline -> bool
+(** Whether stores go through a store buffer (TSO, PSO) rather than act on
+    memory directly (SC, WO). *)
+
 val of_model : ?window:int -> Memrel_memmodel.Model.family -> discipline
 (** [of_model family] picks the discipline for a paper model
     ([window] defaults to 8; [Custom] is rejected). *)

@@ -100,6 +100,26 @@ let thread_done th = th.executed = (1 lsl Array.length th.prog) - 1 && buffers_e
 
 let all_done st = Array.for_all thread_done st.threads
 
+(* one per transition: an executed instruction, plus — when stores are
+   buffered — a store that has left its buffer (executed stores minus the
+   entries still queued) *)
+let depth ~buffered st =
+  let d = ref 0 in
+  for k = 0 to Array.length st.threads - 1 do
+    let th = Array.unsafe_get st.threads k in
+    for i = 0 to Array.length th.prog - 1 do
+      if is_executed th i then begin
+        incr d;
+        if buffered then match Array.unsafe_get th.prog i with Instr.Store _ -> incr d | _ -> ()
+      end
+    done;
+    if buffered then begin
+      d := !d - List.length th.fifo;
+      Array.iter (fun q -> d := !d - List.length q) th.perloc
+    end
+  done;
+  !d
+
 let buffered_read_fifo th loc =
   (* newest = last matching entry *)
   List.fold_left (fun acc (l, v) -> if l = loc then Some v else acc) None th.fifo

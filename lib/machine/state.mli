@@ -70,6 +70,15 @@ val thread_done : thread -> bool
 
 val all_done : t -> bool
 
+val depth : buffered:bool -> t -> int
+(** Instructions executed plus buffered stores drained, summed over the
+    threads. [buffered] says whether stores go through a store buffer
+    (TSO, PSO) or act on memory directly (SC, WO). Depth lemma: every
+    transition executes one instruction or drains one buffered store, so
+    each successor of [st] has depth [depth st + 1] and the root has depth
+    0. A state's BFS level is therefore a function of the state, and BFS
+    levels partition the state space (DESIGN.md §8). *)
+
 val buffered_read_fifo : thread -> int -> int option
 (** Newest buffered value for a location in the TSO FIFO, if any. *)
 

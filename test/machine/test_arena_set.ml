@@ -78,6 +78,35 @@ let test_same_answers_as_hashtbl () =
   done;
   Alcotest.(check int) "same size" (Hashtbl.length h) (A.length t)
 
+let contents t =
+  let acc = ref [] in
+  A.iter t (fun b off len -> acc := Bytes.sub_string b off len :: !acc);
+  List.rev !acc
+
+let test_iter_clear () =
+  (* keys with shared prefixes, bytes past 0x7f, empty and long keys:
+     [iter] yields each key once, in String.compare order, and [clear]
+     empties the set down to a fresh one's footprint *)
+  let rng = Random.State.make [| 11 |] in
+  let keys =
+    [ ""; "\xff"; "\x00"; "\x00\x00"; String.make 2000 'z'; String.make 2000 'y' ^ "\x80" ]
+    @ List.init 3000 (fun _ ->
+          String.init (Random.State.int rng 24) (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  let sorted = List.sort_uniq String.compare keys in
+  let t = A.create () in
+  let fresh = A.footprint t in
+  for round = 1 to 2 do
+    List.iter (fun k -> ignore (add t k)) keys;
+    let label s = Printf.sprintf "round %d: %s" round s in
+    Alcotest.(check (list string)) (label "iter: each key once, sorted") sorted (contents t);
+    Alcotest.(check bool) (label "footprint grows") true (A.footprint t > fresh);
+    A.clear t;
+    Alcotest.(check int) (label "cleared length") 0 (A.length t);
+    Alcotest.(check int) (label "cleared footprint") fresh (A.footprint t);
+    Alcotest.(check (list string)) (label "cleared iter") [] (contents t)
+  done
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -88,4 +117,5 @@ let suite =
       ("keys longer than the length field and a chunk", test_long_keys);
       ("empty key at a full chunk's end", test_empty_key_at_chunk_end);
       ("same answers as a Hashtbl", test_same_answers_as_hashtbl);
+      ("iter and clear", test_iter_clear);
     ]

@@ -155,6 +155,73 @@ let test_por_equals_full_on_corpus () =
         disciplines)
     (L.all @ [ L.increment_n 3 ])
 
+(* the depth lemma behind level-local deduplication: each successor (with
+   or without the ample-set reduction) is one level deeper than its parent,
+   from a root at depth 0 *)
+let check_successor_depths label ~buffered st succs =
+  let d = State.depth ~buffered st in
+  List.iter
+    (fun (_, st') ->
+      let d' = State.depth ~buffered st' in
+      if d' <> d + 1 then Alcotest.failf "%s: a depth-%d state has a depth-%d successor" label d d')
+    succs
+
+(* over every reachable state *)
+let check_depth_lemma label ~por d root =
+  let buffered = Sem.buffered d in
+  let packer = State.packer () and seen = Memrel_machine.Arena_set.create () in
+  let stack = Stack.create () in
+  Alcotest.(check int) (label ^ " root depth") 0 (State.depth ~buffered root);
+  Stack.push root stack;
+  while not (Stack.is_empty stack) do
+    let st = Stack.pop stack in
+    let succs = fst (E.expand ~por d st) in
+    check_successor_depths label ~buffered st succs;
+    List.iter
+      (fun (_, st') ->
+        State.pack packer st';
+        if
+          Memrel_machine.Arena_set.add seen (State.packed_bytes packer)
+            (State.packed_length packer)
+        then Stack.push st' stack)
+      succs
+  done
+
+(* over the states of [walks] seeded random root-to-terminal paths: the
+   full inc6 spaces (222k to 1.3M states) are too large to walk in a unit
+   test *)
+let check_depth_lemma_sampled label ~walks ~por d root =
+  let buffered = Sem.buffered d and rng = Random.State.make [| 6 |] in
+  for _ = 1 to walks do
+    let rec walk st =
+      match fst (E.expand ~por d st) with
+      | [] -> ()
+      | succs ->
+        check_successor_depths label ~buffered st succs;
+        walk (snd (List.nth succs (Random.State.int rng (List.length succs))))
+    in
+    walk root
+  done
+
+let test_depth_lemma () =
+  let each_discipline f = List.iter (fun (dname, d) -> f dname d) disciplines in
+  List.iter
+    (fun (t : L.t) ->
+      each_discipline (fun dname d ->
+          List.iter
+            (fun por ->
+              check_depth_lemma (Printf.sprintf "%s/%s por=%b" t.name dname por) ~por d
+                (L.initial_state t))
+            [ false; true ]))
+    (L.all @ List.map L.increment_n [ 4; 5 ]);
+  let inc6 = L.increment_n 6 in
+  each_discipline (fun dname d ->
+      List.iter
+        (fun por ->
+          check_depth_lemma_sampled (Printf.sprintf "inc6/%s por=%b" dname por) ~walks:2000 ~por
+            d (L.initial_state inc6))
+        [ false; true ])
+
 let outcome_xs (r : L.outcome E.result) =
   List.map (fun (o, _) -> List.assoc "x" o) r.outcomes
 
@@ -267,4 +334,5 @@ let suite =
       ("find resolves incN names", test_find_incn);
       ("two domains enumerate inc4 identically", test_two_domains_agree);
       ("minor words per transition on inc4/TSO", test_minor_words_per_transition);
+      ("depth lemma: every successor is one level deeper", test_depth_lemma);
     ]

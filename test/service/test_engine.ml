@@ -399,6 +399,39 @@ let test_extmem_corrupt_spill_swept () =
       (P.encode_result ram) (P.encode_result healed)
   | Error e, _ | _, Error e -> Alcotest.fail e.Engine.message
 
+let test_extmem_old_manifest_swept () =
+  (* spill state left by the earlier extmem layout (its manifest carries
+     the old "extmem/manifest" tag) is refused by the engine, swept, and
+     the query restarted from scratch with the exact in-RAM bytes *)
+  with_dir @@ fun spill_root ->
+  let extmem = { Engine.spill_root; mem_budget_bytes = 1 lsl 20 } in
+  let q =
+    P.Enumerate { test = "inc4"; family = Model.Total_store_order; window = 8; por = false }
+  in
+  let limits = { P.deadline_s = None; max_work = Some 700; max_mem_mb = None } in
+  (match Engine.run ~caps:Engine.no_caps ~extmem q limits with
+   | Ok r -> Alcotest.(check bool) "budget-tripped run partial" true (r.P.partial <> None)
+   | Error e -> Alcotest.fail e.Engine.message);
+  let replaced = ref 0 in
+  Array.iter
+    (fun d ->
+      let manifest = Filename.concat (Filename.concat spill_root d) "MANIFEST" in
+      if Sys.file_exists manifest then begin
+        (match Memrel_prob.Snapshot.write ~file:manifest ~tag:"extmem/manifest" "old layout" with
+         | Ok () -> incr replaced
+         | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e))
+      end)
+    (Sys.readdir spill_root);
+  Alcotest.(check int) "one old-layout manifest planted" 1 !replaced;
+  match
+    ( Engine.run ~caps:Engine.no_caps q P.no_limits,
+      Engine.run ~caps:Engine.no_caps ~extmem q P.no_limits )
+  with
+  | Ok ram, Ok healed ->
+    Alcotest.(check string) "swept and restarted run byte-identical"
+      (P.encode_result ram) (P.encode_result healed)
+  | Error e, _ | _, Error e -> Alcotest.fail e.Engine.message
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -418,4 +451,5 @@ let suite =
        test_extmem_routing_byte_identical);
       ("corrupt spill state swept and restarted", test_extmem_corrupt_spill_swept);
       ("partial results are never cached", test_partial_results_not_cached);
+      ("old-layout spill state swept and restarted", test_extmem_old_manifest_swept);
     ]
