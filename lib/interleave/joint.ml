@@ -104,7 +104,7 @@ let sample_worker ~p ~m ~gap ~convention model ~n () =
       !ok
 
 let estimate_adaptive ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Paper) ?jobs
-    ?chunk ?budget ?report ?target_width ?checkpoint ?checkpoint_every ?resume ~max_trials model
+    ?budget ?report ?target_width ?checkpoint ?checkpoint_every ?resume ~max_trials model
     ~n rng =
   check_n n;
   if max_trials <= 0 then invalid_arg "Joint.estimate_adaptive: max_trials must be positive";
@@ -113,7 +113,7 @@ let estimate_adaptive ?(p = 0.5) ?(m = default_m) ?(gap = 0) ?(convention = `Pap
       (match convention with `Paper -> "paper" | `Strict -> "strict")
   in
   let r =
-    Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
+    Par.count ?jobs ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
       ~identity ~trials:max_trials
       ~worker:(sample_worker ~p ~m ~gap ~convention model ~n)
       rng

@@ -45,7 +45,7 @@ val estimate :
     fixed seed the estimate is bit-identical at every [jobs]. *)
 
 val estimate_adaptive :
-  ?p:float -> ?m:int -> ?gap:int -> ?convention:convention -> ?jobs:int -> ?chunk:int ->
+  ?p:float -> ?m:int -> ?gap:int -> ?convention:convention -> ?jobs:int ->
   ?budget:Memrel_prob.Budget.t ->
   ?report:(trials:int -> successes:int -> unit) ->
   ?target_width:float ->
@@ -53,7 +53,8 @@ val estimate_adaptive :
   max_trials:int ->
   Memrel_memmodel.Model.t -> n:int -> Memrel_prob.Rng.t ->
   estimate Memrel_prob.Par.outcome
-(** {!estimate} with every option of {!Memrel_prob.Par.count}. With
+(** {!estimate} with every option of {!Memrel_prob.Par.count} but
+    [chunk], which stays {!Memrel_prob.Par.default_chunk}. With
     [target_width] it runs until the 95% Wilson interval for Pr[A] has
     width [<= target_width] (the stopping trial count is deterministic per
     (seed, schedule) and jobs-invariant), up to [max_trials]; without it,

@@ -4,9 +4,17 @@
    made the generator the dominant allocation in the Monte Carlo hot loops.
    [Array1.unsafe_get]/[unsafe_set] on an int64 Bigarray compile to unboxed
    loads/stores, and with [bits64] marked [@inline] the intermediate words
-   never materialize on the heap: [bool]/[int]/[bernoulli_scaled]/
-   [geometric_half] allocate nothing at all. The output bit stream is
-   unchanged — only the state representation moved. *)
+   never materialize on the heap inside this module: [bool]/[int]/
+   [bernoulli_scaled]/[geometric_half] allocate nothing at all. The output
+   bit stream is unchanged — only the state representation moved.
+
+   The inlining stops at this module's boundary. Dune's default (dev)
+   profile compiles with [-opaque], so a call from another module is a real
+   call: the four words are loaded and stored once per draw, and [bits64]
+   returns a boxed [int64]. That is why the interface exposes [t] as a
+   private Bigarray: the settling kernel ([Memrel_settling.Scratch]) keeps the
+   words in locals across a whole trial and steps the generator inline,
+   with [bits64] below as the reference its copies are tested against. *)
 
 type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -5,8 +5,15 @@
     generator is xoshiro256++ seeded via splitmix64, which is both fast and
     of far higher quality than the needs of Monte Carlo estimation here. *)
 
-type t
-(** Mutable generator state. *)
+type t = private (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Mutable generator state: the four xoshiro256++ words [s0..s3] at
+    indices [0..3]. The type is private: only this module creates
+    generators, but a hot loop in another module (the settling kernel
+    {!Memrel_settling.Scratch}) may coerce one to its Bigarray to load the
+    words into locals once, step the generator inline and store them back
+    once. {!bits64} is the
+    single reference step, and every inlined copy of it must be pinned
+    draw-for-draw against it by a test. *)
 
 val create : int -> t
 (** [create seed] builds a generator deterministically from [seed]. Equal
@@ -31,7 +38,9 @@ val substream : int64 -> int -> t
     scheduled across domains. *)
 
 val bits64 : t -> int64
-(** [bits64 t] is the next raw 64-bit output. *)
+(** [bits64 t] is the next raw 64-bit output: the reference xoshiro256++
+    step. Called from another module it is a real call that loads and
+    stores the four words and returns a boxed [int64]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound). Raises [Invalid_argument] if

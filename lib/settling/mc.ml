@@ -68,11 +68,11 @@ let estimate_governed ?(p = 0.5) ?(m = default_m) ?jobs ?budget ?checkpoint ?che
 let estimate ?p ?m ?jobs ~trials model rng =
   (estimate_governed ?p ?m ?jobs ~trials model rng).Par.value
 
-let probability_b_adaptive ?(p = 0.5) ?(m = default_m) ?jobs ?chunk ?budget ?report
+let probability_b_adaptive ?(p = 0.5) ?(m = default_m) ?jobs ?budget ?report
     ?target_width ?checkpoint ?checkpoint_every ?resume ~max_trials ~gamma model rng =
   if max_trials <= 0 then invalid_arg "Mc.probability_b_adaptive: max_trials must be positive";
   let r =
-    Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
+    Par.count ?jobs ?budget ?target_width ?report ?checkpoint ?checkpoint_every ?resume
       ~identity:(Printf.sprintf "mc.probability_b %s gamma=%d" (Scratch.identity ~p ~m model) gamma)
       ~trials:max_trials
       ~worker:(fun () ->

@@ -49,7 +49,7 @@ val probability_b :
     Pr[B_gamma] with its 95% Wilson interval. *)
 
 val probability_b_adaptive :
-  ?p:float -> ?m:int -> ?jobs:int -> ?chunk:int ->
+  ?p:float -> ?m:int -> ?jobs:int ->
   ?budget:Memrel_prob.Budget.t ->
   ?report:(trials:int -> successes:int -> unit) ->
   ?target_width:float ->
@@ -57,7 +57,8 @@ val probability_b_adaptive :
   max_trials:int -> gamma:int ->
   Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
   (float * Memrel_prob.Stats.interval) Memrel_prob.Par.outcome
-(** {!probability_b} with every option of {!Memrel_prob.Par.count}. With
+(** {!probability_b} with every option of {!Memrel_prob.Par.count} but
+    [chunk], which stays {!Memrel_prob.Par.default_chunk}. With
     [target_width] it runs until the 95% Wilson interval for Pr[B_gamma]
     has width [<= target_width] (the stopping trial count is deterministic
     per (seed, schedule) and jobs-invariant), up to [max_trials]; without

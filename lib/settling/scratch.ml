@@ -2,14 +2,13 @@ module Model = Memrel_memmodel.Model
 module Op = Memrel_memmodel.Op
 module Rng = Memrel_prob.Rng
 
-(* Op codes for generated programs (no fences): bit 0 is the access kind,
-   bit 1 marks the critical pair. The settle loop then reads every swap
+(* Op codes for generated programs (no fences): bit 0 is the access kind
+   (ST = 1), bit 1 marks the critical pair, so a plain op's code is its ST
+   verdict itself: plain LD 0, plain ST 1. The settle loop then reads every swap
    probability out of a 16-entry threshold table indexed by
    [earlier_code * 4 + later_code] — one unsafe load per step instead of a
    match on the op variants, and the probability is already in
    {!Rng.scale_probability} form so no float is boxed per draw. *)
-let code_plain_ld = 0
-let code_plain_st = 1
 let code_crit_ld = 2
 let code_crit_st = 3
 
@@ -21,8 +20,8 @@ type t = {
   n : int;  (* m + gap + 2 *)
   p_threshold : int;  (* ST probability of a plain op, pre-scaled *)
   thresholds : int array;  (* swap thresholds, earlier_code * 4 + later_code *)
-  codes : int array;  (* the current program, length n *)
-  order : int array;  (* order.(pos) = initial index of the op at pos *)
+  codes : int array;  (* the current program in initial order, length n *)
+  settled : int array;  (* [settle]'s working copy, codes in settled order *)
   mutable load_pos : int;  (* settled position of the critical load *)
   mutable store_pos : int;  (* settled position of the critical store *)
 }
@@ -57,57 +56,116 @@ let create ?(p = 0.5) ?(gap = 0) ~m model =
     p_threshold = Rng.scale_probability p;
     thresholds;
     codes = Array.make n 0;
-    order = Array.make n 0;
+    settled = Array.make n 0;
     load_pos = 0;
     store_pos = 0;
   }
 
+(* The generator is fused into both loops below: each reads the four
+   xoshiro256++ words of [rng] into local [int64] refs once, steps them
+   inline, and stores them back once on exit. The step is written out
+   textually in each loop, word for word [Rng.bits64]; the draw's verdict
+   [top53 < threshold] is [Rng.bernoulli_scaled]'s. Local refs that never
+   escape stay unboxed (in registers or stack slots), whereas a helper
+   closure over them would box every word, and a call into [Rng] reloads
+   them per draw. Each copy is pinned draw-for-draw, including the
+   generator position it leaves behind, by the differential grid in the
+   test suite. *)
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
 let generate t rng =
   (* same draw order as [Program.generate_with_gap]: one Bernoulli per plain
-     position, ascending; ST on true *)
-  let codes = t.codes in
-  for i = 0 to t.m - 1 do
-    Array.unsafe_set codes i
-      (if Rng.bernoulli_scaled rng t.p_threshold then code_plain_st else code_plain_ld)
+     position, ascending; ST on true. Draw [j] fills position [j] of the
+     prefix, or [j + 1] past the critical load, with the verdict
+     itself as the code — no branch in the loop. *)
+  let w = (rng : Rng.t :> words) in
+  let s0 = ref (Bigarray.Array1.unsafe_get w 0) in
+  let s1 = ref (Bigarray.Array1.unsafe_get w 1) in
+  let s2 = ref (Bigarray.Array1.unsafe_get w 2) in
+  let s3 = ref (Bigarray.Array1.unsafe_get w 3) in
+  let codes = t.codes and m = t.m and threshold = t.p_threshold in
+  for j = 0 to m + t.gap - 1 do
+    let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+    let word = Int64.add (rotl (Int64.add a0 a3) 23) a0 in
+    let a2 = Int64.logxor a2 a0 and a3 = Int64.logxor a3 a1 in
+    s0 := Int64.logxor a0 a3;
+    s1 := Int64.logxor a1 a2;
+    s2 := Int64.logxor a2 (Int64.shift_left a1 17);
+    s3 := rotl a3 45;
+    let top53 = Int64.to_int (Int64.shift_right_logical word 11) in
+    Array.unsafe_set codes (j + Bool.to_int (j >= m)) (Bool.to_int (top53 < threshold))
   done;
-  codes.(t.m) <- code_crit_ld;
-  for i = t.m + 1 to t.m + t.gap do
-    Array.unsafe_set codes i
-      (if Rng.bernoulli_scaled rng t.p_threshold then code_plain_st else code_plain_ld)
-  done;
-  codes.(t.m + t.gap + 1) <- code_crit_st
+  codes.(m) <- code_crit_ld;
+  codes.(t.n - 1) <- code_crit_st;
+  Bigarray.Array1.unsafe_set w 0 !s0;
+  Bigarray.Array1.unsafe_set w 1 !s1;
+  Bigarray.Array1.unsafe_set w 2 !s2;
+  Bigarray.Array1.unsafe_set w 3 !s3
 
 let settle t rng =
   (* [Settle.run] on the coded program: identical walk, identical draw
      sequence (a Bernoulli is drawn exactly when the swap probability is
-     positive, i.e. the threshold is) *)
-  let codes = t.codes and order = t.order and th = t.thresholds in
-  let n = t.n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set order i i
-  done;
-  for r = 1 to n - 1 do
+     positive, i.e. the threshold is). [settled] holds the codes in settled
+     order, so each comparison is one load; round [r] reads only positions
+     [0 .. r-1], which earlier rounds wrote, so [codes] stays intact for
+     the next [settle] of the same program. *)
+  let w = (rng : Rng.t :> words) in
+  let s0 = ref (Bigarray.Array1.unsafe_get w 0) in
+  let s1 = ref (Bigarray.Array1.unsafe_get w 1) in
+  let s2 = ref (Bigarray.Array1.unsafe_get w 2) in
+  let s3 = ref (Bigarray.Array1.unsafe_get w 3) in
+  let codes = t.codes and settled = t.settled and th = t.thresholds in
+  let cl = t.m and cs = t.m + t.gap + 1 in
+  (* The critical positions are tracked as rounds pass them: round [r]
+     moves op [r] up to [pos] and shifts positions [pos .. r-1] down by
+     one, so a tracked position [>= pos] grows by one. A position is exact
+     from its op's own round on: round [cl] sets [lp] and round [cs] sets
+     [sp], overwriting whatever earlier rounds did to the placeholder.
+     [lp] starts at [cl] because the load has no round when [cl = 0]. *)
+  let lp = ref cl and sp = ref cs in
+  Array.unsafe_set settled 0 (Array.unsafe_get codes 0);
+  for r = 1 to t.n - 1 do
     let settling = Array.unsafe_get codes r in
     let pos = ref r in
-    let continue = ref true in
-    while !continue && !pos > 0 do
-      let above = Array.unsafe_get codes (Array.unsafe_get order (!pos - 1)) in
-      let threshold = Array.unsafe_get th ((above * 4) + settling) in
-      if threshold > 0 && Rng.bernoulli_scaled rng threshold then begin
-        Array.unsafe_set order !pos (Array.unsafe_get order (!pos - 1));
-        Array.unsafe_set order (!pos - 1) r;
-        decr pos
+    let above = ref (Array.unsafe_get settled (r - 1)) in
+    let threshold = ref (Array.unsafe_get th ((!above * 4) + settling)) in
+    while !threshold > 0 do
+      let a0 = !s0 and a1 = !s1 and a2 = !s2 and a3 = !s3 in
+      let word = Int64.add (rotl (Int64.add a0 a3) 23) a0 in
+      let a2 = Int64.logxor a2 a0 and a3 = Int64.logxor a3 a1 in
+      s0 := Int64.logxor a0 a3;
+      s1 := Int64.logxor a1 a2;
+      s2 := Int64.logxor a2 (Int64.shift_left a1 17);
+      s3 := rotl a3 45;
+      if Int64.to_int (Int64.shift_right_logical word 11) < !threshold then begin
+        Array.unsafe_set settled !pos !above;
+        decr pos;
+        if !pos > 0 then begin
+          above := Array.unsafe_get settled (!pos - 1);
+          threshold := Array.unsafe_get th ((!above * 4) + settling)
+        end
+        else threshold := 0
       end
-      else continue := false
-    done
+      else threshold := 0
+    done;
+    let pos = !pos in
+    Array.unsafe_set settled pos settling;
+    if r = cl then lp := pos
+    else if r = cs then sp := pos
+    else begin
+      lp := !lp + Bool.to_int (pos <= !lp);
+      sp := !sp + Bool.to_int (pos <= !sp)
+    end
   done;
-  (* locate the critical pair by initial index — one linear scan instead of
-     materializing the inverse permutation *)
-  let cl = t.m and cs = t.m + t.gap + 1 in
-  for pos = 0 to n - 1 do
-    let init = Array.unsafe_get order pos in
-    if init = cl then t.load_pos <- pos else if init = cs then t.store_pos <- pos
-  done
+  t.load_pos <- !lp;
+  t.store_pos <- !sp;
+  Bigarray.Array1.unsafe_set w 0 !s0;
+  Bigarray.Array1.unsafe_set w 1 !s1;
+  Bigarray.Array1.unsafe_set w 2 !s2;
+  Bigarray.Array1.unsafe_set w 3 !s3
 
 let load_pos t = t.load_pos
 let store_pos t = t.store_pos

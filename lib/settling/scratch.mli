@@ -2,8 +2,8 @@
     under {!Mc} (and the joined model's estimators).
 
     A [t] holds everything one worker needs to draw settled programs
-    forever: the generated program as an int-coded array, the in-place
-    settle order, and the model's swap probabilities pre-scaled into the
+    forever: the generated program as an int-coded array, its codes in
+    settled order, and the model's swap probabilities pre-scaled into the
     integer-threshold form of {!Memrel_prob.Rng.bernoulli_scaled}. One trial
     ([generate] + [settle]) performs no heap allocation at all in steady
     state — guarded by `Gc.minor_words` regression tests.
@@ -15,6 +15,12 @@
     verdicts — see {!Memrel_prob.Rng.scale_probability}). Hence estimators
     built on this kernel return results bit-identical to the closure-based
     oracle in the test suite; the differential tests pin this.
+
+    The generator is fused into the kernel: [generate] and [settle] each
+    load the generator's four words once, step them inline (a textual copy
+    of {!Memrel_prob.Rng.bits64}) and store them back once, leaving the
+    generator exactly where the same draws through {!Memrel_prob.Rng}
+    would. Between calls the generator may be used freely.
 
     Only fence-free generated programs are representable here; programs
     with fences (e.g. {!Program.with_fences}) take the {!Settle.run}
@@ -39,8 +45,9 @@ val generate : t -> Memrel_prob.Rng.t -> unit
 (** Draw a fresh program into the scratch. *)
 
 val settle : t -> Memrel_prob.Rng.t -> unit
-(** Settle the current program in place and record the critical pair's
-    settled positions. *)
+(** Settle the current program and record the critical pair's settled
+    positions. The program itself is kept, so settling it again draws a
+    fresh, independent settled order (the joint estimators' shape). *)
 
 val load_pos : t -> int
 (** Settled position of the critical load (after [settle]). *)

@@ -86,7 +86,7 @@ let worker_geom ~q gammas () =
 let proportion (r : int Par.outcome) =
   { r with Par.value = Stats.proportion ~successes:r.Par.value ~trials:r.Par.trials_done }
 
-let estimate_adaptive ?jobs ?chunk ?budget ?report ?target_width ?checkpoint ?checkpoint_every
+let estimate_adaptive ?jobs ?budget ?report ?target_width ?checkpoint ?checkpoint_every
     ?resume ~max_trials rng gammas =
   if max_trials <= 0 then invalid_arg "Process.estimate_adaptive: max_trials must be positive";
   check_gammas "Process.estimate_adaptive" gammas;
@@ -95,7 +95,7 @@ let estimate_adaptive ?jobs ?chunk ?budget ?report ?target_width ?checkpoint ?ch
     ^ String.concat "," (Array.to_list (Array.map string_of_int gammas))
   in
   proportion
-    (Par.count ?jobs ?chunk ?budget ?target_width ?report ?checkpoint ?checkpoint_every
+    (Par.count ?jobs ?budget ?target_width ?report ?checkpoint ?checkpoint_every
        ?resume ~identity ~trials:max_trials ~worker:(worker_half gammas) rng)
 
 let estimate ?jobs ~trials rng gammas =

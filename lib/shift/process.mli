@@ -37,7 +37,7 @@ val estimate :
     {!Memrel_prob.Par.default_jobs}); bit-identical at every [jobs]. *)
 
 val estimate_adaptive :
-  ?jobs:int -> ?chunk:int ->
+  ?jobs:int ->
   ?budget:Memrel_prob.Budget.t ->
   ?report:(trials:int -> successes:int -> unit) ->
   ?target_width:float ->
@@ -45,7 +45,8 @@ val estimate_adaptive :
   max_trials:int ->
   Memrel_prob.Rng.t -> int array ->
   (float * Memrel_prob.Stats.interval) Memrel_prob.Par.outcome
-(** {!estimate} with every option of {!Memrel_prob.Par.count}. With
+(** {!estimate} with every option of {!Memrel_prob.Par.count} but
+    [chunk], which stays {!Memrel_prob.Par.default_chunk}. With
     [target_width] it runs until the 95% Wilson interval has width
     [<= target_width] (the stopping trial count is deterministic per (seed,
     schedule) and jobs-invariant), up to [max_trials]; without it, all

@@ -51,6 +51,36 @@ let usage_error ?(affix = "expected a positive integer") args () =
   Alcotest.(check bool) (args ^ ": no internal error") false
     (Astring.String.is_infix ~affix:"internal error" err)
 
+(* a fixed-seed estimate printed end to end: any drift in the draw stream
+   of the settling kernel, the Par schedule or the printing changes a digit *)
+let golden args expected () =
+  let code, out, err = memrel args in
+  Alcotest.(check int) (args ^ ": exit code") 0 code;
+  Alcotest.(check (list string)) (args ^ ": stderr") [] err;
+  Alcotest.(check string) args (String.concat "" expected) out
+
+let golden_window =
+  [
+    "critical-window growth Pr[B_gamma] under TSO (p = 0.50, s = 0.50)\n";
+    "\n";
+    " gamma     analytic     dp(m=16)           mc\n";
+    "     0     0.666667     0.666667     0.664640\n";
+    "     1     0.238095     0.238095     0.238660\n";
+    "     2     0.069841     0.069841     0.070800\n";
+    "     3     0.018843     0.018843     0.019470\n";
+    "     4     0.004890     0.004890     0.004880\n";
+    "     5     0.001245     0.001245     0.001190\n";
+    "     6     0.000314     0.000314     0.000220\n";
+    "     7     0.000079     0.000079     0.000070\n";
+    "     8     0.000020     0.000020     0.000060\n";
+  ]
+
+let golden_joint =
+  [
+    "Pr[A] (WO, n=2): simulated 0.131340 [0.129261, 0.133448]\n";
+    "exact: 7/54\n";
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -60,6 +90,13 @@ let () =
             (resume_refused "joint --model sc -n 2 --seed 7 --trials 100000 --jobs 1");
           Alcotest.test_case "window refuses a shift checkpoint" `Quick
             (resume_refused "window --seed 7 --trials 100000 --jobs 1");
+        ] );
+      ( "fixed-seed output",
+        [
+          Alcotest.test_case "window --seed 7" `Quick
+            (golden "window --seed 7 --trials 100000 --jobs 1" golden_window);
+          Alcotest.test_case "joint --model wo -n 2 --seed 7" `Quick
+            (golden "joint --model wo -n 2 --seed 7 --trials 100000 --jobs 1" golden_joint);
         ] );
       ( "positive counts",
         List.map

@@ -226,16 +226,42 @@ let test_governed_zero_trials_vacuous () =
 module Scratch = Memrel_settling.Scratch
 
 let test_scratch_matches_sample_gamma () =
-  (* the fused scratch kernel replays the closure path's exact draw
-     sequence: same seed, same gamma on every consecutive trial *)
+  (* each inlined copy of the xoshiro step in the kernel against the
+     closure oracle, over every shape the kernel sizes for: on every trial
+     the critical positions of two settles of one generated program (the
+     joint estimators' shape) agree, and the next raw word of both
+     generators agrees, which pins the stream position between trials *)
   List.iter
     (fun (name, model) ->
-      let scratch = Scratch.create ~m:64 model in
-      let a = Rng.create 301 and b = Rng.create 301 in
-      for i = 1 to 1_000 do
-        let want = Mc.sample_gamma model a and got = Scratch.sample_gamma scratch b in
-        Alcotest.(check int) (Printf.sprintf "%s trial %d" name i) want got
-      done)
+      List.iter
+        (fun m ->
+          List.iter
+            (fun gap ->
+              List.iter
+                (fun p ->
+                  let cell = Printf.sprintf "%s m=%d gap=%d p=%g" name m gap p in
+                  let scratch = Scratch.create ~p ~gap ~m model in
+                  let a = Rng.create (m + (97 * gap)) and b = Rng.create (m + (97 * gap)) in
+                  for trial = 1 to 200 do
+                    let prog = Program.generate_with_gap ~p a ~m ~gap in
+                    Scratch.generate scratch b;
+                    for settle = 1 to 2 do
+                      let pi = Settle.run model a prog in
+                      Scratch.settle scratch b;
+                      let what = Printf.sprintf "%s trial %d settle %d" cell trial settle in
+                      let load_pos, store_pos = W.bounds prog pi in
+                      Alcotest.(check int) (what ^ " gamma") (W.gamma prog pi) (Scratch.gamma scratch);
+                      Alcotest.(check int) (what ^ " load_pos") load_pos (Scratch.load_pos scratch);
+                      Alcotest.(check int) (what ^ " store_pos") store_pos
+                        (Scratch.store_pos scratch)
+                    done;
+                    Alcotest.(check int64)
+                      (Printf.sprintf "%s trial %d stream position" cell trial)
+                      (Rng.bits64 a) (Rng.bits64 b)
+                  done)
+                [ 0.5; 0.3 ])
+            [ 0; 1; 3 ])
+        [ 0; 1; 2; 64 ])
     [ ("SC", Model.sc); ("TSO", Model.tso ()); ("PSO", Model.pso ()); ("WO", Model.wo ()) ]
 
 let test_streaming_equals_reference () =
@@ -250,22 +276,38 @@ let test_streaming_equals_reference () =
   Alcotest.(check bool) "probability_b identical" true (sp = rp)
 
 let test_scratch_zero_alloc () =
-  (* the zero-allocation guard: in steady state one full trial
-     (generate + settle + gamma) must not touch the minor heap at all *)
-  let scratch = Scratch.create ~m:64 (Model.tso ()) in
-  let rng = Rng.create 307 in
-  for _ = 1 to 1_000 do
-    ignore (Scratch.sample_gamma scratch rng)
-  done;
-  let trials = 10_000 in
-  let before = Gc.minor_words () in
-  for _ = 1 to trials do
-    ignore (Scratch.sample_gamma scratch rng)
-  done;
-  let words = (Gc.minor_words () -. before) /. float_of_int trials in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.3f words/trial < 0.5" words)
-    true (words < 0.5)
+  (* the zero-allocation guard: in steady state one full trial must not
+     touch the minor heap at all, both the settling estimators' trial
+     (generate + settle + gamma) and the joint estimators' (one program
+     with a critical section wider than the pair, settled twice) *)
+  let settling =
+    let scratch = Scratch.create ~m:64 (Model.tso ()) in
+    let rng = Rng.create 307 in
+    fun () -> ignore (Scratch.sample_gamma scratch rng)
+  in
+  let joint =
+    let scratch = Scratch.create ~gap:3 ~m:64 (Model.wo ()) in
+    let rng = Rng.create 309 in
+    fun () ->
+      Scratch.generate scratch rng;
+      Scratch.settle scratch rng;
+      Scratch.settle scratch rng
+  in
+  List.iter
+    (fun (name, trial) ->
+      for _ = 1 to 1_000 do
+        trial ()
+      done;
+      let trials = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to trials do
+        trial ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int trials in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f words/trial < 0.5" name words)
+        true (words < 0.5))
+    [ ("generate + settle", settling); ("generate + 2 settles, gap 3", joint) ]
 
 let test_adaptive_probability_b () =
   let model = Model.tso () in
@@ -293,13 +335,13 @@ let test_adaptive_budget_partial () =
   (* a work cap trips before the width is reached: typed partial over the
      exact chunk prefix, interval honestly wider than the target *)
   let s =
-    Mc.probability_b_adaptive ~jobs:1 ~chunk:512
+    Mc.probability_b_adaptive ~jobs:1
       ~budget:(Budget.create ~max_work:2 ())
       ~target_width:0.0001 ~max_trials:1_000_000 ~gamma:0 model (Rng.create 15)
   in
   Alcotest.(check bool) "exhausted" true (s.Par.exhausted <> None);
   Alcotest.(check bool) "target missed" false s.Par.target_met;
-  Alcotest.(check int) "prefix trials" 1024 s.Par.trials_done;
+  Alcotest.(check int) "prefix trials" (2 * Par.default_chunk) s.Par.trials_done;
   let _, ci = s.Par.value in
   Alcotest.(check bool) "interval honestly wide" true (ci.hi -. ci.lo > 0.0001);
   (* zero budget: vacuous [0,1] around a nan point *)

@@ -182,13 +182,13 @@ let test_adaptive () =
     (Int64.equal (Int64.bits_of_float p1) (Int64.bits_of_float p4));
   (* budget partial: typed, exact prefix, honestly missed target *)
   let b =
-    P.estimate_adaptive ~jobs:1 ~chunk:256
+    P.estimate_adaptive ~jobs:1
       ~budget:(Budget.create ~max_work:3 ())
       ~target_width:0.0001 ~max_trials:1_000_000 (Rng.create 409) gammas
   in
   Alcotest.(check bool) "exhausted" true (b.Par.exhausted <> None);
   Alcotest.(check bool) "target missed" false b.Par.target_met;
-  Alcotest.(check int) "prefix trials" 768 b.Par.trials_done
+  Alcotest.(check int) "prefix trials" (3 * Par.default_chunk) b.Par.trials_done
 
 let suite =
   List.map
