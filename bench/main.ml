@@ -3,7 +3,9 @@
    measured/computed ones, then runs Bechamel timing benchmarks for the
    pipeline's components.
 
-   Run with: dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe
+   One JSON benchmark mode: dune exec bench/main.exe -- --json MODE FILE [--smoke]
+   with MODE enum, axiom or exact (see the section at the end). *)
 
 open Memrel
 module Q = Rational
@@ -514,19 +516,24 @@ let timing () =
       | _ -> Printf.printf "  %-28s (no estimate)\n" name)
     (List.sort compare rows)
 
-(* -- MC throughput bench (--json) ------------------------------------- *)
+(* -- JSON benchmark modes (--json MODE FILE [--smoke]) ------------------- *)
 
-(* Measures trials/sec for each parallelized estimator family at jobs=1 and
-   jobs=N and writes the numbers to a JSON file, so the perf trajectory of
-   the Monte Carlo hot paths is tracked across PRs. Invoked by bin/ci.sh as
-   a smoke test; results are bit-identical across jobs by the Par contract,
-   so only the timing varies. *)
+(* Every mode writes rows of one schema: the workload, the layer that did
+   the work, its wall seconds, the units of work it did per second, and
+   named counters; the file adds one env block. A mode only measures:
+   that the engines it times agree (extmem = in-RAM, solver = generate =
+   operational, fast = reference arithmetic) is checked by the test
+   suites, and the rows carry the counts that let a reader compare them.
+   --smoke runs a seconds-scale subset; the committed BENCH_*.json files
+   come only from full runs. *)
 
-type mc_row = {
-  bname : string;
-  btrials : int;
-  secs_1 : float;
-  secs_n : float;
+type row = {
+  workload : string;
+  layer : string;
+  seconds : float;
+  unit : string;  (* what [units] counts: states, candidates, ops *)
+  units : int;
+  counters : (string * float) list;
 }
 
 let wall f =
@@ -534,657 +541,247 @@ let wall f =
   ignore (f ());
   Unix.gettimeofday () -. t0
 
-let mc_throughput_rows ~jobs_n ~scale =
-  let row bname btrials f =
-    (* one tiny warm-up per path keeps first-allocation noise out *)
-    ignore (f ~jobs:1 ~trials:(max 1 (btrials / 100)));
-    let secs_1 = wall (fun () -> f ~jobs:1 ~trials:btrials) in
-    let secs_n = wall (fun () -> f ~jobs:jobs_n ~trials:btrials) in
-    { bname; btrials; secs_1; secs_n }
-  in
-  [
-    row "settling_mc_estimate_tso" (150_000 / scale) (fun ~jobs ~trials ->
-        ignore (Window_mc.estimate ~jobs ~trials (Model.tso ()) (Rng.create seed)));
-    row "settling_mc_probability_b_wo" (150_000 / scale) (fun ~jobs ~trials ->
-        ignore (Window_mc.probability_b ~jobs ~trials ~gamma:1 (Model.wo ()) (Rng.create seed)));
-    row "joint_estimate_tso_n2" (100_000 / scale) (fun ~jobs ~trials ->
-        ignore (Joint.estimate ~jobs ~trials (Model.tso ()) ~n:2 (Rng.create seed)));
-    row "joint_semi_analytic_tso_n4" (60_000 / scale) (fun ~jobs ~trials ->
-        ignore (Joint.semi_analytic ~jobs ~trials (Model.tso ()) ~n:4 (Rng.create seed)));
-    row "shift_estimate_n4" (2_000_000 / scale) (fun ~jobs ~trials ->
-        ignore (Shift.estimate ~jobs ~trials (Rng.create seed) [| 2; 3; 2; 4 |]));
-  ]
+let per_s r = if r.seconds > 0.0 then float_of_int r.units /. r.seconds else 0.0
 
-(* streaming vs the closure-based oracle (test/oracle), at jobs=1 (the
-   honest single-core number). The differential check runs IN-PROCESS and
-   BEFORE any timing: a speedup over a path that computes something else
-   would be meaningless, so a mismatch aborts the bench. *)
+(* integral counters print as integers, the rest with 6 significant digits *)
+let num v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
 
-type sr_row = {
-  sname : string;
-  strials : int;
-  sref_secs : float;
-  sstream_secs : float;
-}
+let git_rev () =
+  (* only this checkout's repository: git would otherwise search upwards *)
+  if not (Sys.file_exists ".git") then "unknown"
+  else
+    try
+      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+      let rev = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      rev
+    with Unix.Unix_error _ -> "unknown"
 
-let streaming_vs_reference_rows ~scale =
-  let row sname strials ~equal ~reference ~streaming =
-    if not (equal ()) then failwith (sname ^ ": streaming result differs from the oracle");
-    reference (max 1 (strials / 100));
-    streaming (max 1 (strials / 100));
-    let sref_secs = wall (fun () -> reference strials) in
-    let sstream_secs = wall (fun () -> streaming strials) in
-    { sname; strials; sref_secs; sstream_secs }
-  in
-  [
-    row "settling_estimate_tso" (300_000 / scale)
-      ~equal:(fun () ->
-        Window_mc.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) (Rng.create seed)
-        = Oracle.Mc.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) (Rng.create seed))
-      ~reference:(fun trials ->
-        ignore (Oracle.Mc.estimate ~jobs:1 ~trials (Model.tso ()) (Rng.create seed)))
-      ~streaming:(fun trials ->
-        ignore (Window_mc.estimate ~jobs:1 ~trials (Model.tso ()) (Rng.create seed)));
-    row "shift_estimate_n4" (3_000_000 / scale)
-      ~equal:(fun () ->
-        Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create seed) [| 2; 3; 2; 4 |]
-        = Oracle.Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create seed) [| 2; 3; 2; 4 |])
-      ~reference:(fun trials ->
-        ignore (Oracle.Shift.estimate ~jobs:1 ~trials (Rng.create seed) [| 2; 3; 2; 4 |]))
-      ~streaming:(fun trials ->
-        ignore (Shift.estimate ~jobs:1 ~trials (Rng.create seed) [| 2; 3; 2; 4 |]));
-    row "joint_estimate_tso_n2" (200_000 / scale)
-      ~equal:(fun () ->
-        Joint.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create seed)
-        = Oracle.Joint.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create seed))
-      ~reference:(fun trials ->
-        ignore (Oracle.Joint.estimate ~jobs:1 ~trials (Model.tso ()) ~n:2 (Rng.create seed)))
-      ~streaming:(fun trials ->
-        ignore (Joint.estimate ~jobs:1 ~trials (Model.tso ()) ~n:2 (Rng.create seed)));
-  ]
+let write_json ~mode ~smoke ~file rows =
+  let oc = open_out file in
+  let p fmt = Printf.fprintf oc fmt in
+  p "{\n  \"mode\": %S,\n" mode;
+  p "  \"env\": {\"ocaml_version\": %S, \"recommended_domain_count\": %d, \"git_rev\": %S, \
+     \"smoke\": %b},\n"
+    Sys.ocaml_version (Domain.recommended_domain_count ()) (git_rev ()) smoke;
+  p "  \"rows\": [\n";
+  List.iteri
+    (fun i r ->
+      p "    {\"workload\": %S, \"layer\": %S, \"seconds\": %.6f, \"unit\": %S, \
+         \"units_per_s\": %.1f,\n     \"counters\": {%s}}%s\n"
+        r.workload r.layer r.seconds r.unit (per_s r)
+        (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (num v)) r.counters))
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  p "  ]\n}\n";
+  close_out oc
 
-(* adaptive (CI-width) stopping vs the fixed-trials cost for the same
-   certainty: how many trials the Wilson stop actually needs, and what the
-   fixed-budget alternative would have spent *)
+let print_row r =
+  Printf.printf "%-14s %-13s %10.4fs %12.0f %s/s  %s\n%!" r.workload r.layer r.seconds (per_s r)
+    r.unit
+    (String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ num v) r.counters))
 
-type adaptive_numbers = {
-  a_target_width : float;
-  a_max_trials : int;
-  a_trials_used : int;
-  a_target_met : bool;
-  a_secs : float;
-  a_fixed_secs : float;
-}
+let fi = float_of_int
+let flag b = if b then 1.0 else 0.0
+let dname family = String.lowercase_ascii (Model.family_name family)
+let families =
+  [ Model.Sequential_consistency; Model.Total_store_order; Model.Partial_store_order;
+    Model.Weak_ordering ]
 
-let adaptive_numbers ~scale =
-  let a_target_width = 0.005 in
-  let a_max_trials = 2_000_000 / scale in
-  let run () =
-    Window_mc.probability_b_adaptive ~jobs:1 ~target_width:a_target_width
-      ~max_trials:a_max_trials ~gamma:0 (Model.tso ()) (Rng.create seed)
-  in
-  ignore (run ());
-  let result = ref (run ()) in
-  let a_secs = wall (fun () -> result := run ()) in
-  let a_fixed_secs =
-    wall (fun () ->
-        ignore
-          (Window_mc.probability_b ~jobs:1 ~trials:a_max_trials ~gamma:0 (Model.tso ())
-             (Rng.create seed)))
-  in
+(* -- enum: in-RAM, POR and external-memory enumeration of incN ---------- *)
+
+let enum_row workload layer ?(extra = []) (r : _ Enumerate.result) =
   {
-    a_target_width;
-    a_max_trials;
-    a_trials_used = !result.Par.trials_done;
-    a_target_met = !result.Par.target_met;
-    a_secs;
-    a_fixed_secs;
+    workload;
+    layer;
+    seconds = r.Enumerate.stats.elapsed_s;
+    unit = "states";
+    units = r.Enumerate.states_visited;
+    counters =
+      [ ("states", fi r.Enumerate.states_visited); ("terminals", fi r.Enumerate.terminals);
+        ("outcomes", fi (List.length r.Enumerate.outcomes));
+        ("transitions", fi r.Enumerate.stats.transitions);
+        ("dedup_hits", fi r.Enumerate.stats.dedup_hits);
+        ("por_pruned", fi r.Enumerate.stats.por_pruned);
+        ("exhausted", flag (r.Enumerate.exhausted <> None)) ]
+      @ extra;
   }
 
-let mc_json ~file ~scale =
-  let jobs_n = max 4 (Par.default_jobs ()) in
-  let rows = mc_throughput_rows ~jobs_n ~scale in
-  let sr_rows = streaming_vs_reference_rows ~scale in
-  let adaptive = adaptive_numbers ~scale in
-  let buf = Buffer.create 1024 in
-  let tps trials secs = if secs > 0.0 then float_of_int trials /. secs else 0.0 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs_n\": %d,\n" jobs_n);
-  Buffer.add_string buf "  \"estimators\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"trials\": %d, \"jobs1_seconds\": %.6f, \
-            \"jobs1_trials_per_sec\": %.1f, \"jobsN_seconds\": %.6f, \
-            \"jobsN_trials_per_sec\": %.1f, \"speedup\": %.3f}%s\n"
-           r.bname r.btrials r.secs_1
-           (tps r.btrials r.secs_1)
-           r.secs_n
-           (tps r.btrials r.secs_n)
-           (if r.secs_n > 0.0 then r.secs_1 /. r.secs_n else 0.0)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"streaming_vs_reference\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"trials\": %d, \"reference_seconds\": %.6f, \
-            \"reference_trials_per_sec\": %.1f, \"streaming_seconds\": %.6f, \
-            \"streaming_trials_per_sec\": %.1f, \"speedup\": %.3f, \"results_equal\": true}%s\n"
-           r.sname r.strials r.sref_secs
-           (tps r.strials r.sref_secs)
-           r.sstream_secs
-           (tps r.strials r.sstream_secs)
-           (if r.sstream_secs > 0.0 then r.sref_secs /. r.sstream_secs else 0.0)
-           (if i = List.length sr_rows - 1 then "" else ",")))
-    sr_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"adaptive\": {\"name\": \"settling_probability_b_adaptive_tso_gamma0\", \
-        \"target_width\": %g, \"max_trials\": %d, \"trials_used\": %d, \"target_met\": %b, \
-        \"seconds\": %.6f, \"fixed_trials_seconds\": %.6f, \"trials_saved_ratio\": %.3f}\n"
-       adaptive.a_target_width adaptive.a_max_trials adaptive.a_trials_used
-       adaptive.a_target_met adaptive.a_secs adaptive.a_fixed_secs
-       (if adaptive.a_max_trials > 0 then
-          1.0 -. (float_of_int adaptive.a_trials_used /. float_of_int adaptive.a_max_trials)
-        else 0.0));
-  Buffer.add_string buf "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  List.iter
-    (fun r ->
-      Printf.printf "%-32s %9d trials  jobs=1 %8.0f/s  jobs=%d %8.0f/s  speedup %.2fx\n"
-        r.bname r.btrials (tps r.btrials r.secs_1) jobs_n (tps r.btrials r.secs_n)
-        (if r.secs_n > 0.0 then r.secs_1 /. r.secs_n else 0.0))
-    rows;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-32s %9d trials  reference %8.0f/s  streaming %8.0f/s  speedup %.2fx  (equal)\n"
-        r.sname r.strials (tps r.strials r.sref_secs)
-        (tps r.strials r.sstream_secs)
-        (if r.sstream_secs > 0.0 then r.sref_secs /. r.sstream_secs else 0.0))
-    sr_rows;
-  Printf.printf
-    "%-32s width<=%g in %d of %d trials (met: %b)  %.3fs vs fixed %.3fs\n"
-    "adaptive_probability_b_tso" adaptive.a_target_width adaptive.a_trials_used
-    adaptive.a_max_trials adaptive.a_target_met adaptive.a_secs adaptive.a_fixed_secs;
-  Printf.printf "wrote %s\n" file
+let mb = 1024 * 1024
 
-(* -- enumeration bench (--json-enum) ----------------------------------- *)
-
-(* Measures the exhaustive litmus enumerator on the increment_n family:
-   packed-key dedup throughput (states/sec) and the ample-set POR's
-   state-count reduction, with outcome sets cross-checked between the
-   two configurations. Writes BENCH_enum.json; invoked by
-   `make ci` in smoke form so the enumerator's perf trajectory is tracked
-   across PRs alongside the MC throughput numbers. *)
-
-type enum_row = {
-  etest : string;
-  ediscipline : string;
-  estates : int;
-  eterminals : int;
-  packed_secs : float;
-  por_states : int;
-  por_secs : float;
-  por_pruned : int;
-}
+let extmem_row workload ~mem_budget (x : _ Extmem.result) =
+  let e = x.Extmem.ext and states = x.Extmem.base.Enumerate.states_visited in
+  enum_row workload "extmem" x.Extmem.base
+    ~extra:
+      [ ("mem_budget_bytes", fi mem_budget); ("spill_bytes", fi e.Extmem.spill_bytes);
+        ("bytes_per_state", if states > 0 then fi e.Extmem.spill_bytes /. fi states else 0.0);
+        ("spill_runs", fi e.Extmem.spill_runs);
+        ("spill_generations", fi e.Extmem.spill_generations); ("merges", fi e.Extmem.merges);
+        ("levels", fi e.Extmem.levels); ("peak_level_states", fi e.Extmem.peak_level_states) ]
 
 let enum_rows ~smoke =
-  let workloads =
-    (* (test, discipline); the smoke list stops at inc5 while the full
-       bench climbs to inc6 *)
-    let base = [ (4, Model.Sequential_consistency); (4, Model.Total_store_order);
-                 (5, Model.Total_store_order) ] in
-    if smoke then base
-    else base @ [ (5, Model.Sequential_consistency); (6, Model.Total_store_order) ]
+  let spill_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "memrel_bench_extmem_%d" (Unix.getpid ()))
   in
-  List.map
-    (fun (n, family) ->
-      let t = Litmus.increment_n n in
-      let d = Semantics.of_model family in
-      let run ?(por = false) () =
-        Enumerate.outcomes ~por d (Litmus.initial_state t) ~observe:t.Litmus.observe
-      in
-      let packed = run () in
-      let por = run ~por:true () in
-      assert (packed.Enumerate.outcomes = por.Enumerate.outcomes);
-      assert (packed.Enumerate.terminals = por.Enumerate.terminals);
-      {
-        etest = t.Litmus.name;
-        ediscipline = String.lowercase_ascii (Model.family_name family);
-        estates = packed.Enumerate.states_visited;
-        eterminals = packed.Enumerate.terminals;
-        packed_secs = packed.Enumerate.stats.elapsed_s;
-        por_states = por.Enumerate.states_visited;
-        por_secs = por.Enumerate.stats.elapsed_s;
-        por_pruned = por.Enumerate.stats.por_pruned;
-      })
-    workloads
-
-(* external-memory BFS rows: throughput and disk profile of the
-   disk-spilling enumerator, with every complete run parity-asserted
-   against an exact oracle — the in-RAM engine where it fits, the in-RAM
-   POR run (identical outcome sets and terminal counts by the ample-set
-   soundness argument) where it does not. The full bench includes inc7/tso,
-   which the in-RAM engine cannot finish under a 256 MiB heap watermark;
-   the extmem engine completes it exactly under the same watermark. *)
-
-type extmem_row = {
-  xtest : string;
-  xdiscipline : string;
-  xstates : int;
-  xterminals : int;
-  xsecs : float;
-  xmem_budget : int;
-  xext : Extmem.ext_stats;
-  xoracle : string;  (* "in-ram" | "in-ram-por" *)
-  xinram_secs : float option;  (* None when in-RAM is infeasible under the watermark *)
-  xinram_note : string;
-}
-
-let extmem_rows ~smoke =
-  let mb = 1024 * 1024 in
-  let spill_dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "memrel_bench_extmem_%d" (Unix.getpid ())) in
-  let run_ext ?budget ?(mem_budget = 64 * mb) t family =
-    let d = Semantics.of_model family in
+  let run_ext ?budget ~mem_budget t family =
     let r =
-      Extmem.outcomes ?budget ~max_states:50_000_000 ~mem_budget_bytes:mem_budget
-        ~spill_dir ~resume_key:"bench" d (Litmus.initial_state t)
+      Extmem.outcomes ?budget ~max_states:50_000_000 ~mem_budget_bytes:mem_budget ~spill_dir
+        ~resume_key:"bench" (Semantics.of_model family) (Litmus.initial_state t)
         ~observe:t.Litmus.observe
     in
     Extmem.remove_spill_dir spill_dir;
-    assert (r.Extmem.base.Enumerate.exhausted = None);
     r
   in
-  let dname family = String.lowercase_ascii (Model.family_name family) in
-  (* the RAM wall (full bench only): inc7/tso cannot finish in-RAM under a
-     256 MiB major heap watermark; the extmem engine completes it exactly
-     under the same watermark, parity-checked against the in-RAM POR
-     oracle. The watermark reads Gc heap_words, which on runtimes without
-     heap compaction (OCaml 5.1) never shrinks — and a forked child
-     inherits the parent's heap — so this block runs FIRST, each phase
-     forked while this process's heap is still pristine; the parity rows
-     and (in enum_json) the in-RAM workload rows only run afterwards. *)
+  let run_ram ?budget ?(por = false) t family =
+    Enumerate.outcomes ~max_states:50_000_000 ?budget ~por (Semantics.of_model family)
+      (Litmus.initial_state t) ~observe:t.Litmus.observe
+  in
+  (* the RAM wall (full run only): inc7/TSO in RAM under a 256 MiB major
+     heap watermark, the POR run (same outcomes and terminal counts by the
+     ample-set soundness argument) and extmem under the same watermark.
+     The watermark reads Gc heap_words, which on runtimes without heap
+     compaction (OCaml 5.1) never shrinks, and a forked child inherits its
+     parent's heap: so these run first, each in a child forked while this
+     process's heap is still pristine. A child that dies makes the
+     unmarshal fail. *)
+  let in_subprocess (type a) (f : unit -> a) : a =
+    let rd, wr = Unix.pipe () in
+    match Unix.fork () with
+    | 0 ->
+      Unix.close rd;
+      let oc = Unix.out_channel_of_descr wr in
+      Marshal.to_channel oc (f ()) [];
+      close_out oc;
+      Stdlib.exit 0
+    | pid ->
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let v : a = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Marshal.from_channel ic) in
+      ignore (Unix.waitpid [] pid);
+      v
+  in
   let wall_rows =
     if smoke then []
     else begin
-      let in_subprocess (type a) (f : unit -> a) : a =
-        let rd, wr = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          Unix.close rd;
-          let oc = Unix.out_channel_of_descr wr in
-          Marshal.to_channel oc (f ()) [];
-          close_out oc;
-          Stdlib.exit 0
-        | pid ->
-          Unix.close wr;
-          let ic = Unix.in_channel_of_descr rd in
-          let v : a = Marshal.from_channel ic in
-          close_in ic;
-          (match Unix.waitpid [] pid with
-           | _, Unix.WEXITED 0 -> ()
-           | _ -> failwith "bench: inc7 subprocess failed");
-          v
-      in
-      let t = Litmus.increment_n 7 in
-      let family = Model.Total_store_order in
-      let ram =
-        in_subprocess (fun () ->
-            let wm = Budget.create ~max_mem_bytes:(256 * mb) () in
-            Enumerate.outcomes ~max_states:50_000_000 ~budget:wm
-              (Semantics.of_model family) (Litmus.initial_state t)
-              ~observe:t.Litmus.observe)
-      in
-      let note =
-        match ram.Enumerate.exhausted with
-        | Some e ->
-          Printf.sprintf "in-RAM infeasible under a 256 MiB watermark: %s"
-            (Budget.describe e)
-        | None -> "in-RAM unexpectedly completed under the watermark"
-      in
-      assert (ram.Enumerate.exhausted <> None);
-      let por =
-        in_subprocess (fun () ->
-            Enumerate.outcomes ~max_states:50_000_000 ~por:true
-              (Semantics.of_model family) (Litmus.initial_state t)
-              ~observe:t.Litmus.observe)
-      in
-      let x =
-        in_subprocess (fun () ->
-            let wm = Budget.create ~max_mem_bytes:(256 * mb) () in
-            run_ext ~budget:wm t family)
-      in
-      assert (x.Extmem.base.Enumerate.exhausted = None);
-      assert (x.Extmem.base.Enumerate.outcomes = por.Enumerate.outcomes);
-      assert (x.Extmem.base.Enumerate.terminals = por.Enumerate.terminals);
-      [
-        {
-          xtest = t.Litmus.name;
-          xdiscipline = dname family;
-          xstates = x.Extmem.base.Enumerate.states_visited;
-          xterminals = x.Extmem.base.Enumerate.terminals;
-          xsecs = x.Extmem.base.Enumerate.stats.elapsed_s;
-          xmem_budget = 64 * mb;
-          xext = x.Extmem.ext;
-          xoracle = "in-ram-por";
-          xinram_secs = None;
-          xinram_note = note;
-        };
-      ]
+      let t = Litmus.increment_n 7 and family = Model.Total_store_order in
+      let watermark () = Budget.create ~max_mem_bytes:(256 * mb) () in
+      let ram = in_subprocess (fun () -> run_ram ~budget:(watermark ()) t family) in
+      let por = in_subprocess (fun () -> run_ram ~por:true t family) in
+      let x = in_subprocess (fun () -> run_ext ~budget:(watermark ()) ~mem_budget:(64 * mb) t family) in
+      [ enum_row "inc7/tso" "enumerate" ram ~extra:[ ("watermark_bytes", fi (256 * mb)) ];
+        enum_row "inc7/tso" "enumerate.por" por; extmem_row "inc7/tso" ~mem_budget:(64 * mb) x ]
     end
   in
-  (* inc4/inc5 across all four disciplines: extmem must reproduce the
-     in-RAM outcome sets AND per-outcome terminal counts exactly *)
-  let parity (n, family) =
-    let t = Litmus.increment_n n in
-    let ram = Enumerate.outcomes (Semantics.of_model family) (Litmus.initial_state t)
-        ~observe:t.Litmus.observe in
-    let x = run_ext t family in
-    assert (x.Extmem.base.Enumerate.outcomes = ram.Enumerate.outcomes);
-    assert (x.Extmem.base.Enumerate.terminals = ram.Enumerate.terminals);
-    assert (x.Extmem.base.Enumerate.states_visited = ram.Enumerate.states_visited);
-    {
-      xtest = t.Litmus.name;
-      xdiscipline = dname family;
-      xstates = x.Extmem.base.Enumerate.states_visited;
-      xterminals = x.Extmem.base.Enumerate.terminals;
-      xsecs = x.Extmem.base.Enumerate.stats.elapsed_s;
-      xmem_budget = 64 * mb;
-      xext = x.Extmem.ext;
-      xoracle = "in-ram";
-      xinram_secs = Some ram.Enumerate.stats.elapsed_s;
-      xinram_note = "";
-    }
-  in
-  let families =
-    [ Model.Sequential_consistency; Model.Total_store_order; Model.Partial_store_order;
-      Model.Weak_ordering ]
-  in
-  let rows =
-    List.concat_map (fun n -> List.map (fun f -> parity (n, f)) families)
+  let grid =
+    List.concat_map
+      (fun n ->
+        let t = Litmus.increment_n n in
+        List.concat_map
+          (fun family ->
+            let w = Printf.sprintf "%s/%s" t.Litmus.name (dname family) in
+            [ enum_row w "enumerate" (run_ram t family);
+              enum_row w "enumerate.por" (run_ram ~por:true t family);
+              extmem_row w ~mem_budget:(64 * mb) (run_ext ~mem_budget:(64 * mb) t family) ])
+          families)
       (if smoke then [ 4; 5 ] else [ 4; 5; 6 ])
   in
-  (* budgeted rows: a deliberately tiny 64 KiB budget on inc5/TSO and, in
-     the full bench, inc6/TSO at 1 MiB. The wider levels must overflow the
-     successor arena repeatedly (>= 2 overflow runs, merged at the level
-     end) and the result must not change *)
-  let budgeted (n, mem_budget) =
-    let t = Litmus.increment_n n in
-    let family = Model.Total_store_order in
-    let ram = Enumerate.outcomes (Semantics.of_model family) (Litmus.initial_state t)
-        ~observe:t.Litmus.observe in
-    let x = run_ext ~mem_budget t family in
-    assert (x.Extmem.base.Enumerate.outcomes = ram.Enumerate.outcomes);
-    assert (x.Extmem.base.Enumerate.states_visited = ram.Enumerate.states_visited);
-    assert (x.Extmem.ext.Extmem.spill_generations >= 2);
-    {
-      xtest = t.Litmus.name;
-      xdiscipline = dname family;
-      xstates = x.Extmem.base.Enumerate.states_visited;
-      xterminals = x.Extmem.base.Enumerate.terminals;
-      xsecs = x.Extmem.base.Enumerate.stats.elapsed_s;
-      xmem_budget = mem_budget;
-      xext = x.Extmem.ext;
-      xoracle = "in-ram";
-      xinram_secs = Some ram.Enumerate.stats.elapsed_s;
-      xinram_note = "";
-    }
+  (* budgets small enough that the wider levels overflow the successor
+     arena into runs merged at the level end *)
+  let budgeted =
+    List.map
+      (fun (n, mem_budget, label) ->
+        let t = Litmus.increment_n n in
+        extmem_row (Printf.sprintf "%s/tso/%s" t.Litmus.name label) ~mem_budget
+          (run_ext ~mem_budget t Model.Total_store_order))
+      ((5, 65536, "64KiB") :: (if smoke then [] else [ (6, mb, "1MiB") ]))
   in
-  let budgeted_rows =
-    List.map budgeted ((5, 65536) :: (if smoke then [] else [ (6, mb) ]))
-  in
-  rows @ budgeted_rows @ wall_rows
+  wall_rows @ grid @ budgeted
 
-let enum_json ~file ~smoke =
-  (* extmem first: its RAM-wall phases fork children that must inherit a
-     pristine heap (see the comment in extmem_rows) *)
-  let xrows = extmem_rows ~smoke in
-  let rows = enum_rows ~smoke in
-  let sps states secs = if secs > 0.0 then float_of_int states /. secs else 0.0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"test\": %S, \"discipline\": %S, \"states\": %d, \"terminals\": %d,\n\
-           \     \"packed_key_seconds\": %.6f, \"packed_key_states_per_sec\": %.1f,\n\
-           \     \"por_states\": %d, \"por_seconds\": %.6f, \"por_pruned\": %d, \
-            \"por_state_reduction\": %.3f}%s\n"
-           r.etest r.ediscipline r.estates r.eterminals r.packed_secs
-           (sps r.estates r.packed_secs)
-           r.por_states r.por_secs r.por_pruned
-           (if r.por_states > 0 then float_of_int r.estates /. float_of_int r.por_states
-            else 0.0)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"extmem\": [\n";
-  List.iteri
-    (fun i r ->
-      let e = r.xext in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"test\": %S, \"discipline\": %S, \"mem_budget_bytes\": %d,\n\
-           \     \"states\": %d, \"terminals\": %d, \"seconds\": %.6f, \
-            \"states_per_sec\": %.1f,\n\
-           \     \"spill_bytes\": %d, \"bytes_per_state\": %.2f, \"spill_runs\": %d, \
-            \"spill_generations\": %d,\n\
-           \     \"merges\": %d, \"levels\": %d, \"peak_level_states\": %d,\n\
-           \     \"parity_oracle\": %S, \"inram_seconds\": %s%s}%s\n"
-           r.xtest r.xdiscipline r.xmem_budget r.xstates r.xterminals r.xsecs
-           (sps r.xstates r.xsecs)
-           e.Extmem.spill_bytes
-           (if r.xstates > 0 then float_of_int e.Extmem.spill_bytes /. float_of_int r.xstates
-            else 0.0)
-           e.Extmem.spill_runs e.Extmem.spill_generations e.Extmem.merges e.Extmem.levels
-           e.Extmem.peak_level_states r.xoracle
-           (match r.xinram_secs with Some s -> Printf.sprintf "%.6f" s | None -> "null")
-           (if r.xinram_note = "" then ""
-            else Printf.sprintf ", \"note\": %S" r.xinram_note)
-           (if i = List.length xrows - 1 then "" else ",")))
-    xrows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-5s %-4s %9d states  packed %8.0f/s  POR %8d states (%.2fx fewer)\n"
-        r.etest r.ediscipline r.estates
-        (sps r.estates r.packed_secs)
-        r.por_states
-        (if r.por_states > 0 then float_of_int r.estates /. float_of_int r.por_states else 0.0))
-    rows;
-  List.iter
-    (fun r ->
-      let e = r.xext in
-      Printf.printf
-        "%-5s %-4s %9d states  extmem %8.0f/s (budget %s)  spill %d runs / %.1f MB / %d overflow \
-         runs  %s%s\n"
-        r.xtest r.xdiscipline r.xstates
-        (sps r.xstates r.xsecs)
-        (if r.xmem_budget >= 1024 * 1024 then
-           Printf.sprintf "%d MiB" (r.xmem_budget / (1024 * 1024))
-         else Printf.sprintf "%d KiB" (r.xmem_budget / 1024))
-        e.Extmem.spill_runs
-        (float_of_int e.Extmem.spill_bytes /. 1048576.0)
-        e.Extmem.spill_generations
-        (match r.xinram_secs with
-         | Some s -> Printf.sprintf "= in-RAM (%8.0f/s)" (sps r.xstates s)
-         | None -> "= in-RAM POR oracle")
-        (if r.xinram_note = "" then "" else "; " ^ r.xinram_note))
-    xrows;
-  Printf.printf "wrote %s\n" file
+(* -- axiom: the co/rf solver vs generate-and-prune vs the machine -------- *)
 
-(* -- axiomatic bench (--json-axiom) ------------------------------------ *)
-
-(* Measures the conflict-driven solver (lib/axiom) against its
-   generate-and-prune oracle (test/oracle) across the corpus and the
-   increment family under all four models, three-way cross-checked against
-   the operational machine including per-outcome candidate counts. The
-   full form climbs the increment family to inc7, where the oracle exceeds
-   a 60-second budget and only the solver (and the
-   POR-reduced operational enumerator) conclude — the candidate-space
-   reduction rows of DESIGN.md section 13. Naive-space columns are
-   reported in log10 (the seed's linear product overflowed around 171
-   same-location writes). Writes BENCH_axiom.json; `make ci` runs the
-   smoke form. *)
-
-type axiom_row = {
-  atest : string;
-  afamily : string;
-  aoutcomes : int;
-  aagree : bool;
-  agen : Oracle.Generate.stats;
-  agen_partial : bool;  (* generate hit its budget; its columns are a lower bound *)
-  asol : Axiom_solver.stats;
-  aop_states : int;
-}
-
-let axiom_three_way ?max_states ?por (t : Litmus.t) family =
-  let tw = Oracle.Three_way.run ?max_states ?por t family in
-  let r = tw.Oracle.Three_way.report in
-  assert tw.Oracle.Three_way.agree;
+let solver_row workload (s : Axiom_solver.stats) ~outcomes ~agree =
   {
-    atest = t.Litmus.name;
-    afamily = String.lowercase_ascii (Model.family_name family);
-    aoutcomes = List.length r.Axiom_differential.axiomatic;
-    aagree = tw.Oracle.Three_way.agree;
-    agen = tw.Oracle.Three_way.generate_stats;
-    agen_partial = false;
-    asol = r.Axiom_differential.stats;
-    aop_states = r.Axiom_differential.operational_states;
+    workload;
+    layer = "solver";
+    seconds = s.Axiom_solver.elapsed_s;
+    unit = "candidates";
+    units = s.Axiom_solver.accepted;
+    counters =
+      [ ("events", fi s.Axiom_solver.events); ("outcomes", fi outcomes);
+        ("log10_naive_space", s.Axiom_solver.log10_naive_space);
+        ( "log10_reduction",
+          if s.Axiom_solver.accepted = 0 then 0.0
+          else s.Axiom_solver.log10_naive_space -. log10 (fi s.Axiom_solver.accepted) );
+        ("decisions", fi s.Axiom_solver.decisions);
+        ("propagations", fi s.Axiom_solver.propagations);
+        ("conflicts", fi s.Axiom_solver.conflicts); ("backjumps", fi s.Axiom_solver.backjumps);
+        ("forced", fi s.Axiom_solver.forced); ("memo_hits", fi s.Axiom_solver.memo_hits);
+        ("distinct_keys", fi s.Axiom_solver.distinct_keys); ("agree", flag agree) ];
   }
 
-(* inc7: ~25M allowed SC candidates. The generate-and-prune oracle gets a
-   60 s deadline and is expected to come back partial; the solver must
-   finish, and is cross-checked against the POR-reduced operational
-   enumeration. *)
-let axiom_frontier_row () =
-  let t = Litmus.increment_n 7 in
-  let family = Model.Sequential_consistency in
+let generate_row workload (g : Oracle.Generate.stats) =
+  {
+    workload;
+    layer = "generate";
+    seconds = g.Oracle.Generate.elapsed_s;
+    unit = "candidates";
+    units = g.Oracle.Generate.accepted;
+    counters =
+      [ ("co_branches", fi g.Oracle.Generate.co_branches);
+        ("rf_branches", fi g.Oracle.Generate.rf_branches);
+        ("pruned", fi g.Oracle.Generate.pruned);
+        ("partial", flag (g.Oracle.Generate.exhausted <> None)) ];
+  }
+
+(* [agree] is the three-way verdict (solver = generate = operational,
+   per-outcome candidate counts included) *)
+let three_way_rows (t : Litmus.t) family =
+  let tw = Oracle.Three_way.run t family in
+  let r = tw.Oracle.Three_way.report in
+  let w = Printf.sprintf "%s/%s" t.Litmus.name (dname family) in
+  [ solver_row w r.Axiom_differential.stats
+      ~outcomes:(List.length r.Axiom_differential.axiomatic) ~agree:tw.Oracle.Three_way.agree;
+    generate_row w tw.Oracle.Three_way.generate_stats ]
+
+(* inc7 SC, ~25M allowed candidates: generate-and-prune gets a 60 s
+   deadline and comes back partial; the solver completes, and [agree]
+   compares it with the POR-reduced operational enumeration *)
+let axiom_frontier_rows () =
+  let t = Litmus.increment_n 7 and family = Model.Sequential_consistency in
   let sr = Axiom_solver.run t family in
-  let solver_outcomes = List.map (fun (e : Axiom_solver.entry) -> e.Axiom_solver.outcome) sr.Axiom_solver.entries in
-  let budget = Budget.create ~deadline_s:60.0 () in
-  let gr = Oracle.Generate.run ~budget t family in
+  let gr = Oracle.Generate.run ~budget:(Budget.create ~deadline_s:60.0 ()) t family in
   let opr = Litmus.run_exhaustive ~max_states:50_000_000 ~por:true t family in
+  let outcomes = List.map (fun (e : Axiom_solver.entry) -> e.Axiom_solver.outcome) sr.Axiom_solver.entries in
   let agree =
     sr.Axiom_solver.stats.Axiom_solver.exhausted = None
     && opr.Enumerate.exhausted = None
-    && solver_outcomes = Enumerate.outcome_set opr
+    && outcomes = Enumerate.outcome_set opr
   in
-  assert agree;
-  {
-    atest = t.Litmus.name;
-    afamily = "sc";
-    aoutcomes = List.length solver_outcomes;
-    aagree = agree;
-    agen = gr.Oracle.Generate.stats;
-    agen_partial = gr.Oracle.Generate.stats.Oracle.Generate.exhausted <> None;
-    asol = sr.Axiom_solver.stats;
-    aop_states = opr.Enumerate.terminals;
-  }
+  [ solver_row "inc7/sc" sr.Axiom_solver.stats ~outcomes:(List.length outcomes) ~agree;
+    generate_row "inc7/sc" gr.Oracle.Generate.stats; enum_row "inc7/sc" "enumerate.por" opr ]
 
 let axiom_rows ~smoke =
   let tests =
-    if smoke then
-      [ Litmus.find "sb"; Litmus.find "mp"; Litmus.find "lb"; Litmus.increment_n 3;
-        Litmus.increment_n 4 ]
-    else Litmus.all @ [ Litmus.increment_n 3; Litmus.increment_n 4; Litmus.increment_n 5 ]
+    if smoke then List.map Litmus.find [ "sb"; "mp"; "lb"; "inc3"; "inc4" ]
+    else Litmus.all @ List.map Litmus.increment_n [ 3; 4; 5 ]
   in
   List.concat_map
-    (fun (t : Litmus.t) ->
-      List.map (fun family -> axiom_three_way t family) Axiom_differential.standard_families)
+    (fun t -> List.concat_map (three_way_rows t) Axiom_differential.standard_families)
     tests
   @
   if smoke then []
-  else
-    [ axiom_three_way (Litmus.increment_n 6) Model.Sequential_consistency;
-      axiom_frontier_row () ]
+  else three_way_rows (Litmus.increment_n 6) Model.Sequential_consistency @ axiom_frontier_rows ()
 
-let axiom_json ~file ~smoke =
-  let rows = axiom_rows ~smoke in
-  let log10_reduction r =
-    if r.asol.Axiom_solver.accepted = 0 then 0.0
-    else
-      r.asol.Axiom_solver.log10_naive_space
-      -. log10 (float_of_int r.asol.Axiom_solver.accepted)
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      let g = r.agen and s = r.asol in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"test\": %S, \"family\": %S, \"events\": %d, \"outcomes\": %d,\n\
-           \     \"log10_naive_space\": %.2f, \"log10_reduction\": %.2f, \"agree\": %b,\n\
-           \     \"generate\": {\"candidates\": %d, \"co_branches\": %d, \"rf_branches\": %d, \
-            \"pruned\": %d,\n\
-           \                  \"seconds\": %.6f, \"candidates_per_sec\": %.1f, \"partial\": \
-            %b},\n\
-           \     \"solver\": {\"candidates\": %d, \"decisions\": %d, \"propagations\": %d, \
-            \"conflicts\": %d,\n\
-           \                \"backjumps\": %d, \"forced\": %d, \"memo_hits\": %d, \
-            \"distinct_keys\": %d,\n\
-           \                \"seconds\": %.6f, \"candidates_per_sec\": %.1f},\n\
-           \     \"operational_states\": %d}%s\n"
-           r.atest r.afamily s.Axiom_solver.events r.aoutcomes
-           s.Axiom_solver.log10_naive_space (log10_reduction r) r.aagree g.Oracle.Generate.accepted
-           g.Oracle.Generate.co_branches g.Oracle.Generate.rf_branches g.Oracle.Generate.pruned g.Oracle.Generate.elapsed_s
-           g.Oracle.Generate.candidates_per_sec r.agen_partial s.Axiom_solver.accepted
-           s.Axiom_solver.decisions s.Axiom_solver.propagations s.Axiom_solver.conflicts
-           s.Axiom_solver.backjumps s.Axiom_solver.forced s.Axiom_solver.memo_hits
-           s.Axiom_solver.distinct_keys s.Axiom_solver.elapsed_s
-           s.Axiom_solver.candidates_per_sec r.aop_states
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  List.iter
-    (fun r ->
-      let g = r.agen and s = r.asol in
-      Printf.printf
-        "%-8s %-4s %2d events  %8d candidates (%d outcomes)  naive 10^%-5.1f  generate \
-         %8.0f/s%s  solver %8.0f/s (bj %d, memo %d)  %s\n"
-        r.atest r.afamily s.Axiom_solver.events s.Axiom_solver.accepted r.aoutcomes
-        s.Axiom_solver.log10_naive_space g.Oracle.Generate.candidates_per_sec
-        (if r.agen_partial then " (PARTIAL)" else "")
-        s.Axiom_solver.candidates_per_sec s.Axiom_solver.backjumps s.Axiom_solver.memo_hits
-        (if r.aagree then "agree" else "DISAGREE"))
-    rows;
-  Printf.printf "wrote %s\n" file
+(* -- exact: the fixnum fast path vs the seed limb-array arithmetic ------- *)
 
-(* -- exact-arithmetic bench (--json-exact) ----------------------------- *)
-
-(* Measures the fixnum fast path + Knuth-normalized rationals against the
-   seed implementation (the oracle's Bigint_reference and
-   Rational_reference), running the SAME functorized DP code over both
-   scalar types in one process: the
-   settling window DP at the Figure 1/2 parameters, the exact joint window
-   transform, the Theorem 5.1 permutation sums, the phi partition tables,
-   and raw add/mul/gcd microbenchmarks. Every row cross-checks that the two
-   implementations produce identical results before timing is reported.
-   Writes BENCH_exact.json; `make ci` runs the smoke form. *)
+(* The same functorized DP code over both scalar types (the settling
+   window DP, the exact joint window transform, the Theorem 5.1
+   permutation sums), the phi partition tables, and raw add/mul/gcd. Each
+   workload gives a "fast" row, with the Bigint/Rational fast-path
+   telemetry of its timed run, and a "reference" row. *)
 
 module QRef = Oracle.Rational_reference
 module BRef = Oracle.Bigint_reference
@@ -1192,90 +789,41 @@ module DQref = Window_exact_dp_q.Make (QRef)
 module JQref = Window_joint_dp_q.Make (QRef)
 module SEref = Shift_exact.Make (QRef)
 
-type exact_row = {
-  xname : string;
-  xops : int; (* logical operations (DP runs, permutation terms, raw ops) *)
-  xfast_secs : float;
-  xref_secs : float;
-  xequal : bool;
-}
-
-(* reference bounded-partition recurrence over the seed bigint, memoized
-   like Combinatorics but locally (the bench is single-domain) *)
-let ref_phi_cache : (int * int * int, BRef.t) Hashtbl.t = Hashtbl.create 4096
-
-let rec ref_bounded_at_most n k m =
-  if n = 0 then BRef.one
-  else if n < 0 || k = 0 || m = 0 then BRef.zero
-  else
-    match Hashtbl.find_opt ref_phi_cache (n, k, m) with
-    | Some v -> v
-    | None ->
-      let v = BRef.add (ref_bounded_at_most n k (m - 1)) (ref_bounded_at_most (n - m) (k - 1) m) in
-      Hashtbl.add ref_phi_cache (n, k, m) v;
-      v
-
-let ref_partitions_bounded x y z =
-  if y = 0 then (if x = 0 then BRef.one else BRef.zero)
-  else if x < y || x > y * z then BRef.zero
-  else ref_bounded_at_most (x - y) y (z - 1)
-
 let exact_rows ~smoke =
   let rng = Rng.create seed in
-  let row xname xops ~fast ~reference =
-    (* warm-up both sides once so first-allocation noise stays out, and
-       keep the result strings for the differential check *)
-    let fast_result = fast () in
-    let ref_result = reference () in
-    let xfast_secs = wall fast in
-    let xref_secs = wall reference in
-    { xname; xops; xfast_secs; xref_secs; xequal = String.equal fast_result ref_result }
+  let rows name ops ~fast ~reference =
+    (* one untimed run each keeps first-allocation noise out *)
+    fast ();
+    reference ();
+    Bigint.reset_stats ();
+    Rational.reset_stats ();
+    let fast_s = wall fast in
+    let b = Bigint.stats () and q = Rational.stats () in
+    let ref_s = wall reference in
+    [ { workload = name; layer = "fast"; seconds = fast_s; unit = "ops"; units = ops;
+        counters =
+          [ ("bigint_small_ops", fi b.Bigint.small_ops); ("bigint_big_ops", fi b.Bigint.big_ops);
+            ("bigint_small_hit_rate", Bigint.small_hit_rate b);
+            ("bigint_promotions", fi b.Bigint.promotions);
+            ("rational_adds", fi q.Rational.adds); ("rational_add_coprime", fi q.Rational.add_coprime);
+            ("rational_muls", fi q.Rational.muls); ("rational_mul_coprime", fi q.Rational.mul_coprime) ] };
+      { workload = name; layer = "reference"; seconds = ref_s; unit = "ops"; units = ops;
+        counters = [] } ]
   in
-  let pmf_str pmf to_s = String.concat ";" (List.map (fun (g, p) -> Printf.sprintf "%d:%s" g (to_s p)) pmf) in
-  let repeat n f =
-    let last = ref "" in
-    for _ = 1 to n do last := f () done;
-    !last
-  in
-
+  let repeat n f () = for _ = 1 to n do ignore (f ()) done in
   (* operand pools for the raw microbenchmarks: mostly native-fitting (the
      DP regime) with boundary and multi-limb values mixed in *)
   let operand_strings =
     let digits k = String.init k (fun i -> Char.chr (Char.code '1' + ((Rng.int rng 9 + i) mod 9))) in
     List.init 3_000 (fun _ ->
         match Rng.int rng 10 with
-        | 0 -> digits 40 (* multi-limb *)
-        | 1 -> string_of_int (max_int - Rng.int rng 3) (* boundary *)
+        | 0 -> digits 40
+        | 1 -> string_of_int (max_int - Rng.int rng 3)
         | 2 -> "-" ^ string_of_int (Rng.int rng 1_000_000_000)
         | _ -> string_of_int (Rng.int rng 1_000_000))
   in
-  let pairs_of of_string =
-    let ops = Array.of_list (List.map of_string operand_strings) in
-    let n = Array.length ops in
-    Array.init (n - 1) (fun i -> (ops.(i), ops.(i + 1)))
-  in
-  let micro name iters pairs_fast pairs_ref op_fast op_ref to_s_fast to_s_ref =
-    let digest pairs op to_s =
-      let buf = Buffer.create 4096 in
-      Array.iter (fun (a, b) -> Buffer.add_string buf (to_s (op a b))) pairs;
-      Digest.to_hex (Digest.string (Buffer.contents buf))
-    in
-    row name (iters * Array.length pairs_fast)
-      ~fast:(fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun (a, b) -> ignore (op_fast a b)) pairs_fast
-        done;
-        digest pairs_fast op_fast to_s_fast)
-      ~reference:(fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun (a, b) -> ignore (op_ref a b)) pairs_ref
-        done;
-        digest pairs_ref op_ref to_s_ref)
-  in
-  let bpairs = pairs_of Bigint.of_string in
-  let bpairs_ref = pairs_of BRef.of_string in
-  (* rationals in the DP regime: dyadic denominators with occasional
-     3^k denominators so the Knuth reductions see non-trivial gcds *)
+  (* rationals in the DP regime: dyadic denominators with occasional 3^k
+     denominators so the Knuth reductions see non-trivial gcds *)
   let rat_components =
     List.init 2_000 (fun _ ->
         let num = Rng.int rng 4096 - 2048 in
@@ -1285,554 +833,82 @@ let exact_rows ~smoke =
         in
         (num, den))
   in
-  let qpairs_with of_ints =
-    let ops = Array.of_list (List.map (fun (n, d) -> of_ints n d) rat_components) in
-    let n = Array.length ops in
-    Array.init (n - 1) (fun i -> (ops.(i), ops.(i + 1)))
+  let pairs of_x xs =
+    let a = Array.of_list (List.map of_x xs) in
+    Array.init (Array.length a - 1) (fun i -> (a.(i), a.(i + 1)))
   in
-  let qpairs = qpairs_with Q.of_ints in
-  let qpairs_ref = qpairs_with QRef.of_ints in
-
+  let micro name iters ps ps_ref op op_ref =
+    rows name (iters * Array.length ps)
+      ~fast:(repeat iters (fun () -> Array.iter (fun (a, b) -> ignore (op a b)) ps))
+      ~reference:(repeat iters (fun () -> Array.iter (fun (a, b) -> ignore (op_ref a b)) ps_ref))
+  in
+  let bpairs = pairs Bigint.of_string operand_strings
+  and bpairs_ref = pairs BRef.of_string operand_strings in
+  let uncurry f (n, d) = f n d in
+  let qpairs = pairs (uncurry Q.of_ints) rat_components
+  and qpairs_ref = pairs (uncurry QRef.of_ints) rat_components in
   let dp_iters = if smoke then 1 else 3 in
-  let m_tso = if smoke then 7 else 10 in
-  let m_wo = if smoke then 6 else 9 in
-  let joint_m = if smoke then 8 else 16 in
-  let joint_n = if smoke then 2 else 3 in
-  let joint_b = if smoke then 5 else 8 in
-  let shift_n = if smoke then 5 else 7 in
-  let geom_n = if smoke then 4 else 5 in
+  let m_tso = if smoke then 7 else 10 and m_wo = if smoke then 6 else 9 in
+  let joint_m = if smoke then 8 else 16
+  and joint_n = if smoke then 2 else 3
+  and joint_b = if smoke then 5 else 8 in
+  let shift_n = if smoke then 5 else 7 and geom_n = if smoke then 4 else 5 in
+  let perm_iters = if smoke then 3 else 10 in
   let micro_scale = if smoke then 10 else 1 in
-
-  let rows =
+  let fact n = List.fold_left ( * ) 1 (List.init n (fun i -> i + 1)) in
+  let shift_gammas = Array.init shift_n (fun i -> 2 + (i mod 3)) in
+  let geom_gammas = Array.init geom_n (fun i -> 2 + (i mod 2)) in
+  let phi_grid =
+    List.concat_map
+      (fun (y, z) ->
+        List.filteri (fun i _ -> i mod 3 = 0) (List.init ((y * z) - y + 1) (fun i -> (y + i, y, z))))
+      (if smoke then [ (6, 8) ] else [ (10, 12); (8, 10) ])
+  in
+  List.concat
     [
-      row (Printf.sprintf "settling_dp_tso_m%d" m_tso) dp_iters
+      rows (Printf.sprintf "settling_dp_tso_m%d" m_tso) dp_iters
+        ~fast:(repeat dp_iters (fun () -> Window_exact_dp_q.gamma_pmf (Window_exact_dp_q.tso ()) ~m:m_tso))
+        ~reference:(repeat dp_iters (fun () -> DQref.gamma_pmf (DQref.tso ()) ~m:m_tso));
+      rows (Printf.sprintf "settling_dp_wo_m%d" m_wo) dp_iters
+        ~fast:(repeat dp_iters (fun () -> Window_exact_dp_q.gamma_pmf (Window_exact_dp_q.wo ()) ~m:m_wo))
+        ~reference:(repeat dp_iters (fun () -> DQref.gamma_pmf (DQref.wo ()) ~m:m_wo));
+      rows (Printf.sprintf "joint_dp_q_tso_n%d_m%d_b%d" joint_n joint_m joint_b) dp_iters
+        ~fast:
+          (repeat dp_iters (fun () ->
+               Window_joint_dp_q.expect_product ~b_max:joint_b ~s:Q.half Model.Total_store_order
+                 ~m:joint_m ~n:joint_n))
+        ~reference:
+          (repeat dp_iters (fun () ->
+               JQref.expect_product ~b_max:joint_b ~s:QRef.half Model.Total_store_order
+                 ~m:joint_m ~n:joint_n));
+      rows (Printf.sprintf "shift_exact_n%d" shift_n) (perm_iters * fact shift_n)
+        ~fast:(repeat perm_iters (fun () -> Shift_exact.disjoint_probability shift_gammas))
+        ~reference:(repeat perm_iters (fun () -> SEref.disjoint_probability shift_gammas));
+      rows (Printf.sprintf "shift_geom_n%d_q3/4" geom_n) (perm_iters * fact geom_n)
+        ~fast:
+          (repeat perm_iters (fun () ->
+               Shift_exact.disjoint_probability_geom ~q:(Q.of_ints 3 4) geom_gammas))
+        ~reference:
+          (repeat perm_iters (fun () ->
+               SEref.disjoint_probability_geom ~q:(QRef.of_ints 3 4) geom_gammas));
+      (* cold caches on both sides: each run recomputes the whole table *)
+      rows "phi_partition_table" (List.length phi_grid)
         ~fast:(fun () ->
-          repeat dp_iters (fun () ->
-              pmf_str (Window_exact_dp_q.gamma_pmf (Window_exact_dp_q.tso ()) ~m:m_tso) Q.to_string))
+          Combinatorics.clear_caches ();
+          List.iter (fun (x, y, z) -> ignore (Combinatorics.partitions_bounded x y z)) phi_grid)
         ~reference:(fun () ->
-          repeat dp_iters (fun () ->
-              pmf_str (DQref.gamma_pmf (DQref.tso ()) ~m:m_tso) QRef.to_string));
-      row (Printf.sprintf "settling_dp_wo_m%d" m_wo) dp_iters
-        ~fast:(fun () ->
-          repeat dp_iters (fun () ->
-              pmf_str (Window_exact_dp_q.gamma_pmf (Window_exact_dp_q.wo ()) ~m:m_wo) Q.to_string))
-        ~reference:(fun () ->
-          repeat dp_iters (fun () ->
-              pmf_str (DQref.gamma_pmf (DQref.wo ()) ~m:m_wo) QRef.to_string));
-      row (Printf.sprintf "joint_dp_q_tso_n%d_m%d_b%d" joint_n joint_m joint_b) dp_iters
-        ~fast:(fun () ->
-          repeat dp_iters (fun () ->
-              Q.to_string
-                (Window_joint_dp_q.expect_product ~b_max:joint_b ~s:Q.half
-                   Model.Total_store_order ~m:joint_m ~n:joint_n)))
-        ~reference:(fun () ->
-          repeat dp_iters (fun () ->
-              QRef.to_string
-                (JQref.expect_product ~b_max:joint_b ~s:QRef.half Model.Total_store_order
-                   ~m:joint_m ~n:joint_n)));
-      (let iters = if smoke then 3 else 10 in
-       let gammas = Array.init shift_n (fun i -> 2 + (i mod 3)) in
-       row (Printf.sprintf "shift_exact_n%d" shift_n) (iters * List.fold_left ( * ) 1 (List.init shift_n (fun i -> i + 1)))
-         ~fast:(fun () ->
-           repeat iters (fun () -> Q.to_string (Shift_exact.disjoint_probability gammas)))
-         ~reference:(fun () ->
-           repeat iters (fun () -> QRef.to_string (SEref.disjoint_probability gammas))));
-      (let iters = if smoke then 3 else 10 in
-       let gammas = Array.init geom_n (fun i -> 2 + (i mod 2)) in
-       row (Printf.sprintf "shift_geom_n%d_q3/4" geom_n) (iters * List.fold_left ( * ) 1 (List.init geom_n (fun i -> i + 1)))
-         ~fast:(fun () ->
-           repeat iters (fun () ->
-               Q.to_string (Shift_exact.disjoint_probability_geom ~q:(Q.of_ints 3 4) gammas)))
-         ~reference:(fun () ->
-           repeat iters (fun () ->
-               QRef.to_string (SEref.disjoint_probability_geom ~q:(QRef.of_ints 3 4) gammas))));
-      (let grid =
-         let ys = if smoke then [ (6, 8) ] else [ (10, 12); (8, 10) ] in
-         List.concat_map
-           (fun (y, z) -> List.filteri (fun i _ -> i mod 3 = 0) (List.init (y * z - y + 1) (fun i -> (y + i, y, z))))
-           ys
-       in
-       row "phi_partition_table" (List.length grid)
-         ~fast:(fun () ->
-           Combinatorics.clear_caches ();
-           String.concat ";"
-             (List.map (fun (x, y, z) -> Bigint.to_string (Combinatorics.partitions_bounded x y z)) grid))
-         ~reference:(fun () ->
-           Hashtbl.reset ref_phi_cache;
-           String.concat ";"
-             (List.map (fun (x, y, z) -> BRef.to_string (ref_partitions_bounded x y z)) grid)));
-      micro "bigint_add" (100 / micro_scale) bpairs bpairs_ref Bigint.add BRef.add
-        Bigint.to_string BRef.to_string;
-      micro "bigint_mul" (40 / micro_scale) bpairs bpairs_ref Bigint.mul BRef.mul
-        Bigint.to_string BRef.to_string;
-      micro "bigint_gcd" (20 / micro_scale) bpairs bpairs_ref Bigint.gcd BRef.gcd
-        Bigint.to_string BRef.to_string;
-      micro "rational_add" (30 / micro_scale) qpairs qpairs_ref Q.add QRef.add
-        Q.to_string QRef.to_string;
-      micro "rational_mul" (30 / micro_scale) qpairs qpairs_ref Q.mul QRef.mul
-        Q.to_string QRef.to_string;
+          Oracle.Combinatorics_reference.clear ();
+          List.iter
+            (fun (x, y, z) -> ignore (Oracle.Combinatorics_reference.partitions_bounded x y z))
+            phi_grid);
+      micro "bigint_add" (100 / micro_scale) bpairs bpairs_ref Bigint.add BRef.add;
+      micro "bigint_mul" (40 / micro_scale) bpairs bpairs_ref Bigint.mul BRef.mul;
+      micro "bigint_gcd" (20 / micro_scale) bpairs bpairs_ref Bigint.gcd BRef.gcd;
+      micro "rational_add" (30 / micro_scale) qpairs qpairs_ref Q.add QRef.add;
+      micro "rational_mul" (30 / micro_scale) qpairs qpairs_ref Q.mul QRef.mul;
     ]
-  in
-  List.iter (fun r -> assert r.xequal) rows;
-  rows
 
-let exact_json ~file ~smoke =
-  Bigint.reset_stats ();
-  Rational.reset_stats ();
-  Combinatorics.clear_caches ();
-  let rows = exact_rows ~smoke in
-  let bs = Bigint.stats () in
-  let rs = Rational.stats () in
-  let cs = Combinatorics.cache_stats () in
-  let ops_s ops secs = if secs > 0.0 then float_of_int ops /. secs else 0.0 in
-  let speedup r = if r.xfast_secs > 0.0 then r.xref_secs /. r.xfast_secs else 0.0 in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"ops\": %d, \"fast_seconds\": %.6f, \
-            \"fast_ops_per_sec\": %.1f,\n\
-           \     \"reference_seconds\": %.6f, \"reference_ops_per_sec\": %.1f, \
-            \"speedup\": %.3f, \"results_equal\": %b}%s\n"
-           r.xname r.xops r.xfast_secs (ops_s r.xops r.xfast_secs) r.xref_secs
-           (ops_s r.xops r.xref_secs) (speedup r) r.xequal
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"bigint_stats\": {\"small_ops\": %d, \"big_ops\": %d, \"promotions\": %d, \
-        \"demotions\": %d, \"small_hit_rate\": %.6f},\n"
-       bs.Bigint.small_ops bs.Bigint.big_ops bs.Bigint.promotions bs.Bigint.demotions
-       (Bigint.small_hit_rate bs));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"rational_stats\": {\"adds\": %d, \"add_coprime\": %d, \"muls\": %d, \
-        \"mul_coprime\": %d},\n"
-       rs.Rational.adds rs.Rational.add_coprime rs.Rational.muls rs.Rational.mul_coprime);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"combinatorics_cache\": {\"binomial_hits\": %d, \"binomial_misses\": %d, \
-        \"binomial_entries\": %d, \"partition_hits\": %d, \"partition_misses\": %d, \
-        \"partition_entries\": %d}\n"
-       cs.Combinatorics.binomial_hits cs.Combinatorics.binomial_misses
-       cs.Combinatorics.binomial_entries cs.Combinatorics.partition_hits
-       cs.Combinatorics.partition_misses cs.Combinatorics.partition_entries);
-  Buffer.add_string buf "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  List.iter
-    (fun r ->
-      Printf.printf "%-28s %9d ops  fast %10.0f/s  reference %10.0f/s  speedup %6.2fx  %s\n"
-        r.xname r.xops (ops_s r.xops r.xfast_secs) (ops_s r.xops r.xref_secs) (speedup r)
-        (if r.xequal then "equal" else "MISMATCH"))
-    rows;
-  Printf.printf "bigint fast-path hit rate: %.4f (%d small / %d big ops, %d promotions, %d demotions)\n"
-    (Bigint.small_hit_rate bs) bs.Bigint.small_ops bs.Bigint.big_ops bs.Bigint.promotions
-    bs.Bigint.demotions;
-  Printf.printf "wrote %s\n" file
-
-(* -- robustness bench (--json-robust) ---------------------------------- *)
-
-(* Measures what checkpointing, resume and fault retry cost the Monte Carlo
-   engine: a bare Par.count run vs the same run with periodic checkpoints,
-   snapshot size on disk, the wall cost of a resume, and a fault-injected
-   run with retries. Every configuration is asserted bit-identical to the
-   bare run before any timing is reported — the numbers are only
-   meaningful if the determinism contract holds. Writes BENCH_robust.json;
-   `make ci` runs the smoke form. *)
-
-type robust_numbers = {
-  r_jobs : int;
-  r_trials : int;
-  r_chunks : int;
-  r_baseline_secs : float;
-  r_checkpointed_secs : float;
-  r_checkpoints_written : int;
-  r_snapshot_bytes : int;
-  r_partial_chunks : int;
-  r_restore_secs : float;
-  r_resume_equal : bool;
-  r_fault_secs : float;
-  r_fault_retries : int;
-  r_fault_equal : bool;
-}
-
-let robust_numbers ~smoke =
-  let trials = if smoke then 60_000 else 600_000 in
-  let chunk = 2048 in
-  let chunks = (trials + chunk - 1) / chunk in
-  let jobs = max 4 (Par.default_jobs ()) in
-  let worker () =
-    let s = Window_scratch.create ~m:48 (Model.tso ()) in
-    fun r -> Window_scratch.sample_gamma s r >= 1
-  in
-  let count ?budget ?checkpoint ?resume ?fault ~trials () =
-    Par.count ~jobs ~chunk ?budget ?checkpoint ~checkpoint_every:4 ?resume ?fault ~trials ~worker
-      (Rng.create seed)
-  in
-  ignore (count ~trials:(max 1 (trials / 20)) ());
-  let baseline = ref 0 in
-  let r_baseline_secs = wall (fun () -> baseline := (count ~trials ()).Par.value) in
-  let snap = Filename.temp_file "memrel_robust" ".snap" in
-  let checkpointed = ref 0 and r_checkpoints_written = ref 0 in
-  let r_checkpointed_secs =
-    wall (fun () ->
-        let g = count ~checkpoint:snap ~trials () in
-        r_checkpoints_written := g.Par.checkpoints_written;
-        checkpointed := g.Par.value)
-  in
-  assert (!checkpointed = !baseline);
-  (* interrupt half-way with a deterministic work cap, snapshot, resume *)
-  let partial =
-    count ~budget:(Budget.create ~max_work:(chunks / 2) ()) ~checkpoint:snap ~trials ()
-  in
-  assert (partial.Par.exhausted <> None);
-  let r_partial_chunks = partial.Par.chunks_done in
-  let r_snapshot_bytes = (Unix.stat snap).Unix.st_size in
-  let resumed = ref 0 in
-  let r_restore_secs =
-    wall (fun () ->
-        let g = count ~resume:snap ~trials () in
-        assert (g.Par.chunks_resumed = r_partial_chunks);
-        resumed := g.Par.value)
-  in
-  Sys.remove snap;
-  let r_resume_equal = !resumed = !baseline in
-  assert r_resume_equal;
-  let fault ~chunk:c ~attempt = if (c = 0 || c = 7) && attempt = 1 then Some Par.Crash else None in
-  let faulted = ref 0 and r_fault_retries = ref 0 in
-  let r_fault_secs =
-    wall (fun () ->
-        let g = count ~fault ~trials () in
-        r_fault_retries := g.Par.retries;
-        faulted := g.Par.value)
-  in
-  let r_fault_equal = !faulted = !baseline in
-  assert r_fault_equal;
-  {
-    r_jobs = jobs;
-    r_trials = trials;
-    r_chunks = chunks;
-    r_baseline_secs;
-    r_checkpointed_secs;
-    r_checkpoints_written = !r_checkpoints_written;
-    r_snapshot_bytes;
-    r_partial_chunks;
-    r_restore_secs;
-    r_resume_equal;
-    r_fault_secs;
-    r_fault_retries = !r_fault_retries;
-    r_fault_equal;
-  }
-
-let robust_json ~file ~smoke =
-  let n = robust_numbers ~smoke in
-  let overhead a b = if a > 0.0 then b /. a else 0.0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" n.r_jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"trials\": %d,\n" n.r_trials);
-  Buffer.add_string buf (Printf.sprintf "  \"chunks\": %d,\n" n.r_chunks);
-  Buffer.add_string buf (Printf.sprintf "  \"baseline_seconds\": %.6f,\n" n.r_baseline_secs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"checkpointed_seconds\": %.6f,\n" n.r_checkpointed_secs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"checkpoint_overhead\": %.4f,\n"
-       (overhead n.r_baseline_secs n.r_checkpointed_secs));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"checkpoints_written\": %d,\n" n.r_checkpoints_written);
-  Buffer.add_string buf (Printf.sprintf "  \"snapshot_bytes\": %d,\n" n.r_snapshot_bytes);
-  Buffer.add_string buf (Printf.sprintf "  \"partial_chunks\": %d,\n" n.r_partial_chunks);
-  Buffer.add_string buf (Printf.sprintf "  \"restore_seconds\": %.6f,\n" n.r_restore_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"resume_equal\": %b,\n" n.r_resume_equal);
-  Buffer.add_string buf (Printf.sprintf "  \"fault_seconds\": %.6f,\n" n.r_fault_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"fault_retries\": %d,\n" n.r_fault_retries);
-  Buffer.add_string buf (Printf.sprintf "  \"fault_equal\": %b\n" n.r_fault_equal);
-  Buffer.add_string buf "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "Monte Carlo engine (%d trials, %d chunks, jobs=%d):\n\
-    \  baseline      %8.3fs\n\
-    \  checkpointed  %8.3fs (%.2fx baseline, %d snapshots, %d bytes each)\n\
-    \  resume        %8.3fs from %d/%d chunks  bit-identical: %b\n\
-    \  fault-retried %8.3fs (%d retries)       bit-identical: %b\n"
-    n.r_trials n.r_chunks n.r_jobs n.r_baseline_secs
-    n.r_checkpointed_secs
-    (overhead n.r_baseline_secs n.r_checkpointed_secs)
-    n.r_checkpoints_written n.r_snapshot_bytes n.r_restore_secs n.r_partial_chunks n.r_chunks
-    n.r_resume_equal n.r_fault_secs n.r_fault_retries n.r_fault_equal;
-  Printf.printf "wrote %s\n" file
-
-(* -- service bench (--json-serve) --------------------------------------- *)
-
-(* Measures what the [memrel serve] result cache buys: a mixed query trace
-   is run cold against a fresh daemon (every answer computed), replayed warm
-   (every answer a memory hit), and replayed again against a restarted
-   daemon over the same cache directory (every answer a disk hit). The
-   heavy enumeration is timed on its own — the headline number is how many
-   times faster the warm hit answers it. Warm responses are checked equal
-   to the cold results before any number is reported. Writes
-   BENCH_serve.json; `make ci` runs the smoke form. *)
-
-type serve_numbers = {
-  v_queries : int;
-  v_cold_trace_secs : float;
-  v_warm_trace_secs : float;
-  v_disk_trace_secs : float;
-  v_cold_heavy_secs : float;
-  v_warm_heavy_secs : float;
-  v_warm_hit_rate : float;
-  v_disk_hit_rate : float;
-  v_warm_qps : float;
-  v_responses_equal : bool;
-  v_chaos_seeds : int;
-  v_chaos_secs : float;
-  v_chaos_retries : int;
-  v_chaos_responses_equal : bool;
-  v_chaos_restart_equal : bool;
-}
-
-let serve_rm_rf dir =
-  let rec go p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> go (Filename.concat p e)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists dir then go dir
-
-let serve_numbers ~smoke =
-  let module SP = Service_protocol in
-  let module SS = Service_server in
-  let module SC = Service_client in
-  let tmp suffix =
-    let p = Filename.temp_file "memrel_bench" suffix in
-    Sys.remove p;
-    p
-  in
-  let cache_dir = tmp ".cache" in
-  let parse s =
-    match SP.parse_query s with Ok q -> q | Error m -> failwith (s ^ ": " ^ m)
-  in
-  let heavy = if smoke then "enumerate inc4 sc" else "enumerate inc5 sc" in
-  let trace =
-    List.map parse
-      [
-        "verify sb tso";
-        "verify mp wo";
-        "enumerate lb pso";
-        "axiom sb tso engine=solver";
-        "estimate settling tso gamma=2 trials=20000";
-        "estimate shift gammas=3,2,5 trials=20000";
-        heavy;
-      ]
-  in
-  let with_daemon f =
-    let socket = tmp ".sock" in
-    let address = SP.Unix_path socket in
-    let config = SS.default_config address cache_dir in
-    let ready = Atomic.make false in
-    let server =
-      Domain.spawn (fun () -> SS.run ~on_ready:(fun () -> Atomic.set ready true) config)
-    in
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
-      ignore (Unix.select [] [] [] 0.01)
-    done;
-    if not (Atomic.get ready) then failwith "bench daemon did not come up";
-    let finish () =
-      (match SC.with_connection ~retry_for:2.0 address (fun c -> SC.request c SP.Shutdown) with
-       | Ok _ | Error _ -> ());
-      Domain.join server
-    in
-    match SC.connect ~retry_for:10.0 address with
-    | Error m ->
-      finish ();
-      failwith m
-    | Ok c ->
-      let r =
-        try f c
-        with e ->
-          SC.close c;
-          finish ();
-          raise e
-      in
-      SC.close c;
-      finish ();
-      r
-  in
-  let query c q =
-    match SC.query c q with
-    | Ok (SP.Result { result; origin }) -> (result, origin)
-    | Ok r -> failwith ("unexpected response: " ^ SP.render_response r)
-    | Error m -> failwith m
-  in
-  let run_trace c = List.map (fun q -> query c q) trace in
-  let hits origin results =
-    List.fold_left (fun n (_, o) -> if o = origin then n + 1 else n) 0 results
-  in
-  let rate origin results =
-    float_of_int (hits origin results) /. float_of_int (List.length results)
-  in
-  (* one daemon serves the cold pass, the warm replay, and the qps loop *)
-  let cold, v_cold_trace_secs, cold_heavy, v_cold_heavy_secs, warm, v_warm_trace_secs,
-      v_warm_heavy_secs, v_warm_qps =
-    with_daemon (fun c ->
-        let cold = ref [] in
-        let cold_secs = wall (fun () -> cold := run_trace c) in
-        let heavy_q = parse heavy in
-        (* the heavy query is answered from cache now; time it warm, and
-           read its cold time from a fresh single measurement on a distinct
-           window so the cold number is not trace-amortized *)
-        let heavy_cold = ref (List.nth !cold (List.length trace - 1)) in
-        let heavy_cold_secs =
-          wall (fun () ->
-              heavy_cold := query c (parse (heavy ^ " window=9")))
-        in
-        let warm = ref [] in
-        let warm_secs = wall (fun () -> warm := run_trace c) in
-        let warm_heavy = ref !heavy_cold in
-        let warm_heavy_secs = wall (fun () -> warm_heavy := query c heavy_q) in
-        let iters = if smoke then 50 else 300 in
-        let qps_secs =
-          wall (fun () ->
-              for _ = 1 to iters do
-                ignore (run_trace c)
-              done)
-        in
-        let qps = float_of_int (iters * List.length trace) /. qps_secs in
-        ( !cold, cold_secs, !heavy_cold, heavy_cold_secs, !warm, warm_secs, warm_heavy_secs,
-          qps ))
-  in
-  ignore cold_heavy;
-  (* a fresh daemon over the same cache directory answers from disk *)
-  let disk, v_disk_trace_secs =
-    with_daemon (fun c ->
-        let disk = ref [] in
-        let secs = wall (fun () -> disk := run_trace c) in
-        (!disk, secs))
-  in
-  let strip results = List.map fst results in
-  let v_responses_equal = strip cold = strip warm && strip cold = strip disk in
-  assert v_responses_equal;
-  assert (hits SP.Computed cold = List.length trace);
-  (* chaos replay: the same trace against daemons serving under seeded
-     fault plans (EINTR, short transfers, ENOSPC, torn renames on all
-     cache IO). Typed errors are retried; answered bytes must equal the
-     clean cold run's. Then a clean daemon over the last chaos-battered
-     cache directory must also answer byte-identically — a corrupt entry
-     is recomputed, never served. *)
-  let cold_bytes = List.map (fun (r, _) -> SP.encode_result r) cold in
-  let v_chaos_seeds = if smoke then 3 else 10 in
-  let chaos_retries = ref 0 in
-  let chaos_equal = ref true in
-  let v_chaos_secs =
-    wall (fun () ->
-        for seed = 1 to v_chaos_seeds do
-          serve_rm_rf cache_dir;
-          Faultio.install (Faultio.plan_rate ~seed 0.2);
-          Fun.protect ~finally:Faultio.clear (fun () ->
-              with_daemon (fun c ->
-                  List.iteri
-                    (fun i q ->
-                      let expected = List.nth cold_bytes i in
-                      let rec go n =
-                        match SC.query c q with
-                        | Ok (SP.Result { result; _ }) ->
-                          if SP.encode_result result <> expected then chaos_equal := false
-                        | (Ok _ | Error _) when n < 25 ->
-                          incr chaos_retries;
-                          go (n + 1)
-                        | Ok _ | Error _ -> chaos_equal := false
-                      in
-                      go 0)
-                    trace))
-        done)
-  in
-  let v_chaos_restart_equal =
-    with_daemon (fun c ->
-        List.for_all2 (fun (r, _) b -> SP.encode_result r = b) (run_trace c) cold_bytes)
-  in
-  assert !chaos_equal;
-  assert v_chaos_restart_equal;
-  serve_rm_rf cache_dir;
-  {
-    v_queries = List.length trace;
-    v_cold_trace_secs;
-    v_warm_trace_secs;
-    v_disk_trace_secs;
-    v_cold_heavy_secs;
-    v_warm_heavy_secs;
-    v_warm_hit_rate = rate SP.Memory_hit warm;
-    v_disk_hit_rate = rate SP.Disk_hit disk;
-    v_warm_qps;
-    v_responses_equal;
-    v_chaos_seeds;
-    v_chaos_secs;
-    v_chaos_retries = !chaos_retries;
-    v_chaos_responses_equal = !chaos_equal;
-    v_chaos_restart_equal;
-  }
-
-let serve_json ~file ~smoke =
-  let n = serve_numbers ~smoke in
-  let ratio = if n.v_warm_heavy_secs > 0.0 then n.v_cold_heavy_secs /. n.v_warm_heavy_secs else 0.0 in
-  if not smoke then assert (ratio >= 100.0);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
-  Buffer.add_string buf (Printf.sprintf "  \"trace_queries\": %d,\n" n.v_queries);
-  Buffer.add_string buf (Printf.sprintf "  \"cold_trace_seconds\": %.6f,\n" n.v_cold_trace_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"warm_trace_seconds\": %.6f,\n" n.v_warm_trace_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"disk_trace_seconds\": %.6f,\n" n.v_disk_trace_secs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cold_heavy_seconds\": %.6f,\n" n.v_cold_heavy_secs);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"warm_heavy_seconds\": %.6f,\n" n.v_warm_heavy_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"cold_over_warm_heavy\": %.1f,\n" ratio);
-  Buffer.add_string buf (Printf.sprintf "  \"warm_hit_rate\": %.4f,\n" n.v_warm_hit_rate);
-  Buffer.add_string buf (Printf.sprintf "  \"disk_hit_rate\": %.4f,\n" n.v_disk_hit_rate);
-  Buffer.add_string buf (Printf.sprintf "  \"warm_queries_per_second\": %.1f,\n" n.v_warm_qps);
-  Buffer.add_string buf (Printf.sprintf "  \"responses_equal\": %b,\n" n.v_responses_equal);
-  Buffer.add_string buf (Printf.sprintf "  \"chaos_seeds\": %d,\n" n.v_chaos_seeds);
-  Buffer.add_string buf (Printf.sprintf "  \"chaos_seconds\": %.6f,\n" n.v_chaos_secs);
-  Buffer.add_string buf (Printf.sprintf "  \"chaos_retries\": %d,\n" n.v_chaos_retries);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"chaos_responses_equal\": %b,\n" n.v_chaos_responses_equal);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"chaos_restart_equal\": %b\n" n.v_chaos_restart_equal);
-  Buffer.add_string buf "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "memrel serve (%d-query trace):\n\
-    \  cold trace    %8.3fs (all computed)\n\
-    \  warm trace    %8.3fs (hit rate %.0f%%)\n\
-    \  disk trace    %8.3fs (hit rate %.0f%%, restarted daemon)\n\
-    \  heavy query   %8.3fs cold -> %.6fs warm (%.0fx)\n\
-    \  sustained     %8.1f queries/s warm\n\
-    \  responses byte-identical across cold/warm/disk: %b\n\
-    \  chaos         %8.3fs (%d seeded fault plans, %d retries; bytes = clean \
-       run: %b, post-chaos restart clean: %b)\n"
-    n.v_queries n.v_cold_trace_secs n.v_warm_trace_secs
-    (100.0 *. n.v_warm_hit_rate)
-    n.v_disk_trace_secs
-    (100.0 *. n.v_disk_hit_rate)
-    n.v_cold_heavy_secs n.v_warm_heavy_secs ratio n.v_warm_qps n.v_responses_equal
-    n.v_chaos_secs n.v_chaos_seeds n.v_chaos_retries n.v_chaos_responses_equal
-    n.v_chaos_restart_equal;
-  Printf.printf "wrote %s\n" file
+let modes = [ ("enum", enum_rows); ("axiom", axiom_rows); ("exact", exact_rows) ]
 
 let full_run () =
   print_endline "memrel reproduction harness";
@@ -1858,45 +934,16 @@ let full_run () =
   print_newline ();
   print_endline "done. See EXPERIMENTS.md for the paper-vs-measured discussion."
 
+
 let () =
-  (* `main.exe` runs the full paper harness; `main.exe --json [FILE]` runs
-     only the MC throughput bench and writes FILE (default BENCH_mc.json);
-     `--json-smoke` scales trials down 10x for fast CI. *)
-  match Array.to_list Sys.argv with
-  | _ :: "--json" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_mc.json" in
-    mc_json ~file ~scale:1
-  | _ :: ("--json-smoke" | "--json-mc-smoke") :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_mc.json" in
-    mc_json ~file ~scale:10
-  | _ :: "--json-enum" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_enum.json" in
-    enum_json ~file ~smoke:false
-  | _ :: "--json-enum-smoke" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_enum.json" in
-    enum_json ~file ~smoke:true
-  | _ :: "--json-axiom" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_axiom.json" in
-    axiom_json ~file ~smoke:false
-  | _ :: "--json-axiom-smoke" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_axiom.json" in
-    axiom_json ~file ~smoke:true
-  | _ :: "--json-robust" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_robust.json" in
-    robust_json ~file ~smoke:false
-  | _ :: "--json-robust-smoke" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_robust.json" in
-    robust_json ~file ~smoke:true
-  | _ :: "--json-serve" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_serve.json" in
-    serve_json ~file ~smoke:false
-  | _ :: "--json-serve-smoke" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_serve.json" in
-    serve_json ~file ~smoke:true
-  | _ :: "--json-exact" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_exact.json" in
-    exact_json ~file ~smoke:false
-  | _ :: "--json-exact-smoke" :: rest ->
-    let file = match rest with f :: _ -> f | [] -> "BENCH_exact.json" in
-    exact_json ~file ~smoke:true
-  | _ -> full_run ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> full_run ()
+  | [ "--json"; mode; file ] | [ "--json"; mode; file; "--smoke" ] when List.mem_assoc mode modes ->
+    let smoke = Array.length Sys.argv = 5 in
+    let rows = (List.assoc mode modes) ~smoke in
+    write_json ~mode ~smoke ~file rows;
+    List.iter print_row rows;
+    Printf.printf "wrote %s\n" file
+  | _ ->
+    prerr_endline "usage: main.exe [--json (enum | axiom | exact) FILE [--smoke]]";
+    exit 2

@@ -36,6 +36,18 @@ let int_at_least lo =
 
 let pos_int = int_at_least 1
 
+(* budgets (deadlines, caps, watermarks): a negative value is a usage
+   error like a nonpositive count *)
+let nonneg_int = int_at_least 0
+
+let nonneg_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f >= 0.0 -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number >= 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let trials_arg default =
   Arg.(value & opt pos_int default & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials.")
 
@@ -103,14 +115,14 @@ let adaptive_status ~(run : _ Par.outcome) ~target_width =
 (* -- resource governance (budgets, checkpoints, resume) ----------------- *)
 
 let deadline_arg =
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECS"
+  Arg.(value & opt (some nonneg_float) None & info [ "deadline" ] ~docv:"SECS"
          ~doc:"Wall-clock budget in seconds. On expiry the engine stops cooperatively, the \
                partial result computed so far is printed, and the exit code is 3. \
                $(b,--deadline 0) stops before any work — useful to test the partial path \
                deterministically.")
 
 let max_mem_arg =
-  Arg.(value & opt (some int) None & info [ "max-mem" ] ~docv:"MB"
+  Arg.(value & opt (some nonneg_int) None & info [ "max-mem" ] ~docv:"MB"
          ~doc:"Major-heap watermark in megabytes (sampled with Gc.quick_stat). Crossing it \
                ends the run with a partial result and exit code 3.")
 
@@ -706,8 +718,9 @@ let enumerate_cmd =
   in
   let max_states_arg =
     Arg.(value & opt int 2_000_000 & info [ "max-states" ] ~docv:"N"
-           ~doc:"Stop after admitting N distinct states and report the partial exploration \
-                 (exit code 3).")
+           ~doc:"Stop after expanding N distinct states (states whose successors were \
+                 computed; states merely discovered do not count) and report the partial \
+                 exploration (exit code 3).")
   in
   let window_arg =
     Arg.(value & opt pos_int 8 & info [ "window" ] ~docv:"W"
@@ -728,7 +741,7 @@ let enumerate_cmd =
                  killed run can continue with --resume.")
   in
   let mem_budget_arg =
-    Arg.(value & opt int 64 & info [ "mem-budget" ] ~docv:"MB"
+    Arg.(value & opt pos_int 64 & info [ "mem-budget" ] ~docv:"MB"
            ~doc:"RAM budget (MiB) for the external-memory engine's successor set: a BFS \
                  level whose successors outgrow it spills them as sorted runs, merged at the \
                  level's end. Smaller budgets spill more, never change the result.")
@@ -902,7 +915,7 @@ let axiom_cmd =
            ~doc:"Out-of-order window for the wo model (both sides of the differential).")
   in
   let max_candidates_arg =
-    Arg.(value & opt (some int) None & info [ "max-candidates" ] ~docv:"N"
+    Arg.(value & opt (some nonneg_int) None & info [ "max-candidates" ] ~docv:"N"
            ~doc:"Stop each enumeration after N accepted candidate executions and report the \
                  partial coverage (exit code 3). Implies --no-diff.")
   in
@@ -981,17 +994,17 @@ let serve_cmd =
            ~doc:"Worker domains serving connections.")
   in
   let max_deadline_arg =
-    Arg.(value & opt (some float) None & info [ "max-deadline" ] ~docv:"SECS"
+    Arg.(value & opt (some nonneg_float) None & info [ "max-deadline" ] ~docv:"SECS"
            ~doc:"Server-side ceiling on per-request deadlines: requests run under \
                  min(request, cap), and a capped budget applies even to requests that \
                  set no limit.")
   in
   let max_work_cap_arg =
-    Arg.(value & opt (some int) None & info [ "max-work" ] ~docv:"N"
+    Arg.(value & opt (some nonneg_int) None & info [ "max-work" ] ~docv:"N"
            ~doc:"Server-side work-unit ceiling (states / candidates / chunks).")
   in
   let max_mem_cap_arg =
-    Arg.(value & opt (some int) None & info [ "max-mem" ] ~docv:"MB"
+    Arg.(value & opt (some nonneg_int) None & info [ "max-mem" ] ~docv:"MB"
            ~doc:"Server-side major-heap watermark ceiling, in megabytes.")
   in
   let shards_arg =
@@ -1006,7 +1019,7 @@ let serve_cmd =
                  Complete results are byte-identical to the in-RAM engine's.")
   in
   let mem_budget_arg =
-    Arg.(value & opt int 64 & info [ "mem-budget" ] ~docv:"MB"
+    Arg.(value & opt pos_int 64 & info [ "mem-budget" ] ~docv:"MB"
            ~doc:"RAM budget (MiB) for the external-memory engine (with --spill-dir).")
   in
   let max_queue_arg =
@@ -1117,7 +1130,7 @@ let query_cmd =
            ~doc:"Retry the connection for up to SECS while the daemon starts.")
   in
   let max_work_arg =
-    Arg.(value & opt (some int) None & info [ "max-work" ] ~docv:"N"
+    Arg.(value & opt (some nonneg_int) None & info [ "max-work" ] ~docv:"N"
            ~doc:"Per-query work-unit budget (states / candidates / chunks).")
   in
   let stats_flag =

@@ -71,6 +71,23 @@ let test_accepted_totals () =
         families)
     [ "sb"; "iriw"; "inc4"; "wrc" ]
 
+(* solver = generate-and-prune = the operational machine in one verdict
+   (Memrel_oracle.Three_way), per-outcome candidate counts included, on
+   the workloads of the axiom bench *)
+let check_three_way tests families () =
+  List.iter
+    (fun t ->
+      List.iter
+        (fun family ->
+          let tw = Memrel_oracle.Three_way.run t family in
+          let ctx = Printf.sprintf "%s under %s" t.L.name (Model.family_name family) in
+          Alcotest.(check bool) (ctx ^ ": outcome sets agree") true
+            tw.Memrel_oracle.Three_way.report.Memrel_axiom.Differential.agree;
+          Alcotest.(check bool) (ctx ^ ": candidate counts agree") true
+            tw.Memrel_oracle.Three_way.counts_agree)
+        families)
+    tests
+
 (* budget governance mirrors Generate's partial contract (PR5): a capped
    run must flag exhaustion and stay a subset of the full outcome set *)
 let test_budget_candidate_cap () =
@@ -172,6 +189,9 @@ let suite =
     Alcotest.test_case "corpus x models: outcome + count parity" `Quick test_corpus_parity;
     Alcotest.test_case "WO windows 1-3: outcome + count parity" `Quick test_wo_window_parity;
     Alcotest.test_case "accepted totals and memo bounds" `Quick test_accepted_totals;
+    Alcotest.test_case "three-way: corpus and inc3-inc5 x models" `Quick
+      (check_three_way (L.all @ List.map L.increment_n [ 3; 4; 5 ]) families);
+    Alcotest.test_case "three-way: inc6 under SC" `Quick (check_three_way [ L.increment_n 6 ] [ sc ]);
     Alcotest.test_case "candidate cap yields honest partial coverage" `Quick
       test_budget_candidate_cap;
     Alcotest.test_case "expired deadline yields empty partial run" `Quick

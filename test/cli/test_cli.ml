@@ -111,6 +111,22 @@ let () =
             "enumerate sb --model wo --window 0";
             "axiom sb --model wo --window 0";
           ] );
+      ( "nonnegative budgets",
+        (* the socket path cannot be bound, so a flag that slipped past
+           the parser fails fast instead of starting a daemon *)
+        List.map
+          (fun (affix, args) -> Alcotest.test_case args `Quick (usage_error ~affix args))
+          [
+            ("expected a number >= 0", "window --deadline=-1");
+            ("expected an integer >= 0", "enumerate inc3 --max-mem=-5");
+            ("expected an integer >= 0", "axiom sb --max-candidates=-1");
+            ("expected a positive integer", "enumerate inc3 --extmem --mem-budget=-3");
+            ("expected a number >= 0", "serve --max-deadline=-1 --socket /nonexistent/m.sock");
+            ("expected an integer >= 0", "serve --max-work=-1 --socket /nonexistent/m.sock");
+            ("expected an integer >= 0", "serve --max-mem=-1 --socket /nonexistent/m.sock");
+            ("expected a positive integer", "serve --mem-budget=0 --socket /nonexistent/m.sock");
+            ("expected an integer >= 0", "query --max-work=-1 --socket /nonexistent/m.sock ping");
+          ] );
       ( "lower bounds",
         [
           Alcotest.test_case "scaling --n-max 1" `Quick

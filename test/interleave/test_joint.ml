@@ -127,7 +127,10 @@ let test_streaming_equals_reference () =
           (Rng.create 501)
       in
       Alcotest.(check bool) "estimate identical" true (s = r))
-    [ `Paper; `Strict ]
+    [ `Paper; `Strict ];
+  let s = J.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create 20110606) in
+  let r = Memrel_oracle.Joint.estimate ~jobs:1 ~trials:20_000 (Model.tso ()) ~n:2 (Rng.create 20110606) in
+  Alcotest.(check bool) "estimate identical, n = 2" true (s = r)
 
 let test_semi_analytic_equals_reference () =
   let s = J.semi_analytic ~jobs:1 ~trials:20_000 (Model.wo ()) ~n:4 (Rng.create 503) in

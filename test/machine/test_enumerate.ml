@@ -153,7 +153,7 @@ let test_por_equals_full_on_corpus () =
             true
             (por.states_visited <= full.states_visited))
         disciplines)
-    (L.all @ [ L.increment_n 3 ])
+    (L.all @ [ L.increment_n 3; L.increment_n 5 ])
 
 (* the depth lemma behind level-local deduplication: each successor (with
    or without the ample-set reduction) is one level deeper than its parent,
@@ -254,6 +254,17 @@ let test_increment4_smoke () =
       Alcotest.(check int) "POR terminals agree" full.terminals por.terminals)
     [ Model.Sequential_consistency; Model.Total_store_order ]
 
+(* the largest in-RAM enumeration of the enum bench: POR keeps the
+   outcome set and terminal count of inc6/TSO's 1.26M states *)
+let test_increment6_tso_por_agrees () =
+  let t = L.increment_n 6 in
+  let full = L.run_exhaustive t Model.Total_store_order in
+  let por = L.run_exhaustive ~por:true t Model.Total_store_order in
+  Alcotest.(check bool) "complete" true (full.exhausted = None && por.exhausted = None);
+  Alcotest.(check bool) "POR outcomes agree" true (full.outcomes = por.outcomes);
+  Alcotest.(check int) "POR terminals agree" full.terminals por.terminals;
+  Alcotest.(check bool) "POR visits fewer states" true (por.states_visited < full.states_visited)
+
 let test_deep_linear_space () =
   (* worklist iteration: a 60-store TSO thread takes 120 transitions to
      drain (60 execs + 60 flushes) — the longest path is 120 deep and must
@@ -330,6 +341,7 @@ let suite =
       ("POR preserves outcomes on the corpus", test_por_equals_full_on_corpus);
       ("increment_n 3 exact counts pinned", test_increment3_pinned);
       ("increment_n 4 exhaustive smoke", test_increment4_smoke);
+      ("increment_n 6 TSO: POR agrees with full", test_increment6_tso_por_agrees);
       ("observability counters", test_stats_observability);
       ("find resolves incN names", test_find_incn);
       ("two domains enumerate inc4 identically", test_two_domains_agree);

@@ -179,6 +179,23 @@ let test_tiny_budget_overflows_and_merges () =
       Alcotest.(check int) "chained resumes complete" (List.fold_left ( + ) 0 widths)
         full.X.base.E.states_visited)
 
+(* inc6/TSO (1.26M states) at 1 MiB: the wider levels overflow the arena
+   into several runs, and the result must not change *)
+let test_inc6_tso_1mib () =
+  let t = L.find "inc6" in
+  let st = L.initial_state t and observe = t.L.observe in
+  let ram = E.outcomes Sem.Tso st ~observe in
+  with_dir (fun dir ->
+      let ext =
+        X.outcomes ~mem_budget_bytes:(1024 * 1024) ~spill_dir:dir
+          ~resume_key:(key t "TSO" false) Sem.Tso st ~observe
+      in
+      check_base (( ^ ) "inc6/TSO at 1 MiB: ") ram ext.X.base;
+      Alcotest.(check bool)
+        (Printf.sprintf ">= 2 overflow runs (got %d)" ext.X.ext.X.spill_generations)
+        true
+        (ext.X.ext.X.spill_generations >= 2))
+
 (* "kill" a run mid-level with a work cap, resume it, and compare with an
    uninterrupted run: every base field and spill counter is identical *)
 let check_kill_resume ?mem_budget_bytes ~cap name =
@@ -339,4 +356,5 @@ let suite =
       ("inc5 parity (4 disciplines, +-POR, 2 budgets)", inc_parity [ "inc5" ]);
       ("kill + resume at a 64 KiB budget is bit-identical", test_kill_resume_tiny_budget);
       ("pre-level-local manifest version rejected", test_old_manifest_version_rejected);
+      ("inc6/TSO at 1 MiB overflows and stays exact", test_inc6_tso_1mib);
     ]

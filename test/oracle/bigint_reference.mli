@@ -4,8 +4,8 @@
     {!Memrel_prob.Bigint} carries the production representation (a
     native-int fast path over these same limb algorithms); this module is
     the original always-allocating sign-magnitude form, so randomized
-    differential tests and the [--json-exact] bench can pin the fast path
-    against it operation by operation. *)
+    differential tests can pin the fast path against it operation by
+    operation, and the [--json exact] bench can time both. *)
 
 type t
 (** An immutable arbitrary-precision integer. *)

@@ -8,6 +8,31 @@ module Order_reference = Order_reference
 module Bigint_reference = Bigint_reference
 module Rational_reference = Rational_reference
 
+(* Combinatorics' bounded-partition recurrence over the seed bigint, with
+   its own memo table (single-domain use; [clear] empties it) *)
+module Combinatorics_reference = struct
+  module B = Bigint_reference
+
+  let cache : (int * int * int, B.t) Hashtbl.t = Hashtbl.create 4096
+  let clear () = Hashtbl.reset cache
+
+  let rec bounded_at_most n k m =
+    if n = 0 then B.one
+    else if n < 0 || k = 0 || m = 0 then B.zero
+    else
+      match Hashtbl.find_opt cache (n, k, m) with
+      | Some v -> v
+      | None ->
+        let v = B.add (bounded_at_most n k (m - 1)) (bounded_at_most (n - m) (k - 1) m) in
+        Hashtbl.add cache (n, k, m) v;
+        v
+
+  let partitions_bounded x y z =
+    if y = 0 then if x = 0 then B.one else B.zero
+    else if x < y || x > y * z then B.zero
+    else bounded_at_most (x - y) y (z - 1)
+end
+
 (* The per-trial closures that predate the zero-allocation kernels: every
    trial builds a fresh program, permutation and shift array, and runs on
    the same Par schedule as the estimators in lib/. The estimators must

@@ -243,6 +243,51 @@ let test_joint_dp_q_reference_agreement () =
   in
   Alcotest.(check string) "joint_dp_q fast = reference" reference fast
 
+(* the exact bench's DP and partition workloads at its smoke and full
+   sizes: the same functorized code over both arithmetics, digit for digit *)
+let test_bench_workloads_agree () =
+  let module DR = DQ.Make (QRef) in
+  let module JR = JQ.Make (QRef) in
+  let module SR = SE.Make (QRef) in
+  let module CR = Memrel_oracle.Combinatorics_reference in
+  let same what fast reference = Alcotest.(check string) what reference fast in
+  let pmf to_s l = String.concat ";" (List.map (fun (g, p) -> Printf.sprintf "%d:%s" g (to_s p)) l) in
+  let tso = Memrel_memmodel.Model.Total_store_order in
+  List.iter
+    (fun (m_tso, m_wo, (joint_n, joint_m, joint_b), shift_n, geom_n, phi_sizes) ->
+      same
+        (Printf.sprintf "settling DP TSO m=%d" m_tso)
+        (pmf Q.to_string (DQ.gamma_pmf (DQ.tso ()) ~m:m_tso))
+        (pmf QRef.to_string (DR.gamma_pmf (DR.tso ()) ~m:m_tso));
+      same
+        (Printf.sprintf "settling DP WO m=%d" m_wo)
+        (pmf Q.to_string (DQ.gamma_pmf (DQ.wo ()) ~m:m_wo))
+        (pmf QRef.to_string (DR.gamma_pmf (DR.wo ()) ~m:m_wo));
+      same
+        (Printf.sprintf "joint DP n=%d m=%d b=%d" joint_n joint_m joint_b)
+        (Q.to_string (JQ.expect_product ~b_max:joint_b ~s:Q.half tso ~m:joint_m ~n:joint_n))
+        (QRef.to_string (JR.expect_product ~b_max:joint_b ~s:QRef.half tso ~m:joint_m ~n:joint_n));
+      let gammas = Array.init shift_n (fun i -> 2 + (i mod 3)) in
+      same
+        (Printf.sprintf "shift exact n=%d" shift_n)
+        (Q.to_string (SE.disjoint_probability gammas))
+        (QRef.to_string (SR.disjoint_probability gammas));
+      let gammas = Array.init geom_n (fun i -> 2 + (i mod 2)) in
+      same
+        (Printf.sprintf "shift geom n=%d" geom_n)
+        (Q.to_string (SE.disjoint_probability_geom ~q:(Q.of_ints 3 4) gammas))
+        (QRef.to_string (SR.disjoint_probability_geom ~q:(QRef.of_ints 3 4) gammas));
+      List.iter
+        (fun (y, z) ->
+          for x = y to y * z do
+            same
+              (Printf.sprintf "phi(%d,%d,%d)" x y z)
+              (B.to_string (Memrel_prob.Combinatorics.partitions_bounded x y z))
+              (BR.to_string (CR.partitions_bounded x y z))
+          done)
+        phi_sizes)
+    [ (7, 6, (2, 8, 5), 5, 4, [ (6, 8) ]); (10, 9, (3, 16, 8), 7, 5, [ (10, 12); (8, 10) ]) ]
+
 let suite =
   [
     Alcotest.test_case "bigint differential vs reference" `Quick test_bigint_differential;
@@ -255,4 +300,6 @@ let suite =
     Alcotest.test_case "pinned combinatorics values" `Quick test_pinned_combinatorics;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "joint_dp_q fast = reference" `Quick test_joint_dp_q_reference_agreement;
+    Alcotest.test_case "exact bench workloads: fast = reference" `Quick
+      test_bench_workloads_agree;
   ]

@@ -413,6 +413,38 @@ let test_crash_middle_chunk () =
         ~expect_retries:1)
     [ 1; 4 ]
 
+(* the engine's robustness paths on a real kernel (the TSO settling
+   window, m = 48): a checkpointed run, a run stopped half-way by a work
+   cap and resumed from its snapshot, and a run whose chunks 0 and 7 crash
+   once, all count exactly what the bare run counts *)
+let test_settling_checkpoint_resume_crash () =
+  let trials = 60_000 and chunk = 2048 in
+  let chunks = (trials + chunk - 1) / chunk in
+  let worker () =
+    let s = Memrel_settling.Scratch.create ~m:48 (Memrel_memmodel.Model.tso ()) in
+    fun r -> Memrel_settling.Scratch.sample_gamma s r >= 1
+  in
+  let count ?budget ?checkpoint ?resume ?fault () =
+    Par.count ~jobs:4 ~chunk ?budget ?checkpoint ~checkpoint_every:4 ?resume ?fault ~trials ~worker
+      (Rng.create 20110606)
+  in
+  let bare = (count ()).Par.value in
+  with_tmp @@ fun snap ->
+  let checkpointed = count ~checkpoint:snap () in
+  Alcotest.(check int) "checkpointed = bare" bare checkpointed.Par.value;
+  Alcotest.(check bool) "snapshots written" true (checkpointed.Par.checkpoints_written > 0);
+  let partial = count ~budget:(Budget.create ~max_work:(chunks / 2) ()) ~checkpoint:snap () in
+  Alcotest.(check bool) "work cap stops the run" true (partial.Par.exhausted <> None);
+  let resumed = count ~resume:snap () in
+  Alcotest.(check int) "resume skips the completed chunks" partial.Par.chunks_done
+    resumed.Par.chunks_resumed;
+  Alcotest.(check int) "resumed = bare" bare resumed.Par.value;
+  let faulted =
+    count ~fault:(fault_on ~kind:Par.Crash ~chunks:[ 0; 7 ] ~attempts_below:1) ()
+  in
+  Alcotest.(check int) "two crashes retried" 2 faulted.Par.retries;
+  Alcotest.(check int) "crash-retried = bare" bare faulted.Par.value
+
 let test_crash_repeated_up_to_max_retries () =
   (* two consecutive crashes: the third and last attempt succeeds and the
      result is untouched *)
@@ -688,6 +720,7 @@ let suite =
       ("crash on first chunk recovers bit-identically", test_crash_first_chunk);
       ("crash on middle chunk recovers bit-identically", test_crash_middle_chunk);
       ("repeated crashes within max_retries recover", test_crash_repeated_up_to_max_retries);
+      ("settling kernel: checkpoint, resume, crash = bare run", test_settling_checkpoint_resume_crash);
       ("persistent crash exhausts retries", test_crash_exhausts_retries);
       ("wedged worker recovers bit-identically", test_wedge_recovers);
       ("persistent wedge exhausts retries", test_wedge_exhausts_retries);

@@ -421,6 +421,109 @@ let test_chaos_responses_byte_identical () =
       Alcotest.failf "seed %d: a faulted server answered different bytes" seed
   done
 
+(* a mixed trace over every query kind, ending in an enumeration *)
+let mixed_trace =
+  List.map
+    (fun s -> match P.parse_query s with Ok q -> q | Error m -> Alcotest.failf "%s: %s" s m)
+    [ "verify sb tso"; "verify mp wo"; "enumerate lb pso"; "axiom sb tso engine=solver";
+      "estimate settling tso gamma=2 trials=20000"; "estimate shift gammas=3,2,5 trials=20000";
+      "enumerate inc4 sc" ]
+
+let answer c q =
+  match request c (P.Query (q, P.no_limits)) with
+  | P.Result { result; origin } -> (P.encode_result result, origin)
+  | r -> Alcotest.failf "%s: %s" (P.query_to_string q) (P.render_response r)
+
+let trace_answers ~cache_dir =
+  with_server ~cache_dir @@ fun address _ ->
+  let c = connect address in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () -> List.map (answer c) mixed_trace
+
+(* cold, warm and restarted-daemon (disk) answers to the trace are the
+   same bytes; the cold pass computes every one *)
+let test_mixed_trace_tiers_identical () =
+  let cache_dir = temp_path ".cache" in
+  Fun.protect ~finally:(fun () -> rm_rf cache_dir) @@ fun () ->
+  let cold, warm =
+    with_server ~cache_dir @@ fun address _ ->
+    let c = connect address in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let cold = List.map (answer c) mixed_trace in
+    (cold, List.map (answer c) mixed_trace)
+  in
+  let disk = trace_answers ~cache_dir in
+  let origins = List.map (fun (_, o) -> P.origin_to_string o) in
+  let bytes = List.map fst in
+  Alcotest.(check (list string)) "cold: all computed" (List.map (fun _ -> "computed") cold)
+    (origins cold);
+  Alcotest.(check (list string)) "warm: all memory hits" (List.map (fun _ -> "memory") warm)
+    (origins warm);
+  Alcotest.(check (list string)) "restart: all disk hits" (List.map (fun _ -> "disk") disk)
+    (origins disk);
+  Alcotest.(check bool) "warm bytes = cold bytes" true (bytes warm = bytes cold);
+  Alcotest.(check bool) "disk bytes = cold bytes" true (bytes disk = bytes cold)
+
+(* what the cache buys: a memory hit answers an inc5 enumeration at least
+   100x faster than computing it (the fastest of five hits, so a stalled
+   sample cannot fake a miss) *)
+let test_warm_hit_100x_faster_than_cold () =
+  let cache_dir = temp_path ".cache" in
+  Fun.protect ~finally:(fun () -> rm_rf cache_dir) @@ fun () ->
+  with_server ~cache_dir @@ fun address _ ->
+  let c = connect address in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let q = P.Enumerate { test = "inc5"; family = Model.Sequential_consistency; window = 8; por = false } in
+  let timed () =
+    let t0 = Unix.gettimeofday () in
+    let _, origin = answer c q in
+    (Unix.gettimeofday () -. t0, P.origin_to_string origin)
+  in
+  let cold, origin = timed () in
+  Alcotest.(check string) "first answer computed" "computed" origin;
+  let warm =
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let s, origin = timed () in
+           Alcotest.(check string) "then memory hits" "memory" origin;
+           s))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "cold %.4fs / warm %.6fs = %.0fx >= 100x" cold warm (cold /. warm))
+    true
+    (cold >= 100. *. warm)
+
+(* the trace against daemons under seeded fault plans: typed errors are
+   retried, and every answer is the clean cold run's bytes. A clean daemon
+   then serves the last chaos-battered cache directory byte-identically:
+   a corrupt entry is recomputed, never served *)
+let test_mixed_trace_chaos_then_clean_restart () =
+  let module F = Memrel_service.Faultio in
+  let clean_dir = temp_path ".cache" and cache_dir = temp_path ".cache" in
+  Fun.protect ~finally:(fun () -> rm_rf clean_dir; rm_rf cache_dir) @@ fun () ->
+  let clean = List.map fst (trace_answers ~cache_dir:clean_dir) in
+  for seed = 1 to 3 do
+    rm_rf cache_dir;
+    with_server ~cache_dir @@ fun address _ ->
+    F.with_plan (F.plan_rate ~seed 0.2) @@ fun () ->
+    let c = connect address in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    List.iter2
+      (fun q expected ->
+        let rec go n =
+          match Client.query c q with
+          | Ok (P.Result { result; _ }) ->
+            if P.encode_result result <> expected then
+              Alcotest.failf "seed %d: %s answered different bytes" seed (P.query_to_string q)
+          | (Ok _ | Error _) when n < 25 -> go (n + 1)
+          | Ok r -> Alcotest.failf "seed %d: %s" seed (P.render_response r)
+          | Error m -> Alcotest.failf "seed %d: %s" seed m
+        in
+        go 0)
+      mixed_trace clean
+  done;
+  Alcotest.(check bool) "clean restart over the battered cache = clean bytes" true
+    (List.map fst (trace_answers ~cache_dir) = clean)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -439,4 +542,7 @@ let suite =
       ("slow client reaped, others served", test_slow_client_reaped);
       ("overload shed + retry reconciliation", test_overload_shed_and_retry);
       ("chaos seeds: byte-identical results", test_chaos_responses_byte_identical);
+      ("mixed trace: cold = warm = disk bytes", test_mixed_trace_tiers_identical);
+      ("warm hit >= 100x faster than a cold inc5 enumeration", test_warm_hit_100x_faster_than_cold);
+      ("mixed trace under chaos, then a clean restart", test_mixed_trace_chaos_then_clean_restart);
     ]

@@ -273,7 +273,10 @@ let test_streaming_equals_reference () =
   Alcotest.(check bool) "estimate identical" true (s = r);
   let sp = Mc.probability_b ~jobs:1 ~trials:20_000 ~gamma:1 model (Rng.create 305) in
   let rp = Memrel_oracle.Mc.probability_b ~jobs:1 ~trials:20_000 ~gamma:1 model (Rng.create 305) in
-  Alcotest.(check bool) "probability_b identical" true (sp = rp)
+  Alcotest.(check bool) "probability_b identical" true (sp = rp);
+  let s = Mc.estimate ~jobs:1 ~trials:20_000 model (Rng.create 20110606) in
+  let r = Memrel_oracle.Mc.estimate ~jobs:1 ~trials:20_000 model (Rng.create 20110606) in
+  Alcotest.(check bool) "estimate identical, seed 20110606" true (s = r)
 
 let test_scratch_zero_alloc () =
   (* the zero-allocation guard: in steady state one full trial must not

@@ -140,7 +140,11 @@ let test_streaming_equals_reference () =
   Alcotest.(check bool) "estimate identical" true (s = r);
   let sg = P.estimate_geom ~jobs:1 ~q:0.3 ~trials:50_000 (Rng.create 405) gammas in
   let rg = Memrel_oracle.Shift.estimate_geom ~jobs:1 ~q:0.3 ~trials:50_000 (Rng.create 405) gammas in
-  Alcotest.(check bool) "estimate_geom identical" true (sg = rg)
+  Alcotest.(check bool) "estimate_geom identical" true (sg = rg);
+  let gammas = [| 2; 3; 2; 4 |] in
+  let s = P.estimate ~jobs:1 ~trials:50_000 (Rng.create 20110606) gammas in
+  let r = Memrel_oracle.Shift.estimate ~jobs:1 ~trials:50_000 (Rng.create 20110606) gammas in
+  Alcotest.(check bool) "estimate identical, gammas (2,3,2,4)" true (s = r)
 
 let test_inner_loop_zero_alloc () =
   (* the streaming trial body — n geometric draws + in-place disjointness —
