@@ -182,52 +182,121 @@ let add t b len =
     true
   end
 
-(* byte-lexicographic order of two slots' keys, a shorter prefix first:
-   [String.compare]'s order. Equal leading words are skipped 8 bytes at a
-   time (sorted neighbours share long prefixes). *)
-let compare_keys t a b =
+(* -- sorting --------------------------------------------------------------
+   [iter] sorts the slot words themselves, in one [int array] of one word
+   per key, by multikey quicksort (Bentley and Sedgewick's three-way radix
+   quicksort) over 7-byte digits: partition on the digit at depth [d] into
+   keys below, at and above the pivot's digit; the middle part moves on
+   to depth [d + 7]. Keys are distinct, so the order is total and equals
+   [String.compare]'s. *)
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let digit_bytes = 7
+
+(* the digit of a key with [n] bytes left at [o] in [c]: those bytes,
+   the first 7 of them big-endian and zero-padded, above how many there
+   are (at most 7). Digits order as the bytes do, and a key that ends
+   inside the window sorts before every key it is a prefix of. *)
+let digit_at c o n =
+  if n >= digit_bytes && o + 8 <= Bytes.length c then
+    (Int64.to_int (Int64.shift_right_logical (swap64 (get64 c o)) 8) lsl 3) lor digit_bytes
+  else begin
+    let w = ref 0 in
+    for i = 0 to digit_bytes - 1 do
+      w := (!w lsl 8) lor if i < n then Char.code (Bytes.unsafe_get c (o + i)) else 0
+    done;
+    (!w lsl 3) lor if n <= 0 then 0 else if n >= digit_bytes then digit_bytes else n
+  end
+
+(* the digit at depth [d] of slot [s]'s key *)
+let digit t s d = digit_at (chunk_of t s) (key_off s + d) (key_len t s - d)
+
+(* byte order of two slots' keys that agree on their first [d] bytes *)
+let compare_from t d a b =
   let ca = chunk_of t a and oa = key_off a and la = key_len t a in
   let cb = chunk_of t b and ob = key_off b and lb = key_len t b in
-  let n = min la lb and i = ref 0 in
-  while !i + 8 <= n && get64 ca (oa + !i) = get64 cb (ob + !i) do
-    i := !i + 8
-  done;
+  let n = min la lb and i = ref d in
   while !i < n && Bytes.unsafe_get ca (oa + !i) = Bytes.unsafe_get cb (ob + !i) do
     incr i
   done;
   if !i < n then Char.compare (Bytes.unsafe_get ca (oa + !i)) (Bytes.unsafe_get cb (ob + !i))
-  else compare la lb
+  else Int.compare la lb
+
+let swap a i j =
+  let x = Array.unsafe_get a i in
+  Array.unsafe_set a i (Array.unsafe_get a j);
+  Array.unsafe_set a j x
+
+(* insertion sort of [a.(lo) .. a.(hi - 1)], keys agreeing on [d] bytes *)
+let insertion_sort t a lo hi d =
+  for i = lo + 1 to hi - 1 do
+    let s = Array.unsafe_get a i and j = ref i in
+    while !j > lo && compare_from t d (Array.unsafe_get a (!j - 1)) s > 0 do
+      Array.unsafe_set a !j (Array.unsafe_get a (!j - 1));
+      decr j
+    done;
+    Array.unsafe_set a !j s
+  done
+
+(* sorts [a.(lo) .. a.(hi - 1)], keys agreeing on their first [d] bytes.
+   It recurses into the two smaller parts and loops on the largest, so
+   the recursion is at most log2 n deep whatever the keys. *)
+let rec multikey_sort t a lo hi d =
+  let lo = ref lo and hi = ref hi and d = ref d in
+  while !hi - !lo > 12 do
+    swap a !lo ((!lo + !hi) / 2);
+    let pivot = digit t (Array.unsafe_get a !lo) !d in
+    (* [lo, lt) below the pivot, [lt, i) at it, [gt, hi) above *)
+    let lt = ref !lo and i = ref (!lo + 1) and gt = ref !hi in
+    while !i < !gt do
+      let c = digit t (Array.unsafe_get a !i) !d in
+      if c < pivot then begin
+        swap a !lt !i;
+        incr lt;
+        incr i
+      end
+      else if c > pivot then begin
+        decr gt;
+        swap a !i !gt
+      end
+      else incr i
+    done;
+    (* when the pivot's key ends inside its digit the middle part is that
+       one key, which the next round leaves to the insertion sort *)
+    let below = !lt - !lo and at = !gt - !lt and above = !hi - !gt in
+    let next_d = !d + digit_bytes in
+    if below >= at && below >= above then begin
+      multikey_sort t a !lt !gt next_d;
+      multikey_sort t a !gt !hi !d;
+      hi := !lt
+    end
+    else if at >= above then begin
+      multikey_sort t a !lo !lt !d;
+      multikey_sort t a !gt !hi !d;
+      lo := !lt;
+      hi := !gt;
+      d := next_d
+    end
+    else begin
+      multikey_sort t a !lo !lt !d;
+      multikey_sort t a !lt !gt next_d;
+      lo := !gt
+    end
+  done;
+  insertion_sort t a !lo !hi !d
 
 let iter t f =
-  let slots = Array.of_seq (Seq.filter (fun s -> s <> 0) (Array.to_seq t.slots)) in
-  (* each key's first 14 bytes, big-endian and zero-padded, as two ints:
-     most comparisons are decided there without touching the arena *)
-  let prefix from =
-    Array.map
-      (fun s ->
-        let c = chunk_of t s and o = key_off s and l = key_len t s in
-        let p = ref 0 in
-        for i = from to from + 6 do
-          p := (!p lsl 8) lor if i < l then Char.code (Bytes.unsafe_get c (o + i)) else 0
-        done;
-        !p)
-      slots
-  in
-  let p0 = prefix 0 and p1 = prefix 7 in
-  let order = Array.init (Array.length slots) Fun.id in
-  Array.stable_sort
-    (fun i j ->
-      let c = Int.compare (Array.unsafe_get p0 i) (Array.unsafe_get p0 j) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (Array.unsafe_get p1 i) (Array.unsafe_get p1 j) in
-        if c <> 0 then c else compare_keys t (Array.unsafe_get slots i) (Array.unsafe_get slots j))
-    order;
-  Array.iter
-    (fun i ->
-      let s = slots.(i) in
-      f (chunk_of t s) (key_off s) (key_len t s))
-    order
+  let keys = Array.make t.count 0 and n = ref 0 in
+  for i = 0 to Array.length t.slots - 1 do
+    let s = Array.unsafe_get t.slots i in
+    if s <> 0 then begin
+      Array.unsafe_set keys !n s;
+      incr n
+    end
+  done;
+  multikey_sort t keys 0 t.count 0;
+  Array.iter (fun s -> f (chunk_of t s) (key_off s) (key_len t s)) keys
 
 (* back to a fresh set's shape, keeping only the first chunk *)
 let clear t =

@@ -36,8 +36,8 @@ val iter : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** [iter t f] calls [f b off len] once per key, in increasing key order
     ([String.compare]'s order on the key bytes); the key is the [len]
     bytes of [b] at [off]. [b] is the arena's own storage: read it inside
-    [f], never write it or keep it. [f] must not add to [t]. Allocates
-    only a few [int array]s of one word per key. *)
+    [f], never write it or keep it. [f] must not add to [t]. The keys
+    are sorted in place in one [int array] of one word per key. *)
 
 val clear : t -> unit
 (** Remove every key and release all but the first chunk: afterwards the

@@ -97,8 +97,9 @@ let add_uvarint buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !u)
 
-(* streaming reader over a logical run; the previous key is extended in
-   place in [key], so each key costs one string allocation *)
+(* streaming reader over a logical run. The previous key is extended in
+   place: after [reader_next] returns [true] the current key is the first
+   [len] bytes of [key], valid until the next call. *)
 type reader = {
   rdir : string;
   mutable files : string list;  (* still unread *)
@@ -143,11 +144,11 @@ let rec reader_next r =
     r.p <- r.p + slen;
     r.len <- n;
     r.remaining <- r.remaining - 1;
-    Some (Bytes.sub_string r.key 0 n)
+    true
   end
   else
     match r.files with
-    | [] -> None
+    | [] -> false
     | f :: rest ->
       r.files <- rest;
       (match Snapshot.read ~file:(Filename.concat r.rdir f) ~tag:run_tag with
@@ -213,8 +214,6 @@ let writer_add w b off len =
   w.count <- w.count + 1;
   if Buffer.length w.buf >= w.cap then writer_flush w
 
-let writer_add_string w k = writer_add w (Bytes.unsafe_of_string k) 0 (String.length k)
-
 let writer_finish w =
   writer_flush w;
   List.rev w.wfiles
@@ -226,25 +225,38 @@ let writer_finish w =
    [merge_fan_in]: wider merges first fold batches into intermediate lruns
    (hierarchical merge). *)
 
+(* byte order of two readers' current keys, a shorter prefix first:
+   [String.compare]'s order *)
+let compare_keys a b =
+  let n = min a.len b.len and i = ref 0 in
+  while !i < n && Bytes.unsafe_get a.key !i = Bytes.unsafe_get b.key !i do
+    incr i
+  done;
+  if !i < n then Char.compare (Bytes.unsafe_get a.key !i) (Bytes.unsafe_get b.key !i)
+  else Int.compare a.len b.len
+
 let merge_readers readers ~emit =
-  let cur = Array.map reader_next readers in
-  let rec loop () =
-    let least m c =
-      match (m, c) with
-      | Some mk, Some k when String.compare mk k <= 0 -> m
-      | _, None -> m
-      | _ -> c
-    in
-    match Array.fold_left least None cur with
-    | None -> ()
-    | Some k ->
-      Array.iteri
-        (fun i c -> if Option.equal String.equal c (Some k) then cur.(i) <- reader_next readers.(i))
-        cur;
-      emit k;
-      loop ()
+  let live = Array.map reader_next readers in
+  let least = ref (-1) in
+  let pick () =
+    least := -1;
+    for i = 0 to Array.length readers - 1 do
+      if live.(i) && (!least < 0 || compare_keys readers.(i) readers.(!least) < 0) then least := i
+    done
   in
-  loop ()
+  pick ();
+  while !least >= 0 do
+    let m = !least in
+    let r = readers.(m) in
+    emit r.key 0 r.len;
+    (* every other reader at the same key moves past it, then [r] does *)
+    for i = 0 to Array.length readers - 1 do
+      if i <> m && live.(i) && compare_keys readers.(i) r = 0 then
+        live.(i) <- reader_next readers.(i)
+    done;
+    live.(m) <- reader_next r;
+    pick ()
+  done
 
 let rec merge_runs eng lruns ~emit =
   if List.length lruns <= merge_fan_in then begin
@@ -254,7 +266,7 @@ let rec merge_runs eng lruns ~emit =
   end
   else begin
     let w = writer_make eng in
-    merge_runs eng (List.filteri (fun i _ -> i < merge_fan_in) lruns) ~emit:(writer_add_string w);
+    merge_runs eng (List.filteri (fun i _ -> i < merge_fan_in) lruns) ~emit:(writer_add w);
     merge_runs eng (List.filteri (fun i _ -> i >= merge_fan_in) lruns @ [ writer_finish w ]) ~emit
   end
 
@@ -318,14 +330,19 @@ let rec mkdir_p d =
 
 (* -- level expansion ----------------------------------------------------
 
-   Depth lemma (State.depth): every transition executes one instruction or
-   drains one buffered store, so a successor's depth is its parent's plus
-   one. BFS levels therefore partition the state space, a state can only
-   duplicate a state of its own level, and deduplicating each level on its
-   own is exact: the traversal expands each state exactly once, over the
-   same reduced graph as the in-RAM worklist (the POR choice is a
-   per-state function; see Enumerate.expand). The lemma is checked on
-   every state expanded. *)
+   Depth lemma: every transition executes one instruction or drains one
+   buffered store, so a successor's depth is its parent's plus one. BFS
+   levels therefore partition the state space, a state can only duplicate
+   a state of its own level, and deduplicating each level on its own is
+   exact: the traversal expands each state exactly once, over the same
+   reduced graph as the in-RAM worklist (the POR choice is a per-state
+   function; see Enumerate.expand). The lemma is checked on every state
+   expanded, against the depth the decoder sums as it reads the key.
+
+   Each key is decoded straight from the reader's buffer, and successors
+   are packed by splicing the sections they share with it
+   (State.pack_successor), so the buffer must not move until they are
+   all in the arena. *)
 
 exception Stop of Budget.cause
 
@@ -360,13 +377,10 @@ let spill_arena eng =
 let expand_level eng ~observe ~max_states ~budget =
   let c = eng.c in
   c.deepest <- c.level;
-  let buffered = Semantics.buffered eng.discipline in
   let overflow = ref [] and read = ref 0 in
   let r = reader_open eng eng.frontier in
   let rec go () =
-    match reader_next r with
-    | None -> ()
-    | Some key ->
+    if reader_next r then begin
       if c.expanded >= max_states then raise (Stop Budget.Work);
       (match budget_check eng budget with
        | Some cause -> raise (Stop cause)
@@ -374,10 +388,10 @@ let expand_level eng ~observe ~max_states ~budget =
       c.expanded <- c.expanded + 1;
       incr read;
       let st =
-        try State.decode eng.decoder key
+        try State.decode eng.decoder r.key r.len
         with Invalid_argument _ -> spill_error "corrupt state key in spill run"
       in
-      let depth = State.depth ~buffered st in
+      let depth = State.decoded_depth eng.decoder in
       if depth <> c.level then
         spill_error "a depth-%d state in the level-%d frontier: levels must partition the states"
           depth c.level;
@@ -396,7 +410,7 @@ let expand_level eng ~observe ~max_states ~budget =
          List.iter
            (fun (_, st') ->
              c.transitions <- c.transitions + 1;
-             State.pack eng.packer st';
+             State.pack_successor eng.decoder eng.packer st';
              ignore
                (Arena_set.add eng.arena (State.packed_bytes eng.packer)
                   (State.packed_length eng.packer)))
@@ -406,6 +420,7 @@ let expand_level eng ~observe ~max_states ~budget =
            overflow := spill_arena eng :: !overflow
          end);
       go ()
+    end
   in
   (* an interrupted level leaves no overflow runs behind *)
   (try go ()
@@ -432,9 +447,9 @@ let commit_level eng overflow ~level_transitions =
       let w = writer_make eng and unique = ref 0 in
       merge_runs eng
         (List.rev (spill_arena eng :: runs))
-        ~emit:(fun k ->
+        ~emit:(fun b off len ->
           incr unique;
-          writer_add_string w k);
+          writer_add w b off len);
       (writer_finish w, !unique)
   in
   (* every successor that is not a new unique key was a duplicate *)
@@ -477,7 +492,7 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
       resume_key;
       c;
       arena = Arena_set.create ();
-      decoder = State.decoder root;
+      decoder = State.decoder ~buffered:(Semantics.buffered discipline) root;
       packer = State.packer ();
       discipline;
       por;
@@ -492,7 +507,8 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
   clean_dir spill_dir ~keep:(if resume then manifest_file :: frontier else []);
   if not resume then begin
     let w = writer_make eng in
-    writer_add_string w (State.packed_key root);
+    State.pack eng.packer root;
+    writer_add w (State.packed_bytes eng.packer) 0 (State.packed_length eng.packer);
     eng.frontier <- writer_finish w;
     write_manifest eng
   end;

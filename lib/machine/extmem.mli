@@ -18,9 +18,10 @@
     state space.
 
     {b Exactness.} Every transition executes one instruction or drains one
-    buffered store, so a state's BFS level is its {!State.depth}: levels
-    partition the state space, and a state can only duplicate a state of
-    its own level. The engine checks this lemma on every state it expands.
+    buffered store, so a state's BFS level is its depth
+    ({!State.decoded_depth}): levels partition the state space, and a
+    state can only duplicate a state of its own level. The engine checks
+    this lemma on every state it expands.
     Both engines expand successors through {!Enumerate.expand}, whose
     ample-set POR choice is a deterministic function of the state alone,
     so the two traversals explore the exact same reduced graph, and on

@@ -21,7 +21,12 @@ let max_index = 1 lsl 16
    names. Computed once (by [init], or by [decoder] from an existing
    state) and shared by every state built from it. *)
 
-type layout = { progs : Instr.t array array; mem_len : int; reg_lens : int array }
+type layout = {
+  progs : Instr.t array array;
+  mem_len : int;
+  reg_lens : int array;
+  store_masks : int array;  (* per thread: the bitmask of its store instructions *)
+}
 
 let extent what xs =
   List.fold_left
@@ -40,10 +45,16 @@ let prog_regs prog =
       match Instr.writes_reg ins with Some r -> r :: acc | None -> acc)
     [] prog
 
+let store_mask prog =
+  let m = ref 0 in
+  Array.iteri (fun i ins -> match ins with Instr.Store _ -> m := !m lor (1 lsl i) | _ -> ()) prog;
+  !m
+
 let layout_of progs ~locs =
   { progs;
     mem_len = extent "location" (List.concat (locs :: List.map prog_locs (Array.to_list progs)));
-    reg_lens = Array.map (fun prog -> extent "register" (prog_regs prog)) progs }
+    reg_lens = Array.map (fun prog -> extent "register" (prog_regs prog)) progs;
+    store_masks = Array.map store_mask progs }
 
 (* the all-zero state of a layout; its arrays are shared by every state
    that keeps a section all-zero (states are copy-on-write) *)
@@ -100,26 +111,6 @@ let thread_done th = th.executed = (1 lsl Array.length th.prog) - 1 && buffers_e
 
 let all_done st = Array.for_all thread_done st.threads
 
-(* one per transition: an executed instruction, plus — when stores are
-   buffered — a store that has left its buffer (executed stores minus the
-   entries still queued) *)
-let depth ~buffered st =
-  let d = ref 0 in
-  for k = 0 to Array.length st.threads - 1 do
-    let th = Array.unsafe_get st.threads k in
-    for i = 0 to Array.length th.prog - 1 do
-      if is_executed th i then begin
-        incr d;
-        if buffered then match Array.unsafe_get th.prog i with Instr.Store _ -> incr d | _ -> ()
-      end
-    done;
-    if buffered then begin
-      d := !d - List.length th.fifo;
-      Array.iter (fun q -> d := !d - List.length q) th.perloc
-    end
-  done;
-  !d
-
 let buffered_read_fifo th loc =
   (* newest = last matching entry *)
   List.fold_left (fun acc (l, v) -> if l = loc then Some v else acc) None th.fifo
@@ -140,13 +131,17 @@ let packed_bytes p = p.bytes
 let packed_length p = p.len
 let packed_string p = Bytes.sub_string p.bytes 0 p.len
 
-let put_varint p n =
-  (* a 63-bit varint takes at most 9 bytes *)
-  if p.len + 10 > Bytes.length p.bytes then begin
-    let b = Bytes.create (2 * Bytes.length p.bytes) in
+(* room for [n] more bytes *)
+let reserve p n =
+  if p.len + n > Bytes.length p.bytes then begin
+    let b = Bytes.create (max (p.len + n) (2 * Bytes.length p.bytes)) in
     Bytes.blit p.bytes 0 b 0 p.len;
     p.bytes <- b
-  end;
+  end
+
+let put_varint p n =
+  (* a 63-bit varint takes at most 9 bytes *)
+  if p.len + 10 > Bytes.length p.bytes then reserve p 10;
   let b = p.bytes in
   let u = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) and pos = ref p.len in
   while !u land lnot 0x7f <> 0 do
@@ -199,16 +194,19 @@ let put_perloc p q =
       put_list p l
   done
 
+(* inlined: [pack] is the in-RAM enumerator's hot path *)
+let[@inline] put_thread p th =
+  put_varint p th.executed;
+  put_bindings p th.regs;
+  put_varint p (List.length th.fifo);
+  put_fifo p th.fifo;
+  put_perloc p th.perloc
+
 let pack p st =
   p.len <- 0;
   put_bindings p st.mem;
   for k = 0 to Array.length st.threads - 1 do
-    let th = Array.unsafe_get st.threads k in
-    put_varint p th.executed;
-    put_bindings p th.regs;
-    put_varint p (List.length th.fifo);
-    put_fifo p th.fifo;
-    put_perloc p th.perloc
+    put_thread p (Array.unsafe_get st.threads k)
   done
 
 let add_packed buf st =
@@ -227,118 +225,262 @@ let packed_key st =
    programs are not part of the key (they are invariant over a state
    space); the decoder carries them with the array layout, both computed
    once. A key binding a location or register past that layout (one the
-   programs never touch, e.g. an initial-memory cell) decodes through a
-   layout widened to cover it. *)
+   programs never touch, e.g. an initial-memory cell) widens the layout
+   to cover it.
 
-type decoder = { layout : layout; zero : t }
+   Decoding is strict: it accepts exactly the keys [pack] writes, so
+   [pack (decode k) = k] byte for byte. That is what lets [pack_successor]
+   copy a parent's key bytes for the sections a transition left alone.
 
-let decoder_of_layout layout = { layout; zero = empty_of layout }
+   The decoder is a cursor over the key's bytes. While it reads it also
+   records where each section ends and sums the depth (see
+   [decoded_depth]), so neither needs a second pass over the state. *)
 
-let decoder st =
-  decoder_of_layout
-    { progs = Array.map (fun th -> th.prog) st.threads;
+type decoder = {
+  mutable layout : layout;
+  mutable zero : t;  (* the all-zero state of [layout] *)
+  buffered : bool;
+  mutable src : Bytes.t;  (* the key being decoded, or last decoded *)
+  mutable pos : int;
+  mutable stop : int;
+  mutable depth : int;
+  mutable queued : int;  (* buffered entries read so far in the current thread *)
+  marks : int array;
+      (* section ends in [src]: [marks.(0)] = 0, [marks.(1)] the end of
+         memory, [marks.(k + 2)] the end of thread [k] *)
+  mutable last : t;  (* the state decoded from [src] *)
+  mutable valid : bool;  (* [last] and [marks] describe [src] *)
+}
+
+let make_decoder ~buffered layout =
+  let zero = empty_of layout in
+  { layout; zero; buffered; src = Bytes.empty; pos = 0; stop = 0; depth = 0; queued = 0;
+    marks = Array.make (Array.length layout.progs + 2) 0; last = zero; valid = false }
+
+let decoder ?(buffered = false) st =
+  let progs = Array.map (fun th -> th.prog) st.threads in
+  make_decoder ~buffered
+    { progs;
       mem_len = Array.length st.mem;
-      reg_lens = Array.map (fun th -> Array.length th.regs) st.threads }
+      reg_lens = Array.map (fun th -> Array.length th.regs) st.threads;
+      store_masks = Array.map store_mask progs }
 
-let decode_error () = invalid_arg "State.of_packed_key: malformed key"
+let malformed () = invalid_arg "State.decode: malformed key"
 
 (* a binding past the decoder's layout *)
 exception Outside of int
 
-let read_varint s pos =
-  let u = ref 0 and shift = ref 0 and again = ref true and p = ref !pos in
-  while !again do
-    (* 9 seven-bit groups cover a 63-bit int; a 10th would shift past the
-       word (unspecified in OCaml), so reject overlong encodings first *)
-    if !p >= String.length s || !shift > Sys.int_size - 7 then decode_error ();
-    let b = Char.code (String.unsafe_get s !p) in
-    incr p;
-    u := !u lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b land 0x80 = 0 then again := false
-  done;
-  pos := !p;
-  (* undo the zigzag *)
-  (!u lsr 1) lxor (- (!u land 1))
+(* the unsigned value of a varint whose first byte (at [p - 1]) had its
+   continuation bit set; [u] holds the groups read so far *)
+let rec varint_tail d p u shift =
+  (* 9 seven-bit groups cover a 63-bit int; a 10th would shift past the
+     word (unspecified in OCaml) *)
+  if p >= d.stop || shift > Sys.int_size - 7 then malformed ();
+  let b = Char.code (Bytes.unsafe_get d.src p) in
+  let u = u lor ((b land 0x7f) lsl shift) in
+  if b >= 0x80 then varint_tail d (p + 1) u (shift + 7)
+  else if b = 0 then malformed () (* a zero last group: an overlong encoding *)
+  else begin
+    d.pos <- p + 1;
+    u
+  end
 
-let read_count s pos =
-  let n = read_varint s pos in
-  if n < 0 then decode_error ();
+let read_varint d =
+  let p = d.pos in
+  if p >= d.stop then malformed ();
+  let b = Char.code (Bytes.unsafe_get d.src p) in
+  let u =
+    if b < 0x80 then begin
+      d.pos <- p + 1;
+      b
+    end
+    else varint_tail d (p + 1) (b land 0x7f) 7
+  in
+  (* undo the zigzag *)
+  (u lsr 1) lxor (- (u land 1))
+
+let read_count d =
+  let n = read_varint d in
+  if n < 0 then malformed ();
   n
 
-let read_index s pos len =
-  let i = read_varint s pos in
-  if i < 0 || i >= max_index then decode_error ();
+(* an index above [prev]: bindings and buffers are written in index order *)
+let read_index d ~prev len =
+  let i = read_varint d in
+  if i <= prev || i >= max_index then malformed ();
   if i >= len then raise (Outside i);
   i
 
-(* [n] (index, value) pairs over a copy of the all-zero [zero] *)
-let read_bindings s pos zero =
-  match read_count s pos with
+(* [Array.copy] without its C call for one- and two-element arrays; the
+   annotations spare each copy the float-array check *)
+let copy_ints (a : int array) =
+  match Array.length a with
+  | 1 -> [| Array.unsafe_get a 0 |]
+  | 2 -> [| Array.unsafe_get a 0; Array.unsafe_get a 1 |]
+  | _ -> Array.copy a
+
+let copy_queues (a : int list array) =
+  match Array.length a with
+  | 1 -> [| Array.unsafe_get a 0 |]
+  | 2 -> [| Array.unsafe_get a 0; Array.unsafe_get a 1 |]
+  | _ -> Array.copy a
+
+let copy_threads (a : thread array) =
+  match Array.length a with
+  | 1 -> [| Array.unsafe_get a 0 |]
+  | 2 -> [| Array.unsafe_get a 0; Array.unsafe_get a 1 |]
+  | _ -> Array.copy a
+
+(* [n] (index, non-zero value) pairs over a copy of the all-zero [zero] *)
+let read_bindings d zero =
+  match read_count d with
   | 0 -> zero
   | n ->
-    let a = Array.copy zero in
+    let a = copy_ints zero in
+    let prev = ref (-1) in
     for _ = 1 to n do
-      let i = read_index s pos (Array.length a) in
-      a.(i) <- read_varint s pos
+      let i = read_index d ~prev:!prev (Array.length a) in
+      let v = read_varint d in
+      if v = 0 then malformed ();
+      Array.unsafe_set a i v;
+      prev := i
     done;
     a
 
-(* builds in encoding order: queue entries are oldest-first on both sides *)
-let read_fifo s pos =
-  let rec go acc k =
-    if k = 0 then List.rev acc
-    else begin
-      let l = read_varint s pos in
-      let v = read_varint s pos in
-      go ((l, v) :: acc) (k - 1)
-    end
-  in
-  go [] (read_count s pos)
+(* queues are oldest first on both sides *)
+let rec read_fifo d n =
+  if n = 0 then []
+  else begin
+    let l = read_varint d in
+    let v = read_varint d in
+    (l, v) :: read_fifo d (n - 1)
+  end
 
-let read_list s pos =
-  let rec go acc k = if k = 0 then List.rev acc else go (read_varint s pos :: acc) (k - 1) in
-  go [] (read_count s pos)
+let rec read_list d n =
+  if n = 0 then []
+  else begin
+    let v = read_varint d in
+    v :: read_list d (n - 1)
+  end
 
-let read_perloc s pos zero =
-  match read_count s pos with
+let read_perloc d zero =
+  match read_count d with
   | 0 -> zero
   | n ->
-    let q = Array.copy zero in
+    let q = copy_queues zero in
+    let prev = ref (-1) in
     for _ = 1 to n do
-      let loc = read_index s pos (Array.length q) in
-      q.(loc) <- read_list s pos
+      let loc = read_index d ~prev:!prev (Array.length q) in
+      let len = read_count d in
+      if len = 0 then malformed ();
+      d.queued <- d.queued + len;
+      Array.unsafe_set q loc (read_list d len);
+      prev := loc
     done;
     q
 
-let read_thread s pos zt =
-  let executed = read_varint s pos in
-  if executed < 0 || executed >= 1 lsl Array.length zt.prog then decode_error ();
-  let regs = read_bindings s pos zt.regs in
-  let fifo = read_fifo s pos in
-  let perloc = read_perloc s pos zt.perloc in
+(* the number of set bits of a mask below 2^60 (SWAR) *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x0555555555555555) in
+  let x = (x land 0x0333333333333333) + ((x lsr 2) land 0x0333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
+
+let read_thread d k zt =
+  let executed = read_varint d in
+  if executed < 0 || executed >= 1 lsl Array.length zt.prog then malformed ();
+  let regs = read_bindings d zt.regs in
+  let nfifo = read_count d in
+  let fifo = read_fifo d nfifo in
+  d.queued <- nfifo;
+  let perloc = read_perloc d zt.perloc in
+  (* one per transition: an executed instruction, plus, when stores are
+     buffered, a store that has left its buffer (executed stores minus
+     the entries still queued) *)
+  let drained =
+    if d.buffered then popcount (executed land Array.unsafe_get d.layout.store_masks k) - d.queued
+    else 0
+  in
+  d.depth <- d.depth + popcount executed + drained;
   { zt with executed; regs; fifo; perloc }
 
-let rec decode d key =
-  let pos = ref 0 in
-  match
-    let mem = read_bindings key pos d.zero.mem in
-    (mem, Array.map (read_thread key pos) d.zero.threads)
-  with
-  | mem, threads ->
-    if !pos <> String.length key then decode_error ();
-    { mem; threads }
+let decode_key d =
+  d.pos <- 0;
+  d.depth <- 0;
+  let z = d.zero in
+  let mem = read_bindings d z.mem in
+  d.marks.(1) <- d.pos;
+  let threads = copy_threads z.threads in
+  for k = 0 to Array.length threads - 1 do
+    Array.unsafe_set threads k (read_thread d k (Array.unsafe_get z.threads k));
+    d.marks.(k + 2) <- d.pos
+  done;
+  if d.pos <> d.stop then malformed ();
+  { mem; threads }
+
+let rec decode d b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "State.decode: length";
+  d.valid <- false;
+  d.src <- b;
+  d.stop <- len;
+  match decode_key d with
+  | st ->
+    d.last <- st;
+    d.valid <- true;
+    st
   | exception Outside i ->
     (* rare (never for keys of states built from the decoder's own
-       layout): retry with every array long enough for index [i] *)
+       layout): widen every array to cover index [i], and start over *)
     let l = d.layout in
-    decode
-      (decoder_of_layout
-         { l with mem_len = max l.mem_len (i + 1); reg_lens = Array.map (max (i + 1)) l.reg_lens })
-      key
+    d.layout <-
+      { l with mem_len = max l.mem_len (i + 1); reg_lens = Array.map (max (i + 1)) l.reg_lens };
+    d.zero <- empty_of d.layout;
+    decode d b len
+
+let decoded_depth d = d.depth
 
 let of_packed_key ~programs key =
-  decode (decoder_of_layout (layout_of (Array.of_list programs) ~locs:[])) key
+  let d = make_decoder ~buffered:false (layout_of (Array.of_list programs) ~locs:[]) in
+  decode d (Bytes.unsafe_of_string key) (String.length key)
+
+(* -- splicing -----------------------------------------------------------
+   States are copy-on-write, so a successor's [mem] and each of its
+   thread records are physically equal to its parent's exactly where the
+   transition left them alone, and an unchanged section packs to the
+   parent key's bytes (decoding is strict). Those bytes are copied, one
+   blit per run of adjacent unchanged sections; only the changed
+   sections are encoded. *)
+
+let put_bytes p b off len =
+  if len > 0 then begin
+    reserve p len;
+    Bytes.blit b off p.bytes p.len len;
+    p.len <- p.len + len
+  end
+
+let pack_successor d p st =
+  let parent = d.last in
+  if not d.valid || Array.length st.threads <> Array.length parent.threads then pack p st
+  else begin
+    let marks = d.marks in
+    p.len <- 0;
+    (* [from, upto): parent bytes waiting to be copied *)
+    let from = ref 0 and upto = ref 0 in
+    if st.mem == parent.mem then upto := marks.(1) else put_bindings p st.mem;
+    for k = 0 to Array.length st.threads - 1 do
+      let th = Array.unsafe_get st.threads k in
+      if th == Array.unsafe_get parent.threads k then begin
+        if !from = !upto then from := marks.(k + 1);
+        upto := marks.(k + 2)
+      end
+      else begin
+        put_bytes p d.src !from (!upto - !from);
+        from := !upto;
+        put_thread p th
+      end
+    done;
+    put_bytes p d.src !from (!upto - !from)
+  end
 
 let pp fmt st =
   Format.fprintf fmt "mem:";

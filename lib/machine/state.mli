@@ -12,7 +12,10 @@
     a transition copies exactly the arrays it changes and never writes into
     an existing one. Build modified states with {!set_reg}, {!set_mem},
     {!set_thread} and {!set_perloc_queue}, never by mutating a field's
-    array. {!packed_key} is the canonical serialization the enumerators
+    array. A successor's [mem] array and each of its thread records are
+    therefore physically equal ([==]) to its parent's wherever the
+    transition left them alone; {!pack_successor} relies on this.
+    {!packed_key} is the canonical serialization the enumerators
     deduplicate on. *)
 
 type thread = {
@@ -70,15 +73,6 @@ val thread_done : thread -> bool
 
 val all_done : t -> bool
 
-val depth : buffered:bool -> t -> int
-(** Instructions executed plus buffered stores drained, summed over the
-    threads. [buffered] says whether stores go through a store buffer
-    (TSO, PSO) or act on memory directly (SC, WO). Depth lemma: every
-    transition executes one instruction or drains one buffered store, so
-    each successor of [st] has depth [depth st + 1] and the root has depth
-    0. A state's BFS level is therefore a function of the state, and BFS
-    levels partition the state space (DESIGN.md §8). *)
-
 val buffered_read_fifo : thread -> int -> int option
 (** Newest buffered value for a location in the TSO FIFO, if any. *)
 
@@ -121,30 +115,56 @@ val add_packed : Buffer.t -> t -> unit
 (** Append the {!packed_key} encoding to a caller-owned buffer. *)
 
 type decoder
-(** The layout of one state space (programs and array lengths), computed
-    once, for rebuilding states from their packed keys. *)
+(** A cursor for rebuilding states from their packed keys, with the
+    layout of one state space (programs and array lengths) computed once.
+    It is mutable (it remembers the key it last decoded): use one per
+    engine and never share one between domains. *)
 
-val decoder : t -> decoder
+val decoder : ?buffered:bool -> t -> decoder
 (** A decoder for keys of states that share [st]'s programs, in the layout
-    of [st] (typically the root of the state space). *)
+    of [st] (typically the root of the state space). [buffered] (default
+    [false]) says whether stores go through a store buffer (TSO, PSO) or
+    act on memory directly (SC, WO); it only affects {!decoded_depth}. *)
 
-val decode : decoder -> string -> t
-(** Decode a {!packed_key} byte string back into a full state. Thread
-    count and order must match the encoder's. Round-trip law:
-    [packed_key (decode d (packed_key st)) = packed_key st], and the
-    decoded state is semantically identical (same transitions,
-    observations, and key) — what lets the external-memory enumerator keep
-    only keys on disk and rebuild states to expand them. A key binding a
-    location or register past the decoder's layout still decodes (into
-    wider arrays). Raises [Invalid_argument] on truncated, overlong or
-    trailing bytes — malformed input is never decoded into a
-    plausible-but-wrong state. *)
+val decode : decoder -> Bytes.t -> int -> t
+(** [decode d b len] decodes the {!packed_key} held in the first [len]
+    bytes of [b]. Thread count and order must match the encoder's.
+    Decoding is strict: it accepts exactly the byte strings {!pack}
+    writes, so [packed_key (decode d k) = k] for every key it accepts,
+    and the decoded state is semantically identical to the packed one
+    (same transitions, observations and key). This is what lets the
+    external-memory enumerator keep only keys on disk and rebuild states
+    to expand them. A key binding a location or register past the
+    decoder's layout still decodes (the layout widens to cover it).
+    Raises [Invalid_argument] on truncated, overlong (a varint with a
+    zero last group, or past 9 bytes) or trailing bytes, on a zero-valued
+    binding, on indices that do not increase, on an empty PSO buffer
+    entry and on an executed mask past the program: malformed input is
+    never decoded into a plausible-but-wrong state. *)
+
+val decoded_depth : decoder -> int
+(** The depth of the state {!decode} last returned, summed while it read
+    the key: instructions executed plus, when [buffered], buffered stores
+    drained (executed stores minus the entries still queued), over all
+    threads. Depth lemma: every transition executes one instruction or
+    drains one buffered store, so each successor of a state is one deeper
+    and the root has depth 0. A state's BFS level is therefore a function
+    of the state, and BFS levels partition the state space (DESIGN.md
+    §8). *)
+
+val pack_successor : decoder -> packer -> t -> unit
+(** [pack_successor d p st] is [pack p st], faster when [st] is a
+    successor of the state [d] last decoded: the sections [st] shares with
+    it physically (memory, or a whole thread record) are copied from that
+    key's bytes, adjacent ones in a single blit, and only the others are
+    encoded. The bytes given to that {!decode} must be unchanged since. *)
 
 val of_packed_key : programs:Instr.t array list -> string -> t
-(** [decode] with a layout derived from [programs] alone; the programs are
-    not part of the key (they never change over a state space), so the
-    caller supplies the same list it gave {!init}. Derives the layout on
-    every call: decode many keys through one {!decoder} instead. *)
+(** {!decode} of a whole string, with a layout derived from [programs]
+    alone; the programs are not part of the key (they never change over a
+    state space), so the caller supplies the same list it gave {!init}.
+    Derives the layout on every call: decode many keys through one
+    {!decoder} instead. *)
 
 val pp : Format.formatter -> t -> unit
 (** Non-zero memory cells and registers, and TSO buffers, per thread. *)

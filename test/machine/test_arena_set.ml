@@ -107,6 +107,55 @@ let test_iter_clear () =
     Alcotest.(check (list string)) (label "cleared iter") [] (contents t)
   done
 
+(* [iter]'s order against [List.sort String.compare], on random sets
+   mixing the shapes a radix sort gets wrong: the empty key, keys that are
+   prefixes of others, long runs of equal bytes, bytes 0x00 and 0xff,
+   keys of 1,023 bytes or more (their length sits in the arena), and many
+   keys sharing 14-byte prefixes; under the default hash and a degenerate
+   one (every key in one probe chain, so the slots come in insertion
+   order) *)
+let test_iter_order_random () =
+  let rng = Random.State.make [| 19 |] in
+  let byte () =
+    match Random.State.int rng 4 with
+    | 0 -> '\x00'
+    | 1 -> '\xff'
+    | _ -> Char.chr (Random.State.int rng 256)
+  in
+  let random_key () =
+    match Random.State.int rng 6 with
+    | 0 -> ""
+    | 1 -> String.init (Random.State.int rng 4) (fun _ -> byte ())
+    | 2 -> String.make (Random.State.int rng 30) (if Random.State.bool rng then 'a' else '\x00')
+    | 3 ->
+      (* one of a few 14-byte prefixes, then a short random tail *)
+      Printf.sprintf "prefix-%07d" (Random.State.int rng 3)
+      ^ String.init (Random.State.int rng 12) (fun _ -> byte ())
+    | 4 ->
+      String.make (1023 + Random.State.int rng 3) 'L'
+      ^ String.init (Random.State.int rng 3) (fun _ -> byte ())
+    | _ -> String.init (Random.State.int rng 40) (fun _ -> byte ())
+  in
+  List.iter
+    (fun (label, make) ->
+      for round = 1 to 12 do
+        let keys = List.init (Random.State.int rng (round * 150)) (fun _ -> random_key ()) in
+        (* every prefix of a few keys as well *)
+        let keys =
+          keys
+          @ List.concat_map
+              (fun k -> List.init (String.length k + 1) (fun n -> String.sub k 0 n))
+              (List.filteri (fun i k -> i < 3 && String.length k < 100) keys)
+        in
+        let t = make () in
+        List.iter (fun k -> ignore (add t k)) keys;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s round %d: iter order" label round)
+          (List.sort_uniq String.compare keys) (contents t)
+      done)
+    [ ("default hash", fun () -> A.create ());
+      ("degenerate hash", fun () -> A.create ~hash:(fun _ _ _ -> 7) ()) ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -118,4 +167,5 @@ let suite =
       ("empty key at a full chunk's end", test_empty_key_at_chunk_end);
       ("same answers as a Hashtbl", test_same_answers_as_hashtbl);
       ("iter and clear", test_iter_clear);
+      ("iter order equals String.compare on random sets", test_iter_order_random);
     ]

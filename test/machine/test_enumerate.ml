@@ -159,10 +159,10 @@ let test_por_equals_full_on_corpus () =
    or without the ample-set reduction) is one level deeper than its parent,
    from a root at depth 0 *)
 let check_successor_depths label ~buffered st succs =
-  let d = State.depth ~buffered st in
+  let d = Memrel_oracle.state_depth ~buffered st in
   List.iter
     (fun (_, st') ->
-      let d' = State.depth ~buffered st' in
+      let d' = Memrel_oracle.state_depth ~buffered st' in
       if d' <> d + 1 then Alcotest.failf "%s: a depth-%d state has a depth-%d successor" label d d')
     succs
 
@@ -171,7 +171,7 @@ let check_depth_lemma label ~por d root =
   let buffered = Sem.buffered d in
   let packer = State.packer () and seen = Memrel_machine.Arena_set.create () in
   let stack = Stack.create () in
-  Alcotest.(check int) (label ^ " root depth") 0 (State.depth ~buffered root);
+  Alcotest.(check int) (label ^ " root depth") 0 (Memrel_oracle.state_depth ~buffered root);
   Stack.push root stack;
   while not (Stack.is_empty stack) do
     let st = Stack.pop stack in

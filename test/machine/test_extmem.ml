@@ -101,7 +101,7 @@ let level_widths d root =
   let rec go = function
     | [] -> ()
     | st :: rest ->
-      let k = State.depth ~buffered st in
+      let k = Memrel_oracle.state_depth ~buffered st in
       Hashtbl.replace widths k (1 + Option.value ~default:0 (Hashtbl.find_opt widths k));
       go
         (List.fold_left
@@ -118,6 +118,30 @@ let level_widths d root =
   Hashtbl.replace seen (State.packed_key root) ();
   go [ root ];
   List.init (Hashtbl.length widths) (Hashtbl.find widths)
+
+(* The spill stream's counters, pinned: run files and their payload bytes
+   follow from the key bytes and their sort order, so a change to either
+   (a key packed differently, a different order out of the arena) fails
+   here even when every result field still matches. *)
+let check_spill_stream label ~levels ~runs ~bytes ~generations ~merges (e : X.ext_stats) =
+  let check what = Alcotest.(check int) (Printf.sprintf "%s: %s" label what) in
+  check "levels" levels e.X.levels;
+  check "spill runs" runs e.X.spill_runs;
+  check "spill bytes" bytes e.X.spill_bytes;
+  check "overflow runs" generations e.X.spill_generations;
+  check "merges" merges e.X.merges
+
+let test_spill_stream_pinned () =
+  (* at 1 MiB no level of inc5/TSO overflows: the stream is the 21
+     frontiers as written straight from the arena *)
+  let t = L.find "inc5" in
+  with_dir (fun dir ->
+      let ext =
+        X.outcomes ~mem_budget_bytes:(1024 * 1024) ~spill_dir:dir ~resume_key:(key t "TSO" false)
+          Sem.Tso (L.initial_state t) ~observe:t.L.observe
+      in
+      check_spill_stream "inc5/TSO at 1 MiB" ~levels:21 ~runs:27 ~bytes:732_605 ~generations:0
+        ~merges:0 ext.X.ext)
 
 let test_tiny_budget_overflows_and_merges () =
   (* a 64 KiB budget on inc5/TSO (64k states) overflows the arena into
@@ -141,6 +165,8 @@ let test_tiny_budget_overflows_and_merges () =
         (Printf.sprintf "runs merged (got %d)" e.X.merges)
         true (e.X.merges > 0);
       Alcotest.(check bool) "spilled bytes" true (e.X.spill_bytes > 0);
+      check_spill_stream "inc5/TSO at 64 KiB" ~levels:21 ~runs:758 ~bytes:2_719_681
+        ~generations:127 ~merges:25 e;
       Alcotest.(check (list string)) "a complete run leaves only the manifest" []
         (spill_files dir));
   (* stop the run at the start of every level in turn (a state cap at the
@@ -191,6 +217,8 @@ let test_inc6_tso_1mib () =
           ~resume_key:(key t "TSO" false) Sem.Tso st ~observe
       in
       check_base (( ^ ) "inc6/TSO at 1 MiB: ") ram ext.X.base;
+      check_spill_stream "inc6/TSO at 1 MiB" ~levels:25 ~runs:966 ~bytes:53_086_250
+        ~generations:170 ~merges:30 ext.X.ext;
       Alcotest.(check bool)
         (Printf.sprintf ">= 2 overflow runs (got %d)" ext.X.ext.X.spill_generations)
         true
@@ -357,4 +385,5 @@ let suite =
       ("kill + resume at a 64 KiB budget is bit-identical", test_kill_resume_tiny_budget);
       ("pre-level-local manifest version rejected", test_old_manifest_version_rejected);
       ("inc6/TSO at 1 MiB overflows and stays exact", test_inc6_tso_1mib);
+      ("inc5/TSO spill stream at 1 MiB is pinned", test_spill_stream_pinned);
     ]

@@ -134,7 +134,7 @@ let test_packed_key_golden () =
         (hex (State.packed_key st'));
       Alcotest.(check int) (label ^ " wide memory value") (1 lsl 40) (State.mem_read st' 9))
     [ ("of_packed_key", State.of_packed_key ~programs:(programs_of st) key);
-      ("decoder", State.decode (State.decoder st) key) ]
+      ("decoder", State.decode (State.decoder st) (Bytes.of_string key) (String.length key)) ]
 
 (* digests of every reachable state's packed key (sorted, newline-joined),
    taken from the IntMap-based state: the array layout must pack every
@@ -203,6 +203,20 @@ let test_of_packed_key_random_walks () =
         [ "inc"; "sb"; "mp"; "iriw" ])
     [ Sem.Sc; Sem.Tso; Sem.Pso; Sem.Wo { window = 3 } ]
 
+(* a key from its zigzag varints, written as the encoder writes them *)
+let key_of_varints ns =
+  let buf = Buffer.create 16 in
+  List.iter
+    (fun n ->
+      let u = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
+      while !u land lnot 0x7f <> 0 do
+        Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
+        u := !u lsr 7
+      done;
+      Buffer.add_char buf (Char.chr !u))
+    ns;
+  Buffer.contents buf
+
 let test_of_packed_key_rejects_malformed () =
   let st =
     State.init ~programs:[ [| I.store ~loc:0 ~src:(I.Imm 1); I.load ~reg:0 ~loc:0 |] ]
@@ -222,20 +236,148 @@ let test_of_packed_key_rejects_malformed () =
   expect_reject "trailing byte" (k ^ "\x00");
   expect_reject "unterminated varint" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff";
   (* executed mask outside the 2-instruction program *)
-  let buf = Buffer.create 16 in
-  let add_varint n =
-    (* mirror the encoder's zigzag varint *)
-    let u = ref ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
-    while !u land lnot 0x7f <> 0 do
-      Buffer.add_char buf (Char.chr (0x80 lor (!u land 0x7f)));
-      u := !u lsr 7
-    done;
-    Buffer.add_char buf (Char.chr !u)
+  expect_reject "executed mask out of range" (key_of_varints [ 0; 16; 0; 0; 0 ])
+
+(* the encoder never writes these, so a strict decoder must refuse them:
+   accepting one would decode two byte strings to one state *)
+let test_decode_rejects_non_canonical () =
+  let st =
+    State.init ~programs:[ [| I.store ~loc:0 ~src:(I.Imm 1); I.load ~reg:0 ~loc:0 |] ]
+      ~initial_mem:[ (0, 5) ]
   in
-  add_varint 0 (* no memory bindings *);
-  add_varint 16 (* executed: bit 4 of a 2-instruction program *);
-  add_varint 0; add_varint 0; add_varint 0;
-  expect_reject "executed mask out of range" (Buffer.contents buf)
+  let programs = programs_of st in
+  (* memory {0: 5}; thread: executed, registers, FIFO and PSO sections *)
+  let canonical = key_of_varints [ 1; 0; 5; 0; 0; 0; 0 ] in
+  Alcotest.(check string) "the canonical key" canonical (State.packed_key st);
+  Alcotest.(check string) "the canonical key decodes" canonical
+    (State.packed_key (State.of_packed_key ~programs canonical));
+  let expect_reject label s =
+    match State.of_packed_key ~programs s with
+    | _ -> Alcotest.failf "%s: non-canonical key decoded" label
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (label, ns) -> expect_reject label (key_of_varints ns))
+    [ ("zero-valued memory binding", [ 1; 0; 0; 0; 0; 0; 0 ]);
+      ("zero-valued register binding", [ 1; 0; 5; 0; 1; 0; 0; 0; 0 ]);
+      ("repeated memory index", [ 2; 0; 5; 0; 6; 0; 0; 0; 0 ]);
+      ("decreasing memory index", [ 2; 1; 5; 0; 6; 0; 0; 0; 0 ]);
+      ("empty PSO list", [ 1; 0; 5; 0; 0; 0; 1; 0; 0 ]);
+      ("repeated PSO location", [ 1; 0; 5; 0; 0; 0; 2; 0; 1; 7; 0; 1; 8 ]);
+      ("decreasing PSO location", [ 1; 0; 5; 0; 0; 0; 2; 1; 1; 7; 0; 1; 8 ]) ];
+  (* the binding count 1 as two bytes (a zero last group), and as ten *)
+  expect_reject "overlong varint"
+    ("\x82\x00" ^ String.sub canonical 1 (String.length canonical - 1));
+  expect_reject "overlong zero" ("\x80\x00" ^ key_of_varints [ 0; 0; 0; 0 ]);
+  expect_reject "ten-byte varint"
+    ("\x82" ^ String.make 8 '\x80' ^ "\x01" ^ key_of_varints [ 0; 0; 0; 0; 0; 0 ])
+
+(* strictness as a law: mutate real keys at random, and whenever the
+   decoder accepts the result it must re-encode to the very same bytes *)
+let test_decode_accepts_only_canonical () =
+  let rng = Random.State.make [| 0xC0DE |] in
+  let accepted = ref 0 in
+  List.iter
+    (fun name ->
+      let t = L.find name in
+      let programs = t.L.programs in
+      let rec walk st steps =
+        let k = Bytes.of_string (State.packed_key st) in
+        for _ = 1 to 20 do
+          let m = Bytes.copy k in
+          for _ = 1 to 1 + Random.State.int rng 2 do
+            Bytes.set m
+              (Random.State.int rng (Bytes.length m))
+              (Char.chr (Random.State.int rng 256))
+          done;
+          let m = Bytes.to_string m in
+          match State.of_packed_key ~programs m with
+          | st' ->
+            incr accepted;
+            Alcotest.(check string) (name ^ ": an accepted key re-encodes to itself") (hex m)
+              (hex (State.packed_key st'))
+          | exception Invalid_argument _ -> ()
+        done;
+        match Sem.transitions Sem.Pso st with
+        | [] -> ()
+        | ts ->
+          if steps > 0 then
+            walk (snd (List.nth ts (Random.State.int rng (List.length ts)))) (steps - 1)
+      in
+      for _ = 1 to 10 do
+        walk (L.initial_state t) 30
+      done)
+    [ "inc"; "sb"; "mp"; "iriw" ];
+  Alcotest.(check bool) (Printf.sprintf "some mutants decode (%d)" !accepted) true (!accepted > 100)
+
+let disciplines =
+  [ ("SC", Sem.Sc); ("TSO", Sem.Tso); ("PSO", Sem.Pso); ("WO", Sem.Wo { window = 3 }) ]
+
+(* every reachable state decoded from its key, as the external enumerator
+   decodes them: the depth the decoder sums equals the oracle's, and
+   every successor spliced from the parent key equals its own packed key *)
+let check_decoder_over_space label ~por d root =
+  let buffered = Sem.buffered d in
+  let dec = State.decoder ~buffered root and p = State.packer () in
+  let seen = Hashtbl.create 1024 and queue = Queue.create () in
+  let root_key = State.packed_key root in
+  Hashtbl.replace seen root_key ();
+  Queue.push root_key queue;
+  while not (Queue.is_empty queue) do
+    let key = Queue.pop queue in
+    let st = State.decode dec (Bytes.of_string key) (String.length key) in
+    Alcotest.(check int)
+      (label ^ ": decoded depth")
+      (Memrel_oracle.state_depth ~buffered st)
+      (State.decoded_depth dec);
+    List.iter
+      (fun (_, st') ->
+        let key' = State.packed_key st' in
+        State.pack_successor dec p st';
+        Alcotest.(check string) (label ^ ": spliced successor key") (hex key')
+          (hex (State.packed_string p));
+        if not (Hashtbl.mem seen key') then begin
+          Hashtbl.replace seen key' ();
+          Queue.push key' queue
+        end)
+      (fst (Memrel_machine.Enumerate.expand ~por d st))
+  done
+
+let test_decoder_depth_and_splice () =
+  List.iter
+    (fun (t : L.t) ->
+      List.iter
+        (fun (dname, d) ->
+          List.iter
+            (fun por ->
+              check_decoder_over_space
+                (Printf.sprintf "%s/%s por=%b" t.L.name dname por)
+                ~por d (L.initial_state t))
+            [ false; true ])
+        disciplines)
+    (L.all @ [ L.increment_n 3; L.increment_n 4 ])
+
+let test_splice_of_unrelated_states () =
+  (* a state that is no successor of the last decoded one shares none of
+     its sections, and packs exactly as [pack] would *)
+  let st = handcrafted () in
+  let dec = State.decoder st and p = State.packer () in
+  let key = State.packed_key st in
+  let decoded = State.decode dec (Bytes.of_string key) (String.length key) in
+  let other = State.init ~programs:(programs_of st) ~initial_mem:[ (2, 3) ] in
+  State.pack_successor dec p other;
+  Alcotest.(check string) "unrelated state" (State.packed_key other) (State.packed_string p);
+  State.pack_successor dec p decoded;
+  Alcotest.(check string) "the decoded state itself" golden_handcrafted
+    (hex (State.packed_string p));
+  (* a failed decode leaves nothing to splice from *)
+  (match State.decode dec (Bytes.of_string "\x02") 1 with
+   | _ -> Alcotest.fail "truncated key decoded"
+   | exception Invalid_argument _ -> ());
+  State.pack_successor dec p (State.set_mem decoded 0 1);
+  Alcotest.(check string) "after a failed decode"
+    (State.packed_key (State.set_mem decoded 0 1))
+    (State.packed_string p)
 
 let suite =
   List.map
@@ -252,4 +394,9 @@ let suite =
       ("of_packed_key rejects malformed keys", test_of_packed_key_rejects_malformed);
       ("packed key bytes match the golden encoding", test_packed_key_golden);
       ("reachable packed keys match golden digests", test_packed_keys_golden_spaces);
+      ("decode rejects non-canonical keys", test_decode_rejects_non_canonical);
+      ("decode accepts only keys pack writes", test_decode_accepts_only_canonical);
+      ("decoded depth and spliced successor keys over the corpus",
+       test_decoder_depth_and_splice);
+      ("splicing a state that is no successor", test_splice_of_unrelated_states);
     ]

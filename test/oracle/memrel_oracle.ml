@@ -8,6 +8,30 @@ module Order_reference = Order_reference
 module Bigint_reference = Bigint_reference
 module Rational_reference = Rational_reference
 
+(* The depth lemma's value, recomputed from a decoded state (the external
+   enumerator's decoder sums it while it reads a key): instructions
+   executed, plus, when stores are buffered (TSO, PSO), stores that have
+   left their buffer (executed stores minus the entries still queued),
+   summed over the threads. Every transition adds exactly one. *)
+let state_depth ~buffered st =
+  let module State = Memrel_machine.State in
+  let d = ref 0 in
+  Array.iter
+    (fun th ->
+      Array.iteri
+        (fun i ins ->
+          if State.is_executed th i then begin
+            incr d;
+            if buffered then match ins with Memrel_machine.Instr.Store _ -> incr d | _ -> ()
+          end)
+        th.State.prog;
+      if buffered then begin
+        d := !d - List.length th.State.fifo;
+        Array.iter (fun q -> d := !d - List.length q) th.State.perloc
+      end)
+    st.State.threads;
+  !d
+
 (* Combinatorics' bounded-partition recurrence over the seed bigint, with
    its own memo table (single-domain use; [clear] empties it) *)
 module Combinatorics_reference = struct
