@@ -71,6 +71,9 @@ ci:
 	# a state-capped run exits 3 keeping its spill dir, and --resume
 	# completes it with identical totals
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --extmem --mem-budget 1 | grep -q "states 3931"
+	# the in-RAM worklist (spliced successor keys) on the same test
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model pso | grep -q "states 3931"
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model wo | grep -q "states 1916"
 	rm -rf /tmp/memrel_ci_spill
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --spill-dir /tmp/memrel_ci_spill --max-states 1500 > /dev/null; test $$? -eq 3
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --spill-dir /tmp/memrel_ci_spill --resume | grep -q "states 3931"

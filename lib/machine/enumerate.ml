@@ -122,9 +122,14 @@ let expand ~por discipline st =
 
 (* -- iterative exploration --------------------------------------------- *)
 
+(* a state on the worklist, with its packed key and the key's section ends *)
+type entry = { st : State.t; depth : int; key : Bytes.t; ends : int array }
+
 let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~observe =
   (* one packer and one arena per call: keys are packed into the scratch
-     bytes and probed from there, and copied only when new *)
+     bytes and probed from there, and copied only when new; each state on
+     the worklist keeps a copy of its key and section ends, and its
+     successors are spliced from them (State.splice) *)
   let packer = State.packer () in
   let visited = Arena_set.create () in
   let outcome_counts = Hashtbl.create 64 in
@@ -144,10 +149,13 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
   (* every stop — state cap, deadline, work cap, memory watermark — unwinds
      through one path and yields a partial result *)
   let exception Stop of Memrel_prob.Budget.cause in
+  (* admit [st], whose key the packer holds *)
   let visit st depth =
-    State.pack packer st;
-    if Arena_set.add visited (State.packed_bytes packer) (State.packed_length packer) then
-      Stack.push (st, depth) stack
+    let key = State.packed_bytes packer and len = State.packed_length packer in
+    if Arena_set.add visited key len then
+      Stack.push
+        { st; depth; key = Bytes.sub key 0 len; ends = Array.copy (State.packed_ends packer) }
+        stack
     else incr dedup_hits
   in
   let successors st =
@@ -160,9 +168,10 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
   in
   let exhausted = ref None in
   (try
+     State.pack packer st;
      visit st 0;
      while not (Stack.is_empty stack) do
-       let st, depth = Stack.pop stack in
+       let { st; depth; key; ends } = Stack.pop stack in
        if !expanded >= max_states then raise (Stop Memrel_prob.Budget.Work);
        (match budget with
         | None -> ()
@@ -182,6 +191,7 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
          List.iter
            (fun (_, st') ->
              incr transitions;
+             State.splice packer ~parent:st key ends st';
              visit st' (depth + 1))
            ts;
          let frontier = Stack.length stack in

@@ -122,14 +122,22 @@ let buffered_read_perloc th loc =
    zigzag + base-128 varints, count-prefixed sections, zero-valued
    bindings skipped: an injective, canonical encoding. The packer writes
    into a caller-owned scratch [Bytes] with plain loops, so packing a
-   state allocates nothing once the scratch has grown to the key size. *)
+   state allocates nothing once the scratch has grown to the key size.
+   As it writes it records where each section ends: [ends.(0)] the end of
+   memory, [ends.(k + 1)] the end of thread [k]. *)
 
-type packer = { mutable bytes : Bytes.t; mutable len : int }
+type packer = { mutable bytes : Bytes.t; mutable len : int; mutable ends : int array }
 
-let packer () = { bytes = Bytes.create 128; len = 0 }
+let packer () = { bytes = Bytes.create 128; len = 0; ends = [||] }
 let packed_bytes p = p.bytes
 let packed_length p = p.len
 let packed_string p = Bytes.sub_string p.bytes 0 p.len
+let packed_ends p = p.ends
+
+(* the ends array for a state of [n] threads (sized once per state space) *)
+let ends_for p n =
+  if Array.length p.ends <> n + 1 then p.ends <- Array.make (n + 1) 0;
+  p.ends
 
 (* room for [n] more bytes *)
 let reserve p n =
@@ -203,10 +211,14 @@ let[@inline] put_thread p th =
   put_perloc p th.perloc
 
 let pack p st =
+  let n = Array.length st.threads in
+  let ends = ends_for p n in
   p.len <- 0;
   put_bindings p st.mem;
-  for k = 0 to Array.length st.threads - 1 do
-    put_thread p (Array.unsafe_get st.threads k)
+  Array.unsafe_set ends 0 p.len;
+  for k = 0 to n - 1 do
+    put_thread p (Array.unsafe_get st.threads k);
+    Array.unsafe_set ends (k + 1) p.len
   done
 
 let add_packed buf st =
@@ -229,8 +241,9 @@ let packed_key st =
    to cover it.
 
    Decoding is strict: it accepts exactly the keys [pack] writes, so
-   [pack (decode k) = k] byte for byte. That is what lets [pack_successor]
-   copy a parent's key bytes for the sections a transition left alone.
+   [pack (decode k) = k] byte for byte, and the section ends it records
+   are the ones [pack] records. That is what lets [pack_successor] copy a
+   parent's key bytes for the sections a transition left alone.
 
    The decoder is a cursor over the key's bytes. While it reads it also
    records where each section ends and sums the depth (see
@@ -246,8 +259,8 @@ type decoder = {
   mutable depth : int;
   mutable queued : int;  (* buffered entries read so far in the current thread *)
   marks : int array;
-      (* section ends in [src]: [marks.(0)] = 0, [marks.(1)] the end of
-         memory, [marks.(k + 2)] the end of thread [k] *)
+      (* section ends in [src], as a packer records them: [marks.(0)] the
+         end of memory, [marks.(k + 1)] the end of thread [k] *)
   mutable last : t;  (* the state decoded from [src] *)
   mutable valid : bool;  (* [last] and [marks] describe [src] *)
 }
@@ -255,7 +268,7 @@ type decoder = {
 let make_decoder ~buffered layout =
   let zero = empty_of layout in
   { layout; zero; buffered; src = Bytes.empty; pos = 0; stop = 0; depth = 0; queued = 0;
-    marks = Array.make (Array.length layout.progs + 2) 0; last = zero; valid = false }
+    marks = Array.make (Array.length layout.progs + 1) 0; last = zero; valid = false }
 
 let decoder ?(buffered = false) st =
   let progs = Array.map (fun th -> th.prog) st.threads in
@@ -409,11 +422,11 @@ let decode_key d =
   d.depth <- 0;
   let z = d.zero in
   let mem = read_bindings d z.mem in
-  d.marks.(1) <- d.pos;
+  d.marks.(0) <- d.pos;
   let threads = copy_threads z.threads in
   for k = 0 to Array.length threads - 1 do
     Array.unsafe_set threads k (read_thread d k (Array.unsafe_get z.threads k));
-    d.marks.(k + 2) <- d.pos
+    d.marks.(k + 1) <- d.pos
   done;
   if d.pos <> d.stop then malformed ();
   { mem; threads }
@@ -447,9 +460,12 @@ let of_packed_key ~programs key =
    States are copy-on-write, so a successor's [mem] and each of its
    thread records are physically equal to its parent's exactly where the
    transition left them alone, and an unchanged section packs to the
-   parent key's bytes (decoding is strict). Those bytes are copied, one
-   blit per run of adjacent unchanged sections; only the changed
-   sections are encoded. *)
+   parent key's bytes (packing is canonical, and a decoded parent's key
+   is its packed key because decoding is strict). Those bytes are
+   copied, one blit per run of adjacent unchanged sections; only the
+   changed sections are encoded. One routine serves both enumerators:
+   the in-RAM worklist keeps each state's key and ends beside it, the
+   external one splices from the key it last decoded. *)
 
 let put_bytes p b off len =
   if len > 0 then begin
@@ -458,29 +474,35 @@ let put_bytes p b off len =
     p.len <- p.len + len
   end
 
-let pack_successor d p st =
-  let parent = d.last in
-  if not d.valid || Array.length st.threads <> Array.length parent.threads then pack p st
+let splice p ~parent key key_ends st =
+  let n = Array.length st.threads in
+  if Array.length parent.threads <> n then pack p st
   else begin
-    let marks = d.marks in
+    let ends = ends_for p n in
     p.len <- 0;
-    (* [from, upto): parent bytes waiting to be copied *)
+    (* [from, upto): parent bytes waiting to be copied; a section ends
+       where the output will stand once they are *)
     let from = ref 0 and upto = ref 0 in
-    if st.mem == parent.mem then upto := marks.(1) else put_bindings p st.mem;
-    for k = 0 to Array.length st.threads - 1 do
+    if st.mem == parent.mem then upto := key_ends.(0) else put_bindings p st.mem;
+    Array.unsafe_set ends 0 (p.len + !upto - !from);
+    for k = 0 to n - 1 do
       let th = Array.unsafe_get st.threads k in
       if th == Array.unsafe_get parent.threads k then begin
-        if !from = !upto then from := marks.(k + 1);
-        upto := marks.(k + 2)
+        if !from = !upto then from := key_ends.(k);
+        upto := key_ends.(k + 1)
       end
       else begin
-        put_bytes p d.src !from (!upto - !from);
+        put_bytes p key !from (!upto - !from);
         from := !upto;
         put_thread p th
-      end
+      end;
+      Array.unsafe_set ends (k + 1) (p.len + !upto - !from)
     done;
-    put_bytes p d.src !from (!upto - !from)
+    put_bytes p key !from (!upto - !from)
   end
+
+let pack_successor d p st =
+  if d.valid then splice p ~parent:d.last d.src d.marks st else pack p st
 
 let pp fmt st =
   Format.fprintf fmt "mem:";

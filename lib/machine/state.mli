@@ -14,7 +14,7 @@
     {!set_thread} and {!set_perloc_queue}, never by mutating a field's
     array. A successor's [mem] array and each of its thread records are
     therefore physically equal ([==]) to its parent's wherever the
-    transition left them alone; {!pack_successor} relies on this.
+    transition left them alone; {!splice} relies on this.
     {!packed_key} is the canonical serialization the enumerators
     deduplicate on. *)
 
@@ -88,17 +88,25 @@ type packer
 val packer : unit -> packer
 
 val pack : packer -> t -> unit
-(** Overwrite the packer's contents with the state's {!packed_key} bytes.
-    Writes with plain loops into the packer's own [Bytes]: no allocation
-    once the scratch has grown to the key size. *)
+(** Overwrite the packer's contents with the state's {!packed_key} bytes,
+    and its {!packed_ends} with the key's section ends. Writes with plain
+    loops into the packer's own [Bytes]: no allocation once the scratch
+    has grown to the key size. *)
 
 val packed_bytes : packer -> Bytes.t
 (** The scratch bytes; the key is the first {!packed_length} of them, valid
-    until the next {!pack}. *)
+    until the next {!pack} or {!splice}. *)
 
 val packed_length : packer -> int
 val packed_string : packer -> string
 (** A copy of the current key. *)
+
+val packed_ends : packer -> int array
+(** The current key's section ends, recorded as it was written (one int
+    store per section): index [0] is the end of memory, index [k + 1] the
+    end of thread [k], so the last is the key's length. The array has one
+    entry per thread plus one, is owned by the packer and is overwritten
+    by the next {!pack} or {!splice}: copy it to keep it. *)
 
 val packed_key : t -> string
 (** Canonical compact serialization: zigzag-varint byte string with
@@ -152,12 +160,22 @@ val decoded_depth : decoder -> int
     of the state, and BFS levels partition the state space (DESIGN.md
     §8). *)
 
+val splice : packer -> parent:t -> Bytes.t -> int array -> t -> unit
+(** [splice p ~parent key ends st] is [pack p st] (the same bytes and the
+    same {!packed_ends}), faster when [st] is a successor of [parent]:
+    the sections [st] shares with [parent] physically (memory, or a whole
+    thread record) are copied from [key], adjacent ones in a single blit,
+    and only the others are encoded. [key] must hold [parent]'s
+    {!packed_key} from offset 0 and [ends] its section ends, as
+    {!packed_ends} gave them; the spliced key's own ends are recorded as
+    it is written. A state with another thread count than [parent] is
+    packed from scratch. *)
+
 val pack_successor : decoder -> packer -> t -> unit
-(** [pack_successor d p st] is [pack p st], faster when [st] is a
-    successor of the state [d] last decoded: the sections [st] shares with
-    it physically (memory, or a whole thread record) are copied from that
-    key's bytes, adjacent ones in a single blit, and only the others are
-    encoded. The bytes given to that {!decode} must be unchanged since. *)
+(** [pack_successor d p st] is {!splice} from the state [d] last decoded,
+    with the key bytes given to that {!decode} (which must be unchanged
+    since) and the section ends the decoder recorded while reading them.
+    After a failed decode, or before any, it is [pack p st]. *)
 
 val of_packed_key : programs:Instr.t array list -> string -> t
 (** {!decode} of a whole string, with a layout derived from [programs]

@@ -322,6 +322,44 @@ let test_minor_words_per_transition () =
   Alcotest.(check bool) (Printf.sprintf "%.1f minor words per transition <= 80" words) true
     (words <= 80.0)
 
+(* the in-RAM worklist's counters on inc5, taken from the enumerator
+   before successor keys were spliced: states, transitions, dedup hits,
+   max depth, max frontier, POR ample states and pruned transitions. The
+   frontier and the POR counts depend on the visiting order, so a change
+   of order fails here. *)
+let test_increment5_counters_pinned () =
+  let t = L.increment_n 5 in
+  let root = L.initial_state t in
+  let pinned =
+    [ ("SC", false, (26789, 61970, 35182, 15, 31, 0, 0));
+      ("SC", true, (12413, 18980, 6568, 15, 21, 3230, 5780));
+      ("WO", false, (26789, 61970, 35182, 15, 31, 0, 0));
+      ("WO", true, (12413, 18980, 6568, 15, 21, 3230, 5780));
+      ("TSO", false, (64050, 169745, 105696, 20, 41, 0, 0));
+      ("TSO", true, (16188, 22755, 6568, 20, 21, 6460, 11560));
+      ("PSO", false, (64050, 169745, 105696, 20, 41, 0, 0));
+      ("PSO", true, (16188, 22755, 6568, 20, 21, 6460, 11560)) ]
+  in
+  List.iter
+    (fun (dname, por, (states, transitions, dedup_hits, max_depth, max_frontier, ample, pruned)) ->
+      let label = Printf.sprintf "inc5/%s por=%b" dname por in
+      let r = E.outcomes ~por (List.assoc dname disciplines) root ~observe:t.L.observe in
+      let s = r.stats in
+      Alcotest.(check bool) (label ^ " complete") true (r.exhausted = None);
+      Alcotest.(check int) (label ^ " states") states r.states_visited;
+      Alcotest.(check int) (label ^ " transitions") transitions s.transitions;
+      Alcotest.(check int) (label ^ " dedup hits") dedup_hits s.dedup_hits;
+      Alcotest.(check int) (label ^ " max depth") max_depth s.max_depth;
+      Alcotest.(check int) (label ^ " max frontier") max_frontier s.max_frontier;
+      Alcotest.(check int) (label ^ " POR ample states") ample s.por_ample_states;
+      Alcotest.(check int) (label ^ " POR pruned") pruned s.por_pruned;
+      Alcotest.(check int) (label ^ " terminals") 906 r.terminals;
+      Alcotest.(check (list (pair int int)))
+        (label ^ " terminals per outcome")
+        [ (1, 166); (2, 170); (3, 210); (4, 240); (5, 120) ]
+        (List.map (fun (o, n) -> (List.assoc "x" o, n)) r.outcomes))
+    pinned
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -347,4 +385,5 @@ let suite =
       ("two domains enumerate inc4 identically", test_two_domains_agree);
       ("minor words per transition on inc4/TSO", test_minor_words_per_transition);
       ("depth lemma: every successor is one level deeper", test_depth_lemma);
+      ("increment_n 5 in-RAM counters pinned", test_increment5_counters_pinned);
     ]

@@ -379,6 +379,65 @@ let test_splice_of_unrelated_states () =
     (State.packed_key (State.set_mem decoded 0 1))
     (State.packed_string p)
 
+(* the section ends of a key, measured without [packed_ends]: memory
+   packs alone to its own section, and a thread alone after an empty
+   memory (one count byte) to its own *)
+let measured_ends st =
+  let len st = String.length (State.packed_key st) in
+  let mem_end = len { st with State.threads = [||] } in
+  let ends = Array.make (Array.length st.State.threads + 1) mem_end in
+  Array.iteri
+    (fun k th ->
+      ends.(k + 1) <- ends.(k) + len { State.mem = [||]; threads = [| th |] } - 1)
+    st.State.threads;
+  ends
+
+(* every reachable state kept in memory with a copy of its key and section
+   ends, as the in-RAM worklist keeps them: each successor spliced from
+   them has its own packed key, and the section ends a fresh [pack] of it
+   records *)
+let check_splice_over_space label ~por d root =
+  let p = State.packer () and fresh = State.packer () in
+  let seen = Hashtbl.create 1024 and stack = Stack.create () in
+  let admit st =
+    let key = State.packed_string p in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      Alcotest.(check (array int)) (label ^ ": section ends") (measured_ends st)
+        (State.packed_ends p);
+      Stack.push (st, Bytes.of_string key, Array.copy (State.packed_ends p)) stack
+    end
+  in
+  State.pack p root;
+  admit root;
+  while not (Stack.is_empty stack) do
+    let st, key, ends = Stack.pop stack in
+    List.iter
+      (fun (_, st') ->
+        State.splice p ~parent:st key ends st';
+        State.pack fresh st';
+        Alcotest.(check string) (label ^ ": spliced key") (hex (State.packed_key st'))
+          (hex (State.packed_string p));
+        Alcotest.(check (array int)) (label ^ ": spliced section ends") (State.packed_ends fresh)
+          (State.packed_ends p);
+        admit st')
+      (fst (Memrel_machine.Enumerate.expand ~por d st))
+  done
+
+let test_splice_from_memory () =
+  List.iter
+    (fun (t : L.t) ->
+      List.iter
+        (fun (dname, d) ->
+          List.iter
+            (fun por ->
+              check_splice_over_space
+                (Printf.sprintf "%s/%s por=%b" t.L.name dname por)
+                ~por d (L.initial_state t))
+            [ false; true ])
+        disciplines)
+    (L.all @ [ L.increment_n 3; L.increment_n 4 ])
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -399,4 +458,5 @@ let suite =
       ("decoded depth and spliced successor keys over the corpus",
        test_decoder_depth_and_splice);
       ("splicing a state that is no successor", test_splice_of_unrelated_states);
+      ("splicing from in-memory parents over the corpus", test_splice_from_memory);
     ]
