@@ -284,6 +284,197 @@ let test_framing_rejects_bad_magic () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "bad magic accepted")
 
+(* -- golden bytes ---------------------------------------------------------
+   The exact MRF1 v2 bytes of every sample above. Result bytes are what the
+   cache keeps on disk and splices into replies, so a change here breaks
+   stored entries and deployed clients: it needs a version bump, never a
+   silent re-pin. *)
+
+let hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let origins = [ P.Computed; P.Memory_hit; P.Disk_hit ]
+
+(* what the engine answers to [verify sb tso], the first sample query *)
+let verify_sb_tso_result =
+  {
+    P.payload =
+      P.Verdict
+        { observed_relaxed = true; expected_relaxed = true; agrees = true; outcomes = 4;
+          terminals = 4 };
+    partial = None;
+  }
+
+(* scripts/serve_smoke.sh sends this frame to the built daemon and expects
+   these replies, in this order: keep each on one line *)
+let golden_verify_sb_tso_request = "02000000027362010000000000000008000000"
+let golden_verify_sb_tso_computed = "020000000101010000000000000004000000000000000400"
+let golden_verify_sb_tso_memory = "020001000101010000000000000004000000000000000400"
+
+let golden_encodings () =
+  let labelled f xs = List.mapi (fun i x -> (Printf.sprintf "%d" i, f x)) xs in
+  let requests =
+    List.concat_map (fun q -> List.map (fun l -> P.Query (q, l)) sample_limits) sample_queries
+    @ [
+        P.Batch (List.map (fun q -> (q, P.no_limits)) sample_queries);
+        P.Batch [];
+        P.Stats;
+        P.Ping;
+        P.Shutdown;
+      ]
+  in
+  let spliced =
+    List.concat_map
+      (fun result ->
+        List.map (fun origin -> P.encode_result_response ~origin (P.encode_result result)) origins)
+      (sample_results @ [ verify_sb_tso_result ])
+  in
+  let items =
+    P.encode_items_response
+      (P.encode_result_item ~origin:P.Memory_hit (P.encode_result verify_sb_tso_result)
+      :: List.map P.encode_response_item sample_responses)
+  in
+  List.concat
+    [
+      List.map (fun (i, b) -> ("request " ^ i, b)) (labelled P.encode_request requests);
+      List.map (fun (i, b) -> ("result " ^ i, b)) (labelled P.encode_result sample_results);
+      List.map (fun (i, b) -> ("response " ^ i, b)) (labelled P.encode_response sample_responses);
+      List.map (fun (i, b) -> ("item " ^ i, b)) (labelled P.encode_response_item sample_responses);
+      List.map (fun (i, b) -> ("splice " ^ i, b)) (labelled Fun.id spliced);
+      [ ("items response", items) ];
+    ]
+
+let golden =
+  [
+    ("request 0", "02000000027362010000000000000008000000");
+    ("request 1", "02000000027362010000000000000008013ff80000000000000100000000000003e8010000000000000100");
+    ("request 2", "0200010003696e6300000000000000000401000000");
+    ("request 3", "0200010003696e6300000000000000000401013ff80000000000000100000000000003e8010000000000000100");
+    ("request 4", "02000100026d7003000000000000000c00000000");
+    ("request 5", "02000100026d7003000000000000000c00013ff80000000000000100000000000003e8010000000000000100");
+    ("request 6", "02000200026c62020000000000000008000000");
+    ("request 7", "02000200026c62020000000000000008013ff80000000000000100000000000003e8010000000000000100");
+    ("request 8", "020002000469726977030000000000000006000000");
+    ("request 9", "020002000469726977030000000000000006013ff80000000000000100000000000003e8010000000000000100");
+    ("request 10", "0200030000000000000000023fd0000000000000000000000000004001000000000000002a000000000000271000000000");
+    ("request 11", "0200030000000000000000023fd0000000000000000000000000004001000000000000002a000000000000271000013ff80000000000000100000000000003e8010000000000000100");
+    ("request 12", "020003010000000300000000000000030000000000000002000000000000000500000000000000000100000000000186a0013f847ae147ae147b000000");
+    ("request 13", "020003010000000300000000000000030000000000000002000000000000000500000000000000000100000000000186a0013f847ae147ae147b013ff80000000000000100000000000003e8010000000000000100");
+    ("request 14", "020003020000000000000003030000000000000007000000000000c35000000000");
+    ("request 15", "020003020000000000000003030000000000000007000000000000c35000013ff80000000000000100000000000003e8010000000000000100");
+    ("request 16", "0201000000080000027362010000000000000008000000010003696e63000000000000000004010000000100026d7003000000000000000c000000000200026c6202000000000000000800000002000469726977030000000000000006000000030000000000000000023fd0000000000000000000000000004001000000000000002a00000000000027100000000003010000000300000000000000030000000000000002000000000000000500000000000000000100000000000186a0013f847ae147ae147b00000003020000000000000003030000000000000007000000000000c35000000000");
+    ("request 17", "020100000000");
+    ("request 18", "0202");
+    ("request 19", "0203");
+    ("request 20", "0204");
+    ("result 0", "000101010000000000000004000000000000000700");
+    ("result 1", "0100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("result 2", "02000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("result 3", "033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("response 0", "020000000101010000000000000004000000000000000700");
+    ("response 1", "0200000100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("response 2", "02000002000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("response 3", "020000033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("response 4", "020100000005000200010101000000000000000400000000000000070000020100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd00000000000000002020000000100000001000178000000000000000100000000000000020000000000000002000002033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a8000000000000271001000201000c6e6f20737563682074657374");
+    ("response 5", "0202000003626164");
+    ("response 6", "02063fd0000000000000");
+    ("response 7", "02030000000000000003000000000000000200000000000000010000000000000004000000000000000300000000000000020000000000000001000000000000000b400400000000000000000000000000020000000000000005000000000000000100000000000000010000000000000003");
+    ("response 8", "0204");
+    ("response 9", "0205");
+    ("item 0", "0000000101010000000000000004000000000000000700");
+    ("item 1", "00000100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("item 2", "000002000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("item 3", "0000033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("item 4", "0100000005000200010101000000000000000400000000000000070000020100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd00000000000000002020000000100000001000178000000000000000100000000000000020000000000000002000002033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a8000000000000271001000201000c6e6f20737563682074657374");
+    ("item 5", "02000003626164");
+    ("item 6", "063fd0000000000000");
+    ("item 7", "030000000000000003000000000000000200000000000000010000000000000004000000000000000300000000000000020000000000000001000000000000000b400400000000000000000000000000020000000000000005000000000000000100000000000000010000000000000003");
+    ("item 8", "04");
+    ("item 9", "05");
+    ("splice 0", "020000000101010000000000000004000000000000000700");
+    ("splice 1", "020001000101010000000000000004000000000000000700");
+    ("splice 2", "020002000101010000000000000004000000000000000700");
+    ("splice 3", "0200000100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("splice 4", "0200010100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("splice 5", "0200020100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd0000000000000");
+    ("splice 6", "02000002000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("splice 7", "02000102000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("splice 8", "02000202000000010000000100017800000000000000010000000000000002000000000000000200");
+    ("splice 9", "020000033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("splice 10", "020001033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("splice 11", "020002033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a800000000000027100100");
+    ("splice 12", "020000000101010000000000000004000000000000000400");
+    ("splice 13", "020001000101010000000000000004000000000000000400");
+    ("splice 14", "020002000101010000000000000004000000000000000400");
+    ("items response", "02010000000b0001000101010000000000000004000000000000000400000000010101000000000000000400000000000000070000000100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd00000000000000000020000000100000001000178000000000000000100000000000000020000000000000002000000033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a8000000000000271001000100000005000200010101000000000000000400000000000000070000020100000003000000020004303a723000000000000000000004313a72310000000000000001000000000000000300000001000178000000000000000200000000000000010000000000000000000000050000000000000009000000000000007b010008646561646c696e6500000000000000113fd00000000000000002020000000100000001000178000000000000000100000000000000020000000000000002000002033fbe353f7ced91683fbc28f5c28f5c293fc04189374bc6a8000000000000271001000201000c6e6f2073756368207465737402000003626164063fd0000000000000030000000000000003000000000000000200000000000000010000000000000004000000000000000300000000000000020000000000000001000000000000000b4004000000000000000000000000000200000000000000050000000000000001000000000000000100000000000000030405");
+  ]
+
+let test_golden_bytes () =
+  let got = golden_encodings () in
+  Alcotest.(check int) "golden entries" (List.length golden) (List.length got);
+  List.iter2
+    (fun (label, expected) (label', bytes) ->
+      Alcotest.(check string) "golden label" label label';
+      Alcotest.(check string) label expected (hex bytes))
+    golden got;
+  Alcotest.(check string) "smoke request pinned" golden_verify_sb_tso_request
+    (List.assoc "request 0" golden);
+  Alcotest.(check string) "smoke computed reply pinned" golden_verify_sb_tso_computed
+    (List.assoc "splice 12" golden);
+  Alcotest.(check string) "smoke memory reply pinned" golden_verify_sb_tso_memory
+    (List.assoc "splice 13" golden);
+  (* the smoke replies are what the engine really computes *)
+  let module Engine = Memrel_service.Engine in
+  match Engine.run ~caps:Engine.no_caps (List.hd sample_queries) P.no_limits with
+  | Ok r ->
+    Alcotest.(check string) "engine verify sb tso" (P.encode_result verify_sb_tso_result)
+      (P.encode_result r)
+  | Error e -> Alcotest.fail e.Engine.message
+
+(* -- decoder fuzzing ------------------------------------------------------
+   No input makes a decoder raise: every proper prefix of every golden
+   encoding, seeded byte mutations of them and random strings all decode
+   to [Ok] or [Error]. *)
+
+let decoders_total s =
+  List.iter
+    (fun (name, decode) ->
+      match decode s with
+      | () -> ()
+      | exception e -> Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e) s)
+    [
+      ("decode_request", fun s -> ignore (P.decode_request s));
+      ("decode_response", fun s -> ignore (P.decode_response s));
+      ("decode_result", fun s -> ignore (P.decode_result s));
+    ]
+
+let test_decoders_never_raise () =
+  let samples = Array.of_list (List.map snd (golden_encodings ())) in
+  Array.iter
+    (fun s ->
+      for n = 0 to String.length s - 1 do
+        decoders_total (String.sub s 0 n)
+      done)
+    samples;
+  let rng = Random.State.make [| 21 |] in
+  let byte () = Char.chr (Random.State.int rng 256) in
+  for i = 1 to 10_000 do
+    let s =
+      if i mod 4 = 0 then
+        (* random bytes, half of them behind a valid version byte *)
+        (if Random.State.bool rng then String.make 1 (Char.chr P.version) else "")
+        ^ String.init (Random.State.int rng 48) (fun _ -> byte ())
+      else begin
+        let b = Bytes.of_string samples.(Random.State.int rng (Array.length samples)) in
+        for _ = 0 to Random.State.int rng 3 do
+          Bytes.set b (Random.State.int rng (Bytes.length b)) (byte ())
+        done;
+        Bytes.to_string b
+      end
+    in
+    decoders_total s
+  done
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -300,4 +491,6 @@ let suite =
       ("address round-trip", test_address_round_trip);
       ("framing round-trip", test_framing_round_trip);
       ("framing rejects bad magic", test_framing_rejects_bad_magic);
+      ("golden bytes", test_golden_bytes);
+      ("decoders never raise", test_decoders_never_raise);
     ]
