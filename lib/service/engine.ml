@@ -105,6 +105,17 @@ let cache_key (q : P.query) =
        let* () = if n >= 2 then Ok () else bad "joint needs n >= 2 (got %d)" n in
        Ok (Printf.sprintf "est|joint|%s|n%d|s%d|t%d|w%s" (fam family) n seed trials width))
 
+(* wire limits are client data: a bad one is a typed bad request naming
+   its field, checked here rather than left to Budget.create (which raises)
+   or to [mb * 1024 * 1024] (which overflows) *)
+let check_limits : P.limits -> _ = function
+  | { deadline_s = Some d; _ } when not (Float.is_finite d && d >= 0.) ->
+    bad "deadline_s must be finite and >= 0 (got %g)" d
+  | { max_work = Some w; _ } when w < 0 -> bad "max_work must be >= 0 (got %d)" w
+  | { max_mem_mb = Some mb; _ } when mb < 0 || mb > max_int lsr 20 ->
+    bad "max_mem_mb must be in 0..%d (got %d)" (max_int lsr 20) mb
+  | _ -> Ok ()
+
 (* -- budgets ------------------------------------------------------------- *)
 
 let merge_min a b =
@@ -183,7 +194,8 @@ let enumerate_run ?budget ?extmem ~key (t : Litmus.t) family ~window ~por =
     r.Extmem.base
 
 let run ~caps ?extmem (q : P.query) (limits : P.limits) =
-  (* cache_key also performs all parameter validation *)
+  (* check_limits and cache_key perform all parameter validation *)
+  let* () = check_limits limits in
   let* key = cache_key q in
   let budget = budget_of caps limits in
   match q with
@@ -269,6 +281,7 @@ let run ~caps ?extmem q limits =
    A hit is therefore always the exact bytes a direct run produced. *)
 
 let run_cached ~caps ?extmem cache (q : P.query) (limits : P.limits) =
+  let* () = check_limits limits in
   let* key = cache_key q in
   Cache.find_or_compute cache ~key ~compute:(fun () ->
       let* r = run ~caps ?extmem q limits in

@@ -43,7 +43,9 @@ val run :
   Protocol.query ->
   Protocol.limits ->
   (Protocol.result, error) result
-(** Execute directly (no cache). *)
+(** Execute directly (no cache). A deadline that is negative or not
+    finite, a negative [max_work] or a [max_mem_mb] outside
+    [0 .. max_int lsr 20] is a [Bad_request] naming the field. *)
 
 val run_cached :
   caps:caps ->
@@ -55,4 +57,5 @@ val run_cached :
 (** Execute through a cache. The cached value is {!Protocol.encode_result}
     bytes; only complete results (no [partial]) are stored, and limits are
     not part of the key — a complete cached answer satisfies any budget.
-    A hit is byte-identical to the original computation. *)
+    A hit is byte-identical to the original computation. Limits are
+    checked as in {!run}, on a hit too. *)

@@ -117,522 +117,372 @@ type response =
 type ('a, 'e) std_result = ('a, 'e) Stdlib.result = Ok of 'a | Error of 'e
 
 (* -- binary encoding ----------------------------------------------------
-   Big-endian fixed-width fields throughout (the Snapshot container's
-   convention). Every integer travels as a two's-complement i64, floats as
-   their IEEE 754 bit pattern, strings as u16 length + bytes, lists as a
-   u32 count + items. Deterministic by construction: equal values encode to
-   equal bytes, which is what the cache's byte-identity contract rests
-   on. *)
+   Each wire type is described once, as a codec: the encoder and decoder
+   are built together from the combinators below, so they cannot drift
+   apart. Big-endian fixed-width fields throughout (the Snapshot
+   container's convention). Every integer travels as a two's-complement
+   i64, floats as their IEEE 754 bit pattern, strings as u16 length +
+   bytes, lists as a u32 count + items, booleans and options as one byte,
+   and a variant as a one-byte tag followed by its constructor's fields.
+   Deterministic by construction: equal values encode to equal bytes,
+   which is what the cache's byte-identity contract rests on. *)
 
 exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
 
-let add_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let add_u16 buf v =
-  add_u8 buf (v lsr 8);
-  add_u8 buf v
-
-let add_u32 buf v =
-  for shift = 3 downto 0 do
-    add_u8 buf (v lsr (8 * shift))
-  done
-
-let add_i64 buf v =
-  let v = Int64.of_int v in
-  for shift = 7 downto 0 do
-    add_u8 buf (Int64.to_int (Int64.shift_right_logical v (8 * shift)))
-  done
-
-let add_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for shift = 7 downto 0 do
-    add_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * shift)))
-  done
-
-let add_bool buf v = add_u8 buf (if v then 1 else 0)
-
-let add_string buf s =
-  if String.length s > 0xffff then invalid_arg "Protocol: string too long";
-  add_u16 buf (String.length s);
-  Buffer.add_string buf s
-
-let add_opt add buf = function
-  | None -> add_u8 buf 0
-  | Some v ->
-    add_u8 buf 1;
-    add buf v
-
-let add_list add buf xs =
-  add_u32 buf (List.length xs);
-  List.iter (add buf) xs
-
 type cursor = { data : string; mutable pos : int }
+type 'a codec = { enc : Buffer.t -> 'a -> unit; dec : cursor -> 'a }
 
-let need c n =
-  if c.pos + n > String.length c.data then fail "truncated message (need %d bytes at %d)" n c.pos
+(* step past [n] bytes, returning where they start *)
+let take c n =
+  let pos = c.pos in
+  if pos + n > String.length c.data then fail "truncated message (need %d bytes at %d)" n pos;
+  c.pos <- pos + n;
+  pos
 
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
+let u8 = { enc = Buffer.add_uint8; dec = (fun c -> String.get_uint8 c.data (take c 1)) }
+let u16 = { enc = Buffer.add_uint16_be; dec = (fun c -> String.get_uint16_be c.data (take c 2)) }
 
-let get_u16 c =
-  let hi = get_u8 c in
-  let lo = get_u8 c in
-  (hi lsl 8) lor lo
+let u32 =
+  {
+    enc = (fun b v -> Buffer.add_int32_be b (Int32.of_int v));
+    dec = (fun c -> Int32.to_int (String.get_int32_be c.data (take c 4)) land 0xffff_ffff);
+  }
 
-let get_u32 c =
-  let v = ref 0 in
-  for _ = 1 to 4 do
-    v := (!v lsl 8) lor get_u8 c
-  done;
-  !v
+(* OCaml ints are 63-bit: a wire value outside that range is refused, never
+   wrapped *)
+let i64 =
+  {
+    enc = (fun b v -> Buffer.add_int64_be b (Int64.of_int v));
+    dec =
+      (fun c ->
+        let v = String.get_int64_be c.data (take c 8) in
+        let i = Int64.to_int v in
+        if not (Int64.equal (Int64.of_int i) v) then fail "integer %Ld out of range" v;
+        i);
+  }
 
-let get_i64 c =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  Int64.to_int !v
+let f64 =
+  {
+    enc = (fun b v -> Buffer.add_int64_be b (Int64.bits_of_float v));
+    dec = (fun c -> Int64.float_of_bits (String.get_int64_be c.data (take c 8)));
+  }
 
-let get_f64 c =
-  let v = ref 0L in
-  for _ = 1 to 8 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (get_u8 c))
-  done;
-  Int64.float_of_bits !v
+let string =
+  {
+    enc =
+      (fun b s ->
+        if String.length s > 0xffff then invalid_arg "Protocol: string too long";
+        u16.enc b (String.length s);
+        Buffer.add_string b s);
+    dec =
+      (fun c ->
+        let n = u16.dec c in
+        String.sub c.data (take c n) n);
+  }
 
-let get_bool c =
-  match get_u8 c with
-  | 0 -> false
-  | 1 -> true
-  | v -> fail "bad boolean byte %d" v
+(* an iso between a type and its wire form *)
+let map to_wire of_wire w =
+  { enc = (fun b v -> w.enc b (to_wire v)); dec = (fun c -> of_wire (w.dec c)) }
 
-let get_string c =
-  let n = get_u16 c in
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
+let pair wa wb =
+  {
+    enc = (fun b (x, y) -> wa.enc b x; wb.enc b y);
+    dec =
+      (fun c ->
+        let x = wa.dec c in
+        (x, wb.dec c));
+  }
 
-let get_opt get c = match get_u8 c with 0 -> None | 1 -> Some (get c) | v -> fail "bad option byte %d" v
+(* a constructor without fields: no bytes *)
+let const v = { enc = (fun _ _ -> ()); dec = (fun _ -> v) }
 
-let get_list get c =
-  let n = get_u32 c in
-  if n > 1_000_000 then fail "implausible list length %d" n;
-  List.init n (fun _ -> get c)
+(* a one-byte tag, then the fields of the tagged case: [tag v] is the index
+   of the case for [v]'s constructor. Each case is a [map] whose projection
+   matches its own constructor only, so the variant codecs below are
+   defined with the partial-match warning off. *)
+let variant what tag cases =
+  {
+    enc =
+      (fun b v ->
+        let i = tag v in
+        u8.enc b i;
+        cases.(i).enc b v);
+    dec =
+      (fun c ->
+        let i = u8.dec c in
+        if i >= Array.length cases then fail "bad %s byte %d" what i;
+        cases.(i).dec c);
+  }
+
+(* a one-byte enumeration: [values.(i)] travels as byte [i]; a value not in
+   the table cannot be encoded *)
+let enum what values =
+  let index v =
+    match Array.find_index (( = ) v) values with
+    | Some i -> i
+    | None -> invalid_arg ("Protocol: this " ^ what ^ " cannot be encoded")
+  in
+  variant what index (Array.map const values)
+
+let bool = enum "boolean" [| false; true |]
+
+let option w =
+  variant "option" (function None -> 0 | Some _ -> 1) [| const None; map Option.get Option.some w |]
+
+let list ?(max = 1_000_000) w =
+  {
+    enc = (fun b xs -> u32.enc b (List.length xs); List.iter (w.enc b) xs);
+    dec =
+      (fun c ->
+        let n = u32.dec c in
+        if n > max then fail "implausible list length %d" n;
+        List.init n (fun _ -> w.dec c));
+  }
+
+(* a recursive codec: [f] receives the codec it is defining *)
+let fix f =
+  let rec w =
+    lazy (f { enc = (fun b v -> (Lazy.force w).enc b v); dec = (fun c -> (Lazy.force w).dec c) })
+  in
+  Lazy.force w
+
+(* -- the wire types, one codec each *)
 
 (* families: Custom carries a closure-bearing matrix and cannot travel *)
+let families =
+  Model.[| Sequential_consistency; Total_store_order; Partial_store_order; Weak_ordering |]
 
-let add_family buf f =
-  add_u8 buf
-    (match f with
-     | Model.Sequential_consistency -> 0
-     | Model.Total_store_order -> 1
-     | Model.Partial_store_order -> 2
-     | Model.Weak_ordering -> 3
-     | Model.Custom -> invalid_arg "Protocol: Custom models cannot be encoded")
+let family = enum "model family" families
 
-let get_family c =
-  match get_u8 c with
-  | 0 -> Model.Sequential_consistency
-  | 1 -> Model.Total_store_order
-  | 2 -> Model.Partial_store_order
-  | 3 -> Model.Weak_ordering
-  | v -> fail "bad model family byte %d" v
+let[@warning "-partial-match"] estimate_kind =
+  variant "estimate kind"
+    (function Settling _ -> 0 | Shift _ -> 1 | Joint _ -> 2)
+    [|
+      map
+        (fun (Settling { gamma; p; m }) -> (gamma, (p, m)))
+        (fun (gamma, (p, m)) -> Settling { gamma; p; m })
+        (pair i64 (pair f64 i64));
+      map
+        (fun (Shift { gammas }) -> Array.to_list gammas)
+        (fun gammas -> Shift { gammas = Array.of_list gammas })
+        (list ~max:64 i64);
+      map (fun (Joint { n }) -> n) (fun n -> Joint { n }) i64;
+    |]
 
-let family_token = function
-  | Model.Sequential_consistency -> "sc"
-  | Model.Total_store_order -> "tso"
-  | Model.Partial_store_order -> "pso"
-  | Model.Weak_ordering -> "wo"
-  | Model.Custom -> "custom"
+let[@warning "-partial-match"] query =
+  let test_family_window = pair string (pair family i64) in
+  variant "query tag"
+    (function Verify _ -> 0 | Enumerate _ -> 1 | Axiom _ -> 2 | Estimate _ -> 3)
+    [|
+      map
+        (fun (Verify { test; family; window }) -> (test, (family, window)))
+        (fun (test, (family, window)) -> Verify { test; family; window })
+        test_family_window;
+      map
+        (fun (Enumerate { test; family; window; por }) -> ((test, (family, window)), por))
+        (fun ((test, (family, window)), por) -> Enumerate { test; family; window; por })
+        (pair test_family_window bool);
+      map
+        (fun (Axiom { test; family; window }) -> (test, (family, window)))
+        (fun (test, (family, window)) -> Axiom { test; family; window })
+        test_family_window;
+      map
+        (fun (Estimate { kind; family; seed; trials; target_width }) ->
+          (kind, (family, (seed, (trials, target_width)))))
+        (fun (kind, (family, (seed, (trials, target_width)))) ->
+          Estimate { kind; family; seed; trials; target_width })
+        (pair estimate_kind (pair family (pair i64 (pair i64 (option f64)))));
+    |]
 
-let add_kind buf = function
-  | Settling { gamma; p; m } ->
-    add_u8 buf 0;
-    add_i64 buf gamma;
-    add_f64 buf p;
-    add_i64 buf m
-  | Shift { gammas } ->
-    add_u8 buf 1;
-    add_u32 buf (Array.length gammas);
-    Array.iter (add_i64 buf) gammas
-  | Joint { n } ->
-    add_u8 buf 2;
-    add_i64 buf n
+let limits =
+  map
+    (fun { deadline_s; max_work; max_mem_mb } -> (deadline_s, (max_work, max_mem_mb)))
+    (fun (deadline_s, (max_work, max_mem_mb)) -> { deadline_s; max_work; max_mem_mb })
+    (pair (option f64) (pair (option i64) (option i64)))
 
-let get_kind c =
-  match get_u8 c with
-  | 0 ->
-    let gamma = get_i64 c in
-    let p = get_f64 c in
-    let m = get_i64 c in
-    Settling { gamma; p; m }
-  | 1 ->
-    let n = get_u32 c in
-    if n > 64 then fail "implausible gammas length %d" n;
-    Shift { gammas = Array.init n (fun _ -> get_i64 c) }
-  | 2 -> Joint { n = get_i64 c }
-  | v -> fail "bad estimate kind byte %d" v
-
-let add_query buf = function
-  | Verify { test; family; window } ->
-    add_u8 buf 0;
-    add_string buf test;
-    add_family buf family;
-    add_i64 buf window
-  | Enumerate { test; family; window; por } ->
-    add_u8 buf 1;
-    add_string buf test;
-    add_family buf family;
-    add_i64 buf window;
-    add_bool buf por
-  | Axiom { test; family; window } ->
-    add_u8 buf 2;
-    add_string buf test;
-    add_family buf family;
-    add_i64 buf window
-  | Estimate { kind; family; seed; trials; target_width } ->
-    add_u8 buf 3;
-    add_kind buf kind;
-    add_family buf family;
-    add_i64 buf seed;
-    add_i64 buf trials;
-    add_opt add_f64 buf target_width
-
-let get_query c =
-  match get_u8 c with
-  | 0 ->
-    let test = get_string c in
-    let family = get_family c in
-    let window = get_i64 c in
-    Verify { test; family; window }
-  | 1 ->
-    let test = get_string c in
-    let family = get_family c in
-    let window = get_i64 c in
-    let por = get_bool c in
-    Enumerate { test; family; window; por }
-  | 2 ->
-    let test = get_string c in
-    let family = get_family c in
-    let window = get_i64 c in
-    Axiom { test; family; window }
-  | 3 ->
-    let kind = get_kind c in
-    let family = get_family c in
-    let seed = get_i64 c in
-    let trials = get_i64 c in
-    let target_width = get_opt get_f64 c in
-    Estimate { kind; family; seed; trials; target_width }
-  | v -> fail "bad query tag byte %d" v
-
-let add_limits buf l =
-  add_opt add_f64 buf l.deadline_s;
-  add_opt add_i64 buf l.max_work;
-  add_opt add_i64 buf l.max_mem_mb
-
-let get_limits c =
-  let deadline_s = get_opt get_f64 c in
-  let max_work = get_opt get_i64 c in
-  let max_mem_mb = get_opt get_i64 c in
-  { deadline_s; max_work; max_mem_mb }
-
-let encode_request r =
-  let buf = Buffer.create 64 in
-  add_u8 buf version;
-  (match r with
-   | Query (q, l) ->
-     add_u8 buf 0;
-     add_query buf q;
-     add_limits buf l
-   | Batch items ->
-     add_u8 buf 1;
-     add_list
-       (fun buf (q, l) ->
-         add_query buf q;
-         add_limits buf l)
-       buf items
-   | Stats -> add_u8 buf 2
-   | Ping -> add_u8 buf 3
-   | Shutdown -> add_u8 buf 4);
-  Buffer.contents buf
-
-let decode_request s : (request, string) std_result =
-  try
-    let c = { data = s; pos = 0 } in
-    let v = get_u8 c in
-    if v <> version then fail "protocol version %d (this build speaks %d)" v version;
-    let r =
-      match get_u8 c with
-      | 0 ->
-        let q = get_query c in
-        let l = get_limits c in
-        Query (q, l)
-      | 1 ->
-        Batch
-          (get_list
-             (fun c ->
-               let q = get_query c in
-               let l = get_limits c in
-               (q, l))
-             c)
-      | 2 -> Stats
-      | 3 -> Ping
-      | 4 -> Shutdown
-      | v -> fail "bad request tag byte %d" v
-    in
-    if c.pos <> String.length s then fail "trailing bytes after request";
-    Ok r
-  with Decode_error m -> Error m
+let[@warning "-partial-match"] request =
+  let item = pair query limits in
+  variant "request tag"
+    (function Query _ -> 0 | Batch _ -> 1 | Stats -> 2 | Ping -> 3 | Shutdown -> 4)
+    [|
+      map (fun (Query (q, l)) -> (q, l)) (fun (q, l) -> Query (q, l)) item;
+      map (fun (Batch items) -> items) (fun items -> Batch items) (list item);
+      const Stats;
+      const Ping;
+      const Shutdown;
+    |]
 
 (* results: the cacheable portion of a response, encoded independently so
    a cache hit can be spliced into a response frame without re-encoding *)
 
-let add_outcome buf (o : outcome) = add_list (fun buf (n, v) -> add_string buf n; add_i64 buf v) buf o
+let partial =
+  map
+    (fun { cause; work_done; elapsed_s } -> (cause, (work_done, elapsed_s)))
+    (fun (cause, (work_done, elapsed_s)) -> { cause; work_done; elapsed_s })
+    (pair string (pair i64 f64))
 
-let get_outcome c : outcome = get_list (fun c -> let n = get_string c in (n, get_i64 c)) c
+let[@warning "-partial-match"] payload =
+  let outcome_counts = list (pair (list (pair string i64)) i64) in
+  variant "payload tag"
+    (function Verdict _ -> 0 | Outcomes _ -> 1 | Axiom_outcomes _ -> 2 | Estimated _ -> 3)
+    [|
+      map
+        (fun (Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals }) ->
+          (observed_relaxed, (expected_relaxed, (agrees, (outcomes, terminals)))))
+        (fun (observed_relaxed, (expected_relaxed, (agrees, (outcomes, terminals)))) ->
+          Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals })
+        (pair bool (pair bool (pair bool (pair i64 i64))));
+      map
+        (fun (Outcomes { entries; terminals; states }) -> (entries, (terminals, states)))
+        (fun (entries, (terminals, states)) -> Outcomes { entries; terminals; states })
+        (pair outcome_counts (pair i64 i64));
+      map
+        (fun (Axiom_outcomes { entries; accepted }) -> (entries, accepted))
+        (fun (entries, accepted) -> Axiom_outcomes { entries; accepted })
+        (pair outcome_counts i64);
+      map
+        (fun (Estimated { point; lo; hi; trials; target_met }) ->
+          (point, (lo, (hi, (trials, target_met)))))
+        (fun (point, (lo, (hi, (trials, target_met)))) ->
+          Estimated { point; lo; hi; trials; target_met })
+        (pair f64 (pair f64 (pair f64 (pair i64 bool))));
+    |]
 
-let add_entries buf entries =
-  add_list (fun buf (o, k) -> add_outcome buf o; add_i64 buf k) buf entries
+let result =
+  map
+    (fun { payload; partial } -> (payload, partial))
+    (fun (payload, partial) -> { payload; partial })
+    (pair payload (option partial))
 
-let get_entries c = get_list (fun c -> let o = get_outcome c in (o, get_i64 c)) c
+let error_code = enum "error code" [| Bad_request; Unknown_test; Unsupported; Server_error |]
+let origin = enum "origin" [| Computed; Memory_hit; Disk_hit |]
 
-let add_partial buf p =
-  add_string buf p.cause;
-  add_i64 buf p.work_done;
-  add_f64 buf p.elapsed_s
+let server_stats =
+  let cache =
+    map
+      (fun { entries; memory_hits; disk_hits; misses; stores; disk_errors; repairs } ->
+        (entries, (memory_hits, (disk_hits, (misses, (stores, (disk_errors, repairs)))))))
+      (fun (entries, (memory_hits, (disk_hits, (misses, (stores, (disk_errors, repairs)))))) ->
+        { entries; memory_hits; disk_hits; misses; stores; disk_errors; repairs })
+      (pair i64 (pair i64 (pair i64 (pair i64 (pair i64 (pair i64 i64))))))
+  in
+  map
+    (fun { cache; requests; uptime_s; workers; shed; handler_exceptions; respawns; reaped } ->
+      (cache, (requests, (uptime_s, (workers, (shed, (handler_exceptions, (respawns, reaped))))))))
+    (fun
+      (cache, (requests, (uptime_s, (workers, (shed, (handler_exceptions, (respawns, reaped))))))) ->
+      { cache; requests; uptime_s; workers; shed; handler_exceptions; respawns; reaped })
+    (pair cache (pair i64 (pair f64 (pair i64 (pair i64 (pair i64 (pair i64 i64)))))))
 
-let get_partial c =
-  let cause = get_string c in
-  let work_done = get_i64 c in
-  let elapsed_s = get_f64 c in
-  { cause; work_done; elapsed_s }
+let result_tag = 0
+let results_tag = 1
 
-let add_payload buf = function
-  | Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals } ->
-    add_u8 buf 0;
-    add_bool buf observed_relaxed;
-    add_bool buf expected_relaxed;
-    add_bool buf agrees;
-    add_i64 buf outcomes;
-    add_i64 buf terminals
-  | Outcomes { entries; terminals; states } ->
-    add_u8 buf 1;
-    add_entries buf entries;
-    add_i64 buf terminals;
-    add_i64 buf states
-  | Axiom_outcomes { entries; accepted } ->
-    add_u8 buf 2;
-    add_entries buf entries;
-    add_i64 buf accepted
-  | Estimated { point; lo; hi; trials; target_met } ->
-    add_u8 buf 3;
-    add_f64 buf point;
-    add_f64 buf lo;
-    add_f64 buf hi;
-    add_i64 buf trials;
-    add_bool buf target_met
+let[@warning "-partial-match"] response =
+  fix @@ fun response ->
+  variant "response tag"
+    (function
+      | Result _ -> result_tag
+      | Results _ -> results_tag
+      | Error _ -> 2
+      | Stats_reply _ -> 3
+      | Pong -> 4
+      | Bye -> 5
+      | Overloaded _ -> 6)
+    [|
+      map
+        (fun (Result { result; origin }) -> (origin, result))
+        (fun (origin, result) -> Result { result; origin })
+        (pair origin result);
+      map (fun (Results rs) -> rs) (fun rs -> Results rs) (list response);
+      map
+        (fun (Error { code; message } : response) -> (code, message))
+        (fun (code, message) : response -> Error { code; message })
+        (pair error_code string);
+      map (fun (Stats_reply s) -> s) (fun s -> Stats_reply s) server_stats;
+      const Pong;
+      const Bye;
+      map
+        (fun (Overloaded { retry_after_s }) -> retry_after_s)
+        (fun retry_after_s -> Overloaded { retry_after_s })
+        f64;
+    |]
 
-let get_payload c =
-  match get_u8 c with
-  | 0 ->
-    let observed_relaxed = get_bool c in
-    let expected_relaxed = get_bool c in
-    let agrees = get_bool c in
-    let outcomes = get_i64 c in
-    let terminals = get_i64 c in
-    Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals }
-  | 1 ->
-    let entries = get_entries c in
-    let terminals = get_i64 c in
-    let states = get_i64 c in
-    Outcomes { entries; terminals; states }
-  | 2 ->
-    let entries = get_entries c in
-    let accepted = get_i64 c in
-    Axiom_outcomes { entries; accepted }
-  | 3 ->
-    let point = get_f64 c in
-    let lo = get_f64 c in
-    let hi = get_f64 c in
-    let trials = get_i64 c in
-    let target_met = get_bool c in
-    Estimated { point; lo; hi; trials; target_met }
-  | v -> fail "bad payload tag byte %d" v
+(* a message is the version byte and a value; a result or a batch item is
+   the value alone *)
 
-let encode_result r =
-  let buf = Buffer.create 64 in
-  add_payload buf r.payload;
-  add_opt add_partial buf r.partial;
-  Buffer.contents buf
+let encode ~versioned w v =
+  let b = Buffer.create 64 in
+  if versioned then u8.enc b version;
+  w.enc b v;
+  Buffer.contents b
 
-let decode_result_cursor c =
-  let payload = get_payload c in
-  let partial = get_opt get_partial c in
-  { payload; partial }
-
-let decode_result s =
+let decode ~versioned what w s : (_, string) std_result =
   try
     let c = { data = s; pos = 0 } in
-    let r = decode_result_cursor c in
-    if c.pos <> String.length s then fail "trailing bytes after result";
-    Ok r
+    if versioned then begin
+      let v = u8.dec c in
+      if v <> version then fail "protocol version %d (this build speaks %d)" v version
+    end;
+    let x = w.dec c in
+    if c.pos <> String.length s then fail "trailing bytes after %s" what;
+    Ok x
   with Decode_error m -> Error m
 
-let add_error_code buf code =
-  add_u8 buf
-    (match code with Bad_request -> 0 | Unknown_test -> 1 | Unsupported -> 2 | Server_error -> 3)
-
-let get_error_code c =
-  match get_u8 c with
-  | 0 -> Bad_request
-  | 1 -> Unknown_test
-  | 2 -> Unsupported
-  | 3 -> Server_error
-  | v -> fail "bad error code byte %d" v
-
-let add_origin buf o = add_u8 buf (match o with Computed -> 0 | Memory_hit -> 1 | Disk_hit -> 2)
-
-let get_origin c =
-  match get_u8 c with
-  | 0 -> Computed
-  | 1 -> Memory_hit
-  | 2 -> Disk_hit
-  | v -> fail "bad origin byte %d" v
-
-let rec add_response buf = function
-  | Result { result; origin } ->
-    add_u8 buf 0;
-    add_origin buf origin;
-    add_payload buf result.payload;
-    add_opt add_partial buf result.partial
-  | Results rs ->
-    add_u8 buf 1;
-    add_list add_response buf rs
-  | Error { code; message } ->
-    add_u8 buf 2;
-    add_error_code buf code;
-    add_string buf message
-  | Stats_reply s ->
-    add_u8 buf 3;
-    add_i64 buf s.cache.entries;
-    add_i64 buf s.cache.memory_hits;
-    add_i64 buf s.cache.disk_hits;
-    add_i64 buf s.cache.misses;
-    add_i64 buf s.cache.stores;
-    add_i64 buf s.cache.disk_errors;
-    add_i64 buf s.cache.repairs;
-    add_i64 buf s.requests;
-    add_f64 buf s.uptime_s;
-    add_i64 buf s.workers;
-    add_i64 buf s.shed;
-    add_i64 buf s.handler_exceptions;
-    add_i64 buf s.respawns;
-    add_i64 buf s.reaped
-  | Pong -> add_u8 buf 4
-  | Bye -> add_u8 buf 5
-  | Overloaded { retry_after_s } ->
-    add_u8 buf 6;
-    add_f64 buf retry_after_s
-
-let rec get_response c =
-  match get_u8 c with
-  | 0 ->
-    let origin = get_origin c in
-    let result = decode_result_cursor c in
-    Result { result; origin }
-  | 1 -> Results (get_list get_response c)
-  | 2 ->
-    let code = get_error_code c in
-    let message = get_string c in
-    Error { code; message }
-  | 3 ->
-    let entries = get_i64 c in
-    let memory_hits = get_i64 c in
-    let disk_hits = get_i64 c in
-    let misses = get_i64 c in
-    let stores = get_i64 c in
-    let disk_errors = get_i64 c in
-    let repairs = get_i64 c in
-    let requests = get_i64 c in
-    let uptime_s = get_f64 c in
-    let workers = get_i64 c in
-    let shed = get_i64 c in
-    let handler_exceptions = get_i64 c in
-    let respawns = get_i64 c in
-    let reaped = get_i64 c in
-    Stats_reply
-      {
-        cache = { entries; memory_hits; disk_hits; misses; stores; disk_errors; repairs };
-        requests;
-        uptime_s;
-        workers;
-        shed;
-        handler_exceptions;
-        respawns;
-        reaped;
-      }
-  | 4 -> Pong
-  | 5 -> Bye
-  | 6 ->
-    let retry_after_s = get_f64 c in
-    Overloaded { retry_after_s }
-  | v -> fail "bad response tag byte %d" v
-
-let encode_response r =
-  let buf = Buffer.create 64 in
-  add_u8 buf version;
-  add_response buf r;
-  Buffer.contents buf
-
-(* the server's cache-hit fast path: splice the stored result bytes into a
-   response frame verbatim — the client reads exactly the bytes the engine
-   produced, so cached and computed responses are byte-identical *)
-let encode_result_item ~origin result_bytes =
-  let buf = Buffer.create (String.length result_bytes + 2) in
-  add_u8 buf 0;
-  add_origin buf origin;
-  Buffer.add_string buf result_bytes;
-  Buffer.contents buf
-
-let encode_result_response ~origin result_bytes =
-  let buf = Buffer.create (String.length result_bytes + 3) in
-  add_u8 buf version;
-  Buffer.add_string buf (encode_result_item ~origin result_bytes);
-  Buffer.contents buf
+let encode_request r = encode ~versioned:true request r
+let decode_request s = decode ~versioned:true "request" request s
+let encode_result r = encode ~versioned:false result r
+let decode_result s = decode ~versioned:false "result" result s
+let encode_response r = encode ~versioned:true response r
+let decode_response s = decode ~versioned:true "response" response s
 
 (* item encodings (no version byte) compose under [encode_items_response]:
    the batch path splices per-item bytes — cached or freshly encoded —
    preserving the byte-identity of each spliced result *)
-let encode_response_item r =
-  let buf = Buffer.create 64 in
-  add_response buf r;
-  Buffer.contents buf
+let encode_response_item r = encode ~versioned:false response r
+
+(* the server's cache-hit fast path: splice the stored result bytes into a
+   response verbatim — the client reads exactly the bytes the engine
+   produced, so cached and computed responses are byte-identical *)
+let splice_result ~versioned ~origin:o result_bytes =
+  let b = Buffer.create (String.length result_bytes + 3) in
+  if versioned then u8.enc b version;
+  u8.enc b result_tag;
+  origin.enc b o;
+  Buffer.add_string b result_bytes;
+  Buffer.contents b
+
+let encode_result_item ~origin result_bytes = splice_result ~versioned:false ~origin result_bytes
+let encode_result_response ~origin result_bytes = splice_result ~versioned:true ~origin result_bytes
 
 let encode_items_response items =
-  let buf = Buffer.create 256 in
-  add_u8 buf version;
-  add_u8 buf 1;
-  add_u32 buf (List.length items);
-  List.iter (Buffer.add_string buf) items;
-  Buffer.contents buf
-
-let decode_response s =
-  try
-    let c = { data = s; pos = 0 } in
-    let v = get_u8 c in
-    if v <> version then fail "protocol version %d (this build speaks %d)" v version;
-    let r = get_response c in
-    if c.pos <> String.length s then fail "trailing bytes after response";
-    Ok r
-  with Decode_error m -> Error m
+  let b = Buffer.create 256 in
+  u8.enc b version;
+  u8.enc b results_tag;
+  u32.enc b (List.length items);
+  List.iter (Buffer.add_string b) items;
+  Buffer.contents b
 
 (* -- framing ------------------------------------------------------------ *)
+
+(* a frame: magic, u32 payload length, payload *)
+let frame payload =
+  if String.length payload > max_frame_bytes then invalid_arg "Protocol: frame too large";
+  let b = Buffer.create (8 + String.length payload) in
+  Buffer.add_string b frame_magic;
+  u32.enc b (String.length payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* the payload length an 8-byte header announces, once its magic and the
+   cap are checked *)
+let frame_length header =
+  if Bytes.sub_string header 0 4 <> frame_magic then Error "bad frame magic"
+  else
+    let len = Int32.to_int (Bytes.get_int32_be header 4) land 0xffff_ffff in
+    if len > max_frame_bytes then Error (Printf.sprintf "frame of %d bytes exceeds the cap" len)
+    else Ok len
 
 (* Deadline-bounded frame IO: the server reads and writes every frame
    under a per-frame monotonic deadline, so a client that sends half a
@@ -652,111 +502,68 @@ let frame_error_to_string = function
    deadline; spurious select wakeups loop back through the time check *)
 let rec wait_fd fd ~for_read ~deadline =
   let remaining = deadline -. Clock.now_s () in
-  if remaining <= 0. then Stdlib.Error Frame_timeout
+  if remaining <= 0. then Error Frame_timeout
   else
     let r, w = if for_read then ([ fd ], []) else ([], [ fd ]) in
     match Unix.select r w [] remaining with
     | [], [], _ -> wait_fd fd ~for_read ~deadline
-    | _ -> Stdlib.Ok ()
+    | _ -> Ok ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_fd fd ~for_read ~deadline
 
+(* read [len] bytes into [buf] at [pos]: [Ok false] on EOF before the
+   first byte at [pos = 0], which the header read takes for a clean close *)
 let rec read_into fd buf pos len ~deadline =
-  if len = 0 then Stdlib.Ok ()
+  if len = 0 then Ok true
   else
     match wait_fd fd ~for_read:true ~deadline with
-    | Stdlib.Error _ as e -> e
-    | Stdlib.Ok () -> (
+    | Error _ as e -> e
+    | Ok () -> (
       match Unix.read fd buf pos len with
-      | 0 -> Stdlib.Error (Frame_closed "connection closed mid-frame")
+      | 0 when pos = 0 -> Ok false
+      | 0 -> Error (Frame_closed "connection closed mid-frame")
       | n -> read_into fd buf (pos + n) (len - n) ~deadline
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
         read_into fd buf pos len ~deadline
-      | exception Unix.Unix_error (e, _, _) -> Stdlib.Error (Frame_closed (Unix.error_message e)))
+      | exception Unix.Unix_error (e, _, _) -> Error (Frame_closed (Unix.error_message e)))
 
 let read_frame_deadline fd ~deadline_s =
   let deadline = Clock.now_s () +. deadline_s in
   let header = Bytes.create 8 in
-  (* the first byte decides between a clean EOF (no frame started) and a
-     mid-frame close *)
-  let first =
-    match wait_fd fd ~for_read:true ~deadline with
-    | Stdlib.Error _ as e -> e
-    | Stdlib.Ok () -> (
-      match Unix.read fd header 0 8 with
-      | 0 -> Stdlib.Ok 0
-      | n -> Stdlib.Ok n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        Stdlib.Ok (-1) (* spurious: nothing read yet, retry below *)
-      | exception Unix.Unix_error (e, _, _) -> Stdlib.Error (Frame_closed (Unix.error_message e)))
-  in
-  match first with
-  | Stdlib.Error e -> Stdlib.Error e
-  | Stdlib.Ok 0 -> Stdlib.Ok None
-  | Stdlib.Ok n -> (
-    let n = if n < 0 then 0 else n in
-    match
-      if n = 0 then
-        (* retry the header from scratch (still distinguishing EOF) *)
-        match read_into fd header 0 8 ~deadline with
-        | Stdlib.Ok () -> Stdlib.Ok ()
-        | Stdlib.Error _ as e -> e
-      else read_into fd header n (8 - n) ~deadline
-    with
-    | Stdlib.Error e -> Stdlib.Error e
-    | Stdlib.Ok () ->
-      let magic = Bytes.sub_string header 0 4 in
-      if magic <> frame_magic then Stdlib.Error (Frame_malformed "bad frame magic")
-      else begin
-        let len = ref 0 in
-        for i = 4 to 7 do
-          len := (!len lsl 8) lor Char.code (Bytes.get header i)
-        done;
-        if !len > max_frame_bytes then
-          Stdlib.Error
-            (Frame_malformed (Printf.sprintf "frame of %d bytes exceeds the cap" !len))
-        else begin
-          let payload = Bytes.create !len in
-          match read_into fd payload 0 !len ~deadline with
-          | Stdlib.Ok () -> Stdlib.Ok (Some (Bytes.to_string payload))
-          | Stdlib.Error e -> Stdlib.Error e
-        end
-      end)
+  match read_into fd header 0 8 ~deadline with
+  | Error e -> Error e
+  | Ok false -> Ok None
+  | Ok true -> (
+    match frame_length header with
+    | Error m -> Error (Frame_malformed m)
+    | Ok len -> (
+      let payload = Bytes.create len in
+      match read_into fd payload 0 len ~deadline with
+      | Ok true -> Ok (Some (Bytes.unsafe_to_string payload))
+      | Ok false -> Error (Frame_closed "connection closed mid-frame")
+      | Error e -> Error e))
 
 let write_frame_deadline fd ~deadline_s payload =
-  if String.length payload > max_frame_bytes then invalid_arg "Protocol: frame too large";
+  let msg = Bytes.unsafe_of_string (frame payload) in
   let deadline = Clock.now_s () +. deadline_s in
-  let header = Buffer.create 8 in
-  Buffer.add_string header frame_magic;
-  add_u32 header (String.length payload);
-  let msg = Bytes.unsafe_of_string (Buffer.contents header ^ payload) in
   let rec loop pos =
-    if pos >= Bytes.length msg then Stdlib.Ok ()
+    if pos >= Bytes.length msg then Ok ()
     else
       match wait_fd fd ~for_read:false ~deadline with
-      | Stdlib.Error _ as e -> e
-      | Stdlib.Ok () -> (
+      | Error _ as e -> e
+      | Ok () -> (
         match Unix.write fd msg pos (Bytes.length msg - pos) with
         | n -> loop (pos + n)
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
           loop pos
         | exception Unix.Unix_error (e, _, _) ->
-          Stdlib.Error (Frame_closed (Unix.error_message e)))
+          Error (Frame_closed (Unix.error_message e)))
   in
   loop 0
 
-let rec really_write fd s pos len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s pos len in
-    really_write fd s (pos + n) (len - n)
-  end
-
+(* Unix.write loops over short writes itself *)
 let write_frame fd payload =
-  if String.length payload > max_frame_bytes then invalid_arg "Protocol: frame too large";
-  let header = Buffer.create 8 in
-  Buffer.add_string header frame_magic;
-  add_u32 header (String.length payload);
-  let msg = Buffer.contents header ^ payload in
-  really_write fd msg 0 (String.length msg)
+  let msg = frame payload in
+  ignore (Unix.write_substring fd msg 0 (String.length msg) : int)
 
 let rec really_read fd buf pos len =
   if len = 0 then true
@@ -768,22 +575,13 @@ let rec really_read fd buf pos len =
 let read_frame fd =
   let header = Bytes.create 8 in
   if not (really_read fd header 0 8) then Ok None
-  else begin
-    let magic = Bytes.sub_string header 0 4 in
-    if magic <> frame_magic then Error "bad frame magic"
-    else begin
-      let len = ref 0 in
-      for i = 4 to 7 do
-        len := (!len lsl 8) lor Char.code (Bytes.get header i)
-      done;
-      if !len > max_frame_bytes then Error (Printf.sprintf "frame of %d bytes exceeds the cap" !len)
-      else begin
-        let payload = Bytes.create !len in
-        if really_read fd payload 0 !len then Ok (Some (Bytes.to_string payload))
-        else Error "connection closed mid-frame"
-      end
-    end
-  end
+  else
+    match frame_length header with
+    | Error m -> Error m
+    | Ok len ->
+      let payload = Bytes.create len in
+      if really_read fd payload 0 len then Ok (Some (Bytes.unsafe_to_string payload))
+      else Error "connection closed mid-frame"
 
 (* -- addresses ----------------------------------------------------------- *)
 
@@ -820,13 +618,12 @@ let address_to_string = function
      estimate joint MODEL n=N [seed=S] [trials=N] [width=W]
 *)
 
+let family_token f = String.lowercase_ascii (Model.family_name f)
+
 let family_of_token s =
-  match String.lowercase_ascii s with
-  | "sc" -> Ok Model.Sequential_consistency
-  | "tso" -> Ok Model.Total_store_order
-  | "pso" -> Ok Model.Partial_store_order
-  | "wo" -> Ok Model.Weak_ordering
-  | _ -> Error (Printf.sprintf "unknown model %S (expected sc|tso|pso|wo)" s)
+  match Array.find_opt (fun f -> family_token f = String.lowercase_ascii s) families with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "unknown model %S (expected sc|tso|pso|wo)" s)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -840,41 +637,31 @@ let parse_query text =
     | Some i -> (String.sub tok 0 i, Some (String.sub tok (i + 1) (String.length tok - i - 1)))
     | None -> (tok, None)
   in
+  (* reversed: a repeated key's last value wins *)
   let kvs rest =
-    List.fold_left
-      (fun acc tok -> match acc with
-        | Error _ -> acc
-        | Ok acc ->
-          let k, v = split_kv tok in
-          Ok ((String.lowercase_ascii k, v) :: acc))
-      (Ok []) rest
+    List.rev_map
+      (fun tok ->
+        let k, v = split_kv tok in
+        (String.lowercase_ascii k, v))
+      rest
   in
-  let int_kv kvs key default =
+  (* [key=V] converted by [convert]; [hint] names the value in the
+     missing-value message, [what] its kind in the bad-value one *)
+  let value_kv convert ~hint ~what kvs key default =
     match List.assoc_opt key kvs with
     | None -> Ok default
-    | Some None -> Error (Printf.sprintf "%s needs a value (%s=N)" key key)
+    | Some None -> Error (Printf.sprintf "%s needs a value (%s=%s)" key key hint)
     | Some (Some v) -> (
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "bad integer %S for %s" v key))
+      match convert v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "bad %s %S for %s" what v key))
   in
-  let float_kv kvs key default =
-    match List.assoc_opt key kvs with
-    | None -> Ok default
-    | Some None -> Error (Printf.sprintf "%s needs a value (%s=X)" key key)
-    | Some (Some v) -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad number %S for %s" v key))
-  in
+  let int_kv = value_kv int_of_string_opt ~hint:"N" ~what:"integer" in
+  let float_kv = value_kv float_of_string_opt ~hint:"X" ~what:"number" in
   let width_kv kvs =
-    match List.assoc_opt "width" kvs with
-    | None -> Ok None
-    | Some None -> Error "width needs a value (width=W)"
-    | Some (Some v) -> (
-      match float_of_string_opt v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "bad number %S for width" v))
+    value_kv
+      (fun v -> Option.map Option.some (float_of_string_opt v))
+      ~hint:"W" ~what:"number" kvs "width" None
   in
   let known kvs allowed =
     match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
@@ -890,20 +677,20 @@ let parse_query text =
   match tokens with
   | "verify" :: test :: model :: rest ->
     let* family = family_of_token model in
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "window" ] in
     let* window = int_kv kvs "window" 8 in
     Ok (Verify { test; family; window })
   | "enumerate" :: test :: model :: rest ->
     let* family = family_of_token model in
     let rest, por = List.partition (fun t -> String.lowercase_ascii t <> "por") rest in
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "window" ] in
     let* window = int_kv kvs "window" 8 in
     Ok (Enumerate { test; family; window; por = por <> [] })
   | "axiom" :: test :: model :: rest ->
     let* family = family_of_token model in
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "window"; "engine" ] in
     let* window = int_kv kvs "window" 8 in
     (* the solver is the only axiomatic engine; the token is still accepted
@@ -917,7 +704,7 @@ let parse_query text =
     Ok (Axiom { test; family; window })
   | "estimate" :: "settling" :: model :: rest ->
     let* family = family_of_token model in
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "gamma"; "p"; "m"; "seed"; "trials"; "width" ] in
     let* gamma = int_kv kvs "gamma" 1 in
     let* p = float_kv kvs "p" 0.5 in
@@ -925,22 +712,16 @@ let parse_query text =
     let* seed, trials, target_width = estimate_common kvs in
     Ok (Estimate { kind = Settling { gamma; p; m }; family; seed; trials; target_width })
   | "estimate" :: "shift" :: rest ->
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "gammas"; "seed"; "trials"; "width" ] in
     let* gammas =
       match List.assoc_opt "gammas" kvs with
       | None | Some None -> Error "estimate shift needs gammas=G,G,..."
       | Some (Some v) ->
         let parts = String.split_on_char ',' v in
-        List.fold_left
-          (fun acc part -> match acc with
-            | Error _ -> acc
-            | Ok acc -> (
-              match int_of_string_opt part with
-              | Some n -> Ok (n :: acc)
-              | None -> Error (Printf.sprintf "bad segment length %S" part)))
-          (Ok []) parts
-        |> Result.map (fun l -> Array.of_list (List.rev l))
+        (match List.find_opt (fun part -> int_of_string_opt part = None) parts with
+         | Some part -> Error (Printf.sprintf "bad segment length %S" part)
+         | None -> Ok (Array.of_list (List.map int_of_string parts)))
     in
     let* seed, trials, target_width = estimate_common kvs in
     (* the shift process has no memory model: canonicalize the family *)
@@ -950,7 +731,7 @@ let parse_query text =
            target_width })
   | "estimate" :: "joint" :: model :: rest ->
     let* family = family_of_token model in
-    let* kvs = kvs rest in
+    let kvs = kvs rest in
     let* () = known kvs [ "n"; "seed"; "trials"; "width" ] in
     let* n = int_kv kvs "n" 2 in
     let* seed, trials, target_width = estimate_common kvs in
@@ -994,6 +775,15 @@ let render_partial = function
   | Some p ->
     Printf.sprintf " (PARTIAL: %s after %.2fs, %d work units)" p.cause p.elapsed_s p.work_done
 
+(* one indented line per outcome: its count of [noun]s *)
+let entry_lines noun entries =
+  String.concat ""
+    (List.map
+       (fun (o, k) ->
+         Printf.sprintf "\n    %-30s %6d %s%s" (outcome_to_string o) k noun
+           (if k = 1 then "" else "s"))
+       entries)
+
 let render_result r =
   let partial = render_partial r.partial in
   match r.payload with
@@ -1004,23 +794,11 @@ let render_result r =
       (if agrees then "agree" else "MISMATCH")
       outcomes terminals partial
   | Outcomes { entries; terminals; states } ->
-    let lines =
-      List.map
-        (fun (o, k) -> Printf.sprintf "\n    %-30s %6d terminal state%s" (outcome_to_string o) k
-            (if k = 1 then "" else "s"))
-        entries
-    in
     Printf.sprintf "%d outcomes, %d terminals, %d states%s%s" (List.length entries) terminals
-      states partial (String.concat "" lines)
+      states partial (entry_lines "terminal state" entries)
   | Axiom_outcomes { entries; accepted } ->
-    let lines =
-      List.map
-        (fun (o, k) -> Printf.sprintf "\n    %-30s %6d candidate%s" (outcome_to_string o) k
-            (if k = 1 then "" else "s"))
-        entries
-    in
     Printf.sprintf "%d outcomes, %d accepted candidates%s%s" (List.length entries) accepted
-      partial (String.concat "" lines)
+      partial (entry_lines "candidate" entries)
   | Estimated { point; lo; hi; trials; target_met } ->
     Printf.sprintf "%.6f [%.6f, %.6f] over %d trials%s%s" point lo hi trials
       (if target_met then " (target width met)" else "")

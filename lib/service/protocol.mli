@@ -1,13 +1,15 @@
-(** The memrel service wire protocol.
+(** The memrel service wire protocol, MRF1.
 
     Length-prefixed binary frames carrying typed requests and responses.
     A frame is ["MRF1"] + u32 payload length + payload; a payload is a
     version byte followed by a tagged tree of big-endian fixed-width
-    fields. The {e result} portion of a response — the part the cache
-    stores — has its own encoder pair ({!encode_result}/{!decode_result})
-    so a cache hit can be spliced into a response frame byte-for-byte
-    ({!encode_result_response}): a cached answer is guaranteed to be the
-    exact bytes the engine originally produced. See DESIGN.md §14. *)
+    fields. Each wire type is described once, as a private codec that
+    gives both its encoder and its decoder. Decoders never raise: bad
+    input, including an integer outside OCaml's 63-bit range, is an
+    [Error]. The {e result} portion of a response, the part the cache
+    stores, encodes on its own ({!encode_result}/{!decode_result}) so a
+    cache hit can be spliced into a response frame byte-for-byte
+    ({!encode_result_response}). See DESIGN.md §14. *)
 
 val version : int
 (** Protocol version byte, bumped on any incompatible change. *)

@@ -2,10 +2,12 @@
 # End-to-end smoke for `memrel serve` / `memrel query`, run from `make ci`.
 #
 # Drives the installed daemon over a temp Unix socket: a cold mixed batch
-# (all computed), a warm replay (memory hits), the typed error and
-# budget-partial exit codes, a clean shutdown, and a restart over the same
-# cache directory that answers from disk. Uses the built binary directly so
-# the daemon and client do not contend for the dune lock.
+# (all computed), a warm replay (memory hits), a raw MRF1 frame whose reply
+# must be the exact bytes pinned by the protocol suite's golden test, the
+# typed error and budget-partial exit codes, a clean shutdown, and a
+# restart over the same cache directory that answers from disk. Uses the
+# built binary directly so the daemon and client do not contend for the
+# dune lock.
 set -eu
 
 CLI=./_build/default/bin/memrel_cli.exe
@@ -41,6 +43,39 @@ start_daemon
 # warm replay: memory hits only
 "$CLI" query --socket "$SOCK" "verify sb tso" "enumerate mp wo" > "$OUT"
 [ "$(grep -c '\[memory\]' "$OUT")" -eq 2 ] || fail "warm replay not from memory"
+
+# wire bytes: the golden test's `verify sb tso` request frame, sent raw,
+# is answered with exactly its pinned memory-hit reply
+python3 - "$SOCK" test/service/test_protocol.ml <<'EOF' || fail "raw MRF1 reply differs from the pinned bytes"
+import re, socket, struct, sys
+
+sock_path, golden_src = sys.argv[1], open(sys.argv[2]).read()
+
+def pinned(name):
+    return bytes.fromhex(re.search(r'let %s = "([0-9a-f]+)"' % name, golden_src).group(1))
+
+def recv_exact(s, n):
+    buf = b""
+    while len(buf) < n:
+        chunk = s.recv(n - len(buf))
+        if not chunk:
+            sys.exit("connection closed mid-reply")
+        buf += chunk
+    return buf
+
+request, want = pinned("golden_verify_sb_tso_request"), pinned("golden_verify_sb_tso_memory")
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(10)
+s.connect(sock_path)
+s.sendall(b"MRF1" + struct.pack(">I", len(request)) + request)
+header = recv_exact(s, 8)
+if header[:4] != b"MRF1":
+    sys.exit("bad reply magic %r" % header[:4])
+got = recv_exact(s, struct.unpack(">I", header[4:])[0])
+s.close()
+if got != want:
+    sys.exit("reply %s, pinned %s" % (got.hex(), want.hex()))
+EOF
 
 # typed error exits 123
 set +e

@@ -432,6 +432,44 @@ let test_extmem_old_manifest_swept () =
       (P.encode_result ram) (P.encode_result healed)
   | Error e, _ | _, Error e -> Alcotest.fail e.Engine.message
 
+let test_wire_limits_validated () =
+  (* wire limits are checked before they reach Budget.create: each bad one
+     is a typed bad request naming its field, never an "unsupported" from
+     the budget, a silent no-deadline run or an overflowed memory cap *)
+  with_dir @@ fun dir ->
+  let cache = Cache.create ~dir () in
+  let q = P.Verify { test = "sb"; family = Model.Total_store_order; window = 8 } in
+  ignore (Engine.run_cached ~caps:Engine.no_caps cache q P.no_limits);
+  let rejected field limits =
+    let check = function
+      | Error { Engine.code = P.Bad_request; message } ->
+        Alcotest.(check bool) (field ^ ": " ^ message) true
+          (Astring.String.is_infix ~affix:field message)
+      | Error e ->
+        Alcotest.failf "%s: %s: %s" field (P.error_code_to_string e.Engine.code) e.Engine.message
+      | Ok _ -> Alcotest.failf "bad %s accepted" field
+    in
+    check (Engine.run ~caps:Engine.no_caps q limits);
+    (* a cache hit does not skip the check *)
+    check (Result.map fst (Engine.run_cached ~caps:Engine.no_caps cache q limits))
+  in
+  rejected "deadline_s" { P.no_limits with deadline_s = Some (-1.) };
+  rejected "deadline_s" { P.no_limits with deadline_s = Some Float.nan };
+  rejected "deadline_s" { P.no_limits with deadline_s = Some Float.infinity };
+  rejected "max_work" { P.no_limits with max_work = Some (-3) };
+  rejected "max_mem_mb" { P.no_limits with max_mem_mb = Some (-1) };
+  rejected "max_mem_mb" { P.no_limits with max_mem_mb = Some (max_int / 1024) };
+  (* the bounds themselves are accepted *)
+  let largest =
+    { P.deadline_s = Some 60.; max_work = Some max_int; max_mem_mb = Some (max_int lsr 20) }
+  in
+  (match Engine.run ~caps:Engine.no_caps q largest with
+   | Ok r -> Alcotest.(check bool) "largest limits complete" true (r.P.partial = None)
+   | Error e -> Alcotest.fail e.Engine.message);
+  match Engine.run ~caps:Engine.no_caps q { P.no_limits with deadline_s = Some 0. } with
+  | Ok r -> Alcotest.(check bool) "deadline 0 still partial" true (r.P.partial <> None)
+  | Error e -> Alcotest.fail e.Engine.message
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -452,4 +490,5 @@ let suite =
       ("corrupt spill state swept and restarted", test_extmem_corrupt_spill_swept);
       ("partial results are never cached", test_partial_results_not_cached);
       ("old-layout spill state swept and restarted", test_extmem_old_manifest_swept);
+      ("wire limits validated as bad requests", test_wire_limits_validated);
     ]

@@ -475,6 +475,33 @@ let test_decoders_never_raise () =
     decoders_total s
   done
 
+let test_i64_out_of_range_rejected () =
+  (* a wire integer outside OCaml's 63-bit range is refused, not wrapped:
+     a raw client's seed of 2^62 must not be answered as seed -2^62 *)
+  let request seed =
+    P.Query
+      ( P.Estimate
+          { kind = P.Joint { n = 2 }; family = Model.Sequential_consistency; seed; trials = 10;
+            target_width = None },
+        P.no_limits )
+  in
+  List.iter
+    (fun seed ->
+      match P.decode_request (P.encode_request (request seed)) with
+      | Ok r -> Alcotest.(check bool) (Printf.sprintf "seed %d round-trips" seed) true (r = request seed)
+      | Error m -> Alcotest.fail m)
+    [ max_int; min_int; 0; -1 ];
+  let marker = "\x01\x02\x03\x04\x05\x06\x07\x08" in
+  let bytes = P.encode_request (request 0x0102030405060708) in
+  let at = Option.get (Astring.String.find_sub ~sub:marker bytes) in
+  List.iter
+    (fun wire ->
+      let s = String.sub bytes 0 at ^ wire ^ String.sub bytes (at + 8) (String.length bytes - at - 8) in
+      match P.decode_request s with
+      | Error m -> Alcotest.(check bool) m true (Astring.String.is_infix ~affix:"out of range" m)
+      | Ok _ -> Alcotest.failf "seed %s accepted" (hex wire))
+    [ "\x40\x00\x00\x00\x00\x00\x00\x00"; "\xbf\xff\xff\xff\xff\xff\xff\xff"; "\x7f\xff\xff\xff\xff\xff\xff\xff" ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -493,4 +520,5 @@ let suite =
       ("framing rejects bad magic", test_framing_rejects_bad_magic);
       ("golden bytes", test_golden_bytes);
       ("decoders never raise", test_decoders_never_raise);
+      ("i64 out of range rejected", test_i64_out_of_range_rejected);
     ]
