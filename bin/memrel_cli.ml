@@ -474,8 +474,9 @@ let find_litmus name =
   | exception Not_found ->
     Error
       (Printf.sprintf
-         "unknown litmus test %S (available: %s; or incN for the N-thread increment)"
-         name (String.concat ", " Litmus.names))
+         "unknown litmus test %S (available: %s; or incN, 2 <= N <= %d, for the N-thread \
+          increment)"
+         name (String.concat ", " Litmus.names) Litmus.max_inc_threads)
 
 (* -- litmus ----------------------------------------------------------- *)
 

@@ -212,6 +212,10 @@ let all =
 
 let names = List.map (fun t -> t.name) all
 
+(* incN names come from clients of the daemon too: a bound refuses
+   "inc1000000000" before [increment_n] allocates its thread list *)
+let max_inc_threads = 64
+
 let find name =
   match List.find_opt (fun t -> String.equal t.name name) all with
   | Some t -> t
@@ -219,7 +223,7 @@ let find name =
     (* "incN" names the generalized increment family, e.g. "inc4" *)
     if String.length name > 3 && String.sub name 0 3 = "inc" then begin
       match int_of_string_opt (String.sub name 3 (String.length name - 3)) with
-      | Some n when n >= 2 -> increment_n n
+      | Some n when n >= 2 && n <= max_inc_threads -> increment_n n
       | _ -> raise Not_found
     end
     else raise Not_found

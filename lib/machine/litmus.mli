@@ -52,10 +52,16 @@ val names : string list
 (** The corpus test names, in {!all} order — what an "unknown test" error
     should offer the user. *)
 
+val max_inc_threads : int
+(** The largest N (64) that {!find} resolves as ["incN"], far beyond what
+    any engine enumerates. The bound keeps a name sent by a client of the
+    daemon from building a test with a billion threads. *)
+
 val find : string -> t
-(** Lookup by name. Names of the form ["incN"] (N >= 2) resolve to
-    {!increment_n}[ N] even though only the corpus tests are in {!all}.
-    Raises [Not_found]. *)
+(** Lookup by name. Names of the form ["incN"] (2 <= N <= {!max_inc_threads})
+    resolve to {!increment_n}[ N] even though only the corpus tests are in
+    {!all}. Raises [Not_found], before allocating anything for an incN name
+    above the bound. *)
 
 val hash : t -> string
 (** Stable structural digest (16 hex chars, FNV-1a 64) over the instruction

@@ -38,17 +38,38 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let fam = Model.family_name
 
+module Names = Map.Make (String)
+
+(* (hash, test) by name, memoized: [Litmus.find] rebuilds an incN test and
+   [Litmus.hash] walks it byte by byte, and neither answer ever changes.
+   Only canonical names are kept (["inc05"] also finds inc5 but is not
+   stored), so the table holds at most the corpus and incN up to
+   [Litmus.max_inc_threads]. Worker domains read an immutable snapshot; a
+   miss computes outside any lock and publishes with compare-and-set, and
+   a domain that loses the race has only recomputed the same value. *)
+let memo : (string * Litmus.t) Names.t Atomic.t = Atomic.make Names.empty
+
+let rec publish name v =
+  let m = Atomic.get memo in
+  if not (Atomic.compare_and_set memo m (Names.add name v m)) then publish name v
+
 let litmus_hash name =
-  match Litmus.find name with
-  | t -> Ok (Litmus.hash t, t)
-  | exception Not_found ->
-    Error
-      {
-        code = P.Unknown_test;
-        message =
-          Printf.sprintf "unknown litmus test %S (known: %s, incN)" name
-            (String.concat ", " Litmus.names);
-      }
+  match Names.find_opt name (Atomic.get memo) with
+  | Some v -> Ok v
+  | None -> (
+    match Litmus.find name with
+    | t ->
+      let v = (Litmus.hash t, t) in
+      if String.equal t.Litmus.name name then publish name v;
+      Ok v
+    | exception Not_found ->
+      Error
+        {
+          code = P.Unknown_test;
+          message =
+            Printf.sprintf "unknown litmus test %S (known: %s, incN for 2 <= N <= %d)" name
+              (String.concat ", " Litmus.names) Litmus.max_inc_threads;
+        })
 
 let check_family = function
   | Model.Custom -> unsupported "custom models have no wire encoding"
@@ -56,23 +77,20 @@ let check_family = function
 
 let check_window w = if w >= 1 && w <= 1024 then Ok w else bad "window %d out of range 1..1024" w
 
+(* "kind|hash|family|wW", plus any [extra] fields: the key of a query on a
+   litmus test, joined without Printf on the cache-hit path *)
+let litmus_key kind test family window extra =
+  let* family = check_family family in
+  let* window = check_window window in
+  let* hash, _ = litmus_hash test in
+  Ok (String.concat "|" (kind :: hash :: fam family :: ("w" ^ string_of_int window) :: extra))
+
 let cache_key (q : P.query) =
   match q with
-  | P.Verify { test; family; window } ->
-    let* family = check_family family in
-    let* window = check_window window in
-    let* hash, _ = litmus_hash test in
-    Ok (Printf.sprintf "verify|%s|%s|w%d" hash (fam family) window)
+  | P.Verify { test; family; window } -> litmus_key "verify" test family window []
   | P.Enumerate { test; family; window; por } ->
-    let* family = check_family family in
-    let* window = check_window window in
-    let* hash, _ = litmus_hash test in
-    Ok (Printf.sprintf "enum|%s|%s|w%d|por%d" hash (fam family) window (if por then 1 else 0))
-  | P.Axiom { test; family; window } ->
-    let* family = check_family family in
-    let* window = check_window window in
-    let* hash, _ = litmus_hash test in
-    Ok (Printf.sprintf "axiom|%s|%s|w%d" hash (fam family) window)
+    litmus_key "enum" test family window [ (if por then "por1" else "por0") ]
+  | P.Axiom { test; family; window } -> litmus_key "axiom" test family window []
   | P.Estimate { kind; family; seed; trials; target_width } ->
     let* family = check_family family in
     let* () = if trials >= 1 then Ok () else bad "trials must be >= 1 (got %d)" trials in

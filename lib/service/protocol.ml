@@ -131,7 +131,7 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Decode_error m)) fmt
 
-type cursor = { data : string; mutable pos : int }
+type cursor = { data : string; mutable pos : int; mutable depth : int }
 type 'a codec = { enc : Buffer.t -> 'a -> unit; dec : cursor -> 'a }
 
 (* step past [n] bytes, returning where they start *)
@@ -241,10 +241,26 @@ let list ?(max = 1_000_000) w =
         List.init n (fun _ -> w.dec c));
   }
 
-(* a recursive codec: [f] receives the codec it is defining *)
+(* a recursive codec: [f] receives the codec it is defining. Decoding
+   refuses to recurse more than [max_depth] levels, so a hostile message
+   cannot buy a deep stack and seconds of work with a few bytes a level;
+   nothing this build sends nests more than one level. *)
+let max_depth = 8
+
 let fix f =
   let rec w =
-    lazy (f { enc = (fun b v -> (Lazy.force w).enc b v); dec = (fun c -> (Lazy.force w).dec c) })
+    lazy
+      (f
+         {
+           enc = (fun b v -> (Lazy.force w).enc b v);
+           dec =
+             (fun c ->
+               if c.depth >= max_depth then fail "nesting deeper than %d levels" max_depth;
+               c.depth <- c.depth + 1;
+               let v = (Lazy.force w).dec c in
+               c.depth <- c.depth - 1;
+               v);
+         })
   in
   Lazy.force w
 
@@ -420,7 +436,7 @@ let encode ~versioned w v =
 
 let decode ~versioned what w s : (_, string) std_result =
   try
-    let c = { data = s; pos = 0 } in
+    let c = { data = s; pos = 0; depth = 0 } in
     if versioned then begin
       let v = u8.dec c in
       if v <> version then fail "protocol version %d (this build speaks %d)" v version
@@ -475,19 +491,25 @@ let frame payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* the payload length an 8-byte header announces, once its magic and the
-   cap are checked *)
-let frame_length header =
-  if Bytes.sub_string header 0 4 <> frame_magic then Error "bad frame magic"
+(* the payload length the 8-byte header at [off] announces, once its magic
+   (checked in place) and the cap are checked *)
+let frame_length header off =
+  let rec magic_ok i =
+    i = String.length frame_magic
+    || (Bytes.get header (off + i) = frame_magic.[i] && magic_ok (i + 1))
+  in
+  if not (magic_ok 0) then Error "bad frame magic"
   else
-    let len = Int32.to_int (Bytes.get_int32_be header 4) land 0xffff_ffff in
+    let len = Int32.to_int (Bytes.get_int32_be header (off + 4)) land 0xffff_ffff in
     if len > max_frame_bytes then Error (Printf.sprintf "frame of %d bytes exceeds the cap" len)
     else Ok len
 
-(* Deadline-bounded frame IO: the server reads and writes every frame
-   under a per-frame monotonic deadline, so a client that sends half a
-   frame and stalls — or stops draining its socket mid-reply — is reaped
-   at the deadline instead of pinning a worker domain forever. *)
+(* The server's connection IO. The server makes each accepted descriptor
+   non-blocking and tries every read and write first; only when the kernel
+   answers EAGAIN does it wait, under a per-frame monotonic deadline, so a
+   client that sends half a frame and stalls — or stops draining its
+   socket mid-reply — is reaped at the deadline instead of pinning a
+   worker domain forever. *)
 
 type frame_error =
   | Frame_timeout  (** the per-frame deadline expired: reap the connection *)
@@ -510,53 +532,89 @@ let rec wait_fd fd ~for_read ~deadline =
     | _ -> Ok ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_fd fd ~for_read ~deadline
 
-(* read [len] bytes into [buf] at [pos]: [Ok false] on EOF before the
-   first byte at [pos = 0], which the header read takes for a clean close *)
-let rec read_into fd buf pos len ~deadline =
-  if len = 0 then Ok true
-  else
-    match wait_fd fd ~for_read:true ~deadline with
-    | Error _ as e -> e
-    | Ok () -> (
-      match Unix.read fd buf pos len with
-      | 0 when pos = 0 -> Ok false
-      | 0 -> Error (Frame_closed "connection closed mid-frame")
-      | n -> read_into fd buf (pos + n) (len - n) ~deadline
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        read_into fd buf pos len ~deadline
-      | exception Unix.Unix_error (e, _, _) -> Error (Frame_closed (Unix.error_message e)))
+(* A connection's read buffer: the received bytes not yet handed out are
+   [buf.[off] .. buf.[off + len - 1]]. A read asks for as much as the
+   buffer holds, so one read normally brings a whole frame, and whatever
+   follows it (a pipelined next frame) waits here for the next call. *)
+type reader = { rfd : Unix.file_descr; mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-let read_frame_deadline fd ~deadline_s =
+let reader_bytes = 4096
+let reader fd = { rfd = fd; buf = Bytes.create reader_bytes; off = 0; len = 0 }
+let reader_pending r = r.len > 0
+
+(* room for [n] pending bytes from [off]: slide them to the front, into a
+   buffer grown to [n] if the frame does not fit *)
+let reserve r n =
+  if r.off + n > Bytes.length r.buf then begin
+    let buf = if n > Bytes.length r.buf then Bytes.create n else r.buf in
+    Bytes.blit r.buf r.off buf 0 r.len;
+    r.buf <- buf;
+    r.off <- 0
+  end
+
+(* read until [n] bytes are pending: [Ok false] on EOF with none pending,
+   which the header read takes for a clean close *)
+let rec fill r n ~deadline =
+  if r.len >= n then Ok true
+  else begin
+    reserve r n;
+    let at = r.off + r.len in
+    match Unix.read r.rfd r.buf at (Bytes.length r.buf - at) with
+    | 0 when r.len = 0 -> Ok false
+    | 0 -> Error (Frame_closed "connection closed mid-frame")
+    | k ->
+      r.len <- r.len + k;
+      fill r n ~deadline
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+      match wait_fd r.rfd ~for_read:true ~deadline with
+      | Ok () -> fill r n ~deadline
+      | Error _ as e -> e)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill r n ~deadline
+    | exception Unix.Unix_error (e, _, _) -> Error (Frame_closed (Unix.error_message e))
+  end
+
+(* hand out [n] bytes; a buffer grown for a large frame goes back to the
+   small size once what it still holds fits there *)
+let consume r n =
+  r.off <- (if r.len = n then 0 else r.off + n);
+  r.len <- r.len - n;
+  if Bytes.length r.buf > reader_bytes && r.len <= reader_bytes then begin
+    let buf = Bytes.create reader_bytes in
+    Bytes.blit r.buf r.off buf 0 r.len;
+    r.buf <- buf;
+    r.off <- 0
+  end
+
+let read_frame_from r ~deadline_s =
   let deadline = Clock.now_s () +. deadline_s in
-  let header = Bytes.create 8 in
-  match read_into fd header 0 8 ~deadline with
+  match fill r 8 ~deadline with
   | Error e -> Error e
   | Ok false -> Ok None
   | Ok true -> (
-    match frame_length header with
+    match frame_length r.buf r.off with
     | Error m -> Error (Frame_malformed m)
     | Ok len -> (
-      let payload = Bytes.create len in
-      match read_into fd payload 0 len ~deadline with
-      | Ok true -> Ok (Some (Bytes.unsafe_to_string payload))
-      | Ok false -> Error (Frame_closed "connection closed mid-frame")
-      | Error e -> Error e))
+      match fill r (8 + len) ~deadline with
+      | Error e -> Error e
+      | Ok _ ->
+        let payload = Bytes.sub_string r.buf (r.off + 8) len in
+        consume r (8 + len);
+        Ok (Some payload)))
 
 let write_frame_deadline fd ~deadline_s payload =
-  let msg = Bytes.unsafe_of_string (frame payload) in
+  let msg = frame payload in
   let deadline = Clock.now_s () +. deadline_s in
   let rec loop pos =
-    if pos >= Bytes.length msg then Ok ()
+    if pos >= String.length msg then Ok ()
     else
-      match wait_fd fd ~for_read:false ~deadline with
-      | Error _ as e -> e
-      | Ok () -> (
-        match Unix.write fd msg pos (Bytes.length msg - pos) with
-        | n -> loop (pos + n)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          loop pos
-        | exception Unix.Unix_error (e, _, _) ->
-          Error (Frame_closed (Unix.error_message e)))
+      match Unix.single_write_substring fd msg pos (String.length msg - pos) with
+      | n -> loop (pos + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+        match wait_fd fd ~for_read:false ~deadline with
+        | Ok () -> loop pos
+        | Error _ as e -> e)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pos
+      | exception Unix.Unix_error (e, _, _) -> Error (Frame_closed (Unix.error_message e))
   in
   loop 0
 
@@ -576,7 +634,7 @@ let read_frame fd =
   let header = Bytes.create 8 in
   if not (really_read fd header 0 8) then Ok None
   else
-    match frame_length header with
+    match frame_length header 0 with
     | Error m -> Error m
     | Ok len ->
       let payload = Bytes.create len in

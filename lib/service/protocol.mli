@@ -146,6 +146,8 @@ val decode_result : string -> (result, string) Stdlib.result
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) Stdlib.result
+(** [Results] nested more than 8 levels deep is an [Error], found before
+    the decoder recurses any further. *)
 
 val encode_result_response : origin:origin -> string -> string
 (** [encode_result_response ~origin result_bytes] splices bytes produced by
@@ -173,12 +175,13 @@ val read_frame : Unix.file_descr -> (string option, string) Stdlib.result
 (** [Ok None] on clean EOF before a frame starts; [Error _] on a malformed
     or oversized header, or EOF mid-frame. *)
 
-(** {2 Deadline-bounded framing}
+(** {2 The server's connection IO}
 
-    The server runs every frame read/write under a per-frame monotonic
-    deadline: a client that sends half a frame and stalls, or stops
-    draining its socket mid-reply, is reaped at the deadline instead of
-    pinning a worker domain. *)
+    The server makes each accepted descriptor non-blocking and tries every
+    read and write first, waiting only on [EAGAIN], and then under a
+    per-frame monotonic deadline: a client that sends half a frame and
+    stalls, or stops draining its socket mid-reply, is reaped at the
+    deadline instead of pinning a worker domain. *)
 
 type frame_error =
   | Frame_timeout  (** per-frame deadline expired: reap the connection *)
@@ -187,16 +190,27 @@ type frame_error =
 
 val frame_error_to_string : frame_error -> string
 
-val read_frame_deadline :
-  Unix.file_descr -> deadline_s:float -> (string option, frame_error) Stdlib.result
-(** Like {!read_frame} but the whole frame must arrive within
-    [deadline_s] seconds (monotonic). Works on blocking and non-blocking
-    descriptors. *)
+type reader
+(** A connection's read buffer: 4 KiB, grown to the size of a larger frame
+    while it is read and shrunk back after. One read normally brings in a
+    whole frame; bytes past it (a pipelined next frame) stay buffered. *)
+
+val reader : Unix.file_descr -> reader
+(** A reader for a non-blocking descriptor. *)
+
+val reader_pending : reader -> bool
+(** Are received bytes waiting to be handed out? While they are, the next
+    frame (or its start) is already here, so there is nothing to poll for. *)
+
+val read_frame_from : reader -> deadline_s:float -> (string option, frame_error) Stdlib.result
+(** The next frame's payload, like {!read_frame}, but the rest of the frame
+    must arrive within [deadline_s] seconds (monotonic). [Ok None] on a
+    clean EOF at a frame boundary. *)
 
 val write_frame_deadline :
   Unix.file_descr -> deadline_s:float -> string -> (unit, frame_error) Stdlib.result
-(** Like {!write_frame} but the whole frame must drain within
-    [deadline_s] seconds (monotonic). *)
+(** Like {!write_frame} on a non-blocking descriptor: the whole frame must
+    drain within [deadline_s] seconds (monotonic). *)
 
 (** {1 Addresses} *)
 

@@ -159,17 +159,24 @@ let rec wait_readable st fd =
    frame in, reply out — must finish within [io_deadline_s]. An idle
    connection between frames costs nothing; a client that sends half a
    frame and stalls, or stops draining its reply, is reaped at the
-   deadline so it cannot pin a worker domain. *)
+   deadline so it cannot pin a worker domain.
+
+   The descriptor is non-blocking and every read and write is tried first,
+   so a query costs three syscalls: the idle poll's select, one read (the
+   reader asks for a whole buffer, which normally holds the whole frame)
+   and one write. A frame already buffered skips the poll. *)
 let serve_connection st fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      Unix.set_nonblock fd;
+      let reader = P.reader fd in
       (* relative: each frame read/write computes its own absolute
          monotonic deadline from this *)
       let deadline_s = st.config.io_deadline_s in
       let rec loop () =
-        if wait_readable st fd then
-          match P.read_frame_deadline fd ~deadline_s with
+        if P.reader_pending reader || wait_readable st fd then
+          match P.read_frame_from reader ~deadline_s with
           | Ok None -> ()
           | Error P.Frame_timeout -> Atomic.incr st.reaped
           | Error (P.Frame_closed _) -> ()
@@ -231,11 +238,12 @@ let run ?on_ready config =
   Option.iter (fun f -> f ()) on_ready;
   let shed_connection fd =
     (* typed shed: tell the client when to come back, then hang up. The
-       write runs on a short deadline so a non-draining client cannot
-       stall the accept loop. *)
+       write is non-blocking and runs on a short deadline, so a
+       non-draining client cannot stall the accept loop. *)
     let retry_after_s =
       retry_after_hint ~backlog:(Pool.queue_length pool) ~workers:config.workers
     in
+    (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
     ignore
       (P.write_frame_deadline fd ~deadline_s:1.0
          (P.encode_response (P.Overloaded { retry_after_s })));

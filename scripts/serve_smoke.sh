@@ -44,8 +44,9 @@ start_daemon
 "$CLI" query --socket "$SOCK" "verify sb tso" "enumerate mp wo" > "$OUT"
 [ "$(grep -c '\[memory\]' "$OUT")" -eq 2 ] || fail "warm replay not from memory"
 
-# wire bytes: the golden test's `verify sb tso` request frame, sent raw,
-# is answered with exactly its pinned memory-hit reply
+# wire bytes: the golden test's `verify sb tso` request frame, sent raw
+# (alone, twice in one send, and one byte at a time), is answered each
+# time with exactly its pinned memory-hit reply
 python3 - "$SOCK" test/service/test_protocol.ml <<'EOF' || fail "raw MRF1 reply differs from the pinned bytes"
 import re, socket, struct, sys
 
@@ -63,18 +64,29 @@ def recv_exact(s, n):
         buf += chunk
     return buf
 
+def reply(s):
+    header = recv_exact(s, 8)
+    if header[:4] != b"MRF1":
+        sys.exit("bad reply magic %r" % header[:4])
+    return recv_exact(s, struct.unpack(">I", header[4:])[0])
+
 request, want = pinned("golden_verify_sb_tso_request"), pinned("golden_verify_sb_tso_memory")
+frame = b"MRF1" + struct.pack(">I", len(request)) + request
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.settimeout(10)
 s.connect(sock_path)
-s.sendall(b"MRF1" + struct.pack(">I", len(request)) + request)
-header = recv_exact(s, 8)
-if header[:4] != b"MRF1":
-    sys.exit("bad reply magic %r" % header[:4])
-got = recv_exact(s, struct.unpack(">I", header[4:])[0])
+# the frame alone, then twice in one send (pipelined), then byte by byte
+s.sendall(frame)
+replies = [reply(s)]
+s.sendall(frame + frame)
+replies += [reply(s), reply(s)]
+for i in range(len(frame)):
+    s.sendall(frame[i:i + 1])
+replies.append(reply(s))
 s.close()
-if got != want:
-    sys.exit("reply %s, pinned %s" % (got.hex(), want.hex()))
+for n, got in enumerate(replies):
+    if got != want:
+        sys.exit("reply %d: %s, pinned %s" % (n, got.hex(), want.hex()))
 EOF
 
 # typed error exits 123

@@ -59,6 +59,18 @@ let golden args expected () =
   Alcotest.(check (list string)) (args ^ ": stderr") [] err;
   Alcotest.(check string) args (String.concat "" expected) out
 
+(* a test name the CLI cannot resolve: a one-line error and exit 123,
+   reached before anything is built, even for an incN far past the bound *)
+let unknown_test name () =
+  let t0 = Unix.gettimeofday () in
+  let code, _, err = memrel ("enumerate " ^ name) in
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 5.);
+  Alcotest.(check int) "exit code" 123 code;
+  match err with
+  | [ line ] ->
+    Alcotest.(check bool) line true (Astring.String.is_infix ~affix:"unknown litmus test" line)
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length err)
+
 let golden_window =
   [
     "critical-window growth Pr[B_gamma] under TSO (p = 0.50, s = 0.50)\n";
@@ -131,5 +143,10 @@ let () =
         [
           Alcotest.test_case "scaling --n-max 1" `Quick
             (usage_error ~affix:"expected an integer >= 2" "scaling --n-max 1");
+        ] );
+      ( "unknown tests",
+        [
+          Alcotest.test_case "enumerate nosuchtest" `Quick (unknown_test "nosuchtest");
+          Alcotest.test_case "enumerate inc1000000000" `Quick (unknown_test "inc1000000000");
         ] );
     ]

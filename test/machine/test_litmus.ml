@@ -17,7 +17,13 @@ let test_corpus_well_formed () =
 
 let test_find () =
   Alcotest.(check string) "finds sb" "sb" (L.find "sb").L.name;
-  Alcotest.check_raises "unknown" Not_found (fun () -> ignore (L.find "nonexistent"))
+  Alcotest.check_raises "unknown" Not_found (fun () -> ignore (L.find "nonexistent"));
+  let top = Printf.sprintf "inc%d" L.max_inc_threads in
+  Alcotest.(check string) "incN at the bound" top (L.find top).L.name;
+  Alcotest.check_raises "incN above the bound" Not_found (fun () ->
+      ignore (L.find (Printf.sprintf "inc%d" (L.max_inc_threads + 1))));
+  Alcotest.check_raises "a billion threads refused" Not_found (fun () ->
+      ignore (L.find "inc1000000000"))
 
 (* The heart of the operational validation: every corpus expectation must
    hold under exhaustive enumeration for every model. One alcotest case per

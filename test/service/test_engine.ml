@@ -178,6 +178,71 @@ let test_cache_key_name_independent () =
   Alcotest.(check bool) "key built on the hash, not the name" true
     (Astring.String.is_infix ~affix:(Litmus.hash (Litmus.increment_n 3)) k1)
 
+(* the memoized (hash, test) table must give every domain the keys a
+   fresh lookup gives: the canonical name, an alias of it ("inc05"), and
+   several domains filling the table at once *)
+let test_cache_key_memo_consistent () =
+  let names = Litmus.names @ List.init 8 (fun i -> Printf.sprintf "inc%d" (i + 2)) in
+  let key test =
+    match Engine.cache_key (P.Verify { test; family = Model.Total_store_order; window = 8 }) with
+    | Ok k -> k
+    | Error e -> Alcotest.fail e.Engine.message
+  in
+  let expected name =
+    Printf.sprintf "verify|%s|TSO|w8" (Litmus.hash (Litmus.find name))
+  in
+  let domains =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> List.map (fun n -> List.init 50 (fun _ -> key n)) names))
+  in
+  List.iter
+    (fun per_name ->
+      List.iter2
+        (fun name keys -> List.iter (Alcotest.(check string) name (expected name)) keys)
+        names per_name)
+    (List.map Domain.join domains);
+  Alcotest.(check string) "alias inc05 = inc5" (key "inc5") (key "inc05");
+  (* the other kinds keep the key layout the disk tier was written with *)
+  let hash = Litmus.hash (Litmus.find "mp") in
+  List.iter
+    (fun (q, want) ->
+      match Engine.cache_key q with
+      | Ok k -> Alcotest.(check string) want want k
+      | Error e -> Alcotest.fail e.Engine.message)
+    [
+      ( P.Enumerate { test = "mp"; family = Model.Weak_ordering; window = 3; por = true },
+        Printf.sprintf "enum|%s|WO|w3|por1" hash );
+      ( P.Enumerate { test = "mp"; family = Model.Partial_store_order; window = 8; por = false },
+        Printf.sprintf "enum|%s|PSO|w8|por0" hash );
+      ( P.Axiom { test = "mp"; family = Model.Sequential_consistency; window = 1024 },
+        Printf.sprintf "axiom|%s|SC|w1024" hash );
+    ]
+
+(* incN past Litmus.max_inc_threads is an unknown test, refused before the
+   test is built: a billion-thread name must not cost a billion threads *)
+let test_incn_bounded () =
+  with_dir @@ fun dir ->
+  let cache = Cache.create ~dir () in
+  let top = Printf.sprintf "inc%d" Litmus.max_inc_threads in
+  (match Engine.cache_key (P.Axiom { test = top; family = Model.Weak_ordering; window = 8 }) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "%s: %s" top e.Engine.message);
+  List.iter
+    (fun test ->
+      List.iter
+        (fun q ->
+          let t0 = Unix.gettimeofday () in
+          (match Engine.run_cached ~caps:Engine.no_caps cache q P.no_limits with
+           | Error { Engine.code = P.Unknown_test; _ } -> ()
+           | Error e -> Alcotest.failf "%s: %s" test (P.error_code_to_string e.Engine.code)
+           | Ok _ -> Alcotest.failf "%s answered" test);
+          Alcotest.(check bool) (test ^ " refused at once") true (Unix.gettimeofday () -. t0 < 1.))
+        [
+          P.Verify { test; family = Model.Total_store_order; window = 8 };
+          P.Enumerate { test; family = Model.Sequential_consistency; window = 8; por = true };
+          P.Axiom { test; family = Model.Weak_ordering; window = 8 };
+        ])
+    [ Printf.sprintf "inc%d" (Litmus.max_inc_threads + 1); "inc1000000000" ]
+
 let test_cache_keys_distinct () =
   let queries =
     [
@@ -484,6 +549,8 @@ let suite =
       ("typed errors", test_typed_errors);
       ("cache key uses the structural hash", test_cache_key_name_independent);
       ("cache keys pairwise distinct", test_cache_keys_distinct);
+      ("memoized cache keys agree across domains and aliases", test_cache_key_memo_consistent);
+      ("incN above the bound refused at once", test_incn_bounded);
       ("differential: cached bytes = direct bytes", test_cached_bytes_identical_to_direct);
       ("extmem routing is byte-identical and resumes partials",
        test_extmem_routing_byte_identical);

@@ -473,7 +473,34 @@ let test_decoders_never_raise () =
       end
     in
     decoders_total s
-  done
+  done;
+  (* Results nested [k] deep around a Pong, 5 bytes a level: a few levels
+     decode, and 3 million levels (15 MB) are refused at once instead of
+     recursing 3 million times *)
+  let nested k =
+    let b = Buffer.create ((5 * k) + 2) in
+    Buffer.add_uint8 b P.version;
+    for _ = 1 to k do
+      Buffer.add_uint8 b 1;
+      Buffer.add_int32_be b 1l
+    done;
+    Buffer.add_uint8 b 4;
+    Buffer.contents b
+  in
+  let rec wrap k r = if k = 0 then r else wrap (k - 1) (P.Results [ r ]) in
+  Alcotest.(check string) "nested encoding as built" (P.encode_response (wrap 3 P.Pong)) (nested 3);
+  (match P.decode_response (nested 3) with
+   | Ok r -> Alcotest.(check bool) "3 levels decode" true (r = wrap 3 P.Pong)
+   | Error m -> Alcotest.failf "3 levels: %s" m);
+  let deep = nested 3_000_000 in
+  decoders_total deep;
+  let t0 = Unix.gettimeofday () in
+  (match P.decode_response deep with
+   | Ok _ -> Alcotest.fail "3 million levels decoded"
+   | Error m ->
+     Alcotest.(check bool) ("refused for its nesting: " ^ m) true
+       (Astring.String.is_infix ~affix:"nesting" m));
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 0.5)
 
 let test_i64_out_of_range_rejected () =
   (* a wire integer outside OCaml's 63-bit range is refused, not wrapped:

@@ -524,6 +524,111 @@ let test_mixed_trace_chaos_then_clean_restart () =
   Alcotest.(check bool) "clean restart over the battered cache = clean bytes" true
     (List.map fst (trace_answers ~cache_dir) = clean)
 
+(* -- the connection reader: frames split and joined across reads --------- *)
+
+(* a raw socket to the daemon, for byte streams Client never sends *)
+let with_raw_socket address f =
+  match address with
+  | P.Tcp _ -> Alcotest.fail "unix socket expected"
+  | P.Unix_path path ->
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    (* a daemon that never answers fails the test instead of hanging it *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    f fd
+
+let frame payload =
+  let b = Buffer.create (8 + String.length payload) in
+  Buffer.add_string b "MRF1";
+  Buffer.add_int32_be b (Int32.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let reply fd =
+  match P.read_frame fd with
+  | Ok (Some payload) -> payload
+  | Ok None -> Alcotest.fail "connection closed without an answer"
+  | Error m -> Alcotest.fail m
+
+let decoded fd =
+  match P.decode_response (reply fd) with Ok r -> r | Error m -> Alcotest.fail m
+
+let query_frame q = frame (P.encode_request (P.Query (q, P.no_limits)))
+
+let test_two_frames_one_write () =
+  with_server @@ fun address _ ->
+  with_raw_socket address @@ fun fd ->
+  send fd (frame (P.encode_request P.Ping) ^ query_frame q_verify);
+  (match decoded fd with P.Pong -> () | r -> Alcotest.failf "first: %s" (P.render_response r));
+  match decoded fd with
+  | P.Result { result = { P.payload = P.Verdict { agrees = true; _ }; _ }; _ } -> ()
+  | r -> Alcotest.failf "second: %s" (P.render_response r)
+
+let test_frame_byte_by_byte () =
+  with_server @@ fun address _ ->
+  let request = query_frame q_verify in
+  (* warm the cache, then take the memory hit's reply as the reference *)
+  let whole =
+    with_raw_socket address @@ fun fd ->
+    send fd request;
+    ignore (reply fd);
+    send fd request;
+    reply fd
+  in
+  with_raw_socket address @@ fun fd ->
+  String.iter
+    (fun ch ->
+      send fd (String.make 1 ch);
+      ignore (Unix.select [] [] [] 0.002))
+    request;
+  Alcotest.(check string) "same reply as the whole frame" whole (reply fd)
+
+let test_batch_larger_than_buffer () =
+  with_server @@ fun address _ ->
+  let items =
+    List.init 1000 (fun i ->
+        ( P.Verify
+            { test = List.nth [ "sb"; "mp"; "lb"; "inc" ] (i mod 4);
+              family = List.nth [ Model.Sequential_consistency; Model.Total_store_order ] (i / 4 mod 2);
+              window = 8 + (i mod 3) },
+          P.no_limits ))
+  in
+  let request = frame (P.encode_request (P.Batch items)) in
+  Alcotest.(check bool) "frame larger than the 4 KiB reader" true (String.length request > 8192);
+  (* once warm, every item is a memory hit spliced from the cache: the
+     reply is exactly the direct answers' bytes *)
+  let expected =
+    P.encode_items_response
+      (List.map
+         (fun (q, limits) ->
+           match Engine.run ~caps:Engine.no_caps q limits with
+           | Ok r -> P.encode_result_item ~origin:P.Memory_hit (P.encode_result r)
+           | Error e -> Alcotest.fail e.Engine.message)
+         items)
+  in
+  with_raw_socket address @@ fun fd ->
+  send fd request;
+  ignore (reply fd);
+  send fd (request ^ request);
+  Alcotest.(check string) "first warm reply" expected (reply fd);
+  Alcotest.(check string) "pipelined warm reply" expected (reply fd)
+
+let test_malformed_after_good () =
+  with_server @@ fun address _ ->
+  with_raw_socket address @@ fun fd ->
+  send fd (frame (P.encode_request P.Ping) ^ "XRF1\000\000\000\001z");
+  (match decoded fd with P.Pong -> () | r -> Alcotest.failf "first: %s" (P.render_response r));
+  (match decoded fd with
+   | P.Error { code = P.Bad_request; _ } -> ()
+   | r -> Alcotest.failf "expected bad-request: %s" (P.render_response r));
+  match P.read_frame fd with
+  | Ok None -> ()
+  | Ok (Some _) | Error _ -> Alcotest.fail "connection should close after a malformed frame"
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -545,4 +650,8 @@ let suite =
       ("mixed trace: cold = warm = disk bytes", test_mixed_trace_tiers_identical);
       ("warm hit >= 100x faster than a cold inc5 enumeration", test_warm_hit_100x_faster_than_cold);
       ("mixed trace under chaos, then a clean restart", test_mixed_trace_chaos_then_clean_restart);
+      ("reader: two frames in one write answered in order", test_two_frames_one_write);
+      ("reader: a frame sent byte by byte", test_frame_byte_by_byte);
+      ("reader: a batch larger than its buffer, byte-identical", test_batch_larger_than_buffer);
+      ("reader: a malformed frame after a good one", test_malformed_after_good);
     ]
