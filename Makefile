@@ -73,6 +73,10 @@ ci:
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --extmem --mem-budget 1 | grep -q "states 3931"
 	# the in-RAM worklist (spliced successor keys) on the same test
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --model pso | grep -q "states 3931"
+	# the sleep sets skip building successors but leave every counter as
+	# the plain worklist reports it
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model tso | grep -q "transitions 8828; dedup hits 4898"
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model tso | grep -q "max frontier 25"
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --model wo | grep -q "states 1916"
 	rm -rf /tmp/memrel_ci_spill
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --spill-dir /tmp/memrel_ci_spill --max-states 1500 > /dev/null; test $$? -eq 3

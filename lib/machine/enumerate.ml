@@ -37,10 +37,10 @@ type effect_ = Local | Read of int | Write of int
 (* the shared-memory effect of one enabled transition. Under the buffered
    disciplines (TSO/PSO) executing a store only appends to the thread's own
    buffer — the globally visible write is the later Flush. *)
-let transition_effect ~buffered th = function
+let transition_effect ~buffered prog = function
   | Semantics.Flush { loc; _ } -> Write loc
   | Semantics.Exec { index; _ } ->
-    (match th.State.prog.(index) with
+    (match prog.(index) with
      | Instr.Binop _ | Instr.Fence _ -> Local
      | Instr.Load { loc; _ } -> Read loc
      | Instr.Store { loc; _ } -> if buffered then Local else Write loc
@@ -87,9 +87,9 @@ let select_ample ~buffered st per_thread =
             others_writes := !others_writes lor snd fp.(j)
           end
         done;
-        let th = st.State.threads.(k) in
-        let independent (label, _) =
-          match transition_effect ~buffered th label with
+        let prog = st.State.threads.(k).State.prog in
+        let independent label =
+          match transition_effect ~buffered prog label with
           | Local -> true
           | Read l -> !others_writes land (1 lsl l) = 0
           | Write l -> !others_all land (1 lsl l) = 0
@@ -106,11 +106,11 @@ let select_ample ~buffered st per_thread =
    function of the state alone, so the two engines explore the same reduced
    graph regardless of traversal order. *)
 
-let expand ~por discipline st =
-  if not por then (Semantics.transitions discipline st, 0)
+let expand_labels ~por discipline st =
+  if not por then (Semantics.enabled discipline st, 0)
   else begin
     let per_thread =
-      Array.init (Array.length st.State.threads) (Semantics.thread_transitions discipline st)
+      Array.init (Array.length st.State.threads) (Semantics.thread_enabled discipline st)
     in
     match select_ample ~buffered:(Semantics.buffered discipline) st per_thread with
     | Some k ->
@@ -120,10 +120,55 @@ let expand ~por discipline st =
     | None -> (Array.fold_right (fun l acc -> l @ acc) per_thread [], 0)
   end
 
+let expand ~por discipline st =
+  let labels, pruned = expand_labels ~por discipline st in
+  (List.map (fun l -> (l, Semantics.step discipline st l)) labels, pruned)
+
+(* -- sleep sets ----------------------------------------------------------
+
+   Each label of a state space gets one bit: thread k's exec of
+   instruction i, and under TSO/PSO thread k's flush of location l, for
+   every location of the layout. [dep.(b)] masks the labels that do not
+   commute with bit b: the same thread's, and those accessing the same
+   location where one of the two accesses writes ([transition_effect], as
+   for POR). None past one word of labels. *)
+
+type sleep_table = {
+  base : int array;  (* thread k's bits: base.(k) + i for its instruction i, then its flushes *)
+  locs : int;  (* flush labels per thread *)
+  dep : int array;
+}
+
+let sleep_table discipline root =
+  let buffered = Semantics.buffered discipline and threads = root.State.threads in
+  let n = Array.length threads and locs = if buffered then Array.length root.State.mem else 0 in
+  let base = Array.make (n + 1) 0 in
+  Array.iteri (fun k th -> base.(k + 1) <- base.(k) + Array.length th.State.prog + locs) threads;
+  if base.(n) > Sys.int_size - 2 then None
+  else begin
+    let effects k (th : State.thread) =
+      List.init (Array.length th.prog) (fun index -> Semantics.Exec { thread = k; index })
+      @ List.init locs (fun loc -> Semantics.Flush { thread = k; loc })
+      |> List.map (fun l -> (k, transition_effect ~buffered th.prog l))
+    in
+    let labels = Array.of_list (List.concat (List.mapi effects (Array.to_list threads))) in
+    let conflict (k, e) (k', e') =
+      k = k'
+      || match (e, e') with (Read x | Write x), Write y | Write x, Read y -> x = y | _ -> false
+    in
+    let dep a = Array.fold_right (fun b m -> (m lsl 1) lor Bool.to_int (conflict a b)) labels 0 in
+    Some { base; locs; dep = Array.map dep labels }
+  end
+
+let label_bit t = function
+  | Semantics.Exec { thread; index } -> t.base.(thread) + index
+  | Semantics.Flush { thread; loc } -> t.base.(thread + 1) - t.locs + loc
+
 (* -- iterative exploration --------------------------------------------- *)
 
-(* a state on the worklist, with its packed key and the key's section ends *)
-type entry = { st : State.t; depth : int; key : Bytes.t; ends : int array }
+(* a state on the worklist, with its sleep set, its packed key and the
+   key's section ends *)
+type entry = { st : State.t; depth : int; sleep : int; key : Bytes.t; ends : int array }
 
 let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~observe =
   (* one packer and one arena per call: keys are packed into the scratch
@@ -150,28 +195,59 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
      through one path and yields a partial result *)
   let exception Stop of Memrel_prob.Budget.cause in
   (* admit [st], whose key the packer holds *)
-  let visit st depth =
+  let visit st depth sleep =
     let key = State.packed_bytes packer and len = State.packed_length packer in
-    if Arena_set.add visited key len then
-      Stack.push
-        { st; depth; key = Bytes.sub key 0 len; ends = Array.copy (State.packed_ends packer) }
-        stack
+    if Arena_set.add visited key len then begin
+      let ends = Array.copy (State.packed_ends packer) in
+      Stack.push { st; depth; sleep; key = Bytes.sub key 0 len; ends } stack
+    end
     else incr dedup_hits
   in
   let successors st =
-    let ts, pruned = expand ~por discipline st in
+    let labels, pruned = expand_labels ~por discipline st in
     if pruned > 0 then begin
       incr por_ample_states;
       por_pruned := !por_pruned + pruned
     end;
-    ts
+    labels
+  in
+  (* a label's bit, and each bit's dependent labels. Every sleep set is 0
+     under POR (sleep sets would prune states the ample sets keep, whose
+     counters are pinned) and past one word of labels: there every label
+     takes bit 0, which depends on everything. *)
+  let bit, dep =
+    match if por then None else sleep_table discipline st with
+    | Some t -> (label_bit t, t.dep)
+    | None -> ((fun _ -> 0), [| -1 |])
+  in
+  (* push the successors along [labels], in order, of the state [st] whose
+     key and section ends are [key] and [ends]. The later labels are
+     explored first (the stack is LIFO): t_j's child sleeps on
+     [sleep lor later], the bits of t_{j+1..n} and of the parent's sleep
+     set, minus what t_j does not commute with. A sleeping label's
+     successor is already admitted (DESIGN.md §8): it counts as a dedup
+     hit and is never built. *)
+  let rec masks acc = function [] -> acc | l :: rest -> masks (acc lor (1 lsl bit l)) rest in
+  let rec push_successors st depth sleep key ends later = function
+    | [] -> ()
+    | l :: rest ->
+      incr transitions;
+      let b = bit l in
+      let later = later land lnot (1 lsl b) in
+      if sleep land (1 lsl b) <> 0 then incr dedup_hits
+      else begin
+        let st' = Semantics.step discipline st l in
+        State.splice packer ~parent:st key ends st';
+        visit st' (depth + 1) ((sleep lor later) land lnot dep.(b))
+      end;
+      push_successors st depth sleep key ends later rest
   in
   let exhausted = ref None in
   (try
      State.pack packer st;
-     visit st 0;
+     visit st 0 0;
      while not (Stack.is_empty stack) do
-       let { st; depth; key; ends } = Stack.pop stack in
+       let { st; depth; sleep; key; ends } = Stack.pop stack in
        if !expanded >= max_states then raise (Stop Memrel_prob.Budget.Work);
        (match budget with
         | None -> ()
@@ -187,13 +263,8 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
          let o = observe st in
          Hashtbl.replace outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt outcome_counts o))
-       | ts ->
-         List.iter
-           (fun (_, st') ->
-             incr transitions;
-             State.splice packer ~parent:st key ends st';
-             visit st' (depth + 1))
-           ts;
+       | labels ->
+         push_successors st depth sleep key ends (masks 0 labels) labels;
          let frontier = Stack.length stack in
          if frontier > !max_frontier then max_frontier := frontier
      done

@@ -15,15 +15,26 @@
     exactly — outcome sets and terminal counts are identical with and
     without it (property-tested over the whole litmus corpus); only
     [states_visited] and the exploration statistics shrink. The soundness
-    argument is spelled out in DESIGN.md §8. *)
+    argument is spelled out in DESIGN.md §8.
+
+    Without POR the worklist carries sleep sets: a transition that
+    commutes with a sibling explored before it is skipped, not built,
+    because a commuting path has already admitted its successor. It admits
+    exactly the states a plain worklist admits, in the same order, and
+    reports the same statistics (DESIGN.md §8). *)
 
 type stats = {
   elapsed_s : float;  (** wall-clock exploration time *)
   states_per_sec : float;  (** distinct states admitted per second *)
-  transitions : int;  (** transitions taken (successor edges followed) *)
-  dedup_hits : int;  (** successors discarded as already-visited states *)
+  transitions : int;
+      (** enabled transitions of the expanded states, whether their
+          successor was built or skipped as asleep *)
+  dedup_hits : int;
+      (** transitions that admitted no new state: [transitions - (admitted
+          - 1)], whether the successor was built and found visited or
+          skipped as asleep *)
   max_depth : int;  (** deepest state expanded (path length from the root) *)
-  max_frontier : int;  (** peak worklist size *)
+  max_frontier : int;  (** peak count of admitted states not yet expanded *)
   por_ample_states : int;  (** states where an ample subset was selected *)
   por_pruned : int;  (** transitions pruned by the ample-set reduction *)
 }

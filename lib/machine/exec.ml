@@ -9,11 +9,11 @@ type run = {
 let run ?(max_steps = 100_000) discipline st rng =
   let rec go st steps trace =
     if steps > max_steps then failwith "Exec.run: step limit exceeded (non-terminating semantics?)";
-    match Semantics.transitions discipline st with
+    match Semantics.enabled discipline st with
     | [] -> { final = st; steps; trace = List.rev trace }
-    | ts ->
-      let label, st' = List.nth ts (Rng.int rng (List.length ts)) in
-      go st' (steps + 1) (label :: trace)
+    | labels ->
+      let label = List.nth labels (Rng.int rng (List.length labels)) in
+      go (Semantics.step discipline st label) (steps + 1) (label :: trace)
   in
   go st 0 []
 

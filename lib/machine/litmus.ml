@@ -220,13 +220,16 @@ let find name =
   match List.find_opt (fun t -> String.equal t.name name) all with
   | Some t -> t
   | None ->
-    (* "incN" names the generalized increment family, e.g. "inc4" *)
-    if String.length name > 3 && String.sub name 0 3 = "inc" then begin
-      match int_of_string_opt (String.sub name 3 (String.length name - 3)) with
-      | Some n when n >= 2 && n <= max_inc_threads -> increment_n n
-      | _ -> raise Not_found
-    end
-    else raise Not_found
+    (* "incN" names the generalized increment family, e.g. "inc4". N must
+       be written the way [string_of_int] writes it (no sign, leading zero,
+       underscore or radix prefix), so each test has exactly one name *)
+    let suffix =
+      if String.starts_with ~prefix:"inc" name then String.sub name 3 (String.length name - 3)
+      else ""
+    in
+    match int_of_string_opt suffix with
+    | Some n when n >= 2 && n <= max_inc_threads && string_of_int n = suffix -> increment_n n
+    | _ -> raise Not_found
 
 (* -- structural hash ---------------------------------------------------
    FNV-1a over a canonical byte encoding of everything that determines a

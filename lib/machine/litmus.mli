@@ -60,8 +60,9 @@ val max_inc_threads : int
 val find : string -> t
 (** Lookup by name. Names of the form ["incN"] (2 <= N <= {!max_inc_threads})
     resolve to {!increment_n}[ N] even though only the corpus tests are in
-    {!all}. Raises [Not_found], before allocating anything for an incN name
-    above the bound. *)
+    {!all}. N is canonical decimal: ["inc05"], ["inc+5"], ["inc0x5"] or
+    ["inc0b101"] name nothing, so a test has one name. Raises [Not_found],
+    before building anything for an incN name above the bound. *)
 
 val hash : t -> string
 (** Stable structural digest (16 hex chars, FNV-1a 64) over the instruction

@@ -56,47 +56,79 @@ let conflicts prog j i =
     in
     reg_hazard || mem_hazard
 
-let drained ~pso th = if pso then State.perloc_empty th else th.State.fifo = []
+let drained discipline th =
+  match discipline with Pso -> State.perloc_empty th | Sc | Tso | Wo _ -> th.State.fifo = []
 
-(* execute instruction [i] of thread [k] under in-order buffered semantics;
-   [buffered] selects TSO (fifo) or PSO (per-location) buffering. Returns
-   None when the instruction is not currently executable (fence awaiting an
-   empty buffer). *)
-let exec_buffered ~pso st k i =
+(* -- enabledness ---------------------------------------------------------
+
+   Whether an instruction may issue depends only on its own thread (program
+   order, window hazards, the thread's buffers): never on other threads or
+   on shared memory. Under the buffered disciplines a locked instruction
+   (RMW) and a Full/Release fence wait for an empty buffer. *)
+
+let exec_ready discipline th i =
+  match discipline with
+  | Sc | Wo _ -> true
+  | Tso | Pso -> (
+    match th.State.prog.(i) with
+    | Instr.Rmw _ | Instr.Fence (Fence.Full | Fence.Release) -> drained discipline th
+    | _ -> true)
+
+(* TSO/PSO: thread [k]'s flushes consed onto [acc]. PSO flushes come
+   highest location first, the order the transition lists have always had:
+   it fixes the in-RAM worklist's visiting order, hence its max-frontier
+   statistic. *)
+let add_flushes discipline th k acc =
+  match discipline with
+  | Sc | Wo _ -> acc
+  | Tso -> (
+    match th.State.fifo with [] -> acc | (loc, _) :: _ -> Flush { thread = k; loc } :: acc)
+  | Pso ->
+    let acc = ref acc in
+    Array.iteri
+      (fun loc q -> if q <> [] then acc := Flush { thread = k; loc } :: !acc)
+      th.State.perloc;
+    !acc
+
+(* thread [k]'s enabled labels, in order, consed onto [acc]: its next
+   instruction (SC, TSO, PSO) or its window's ready instructions in index
+   order (WO), then its flushes *)
+let add_thread_enabled discipline st k acc =
   let th = st.State.threads.(k) in
-  let open Instr in
-  match th.State.prog.(i) with
-  | Binop { dst; op; a; b } ->
-    let v = apply_binop op (eval th a) (eval th b) in
-    Some (State.set_thread st k (mark (State.set_reg th dst v) i))
-  | Load { reg; loc } ->
-    let buffered =
-      if pso then State.buffered_read_perloc th loc else State.buffered_read_fifo th loc
-    in
-    let v = match buffered with Some v -> v | None -> State.mem_read st loc in
-    Some (State.set_thread st k (mark (State.set_reg th reg v) i))
-  | Store { loc; src } ->
-    let v = eval th src in
-    let th =
-      if pso then State.set_perloc_queue th loc (State.perloc_queue th loc @ [ v ])
-      else { th with State.fifo = th.State.fifo @ [ (loc, v) ] }
-    in
-    Some (State.set_thread st k (mark th i))
-  | Rmw { reg; loc; op; operand } ->
-    (* locked instruction: only executable on an empty buffer, then an
-       atomic read-modify-write straight against memory *)
-    if drained ~pso th then begin
-      let old_v = State.mem_read st loc in
-      let new_v = apply_binop op old_v (eval th operand) in
-      let st = State.set_mem st loc new_v in
-      Some (State.set_thread st k (mark (State.set_reg th reg old_v) i))
-    end
-    else None
-  | Fence (Fence.Full | Fence.Release) ->
-    if drained ~pso th then Some (State.set_thread st k (mark th i)) else None
-  | Fence Fence.Acquire -> Some (State.set_thread st k (mark th i))
+  let n = Array.length th.State.prog in
+  let pc = State.next_unexecuted th in
+  match discipline with
+  | Sc | Tso | Pso ->
+    let acc = add_flushes discipline th k acc in
+    if pc < n && exec_ready discipline th pc then Exec { thread = k; index = pc } :: acc else acc
+  | Wo { window } ->
+    let acc = ref acc in
+    for i = min (n - 1) (pc + window - 1) downto pc do
+      if not (State.is_executed th i) then begin
+        let ready = ref true in
+        for j = 0 to i - 1 do
+          if (not (State.is_executed th j)) && conflicts th.State.prog j i then ready := false
+        done;
+        if !ready then acc := Exec { thread = k; index = i } :: !acc
+      end
+    done;
+    !acc
 
-let exec_direct st k i =
+let thread_enabled discipline st k = add_thread_enabled discipline st k []
+
+let enabled discipline st =
+  let acc = ref [] in
+  for k = Array.length st.State.threads - 1 downto 0 do
+    acc := add_thread_enabled discipline st k !acc
+  done;
+  !acc
+
+(* -- one successor -------------------------------------------------------- *)
+
+(* instruction [i] of thread [k]: under TSO/PSO stores go to the thread's
+   buffer and loads forward from it (newest matching entry); under SC/WO
+   both act on memory directly *)
+let exec discipline st k i =
   let th = st.State.threads.(k) in
   let open Instr in
   match th.State.prog.(i) with
@@ -104,82 +136,47 @@ let exec_direct st k i =
     let v = apply_binop op (eval th a) (eval th b) in
     State.set_thread st k (mark (State.set_reg th dst v) i)
   | Load { reg; loc } ->
-    let v = State.mem_read st loc in
+    let forwarded =
+      match discipline with
+      | Sc | Wo _ -> None
+      | Tso -> State.buffered_read_fifo th loc
+      | Pso -> State.buffered_read_perloc th loc
+    in
+    let v = match forwarded with Some v -> v | None -> State.mem_read st loc in
     State.set_thread st k (mark (State.set_reg th reg v) i)
   | Store { loc; src } ->
     let v = eval th src in
-    State.set_thread (State.set_mem st loc v) k (mark th i)
+    (match discipline with
+     | Sc | Wo _ -> State.set_thread (State.set_mem st loc v) k (mark th i)
+     | Tso -> State.set_thread st k (mark { th with State.fifo = th.State.fifo @ [ (loc, v) ] } i)
+     | Pso ->
+       let queue = State.perloc_queue th loc @ [ v ] in
+       State.set_thread st k (mark (State.set_perloc_queue th loc queue) i))
   | Rmw { reg; loc; op; operand } ->
+    (* atomic read-modify-write straight against memory (under TSO/PSO a
+       locked instruction, enabled only on an empty buffer) *)
     let old_v = State.mem_read st loc in
     let new_v = apply_binop op old_v (eval th operand) in
     State.set_thread (State.set_mem st loc new_v) k (mark (State.set_reg th reg old_v) i)
   | Fence _ -> State.set_thread st k (mark th i)
 
-let flush_transitions ~pso st k =
+(* publish the oldest buffered store of thread [k] to [loc] *)
+let flush discipline st k loc =
   let th = st.State.threads.(k) in
-  if pso then begin
-    (* highest location first, the order the transition lists have always
-       had: it fixes the in-RAM worklist's visiting order, hence its
-       max-frontier statistic *)
-    let acc = ref [] in
-    for loc = 0 to Array.length th.State.perloc - 1 do
-      match th.State.perloc.(loc) with
-      | [] -> ()
-      | v :: rest ->
-        let th' = State.set_perloc_queue th loc rest in
-        let st' = State.set_thread (State.set_mem st loc v) k th' in
-        acc := (Flush { thread = k; loc }, st') :: !acc
-    done;
-    !acc
-  end
-  else begin
-    match th.State.fifo with
-    | [] -> []
-    | (loc, v) :: rest ->
-      let st' = State.set_thread (State.set_mem st loc v) k { th with State.fifo = rest } in
-      [ (Flush { thread = k; loc }, st') ]
-  end
-
-let thread_transitions discipline st k =
-  let th = st.State.threads.(k) in
-  let n = Array.length th.State.prog in
   match discipline with
-  | Sc ->
-    let pc = State.next_unexecuted th in
-    if pc >= n then [] else [ (Exec { thread = k; index = pc }, exec_direct st k pc) ]
-  | Tso | Pso ->
-    let pso = discipline = Pso in
-    let execs =
-      let pc = State.next_unexecuted th in
-      if pc >= n then []
-      else begin
-        match exec_buffered ~pso st k pc with
-        | Some st' -> [ (Exec { thread = k; index = pc }, st') ]
-        | None -> []
-      end
-    in
-    execs @ flush_transitions ~pso st k
-  | Wo { window } ->
-    let oldest = State.next_unexecuted th in
-    if oldest >= n then []
-    else begin
-      let limit = min (n - 1) (oldest + window - 1) in
-      let out = ref [] in
-      for i = limit downto oldest do
-        if not (State.is_executed th i) then begin
-          let ready = ref true in
-          for j = 0 to i - 1 do
-            if (not (State.is_executed th j)) && conflicts th.State.prog j i then ready := false
-          done;
-          if !ready then out := (Exec { thread = k; index = i }, exec_direct st k i) :: !out
-        end
-      done;
-      !out
-    end
+  | Pso -> (
+    match th.State.perloc.(loc) with
+    | v :: rest -> State.set_thread (State.set_mem st loc v) k (State.set_perloc_queue th loc rest)
+    | [] -> invalid_arg "Semantics.step: flush of an empty buffer")
+  | Sc | Tso | Wo _ -> (
+    match th.State.fifo with
+    | (l, v) :: rest when l = loc ->
+      State.set_thread (State.set_mem st loc v) k { th with State.fifo = rest }
+    | _ -> invalid_arg "Semantics.step: flush of an empty buffer")
+
+let step discipline st = function
+  | Exec { thread; index } -> exec discipline st thread index
+  | Flush { thread; loc } -> flush discipline st thread loc
 
 let transitions discipline st =
-  let acc = ref [] in
-  for k = Array.length st.State.threads - 1 downto 0 do
-    acc := thread_transitions discipline st k @ !acc
-  done;
-  !acc
+  List.map (fun l -> (l, step discipline st l)) (enabled discipline st)

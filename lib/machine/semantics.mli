@@ -41,19 +41,27 @@ type label =
 
 val label_to_string : label -> string
 
-val transitions : discipline -> State.t -> (label * State.t) list
-(** All enabled transitions from a state; the empty list exactly on
+val enabled : discipline -> State.t -> label list
+(** The labels of all enabled transitions, in thread order and within a
+    thread in the order {!thread_enabled} gives; the empty list exactly on
     terminal states (every thread done, buffers drained). *)
 
-val thread_transitions : discipline -> State.t -> int -> (label * State.t) list
-(** [thread_transitions d st k]: the enabled transitions of thread [k]
-    only. [transitions] is their concatenation over all threads, in thread
-    order; exposed so the enumerator's partial-order reduction can select
-    an ample thread without re-deriving the grouping from labels.
-    A thread's enabledness depends only on its own context (program
-    counter, window hazards, its buffers) — never on other threads or on
-    shared memory — a fact the reduction's soundness argument relies on
-    (DESIGN.md §8). *)
+val thread_enabled : discipline -> State.t -> int -> label list
+(** [thread_enabled d st k]: the enabled labels of thread [k] only: its
+    next instruction (SC, TSO, PSO) or the ready instructions of its window
+    in index order (WO), then, under TSO/PSO, its flushes (PSO: highest
+    location first). A thread's enabledness depends only on its own context
+    (program counter, window hazards, its buffers) — never on other threads
+    or on shared memory — a fact the reduction's soundness argument relies
+    on (DESIGN.md §8). *)
+
+val step : discipline -> State.t -> label -> State.t
+(** [step d st l]: the successor of [st] along [l], which must be enabled
+    at [st] (a flush of an empty buffer raises [Invalid_argument]). Builds
+    only that successor. *)
+
+val transitions : discipline -> State.t -> (label * State.t) list
+(** {!step} mapped over {!enabled}. *)
 
 val conflicts : Instr.t array -> int -> int -> bool
 (** [conflicts prog j i] (for [j < i]): must [j] execute before [i] under

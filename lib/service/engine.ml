@@ -42,8 +42,8 @@ module Names = Map.Make (String)
 
 (* (hash, test) by name, memoized: [Litmus.find] rebuilds an incN test and
    [Litmus.hash] walks it byte by byte, and neither answer ever changes.
-   Only canonical names are kept (["inc05"] also finds inc5 but is not
-   stored), so the table holds at most the corpus and incN up to
+   Every test has one name ([Litmus.find] refuses ["inc05"]), so the
+   table holds at most the corpus and incN up to
    [Litmus.max_inc_threads]. Worker domains read an immutable snapshot; a
    miss computes outside any lock and publishes with compare-and-set, and
    a domain that loses the race has only recomputed the same value. *)
@@ -60,7 +60,7 @@ let litmus_hash name =
     match Litmus.find name with
     | t ->
       let v = (Litmus.hash t, t) in
-      if String.equal t.Litmus.name name then publish name v;
+      publish name v;
       Ok v
     | exception Not_found ->
       Error

@@ -148,5 +148,6 @@ let () =
         [
           Alcotest.test_case "enumerate nosuchtest" `Quick (unknown_test "nosuchtest");
           Alcotest.test_case "enumerate inc1000000000" `Quick (unknown_test "inc1000000000");
+          Alcotest.test_case "enumerate inc05" `Quick (unknown_test "inc05");
         ] );
     ]

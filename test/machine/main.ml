@@ -12,4 +12,5 @@ let () =
       ("litmus_files", Test_litmus_files.suite);
       ("differential", Test_differential.suite);
       ("exec", Test_exec.suite);
+      ("sleep sets", Test_sleep_sets.suite);
     ]

@@ -312,15 +312,16 @@ let test_two_domains_agree () =
 let test_minor_words_per_transition () =
   (* allocation guard: packing into the scratch bytes and probing the arena
      allocate nothing per successor, so what remains is mostly building the
-     successor states themselves *)
+     successor states themselves, and the sleep sets build only about half
+     of those (without them this reads about 62) *)
   let t = L.increment_n 4 in
   let root = L.initial_state t in
   ignore (E.outcomes Sem.Tso root ~observe:t.L.observe);
   let before = Gc.minor_words () in
   let r = E.outcomes Sem.Tso root ~observe:t.L.observe in
   let words = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
-  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per transition <= 80" words) true
-    (words <= 80.0)
+  Alcotest.(check bool) (Printf.sprintf "%.1f minor words per transition <= 45" words) true
+    (words <= 45.0)
 
 (* the in-RAM worklist's counters on inc5, taken from the enumerator
    before successor keys were spliced: states, transitions, dedup hits,

@@ -23,7 +23,12 @@ let test_find () =
   Alcotest.check_raises "incN above the bound" Not_found (fun () ->
       ignore (L.find (Printf.sprintf "inc%d" (L.max_inc_threads + 1))));
   Alcotest.check_raises "a billion threads refused" Not_found (fun () ->
-      ignore (L.find "inc1000000000"))
+      ignore (L.find "inc1000000000"));
+  List.iter
+    (fun name ->
+      Alcotest.check_raises (name ^ " is not a name of inc5") Not_found (fun () ->
+          ignore (L.find name)))
+    [ "inc05"; "inc0x5"; "inc0b101"; "inc+5"; "inc5_"; "inc1_0"; "inc-5"; "inc 5"; "inc002" ]
 
 (* The heart of the operational validation: every corpus expectation must
    hold under exhaustive enumeration for every model. One alcotest case per

@@ -1,7 +1,8 @@
-(* Oracles for the engines in lib/. The axiomatic and exact-arithmetic
-   references live in their own modules: *)
+(* Oracles for the engines in lib/. The axiomatic, plain-DFS enumeration
+   and exact-arithmetic references live in their own modules: *)
 
 module Generate = Generate
+module Enumerate_reference = Enumerate_reference
 module Three_way = Three_way
 module Axioms_reference = Axioms_reference
 module Order_reference = Order_reference
