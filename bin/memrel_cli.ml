@@ -816,13 +816,12 @@ let axiom_cmd =
         let partial = s.Axiom_solver.exhausted <> None in
         Printf.printf
           "  %-4s %d allowed outcomes (%d candidates of naive 10^%.1f; %.0f cand/s)\n\
-          \       decisions %d; propagations %d; conflicts %d; backjumps %d; forced %d; memo \
-           hits %d%s\n"
+          \       decisions %d; propagations %d; conflicts %d; forced %d; memo hits %d%s\n"
           (Model.family_name family)
           (List.length r.Axiom_solver.entries)
           s.Axiom_solver.accepted s.Axiom_solver.log10_naive_space
           s.Axiom_solver.candidates_per_sec s.Axiom_solver.decisions s.Axiom_solver.propagations
-          s.Axiom_solver.conflicts s.Axiom_solver.backjumps s.Axiom_solver.forced
+          s.Axiom_solver.conflicts s.Axiom_solver.forced
           s.Axiom_solver.memo_hits
           (if partial then " (PARTIAL coverage)" else "");
         Option.iter
@@ -927,7 +926,7 @@ let axiom_cmd =
   Cmd.v
     (Cmd.info "axiom" ~exits
        ~doc:"Enumerate axiomatically allowed executions (event graphs; acyclicity axioms \
-             per model) with the conflict-driven co/rf solver and cross-check them against \
+             per model) with the chronological co/rf solver and cross-check them against \
              the operational enumeration. Budget flags (--deadline, --max-mem, \
              --max-candidates) apply per test and model, imply --no-diff, and report \
              partial coverage honestly.")

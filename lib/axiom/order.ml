@@ -78,4 +78,3 @@ let pop t =
 
 let additions t = t.additions
 let rejections t = t.rejections
-let undo_records t = Trail.records t.trail

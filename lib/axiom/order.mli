@@ -45,7 +45,3 @@ val additions : t -> int
 
 val rejections : t -> int
 (** Insertions refused by the cycle check (monotonic). *)
-
-val undo_records : t -> int
-(** Total words ever trailed (monotonic) — the work a snapshot scheme
-    would have copied wholesale; telemetry for the trail-vs-copy bench. *)

@@ -1,4 +1,4 @@
-(** Conflict-driven enumeration of allowed candidate executions — the
+(** Chronological enumeration of allowed candidate executions — the
     axiomatic engine.
 
     The solver walks the {e same} decision tree as a plain generate-and-prune
@@ -7,14 +7,12 @@
     candidate set generate-and-prune does, with the same per-outcome
     candidate counts; that enumeration is kept in the test oracle library
     as the solver's differential reference. The difference is machinery:
-    trail-based incremental acyclicity with per-instance watched wakeups,
-    root propagation (static rf-domain filtering, forced assignments,
-    cross-instance implied coherence edges recorded in a {!Relations} layer
-    and turned into must-precede pruning), conflict analysis that recovers
-    the decision levels a detected cycle actually depends on, backjumping
-    over levels that provably did not contribute (guarded so only leafless
-    subtrees are skipped), and memoized leaf outcomes keyed by the rf
-    vector and each location's coherence-maximal write. *)
+    each decision's edges go into trail-based incremental acyclicity
+    closures with per-instance watched wakeups, so a subtree is cut as soon
+    as its prefix closes a cycle; rf domains are filtered against the
+    static closures before search (a singleton domain becomes a forced
+    assignment); and leaf outcomes are memoized, keyed by the rf vector
+    and each location's coherence-maximal write. *)
 
 type stats = {
   events : int;
@@ -22,8 +20,7 @@ type stats = {
   decisions : int;  (** co/rf value attempts (skips by pruning excluded) *)
   propagations : int;  (** edges installed into watching instances *)
   conflicts : int;  (** edge insertions rejected by a cycle check *)
-  backjumps : int;  (** decision levels skipped by conflict analysis *)
-  forced : int;  (** root-propagation facts: forced rf + implied co *)
+  forced : int;  (** rf assignments forced by root domain filtering *)
   memo_hits : int;  (** leaves answered by the outcome memo table *)
   distinct_keys : int;  (** distinct (rf, co-last) keys seen at leaves *)
   log10_naive_space : float;

@@ -4,7 +4,6 @@ type t = {
   mutable len : int;
   mutable marks : int array;
   mutable mlen : int;
-  mutable total : int;
 }
 
 let create ?(capacity = 64) () =
@@ -15,7 +14,6 @@ let create ?(capacity = 64) () =
     len = 0;
     marks = Array.make 16 0;
     mlen = 0;
-    total = 0;
   }
 
 let grow t =
@@ -30,8 +28,7 @@ let save t slot old =
   if t.len = Array.length t.slots then grow t;
   t.slots.(t.len) <- slot;
   t.olds.(t.len) <- old;
-  t.len <- t.len + 1;
-  t.total <- t.total + 1
+  t.len <- t.len + 1
 
 let mark t =
   if t.mlen = Array.length t.marks then begin
@@ -41,8 +38,6 @@ let mark t =
   end;
   t.marks.(t.mlen) <- t.len;
   t.mlen <- t.mlen + 1
-
-let depth t = t.mlen
 
 let undo t ~restore =
   if t.mlen = 0 then invalid_arg "Trail.undo: no mark";
@@ -54,6 +49,3 @@ let undo t ~restore =
     restore t.slots.(i) t.olds.(i)
   done;
   t.len <- stop
-
-let records t = t.total
-let pending t = t.len

@@ -1,13 +1,13 @@
 (** Backtracking trail: per-mutation undo records instead of snapshots.
 
-    The search structures that back the axiomatic engines (the {!Order}
-    closure, the solver's watch/edge stacks) mutate flat [int] stores. A
-    trail records, for each mutated slot, its pre-mutation value; {!mark}
-    opens a decision scope in O(1) and {!undo} rewinds exactly the slots
-    the scope touched — the cost of backtracking becomes proportional to
-    the work done inside the scope, not to the size of the structure (the
-    seed implementation copied every row at every search node). Records are replayed newest-first so a slot saved
-    twice within one scope ends on its oldest value. *)
+    The {!Order} closure behind the axiomatic solver mutates a flat [int]
+    store. A trail records, for each mutated slot, its pre-mutation value;
+    {!mark} opens a decision scope in O(1) and {!undo} rewinds exactly the
+    slots the scope touched — the cost of backtracking becomes proportional
+    to the work done inside the scope, not to the size of the structure
+    (the seed implementation copied every row at every search node).
+    Records are replayed newest-first so a slot saved twice within one
+    scope ends on its oldest value. *)
 
 type t
 
@@ -27,13 +27,3 @@ val undo : t -> restore:(int -> int -> unit) -> unit
 (** Close the most recent scope: call [restore slot old] for every record
     saved since its {!mark}, newest first, and drop them. Raises
     [Invalid_argument] with no open scope. *)
-
-val depth : t -> int
-(** Open scopes. *)
-
-val pending : t -> int
-(** Records not yet undone (across all open scopes). *)
-
-val records : t -> int
-(** Total records ever saved (monotonic) — telemetry for the
-    trail-vs-snapshot benches. *)

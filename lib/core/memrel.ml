@@ -73,7 +73,6 @@ module Litmus_parse = Memrel_machine.Parse
 module Axiom_event = Memrel_axiom.Event
 module Axiom_order = Memrel_axiom.Order
 module Axiom_trail = Memrel_axiom.Trail
-module Axiom_relations = Memrel_axiom.Relations
 module Axioms = Memrel_axiom.Axioms
 module Axiom_candidate = Memrel_axiom.Candidate
 module Axiom_solver = Memrel_axiom.Solver

@@ -1,7 +1,7 @@
 (** Query dispatch: protocol queries onto the repo's engines.
 
     Each {!Protocol.query} kind maps to one engine — [Verify]/[Enumerate]
-    to the exhaustive enumerator, [Axiom] to the conflict-driven solver,
+    to the exhaustive enumerator, [Axiom] to the chronological solver,
     [Estimate] to the Monte Carlo estimators (fixed-trial or, with a target
     width, adaptive) at [jobs:1], so every answer is deterministic per
     query. Per-request {!Protocol.limits} are clamped field-wise by the

@@ -34,7 +34,7 @@ type query =
       por : bool;
     }
   | Axiom of { test : string; family : Memrel_memmodel.Model.family; window : int }
-      (** answered by the conflict-driven {!Memrel_axiom.Solver} *)
+      (** answered by the chronological {!Memrel_axiom.Solver} *)
   | Estimate of {
       kind : estimate_kind;
       family : Memrel_memmodel.Model.family;

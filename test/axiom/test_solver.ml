@@ -1,9 +1,12 @@
-(* The conflict-driven solver must be observationally indistinguishable
+(* The chronological solver must be observationally indistinguishable
    from its generate-and-prune oracle: same decision tree, so not just the
    same outcome sets but the same accepted-candidate count per outcome.
-   The parity tests below pin that across the whole corpus under all four
-   models (and across WO windows, whose static edges reshape every
-   instance). The solver-only tests then go where Generate cannot: sizes
+   The parity tests below pin that across the whole corpus and the shipped
+   examples/litmus files under all four models (and across WO windows,
+   whose static edges reshape every instance). A table then pins the
+   search's own counters, so a change to decision order or propagation
+   shows even where outcomes do not move. The solver-only tests go where
+   Generate cannot: sizes
    whose candidate spaces make generate-and-prune exceed any reasonable
    budget, pinned against hand-written expectations and the operational
    enumerator. *)
@@ -26,6 +29,17 @@ let generate_entries ?window t family =
 let solver_entries ?window t family =
   List.map (fun e -> (e.S.outcome, e.S.candidates)) (S.run ?window t family).S.entries
 
+(* the examples/litmus files, copied next to the test binary by dune;
+   seqlock-read is the one whose root propagation forces an edge *)
+let litmus_files =
+  lazy
+    (List.map
+       (fun f ->
+         Memrel_machine.Parse.parse
+           (In_channel.with_open_bin ("litmus_files/" ^ f ^ ".litmus") In_channel.input_all))
+       [ "dekker_attempt"; "dekker_fenced"; "seqlock_read"; "ticket_counter"; "sb"; "mp"; "lb";
+         "iriw" ])
+
 (* outcome sets AND per-outcome candidate counts, corpus x models: the
    strongest cheap statement that the two engines walk the same leaves *)
 let test_corpus_parity () =
@@ -37,7 +51,7 @@ let test_corpus_parity () =
             (Printf.sprintf "%s under %s" t.L.name (Model.family_name family))
             (generate_entries t family) (solver_entries t family))
         families)
-    L.all
+    (L.all @ Lazy.force litmus_files)
 
 (* WO's reorder window rewrites the static skeleton of every instance;
    windows 1-3 cover no-reordering, adjacent-swap, and genuinely weak *)
@@ -51,7 +65,46 @@ let test_wo_window_parity () =
             (generate_entries ~window t Model.Weak_ordering)
             (solver_entries ~window t Model.Weak_ordering))
         [ 1; 2; 3 ])
-    L.all
+    (L.all @ Lazy.force litmus_files)
+
+(* accepted, decisions, propagations, conflicts and memo_hits per model
+   (SC, TSO, PSO, WO; incN under SC only), as in BENCH_axiom.json *)
+let search_shape =
+  [
+    ("inc", [ (4, 14, 6, 3, 0); (4, 14, 12, 3, 0); (4, 14, 12, 3, 0); (4, 14, 6, 3, 0) ]);
+    ("inc+rmw", [ (2, 12, 2, 4, 0); (2, 12, 4, 4, 0); (2, 12, 4, 4, 0); (2, 12, 2, 4, 0) ]);
+    ("sb", [ (3, 8, 4, 1, 0); (4, 8, 12, 0, 0); (4, 8, 12, 0, 0); (4, 8, 6, 0, 0) ]);
+    ("sb+fence", [ (3, 8, 4, 1, 0); (3, 8, 9, 1, 0); (3, 8, 9, 1, 0); (3, 8, 4, 1, 0) ]);
+    ("sb+fence1", [ (3, 8, 4, 1, 0); (4, 8, 12, 0, 0); (4, 8, 12, 0, 0); (4, 8, 6, 0, 0) ]);
+    ("mp", [ (3, 8, 4, 1, 0); (3, 8, 9, 1, 0); (4, 8, 12, 0, 0); (4, 8, 6, 0, 0) ]);
+    ("mp+ra", [ (3, 8, 4, 1, 0); (3, 8, 9, 1, 0); (3, 8, 9, 1, 0); (3, 8, 4, 1, 0) ]);
+    ("lb", [ (3, 8, 4, 1, 0); (3, 8, 9, 1, 0); (3, 8, 9, 1, 0); (4, 8, 6, 0, 0) ]);
+    ("corr", [ (3, 7, 4, 1, 0); (3, 7, 8, 1, 0); (3, 7, 8, 1, 0); (3, 7, 4, 1, 0) ]);
+    ("2+2w", [ (3, 12, 4, 1, 0); (3, 12, 9, 1, 0); (4, 12, 12, 0, 0); (4, 12, 6, 0, 0) ]);
+    ("wrc", [ (7, 16, 12, 1, 0); (7, 16, 25, 1, 0); (7, 16, 25, 1, 0); (8, 16, 14, 0, 0) ]);
+    ("iriw", [ (15, 32, 28, 1, 0); (15, 32, 57, 1, 0); (15, 32, 57, 1, 0); (16, 32, 30, 0, 0) ]);
+    ("inc3", [ (36, 135, 72, 50, 9) ]);
+    ("inc4", [ (576, 2160, 1164, 1020, 320) ]);
+    ("inc5", [ (14400, 54205, 28880, 28824, 11275) ]);
+  ]
+
+let test_search_shape () =
+  let counters = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (name, per_model) ->
+      List.iteri
+        (fun i (accepted, decisions, propagations, conflicts, memo_hits) ->
+          let family = List.nth families i in
+          let s = (S.run (L.find name) family).S.stats in
+          Alcotest.check counters
+            (Printf.sprintf "%s under %s" name (Model.family_name family))
+            [ ("accepted", accepted); ("decisions", decisions); ("propagations", propagations);
+              ("conflicts", conflicts); ("memo_hits", memo_hits) ]
+            [ ("accepted", s.S.accepted); ("decisions", s.S.decisions);
+              ("propagations", s.S.propagations); ("conflicts", s.S.conflicts);
+              ("memo_hits", s.S.memo_hits) ])
+        per_model)
+    search_shape
 
 let test_accepted_totals () =
   List.iter
@@ -189,6 +242,8 @@ let suite =
     Alcotest.test_case "corpus x models: outcome + count parity" `Quick test_corpus_parity;
     Alcotest.test_case "WO windows 1-3: outcome + count parity" `Quick test_wo_window_parity;
     Alcotest.test_case "accepted totals and memo bounds" `Quick test_accepted_totals;
+    Alcotest.test_case "search counters pinned: corpus x models, inc3-inc5 SC" `Quick
+      test_search_shape;
     Alcotest.test_case "three-way: corpus and inc3-inc5 x models" `Quick
       (check_three_way (L.all @ List.map L.increment_n [ 3; 4; 5 ]) families);
     Alcotest.test_case "three-way: inc6 under SC" `Quick (check_three_way [ L.increment_n 6 ] [ sc ]);
