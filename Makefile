@@ -71,6 +71,10 @@ ci:
 	# a state-capped run exits 3 keeping its spill dir, and --resume
 	# completes it with identical totals
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --extmem --mem-budget 1 | grep -q "states 3931"
+	# the external-memory BFS skips its sleeping successors too, and reports
+	# the plain worklist's counters
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model tso --extmem --mem-budget 1 | grep -q "transitions 8828; dedup hits 4898"
+	dune exec bin/memrel_cli.exe -- enumerate inc4 --model tso --extmem --mem-budget 1 | grep -q "states 3931"
 	# the in-RAM worklist (spliced successor keys) on the same test
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --model pso | grep -q "states 3931"
 	# the sleep sets skip building successors but leave every counter as

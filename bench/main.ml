@@ -548,24 +548,39 @@ let num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let git_rev () =
-  (* only this checkout's repository: git would otherwise search upwards *)
-  if not (Sys.file_exists ".git") then "unknown"
+(* the lines [cmd] prints, or None when it cannot run; only this
+   checkout's repository: git would otherwise search upwards *)
+let git_lines cmd =
+  if not (Sys.file_exists ".git") then None
   else
     try
-      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-      let rev = try input_line ic with End_of_file -> "unknown" in
-      ignore (Unix.close_process_in ic);
-      rev
-    with Unix.Unix_error _ -> "unknown"
+      let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+      let rec lines acc =
+        match input_line ic with l -> lines (l :: acc) | exception End_of_file -> List.rev acc
+      in
+      let out = lines [] in
+      match Unix.close_process_in ic with Unix.WEXITED 0 -> Some out | _ -> None
+    with Unix.Unix_error _ -> None
+
+let git_rev () =
+  match git_lines "git rev-parse HEAD" with Some (rev :: _) -> rev | _ -> "unknown"
+
+(* JSON true when the working tree differs from HEAD, so the rows come
+   from code that [git_rev] does not name; the BENCH files themselves do
+   not count. null outside a repository. *)
+let git_dirty_json () =
+  match git_lines "git status --porcelain -- . ':!BENCH_*.json'" with
+  | None -> "null"
+  | Some lines -> string_of_bool (lines <> [])
 
 let write_json ~mode ~smoke ~file rows =
+  let rev = git_rev () and dirty = git_dirty_json () in
   let oc = open_out file in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n  \"mode\": %S,\n" mode;
   p "  \"env\": {\"ocaml_version\": %S, \"recommended_domain_count\": %d, \"git_rev\": %S, \
-     \"smoke\": %b},\n"
-    Sys.ocaml_version (Domain.recommended_domain_count ()) (git_rev ()) smoke;
+     \"git_dirty\": %s, \"smoke\": %b},\n"
+    Sys.ocaml_version (Domain.recommended_domain_count ()) rev dirty smoke;
   p "  \"rows\": [\n";
   List.iteri
     (fun i r ->
@@ -592,7 +607,13 @@ let families =
 
 (* -- enum: in-RAM, POR and external-memory enumeration of incN ---------- *)
 
-let enum_row workload layer ?(extra = []) (r : _ Enumerate.result) =
+(* the run of [samples] whose [elapsed] is the median; a bench row takes
+   its seconds from it, and its counters, which every run repeats *)
+let median_run ~samples ~elapsed f =
+  let runs = List.init samples (fun _ -> f ()) in
+  List.nth (List.sort (fun a b -> compare (elapsed a) (elapsed b)) runs) (samples / 2)
+
+let enum_row workload layer ~samples ?(extra = []) (r : _ Enumerate.result) =
   {
     workload;
     layer;
@@ -605,15 +626,15 @@ let enum_row workload layer ?(extra = []) (r : _ Enumerate.result) =
         ("transitions", fi r.Enumerate.stats.transitions);
         ("dedup_hits", fi r.Enumerate.stats.dedup_hits);
         ("por_pruned", fi r.Enumerate.stats.por_pruned);
-        ("exhausted", flag (r.Enumerate.exhausted <> None)) ]
+        ("exhausted", flag (r.Enumerate.exhausted <> None)); ("samples", fi samples) ]
       @ extra;
   }
 
 let mb = 1024 * 1024
 
-let extmem_row workload ~mem_budget (x : _ Extmem.result) =
+let extmem_row workload ~samples ~mem_budget (x : _ Extmem.result) =
   let e = x.Extmem.ext and states = x.Extmem.base.Enumerate.states_visited in
-  enum_row workload "extmem" x.Extmem.base
+  enum_row workload "extmem" ~samples x.Extmem.base
     ~extra:
       [ ("mem_budget_bytes", fi mem_budget); ("spill_bytes", fi e.Extmem.spill_bytes);
         ("bytes_per_state", if states > 0 then fi e.Extmem.spill_bytes /. fi states else 0.0);
@@ -638,6 +659,22 @@ let enum_rows ~smoke =
   let run_ram ?budget ?(por = false) t family =
     Enumerate.outcomes ~max_states:50_000_000 ?budget ~por (Semantics.of_model family)
       (Litmus.initial_state t) ~observe:t.Litmus.observe
+  in
+  (* the grid and budgeted rows time [samples] runs each and report the
+     median; the RAM-wall rows run once *)
+  let samples = if smoke then 1 else 3 in
+  let elapsed (r : _ Enumerate.result) = r.Enumerate.stats.Enumerate.elapsed_s in
+  let ram_row w ~por t family =
+    enum_row w
+      (if por then "enumerate.por" else "enumerate")
+      ~samples
+      (median_run ~samples ~elapsed (fun () -> run_ram ~por t family))
+  in
+  let ext_row w ~mem_budget t family =
+    extmem_row w ~samples ~mem_budget
+      (median_run ~samples
+         ~elapsed:(fun x -> elapsed x.Extmem.base)
+         (fun () -> run_ext ~mem_budget t family))
   in
   (* the RAM wall (full run only): inc7/TSO in RAM under a 256 MiB major
      heap watermark, the POR run (same outcomes and terminal counts by the
@@ -671,8 +708,10 @@ let enum_rows ~smoke =
       let ram = in_subprocess (fun () -> run_ram ~budget:(watermark ()) t family) in
       let por = in_subprocess (fun () -> run_ram ~por:true t family) in
       let x = in_subprocess (fun () -> run_ext ~budget:(watermark ()) ~mem_budget:(64 * mb) t family) in
-      [ enum_row "inc7/tso" "enumerate" ram ~extra:[ ("watermark_bytes", fi (256 * mb)) ];
-        enum_row "inc7/tso" "enumerate.por" por; extmem_row "inc7/tso" ~mem_budget:(64 * mb) x ]
+      [ enum_row "inc7/tso" "enumerate" ~samples:1 ram
+          ~extra:[ ("watermark_bytes", fi (256 * mb)) ];
+        enum_row "inc7/tso" "enumerate.por" ~samples:1 por;
+        extmem_row "inc7/tso" ~samples:1 ~mem_budget:(64 * mb) x ]
     end
   in
   let grid =
@@ -682,9 +721,8 @@ let enum_rows ~smoke =
         List.concat_map
           (fun family ->
             let w = Printf.sprintf "%s/%s" t.Litmus.name (dname family) in
-            [ enum_row w "enumerate" (run_ram t family);
-              enum_row w "enumerate.por" (run_ram ~por:true t family);
-              extmem_row w ~mem_budget:(64 * mb) (run_ext ~mem_budget:(64 * mb) t family) ])
+            [ ram_row w ~por:false t family; ram_row w ~por:true t family;
+              ext_row w ~mem_budget:(64 * mb) t family ])
           families)
       (if smoke then [ 4; 5 ] else [ 4; 5; 6 ])
   in
@@ -694,8 +732,8 @@ let enum_rows ~smoke =
     List.map
       (fun (n, mem_budget, label) ->
         let t = Litmus.increment_n n in
-        extmem_row (Printf.sprintf "%s/tso/%s" t.Litmus.name label) ~mem_budget
-          (run_ext ~mem_budget t Model.Total_store_order))
+        ext_row (Printf.sprintf "%s/tso/%s" t.Litmus.name label) ~mem_budget t
+          Model.Total_store_order)
       ((5, 65536, "64KiB") :: (if smoke then [] else [ (6, mb, "1MiB") ]))
   in
   wall_rows @ grid @ budgeted
@@ -707,9 +745,9 @@ let enum_rows ~smoke =
 let solver_samples = 3
 
 let median_solver_run t family =
-  let runs = List.init solver_samples (fun _ -> Axiom_solver.run t family) in
-  let elapsed (r : Axiom_solver.run) = r.Axiom_solver.stats.Axiom_solver.elapsed_s in
-  List.nth (List.sort (fun a b -> compare (elapsed a) (elapsed b)) runs) (solver_samples / 2)
+  median_run ~samples:solver_samples
+    ~elapsed:(fun (r : Axiom_solver.run) -> r.Axiom_solver.stats.Axiom_solver.elapsed_s)
+    (fun () -> Axiom_solver.run t family)
 
 let solver_row workload (s : Axiom_solver.stats) ~outcomes ~agree =
   {
@@ -771,7 +809,8 @@ let axiom_frontier_rows () =
     && outcomes = Enumerate.outcome_set opr
   in
   [ solver_row "inc7/sc" sr.Axiom_solver.stats ~outcomes:(List.length outcomes) ~agree;
-    generate_row "inc7/sc" gr.Oracle.Generate.stats; enum_row "inc7/sc" "enumerate.por" opr ]
+    generate_row "inc7/sc" gr.Oracle.Generate.stats;
+    enum_row "inc7/sc" "enumerate.por" ~samples:1 opr ]
 
 let axiom_rows ~smoke =
   let tests =

@@ -6,7 +6,10 @@
                            longer and its length sits in the arena as a
                            4-byte prefix
      bits 20..41  chunk+1  arena chunk holding the key (never 0)
-     bits  0..19  offset   key position in that chunk *)
+     bits  0..19  offset   key position in that chunk
+
+   A set made with [value_bytes] > 0 stores that many bytes of value
+   right after each key's bytes, little-endian. *)
 
 let off_bits = 20
 let chunk_bits = 22
@@ -20,6 +23,7 @@ let first_chunk_bytes = 4096
 
 type t = {
   hash : Bytes.t -> int -> int -> int;
+  value_bytes : int;
   mutable slots : int array;
   mutable count : int;
   mutable chunks : Bytes.t array;
@@ -51,9 +55,11 @@ let hash_bytes b off len =
 
 let initial_slots = 1024
 
-let create ?(hash = hash_bytes) () =
+let create ?(hash = hash_bytes) ?(value_bytes = 0) () =
+  if value_bytes < 0 || value_bytes > 8 then invalid_arg "Arena_set.create: value_bytes";
   {
     hash;
+    value_bytes;
     slots = Array.make initial_slots 0;
     count = 0;
     chunks = [| Bytes.create first_chunk_bytes |];
@@ -123,14 +129,29 @@ let add_chunk t size =
   t.chunk_bytes <- t.chunk_bytes + size;
   t.nchunks - 1
 
-(* copy a key into the arena; returns its slot word. Short keys are
-   appended to the current chunk; when it is full a new chunk is started
-   (twice the last, up to [max_chunk_bytes], and at least the key's size),
-   so growing never copies old keys. A longer key gets a chunk of its
-   own. *)
-let store t tag b len =
+(* the value stored after slot [s]'s key, and [v] ANDed into it *)
+let value t s =
+  let c = chunk_of t s and p = key_off s + key_len t s and v = ref 0 in
+  for j = t.value_bytes - 1 downto 0 do
+    v := (!v lsl 8) lor Char.code (Bytes.unsafe_get c (p + j))
+  done;
+  !v
+
+let and_value t s v =
+  let c = chunk_of t s and p = key_off s + key_len t s in
+  for j = 0 to t.value_bytes - 1 do
+    let old = Char.code (Bytes.unsafe_get c (p + j)) in
+    Bytes.unsafe_set c (p + j) (Char.unsafe_chr (old land (v lsr (8 * j))))
+  done
+
+(* copy a key and its value into the arena; returns its slot word. Short
+   keys are appended to the current chunk; when it is full a new chunk is
+   started (twice the last, up to [max_chunk_bytes], and at least the
+   key's size), so growing never copies old keys. A longer key gets a
+   chunk of its own. *)
+let store t tag b len v =
   let escaped = len >= len_escape in
-  let need = if escaped then len + 4 else len in
+  let need = (if escaped then len + 4 else len) + t.value_bytes in
   let chunk, off =
     if need > max_chunk_bytes then (add_chunk t need, 0)
     else begin
@@ -148,7 +169,11 @@ let store t tag b len =
   in
   let c = t.chunks.(chunk) in
   if escaped then Bytes.set_int32_le c off (Int32.of_int len);
-  Bytes.blit b 0 c (if escaped then off + 4 else off) len;
+  let koff = if escaped then off + 4 else off in
+  Bytes.blit b 0 c koff len;
+  for j = 0 to t.value_bytes - 1 do
+    Bytes.unsafe_set c (koff + len + j) (Char.unsafe_chr ((v lsr (8 * j)) land 0xff))
+  done;
   (tag lsl tag_shift)
   lor ((if escaped then len_escape else len) lsl len_shift)
   lor ((chunk + 1) lsl off_bits)
@@ -170,17 +195,23 @@ let grow t =
       end)
     old
 
-let add t b len =
+let add_value t b len v =
   let h = t.hash b 0 len in
   let i = find t h b len in
-  if Array.unsafe_get t.slots i <> 0 then false
+  let s = Array.unsafe_get t.slots i in
+  if s <> 0 then begin
+    if t.value_bytes > 0 then and_value t s v;
+    false
+  end
   else begin
-    t.slots.(i) <- store t (tag_of h) b len;
+    t.slots.(i) <- store t (tag_of h) b len v;
     t.count <- t.count + 1;
     (* load factor at most 1/2 keeps linear-probe chains short *)
     if 2 * t.count > Array.length t.slots then grow t;
     true
   end
+
+let add t b len = add_value t b len 0
 
 (* -- sorting --------------------------------------------------------------
    [iter] sorts the slot words themselves, in one [int array] of one word
@@ -296,7 +327,7 @@ let iter t f =
     end
   done;
   multikey_sort t keys 0 t.count 0;
-  Array.iter (fun s -> f (chunk_of t s) (key_off s) (key_len t s)) keys
+  Array.iter (fun s -> f (chunk_of t s) (key_off s) (key_len t s) (value t s)) keys
 
 (* back to a fresh set's shape, keeping only the first chunk *)
 let clear t =

@@ -131,20 +131,21 @@ let expand ~por discipline st =
    every location of the layout. [dep.(b)] masks the labels that do not
    commute with bit b: the same thread's, and those accessing the same
    location where one of the two accesses writes ([transition_effect], as
-   for POR). None past one word of labels. *)
+   for POR). Every sleep set is 0 under POR (sleep sets would prune states
+   the ample sets keep, whose counters are pinned) and past one word of
+   labels: there every label takes bit 0, which depends on everything. *)
 
-type sleep_table = {
-  base : int array;  (* thread k's bits: base.(k) + i for its instruction i, then its flushes *)
-  locs : int;  (* flush labels per thread *)
-  dep : int array;
-}
+type sleep_rule = { bit : Semantics.label -> int; dep : int array; bits : int }
 
-let sleep_table discipline root =
+let no_sleep = { bit = (fun _ -> 0); dep = [| -1 |]; bits = 0 }
+
+let sleep_rule ~por discipline root =
   let buffered = Semantics.buffered discipline and threads = root.State.threads in
   let n = Array.length threads and locs = if buffered then Array.length root.State.mem else 0 in
+  (* thread k's bits: base.(k) + i for its instruction i, then its flushes *)
   let base = Array.make (n + 1) 0 in
   Array.iteri (fun k th -> base.(k + 1) <- base.(k) + Array.length th.State.prog + locs) threads;
-  if base.(n) > Sys.int_size - 2 then None
+  if por || base.(n) > Sys.int_size - 2 then no_sleep
   else begin
     let effects k (th : State.thread) =
       List.init (Array.length th.prog) (fun index -> Semantics.Exec { thread = k; index })
@@ -157,12 +158,33 @@ let sleep_table discipline root =
       || match (e, e') with (Read x | Write x), Write y | Write x, Read y -> x = y | _ -> false
     in
     let dep a = Array.fold_right (fun b m -> (m lsl 1) lor Bool.to_int (conflict a b)) labels 0 in
-    Some { base; locs; dep = Array.map dep labels }
+    let bit = function
+      | Semantics.Exec { thread; index } -> base.(thread) + index
+      | Semantics.Flush { thread; loc } -> base.(thread + 1) - locs + loc
+    in
+    { bit; dep = Array.map dep labels; bits = base.(n) }
   end
 
-let label_bit t = function
-  | Semantics.Exec { thread; index } -> t.base.(thread) + index
-  | Semantics.Flush { thread; loc } -> t.base.(thread + 1) - t.locs + loc
+let sleep_bytes rule = (rule.bits + 7) / 8
+
+let rec label_bits rule acc = function
+  | [] -> acc
+  | l :: rest -> label_bits rule (acc lor (1 lsl rule.bit l)) rest
+
+(* [later] holds the bits of the labels not yet walked, [l :: rest] *)
+let rec iter_awake_from rule sleep later asleep f parent = function
+  | [] -> asleep
+  | l :: rest ->
+    let b = rule.bit l in
+    let later = later land lnot (1 lsl b) in
+    if sleep land (1 lsl b) <> 0 then iter_awake_from rule sleep later (asleep + 1) f parent rest
+    else begin
+      f parent l ((sleep lor later) land lnot (Array.unsafe_get rule.dep b));
+      iter_awake_from rule sleep later asleep f parent rest
+    end
+
+let iter_awake rule ~sleep labels f parent =
+  iter_awake_from rule sleep (label_bits rule 0 labels) 0 f parent labels
 
 (* -- iterative exploration --------------------------------------------- *)
 
@@ -211,43 +233,21 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
     end;
     labels
   in
-  (* a label's bit, and each bit's dependent labels. Every sleep set is 0
-     under POR (sleep sets would prune states the ample sets keep, whose
-     counters are pinned) and past one word of labels: there every label
-     takes bit 0, which depends on everything. *)
-  let bit, dep =
-    match if por then None else sleep_table discipline st with
-    | Some t -> (label_bit t, t.dep)
-    | None -> ((fun _ -> 0), [| -1 |])
-  in
-  (* push the successors along [labels], in order, of the state [st] whose
-     key and section ends are [key] and [ends]. The later labels are
-     explored first (the stack is LIFO): t_j's child sleeps on
-     [sleep lor later], the bits of t_{j+1..n} and of the parent's sleep
-     set, minus what t_j does not commute with. A sleeping label's
-     successor is already admitted (DESIGN.md §8): it counts as a dedup
-     hit and is never built. *)
-  let rec masks acc = function [] -> acc | l :: rest -> masks (acc lor (1 lsl bit l)) rest in
-  let rec push_successors st depth sleep key ends later = function
-    | [] -> ()
-    | l :: rest ->
-      incr transitions;
-      let b = bit l in
-      let later = later land lnot (1 lsl b) in
-      if sleep land (1 lsl b) <> 0 then incr dedup_hits
-      else begin
-        let st' = Semantics.step discipline st l in
-        State.splice packer ~parent:st key ends st';
-        visit st' (depth + 1) ((sleep lor later) land lnot dep.(b))
-      end;
-      push_successors st depth sleep key ends later rest
+  let rule = sleep_rule ~por discipline st in
+  (* build, splice and admit the successor along [l] of the expanded
+     entry [e], with sleep set [z] *)
+  let push_child e l z =
+    let st' = Semantics.step discipline e.st l in
+    State.splice packer ~parent:e.st e.key e.ends st';
+    visit st' (e.depth + 1) z
   in
   let exhausted = ref None in
   (try
      State.pack packer st;
      visit st 0 0;
      while not (Stack.is_empty stack) do
-       let { st; depth; sleep; key; ends } = Stack.pop stack in
+       let e = Stack.pop stack in
+       let st = e.st and depth = e.depth in
        if !expanded >= max_states then raise (Stop Memrel_prob.Budget.Work);
        (match budget with
         | None -> ()
@@ -264,7 +264,12 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
          Hashtbl.replace outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt outcome_counts o))
        | labels ->
-         push_successors st depth sleep key ends (masks 0 labels) labels;
+         (* the awake successors are pushed in label order, so the later
+            labels are explored first (the stack is LIFO). A sleeping
+            label's successor is already admitted (DESIGN.md §8): it
+            counts as a dedup hit and is never built. *)
+         transitions := !transitions + List.length labels;
+         dedup_hits := !dedup_hits + iter_awake rule ~sleep:e.sleep labels push_child e;
          let frontier = Stack.length stack in
          if frontier > !max_frontier then max_frontier := frontier
      done

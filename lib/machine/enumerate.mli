@@ -56,6 +56,11 @@ type 'a result = {
           "outcome X is impossible". *)
 }
 
+val expand_labels : por:bool -> Semantics.discipline -> State.t -> Semantics.label list * int
+(** [expand_labels ~por d st] is {!expand} without building the
+    successors: the labels of the transitions it takes, in the same
+    order, and the number the reduction pruned. *)
+
 val expand :
   por:bool -> Semantics.discipline -> State.t -> (Semantics.label * State.t) list * int
 (** [expand ~por d st] is one state's successor computation — the enabled
@@ -66,6 +71,37 @@ val expand :
     level-synchronized external-memory BFS in {!Extmem}) explore the exact
     same reduced graph. An empty successor list identifies a terminal
     state. *)
+
+(** {2 Sleep sets}
+
+    One rule for both engines. A sleep set is a bitmask over the labels of
+    a state space, fixed when the state is admitted; a label in it is not
+    built, because a commuting path admits its successor (DESIGN.md §8). *)
+
+type sleep_rule
+(** The labels of one state space, one bit each, and which of them do not
+    commute: those of one thread, and accesses to one location of which
+    one writes. *)
+
+val sleep_rule : por:bool -> Semantics.discipline -> State.t -> sleep_rule
+(** [sleep_rule ~por d root] is the rule for the state space of [root]
+    under [d]. With [por], and past 61 labels, every sleep set it gives
+    is 0. *)
+
+val sleep_bytes : sleep_rule -> int
+(** Bytes that hold any sleep set of the rule: one bit per label, 0 when
+    every sleep set is 0. *)
+
+val iter_awake :
+  sleep_rule -> sleep:int -> Semantics.label list -> ('a -> Semantics.label -> int -> unit) ->
+  'a -> int
+(** [iter_awake rule ~sleep labels f parent], for a state [parent] with
+    sleep set [sleep] and enabled [labels] t₁..tₙ, calls [f parent t_j z]
+    on each t_j not in [sleep], in order, where [z = (sleep lor
+    bits(t_{j+1..n})) land lnot dep(t_j)] is the sleep set t_j's successor
+    is admitted with. Returns the number of labels in [sleep], which are
+    skipped. [f] takes the state as an argument so that one closure
+    serves every state of a run. *)
 
 val outcomes :
   ?max_states:int ->

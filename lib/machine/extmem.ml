@@ -5,12 +5,12 @@ exception Spill_error of string
 
 let spill_error fmt = Printf.ksprintf (fun m -> raise (Spill_error m)) fmt
 
-let run_tag = "extmem/run"
-
-(* "2": the level-local layout (one frontier, no visited runs or bloom
-   counters). A spill directory written by the earlier layout fails the
-   tag check with a typed error instead of being misparsed. *)
-let manifest_tag = "extmem/manifest2"
+(* "run2": each entry carries its key's sleep set. "manifest3": the
+   level-local layout (one frontier, no visited runs or bloom counters)
+   over run2 frontiers. A spill directory written by an earlier layout
+   fails the tag check with a typed error instead of being misparsed. *)
+let run_tag = "extmem/run2"
+let manifest_tag = "extmem/manifest3"
 let manifest_file = "MANIFEST"
 let merge_fan_in = 8
 
@@ -34,8 +34,9 @@ type 'a result = { base : 'a Enumerate.result; ext : ext_stats }
 
    A logical run ("lrun") is an ordered list of file names whose
    concatenated decoded key streams form one sorted, duplicate-free
-   sequence. Between levels the whole spill state is the manifest and the
-   frontier: the lrun of the level about to be expanded. *)
+   sequence, each key with its sleep set. Between levels the whole spill
+   state is the manifest and the frontier: the lrun of the level about to
+   be expanded. *)
 
 (* everything the manifest checkpoints besides the frontier and outcomes *)
 type counters = {
@@ -67,6 +68,7 @@ type 'a eng = {
   packer : State.packer;
   discipline : Semantics.discipline;
   por : bool;
+  sleep : Enumerate.sleep_rule;
   outcome_counts : ('a, int) Hashtbl.t;
   mutable frontier : string list;
   mutable gc_grace_level : int;
@@ -77,13 +79,14 @@ let delete_files eng files =
 
 (* -- run codec ----------------------------------------------------------
 
-   A run file is a Snapshot container (tag "extmem/run", tmp+rename atomic,
-   CRC-32 validated on read) whose payload is:
+   A run file is a Snapshot container (tag "extmem/run2", tmp+rename
+   atomic, CRC-32 validated on read) whose payload is:
 
      uvarint key-count, then per key:
        uvarint shared-prefix-len (with the previous key in this file)
        uvarint suffix-len
        suffix bytes
+       uvarint sleep set (Enumerate.iter_awake's mask; 0 under POR)
 
    Keys are sorted, so consecutive packed state keys share long prefixes
    and the delta encoding compresses them well. Plain unsigned varints
@@ -99,7 +102,8 @@ let add_uvarint buf n =
 
 (* streaming reader over a logical run. The previous key is extended in
    place: after [reader_next] returns [true] the current key is the first
-   [len] bytes of [key], valid until the next call. *)
+   [len] bytes of [key], valid until the next call, and [mask] its sleep
+   set. *)
 type reader = {
   rdir : string;
   mutable files : string list;  (* still unread *)
@@ -109,11 +113,12 @@ type reader = {
   mutable remaining : int;  (* keys left in [src] *)
   mutable key : Bytes.t;
   mutable len : int;
+  mutable mask : int;
 }
 
 let reader_open eng lrun =
   { rdir = eng.dir; files = lrun; file = ""; src = ""; p = 0; remaining = 0;
-    key = Bytes.create 64; len = 0 }
+    key = Bytes.create 64; len = 0; mask = 0 }
 
 let read_uvarint r =
   let u = ref 0 and shift = ref 0 and again = ref true in
@@ -143,6 +148,7 @@ let rec reader_next r =
     Bytes.blit_string r.src r.p r.key plen slen;
     r.p <- r.p + slen;
     r.len <- n;
+    r.mask <- read_uvarint r;
     r.remaining <- r.remaining - 1;
     true
   end
@@ -163,7 +169,8 @@ let rec reader_next r =
 
 (* chunked writer: emits a new file whenever the encoded payload reaches
    the cap, so no reader ever holds more than one cap of payload. Keys are
-   taken as [len] bytes at [off], straight from the arena or a merge. *)
+   taken as [len] bytes at [off], straight from the arena or a merge, with
+   their sleep set [mask]. *)
 type writer = {
   wdir : string;
   cap : int;
@@ -181,25 +188,30 @@ let writer_make eng =
 
 let writer_flush w =
   if w.count > 0 then begin
-    let payload = Buffer.create (Buffer.length w.buf + 10) in
-    add_uvarint payload w.count;
-    Buffer.add_buffer payload w.buf;
+    (* the key count, then the entries, copied once *)
+    let head = Buffer.create 10 in
+    add_uvarint head w.count;
+    let hl = Buffer.length head and bl = Buffer.length w.buf in
+    let payload = Bytes.create (hl + bl) in
+    Buffer.blit head 0 payload 0 hl;
+    Buffer.blit w.buf 0 payload hl bl;
     let name = Printf.sprintf "r%06d.run" w.wc.file_seq in
     w.wc.file_seq <- w.wc.file_seq + 1;
     (match
-       Snapshot.write ~file:(Filename.concat w.wdir name) ~tag:run_tag (Buffer.contents payload)
+       Snapshot.write ~file:(Filename.concat w.wdir name) ~tag:run_tag
+         (Bytes.unsafe_to_string payload)
      with
      | Ok () -> ()
      | Error e -> spill_error "cannot write spill run %s: %s" name (Snapshot.error_to_string e));
     w.wc.spill_runs <- w.wc.spill_runs + 1;
-    w.wc.spill_bytes <- w.wc.spill_bytes + Buffer.length payload;
+    w.wc.spill_bytes <- w.wc.spill_bytes + Bytes.length payload;
     w.wfiles <- name :: w.wfiles;
     Buffer.clear w.buf;
     w.prev_len <- 0;
     w.count <- 0
   end
 
-let writer_add w b off len =
+let writer_add w b off len mask =
   let n = min len w.prev_len and p = ref 0 in
   while !p < n && Bytes.unsafe_get b (off + !p) = Bytes.unsafe_get w.prev !p do
     incr p
@@ -208,6 +220,7 @@ let writer_add w b off len =
   add_uvarint w.buf p;
   add_uvarint w.buf (len - p);
   Buffer.add_subbytes w.buf b (off + p) (len - p);
+  add_uvarint w.buf mask;
   if len > Bytes.length w.prev then w.prev <- Bytes.create (max len (2 * Bytes.length w.prev));
   Bytes.blit b off w.prev 0 len;
   w.prev_len <- len;
@@ -221,7 +234,8 @@ let writer_finish w =
 (* -- k-way merge --------------------------------------------------------
 
    Merges sorted-unique logical runs into one sorted stream, emitting each
-   distinct key once, and deletes the inputs. Fan-in is capped at
+   distinct key once with the AND of its sleep sets in every run that
+   holds it, and deletes the inputs. Fan-in is capped at
    [merge_fan_in]: wider merges first fold batches into intermediate lruns
    (hierarchical merge). *)
 
@@ -248,12 +262,15 @@ let merge_readers readers ~emit =
   while !least >= 0 do
     let m = !least in
     let r = readers.(m) in
-    emit r.key 0 r.len;
     (* every other reader at the same key moves past it, then [r] does *)
+    let mask = ref r.mask in
     for i = 0 to Array.length readers - 1 do
-      if i <> m && live.(i) && compare_keys readers.(i) r = 0 then
+      if i <> m && live.(i) && compare_keys readers.(i) r = 0 then begin
+        mask := !mask land readers.(i).mask;
         live.(i) <- reader_next readers.(i)
+      end
     done;
+    emit r.key 0 r.len !mask;
     live.(m) <- reader_next r;
     pick ()
   done
@@ -272,7 +289,7 @@ let rec merge_runs eng lruns ~emit =
 
 (* -- manifest -----------------------------------------------------------
 
-   One per-level checkpoint (tag "extmem/manifest2"), atomically replaced
+   One per-level checkpoint (tag "extmem/manifest3"), atomically replaced
    after each completed level: the resume key, the counters, the frontier
    lrun's file list and the outcome table, marshalled (the Snapshot CRC
    and tag guard the bytes). No mid-level manifests exist, so a resume
@@ -339,6 +356,13 @@ let rec mkdir_p d =
    function; see Enumerate.expand). The lemma is checked on every state
    expanded, against the depth the decoder sums as it reads the key.
 
+   Sleep sets (Enumerate.iter_awake, the in-RAM worklist's rule) ride
+   with the keys: the arena ANDs the sleep sets of a key's admitting
+   edges, the merge ANDs them across overflow runs, so a state is
+   expanded with the intersection over every edge that admitted it, and
+   its sleeping labels are counted but never built. DESIGN.md §8 has the
+   argument that this admits every state.
+
    Each key is decoded straight from the reader's buffer, and successors
    are packed by splicing the sections they share with it
    (State.pack_successor), so the buffer must not move until they are
@@ -364,7 +388,8 @@ let budget_check eng budget =
       Budget.check b
     | r -> r)
 
-(* write the arena's keys as one sorted run and empty the arena *)
+(* write the arena's keys and sleep sets as one sorted run and empty the
+   arena *)
 let spill_arena eng =
   let w = writer_make eng in
   Arena_set.iter eng.arena (writer_add w);
@@ -379,6 +404,14 @@ let expand_level eng ~observe ~max_states ~budget =
   c.deepest <- c.level;
   let overflow = ref [] and read = ref 0 in
   let r = reader_open eng eng.frontier in
+  (* splice the successor along [l] of [st] into the arena, with sleep
+     set [z] *)
+  let push_child st l z =
+    State.pack_successor eng.decoder eng.packer (Semantics.step eng.discipline st l);
+    ignore
+      (Arena_set.add_value eng.arena (State.packed_bytes eng.packer)
+         (State.packed_length eng.packer) z)
+  in
   let rec go () =
     if reader_next r then begin
       if c.expanded >= max_states then raise (Stop Budget.Work);
@@ -395,26 +428,20 @@ let expand_level eng ~observe ~max_states ~budget =
       if depth <> c.level then
         spill_error "a depth-%d state in the level-%d frontier: levels must partition the states"
           depth c.level;
-      let succs, pruned = Enumerate.expand ~por:eng.por eng.discipline st in
+      let labels, pruned = Enumerate.expand_labels ~por:eng.por eng.discipline st in
       if pruned > 0 then begin
         c.por_ample_states <- c.por_ample_states + 1;
         c.por_pruned <- c.por_pruned + pruned
       end;
-      (match succs with
+      (match labels with
        | [] ->
          c.terminals <- c.terminals + 1;
          let o = observe st in
          Hashtbl.replace eng.outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt eng.outcome_counts o))
-       | ts ->
-         List.iter
-           (fun (_, st') ->
-             c.transitions <- c.transitions + 1;
-             State.pack_successor eng.decoder eng.packer st';
-             ignore
-               (Arena_set.add eng.arena (State.packed_bytes eng.packer)
-                  (State.packed_length eng.packer)))
-           ts;
+       | labels ->
+         c.transitions <- c.transitions + List.length labels;
+         ignore (Enumerate.iter_awake eng.sleep ~sleep:r.mask labels push_child st);
          if Arena_set.footprint eng.arena > eng.mem_budget then begin
            c.spill_generations <- c.spill_generations + 1;
            overflow := spill_arena eng :: !overflow
@@ -447,9 +474,9 @@ let commit_level eng overflow ~level_transitions =
       let w = writer_make eng and unique = ref 0 in
       merge_runs eng
         (List.rev (spill_arena eng :: runs))
-        ~emit:(fun b off len ->
+        ~emit:(fun b off len mask ->
           incr unique;
-          writer_add w b off len);
+          writer_add w b off len mask);
       (writer_finish w, !unique)
   in
   (* every successor that is not a new unique key was a duplicate *)
@@ -484,6 +511,7 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
     end
   in
   let mem_budget = max 65536 mem_budget_bytes in
+  let sleep = Enumerate.sleep_rule ~por discipline root in
   let eng =
     {
       dir = spill_dir;
@@ -491,11 +519,12 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
       mem_budget;
       resume_key;
       c;
-      arena = Arena_set.create ();
+      arena = Arena_set.create ~value_bytes:(Enumerate.sleep_bytes sleep) ();
       decoder = State.decoder ~buffered:(Semantics.buffered discipline) root;
       packer = State.packer ();
       discipline;
       por;
+      sleep;
       outcome_counts = Hashtbl.create 64;
       frontier;
       gc_grace_level = -1;
@@ -508,7 +537,7 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
   if not resume then begin
     let w = writer_make eng in
     State.pack eng.packer root;
-    writer_add w (State.packed_bytes eng.packer) 0 (State.packed_length eng.packer);
+    writer_add w (State.packed_bytes eng.packer) 0 (State.packed_length eng.packer) 0;
     eng.frontier <- writer_finish w;
     write_manifest eng
   end;

@@ -8,7 +8,10 @@
     from delta-encoded sorted runs of packed keys (written through the
     {!Memrel_prob.Snapshot} container: tmp+rename atomic, CRC-32 framed);
     each state is decoded, expanded, and its successors' keys are
-    deduplicated in an {!Arena_set}. When the arena's footprint passes
+    deduplicated in an {!Arena_set}.
+    A run entry is the key's shared-prefix length with the previous key,
+    its suffix length, the suffix bytes and the key's sleep set, each
+    length and the sleep set a uvarint. When the arena's footprint passes
     [mem_budget_bytes] its keys are sorted and written as an overflow run
     and the arena is cleared; at the end of the level the overflow runs
     and the arena's remainder are merged k-way into the next level's
@@ -22,12 +25,18 @@
     ({!State.decoded_depth}): levels partition the state space, and a
     state can only duplicate a state of its own level. The engine checks
     this lemma on every state it expands.
-    Both engines expand successors through {!Enumerate.expand}, whose
-    ample-set POR choice is a deterministic function of the state alone,
-    so the two traversals explore the exact same reduced graph, and on
-    complete runs every result field ([outcomes], per-outcome terminal
-    counts, [states_visited], [terminals], [stats.transitions],
-    [stats.dedup_hits]) is identical to the in-RAM engine's.
+    Both engines take a state's transitions from {!Enumerate.expand_labels},
+    whose ample-set POR choice is a deterministic function of the state
+    alone, so the two traversals explore the exact same reduced graph.
+    Both skip sleeping transitions by one rule ({!Enumerate.iter_awake}).
+    Here a key's sleep set is the AND over every edge that admitted it:
+    the arena ANDs a duplicate's into the stored one, and the k-way merge
+    ANDs those of equal keys across overflow runs. That admits every
+    reachable state (DESIGN.md §8), so on complete runs every result
+    field ([outcomes], per-outcome terminal counts, [states_visited],
+    [terminals], [stats.transitions], [stats.dedup_hits]) is identical
+    to the in-RAM engine's; a sleeping transition counts as a transition
+    and a dedup hit, and is never built.
 
     {b Crash safety.} After every completed level the engine atomically
     replaces a manifest checkpoint (counters, the new level's run files,

@@ -297,21 +297,25 @@ let read_file path =
   in
   let close () = try Unix.close fd with Unix.Unix_error _ -> () in
   Fun.protect ~finally:close @@ fun () ->
-  let chunk = 65536 in
-  let buf = Bytes.create chunk in
-  let out = Buffer.create chunk in
-  let rec loop eintrs =
-    match injected_read fd buf 0 chunk ~path with
-    | 0 -> Buffer.contents out
-    | n ->
-      Buffer.add_subbytes out buf 0 n;
-      loop 0
+  (* read into a buffer of the file's size, one byte more so that EOF
+     needs no second buffer; a file that grows meanwhile doubles it *)
+  let size = try (Unix.fstat fd).Unix.st_size with Unix.Unix_error _ -> 0 in
+  let buf = ref (Bytes.create (size + 1)) in
+  let rec loop pos eintrs =
+    if pos = Bytes.length !buf then begin
+      let b = Bytes.create (2 * pos) in
+      Bytes.blit !buf 0 b 0 pos;
+      buf := b
+    end;
+    match injected_read fd !buf pos (Bytes.length !buf - pos) ~path with
+    | 0 -> Bytes.sub_string !buf 0 pos
+    | n -> loop (pos + n) 0
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       if eintrs + 1 >= max_consecutive_eintr then io_error "read" path Unix.EINTR
-      else loop (eintrs + 1)
+      else loop pos (eintrs + 1)
     | exception Unix.Unix_error (e, _, _) -> io_error "read" path e
   in
-  loop 0
+  loop 0 0
 
 let truncate_for_tear path =
   match read_file path with

@@ -80,7 +80,7 @@ let test_same_answers_as_hashtbl () =
 
 let contents t =
   let acc = ref [] in
-  A.iter t (fun b off len -> acc := Bytes.sub_string b off len :: !acc);
+  A.iter t (fun b off len _ -> acc := Bytes.sub_string b off len :: !acc);
   List.rev !acc
 
 let test_iter_clear () =
@@ -156,6 +156,39 @@ let test_iter_order_random () =
     [ ("default hash", fun () -> A.create ());
       ("degenerate hash", fun () -> A.create ~hash:(fun _ _ _ -> 7) ()) ]
 
+(* values beside the keys: a repeated add ANDs its value into the stored
+   one, [iter] yields each key's AND over all its adds, and only the low
+   [value_bytes] bytes are kept; over short keys, keys whose length sits
+   in the arena, and every value width *)
+let test_values_anded () =
+  let rng = Random.State.make [| 23 |] in
+  List.iter
+    (fun value_bytes ->
+      let t = A.create ~value_bytes () and h = Hashtbl.create 16 in
+      let keep = if value_bytes = 8 then -1 else (1 lsl (8 * value_bytes)) - 1 in
+      for _ = 1 to 5_000 do
+        let k =
+          if Random.State.int rng 50 = 0 then String.make (1023 + Random.State.int rng 3) 'L'
+          else
+            String.init (Random.State.int rng 5) (fun _ -> Char.chr (97 + Random.State.int rng 4))
+        in
+        let v = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+        let fresh = not (Hashtbl.mem h k) in
+        Hashtbl.replace h k (v land Option.value ~default:(-1) (Hashtbl.find_opt h k));
+        Alcotest.(check bool) "add_value agrees with Hashtbl" fresh
+          (A.add_value t (Bytes.of_string k) (String.length k) v)
+      done;
+      let want =
+        Hashtbl.fold (fun k v acc -> (k, v land keep) :: acc) h []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      in
+      let got = ref [] in
+      A.iter t (fun b off len v -> got := (Bytes.sub_string b off len, v) :: !got);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%d-byte values: each key's AND, in key order" value_bytes)
+        want (List.rev !got))
+    [ 1; 2; 3; 5; 8 ]
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -168,4 +201,5 @@ let suite =
       ("same answers as a Hashtbl", test_same_answers_as_hashtbl);
       ("iter and clear", test_iter_clear);
       ("iter order equals String.compare on random sets", test_iter_order_random);
+      ("values beside the keys are ANDed", test_values_anded);
     ]

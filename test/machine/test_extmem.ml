@@ -81,17 +81,56 @@ let inc_parity names () =
 let spill_files dir =
   Sys.readdir dir |> Array.to_list |> List.filter (fun f -> f <> "MANIFEST") |> List.sort compare
 
-(* the key count a run file declares: its payload opens with it *)
-let run_keys dir f =
-  match Memrel_prob.Snapshot.read ~file:(Filename.concat dir f) ~tag:"extmem/run" with
+(* a run file's entries, in order: each key with its sleep set. The
+   payload is the key count, then per key the shared-prefix length, the
+   suffix length, the suffix bytes and the sleep set, as varints. *)
+let run_entries dir f =
+  match Memrel_prob.Snapshot.read ~file:(Filename.concat dir f) ~tag:"extmem/run2" with
   | Error e -> Alcotest.failf "%s: %s" f (Memrel_prob.Snapshot.error_to_string e)
   | Ok payload ->
-    let rec uvarint i shift acc =
-      let b = Char.code payload.[i] in
+    let p = ref 0 in
+    let rec uvarint shift acc =
+      let b = Char.code payload.[!p] in
+      incr p;
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else uvarint (i + 1) (shift + 7) acc
+      if b land 0x80 = 0 then acc else uvarint (shift + 7) acc
     in
-    uvarint 0 0 0
+    let prev = ref "" in
+    List.init (uvarint 0 0) (fun _ ->
+        let plen = uvarint 0 0 in
+        let slen = uvarint 0 0 in
+        let key = String.sub !prev 0 plen ^ String.sub payload !p slen in
+        p := !p + slen;
+        prev := key;
+        (key, uvarint 0 0))
+
+let run_keys dir f = List.length (run_entries dir f)
+
+(* run [name] under TSO level by level: a state cap at each level
+   boundary stops the run with that level's frontier on disk, and a resume
+   goes on. Returns the complete run's result and a digest of every
+   frontier's keys in the order the runs hold them, sleep sets stripped:
+   the digest follows from the key bytes and their sort order alone, so
+   it does not move with the run format. *)
+let frontier_digest ~mem_budget_bytes name =
+  let t = L.find name in
+  let st = L.initial_state t and rk = key t "TSO" false in
+  with_dir (fun dir ->
+      let rec go level boundary digest =
+        let r =
+          X.outcomes ~max_states:boundary ~mem_budget_bytes ~resume:(level > 0) ~spill_dir:dir
+            ~resume_key:rk Sem.Tso st ~observe:t.L.observe
+        in
+        if r.X.base.E.exhausted = None then (Digest.to_hex digest, r)
+        else begin
+          let keys =
+            List.concat_map (fun f -> List.map fst (run_entries dir f)) (spill_files dir)
+          in
+          go (level + 1) (boundary + List.length keys)
+            (Digest.string (digest ^ String.concat "" keys))
+        end
+      in
+      go 0 0 (Digest.string ""))
 
 (* reachable states per depth, by an in-RAM walk: by the depth lemma,
    the widths of the BFS levels *)
@@ -120,9 +159,12 @@ let level_widths d root =
   List.init (Hashtbl.length widths) (Hashtbl.find widths)
 
 (* The spill stream's counters, pinned: run files and their payload bytes
-   follow from the key bytes and their sort order, so a change to either
-   (a key packed differently, a different order out of the arena) fails
-   here even when every result field still matches. *)
+   follow from the key bytes, their sort order and their sleep sets, so a
+   change to any of them (a key packed differently, a different order out
+   of the arena, a sleep set computed or merged differently) fails here
+   even when every result field still matches. The frontier digests pin
+   the keys and their order alone; they were taken before the run entries
+   carried sleep sets, and have not moved. *)
 let check_spill_stream label ~levels ~runs ~bytes ~generations ~merges (e : X.ext_stats) =
   let check what = Alcotest.(check int) (Printf.sprintf "%s: %s" label what) in
   check "levels" levels e.X.levels;
@@ -131,17 +173,15 @@ let check_spill_stream label ~levels ~runs ~bytes ~generations ~merges (e : X.ex
   check "overflow runs" generations e.X.spill_generations;
   check "merges" merges e.X.merges
 
+let inc5_frontier_digest = "9376b76d57ee948b47ccfa88879f1416"
+
 let test_spill_stream_pinned () =
   (* at 1 MiB no level of inc5/TSO overflows: the stream is the 21
      frontiers as written straight from the arena *)
-  let t = L.find "inc5" in
-  with_dir (fun dir ->
-      let ext =
-        X.outcomes ~mem_budget_bytes:(1024 * 1024) ~spill_dir:dir ~resume_key:(key t "TSO" false)
-          Sem.Tso (L.initial_state t) ~observe:t.L.observe
-      in
-      check_spill_stream "inc5/TSO at 1 MiB" ~levels:21 ~runs:27 ~bytes:732_605 ~generations:0
-        ~merges:0 ext.X.ext)
+  let digest, r = frontier_digest ~mem_budget_bytes:(1024 * 1024) "inc5" in
+  Alcotest.(check string) "inc5/TSO at 1 MiB: frontier digest" inc5_frontier_digest digest;
+  check_spill_stream "inc5/TSO at 1 MiB" ~levels:21 ~runs:27 ~bytes:875_712 ~generations:0
+    ~merges:0 r.X.ext
 
 let test_tiny_budget_overflows_and_merges () =
   (* a 64 KiB budget on inc5/TSO (64k states) overflows the arena into
@@ -165,8 +205,8 @@ let test_tiny_budget_overflows_and_merges () =
         (Printf.sprintf "runs merged (got %d)" e.X.merges)
         true (e.X.merges > 0);
       Alcotest.(check bool) "spilled bytes" true (e.X.spill_bytes > 0);
-      check_spill_stream "inc5/TSO at 64 KiB" ~levels:21 ~runs:758 ~bytes:2_719_681
-        ~generations:127 ~merges:25 e;
+      check_spill_stream "inc5/TSO at 64 KiB" ~levels:21 ~runs:602 ~bytes:2_269_552
+        ~generations:82 ~merges:18 e;
       Alcotest.(check (list string)) "a complete run leaves only the manifest" []
         (spill_files dir));
   (* stop the run at the start of every level in turn (a state cap at the
@@ -203,26 +243,31 @@ let test_tiny_budget_overflows_and_merges () =
           Sem.Tso st ~observe
       in
       Alcotest.(check int) "chained resumes complete" (List.fold_left ( + ) 0 widths)
-        full.X.base.E.states_visited)
+        full.X.base.E.states_visited);
+  (* the merged frontiers hold the same keys in the same order as the
+     frontiers written straight from the arena at 1 MiB *)
+  Alcotest.(check string) "inc5/TSO at 64 KiB: frontier digest" inc5_frontier_digest
+    (fst (frontier_digest ~mem_budget_bytes:tiny_budget "inc5"))
 
 (* inc6/TSO (1.26M states) at 1 MiB: the wider levels overflow the arena
-   into several runs, and the result must not change *)
+   into several runs, and the result must not change. The run goes level
+   by level, resuming at each boundary, which leaves every counter as an
+   uninterrupted run's (see the kill + resume tests). *)
 let test_inc6_tso_1mib () =
   let t = L.find "inc6" in
   let st = L.initial_state t and observe = t.L.observe in
   let ram = E.outcomes Sem.Tso st ~observe in
-  with_dir (fun dir ->
-      let ext =
-        X.outcomes ~mem_budget_bytes:(1024 * 1024) ~spill_dir:dir
-          ~resume_key:(key t "TSO" false) Sem.Tso st ~observe
-      in
-      check_base (( ^ ) "inc6/TSO at 1 MiB: ") ram ext.X.base;
-      check_spill_stream "inc6/TSO at 1 MiB" ~levels:25 ~runs:966 ~bytes:53_086_250
-        ~generations:170 ~merges:30 ext.X.ext;
-      Alcotest.(check bool)
-        (Printf.sprintf ">= 2 overflow runs (got %d)" ext.X.ext.X.spill_generations)
-        true
-        (ext.X.ext.X.spill_generations >= 2))
+  let digest, ext = frontier_digest ~mem_budget_bytes:(1024 * 1024) "inc6" in
+  check_base (( ^ ) "inc6/TSO at 1 MiB: ") ram ext.X.base;
+  Alcotest.(check string) "inc6/TSO at 1 MiB: frontier digest" "d2826e061b972f7611bf5f0d97b85dfd"
+    digest;
+  check_spill_stream "inc6/TSO at 1 MiB" ~levels:25 ~runs:795 ~bytes:47_978_964 ~generations:108
+    ~merges:22
+    ext.X.ext;
+  Alcotest.(check bool)
+    (Printf.sprintf ">= 2 overflow runs (got %d)" ext.X.ext.X.spill_generations)
+    true
+    (ext.X.ext.X.spill_generations >= 2)
 
 (* "kill" a run mid-level with a work cap, resume it, and compare with an
    uninterrupted run: every base field and spill counter is identical *)
@@ -332,25 +377,33 @@ let test_resume_without_manifest_rejected () =
             (L.initial_state t) ~observe:t.L.observe))
 
 let test_old_manifest_version_rejected () =
-  (* a spill directory from the earlier layout (visited runs, bloom
-     counters) carries the "extmem/manifest" tag: resuming it must fail
-     with a typed one-line error, never misparse its fields *)
-  let t = L.find "sb" in
+  (* a spill directory from an earlier layout: the visited-run layout's
+     manifest is tagged "extmem/manifest", and the one from before the
+     run entries carried sleep sets "extmem/manifest2" (its frontier runs
+     hold bare keys). Resuming either must fail with a typed one-line
+     error, never misparse it, even over an intact payload; the daemon
+     then sweeps the directory *)
+  let t = L.find "inc3" in
   let st = L.initial_state t in
-  with_dir (fun dir ->
-      ignore
-        (X.outcomes ~budget:(B.create ~max_work:3 ()) ~spill_dir:dir ~resume_key:"sb|TSO" Sem.Tso
-           st ~observe:t.L.observe);
-      (match
-         Memrel_prob.Snapshot.write ~file:(Filename.concat dir "MANIFEST") ~tag:"extmem/manifest"
-           "\006sb|TSO\000\001"
-       with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e));
-      Alcotest.(check bool) "old manifest found" true (X.can_resume dir);
-      expect_spill_error "pre-level-local manifest" (fun () ->
-          X.outcomes ~resume:true ~spill_dir:dir ~resume_key:"sb|TSO" Sem.Tso st
-            ~observe:t.L.observe))
+  let rk = key t "TSO" false in
+  List.iter
+    (fun tag ->
+      with_dir (fun dir ->
+          ignore
+            (X.outcomes ~budget:(B.create ~max_work:40 ()) ~spill_dir:dir ~resume_key:rk Sem.Tso
+               st ~observe:t.L.observe);
+          let file = Filename.concat dir "MANIFEST" in
+          (match Memrel_prob.Snapshot.read ~file ~tag:"extmem/manifest3" with
+           | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e)
+           | Ok payload -> (
+             match Memrel_prob.Snapshot.write ~file ~tag payload with
+             | Ok () -> ()
+             | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e)));
+          Alcotest.(check bool) (tag ^ " found") true (X.can_resume dir);
+          expect_spill_error tag (fun () ->
+              X.outcomes ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Tso st
+                ~observe:t.L.observe)))
+    [ "extmem/manifest"; "extmem/manifest2" ]
 
 let test_fresh_run_clears_stale_spill_state () =
   (* without ~resume a directory is an output path, not state: stale runs

@@ -1,5 +1,6 @@
-(* Oracles for the engines in lib/. The axiomatic, plain-DFS enumeration
-   and exact-arithmetic references live in their own modules: *)
+(* Oracles for the engines in lib/. The axiomatic, plain-DFS enumeration,
+   exact-arithmetic and bytewise CRC-32 references live in their own
+   modules: *)
 
 module Generate = Generate
 module Enumerate_reference = Enumerate_reference
@@ -8,6 +9,7 @@ module Axioms_reference = Axioms_reference
 module Order_reference = Order_reference
 module Bigint_reference = Bigint_reference
 module Rational_reference = Rational_reference
+module Crc32_reference = Crc32_reference
 
 (* The depth lemma's value, recomputed from a decoded state (the external
    enumerator's decoder sums it while it reads a key): instructions

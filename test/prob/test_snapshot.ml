@@ -141,6 +141,20 @@ let test_crc32_known_vector () =
   Alcotest.(check int) "crc32(\"123456789\")" 0xCBF43926 (Snapshot.crc32 "123456789");
   Alcotest.(check int) "crc32(\"\")" 0 (Snapshot.crc32 "")
 
+let test_crc32_matches_bytewise () =
+  (* slicing-by-8 against the bytewise table walk: every length from 0 to
+     64 (every tail length, at every 8-byte phase) and 1 MB *)
+  let rng = Random.State.make [| 32 |] in
+  let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Printf.sprintf "crc32 of %d random bytes" (String.length s))
+        (Memrel_oracle.Crc32_reference.crc32 s) (Snapshot.crc32 s))
+    (List.init 65 random @ [ random 1_000_000 ]);
+  Alcotest.(check int) "reference check value" 0xCBF43926
+    (Memrel_oracle.Crc32_reference.crc32 "123456789")
+
 let test_crc32_from_two_domains () =
   (* serve workers checksum from several domains at once; both must see
      the full table from their very first call *)
@@ -181,4 +195,5 @@ let suite =
       ("unwritable target leaves no tmp residue", test_unwritable_target_cleans_tmp);
       ("crc32 matches the IEEE check value", test_crc32_known_vector);
       ("crc32 from two domains at once", test_crc32_from_two_domains);
+      ("crc32 equals the bytewise reference", test_crc32_matches_bytewise);
     ]
