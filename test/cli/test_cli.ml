@@ -93,6 +93,56 @@ let golden_joint =
     "exact: 7/54\n";
   ]
 
+(* every float DP column the CLI prints, pinned byte for byte: the exact
+   window DP under WO and under PSO off the normal form, and the joint
+   coupled-chain DP under TSO and PSO *)
+let golden_window_wo =
+  [
+    "critical-window growth Pr[B_gamma] under WO (p = 0.50, s = 0.50)\n";
+    "\n";
+    " gamma     analytic     dp(m=16)           mc\n";
+    "     0     0.666667     0.666667     0.667120\n";
+    "     1     0.166667     0.166667     0.166940\n";
+    "     2     0.083333     0.083333     0.083080\n";
+    "     3     0.041667     0.041667     0.040600\n";
+    "     4     0.020833     0.020833     0.021240\n";
+    "     5     0.010417     0.010417     0.010980\n";
+    "     6     0.005208     0.005208     0.004900\n";
+    "     7     0.002604     0.002604     0.002470\n";
+    "     8     0.001302     0.001302     0.001350\n";
+  ]
+
+let golden_window_pso =
+  [
+    "critical-window growth Pr[B_gamma] under PSO (p = 0.40, s = 0.30)\n";
+    "\n";
+    " gamma     analytic     dp(m=16)           mc\n";
+    "     0          nan     0.893515     0.893080\n";
+    "     1          nan     0.092998     0.093590\n";
+    "     2          nan     0.011843     0.011740\n";
+    "     3          nan     0.001446     0.001440\n";
+    "     4          nan     0.000174     0.000140\n";
+    "     5          nan     0.000021     0.000010\n";
+    "     6          nan     0.000003     0.000000\n";
+    "     7          nan     0.000000     0.000000\n";
+    "     8          nan     0.000000     0.000000\n";
+  ]
+
+let golden_joint_tso =
+  [
+    "Pr[A] (TSO, n=3): simulated 0.002690 [0.002388, 0.003031]\n";
+    "paper bounds (independence approx): 2.5499e-03 .. 2.7023e-03; exact series 2.6294e-03\n";
+    "joint-exact (correlated, coupled-chain DP): 2.7034e-03\n";
+    "semi-analytic (correlated, MC): 2.7083e-03\n";
+  ]
+
+let golden_joint_pso =
+  [
+    "Pr[A] (PSO, n=3): simulated 0.003180 [0.002850, 0.003549]\n";
+    "joint-exact (correlated, coupled-chain DP): 3.3699e-03\n";
+    "semi-analytic (correlated, MC): 3.3686e-03\n";
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -109,6 +159,15 @@ let () =
             (golden "window --seed 7 --trials 100000 --jobs 1" golden_window);
           Alcotest.test_case "joint --model wo -n 2 --seed 7" `Quick
             (golden "joint --model wo -n 2 --seed 7 --trials 100000 --jobs 1" golden_joint);
+          Alcotest.test_case "window --model wo --seed 7" `Quick
+            (golden "window --model wo --seed 7 --trials 100000 --jobs 1" golden_window_wo);
+          Alcotest.test_case "window --model pso -s 0.3 -p 0.4 --seed 7" `Quick
+            (golden "window --model pso -s 0.3 -p 0.4 --seed 7 --trials 100000 --jobs 1"
+               golden_window_pso);
+          Alcotest.test_case "joint --model tso -n 3 --seed 7" `Quick
+            (golden "joint --model tso -n 3 --seed 7 --trials 100000 --jobs 1" golden_joint_tso);
+          Alcotest.test_case "joint --model pso -n 3 --seed 7" `Quick
+            (golden "joint --model pso -n 3 --seed 7 --trials 100000 --jobs 1" golden_joint_pso);
         ] );
       ( "positive counts",
         List.map
