@@ -1,119 +1,40 @@
 module Op = Memrel_memmodel.Op
 module Model = Memrel_memmodel.Model
+module W = Window_walk
 
 let max_m = 18
-
-(* Sequences are bit masks: bit j is the type at position j, position 0 being
-   the top of the program; ST = 1, LD = 0. *)
-
-let kind_of_bit b = if b = 1 then Op.ST else Op.LD
 
 let check ?(p = 0.5) m =
   if m < 0 || m > max_m then invalid_arg "Exact_dp: m out of [0, max_m]";
   if not (p >= 0.0 && p <= 1.0) then invalid_arg "Exact_dp: p out of [0,1]"
 
-(* Distribution over settled prefixes of length [m]. dist.(mask) is the
-   probability of that settled type-sequence. *)
-let prefix_distribution ~p model m =
-  let rho earlier later = Model.swap_probability model ~earlier ~later in
+let weights ~p model m =
+  let kind b = if b = 1 then Op.ST else Op.LD in
+  let rho earlier later = Model.swap_probability model ~earlier:(kind earlier) ~later:(kind later) in
+  W.weights ~one:1.0 ~sub:( -. ) ~mul:( *. ) ~is_zero:(fun r -> r = 0.0) ~p rho m
+
+(* dist.(mask) is the probability of each settled prefix of length [w.m] *)
+let prefix_distribution (w : float W.weights) =
   let dist = ref [| 1.0 |] in
-  (* one round: extend every sequence of length [len] with a fresh
-     instruction of kind [t] (bit [tb]) settling from the bottom *)
-  for len = 0 to m - 1 do
-    let cur = !dist in
-    let next = Array.make (1 lsl (len + 1)) 0.0 in
-    let insert mask k tb =
-      let low = mask land ((1 lsl k) - 1) in
-      let high = (mask lsr k) lsl (k + 1) in
-      low lor (tb lsl k) lor high
-    in
-    Array.iteri
-      (fun mask mass ->
-        if mass > 0.0 then
-          List.iter
-            (fun (tb, tp) ->
-              if tp > 0.0 then begin
-                let t = kind_of_bit tb in
-                let mass = mass *. tp in
-                (* walk upward from position len; stop mass at each k *)
-                let pass = ref 1.0 in
-                for k = len downto 0 do
-                  (* stopping at position k: passed everything below k *)
-                  let stop_prob =
-                    if k = 0 then !pass
-                    else begin
-                      let above = kind_of_bit ((mask lsr (k - 1)) land 1) in
-                      let r = rho above t in
-                      let sp = !pass *. (1.0 -. r) in
-                      pass := !pass *. r;
-                      sp
-                    end
-                  in
-                  if stop_prob > 0.0 then begin
-                    let nm = insert mask k tb in
-                    next.(nm) <- next.(nm) +. (mass *. stop_prob)
-                  end
-                done
-              end)
-            [ (1, p); (0, 1.0 -. p) ])
-      cur;
+  for len = 0 to w.m - 1 do
+    let cur = !dist and next = Array.make (2 lsl len) 0.0 in
+    W.settle_round w len (fun src dst i -> next.(dst) <- next.(dst) +. (cur.(src) *. w.settle.(i)));
     dist := next
   done;
   !dist
 
 let gamma_pmf ?(p = 0.5) model ~m =
   check ~p m;
-  let rho earlier later = Model.swap_probability model ~earlier ~later in
-  let prefix = prefix_distribution ~p model m in
+  let w = weights ~p model m in
+  let prefix = prefix_distribution w in
   let out = Array.make (m + 1) 0.0 in
-  Array.iteri
-    (fun mask mass ->
-      if mass > 0.0 then begin
-        (* settle the critical LD from below the prefix: it passes positions
-           m-1, m-2, ... ; j = number passed *)
-        let pass = ref 1.0 in
-        for j = 0 to m do
-          let stop_prob =
-            if j = m then !pass
-            else begin
-              let above = kind_of_bit ((mask lsr (m - 1 - j)) land 1) in
-              let r = rho above Op.LD in
-              let sp = !pass *. (1.0 -. r) in
-              pass := !pass *. r;
-              sp
-            end
-          in
-          if stop_prob > 0.0 then begin
-            (* the j passed instructions now sit between the critical LD and
-               the critical ST; the ST settles from below, meeting them in
-               reverse prefix order: bits m-1, m-2, ..., m-j *)
-            let pass_st = ref 1.0 in
-            for t = 0 to j do
-              let stop_st =
-                if t = j then !pass_st (* reached the critical LD: same location, stops *)
-                else begin
-                  let above = kind_of_bit ((mask lsr (m - 1 - t)) land 1) in
-                  let r = rho above Op.ST in
-                  let sp = !pass_st *. (1.0 -. r) in
-                  pass_st := !pass_st *. r;
-                  sp
-                end
-              in
-              if stop_st > 0.0 then begin
-                let gamma = j - t in
-                out.(gamma) <- out.(gamma) +. (mass *. stop_prob *. stop_st)
-              end
-            done
-          end
-        done
-      end)
-    prefix;
+  W.pair w (fun mask g a b -> out.(g) <- out.(g) +. (prefix.(mask) *. w.pair.(a) *. w.pair.(b)));
   List.init (m + 1) (fun g -> (g, out.(g)))
 
 let bottom_st_probability ?(p = 0.5) model ~m =
   check ~p m;
   if m = 0 then invalid_arg "Exact_dp.bottom_st_probability: m >= 1 required";
-  let prefix = prefix_distribution ~p model m in
+  let prefix = prefix_distribution (weights ~p model m) in
   let acc = ref 0.0 in
   Array.iteri (fun mask mass -> if (mask lsr (m - 1)) land 1 = 1 then acc := !acc +. mass) prefix;
   !acc

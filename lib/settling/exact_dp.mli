@@ -8,8 +8,10 @@
     that the closed forms of {!Analytic} must approach as [m] grows, and an
     independent check on the Monte Carlo sampler.
 
-    Works for any fence-free model and any [p]; cost is
-    O(2^m m^2), so [m] is capped at 18. *)
+    The transitions are {!Window_walk}'s, shared with the rational
+    {!Exact_dp_q}; this module supplies the float multiply-add. Works for
+    any fence-free model and any [p]; cost is O(2^m m^2), so [m] is capped
+    at 18. Joint functionals across threads live in {!Joint_dp}. *)
 
 val max_m : int
 (** Largest accepted prefix length (18). *)
@@ -28,8 +30,3 @@ val bottom_st_probability : ?p:float -> Memrel_memmodel.Model.t -> m:int -> floa
 val expect_pow2_window : ?p:float -> Memrel_memmodel.Model.t -> m:int -> k:int -> float
 (** Exact finite-m transform E[2^(-k (gamma+2))] (cf.
     {!Analytic.expect_pow2_window}). *)
-
-(** Cross-thread joint window functionals — which require conditioning on
-    the {e initial} program rather than on settled prefixes — live in
-    {!Joint_dp}, whose coupled bottom-run chains avoid this module's 2^m
-    state space altogether. *)

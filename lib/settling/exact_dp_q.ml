@@ -5,12 +5,7 @@ module Model = Memrel_memmodel.Model
 module type S = sig
   type q
 
-  type matrix = {
-    st_st : q;
-    st_ld : q;
-    ld_st : q;
-    ld_ld : q;
-  }
+  type matrix = { st_st : q; st_ld : q; ld_st : q; ld_ld : q }
 
   val sc : matrix
   val tso : ?s:q -> unit -> matrix
@@ -25,22 +20,14 @@ end
 module Make (Q : Memrel_prob.Sigs.RATIONAL) = struct
   type q = Q.t
 
-  type matrix = {
-    st_st : q;
-    st_ld : q;
-    ld_st : q;
-    ld_ld : q;
-  }
+  type matrix = { st_st : q; st_ld : q; ld_st : q; ld_ld : q }
 
   let check_entry name v =
     if Q.compare v Q.zero < 0 || Q.compare v Q.one > 0 then
       invalid_arg (Printf.sprintf "Exact_dp_q: %s out of [0,1]" name)
 
   let make ~st_st ~st_ld ~ld_st ~ld_ld =
-    check_entry "st_st" st_st;
-    check_entry "st_ld" st_ld;
-    check_entry "ld_st" ld_st;
-    check_entry "ld_ld" ld_ld;
+    List.iter2 check_entry [ "st_st"; "st_ld"; "ld_st"; "ld_ld" ] [ st_st; st_ld; ld_st; ld_ld ];
     { st_st; st_ld; ld_st; ld_ld }
 
   let sc = { st_st = Q.zero; st_ld = Q.zero; ld_st = Q.zero; ld_ld = Q.zero }
@@ -53,13 +40,11 @@ module Make (Q : Memrel_prob.Sigs.RATIONAL) = struct
     make ~st_st:(q Op.ST Op.ST) ~st_ld:(q Op.ST Op.LD) ~ld_st:(q Op.LD Op.ST)
       ~ld_ld:(q Op.LD Op.LD)
 
+  (* kinds as bits: ST = 1, LD = 0 *)
   let rho matrix earlier later =
-    match (earlier, later) with
-    | 1, 1 -> matrix.st_st
-    | 1, 0 -> matrix.st_ld
-    | 0, 1 -> matrix.ld_st
-    | 0, 0 -> matrix.ld_ld
-    | _ -> assert false
+    if earlier = 1 then if later = 1 then matrix.st_st else matrix.st_ld
+    else if later = 1 then matrix.ld_st
+    else matrix.ld_ld
 
   let max_m = 12
 
@@ -67,96 +52,32 @@ module Make (Q : Memrel_prob.Sigs.RATIONAL) = struct
     check_entry "p" p;
     if m < 0 || m > max_m then invalid_arg "Exact_dp_q: m out of [0, max_m]"
 
-  (* identical structure to Exact_dp, over rationals; bits: ST = 1, LD = 0,
-     bit j = position j (0 = top) *)
-  let prefix_distribution ~p matrix m =
+  let weights ~p matrix m =
+    Window_walk.weights ~one:Q.one ~sub:Q.sub ~mul:Q.mul ~is_zero:Q.is_zero ~p (rho matrix) m
+
+  let prefix_distribution (w : q Window_walk.weights) =
     let dist = ref [| Q.one |] in
-    for len = 0 to m - 1 do
-      let cur = !dist in
-      let next = Array.make (1 lsl (len + 1)) Q.zero in
-      let insert mask k tb =
-        let low = mask land ((1 lsl k) - 1) in
-        let high = (mask lsr k) lsl (k + 1) in
-        low lor (tb lsl k) lor high
-      in
-      Array.iteri
-        (fun mask mass ->
-          if not (Q.is_zero mass) then
-            List.iter
-              (fun (tb, tp) ->
-                if not (Q.is_zero tp) then begin
-                  let mass = Q.mul mass tp in
-                  let pass = ref Q.one in
-                  for k = len downto 0 do
-                    let stop_prob =
-                      if k = 0 then !pass
-                      else begin
-                        let above = (mask lsr (k - 1)) land 1 in
-                        let r = rho matrix above tb in
-                        let sp = Q.mul !pass (Q.sub Q.one r) in
-                        pass := Q.mul !pass r;
-                        sp
-                      end
-                    in
-                    if not (Q.is_zero stop_prob) then begin
-                      let nm = insert mask k tb in
-                      next.(nm) <- Q.add next.(nm) (Q.mul mass stop_prob)
-                    end
-                  done
-                end)
-              [ (1, p); (0, Q.sub Q.one p) ])
-        cur;
+    for len = 0 to w.m - 1 do
+      let cur = !dist and next = Array.make (2 lsl len) Q.zero in
+      Window_walk.settle_round w len (fun src dst i ->
+          next.(dst) <- Q.add next.(dst) (Q.mul cur.(src) w.settle.(i)));
       dist := next
     done;
     !dist
 
   let gamma_pmf ?(p = Q.half) matrix ~m =
     check ~p m;
-    let prefix = prefix_distribution ~p matrix m in
+    let w = weights ~p matrix m in
+    let prefix = prefix_distribution w in
     let out = Array.make (m + 1) Q.zero in
-    Array.iteri
-      (fun mask mass ->
-        if not (Q.is_zero mass) then begin
-          let pass = ref Q.one in
-          for j = 0 to m do
-            let stop_prob =
-              if j = m then !pass
-              else begin
-                let above = (mask lsr (m - 1 - j)) land 1 in
-                let r = rho matrix above 0 (* the critical LD *) in
-                let sp = Q.mul !pass (Q.sub Q.one r) in
-                pass := Q.mul !pass r;
-                sp
-              end
-            in
-            if not (Q.is_zero stop_prob) then begin
-              let pass_st = ref Q.one in
-              for t = 0 to j do
-                let stop_st =
-                  if t = j then !pass_st
-                  else begin
-                    let above = (mask lsr (m - 1 - t)) land 1 in
-                    let r = rho matrix above 1 (* the critical ST *) in
-                    let sp = Q.mul !pass_st (Q.sub Q.one r) in
-                    pass_st := Q.mul !pass_st r;
-                    sp
-                  end
-                in
-                if not (Q.is_zero stop_st) then begin
-                  let gamma = j - t in
-                  out.(gamma) <- Q.add out.(gamma) (Q.mul mass (Q.mul stop_prob stop_st))
-                end
-              done
-            end
-          done
-        end)
-      prefix;
+    Window_walk.pair w (fun mask g a b ->
+        out.(g) <- Q.add out.(g) (Q.mul prefix.(mask) (Q.mul w.pair.(a) w.pair.(b))));
     List.init (m + 1) (fun g -> (g, out.(g)))
 
   let bottom_st_probability ?(p = Q.half) matrix ~m =
     check ~p m;
     if m = 0 then invalid_arg "Exact_dp_q.bottom_st_probability: m >= 1 required";
-    let prefix = prefix_distribution ~p matrix m in
+    let prefix = prefix_distribution (weights ~p matrix m) in
     let acc = ref Q.zero in
     Array.iteri
       (fun mask mass -> if (mask lsr (m - 1)) land 1 = 1 then acc := Q.add !acc mass)

@@ -1,20 +1,16 @@
 (** The finite-m window distribution in exact rational arithmetic.
 
-    {!Exact_dp} computes in floats; this module re-runs the same dynamic
-    program over {!Memrel_prob.Rational}, so finite-m statements become
-    machine-checked identities rather than approximations — e.g. the total
-    mass is *exactly* 1, and small-m window probabilities come out as the
-    dyadic fractions they really are (TSO at m = 1: Pr[B_0] = 3/4,
+    The DP of {!Exact_dp}, over {!Memrel_prob.Rational}: both sit on
+    {!Window_walk}'s transitions, and this module supplies the rational
+    multiply-add. Finite-m statements become machine-checked identities —
+    the total mass is *exactly* 1, and small-m window probabilities come out
+    as the dyadic fractions they are (TSO at m = 1: Pr[B_0] = 3/4,
     Pr[B_1] = 1/4). Parameters are rational too, so the footnote-3
-    generality is preserved exactly.
-
-    Rational arithmetic over 2^m states is costly, so [m] is capped lower
-    than the float DP's.
-
-    The DP is a functor over {!Memrel_prob.Sigs.RATIONAL} so the bench
-    harness can run the identical program over the fast-path rationals and
-    over the seed rationals of the test oracle library and compare
-    throughput; the toplevel values are the fast-path instance. *)
+    generality is kept exactly. Rational arithmetic over 2^m states is
+    costly, so [m] is capped lower than the float DP's. A functor over
+    {!Memrel_prob.Sigs.RATIONAL}, so the bench harness can run it over the
+    fast-path and the seed rationals; the toplevel values are the
+    fast-path instance. *)
 
 module Q = Memrel_prob.Rational
 

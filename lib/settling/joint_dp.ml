@@ -1,11 +1,18 @@
 module Model = Memrel_memmodel.Model
 
-let max_replicas = 4
+let max_replicas = Joint_dp_q.max_replicas
 
-(* ---- the coupled bottom-run chains ---------------------------------- *)
+(* the chains over floats *)
+module F = Joint_dp_q.Make (struct
+  type t = float
 
-(* Tensor over (B_1 .. B_K), each coordinate in [0 .. b_max], stored flat;
-   index = sum_j b_j * (b_max+1)^j. *)
+  let zero, one, half = (0.0, 1.0, 0.5)
+  let add, sub, mul = (( +. ), ( -. ), ( *. ))
+  let pow x n = x ** float_of_int n
+  let pow2 n = Float.ldexp 1.0 n
+  let compare = Float.compare
+  let is_zero x = x = 0.0
+end)
 
 let check_common ?(p = 0.5) model ~m =
   if not (p > 0.0 && p < 1.0) then invalid_arg "Joint_dp: p must be in (0,1)";
@@ -14,111 +21,11 @@ let check_common ?(p = 0.5) model ~m =
   if not (s > 0.0 && s < 1.0) then invalid_arg "Joint_dp: model s must be in (0,1)";
   s
 
-(* run the coupled chains for K replicas; returns the final joint tensor *)
-let run_chains ~p ~s ~b_max ~m k =
-  let side = b_max + 1 in
-  let size =
-    let rec pow acc i = if i = 0 then acc else pow (acc * side) (i - 1) in
-    pow 1 k
-  in
-  let stride j =
-    let rec pow acc i = if i = 0 then acc else pow (acc * side) (i - 1) in
-    pow 1 j
-  in
-  let dist = Array.make size 0.0 in
-  dist.(0) <- 1.0;
-  let tmp = Array.make size 0.0 in
-  (* fresh ST: every replica's run grows by one (clamped): a diagonal shift
-     into a cleared destination tensor; clamped coordinates accumulate. *)
-  let shift_all src dst =
-    Array.fill dst 0 size 0.0;
-    let coords = Array.make k 0 in
-    for idx = 0 to size - 1 do
-      (* decode idx *)
-      let rem = ref idx in
-      for j = 0 to k - 1 do
-        coords.(j) <- !rem mod side;
-        rem := !rem / side
-      done;
-      let v = src.(idx) in
-      if v <> 0.0 then begin
-        let nidx = ref 0 in
-        for j = k - 1 downto 0 do
-          let b = if coords.(j) >= b_max then b_max else coords.(j) + 1 in
-          nidx := (!nidx * side) + b
-        done;
-        dst.(!nidx) <- dst.(!nidx) +. v
-      end
-    done
-  in
-  (* fresh LD on one axis: new[b'] = s^b' ((1-s) * sum_{b > b'} old[b] + old[b']) *)
-  let ld_axis arr j =
-    let st = stride j in
-    let block = st * side in
-    let line = Array.make side 0.0 in
-    let i = ref 0 in
-    while !i < size do
-      (* iterate lines along axis j within the current block *)
-      for off = !i to !i + st - 1 do
-        for b = 0 to side - 1 do
-          line.(b) <- arr.(off + (b * st))
-        done;
-        (* suffix sums *)
-        let suffix = ref 0.0 in
-        for b = side - 1 downto 0 do
-          let above = !suffix in
-          suffix := !suffix +. line.(b);
-          let nb = (s ** float_of_int b) *. (((1.0 -. s) *. above) +. line.(b)) in
-          arr.(off + (b * st)) <- nb
-        done
-      done;
-      i := !i + block
-    done
-  in
-  for _ = 1 to m do
-    (* ST branch into tmp, weighted p *)
-    shift_all dist tmp;
-    (* LD branch in place on dist (weighted 1-p), applied per axis *)
-    for j = 0 to k - 1 do
-      ld_axis dist j
-    done;
-    for idx = 0 to size - 1 do
-      dist.(idx) <- ((1.0 -. p) *. dist.(idx)) +. (p *. tmp.(idx))
-    done
-  done;
-  dist
-
-(* window-transform weight given a bottom run of mu STs, for exponent i *)
-let weight_tso ~s ~i mu =
-  (* critical LD passes g STs: s^g (1-s) for g < mu, s^mu at g = mu *)
-  let acc = ref 0.0 in
-  for g = 0 to mu do
-    let pr = if g < mu then (s ** float_of_int g) *. (1.0 -. s) else s ** float_of_int mu in
-    acc := !acc +. (pr *. Float.pow 2.0 (float_of_int (-i * (g + 2))))
-  done;
-  !acc
-
-let weight_pso ~s ~i mu =
-  (* as TSO, but the critical ST re-absorbs t of the g passed STs *)
-  let acc = ref 0.0 in
-  for g = 0 to mu do
-    let pr_g = if g < mu then (s ** float_of_int g) *. (1.0 -. s) else s ** float_of_int mu in
-    for t = 0 to g do
-      let pr_t = if t < g then (s ** float_of_int t) *. (1.0 -. s) else s ** float_of_int g in
-      acc := !acc +. (pr_g *. pr_t *. Float.pow 2.0 (float_of_int (-i * (g - t + 2))))
-    done
-  done;
-  !acc
-
 let expect_product ?(p = 0.5) ?b_max model ~m ~n =
   let s = check_common ~p model ~m in
   if n < 2 || n - 1 > max_replicas then
     invalid_arg "Joint_dp.expect_product: n must be in [2, max_replicas + 1]";
-  let k = n - 1 in
   match Model.family model with
-  | Model.Sequential_consistency ->
-    (* Gamma = 2 for every thread *)
-    Float.pow 2.0 (float_of_int (-2 * (k * (k + 1) / 2)))
   | Model.Weak_ordering ->
     (* windows independent of the program: the joint factorizes *)
     let e i =
@@ -127,41 +34,16 @@ let expect_product ?(p = 0.5) ?b_max model ~m ~n =
       in
       (Memrel_prob.Series.sum_to_convergence ~max_terms:300 term).value
     in
-    let acc = ref 1.0 in
-    for i = 1 to k do
-      acc := !acc *. e i
-    done;
-    !acc
-  | Model.Total_store_order | Model.Partial_store_order ->
-    let b_max = match b_max with Some b -> b | None -> min m 40 in
-    if b_max < 1 then invalid_arg "Joint_dp: b_max >= 1 required";
-    let weight = match Model.family model with
-      | Model.Partial_store_order -> weight_pso
-      | _ -> weight_tso
-    in
-    let side = b_max + 1 in
-    let dist = run_chains ~p ~s ~b_max ~m k in
-    (* per-axis weight tables *)
-    let w = Array.init k (fun j -> Array.init side (fun mu -> weight ~s ~i:(j + 1) mu)) in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun idx v ->
-        if v <> 0.0 then begin
-          let rem = ref idx and prod = ref v in
-          for j = 0 to k - 1 do
-            prod := !prod *. w.(j).(!rem mod side);
-            rem := !rem / side
-          done;
-          total := !total +. !prod
-        end)
-      dist;
-    !total
+    List.fold_left (fun acc i -> acc *. e i) 1.0 (List.init (n - 1) succ)
   | Model.Custom -> invalid_arg "Joint_dp: Custom models are not supported"
+  | (Model.Total_store_order | Model.Partial_store_order) when Option.value b_max ~default:1 < 1
+    ->
+    invalid_arg "Joint_dp: b_max >= 1 required"
+  | family -> F.expect_product ~p ?b_max ~s family ~m ~n
 
 let bottom_run_pmf ?(p = 0.5) ?b_max model ~m =
-  let _s = check_common ~p model ~m in
+  let s = check_common ~p model ~m in
   (match Model.family model with
    | Model.Total_store_order | Model.Partial_store_order -> ()
    | _ -> invalid_arg "Joint_dp.bottom_run_pmf: TSO/PSO dynamics only");
-  let b_max = match b_max with Some b -> b | None -> min m 40 in
-  run_chains ~p ~s:(Model.s model) ~b_max ~m 1
+  F.bottom_run_pmf ~p ?b_max ~s (Model.family model) ~m

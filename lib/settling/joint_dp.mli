@@ -17,9 +17,10 @@
     shared program draws gives the exact joint law of (B_1, .., B_{n-1}),
     hence of the windows, in O(m K Bmax^K) — no 2^m enumeration.
 
-    SC and WO need no machinery: SC windows are deterministic, and WO
-    windows are independent of the program content entirely, so the joint
-    factorizes; both are dispatched to closed forms. *)
+    The chains are {!Joint_dp_q.Make}'s, instantiated at floats; this
+    module adds the [Model.t] entry points and WO. SC windows are
+    deterministic, and WO windows are independent of the program content,
+    so the joint factorizes into a product of series. *)
 
 val max_replicas : int
 (** Largest supported [n - 1] (4, i.e. n = 5: the tensor is [Bmax^4]). *)

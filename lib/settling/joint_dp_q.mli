@@ -1,20 +1,14 @@
-(** {!Joint_dp} in exact rational arithmetic.
-
-    The coupled bottom-run chains (see {!Joint_dp} for the reduction) run
-    over {!Memrel_prob.Rational}, so the truncated joint window transform
-    E[prod 2^(-i Gamma_i)] comes out as the exact dyadic rational it is for
-    a given prefix length [m] and bottom-run cap [b_max] — the only
-    approximation left is the same finite-[m]/[b_max] truncation the float
-    version makes, now with zero rounding on top. SC dispatches to its
-    closed form; WO (whose closed form is an infinite series) and Custom
-    are rejected.
+(** {!Joint_dp}'s coupled bottom-run chains, written once over
+    {!Memrel_prob.Sigs.SCALAR}: {!Joint_dp} is the float instance, and the
+    toplevel values here are the {!Memrel_prob.Rational} one. Over
+    rationals, the truncated joint window transform E[prod 2^(-i Gamma_i)]
+    comes out as the exact dyadic rational it is for a prefix length [m]
+    and bottom-run cap [b_max], with no rounding on top of the truncation.
+    SC dispatches to its closed form; WO (an infinite series, which the
+    float {!Joint_dp} sums) and Custom are rejected.
 
     This is also the heaviest exact-DP workload in the bench: the tensor
-    has (b_max+1)^(n-1) rational entries updated m times.
-
-    Functorized over {!Memrel_prob.Sigs.RATIONAL} for the
-    fast-vs-reference bench; the toplevel values are the fast-path
-    instance. *)
+    has (b_max+1)^(n-1) rational entries updated m times. *)
 
 module Q = Memrel_prob.Rational
 module Model = Memrel_memmodel.Model
@@ -24,11 +18,11 @@ val max_replicas : int
 
 module type S = sig
   type q
-  (** The rational scalar of this instance. *)
+  (** The scalar of this instance. *)
 
   val expect_product :
     ?p:q -> ?b_max:int -> s:q -> Model.family -> m:int -> n:int -> q
-  (** Exact [E[prod_{i=1}^{n-1} 2^(-i Gamma_i)]] for a prefix of length
+  (** [E[prod_{i=1}^{n-1} 2^(-i Gamma_i)]] for a prefix of length
       [m], with the bottom-run chains truncated at [b_max] (default
       [min m 40]). [p] (default 1/2) is the ST probability, [s] the swap
       probability; both must lie strictly inside (0,1). Requires
@@ -36,11 +30,11 @@ module type S = sig
 
   val bottom_run_pmf :
     ?p:q -> ?b_max:int -> s:q -> Model.family -> m:int -> q array
-  (** Exact marginal pmf of the bottom-run length B after [m] prefix
+  (** The marginal pmf of the bottom-run length B after [m] prefix
       instructions (index mu holds Pr[B = mu]). TSO/PSO only. *)
 end
 
-module Make (Q : Memrel_prob.Sigs.RATIONAL) : S with type q = Q.t
+module Make (Q : Memrel_prob.Sigs.SCALAR) : S with type q = Q.t
 
 include S with type q = Q.t
 
