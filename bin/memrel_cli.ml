@@ -471,12 +471,7 @@ let scaling_cmd =
 let find_litmus name =
   match Litmus.find name with
   | t -> Ok t
-  | exception Not_found ->
-    Error
-      (Printf.sprintf
-         "unknown litmus test %S (available: %s; or incN, 2 <= N <= %d, for the N-thread \
-          increment)"
-         name (String.concat ", " Litmus.names) Litmus.max_inc_threads)
+  | exception Not_found -> Error (Litmus.unknown_test name)
 
 (* -- litmus ----------------------------------------------------------- *)
 

@@ -231,6 +231,11 @@ let find name =
     | Some n when n >= 2 && n <= max_inc_threads && string_of_int n = suffix -> increment_n n
     | _ -> raise Not_found
 
+let unknown_test name =
+  Printf.sprintf "unknown litmus test %S (available: %s; or incN, 2 <= N <= %d, for the N-thread \
+                  increment)"
+    name (String.concat ", " names) max_inc_threads
+
 (* -- structural hash ---------------------------------------------------
    FNV-1a over a canonical byte encoding of everything that determines a
    test's semantics: the per-thread instruction streams, the initial

@@ -64,6 +64,11 @@ val find : string -> t
     ["inc0b101"] name nothing, so a test has one name. Raises [Not_found],
     before building anything for an incN name above the bound. *)
 
+val unknown_test : string -> string
+(** [unknown_test name] is the one-line refusal of a name {!find} does not
+    resolve, offering {!names} and the incN family; the CLI and the daemon
+    both word it this way. *)
+
 val hash : t -> string
 (** Stable structural digest (16 hex chars, FNV-1a 64) over the instruction
     streams, initial memory and the relaxed-outcome observable spec —

@@ -63,13 +63,7 @@ let litmus_hash name =
       publish name v;
       Ok v
     | exception Not_found ->
-      Error
-        {
-          code = P.Unknown_test;
-          message =
-            Printf.sprintf "unknown litmus test %S (known: %s, incN for 2 <= N <= %d)" name
-              (String.concat ", " Litmus.names) Litmus.max_inc_threads;
-        })
+      Error { code = P.Unknown_test; message = Litmus.unknown_test name })
 
 let check_family = function
   | Model.Custom -> unsupported "custom models have no wire encoding"

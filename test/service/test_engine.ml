@@ -202,7 +202,9 @@ let test_cache_key_memo_consistent () =
     (List.map Domain.join domains);
   let inc05 = P.Verify { test = "inc05"; family = Model.Total_store_order; window = 8 } in
   (match Engine.cache_key inc05 with
-   | Error { Engine.code = P.Unknown_test; _ } -> ()
+   | Error { Engine.code = P.Unknown_test; message } ->
+     (* worded as the CLI words it *)
+     Alcotest.(check string) "inc05 refusal" (Litmus.unknown_test "inc05") message
    | Error e -> Alcotest.failf "inc05: %s" (P.error_code_to_string e.Engine.code)
    | Ok k -> Alcotest.failf "inc05 answered as %s" k);
   (* the other kinds keep the key layout the disk tier was written with *)
