@@ -10,7 +10,7 @@ let check ?(p = 0.5) m =
 
 let weights ~p model m =
   let kind b = if b = 1 then Op.ST else Op.LD in
-  let rho earlier later = Model.swap_probability model ~earlier:(kind earlier) ~later:(kind later) in
+  let rho e l = Model.swap_probability model ~earlier:(kind e) ~later:(kind l) in
   W.weights ~one:1.0 ~sub:( -. ) ~mul:( *. ) ~is_zero:(fun r -> r = 0.0) ~p rho m
 
 (* dist.(mask) is the probability of each settled prefix of length [w.m] *)

@@ -87,6 +87,23 @@ let test_general_p_consistency () =
     (D.expect_pow2_window ~p:0.7 (Model.tso ()) ~m:14 ~k:1)
     (J.expect_product ~p:0.7 (Model.tso ()) ~m:14 ~n:2 ~b_max:14)
 
+let test_b_max_folds_the_tail () =
+  (* a run of at least b_max STs moves under every program draw as one of
+     exactly b_max does, in law of min(B, b_max): clamping at b_max folds
+     the untruncated pmf's tail onto b_max, with no other error *)
+  List.iter
+    (fun (model, m, b_max) ->
+      let full = J.bottom_run_pmf model ~m ~b_max:m in
+      let tail = Array.fold_left ( +. ) 0.0 (Array.sub full b_max (m + 1 - b_max)) in
+      Array.iteri
+        (fun mu v ->
+          Alcotest.(check (float 1e-12))
+            (Printf.sprintf "%s m=%d b_max=%d mu=%d" (Model.name model) m b_max mu)
+            (if mu < b_max then full.(mu) else tail)
+            v)
+        (J.bottom_run_pmf model ~m ~b_max))
+    [ (Model.tso (), 10, 1); (Model.tso (), 10, 3); (Model.pso ~s:0.3 (), 12, 2) ]
+
 let test_guards () =
   Alcotest.check_raises "n too large"
     (Invalid_argument "Joint_dp.expect_product: n must be in [2, max_replicas + 1]") (fun () ->
@@ -115,5 +132,6 @@ let suite =
       ("b_max truncation", test_b_max_truncation_small);
       ("PSO between TSO and SC", test_pso_between);
       ("general p consistency", test_general_p_consistency);
+      ("b_max folds the tail", test_b_max_folds_the_tail);
       ("guards", test_guards);
     ]

@@ -99,6 +99,28 @@ let test_monotone_in_m () =
   Alcotest.(check bool) "bounded below by the m=24 value" true
     (Q.compare !prev (JQ.expect_product ~s:Q.half Model.Total_store_order ~m:24 ~n:2) > 0)
 
+let test_b_max_folds_the_tail () =
+  (* clamping at b_max is exact for the law of min(B, b_max) (see
+     test_joint_dp): as a rational identity, the truncated pmf is the
+     untruncated one with its tail summed onto b_max *)
+  List.iter
+    (fun (family, m, b_max) ->
+      let s = Q.of_ints 1 3 in
+      let full = JQ.bottom_run_pmf ~s family ~m ~b_max:m in
+      let tail = Array.fold_left Q.add Q.zero (Array.sub full b_max (m + 1 - b_max)) in
+      Array.iteri
+        (fun mu v ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s m=%d b_max=%d mu=%d" (Model.family_name family) m b_max mu)
+            (Q.to_string (if mu < b_max then full.(mu) else tail))
+            (Q.to_string v))
+        (JQ.bottom_run_pmf ~s family ~m ~b_max))
+    [
+      (Model.Total_store_order, 9, 1);
+      (Model.Total_store_order, 9, 4);
+      (Model.Partial_store_order, 8, 2);
+    ]
+
 let test_validation () =
   Alcotest.check_raises "p out of range" (Invalid_argument "Joint_dp_q: p must be in (0,1)")
     (fun () ->
@@ -120,5 +142,6 @@ let suite =
     Alcotest.test_case "sc closed form" `Quick test_sc_closed_form;
     Alcotest.test_case "pmf mass exactly 1" `Quick test_pmf_mass_exactly_one;
     Alcotest.test_case "monotone in m" `Quick test_monotone_in_m;
+    Alcotest.test_case "b_max folds the tail" `Quick test_b_max_folds_the_tail;
     Alcotest.test_case "validation errors" `Quick test_validation;
   ]
