@@ -218,7 +218,10 @@ let add t b len = add_value t b len 0
    per key, by multikey quicksort (Bentley and Sedgewick's three-way radix
    quicksort) over 7-byte digits: partition on the digit at depth [d] into
    keys below, at and above the pivot's digit; the middle part moves on
-   to depth [d + 7]. Keys are distinct, so the order is total and equals
+   to depth [d + 7]. A parallel [int array] caches each key's digit at
+   its range's depth, so a digit is computed once per key and depth, not
+   once per partition pass; only a middle part, which moves to [d + 7],
+   is refreshed. Keys are distinct, so the order is total and equals
    [String.compare]'s. *)
 
 external swap64 : int64 -> int64 = "%bswap_int64"
@@ -240,8 +243,12 @@ let digit_at c o n =
     (!w lsl 3) lor if n <= 0 then 0 else if n >= digit_bytes then digit_bytes else n
   end
 
-(* the digit at depth [d] of slot [s]'s key *)
-let digit t s d = digit_at (chunk_of t s) (key_off s + d) (key_len t s - d)
+(* the digits at depth [d] of the keys [a.(lo) .. a.(hi - 1)], into [dig] *)
+let load_digits t a dig lo hi d =
+  for i = lo to hi - 1 do
+    let s = Array.unsafe_get a i in
+    Array.unsafe_set dig i (digit_at (chunk_of t s) (key_off s + d) (key_len t s - d))
+  done
 
 (* byte order of two slots' keys that agree on their first [d] bytes *)
 let compare_from t d a b =
@@ -254,42 +261,56 @@ let compare_from t d a b =
   if !i < n then Char.compare (Bytes.unsafe_get ca (oa + !i)) (Bytes.unsafe_get cb (ob + !i))
   else Int.compare la lb
 
-let swap a i j =
+(* the annotations make the array accesses and digit comparisons below
+   plain loads, stores and int compares *)
+let swap (a : int array) (dig : int array) i j =
   let x = Array.unsafe_get a i in
   Array.unsafe_set a i (Array.unsafe_get a j);
-  Array.unsafe_set a j x
+  Array.unsafe_set a j x;
+  let x = Array.unsafe_get dig i in
+  Array.unsafe_set dig i (Array.unsafe_get dig j);
+  Array.unsafe_set dig j x
 
-(* insertion sort of [a.(lo) .. a.(hi - 1)], keys agreeing on [d] bytes *)
-let insertion_sort t a lo hi d =
+(* insertion sort of [a.(lo) .. a.(hi - 1)], keys agreeing on [d] bytes
+   with their digits at [d] in [dig]; equal digits agree on 7 more *)
+let insertion_sort t (a : int array) (dig : int array) lo hi d =
   for i = lo + 1 to hi - 1 do
-    let s = Array.unsafe_get a i and j = ref i in
-    while !j > lo && compare_from t d (Array.unsafe_get a (!j - 1)) s > 0 do
+    let s = Array.unsafe_get a i and c = Array.unsafe_get dig i and j = ref i in
+    while
+      !j > lo
+      &&
+      let c' = Array.unsafe_get dig (!j - 1) in
+      c' > c || (c' = c && compare_from t (d + digit_bytes) (Array.unsafe_get a (!j - 1)) s > 0)
+    do
       Array.unsafe_set a !j (Array.unsafe_get a (!j - 1));
+      Array.unsafe_set dig !j (Array.unsafe_get dig (!j - 1));
       decr j
     done;
-    Array.unsafe_set a !j s
+    Array.unsafe_set a !j s;
+    Array.unsafe_set dig !j c
   done
 
-(* sorts [a.(lo) .. a.(hi - 1)], keys agreeing on their first [d] bytes.
-   It recurses into the two smaller parts and loops on the largest, so
-   the recursion is at most log2 n deep whatever the keys. *)
-let rec multikey_sort t a lo hi d =
+(* sorts [a.(lo) .. a.(hi - 1)], keys agreeing on their first [d] bytes,
+   whose digits at [d] are in [dig]. It recurses into the two smaller
+   parts and loops on the largest, so the recursion is at most log2 n
+   deep whatever the keys. *)
+let rec multikey_sort t a dig lo hi d =
   let lo = ref lo and hi = ref hi and d = ref d in
   while !hi - !lo > 12 do
-    swap a !lo ((!lo + !hi) / 2);
-    let pivot = digit t (Array.unsafe_get a !lo) !d in
+    swap a dig !lo ((!lo + !hi) / 2);
+    let pivot = Array.unsafe_get dig !lo in
     (* [lo, lt) below the pivot, [lt, i) at it, [gt, hi) above *)
     let lt = ref !lo and i = ref (!lo + 1) and gt = ref !hi in
     while !i < !gt do
-      let c = digit t (Array.unsafe_get a !i) !d in
+      let c = Array.unsafe_get dig !i in
       if c < pivot then begin
-        swap a !lt !i;
+        swap a dig !lt !i;
         incr lt;
         incr i
       end
       else if c > pivot then begin
         decr gt;
-        swap a !i !gt
+        swap a dig !i !gt
       end
       else incr i
     done;
@@ -297,25 +318,26 @@ let rec multikey_sort t a lo hi d =
        one key, which the next round leaves to the insertion sort *)
     let below = !lt - !lo and at = !gt - !lt and above = !hi - !gt in
     let next_d = !d + digit_bytes in
+    load_digits t a dig !lt !gt next_d;
     if below >= at && below >= above then begin
-      multikey_sort t a !lt !gt next_d;
-      multikey_sort t a !gt !hi !d;
+      multikey_sort t a dig !lt !gt next_d;
+      multikey_sort t a dig !gt !hi !d;
       hi := !lt
     end
     else if at >= above then begin
-      multikey_sort t a !lo !lt !d;
-      multikey_sort t a !gt !hi !d;
+      multikey_sort t a dig !lo !lt !d;
+      multikey_sort t a dig !gt !hi !d;
       lo := !lt;
       hi := !gt;
       d := next_d
     end
     else begin
-      multikey_sort t a !lo !lt !d;
-      multikey_sort t a !lt !gt next_d;
+      multikey_sort t a dig !lo !lt !d;
+      multikey_sort t a dig !lt !gt next_d;
       lo := !gt
     end
   done;
-  insertion_sort t a !lo !hi !d
+  insertion_sort t a dig !lo !hi !d
 
 let iter t f =
   let keys = Array.make t.count 0 and n = ref 0 in
@@ -326,7 +348,9 @@ let iter t f =
       incr n
     end
   done;
-  multikey_sort t keys 0 t.count 0;
+  let dig = Array.make t.count 0 in
+  load_digits t keys dig 0 t.count 0;
+  multikey_sort t keys dig 0 t.count 0;
   Array.iter (fun s -> f (chunk_of t s) (key_off s) (key_len t s) (value t s)) keys
 
 (* back to a fresh set's shape, keeping only the first chunk *)

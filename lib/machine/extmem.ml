@@ -102,8 +102,9 @@ let add_uvarint buf n =
 
 (* streaming reader over a logical run. The previous key is extended in
    place: after [reader_next] returns [true] the current key is the first
-   [len] bytes of [key], valid until the next call, and [mask] its sleep
-   set. *)
+   [len] bytes of [key], valid until the next call, [mask] its sleep set,
+   and its first [shared] bytes are the previous key's (0 for the first
+   key of each file). *)
 type reader = {
   rdir : string;
   mutable files : string list;  (* still unread *)
@@ -113,12 +114,13 @@ type reader = {
   mutable remaining : int;  (* keys left in [src] *)
   mutable key : Bytes.t;
   mutable len : int;
+  mutable shared : int;
   mutable mask : int;
 }
 
 let reader_open eng lrun =
   { rdir = eng.dir; files = lrun; file = ""; src = ""; p = 0; remaining = 0;
-    key = Bytes.create 64; len = 0; mask = 0 }
+    key = Bytes.create 64; len = 0; shared = 0; mask = 0 }
 
 let read_uvarint r =
   let u = ref 0 and shift = ref 0 and again = ref true in
@@ -148,6 +150,7 @@ let rec reader_next r =
     Bytes.blit_string r.src r.p r.key plen slen;
     r.p <- r.p + slen;
     r.len <- n;
+    r.shared <- plen;
     r.mask <- read_uvarint r;
     r.remaining <- r.remaining - 1;
     true
@@ -211,12 +214,22 @@ let writer_flush w =
     w.count <- 0
   end
 
-let writer_add w b off len mask =
-  let n = min len w.prev_len and p = ref 0 in
-  while !p < n && Bytes.unsafe_get b (off + !p) = Bytes.unsafe_get w.prev !p do
-    incr p
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* how many of the first [n] bytes of [a] at [ao] and [b] at [bo] agree
+   before the first that differs, compared eight at a time *)
+let common_prefix a ao b bo n =
+  let i = ref 0 in
+  while !i + 8 <= n && get64 a (ao + !i) = get64 b (bo + !i) do
+    i := !i + 8
   done;
-  let p = !p in
+  while !i < n && Bytes.unsafe_get a (ao + !i) = Bytes.unsafe_get b (bo + !i) do
+    incr i
+  done;
+  !i
+
+let writer_add w b off len mask =
+  let p = common_prefix b off w.prev 0 (min len w.prev_len) in
   add_uvarint w.buf p;
   add_uvarint w.buf (len - p);
   Buffer.add_subbytes w.buf b (off + p) (len - p);
@@ -242,11 +255,9 @@ let writer_finish w =
 (* byte order of two readers' current keys, a shorter prefix first:
    [String.compare]'s order *)
 let compare_keys a b =
-  let n = min a.len b.len and i = ref 0 in
-  while !i < n && Bytes.unsafe_get a.key !i = Bytes.unsafe_get b.key !i do
-    incr i
-  done;
-  if !i < n then Char.compare (Bytes.unsafe_get a.key !i) (Bytes.unsafe_get b.key !i)
+  let n = min a.len b.len in
+  let i = common_prefix a.key 0 b.key 0 n in
+  if i < n then Char.compare (Bytes.unsafe_get a.key i) (Bytes.unsafe_get b.key i)
   else Int.compare a.len b.len
 
 let merge_readers readers ~emit =
@@ -421,7 +432,7 @@ let expand_level eng ~observe ~max_states ~budget =
       c.expanded <- c.expanded + 1;
       incr read;
       let st =
-        try State.decode eng.decoder r.key r.len
+        try State.decode ~shared:r.shared eng.decoder r.key r.len
         with Invalid_argument _ -> spill_error "corrupt state key in spill run"
       in
       let depth = State.decoded_depth eng.decoder in

@@ -247,7 +247,9 @@ let packed_key st =
 
    The decoder is a cursor over the key's bytes. While it reads it also
    records where each section ends and sums the depth (see
-   [decoded_depth]), so neither needs a second pass over the state. *)
+   [decoded_depth]), so neither needs a second pass over the state, and
+   a key that shares a prefix with the last one reuses the sections, and
+   their depths, that end inside it. *)
 
 type decoder = {
   mutable layout : layout;
@@ -261,14 +263,16 @@ type decoder = {
   marks : int array;
       (* section ends in [src], as a packer records them: [marks.(0)] the
          end of memory, [marks.(k + 1)] the end of thread [k] *)
+  sums : int array;  (* [sums.(j)]: the depth of the sections up to [marks.(j)] *)
   mutable last : t;  (* the state decoded from [src] *)
   mutable valid : bool;  (* [last] and [marks] describe [src] *)
 }
 
 let make_decoder ~buffered layout =
   let zero = empty_of layout in
+  let sections = Array.length layout.progs + 1 in
   { layout; zero; buffered; src = Bytes.empty; pos = 0; stop = 0; depth = 0; queued = 0;
-    marks = Array.make (Array.length layout.progs + 1) 0; last = zero; valid = false }
+    marks = Array.make sections 0; sums = Array.make sections 0; last = zero; valid = false }
 
 let decoder ?(buffered = false) st =
   let progs = Array.map (fun th -> th.prog) st.threads in
@@ -417,26 +421,35 @@ let read_thread d k zt =
   d.depth <- d.depth + popcount executed + drained;
   { zt with executed; regs; fifo; perloc }
 
-let decode_key d =
-  d.pos <- 0;
-  d.depth <- 0;
-  let z = d.zero in
-  let mem = read_bindings d z.mem in
-  d.marks.(0) <- d.pos;
-  let threads = copy_threads z.threads in
-  for k = 0 to Array.length threads - 1 do
+(* read the key from section [j] on (0 is memory, [k + 1] thread [k]);
+   the sections before [j] are [d.last]'s, whose bytes the key shares *)
+let decode_key d j =
+  let z = d.zero and n = Array.length d.marks - 1 in
+  let mem = if j > 0 then d.last.mem else (d.pos <- 0; read_bindings d z.mem) in
+  if j = 0 then d.marks.(0) <- d.pos;
+  d.pos <- d.marks.(max 0 (j - 1));
+  d.depth <- d.sums.(max 0 (j - 1));
+  let threads = copy_threads (if j > 1 then d.last.threads else z.threads) in
+  for k = max 0 (j - 1) to n - 1 do
     Array.unsafe_set threads k (read_thread d k (Array.unsafe_get z.threads k));
-    d.marks.(k + 1) <- d.pos
+    d.marks.(k + 1) <- d.pos;
+    d.sums.(k + 1) <- d.depth
   done;
   if d.pos <> d.stop then malformed ();
   { mem; threads }
 
-let rec decode d b len =
+let rec decode ?(shared = 0) d b len =
   if len < 0 || len > Bytes.length b then invalid_arg "State.decode: length";
+  (* the last key's sections that end inside the shared prefix *)
+  let j = ref 0 in
+  if d.valid then
+    while !j < Array.length d.marks && d.marks.(!j) <= min shared len do
+      incr j
+    done;
   d.valid <- false;
   d.src <- b;
   d.stop <- len;
-  match decode_key d with
+  match decode_key d !j with
   | st ->
     d.last <- st;
     d.valid <- true;

@@ -134,9 +134,16 @@ val decoder : ?buffered:bool -> t -> decoder
     [false]) says whether stores go through a store buffer (TSO, PSO) or
     act on memory directly (SC, WO); it only affects {!decoded_depth}. *)
 
-val decode : decoder -> Bytes.t -> int -> t
+val decode : ?shared:int -> decoder -> Bytes.t -> int -> t
 (** [decode d b len] decodes the {!packed_key} held in the first [len]
     bytes of [b]. Thread count and order must match the encoder's.
+    [shared] (default 0) says that the first [shared] bytes of [b] are
+    those of the key [d] last decoded: every section (memory, or a whole
+    thread) that ended inside them is taken from the state decoded then,
+    physically, with its depth, and reading resumes at the first section
+    that crosses [shared]. The result, {!decoded_depth} and the recorded
+    section ends are a full decode's. After a failed decode, or before
+    any, [shared] is ignored.
     Decoding is strict: it accepts exactly the byte strings {!pack}
     writes, so [packed_key (decode d k) = k] for every key it accepts,
     and the decoded state is semantically identical to the packed one

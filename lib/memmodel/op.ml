@@ -2,7 +2,6 @@ type kind = LD | ST
 
 let kind_equal a b = match (a, b) with LD, LD | ST, ST -> true | (LD | ST), _ -> false
 let kind_to_string = function LD -> "LD" | ST -> "ST"
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
 type role = Plain | Critical_load | Critical_store
 

@@ -10,7 +10,6 @@ type kind = LD | ST
 
 val kind_equal : kind -> kind -> bool
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 type role =
   | Plain  (** one of the [m] prefix instructions, unique location *)

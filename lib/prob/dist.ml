@@ -4,7 +4,6 @@ let geometric_half_sf k = if k <= 0 then 1.0 else Float.pow 2.0 (float_of_int (-
 let geometric_pmf ~p k = if k < 0 then 0.0 else (Float.pow (1.0 -. p) (float_of_int k)) *. p
 
 let sample_geometric_half = Rng.geometric_half
-let sample_bernoulli = Rng.bernoulli
 
 let sample_categorical rng weights =
   let total = Array.fold_left ( +. ) 0.0 weights in

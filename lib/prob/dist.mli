@@ -18,7 +18,6 @@ val geometric_pmf : p:float -> int -> float
 (** [geometric_pmf ~p k] is [(1-p)^k * p]. *)
 
 val sample_geometric_half : Rng.t -> int
-val sample_bernoulli : Rng.t -> float -> bool
 
 val sample_categorical : Rng.t -> float array -> int
 (** [sample_categorical rng weights] draws index [i] with probability

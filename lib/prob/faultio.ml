@@ -137,21 +137,11 @@ let stats p =
   Mutex.unlock p.mutex;
   s
 
-let faults_dealt p =
-  let s = stats p in
-  s.eintr + s.short + s.enospc + s.torn + s.crashes
-
 let trace p =
   Mutex.lock p.mutex;
   let t = List.rev p.dealt in
   Mutex.unlock p.mutex;
   t
-
-let trace_to_string t =
-  String.concat ";"
-    (List.map
-       (fun e -> Printf.sprintf "%d:%s:%s" e.op (site_to_string e.site) (fault_to_string e.fault))
-       t)
 
 (* -- installation -------------------------------------------------------- *)
 

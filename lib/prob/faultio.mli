@@ -73,13 +73,10 @@ val script : (site * int * fault) list -> seed:int -> plan
 
 val seed_of : plan -> int
 val stats : plan -> stats
-val faults_dealt : plan -> int
 
 val trace : plan -> event list
 (** The dealt faults in operation order — equal traces for equal seeds
     over equal operation sequences is the replayability contract. *)
-
-val trace_to_string : event list -> string
 
 (** {1 Installation} *)
 

@@ -10,7 +10,6 @@ let of_float f =
   if f = 0.0 then zero else log2f f
 
 let to_float l = if l = Float.neg_infinity then 0.0 else Float.pow 2.0 l
-let of_log2 l = l
 let log2 l = l
 
 let mul a b = if a = Float.neg_infinity || b = Float.neg_infinity then Float.neg_infinity else a +. b

@@ -18,9 +18,6 @@ val of_float : float -> t
 val to_float : t -> float
 (** Underflows to [0.] gracefully for very small values. *)
 
-val of_log2 : float -> t
-(** [of_log2 l] is the value [2^l]. *)
-
 val log2 : t -> float
 (** [log2 t] retrieves the stored exponent ([neg_infinity] for zero). *)
 

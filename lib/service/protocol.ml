@@ -516,10 +516,6 @@ type frame_error =
   | Frame_closed of string  (** the peer vanished mid-frame *)
   | Frame_malformed of string  (** bad magic or an oversized length: answer and hang up *)
 
-let frame_error_to_string = function
-  | Frame_timeout -> "frame deadline expired"
-  | Frame_closed m | Frame_malformed m -> m
-
 (* wait until [fd] is ready (readable/writable), bounded by a monotonic
    deadline; spurious select wakeups loop back through the time check *)
 let rec wait_fd fd ~for_read ~deadline =

@@ -188,8 +188,6 @@ type frame_error =
   | Frame_closed of string  (** peer vanished mid-frame *)
   | Frame_malformed of string  (** bad magic / oversized length: answer and hang up *)
 
-val frame_error_to_string : frame_error -> string
-
 type reader
 (** A connection's read buffer: 4 KiB, grown to the size of a larger frame
     while it is read and shrunk back after. One read normally brings in a

@@ -112,9 +112,3 @@ let pr_a_tso_n2 ?(q_max = 60) ?(mu_max = 60) ?(gamma_max = 60) () =
   let tail_mass = Q.max Q.zero (Q.sub Q.one !b_mass_lo) in
   let tail = make Q.zero (Q.mul (Q.pow2 (-(gamma_max + 3))) tail_mass) in
   scale two_thirds (add !s tail)
-
-let verify_theorem_6_2_tso () =
-  let e = pr_a_tso_n2 () in
-  let paper_lo = Q.of_ints 58 441 in
-  let paper_hi = Q.add paper_lo (Q.of_ints 1 189) in
-  Q.compare paper_lo e.lo < 0 && Q.compare e.hi paper_hi < 0

@@ -36,9 +36,6 @@ val b_tso : ?q_max:int -> ?mu_max:int -> int -> enclosure
 val pr_a_tso_n2 : ?q_max:int -> ?mu_max:int -> ?gamma_max:int -> unit -> enclosure
 (** Enclosure of the two-thread non-manifestation probability under TSO.
     With the defaults the width is far below the gap to the paper's bounds,
-    so [strict inclusion in (58/441, 58/441 + 1/189)] is decidable — and
-    tested. *)
-
-val verify_theorem_6_2_tso : unit -> bool
-(** The headline check: does the enclosure lie strictly inside the paper's
-    open interval (58/441, 58/441 + 1/189)? (Exact rational comparisons.) *)
+    so [strict inclusion in (58/441, 58/441 + 1/189)] is decidable by exact
+    rational comparisons; test_verified.ml's Theorem 6.2 test checks it at
+    smaller bounds, which already suffice. *)

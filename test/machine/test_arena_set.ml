@@ -156,6 +156,46 @@ let test_iter_order_random () =
     [ ("default hash", fun () -> A.create ());
       ("degenerate hash", fun () -> A.create ~hash:(fun _ _ _ -> 7) ()) ]
 
+(* [iter]'s order against [List.sort String.compare] at the sort's digit
+   boundaries. Each set holds keys with distinct first bytes, so the top
+   range partitions, beside a group that shares a prefix of exactly 7, 14
+   or 21 bytes (one, two or three whole digits) and differs in the digit
+   after it: the prefix itself, keys ending inside that digit or on its
+   boundary, and longer ones. The groups are smaller and larger than the
+   insertion sort's cutoff of 12 keys; a group of 1,023-byte and longer
+   keys (their length sits in the arena) and the empty key ride along. *)
+let test_iter_order_digit_edges () =
+  let rng = Random.State.make [| 29 |] in
+  let bytes n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let check label keys =
+    List.iter
+      (fun (hash, make) ->
+        let t = make () in
+        List.iter (fun k -> ignore (add t k)) keys;
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s, %s hash: iter order" label hash)
+          (List.sort_uniq String.compare keys) (contents t))
+      [ ("default", fun () -> A.create ()); ("degenerate", fun () -> A.create ~hash:(fun _ _ _ -> 7) ()) ]
+  in
+  let others = List.init 20 (fun i -> String.make 1 (Char.chr (i * 12)) ^ bytes (i mod 9)) in
+  let group prefix size =
+    prefix :: String.sub prefix 0 (String.length prefix - 1)
+    :: List.init size (fun i -> prefix ^ bytes (1 + (i mod 15)))
+  in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun shared ->
+          let prefix = "M" ^ bytes (shared - 1) in
+          check
+            (Printf.sprintf "%d keys sharing %d bytes" size shared)
+            (("" :: others) @ group prefix size))
+        [ 7; 14; 21 ];
+      check
+        (Printf.sprintf "%d keys of 1,023 bytes or more" size)
+        (("" :: others) @ group ("L" ^ bytes 1022) size))
+    [ 3; 12; 13; 40; 200 ]
+
 (* values beside the keys: a repeated add ANDs its value into the stored
    one, [iter] yields each key's AND over all its adds, and only the low
    [value_bytes] bytes are kept; over short keys, keys whose length sits
@@ -202,4 +242,6 @@ let suite =
       ("iter and clear", test_iter_clear);
       ("iter order equals String.compare on random sets", test_iter_order_random);
       ("values beside the keys are ANDed", test_values_anded);
+      ("iter order at digit boundaries, cutoff-sized groups and long keys",
+       test_iter_order_digit_edges);
     ]

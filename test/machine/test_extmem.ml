@@ -81,10 +81,11 @@ let inc_parity names () =
 let spill_files dir =
   Sys.readdir dir |> Array.to_list |> List.filter (fun f -> f <> "MANIFEST") |> List.sort compare
 
-(* a run file's entries, in order: each key with its sleep set. The
-   payload is the key count, then per key the shared-prefix length, the
-   suffix length, the suffix bytes and the sleep set, as varints. *)
-let run_entries dir f =
+(* a run file's entries, in order: each key with the length of the
+   prefix it shares with the previous key and its sleep set. The payload
+   is the key count, then per key the shared-prefix length, the suffix
+   length, the suffix bytes and the sleep set, as varints. *)
+let run_deltas dir f =
   match Memrel_prob.Snapshot.read ~file:(Filename.concat dir f) ~tag:"extmem/run2" with
   | Error e -> Alcotest.failf "%s: %s" f (Memrel_prob.Snapshot.error_to_string e)
   | Ok payload ->
@@ -102,7 +103,9 @@ let run_entries dir f =
         let key = String.sub !prev 0 plen ^ String.sub payload !p slen in
         p := !p + slen;
         prev := key;
-        (key, uvarint 0 0))
+        (plen, key, uvarint 0 0))
+
+let run_entries dir f = List.map (fun (_, key, mask) -> (key, mask)) (run_deltas dir f)
 
 let run_keys dir f = List.length (run_entries dir f)
 
@@ -418,6 +421,93 @@ let test_fresh_run_clears_stale_spill_state () =
       Alcotest.(check (list (pair (list (pair string int)) int)))
         "fresh run over stale dir is exact" ram.E.outcomes ext.X.base.E.outcomes)
 
+(* every frontier of a run at [mem_budget_bytes], level by level: a state
+   cap at each level boundary stops the run with that level's frontier on
+   disk, [f] reads its files in order, and a resume goes on *)
+let iter_frontiers ~mem_budget_bytes ~por t d f =
+  let st = L.initial_state t in
+  with_dir (fun dir ->
+      let rec go resume boundary =
+        let r =
+          X.outcomes ~max_states:boundary ~mem_budget_bytes ~por ~resume ~spill_dir:dir
+            ~resume_key:"frontiers" d st ~observe:t.L.observe
+        in
+        if r.X.base.E.exhausted <> None then begin
+          let files = spill_files dir in
+          List.iter (f dir) files;
+          go true (List.fold_left (fun n file -> n + run_keys dir file) boundary files)
+        end
+      in
+      go false 0)
+
+(* Every frontier key replayed in file order, as the engine's reader hands
+   them out: each key is rebuilt in place in one buffer from the prefix it
+   shares with the previous key, and decoded with that prefix reused
+   ([State.decode ~shared]) by one decoder that lives across files and
+   levels. The state, its depth and the successor keys spliced from it
+   must equal those of a full decode, on runs at 64 KiB, where the wider
+   levels overflow, merge and span several files. *)
+let check_shared_decode label ~por t d =
+  let root = L.initial_state t in
+  let shared_dec = State.decoder ~buffered:(Sem.buffered d) root in
+  let full_dec = State.decoder ~buffered:(Sem.buffered d) root in
+  let p_shared = State.packer () and p_full = State.packer () in
+  let buf = ref (Bytes.create 64) and keys = ref 0 and reused = ref 0 in
+  let prev = ref root in
+  iter_frontiers ~mem_budget_bytes:tiny_budget ~por t d (fun dir file ->
+      List.iter
+        (fun (plen, key, _) ->
+          let len = String.length key in
+          if len > Bytes.length !buf then begin
+            let b = Bytes.create (2 * len) in
+            Bytes.blit !buf 0 b 0 plen;
+            buf := b
+          end;
+          Bytes.blit_string key plen !buf plen (len - plen);
+          let st = State.decode ~shared:plen shared_dec !buf len in
+          let full = State.decode full_dec (Bytes.of_string key) len in
+          let ctx what = Printf.sprintf "%s key %d: %s" label !keys what in
+          incr keys;
+          if st.State.mem == !prev.State.mem then incr reused;
+          prev := st;
+          Alcotest.(check bool) (ctx "state") true (st = full);
+          Alcotest.(check int) (ctx "decoded depth") (State.decoded_depth full_dec)
+            (State.decoded_depth shared_dec);
+          List.iter
+            (fun l ->
+              State.pack_successor shared_dec p_shared (Sem.step d st l);
+              State.pack_successor full_dec p_full (Sem.step d full l);
+              Alcotest.(check string) (ctx "spliced successor key")
+                (State.packed_string p_full) (State.packed_string p_shared);
+              Alcotest.(check (array int)) (ctx "spliced section ends")
+                (State.packed_ends p_full) (State.packed_ends p_shared))
+            (Sem.enabled d st))
+        (run_deltas dir file));
+  !keys, !reused
+
+let test_shared_decode_replay () =
+  let keys = ref 0 and reused = ref 0 in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (dname, d) ->
+          List.iter
+            (fun por ->
+              let k, r =
+                check_shared_decode (Printf.sprintf "%s/%s por=%b" t.L.name dname por) ~por t d
+              in
+              keys := !keys + k;
+              reused := !reused + r)
+            [ false; true ])
+        disciplines)
+    (L.all @ List.map L.find [ "inc3"; "inc4"; "inc5" ]);
+  (* the replay must exercise the reuse: most keys share their memory
+     section with the previous one *)
+  Alcotest.(check bool)
+    (Printf.sprintf "memory reused on %d of %d keys" !reused !keys)
+    true
+    (2 * !reused > !keys)
+
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -439,4 +529,6 @@ let suite =
       ("pre-level-local manifest version rejected", test_old_manifest_version_rejected);
       ("inc6/TSO at 1 MiB overflows and stays exact", test_inc6_tso_1mib);
       ("inc5/TSO spill stream at 1 MiB is pinned", test_spill_stream_pinned);
+      ("decoding with the shared prefix reused equals a full decode on every frontier key",
+       test_shared_decode_replay);
     ]

@@ -379,6 +379,59 @@ let test_splice_of_unrelated_states () =
     (State.packed_key (State.set_mem decoded 0 1))
     (State.packed_string p)
 
+(* [decode ~shared] against a full decode where the reuse has edge cases:
+   a key whose later section binds a register past the decoder's layout
+   (the layout widens and the key is decoded in full), a key decoded after
+   the widening that reuses the leading sections, and a key decoded after
+   a failed decode, where [shared] is ignored *)
+let test_shared_decode_edges () =
+  let programs = [ [| I.load ~reg:0 ~loc:0; I.load ~reg:1 ~loc:1 |]; [| I.load ~reg:0 ~loc:0 |] ] in
+  let root = State.init ~programs ~initial_mem:[] in
+  let a =
+    State.set_thread (State.init ~programs ~initial_mem:[ (0, 7) ]) 0
+      (State.set_reg root.State.threads.(0) 1 4)
+  in
+  let with_t1_reg st r v =
+    let th = st.State.threads.(1) in
+    let regs = Array.make (max (r + 1) (Array.length th.State.regs)) 0 in
+    regs.(r) <- v;
+    State.set_thread st 1 { th with State.regs }
+  in
+  let b = with_t1_reg a 3 5 and c = with_t1_reg a 3 6 in
+  let dec = State.decoder root in
+  let decode ?shared st =
+    let key = State.packed_key st in
+    let got = State.decode ?shared dec (Bytes.of_string key) (String.length key) in
+    (* a fresh decoder's layout may be narrower than [dec]'s: compare keys *)
+    let full = State.decoder root in
+    Alcotest.(check string) "a full decode's state"
+      (hex (State.packed_key (State.decode full (Bytes.of_string key) (String.length key))))
+      (hex (State.packed_key got));
+    Alcotest.(check int) "a full decode's depth" (State.decoded_depth full)
+      (State.decoded_depth dec);
+    got
+  in
+  let common x y =
+    let x = State.packed_key x and y = State.packed_key y in
+    let i = ref 0 in
+    while !i < min (String.length x) (String.length y) && x.[!i] = y.[!i] do
+      incr i
+    done;
+    !i
+  in
+  let da = decode a in
+  let db = decode ~shared:(common a b) b in
+  Alcotest.(check bool) "a widening decode starts over" false (db.State.mem == da.State.mem);
+  let dc = decode ~shared:(common b c) c in
+  Alcotest.(check bool) "memory reused after the widening" true (dc.State.mem == db.State.mem);
+  Alcotest.(check bool) "thread 0 reused after the widening" true
+    (dc.State.threads.(0) == db.State.threads.(0));
+  (match State.decode dec (Bytes.of_string "\x02") 1 with
+   | _ -> Alcotest.fail "truncated key decoded"
+   | exception Invalid_argument _ -> ());
+  let da' = decode ~shared:(common c a) a in
+  Alcotest.(check bool) "no reuse after a failed decode" false (da'.State.mem == dc.State.mem)
+
 (* the section ends of a key, measured without [packed_ends]: memory
    packs alone to its own section, and a thread alone after an empty
    memory (one count byte) to its own *)
@@ -459,4 +512,6 @@ let suite =
        test_decoder_depth_and_splice);
       ("splicing a state that is no successor", test_splice_of_unrelated_states);
       ("splicing from in-memory parents over the corpus", test_splice_from_memory);
+      ("decoding with a shared prefix: widening and after a failed decode",
+       test_shared_decode_edges);
     ]
