@@ -51,7 +51,7 @@ val iter : t -> (Bytes.t -> int -> int -> int -> unit) -> unit
     bytes of [b] at [off], and [v] its value (0 when [value_bytes] is
     0). [b] is the arena's own storage: read it inside
     [f], never write it or keep it. [f] must not add to [t]. The keys
-    are sorted in place in one [int array] of one word per key. *)
+    are sorted in place in two [int array]s of one word per key. *)
 
 val clear : t -> unit
 (** Remove every key and release all but the first chunk: afterwards the
