@@ -158,8 +158,8 @@ let store t tag b len v =
       let cur_size = Bytes.length t.chunks.(t.cur) in
       (* [max need 1]: even an empty key's offset must lie inside the
          chunk, or it would overflow the slot's offset field *)
-      if t.fill + max need 1 > cur_size then begin
-        t.cur <- add_chunk t (max need (min max_chunk_bytes (2 * cur_size)));
+      if t.fill + Int.max need 1 > cur_size then begin
+        t.cur <- add_chunk t (Int.max need (Int.min max_chunk_bytes (2 * cur_size)));
         t.fill <- 0
       end;
       let off = t.fill in
@@ -254,7 +254,7 @@ let load_digits t a dig lo hi d =
 let compare_from t d a b =
   let ca = chunk_of t a and oa = key_off a and la = key_len t a in
   let cb = chunk_of t b and ob = key_off b and lb = key_len t b in
-  let n = min la lb and i = ref d in
+  let n = Int.min la lb and i = ref d in
   while !i < n && Bytes.unsafe_get ca (oa + !i) = Bytes.unsafe_get cb (ob + !i) do
     incr i
   done;

@@ -71,126 +71,140 @@ let thread_footprint th =
   Array.iteri (fun l q -> if q <> [] then (add all l; add writes l)) th.State.perloc;
   (!all, !writes)
 
-let select_ample ~buffered st per_thread =
-  match Array.map thread_footprint st.State.threads with
-  | exception Unmaskable -> None
+(* -- the label table of one state space ---------------------------------
+
+   Semantics' codes, each with its shared-memory effect (for POR) and
+   [dep.(c)]: the codes that do not commute with c, the same thread's and
+   those accessing the same location where one of the two accesses writes.
+   A sleep set is a mask over codes, so that the labels walked after c are
+   the set bits above it. Every sleep set is 0 under POR (it would prune
+   states the ample sets keep, whose counters are pinned) and past 61
+   codes: there [dep] is -1 everywhere. *)
+
+type space = {
+  codes : Semantics.codes;
+  por : bool;
+  effect : effect_ array;  (* by code, as are [dep] and [sleep_bit] *)
+  dep : int array;
+  sleep_bit : int array;  (* the label's bit in Extmem's runs *)
+}
+
+let space ~por discipline root =
+  let codes = Semantics.codes discipline root and buffered = Semantics.buffered discipline in
+  let labels = Array.init (Semantics.code_count codes) (Semantics.label codes) in
+  let thread = function Semantics.Exec { thread; _ } | Semantics.Flush { thread; _ } -> thread in
+  let prog l = root.State.threads.(thread l).State.prog in
+  let effect = Array.map (fun l -> transition_effect ~buffered (prog l) l) labels in
+  let conflict a b =
+    thread labels.(a) = thread labels.(b)
+    || match (effect.(a), effect.(b)) with
+       | (Read x | Write x), Write y | Write x, Read y -> x = y
+       | _ -> false
+  in
+  let locs = if buffered then Array.length root.State.mem else 0 and n = Array.length labels in
+  let sleep_bit c = function
+    | Semantics.Exec _ -> c
+    | Semantics.Flush { thread; loc } -> Semantics.first_code codes (thread + 1) - locs + loc
+  in
+  let dep a = List.fold_left (fun m b -> if conflict a b then m lor (1 lsl b) else m) 0 in
+  let dep a = if por || n > Sys.int_size - 2 then -1 else dep a (List.init n Fun.id) in
+  { codes; por; effect; dep = Array.init n dep; sleep_bit = Array.mapi sleep_bit labels }
+
+let codes sp = sp.codes
+let sleep_bytes sp = if Array.mem (-1) sp.dep then 0 else (Array.length sp.dep + 7) / 8
+
+(* under POR, keep in [bits] only the first thread whose enabled labels are
+   all independent of every other thread's remaining footprint; returns
+   the number of labels dropped *)
+let select sp st bits =
+  match if sp.por then Array.map thread_footprint st.State.threads else [||] with
+  | exception Unmaskable -> 0
   | fp ->
-    let n = Array.length per_thread in
+    let n = Array.length fp and first = Semantics.first_code sp.codes in
     let rec go k =
-      if k >= n then None
-      else if per_thread.(k) = [] then go (k + 1)
+      if k >= n then 0
       else begin
-        let others_all = ref 0 and others_writes = ref 0 in
+        let all = ref 0 and writes = ref 0 and any = ref false and ample = ref true in
         for j = 0 to n - 1 do
           if j <> k then begin
-            others_all := !others_all lor fst fp.(j);
-            others_writes := !others_writes lor snd fp.(j)
+            all := !all lor fst fp.(j);
+            writes := !writes lor snd fp.(j)
           end
         done;
-        let prog = st.State.threads.(k).State.prog in
-        let independent label =
-          match transition_effect ~buffered prog label with
-          | Local -> true
-          | Read l -> !others_writes land (1 lsl l) = 0
-          | Write l -> !others_all land (1 lsl l) = 0
-        in
-        if List.for_all independent per_thread.(k) then Some k else go (k + 1)
+        for c = first k to first (k + 1) - 1 do
+          if Semantics.is_set bits c then begin
+            any := true;
+            match sp.effect.(c) with
+            | Local -> ()
+            | Read l -> if !writes land (1 lsl l) <> 0 then ample := false
+            | Write l -> if !all land (1 lsl l) <> 0 then ample := false
+          end
+        done;
+        if not (!any && !ample) then go (k + 1)
+        else begin
+          let total = Semantics.count bits in
+          Semantics.clear_range bits 0 (first k);
+          Semantics.clear_range bits (first (k + 1)) (Semantics.code_count sp.codes);
+          total - Semantics.count bits
+        end
       end
     in
     go 0
 
 (* -- shared successor expansion ----------------------------------------
 
-   One expansion function for both engines (the in-RAM worklist below and
-   the external-memory BFS in [Extmem]): the POR choice is a deterministic
+   One expansion for both engines (the in-RAM worklist below and the
+   external-memory BFS in [Extmem]): the POR choice is a deterministic
    function of the state alone, so the two engines explore the same reduced
    graph regardless of traversal order. *)
 
-let expand_labels ~por discipline st =
-  if not por then (Semantics.enabled discipline st, 0)
-  else begin
-    let per_thread =
-      Array.init (Array.length st.State.threads) (Semantics.thread_enabled discipline st)
-    in
-    match select_ample ~buffered:(Semantics.buffered discipline) st per_thread with
-    | Some k ->
-      let total = Array.fold_left (fun acc l -> acc + List.length l) 0 per_thread in
-      let chosen = per_thread.(k) in
-      (chosen, total - List.length chosen)
-    | None -> (Array.fold_right (fun l acc -> l @ acc) per_thread [], 0)
-  end
-
 let expand ~por discipline st =
-  let labels, pruned = expand_labels ~por discipline st in
-  (List.map (fun l -> (l, Semantics.step discipline st l)) labels, pruned)
-
-(* -- sleep sets ----------------------------------------------------------
-
-   Each label of a state space gets one bit: thread k's exec of
-   instruction i, and under TSO/PSO thread k's flush of location l, for
-   every location of the layout. [dep.(b)] masks the labels that do not
-   commute with bit b: the same thread's, and those accessing the same
-   location where one of the two accesses writes ([transition_effect], as
-   for POR). Every sleep set is 0 under POR (sleep sets would prune states
-   the ample sets keep, whose counters are pinned) and past one word of
-   labels: there every label takes bit 0, which depends on everything. *)
-
-type sleep_rule = { bit : Semantics.label -> int; dep : int array; bits : int }
-
-let no_sleep = { bit = (fun _ -> 0); dep = [| -1 |]; bits = 0 }
-
-let sleep_rule ~por discipline root =
-  let buffered = Semantics.buffered discipline and threads = root.State.threads in
-  let n = Array.length threads and locs = if buffered then Array.length root.State.mem else 0 in
-  (* thread k's bits: base.(k) + i for its instruction i, then its flushes *)
-  let base = Array.make (n + 1) 0 in
-  Array.iteri (fun k th -> base.(k + 1) <- base.(k) + Array.length th.State.prog + locs) threads;
-  if por || base.(n) > Sys.int_size - 2 then no_sleep
+  if not por then (Semantics.transitions discipline st, 0)
   else begin
-    let effects k (th : State.thread) =
-      List.init (Array.length th.prog) (fun index -> Semantics.Exec { thread = k; index })
-      @ List.init locs (fun loc -> Semantics.Flush { thread = k; loc })
-      |> List.map (fun l -> (k, transition_effect ~buffered th.prog l))
-    in
-    let labels = Array.of_list (List.concat (List.mapi effects (Array.to_list threads))) in
-    let conflict (k, e) (k', e') =
-      k = k'
-      || match (e, e') with (Read x | Write x), Write y | Write x, Read y -> x = y | _ -> false
-    in
-    let dep a = Array.fold_right (fun b m -> (m lsl 1) lor Bool.to_int (conflict a b)) labels 0 in
-    let bit = function
-      | Semantics.Exec { thread; index } -> base.(thread) + index
-      | Semantics.Flush { thread; loc } -> base.(thread + 1) - locs + loc
-    in
-    { bit; dep = Array.map dep labels; bits = base.(n) }
+    let sp = space ~por discipline st in
+    let bits = Semantics.bitset sp.codes in
+    Semantics.state_bits sp.codes bits st;
+    let pruned = select sp st bits in
+    ( List.map (fun l -> (l, Semantics.step discipline st l)) (Semantics.labels sp.codes bits),
+      pruned )
   end
 
-let sleep_bytes rule = (rule.bits + 7) / 8
+(* each code set in [bits], lowest first: asleep, or handed to [f] with
+   its child's sleep set. Only word 0 meets a non-zero sleep set or [dep]
+   mask: past one word of codes both are 0 and -1. *)
+let iter_awake sp ~sleep bits f parent =
+  let asleep = ref 0 in
+  for w = 0 to Array.length bits - 1 do
+    let x = ref (Array.unsafe_get bits w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      x := !x lxor low;
+      let c = (w * Semantics.word_bits) + Array.unsafe_get Semantics.bit_index (low mod 67) in
+      if sleep land low <> 0 then incr asleep
+      else f parent c ((sleep lor !x) land lnot sp.dep.(c))
+    done
+  done;
+  !asleep
 
-let rec label_bits rule acc = function
-  | [] -> acc
-  | l :: rest -> label_bits rule (acc lor (1 lsl rule.bit l)) rest
-
-(* [later] holds the bits of the labels not yet walked, [l :: rest] *)
-let rec iter_awake_from rule sleep later asleep f parent = function
-  | [] -> asleep
-  | l :: rest ->
-    let b = rule.bit l in
-    let later = later land lnot (1 lsl b) in
-    if sleep land (1 lsl b) <> 0 then iter_awake_from rule sleep later (asleep + 1) f parent rest
-    else begin
-      f parent l ((sleep lor later) land lnot (Array.unsafe_get rule.dep b));
-      iter_awake_from rule sleep later asleep f parent rest
-    end
-
-let iter_awake rule ~sleep labels f parent =
-  iter_awake_from rule sleep (label_bits rule 0 labels) 0 f parent labels
+(* Extmem's runs number a sleep set's labels as they always have: thread
+   by thread, flushes lowest location first. That is the codes with each
+   thread's flushes reversed, a renumbering that is its own inverse. *)
+let renumber sp m =
+  let r = ref 0 and m = ref m in
+  while !m <> 0 do
+    let low = !m land - !m in
+    m := !m lxor low;
+    r := !r lor (1 lsl sp.sleep_bit.(Semantics.bit_index.(low mod 67)))
+  done;
+  !r
 
 (* -- iterative exploration --------------------------------------------- *)
 
-(* a state on the worklist, with its sleep set, its packed key and the
-   key's section ends *)
-type entry = { st : State.t; depth : int; sleep : int; key : Bytes.t; ends : int array }
+(* a state on the worklist, with its sleep set, its packed key, the key's
+   section ends, and its enabled codes: word 0, then the others *)
+type entry = {
+  st : State.t; depth : int; sleep : int; key : Bytes.t; ends : int array;
+  en : int; en_hi : int array }
 
 let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~observe =
   (* one packer and one arena per call: keys are packed into the scratch
@@ -216,38 +230,41 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
   (* every stop — state cap, deadline, work cap, memory watermark — unwinds
      through one path and yields a partial result *)
   let exception Stop of Memrel_prob.Budget.cause in
-  (* admit [st], whose key the packer holds *)
+  let sp = space ~por discipline st in
+  (* [walk]: the popped entry's codes to take; [bits]: a child's codes *)
+  let walk = Semantics.bitset sp.codes and bits = Semantics.bitset sp.codes in
+  let hi = Array.length bits - 1 in
+  (* admit [st], whose key the packer holds and whose codes [bits] *)
   let visit st depth sleep =
     let key = State.packed_bytes packer and len = State.packed_length packer in
     if Arena_set.add visited key len then begin
       let ends = Array.copy (State.packed_ends packer) in
-      Stack.push { st; depth; sleep; key = Bytes.sub key 0 len; ends } stack
+      let en_hi = if hi = 0 then [||] else Array.sub bits 1 hi in
+      Stack.push { st; depth; sleep; key = Bytes.sub key 0 len; ends; en = bits.(0); en_hi } stack
     end
     else incr dedup_hits
   in
-  let successors st =
-    let labels, pruned = expand_labels ~por discipline st in
-    if pruned > 0 then begin
-      incr por_ample_states;
-      por_pruned := !por_pruned + pruned
-    end;
-    labels
-  in
-  let rule = sleep_rule ~por discipline st in
-  (* build, splice and admit the successor along [l] of the expanded
-     entry [e], with sleep set [z] *)
-  let push_child e l z =
+  (* build, splice and admit the successor along code [c] of the expanded
+     entry [e], with sleep set [z]: its codes are [e]'s with the moved
+     thread's redone *)
+  let push_child e c z =
+    let l = Semantics.label sp.codes c in
     let st' = Semantics.step discipline e.st l in
     State.splice packer ~parent:e.st e.key e.ends st';
+    bits.(0) <- e.en;
+    if hi > 0 then Array.blit e.en_hi 0 bits 1 hi;
+    (match l with
+     | Semantics.Exec { thread; _ } | Semantics.Flush { thread; _ } ->
+       Semantics.thread_bits sp.codes bits st' thread);
     visit st' (e.depth + 1) z
   in
   let exhausted = ref None in
   (try
      State.pack packer st;
+     Semantics.state_bits sp.codes bits st;
      visit st 0 0;
      while not (Stack.is_empty stack) do
        let e = Stack.pop stack in
-       let st = e.st and depth = e.depth in
        if !expanded >= max_states then raise (Stop Memrel_prob.Budget.Work);
        (match budget with
         | None -> ()
@@ -256,20 +273,27 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
           | Some cause -> raise (Stop cause)
           | None -> Memrel_prob.Budget.spend b 1));
        incr expanded;
-       if depth > !max_depth then max_depth := depth;
-       match successors st with
-       | [] ->
+       if e.depth > !max_depth then max_depth := e.depth;
+       walk.(0) <- e.en;
+       if hi > 0 then Array.blit e.en_hi 0 walk 1 hi;
+       let pruned = select sp e.st walk in
+       if pruned > 0 then begin
+         incr por_ample_states;
+         por_pruned := !por_pruned + pruned
+       end;
+       match Semantics.count walk with
+       | 0 ->
          incr terminals;
-         let o = observe st in
+         let o = observe e.st in
          Hashtbl.replace outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt outcome_counts o))
-       | labels ->
-         (* the awake successors are pushed in label order, so the later
+       | n ->
+         (* the awake successors are pushed in code order, so the later
             labels are explored first (the stack is LIFO). A sleeping
             label's successor is already admitted (DESIGN.md §8): it
             counts as a dedup hit and is never built. *)
-         transitions := !transitions + List.length labels;
-         dedup_hits := !dedup_hits + iter_awake rule ~sleep:e.sleep labels push_child e;
+         transitions := !transitions + n;
+         dedup_hits := !dedup_hits + iter_awake sp ~sleep:e.sleep walk push_child e;
          let frontier = Stack.length stack in
          if frontier > !max_frontier then max_frontier := frontier
      done

@@ -56,11 +56,6 @@ type 'a result = {
           "outcome X is impossible". *)
 }
 
-val expand_labels : por:bool -> Semantics.discipline -> State.t -> Semantics.label list * int
-(** [expand_labels ~por d st] is {!expand} without building the
-    successors: the labels of the transitions it takes, in the same
-    order, and the number the reduction pruned. *)
-
 val expand :
   por:bool -> Semantics.discipline -> State.t -> (Semantics.label * State.t) list * int
 (** [expand ~por d st] is one state's successor computation — the enabled
@@ -74,34 +69,42 @@ val expand :
 
 (** {2 Sleep sets}
 
-    One rule for both engines. A sleep set is a bitmask over the labels of
-    a state space, fixed when the state is admitted; a label in it is not
-    built, because a commuting path admits its successor (DESIGN.md §8). *)
-
-type sleep_rule
-(** The labels of one state space, one bit each, and which of them do not
+    One table per state space serves both engines: {!Semantics.codes},
+    each code's shared-memory effect (for POR), and which codes do not
     commute: those of one thread, and accesses to one location of which
-    one writes. *)
+    one writes. A sleep set is a mask over codes, fixed when the state is
+    admitted; a label in it is not built, because a commuting path admits
+    its successor (DESIGN.md §8). *)
 
-val sleep_rule : por:bool -> Semantics.discipline -> State.t -> sleep_rule
-(** [sleep_rule ~por d root] is the rule for the state space of [root]
-    under [d]. With [por], and past 61 labels, every sleep set it gives
-    is 0. *)
+type space
 
-val sleep_bytes : sleep_rule -> int
-(** Bytes that hold any sleep set of the rule: one bit per label, 0 when
-    every sleep set is 0. *)
+val space : por:bool -> Semantics.discipline -> State.t -> space
+(** [space ~por d root] is the table for the state space of [root] under
+    [d]. With [por], and past 61 codes, every sleep set it gives is 0. *)
 
-val iter_awake :
-  sleep_rule -> sleep:int -> Semantics.label list -> ('a -> Semantics.label -> int -> unit) ->
-  'a -> int
-(** [iter_awake rule ~sleep labels f parent], for a state [parent] with
-    sleep set [sleep] and enabled [labels] t₁..tₙ, calls [f parent t_j z]
+val codes : space -> Semantics.codes
+
+val sleep_bytes : space -> int
+(** Bytes that hold any sleep set: one bit per code, 0 when every sleep
+    set is 0. *)
+
+val select : space -> State.t -> int array -> int
+(** [select sp st bits], [bits] the enabled codes of [st]: under POR,
+    keeps only the ample thread's codes, if any, and returns how many it
+    dropped. *)
+
+val iter_awake : space -> sleep:int -> int array -> ('a -> int -> int -> unit) -> 'a -> int
+(** [iter_awake sp ~sleep bits f parent], for a state [parent] with sleep
+    set [sleep] and the codes t₁..tₙ set in [bits], calls [f parent t_j z]
     on each t_j not in [sleep], in order, where [z = (sleep lor
     bits(t_{j+1..n})) land lnot dep(t_j)] is the sleep set t_j's successor
-    is admitted with. Returns the number of labels in [sleep], which are
+    is admitted with. Returns the number of codes in [sleep], which are
     skipped. [f] takes the state as an argument so that one closure
     serves every state of a run. *)
+
+val renumber : space -> int -> int
+(** A sleep set renumbered as {!Extmem}'s runs hold it, and back: each
+    thread's flushes lowest location first. *)
 
 val outcomes :
   ?max_states:int ->

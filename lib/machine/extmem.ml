@@ -67,8 +67,8 @@ type 'a eng = {
   decoder : State.decoder;  (* the root's layout, computed once per run *)
   packer : State.packer;
   discipline : Semantics.discipline;
-  por : bool;
-  sleep : Enumerate.sleep_rule;
+  space : Enumerate.space;
+  bits : int array;  (* the codes to take from the state being expanded *)
   outcome_counts : ('a, int) Hashtbl.t;
   mutable frontier : string list;
   mutable gc_grace_level : int;
@@ -143,7 +143,7 @@ let rec reader_next r =
       spill_error "spill run %s: corrupt delta entry" r.file;
     let n = plen + slen in
     if n > Bytes.length r.key then begin
-      let b = Bytes.create (max n (2 * Bytes.length r.key)) in
+      let b = Bytes.create (Int.max n (2 * Bytes.length r.key)) in
       Bytes.blit r.key 0 b 0 plen;
       r.key <- b
     end;
@@ -229,12 +229,13 @@ let common_prefix a ao b bo n =
   !i
 
 let writer_add w b off len mask =
-  let p = common_prefix b off w.prev 0 (min len w.prev_len) in
+  let p = common_prefix b off w.prev 0 (Int.min len w.prev_len) in
   add_uvarint w.buf p;
   add_uvarint w.buf (len - p);
   Buffer.add_subbytes w.buf b (off + p) (len - p);
   add_uvarint w.buf mask;
-  if len > Bytes.length w.prev then w.prev <- Bytes.create (max len (2 * Bytes.length w.prev));
+  if len > Bytes.length w.prev then
+    w.prev <- Bytes.create (Int.max len (2 * Bytes.length w.prev));
   Bytes.blit b off w.prev 0 len;
   w.prev_len <- len;
   w.count <- w.count + 1;
@@ -255,7 +256,7 @@ let writer_finish w =
 (* byte order of two readers' current keys, a shorter prefix first:
    [String.compare]'s order *)
 let compare_keys a b =
-  let n = min a.len b.len in
+  let n = Int.min a.len b.len in
   let i = common_prefix a.key 0 b.key 0 n in
   if i < n then Char.compare (Bytes.unsafe_get a.key i) (Bytes.unsafe_get b.key i)
   else Int.compare a.len b.len
@@ -415,13 +416,14 @@ let expand_level eng ~observe ~max_states ~budget =
   c.deepest <- c.level;
   let overflow = ref [] and read = ref 0 in
   let r = reader_open eng eng.frontier in
-  (* splice the successor along [l] of [st] into the arena, with sleep
-     set [z] *)
-  let push_child st l z =
-    State.pack_successor eng.decoder eng.packer (Semantics.step eng.discipline st l);
+  (* splice the successor along code [c] of [st] into the arena, with
+     sleep set [z] *)
+  let push_child st c z =
+    let st' = Semantics.step eng.discipline st (Semantics.label (Enumerate.codes eng.space) c) in
+    State.pack_successor eng.decoder eng.packer st';
     ignore
       (Arena_set.add_value eng.arena (State.packed_bytes eng.packer)
-         (State.packed_length eng.packer) z)
+         (State.packed_length eng.packer) (Enumerate.renumber eng.space z))
   in
   let rec go () =
     if reader_next r then begin
@@ -439,20 +441,22 @@ let expand_level eng ~observe ~max_states ~budget =
       if depth <> c.level then
         spill_error "a depth-%d state in the level-%d frontier: levels must partition the states"
           depth c.level;
-      let labels, pruned = Enumerate.expand_labels ~por:eng.por eng.discipline st in
+      Semantics.state_bits (Enumerate.codes eng.space) eng.bits st;
+      let pruned = Enumerate.select eng.space st eng.bits in
       if pruned > 0 then begin
         c.por_ample_states <- c.por_ample_states + 1;
         c.por_pruned <- c.por_pruned + pruned
       end;
-      (match labels with
-       | [] ->
+      (match Semantics.count eng.bits with
+       | 0 ->
          c.terminals <- c.terminals + 1;
          let o = observe st in
          Hashtbl.replace eng.outcome_counts o
            (1 + Option.value ~default:0 (Hashtbl.find_opt eng.outcome_counts o))
-       | labels ->
-         c.transitions <- c.transitions + List.length labels;
-         ignore (Enumerate.iter_awake eng.sleep ~sleep:r.mask labels push_child st);
+       | n ->
+         c.transitions <- c.transitions + n;
+         let sleep = Enumerate.renumber eng.space r.mask in
+         ignore (Enumerate.iter_awake eng.space ~sleep eng.bits push_child st);
          if Arena_set.footprint eng.arena > eng.mem_budget then begin
            c.spill_generations <- c.spill_generations + 1;
            overflow := spill_arena eng :: !overflow
@@ -522,7 +526,7 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
     end
   in
   let mem_budget = max 65536 mem_budget_bytes in
-  let sleep = Enumerate.sleep_rule ~por discipline root in
+  let space = Enumerate.space ~por discipline root in
   let eng =
     {
       dir = spill_dir;
@@ -530,12 +534,12 @@ let outcomes ?(max_states = max_int) ?(por = false) ?budget
       mem_budget;
       resume_key;
       c;
-      arena = Arena_set.create ~value_bytes:(Enumerate.sleep_bytes sleep) ();
+      arena = Arena_set.create ~value_bytes:(Enumerate.sleep_bytes space) ();
       decoder = State.decoder ~buffered:(Semantics.buffered discipline) root;
       packer = State.packer ();
       discipline;
-      por;
-      sleep;
+      space;
+      bits = Semantics.bitset (Enumerate.codes space);
       outcome_counts = Hashtbl.create 64;
       frontier;
       gc_grace_level = -1;

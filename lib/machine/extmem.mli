@@ -10,8 +10,9 @@
     each state is decoded, expanded, and its successors' keys are
     deduplicated in an {!Arena_set}.
     A run entry is the key's shared-prefix length with the previous key,
-    its suffix length, the suffix bytes and the key's sleep set, each
-    length and the sleep set a uvarint. When the arena's footprint passes
+    its suffix length, the suffix bytes and the key's sleep set (in
+    {!Enumerate.renumber}'s numbering), each length and the sleep set a
+    uvarint. When the arena's footprint passes
     [mem_budget_bytes] its keys are sorted and written as an overflow run
     and the arena is cleared; at the end of the level the overflow runs
     and the arena's remainder are merged k-way into the next level's
@@ -25,9 +26,10 @@
     ({!State.decoded_depth}): levels partition the state space, and a
     state can only duplicate a state of its own level. The engine checks
     this lemma on every state it expands.
-    Both engines take a state's transitions from {!Enumerate.expand_labels},
-    whose ample-set POR choice is a deterministic function of the state
-    alone, so the two traversals explore the exact same reduced graph.
+    Both engines take a state's transitions from its enabled codes
+    ({!Semantics.state_bits}, narrowed by {!Enumerate.select}), whose
+    ample-set POR choice is a deterministic function of the state alone,
+    so the two traversals explore the exact same reduced graph.
     Both skip sleeping transitions by one rule ({!Enumerate.iter_awake}).
     Here a key's sleep set is the AND over every edge that admitted it:
     the arena ANDs a duplicate's into the stored one, and the k-way merge

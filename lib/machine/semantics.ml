@@ -59,69 +59,154 @@ let conflicts prog j i =
 let drained discipline th =
   match discipline with Pso -> State.perloc_empty th | Sc | Tso | Wo _ -> th.State.fifo = []
 
-(* -- enabledness ---------------------------------------------------------
+(* -- label codes and enabled bitsets --------------------------------------
 
-   Whether an instruction may issue depends only on its own thread (program
-   order, window hazards, the thread's buffers): never on other threads or
-   on shared memory. Under the buffered disciplines a locked instruction
-   (RMW) and a Full/Release fence wait for an empty buffer. *)
+   Thread k's codes start at [first.(k)]: its exec of instruction i, then
+   under TSO/PSO its flush of each location of the layout, highest first,
+   so that codes ascend in listing order. *)
 
-let exec_ready discipline th i =
-  match discipline with
-  | Sc | Wo _ -> true
-  | Tso | Pso -> (
-    match th.State.prog.(i) with
-    | Instr.Rmw _ | Instr.Fence (Fence.Full | Fence.Release) -> drained discipline th
-    | _ -> true)
+let word_bits = 62
 
-(* TSO/PSO: thread [k]'s flushes consed onto [acc]. PSO flushes come
-   highest location first, the order the transition lists have always had:
-   it fixes the in-RAM worklist's visiting order, hence its max-frontier
-   statistic. *)
-let add_flushes discipline th k acc =
-  match discipline with
-  | Sc | Wo _ -> acc
-  | Tso -> (
-    match th.State.fifo with [] -> acc | (loc, _) :: _ -> Flush { thread = k; loc } :: acc)
-  | Pso ->
-    let acc = ref acc in
-    Array.iteri
-      (fun loc q -> if q <> [] then acc := Flush { thread = k; loc } :: !acc)
-      th.State.perloc;
-    !acc
+type codes = {
+  discipline : discipline;
+  labels : label array;
+  first : int array;
+  drain : int array;  (* per thread: instructions that wait for drained buffers *)
+  hazards : int array array;  (* WO, per thread and instruction: earlier conflicting ones *)
+}
 
-(* thread [k]'s enabled labels, in order, consed onto [acc]: its next
-   instruction (SC, TSO, PSO) or its window's ready instructions in index
-   order (WO), then its flushes *)
-let add_thread_enabled discipline st k acc =
+let make_codes discipline st =
+  let threads = st.State.threads and buffered = buffered discipline in
+  let locs = if buffered then Array.length st.State.mem else 0 in
+  let thread_labels k (th : State.thread) =
+    let n = Array.length th.prog in
+    Array.init (n + locs) (fun i ->
+        if i < n then Exec { thread = k; index = i }
+        else Flush { thread = k; loc = n + locs - 1 - i })
+  in
+  let labels = Array.concat (List.mapi thread_labels (Array.to_list threads)) in
+  let mask n p =
+    List.fold_left (fun m j -> if p j then m lor (1 lsl j) else m) 0 (List.init n Fun.id)
+  in
+  let drain (th : State.thread) =
+    mask (Array.length th.prog) (fun i ->
+        match th.prog.(i) with
+        | Instr.Rmw _ | Instr.Fence (Fence.Full | Fence.Release) -> buffered
+        | _ -> false)
+  in
+  let hazards (th : State.thread) =
+    match discipline with
+    | Wo _ -> Array.init (Array.length th.prog) (fun i -> mask i (fun j -> conflicts th.prog j i))
+    | Sc | Tso | Pso -> [||]
+  in
+  let first = Array.make (Array.length threads + 1) 0 in
+  Array.iteri (fun k th -> first.(k + 1) <- first.(k) + Array.length th.State.prog + locs) threads;
+  { discipline; labels; first; drain = Array.map drain threads;
+    hazards = Array.map hazards threads }
+
+(* the last codes made, per domain: the list views ([enabled],
+   [Enumerate.expand]) are called state after state of one space *)
+let last = Domain.DLS.new_key (fun () -> None)
+
+let codes discipline st =
+  let threads = st.State.threads and locs = Array.length st.State.mem in
+  let rec same progs k = k < 0 || (progs.(k) == threads.(k).State.prog && same progs (k - 1)) in
+  match Domain.DLS.get last with
+  | Some (d, progs, l, c)
+    when d = discipline && l = locs && Array.length progs = Array.length threads
+         && same progs (Array.length threads - 1) -> c
+  | _ ->
+    let c = make_codes discipline st in
+    Domain.DLS.set last (Some (discipline, Array.map (fun th -> th.State.prog) threads, locs, c));
+    c
+
+let code_count c = Array.length c.labels
+let label c code = c.labels.(code)
+let first_code c k = c.first.(k)
+let bitset c = Array.make (Int.max 1 ((code_count c + word_bits - 1) / word_bits)) 0
+let is_set bits b = bits.(b / word_bits) land (1 lsl (b mod word_bits)) <> 0
+let set bits b = bits.(b / word_bits) <- bits.(b / word_bits) lor (1 lsl (b mod word_bits))
+
+(* clear codes [lo, hi), a word at a time *)
+let rec clear_range bits lo hi =
+  if lo < hi then begin
+    let w = lo / word_bits in
+    let top = Int.min hi ((w + 1) * word_bits) in
+    bits.(w) <- bits.(w) land lnot (((1 lsl (top - lo)) - 1) lsl (lo - (w * word_bits)));
+    clear_range bits top hi
+  end
+
+let count bits =
+  let rec pop w n = if w = 0 then n else pop (w land (w - 1)) (n + 1) in
+  Array.fold_left (fun n w -> pop w n) 0 bits
+
+(* The readiness rules, written once: thread [k]'s enabled codes are set
+   in [bits]. Its next instruction (SC, TSO, PSO) issues unless it is a
+   locked instruction (RMW) or a Full/Release fence under TSO/PSO and the
+   buffers are not drained; under WO an instruction of the window issues
+   once every earlier conflicting instruction has. TSO flushes its oldest
+   entry, PSO any non-empty location's. *)
+let add_thread c bits st k =
   let th = st.State.threads.(k) in
-  let n = Array.length th.State.prog in
-  let pc = State.next_unexecuted th in
-  match discipline with
-  | Sc | Tso | Pso ->
-    let acc = add_flushes discipline th k acc in
-    if pc < n && exec_ready discipline th pc then Exec { thread = k; index = pc } :: acc else acc
-  | Wo { window } ->
-    let acc = ref acc in
-    for i = min (n - 1) (pc + window - 1) downto pc do
-      if not (State.is_executed th i) then begin
-        let ready = ref true in
-        for j = 0 to i - 1 do
-          if (not (State.is_executed th j)) && conflicts th.State.prog j i then ready := false
-        done;
-        if !ready then acc := Exec { thread = k; index = i } :: !acc
-      end
-    done;
-    !acc
+  let base = c.first.(k) and n = Array.length th.State.prog and top = c.first.(k + 1) - 1 in
+  let pc = ref 0 in
+  while !pc < n && th.State.executed land (1 lsl !pc) <> 0 do incr pc done;
+  let pc = !pc in
+  (match c.discipline with
+   | Wo { window } ->
+     for i = pc to Int.min (n - 1) (pc + window - 1) do
+       if c.hazards.(k).(i) land lnot th.State.executed = 0 && not (State.is_executed th i) then
+         set bits (base + i)
+     done
+   | Sc | Tso | Pso ->
+     if pc < n && (c.drain.(k) land (1 lsl pc) = 0 || drained c.discipline th) then
+       set bits (base + pc));
+  match (c.discipline, th.State.fifo) with
+  | Tso, (loc, _) :: _ -> set bits (top - loc)
+  | Pso, _ ->
+    for loc = 0 to Array.length th.State.perloc - 1 do
+      if th.State.perloc.(loc) <> [] then set bits (top - loc)
+    done
+  | _ -> ()
 
-let thread_enabled discipline st k = add_thread_enabled discipline st k []
+let thread_bits c bits st k =
+  clear_range bits c.first.(k) c.first.(k + 1);
+  add_thread c bits st k
 
-let enabled discipline st =
+let state_bits c bits st =
+  Array.fill bits 0 (Array.length bits) 0;
+  for k = 0 to Array.length st.State.threads - 1 do
+    add_thread c bits st k
+  done
+
+(* [1 lsl i] mod 67 differs for every i < 66, as 2 generates the units
+   mod 67 *)
+let bit_index =
+  let t = Array.make 67 0 in
+  for i = 0 to word_bits - 1 do t.((1 lsl i) mod 67) <- i done;
+  t
+
+let labels c bits =
   let acc = ref [] in
-  for k = Array.length st.State.threads - 1 downto 0 do
-    acc := add_thread_enabled discipline st k !acc
+  for w = 0 to Array.length bits - 1 do
+    let x = ref bits.(w) in
+    while !x <> 0 do
+      let low = !x land - !x in
+      x := !x lxor low;
+      acc := c.labels.((w * word_bits) + bit_index.(low mod 67)) :: !acc
+    done
   done;
-  !acc
+  List.rev !acc
+
+(* the labels of the codes [fill] sets *)
+let view discipline st fill =
+  let c = codes discipline st in
+  let bits = bitset c in
+  fill c bits;
+  labels c bits
+
+let thread_enabled discipline st k = view discipline st (fun c bits -> add_thread c bits st k)
+let enabled discipline st = view discipline st (fun c bits -> state_bits c bits st)
 
 (* -- one successor -------------------------------------------------------- *)
 

@@ -41,6 +41,48 @@ type label =
 
 val label_to_string : label -> string
 
+(** {2 Label codes}
+
+    Per state space each label has a code, thread by thread: thread [k]'s
+    exec of instruction [i] is [first_code c k + i], then under TSO/PSO
+    its flush of each location of the layout, highest first. Codes ascend
+    in listing order. A bitset of codes is an [int array]: code [b] is
+    bit [b mod word_bits] of word [b / word_bits]. *)
+
+type codes
+
+val word_bits : int
+val codes : discipline -> State.t -> codes
+(** The codes of [st]'s state space under [d], with each thread's drain
+    mask (RMW, Full and Release fences under TSO/PSO) and, under WO, each
+    instruction's {!conflicts} mask, computed once. *)
+
+val code_count : codes -> int
+val label : codes -> int -> label
+val first_code : codes -> int -> int
+val bitset : codes -> int array
+(** An empty set of the codes. *)
+
+val is_set : int array -> int -> bool
+val clear_range : int array -> int -> int -> unit
+(** [clear_range bits lo hi] clears codes [lo] to [hi - 1]. *)
+
+val count : int array -> int
+
+val bit_index : int array
+(** [bit_index.(b mod 67)] is the index of [b], a word with one bit set. *)
+
+val thread_bits : codes -> int array -> State.t -> int -> unit
+(** [thread_bits c bits st k] sets thread [k]'s codes in [bits] to its
+    enabled labels at [st]: the one place the readiness rules are written.
+    A successor's bitset is its parent's with the moved thread's redone. *)
+
+val state_bits : codes -> int array -> State.t -> unit
+(** [bits] set to every thread's enabled codes at [st]. *)
+
+val labels : codes -> int array -> label list
+(** The labels of the codes set in [bits], in code order. *)
+
 val enabled : discipline -> State.t -> label list
 (** The labels of all enabled transitions, in thread order and within a
     thread in the order {!thread_enabled} gives; the empty list exactly on

@@ -142,7 +142,7 @@ let ends_for p n =
 (* room for [n] more bytes *)
 let reserve p n =
   if p.len + n > Bytes.length p.bytes then begin
-    let b = Bytes.create (max (p.len + n) (2 * Bytes.length p.bytes)) in
+    let b = Bytes.create (Int.max (p.len + n) (2 * Bytes.length p.bytes)) in
     Bytes.blit p.bytes 0 b 0 p.len;
     p.bytes <- b
   end
@@ -427,10 +427,10 @@ let decode_key d j =
   let z = d.zero and n = Array.length d.marks - 1 in
   let mem = if j > 0 then d.last.mem else (d.pos <- 0; read_bindings d z.mem) in
   if j = 0 then d.marks.(0) <- d.pos;
-  d.pos <- d.marks.(max 0 (j - 1));
-  d.depth <- d.sums.(max 0 (j - 1));
+  d.pos <- d.marks.(Int.max 0 (j - 1));
+  d.depth <- d.sums.(Int.max 0 (j - 1));
   let threads = copy_threads (if j > 1 then d.last.threads else z.threads) in
-  for k = max 0 (j - 1) to n - 1 do
+  for k = Int.max 0 (j - 1) to n - 1 do
     Array.unsafe_set threads k (read_thread d k (Array.unsafe_get z.threads k));
     d.marks.(k + 1) <- d.pos;
     d.sums.(k + 1) <- d.depth
@@ -443,7 +443,7 @@ let rec decode ?(shared = 0) d b len =
   (* the last key's sections that end inside the shared prefix *)
   let j = ref 0 in
   if d.valid then
-    while !j < Array.length d.marks && d.marks.(!j) <= min shared len do
+    while !j < Array.length d.marks && d.marks.(!j) <= Int.min shared len do
       incr j
     done;
   d.valid <- false;

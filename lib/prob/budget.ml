@@ -8,6 +8,7 @@ type t = {
   max_work : int option;
   max_mem_bytes : int option;
   work : int Atomic.t;
+  next_sample : int Atomic.t;  (* work count at which the heap is next sampled *)
 }
 
 let create ?deadline_s ?max_work ?max_mem_bytes () =
@@ -20,7 +21,8 @@ let create ?deadline_s ?max_work ?max_mem_bytes () =
    | _ -> ());
   nonneg "max_work" max_work;
   nonneg "max_mem_bytes" max_mem_bytes;
-  { started = Unix.gettimeofday (); deadline_s; max_work; max_mem_bytes; work = Atomic.make 0 }
+  { started = Unix.gettimeofday (); deadline_s; max_work; max_mem_bytes; work = Atomic.make 0;
+    next_sample = Atomic.make 0 }
 
 let spend t n = ignore (Atomic.fetch_and_add t.work n)
 
@@ -30,9 +32,19 @@ let elapsed_s t = Unix.gettimeofday () -. t.started
 
 let word_bytes = Sys.word_size / 8
 
-(* major-heap size in bytes; quick_stat walks nothing, so polling it per
-   work unit is cheap *)
+let sample_every = 256
+
+(* major-heap size in bytes. Gc.quick_stat walks nothing but costs about
+   1.5 us (it builds the whole stat record), as much as expanding a state,
+   so [check] samples it once per [sample_every] work units while the heap
+   stays under the watermark, and at every check once it is over (so that
+   a re-check after a collection sees the heap shrink). *)
 let heap_bytes () = (Gc.quick_stat ()).Gc.heap_words * word_bytes
+
+let over_watermark t m =
+  let w = Atomic.get t.work in
+  w >= Atomic.get t.next_sample
+  && (heap_bytes () >= m || (Atomic.set t.next_sample (w + sample_every); false))
 
 let check t =
   match t.max_work with
@@ -42,7 +54,7 @@ let check t =
     | Some d when Unix.gettimeofday () -. t.started >= d -> Some Deadline
     | _ -> (
       match t.max_mem_bytes with
-      | Some m when heap_bytes () >= m -> Some Memory
+      | Some m when over_watermark t m -> Some Memory
       | _ -> None))
 
 let exhaustion t cause = { cause; work_done = work_done t; elapsed_s = elapsed_s t }

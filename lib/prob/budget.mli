@@ -10,7 +10,10 @@
       Carlo, admitted states for enumeration, accepted candidates for the
       axiomatic generator) that the engine reports via {!spend};
     - an {e allocation watermark} over the major heap, sampled with
-      [Gc.quick_stat] (cheap: no heap walk).
+      [Gc.quick_stat] (no heap walk, but about 1.5 µs a call): on the
+      first {!check}, then at most once per {!sample_every} work units
+      while the heap is under the watermark, and on every check once a
+      sample was over it.
 
     Checks are cooperative and coarse-grained — engines poll at
     chunk/state/candidate granularity, so a deadline is honoured to within
@@ -50,6 +53,10 @@ val spend : t -> int -> unit
 
 val work_done : t -> int
 val elapsed_s : t -> float
+
+val sample_every : int
+(** 256: the work units {!spend} may record between two heap samples, so
+    a heap past the watermark trips [check] within that many units. *)
 
 val check : t -> cause option
 (** [check t] is [Some cause] once any armed limit is exhausted, testing the

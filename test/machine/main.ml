@@ -13,4 +13,5 @@ let () =
       ("differential", Test_differential.suite);
       ("exec", Test_exec.suite);
       ("sleep sets", Test_sleep_sets.suite);
+      ("codes", Test_codes.suite);
     ]

@@ -1,5 +1,7 @@
 (* The in-RAM enumerator as a plain depth-first worklist, without sleep
-   sets: every successor of an expanded state is built, spliced and probed.
+   sets or label codes: every successor of an expanded state is built,
+   spliced and probed, its labels listed by the list rules below (the
+   ample-set reduction, under [~por], is [Enumerate.expand]'s).
    [Enumerate.outcomes] must match it on everything it reports: outcomes
    with per-terminal counts, states, transitions, dedup hits, max depth and
    max frontier (the sleep sets skip only successors this loop finds
@@ -7,6 +9,83 @@
 
 open Memrel_machine
 open Enumerate
+
+(* -- the enabled labels, as lists ------------------------------------------
+
+   The readiness rules as the semantics listed them before it kept
+   enabled sets as bitsets over label codes: every thread's labels rebuilt
+   at every state, WO's window hazards re-evaluated pair by pair.
+   [Semantics.enabled] and [thread_enabled] must give these lists, and
+   [outcomes] below expands through them. *)
+
+let drained discipline th =
+  match discipline with
+  | Semantics.Pso -> State.perloc_empty th
+  | Semantics.Sc | Semantics.Tso | Semantics.Wo _ -> th.State.fifo = []
+
+(* under the buffered disciplines a locked instruction (RMW) and a
+   Full/Release fence wait for an empty buffer *)
+let exec_ready discipline th i =
+  match discipline with
+  | Semantics.Sc | Semantics.Wo _ -> true
+  | Semantics.Tso | Semantics.Pso -> (
+    match th.State.prog.(i) with
+    | Instr.Rmw _ | Instr.Fence (Memrel_memmodel.Fence.Full | Memrel_memmodel.Fence.Release) ->
+      drained discipline th
+    | _ -> true)
+
+(* TSO/PSO: thread [k]'s flushes consed onto [acc], PSO's highest location
+   first *)
+let add_flushes discipline th k acc =
+  match discipline with
+  | Semantics.Sc | Semantics.Wo _ -> acc
+  | Semantics.Tso -> (
+    match th.State.fifo with
+    | [] -> acc
+    | (loc, _) :: _ -> Semantics.Flush { thread = k; loc } :: acc)
+  | Semantics.Pso ->
+    let acc = ref acc in
+    Array.iteri
+      (fun loc q -> if q <> [] then acc := Semantics.Flush { thread = k; loc } :: !acc)
+      th.State.perloc;
+    !acc
+
+(* thread [k]'s enabled labels, in order, consed onto [acc]: its next
+   instruction (SC, TSO, PSO) or its window's ready instructions in index
+   order (WO), then its flushes *)
+let add_thread_enabled discipline st k acc =
+  let th = st.State.threads.(k) in
+  let n = Array.length th.State.prog in
+  let pc = State.next_unexecuted th in
+  match discipline with
+  | Semantics.Sc | Semantics.Tso | Semantics.Pso ->
+    let acc = add_flushes discipline th k acc in
+    if pc < n && exec_ready discipline th pc then Semantics.Exec { thread = k; index = pc } :: acc
+    else acc
+  | Semantics.Wo { window } ->
+    let acc = ref acc in
+    for i = min (n - 1) (pc + window - 1) downto pc do
+      if not (State.is_executed th i) then begin
+        let ready = ref true in
+        for j = 0 to i - 1 do
+          if (not (State.is_executed th j)) && Semantics.conflicts th.State.prog j i then
+            ready := false
+        done;
+        if !ready then acc := Semantics.Exec { thread = k; index = i } :: !acc
+      end
+    done;
+    !acc
+
+let thread_enabled discipline st k = add_thread_enabled discipline st k []
+
+let enabled discipline st =
+  let acc = ref [] in
+  for k = Array.length st.State.threads - 1 downto 0 do
+    acc := add_thread_enabled discipline st k !acc
+  done;
+  !acc
+
+(* -- the plain worklist ---------------------------------------------------- *)
 
 (* a state on the worklist, with its packed key and the key's section ends *)
 type entry = { st : State.t; depth : int; key : Bytes.t; ends : int array }
@@ -45,7 +124,10 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
     else incr dedup_hits
   in
   let successors st =
-    let ts, pruned = expand ~por discipline st in
+    let ts, pruned =
+      if por then expand ~por discipline st
+      else (List.map (fun l -> (l, Semantics.step discipline st l)) (enabled discipline st), 0)
+    in
     if pruned > 0 then begin
       incr por_ample_states;
       por_pruned := !por_pruned + pruned

@@ -34,6 +34,24 @@ let test_memory_watermark () =
   let high = Budget.create ~max_mem_bytes:(1 lsl 40) () in
   Alcotest.(check bool) "huge watermark does not" true (Budget.check high = None)
 
+(* the heap is sampled on the first check, then once per sample_every
+   work units: a heap that crosses the watermark just after a sample trips
+   the check at the next sample, not before it and not after it *)
+let test_watermark_sampled_within_bound () =
+  let heap () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) in
+  let watermark = heap () + (8 lsl 20) in
+  let b = Budget.create ~max_mem_bytes:watermark () in
+  Alcotest.(check bool) "under the watermark at the first check" true (Budget.check b = None);
+  let ballast = Sys.opaque_identity (Array.make (4 lsl 20) 0) in
+  Alcotest.(check bool) "the heap is now over it" true (heap () >= watermark);
+  let tripped_at = ref None in
+  for unit = 1 to 2 * Budget.sample_every do
+    Budget.spend b 1;
+    if !tripped_at = None && Budget.check b = Some Budget.Memory then tripped_at := Some unit
+  done;
+  Alcotest.(check (option int)) "trips at the next sample" (Some Budget.sample_every) !tripped_at;
+  ignore (Sys.opaque_identity ballast)
+
 let test_check_priority () =
   (* when several limits are exhausted at once, the work cap is reported
      first (the deterministic one) *)
@@ -82,6 +100,7 @@ let suite =
       ("zero deadline trips immediately", test_deadline_zero_trips_immediately);
       ("generous deadline does not trip", test_generous_deadline_does_not_trip);
       ("memory watermark", test_memory_watermark);
+      ("memory watermark sampled within its bound", test_watermark_sampled_within_bound);
       ("work cap checked before deadline", test_check_priority);
       ("spend is atomic across domains", test_spend_is_cumulative_and_atomic_under_domains);
       ("exhaustion record and describe", test_exhaustion_record);
