@@ -53,11 +53,25 @@ let usage_error ?(affix = "expected a positive integer") args () =
 
 (* a fixed-seed estimate printed end to end: any drift in the draw stream
    of the settling kernel, the Par schedule or the printing changes a digit *)
-let golden args expected () =
+let golden ?(mask = Fun.id) args expected () =
   let code, out, err = memrel args in
   Alcotest.(check int) (args ^ ": exit code") 0 code;
   Alcotest.(check (list string)) (args ^ ": stderr") [] err;
-  Alcotest.(check string) args (String.concat "" expected) out
+  Alcotest.(check string) args (String.concat "" expected) (mask out)
+
+(* an enumerate run's "states N (R states/sec, Ts)" line with the rate and
+   elapsed time blanked to "(-)": everything else is deterministic *)
+let mask_rate out =
+  String.concat "\n"
+    (List.map
+       (fun line ->
+         match Astring.String.cut ~sep:" (" line with
+         | Some (head, rest) when Astring.String.is_prefix ~affix:"states " line -> (
+           match Astring.String.cut ~sep:")" rest with
+           | Some (_, tail) -> head ^ " (-)" ^ tail
+           | None -> line)
+         | _ -> line)
+       (String.split_on_char '\n' out))
 
 (* a test name the CLI cannot resolve: a one-line error and exit 123,
    reached before anything is built, even for an incN far past the bound *)
@@ -143,6 +157,119 @@ let golden_joint_pso =
     "semi-analytic (correlated, MC): 3.3686e-03\n";
   ]
 
+(* enumeration and litmus output, pinned byte for byte except an enumerate
+   run's states/sec and elapsed fields, which [mask_rate] blanks *)
+
+let golden_litmus =
+  [
+    "inc: the canonical atomicity violation (Section 2.2): two unsynchronized increments; x = 1 manifests the bug and is allowed under every model, including SC\n";
+    "  SC   relaxed outcome ALLOWED (expected allowed) \n";
+    "  TSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  PSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "inc+rmw: the canonical bug FIXED with an atomic fetch-and-add: x = 1 becomes unreachable under every model (the Section 2.2 locking discussion, primitive form)\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome forbidden (expected forbidden) \n";
+    "sb: store buffering: both threads store then load the other location\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  PSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "sb+fence: store buffering with full fences: the relaxed outcome is forbidden everywhere\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome forbidden (expected forbidden) \n";
+    "sb+fence1: store buffering fenced in one thread only: the relaxed outcome survives\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  PSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "mp: message passing: data then flag; reader sees flag but stale data?\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "mp+ra: message passing with release/acquire fences: forbidden everywhere\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome forbidden (expected forbidden) \n";
+    "lb: load buffering: loads see the other thread's later store\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "corr: coherence: two reads of one location must not see new-then-old\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome forbidden (expected forbidden) \n";
+    "2+2w: 2+2W: two threads write both locations in opposite orders\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome ALLOWED (expected allowed) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "wrc: write-to-read causality across three threads\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+    "iriw: independent reads of independent writes: readers disagree on store order\n";
+    "  SC   relaxed outcome forbidden (expected forbidden) \n";
+    "  TSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  PSO  relaxed outcome forbidden (expected forbidden) \n";
+    "  WO   relaxed outcome ALLOWED (expected allowed) \n";
+  ]
+
+let golden_litmus_file =
+  [
+    "sb: store buffering: both threads store then load the other location\n";
+    "  SC   relaxed outcome forbidden (3 reachable outcomes)\n";
+    "  TSO  relaxed outcome ALLOWED (4 reachable outcomes)\n";
+    "  PSO  relaxed outcome ALLOWED (4 reachable outcomes)\n";
+    "  WO   relaxed outcome ALLOWED (4 reachable outcomes)\n";
+  ]
+
+let golden_enumerate_tso =
+  [
+    "inc4 under TSO: 4 distinct outcomes, 109 terminal states\n";
+    "  x=1                                  23 terminal states\n";
+    "  x=2                                  26 terminal states\n";
+    "  x=3                                  36 terminal states\n";
+    "  x=4                                  24 terminal states\n";
+    "relaxed outcome x=1: ALLOWED\n";
+    "states 3931 (-); transitions 8828; dedup hits 4898\n";
+    "max depth 16; max frontier 25; POR: ample at 0 states, 0 transitions pruned\n";
+  ]
+
+let golden_enumerate_extmem =
+  [
+    "inc4 under TSO: 4 distinct outcomes, 109 terminal states\n";
+    "  x=1                                  23 terminal states\n";
+    "  x=2                                  26 terminal states\n";
+    "  x=3                                  36 terminal states\n";
+    "  x=4                                  24 terminal states\n";
+    "relaxed outcome x=1: ALLOWED\n";
+    "states 3931 (-); transitions 8828; dedup hits 4898\n";
+    "max depth 16; max frontier 557; POR: ample at 0 states, 0 transitions pruned\n";
+    "extmem: 17 levels (peak 557 states); 17 spill runs, 55176 bytes, 0 overflow runs, 0 merges\n";
+  ]
+
+let golden_enumerate_por =
+  [
+    "sb under WO (POR): 4 distinct outcomes, 4 terminal states\n";
+    "  0:r0=0 1:r0=0                         1 terminal state\n";
+    "  0:r0=0 1:r0=1                         1 terminal state\n";
+    "  0:r0=1 1:r0=0                         1 terminal state\n";
+    "  0:r0=1 1:r0=1                         1 terminal state\n";
+    "relaxed outcome 0:r0=0 1:r0=0: ALLOWED\n";
+    "states 25 (-); transitions 38; dedup hits 14\n";
+    "max depth 4; max frontier 7; POR: ample at 2 states, 2 transitions pruned\n";
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -168,6 +295,19 @@ let () =
             (golden "joint --model tso -n 3 --seed 7 --trials 100000 --jobs 1" golden_joint_tso);
           Alcotest.test_case "joint --model pso -n 3 --seed 7" `Quick
             (golden "joint --model pso -n 3 --seed 7 --trials 100000 --jobs 1" golden_joint_pso);
+        ] );
+      ( "enumeration output",
+        [
+          Alcotest.test_case "litmus" `Quick (golden "litmus" golden_litmus);
+          Alcotest.test_case "litmus --file examples/litmus/sb.litmus" `Quick
+            (golden "litmus --file ../../examples/litmus/sb.litmus" golden_litmus_file);
+          Alcotest.test_case "enumerate inc4 --model tso" `Quick
+            (golden ~mask:mask_rate "enumerate inc4 --model tso" golden_enumerate_tso);
+          Alcotest.test_case "enumerate inc4 --model tso --extmem --mem-budget 1" `Quick
+            (golden ~mask:mask_rate "enumerate inc4 --model tso --extmem --mem-budget 1"
+               golden_enumerate_extmem);
+          Alcotest.test_case "enumerate sb --model wo --por" `Quick
+            (golden ~mask:mask_rate "enumerate sb --model wo --por" golden_enumerate_por);
         ] );
       ( "positive counts",
         List.map
