@@ -16,7 +16,7 @@ let disciplines =
   [ ("SC", Sem.Sc); ("TSO", Sem.Tso); ("PSO", Sem.Pso); ("WO w8", Sem.Wo { window = 8 });
     ("WO w2", Sem.Wo { window = 2 }) ]
 
-let labels ls = String.concat " " (List.map Sem.label_to_string ls)
+let labels ls = String.concat " " (List.map Ref.label_to_string ls)
 
 let thread_of = function Sem.Exec { thread; _ } | Sem.Flush { thread; _ } -> thread
 
@@ -59,7 +59,7 @@ let check_space name d root =
         Sem.thread_bits codes bits st' (thread_of l);
         if bits <> full st' then
           Alcotest.failf "%s: after %s the moved thread's codes are stale" name
-            (Sem.label_to_string l);
+            (Ref.label_to_string l);
         admit st')
       want
   done;
@@ -87,7 +87,7 @@ let test_two_location_sleep_bits () =
   let codes = E.codes sp in
   let got =
     List.init (Sem.code_count codes) (fun c ->
-        (Sem.label_to_string (Sem.label codes c), E.renumber sp (1 lsl c)))
+        (Ref.label_to_string (Sem.label codes c), E.renumber sp (1 lsl c)))
   in
   let want =
     [ ("T0.exec[0]", 1 lsl 0); ("T0.exec[1]", 1 lsl 1); ("T0.flush[1]", 1 lsl 3);
@@ -109,10 +109,12 @@ let counters (r : string E.result) =
     ("max depth", s.E.max_depth); ("max frontier", s.E.max_frontier);
     ("complete", Bool.to_int (r.E.exhausted = None)) ]
 
+(* the oracle first: it caps the engine at its own count, so a runaway
+   engine stops there and fails on "complete" *)
 let check label ?max_states d root =
   let observe = State.packed_key in
-  let got = E.outcomes ?max_states d root ~observe in
   let want = Ref.outcomes ?max_states d root ~observe in
+  let got = E.outcomes ~max_states:want.E.states_visited d root ~observe in
   List.iter2
     (fun (name, g) (_, w) -> if g <> w then Alcotest.failf "%s: %s %d, plain DFS %d" label name g w)
     (counters got) (counters want);

@@ -27,11 +27,14 @@ let counters (r : string E.result) =
     ("POR ample states", s.E.por_ample_states); ("POR pruned", s.E.por_pruned);
     ("complete", Bool.to_int (r.E.exhausted = None)) ]
 
-(* the enumerator against the oracle on one run; its states *)
+(* the enumerator against the oracle on one run; its states. The oracle
+   runs first and caps the engine at its own count: an exact fit completes,
+   and a faulty engine whose state space runs away stops there (and fails
+   on "complete") instead of filling the heap *)
 let check label ?max_states ?por d root =
   let observe = State.packed_key in
-  let got = E.outcomes ?max_states ?por d root ~observe in
   let want = Ref.outcomes ?max_states ?por d root ~observe in
+  let got = E.outcomes ~max_states:want.E.states_visited ?por d root ~observe in
   List.iter2
     (fun (name, g) (_, w) -> if g <> w then Alcotest.failf "%s: %s %d, plain DFS %d" label name g w)
     (counters got) (counters want);
@@ -82,7 +85,8 @@ let test_random_programs_extmem () =
                     (Option.fold ~none:"default" ~some:string_of_int mem_budget_bytes)
                 in
                 let x =
-                  X.outcomes ?mem_budget_bytes ~spill_dir:dir ~resume_key:label d root ~observe
+                  X.outcomes ~max_states:want.E.states_visited ?mem_budget_bytes ~spill_dir:dir
+                    ~resume_key:label d root ~observe
                 in
                 if x.X.ext.X.merges > 0 then incr merged;
                 let got = x.X.base in
