@@ -85,6 +85,7 @@ ci:
 	rm -rf /tmp/memrel_ci_spill
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --spill-dir /tmp/memrel_ci_spill --max-states 1500 > /dev/null; test $$? -eq 3
 	dune exec bin/memrel_cli.exe -- enumerate inc4 --spill-dir /tmp/memrel_ci_spill --resume | grep -q "states 3931"
+	test ! -e /tmp/memrel_ci_spill/MANIFEST
 	rm -rf /tmp/memrel_ci_spill
 	# adaptive-stopping contract: --target-width prints the achieved interval
 	# and exits 0; under an expired deadline the partial result exits 3

@@ -390,7 +390,7 @@ let e14 () =
   List.iter
     (fun n ->
       let t = Litmus.increment_n n in
-      let r = Litmus.run_exhaustive t Model.Sequential_consistency in
+      let r, _ = Litmus.run_exhaustive t Model.Sequential_consistency in
       let outcomes =
         String.concat "," (List.map (fun (o, _) -> string_of_int (List.assoc "x" o)) r.Enumerate.outcomes)
       in
@@ -487,7 +487,7 @@ let timing () =
                ignore (Window_exact_dp.gamma_pmf (Model.tso ()) ~m:12)));
         Test.make ~name:"litmus-enumerate-sb-tso"
           (Staged.stage (fun () ->
-               ignore (Litmus.run_exhaustive (Litmus.find "sb") Model.Total_store_order)));
+               ignore (fst (Litmus.run_exhaustive (Litmus.find "sb") Model.Total_store_order))));
         Test.make ~name:"machine-run-inc-wo"
           (Staged.stage (fun () ->
                let t = Litmus.find "inc" in
@@ -801,7 +801,7 @@ let axiom_frontier_rows () =
   let t = Litmus.increment_n 7 and family = Model.Sequential_consistency in
   let sr = median_solver_run t family in
   let gr = Oracle.Generate.run ~budget:(Budget.create ~deadline_s:60.0 ()) t family in
-  let opr = Litmus.run_exhaustive ~max_states:50_000_000 ~por:true t family in
+  let opr, _ = Litmus.run_exhaustive ~max_states:50_000_000 ~por:true t family in
   let outcomes = List.map (fun (e : Axiom_solver.entry) -> e.Axiom_solver.outcome) sr.Axiom_solver.entries in
   let agree =
     sr.Axiom_solver.stats.Axiom_solver.exhausted = None

@@ -22,12 +22,14 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-(* counts, windows and thread bounds: a value below [lo] is a usage error
-   (exit 124), never a library exception or a wrong answer *)
-let int_at_least lo =
+(* counts, windows and thread bounds: a value below [lo] (or above [hi]) is
+   a usage error (exit 124), never a library exception or a wrong answer *)
+let int_at_least ?(hi = max_int) lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some n when n > hi ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected an integer <= %d" s hi))
     | _ when lo = 1 ->
       Error (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
     | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= %d" s lo))
@@ -35,6 +37,11 @@ let int_at_least lo =
   Arg.conv (parse, Format.pp_print_int)
 
 let pos_int = int_at_least 1
+
+(* the WO window, bounded as the daemon bounds it *)
+let window_arg doc =
+  Arg.(value & opt (int_at_least ~hi:Service_engine.max_window 1) 8
+       & info [ "window" ] ~docv:"W" ~doc)
 
 (* budgets (deadlines, caps, watermarks): a negative value is a usage
    error like a nonpositive count *)
@@ -489,11 +496,7 @@ let litmus_cmd =
       match file with
       | Some path ->
         (try
-           let ic = open_in path in
-           let len = in_channel_length ic in
-           let text = really_input_string ic len in
-           close_in ic;
-           Ok ([ Litmus_parse.parse text ], false)
+           Ok ([ Litmus_parse.parse (In_channel.with_open_bin path In_channel.input_all) ], false)
          with
          | Sys_error msg -> Error msg
          | Litmus_parse.Parse_error { line; message } ->
@@ -524,8 +527,7 @@ let litmus_cmd =
               Printf.printf "  %-4s relaxed outcome %s (%d reachable outcomes)\n" fname
                 (if v.observed_relaxed then "ALLOWED" else "forbidden")
                 v.outcome_count)
-          [ Model.Sequential_consistency; Model.Total_store_order; Model.Partial_store_order;
-            Model.Weak_ordering ])
+          Axiom_differential.standard_families)
       tests;
     0
   in
@@ -625,61 +627,46 @@ let enumerate_cmd =
       Printf.eprintf "memrel: %s\n" msg;
       Cmd.Exit.some_error
     | Ok t ->
-      let discipline = Semantics.of_model ~window (Model.family model) in
-      let use_extmem = extmem || spill_dir <> None || resume in
-      let r, ext =
-        if not use_extmem then
-          ( Enumerate.outcomes ~max_states ~por ?budget:(budget_of deadline max_mem) discipline
-              (Litmus.initial_state t) ~observe:t.observe,
-            None )
-        else begin
-          (* an explicit --spill-dir is kept for later resumption; the
-             temp-dir default is removed once the run completes *)
-          let keep_spill = spill_dir <> None in
-          let dir =
-            match spill_dir with
-            | Some d -> d
-            | None ->
-              Filename.concat (Filename.get_temp_dir_name ())
-                (Printf.sprintf "memrel-extmem-%d" (Unix.getpid ()))
-          in
-          let resume_key =
-            Printf.sprintf "enum|%s|%s|w%d|por%b" (Litmus.hash t) (Model.name model) window
-              por
-          in
-          let x =
-            Extmem.outcomes ~max_states ~por ?budget:(budget_of deadline max_mem)
-              ~mem_budget_bytes:(mem_budget * 1024 * 1024) ~resume ~spill_dir:dir
-              ~resume_key discipline (Litmus.initial_state t) ~observe:t.observe
-          in
-          if x.Extmem.base.Enumerate.exhausted = None && not keep_spill then
-            Extmem.remove_spill_dir dir
-          else if x.Extmem.base.Enumerate.exhausted <> None then
-            Printf.eprintf
-              "memrel: spill state kept in %s — rerun with --spill-dir %s --resume to \
-               continue\n"
-              dir dir;
-          (x.Extmem.base, Some x.Extmem.ext)
-        end
+      let family = Model.family model in
+      let spill =
+        if not (extmem || spill_dir <> None || resume) then None
+        else
+          let temp = Printf.sprintf "memrel-extmem-%d" (Unix.getpid ()) in
+          (* the daemon's key for the same query, valid for a resolved name
+             and a bounded window *)
+          let key = Service_engine.cache_key (Enumerate { test = name; family; window; por }) in
+          Some
+            { Litmus.dir =
+                Option.value spill_dir
+                  ~default:(Filename.concat (Filename.get_temp_dir_name ()) temp);
+              mem_budget_bytes = mem_budget * 1024 * 1024; resume; resume_key = Result.get_ok key }
       in
-      let partial = r.Enumerate.exhausted <> None in
+      let r, ext =
+        Litmus.run_exhaustive ~window ~max_states ~por ?budget:(budget_of deadline max_mem)
+          ?spill t family
+      in
+      let v = Litmus.verdict t family r in
+      let partial = v.exhausted <> None in
+      Option.iter
+        (fun { Litmus.dir; _ } ->
+          if partial then
+            Printf.eprintf "memrel: spill state kept in %s — rerun with --spill-dir %s --resume \
+                            to continue\n" dir dir)
+        spill;
       Printf.printf "%s under %s%s: %d distinct outcomes, %d terminal states%s\n" t.name
         (Model.name model)
         (if por then " (POR)" else "")
-        (List.length r.outcomes) r.terminals
+        v.outcome_count v.terminals
         (if partial then " (PARTIAL exploration)" else "");
       List.iter
         (fun (o, k) ->
-          let o = String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) o) in
-          Printf.printf "  %-30s %8d terminal state%s\n" o k (if k = 1 then "" else "s"))
+          Printf.printf "  %-30s %8d terminal state%s\n" (Axiom_differential.outcome_to_string o)
+            k (if k = 1 then "" else "s"))
         r.outcomes;
-      let relaxed =
-        String.concat " "
-          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) t.relaxed_outcome)
-      in
       (* a partial exploration can witness reachability but never refute it *)
-      Printf.printf "relaxed outcome %s: %s\n" relaxed
-        (if List.mem_assoc t.relaxed_outcome r.outcomes then "ALLOWED"
+      Printf.printf "relaxed outcome %s: %s\n"
+        (Axiom_differential.outcome_to_string t.relaxed_outcome)
+        (if v.observed_relaxed then "ALLOWED"
          else if partial then "not seen (exploration incomplete)"
          else "forbidden");
       let s = r.stats in
@@ -702,7 +689,7 @@ let enumerate_cmd =
            e.Extmem.merges);
       partial_exit
         ~engine:(Printf.sprintf "enumerate (%d states expanded)" r.states_visited)
-        r.Enumerate.exhausted
+        v.exhausted
   in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TEST"
@@ -713,14 +700,10 @@ let enumerate_cmd =
            ~doc:"Enable the ample-set partial-order reduction (identical outcomes, fewer states).")
   in
   let max_states_arg =
-    Arg.(value & opt int 2_000_000 & info [ "max-states" ] ~docv:"N"
+    Arg.(value & opt nonneg_int 2_000_000 & info [ "max-states" ] ~docv:"N"
            ~doc:"Stop after expanding N distinct states (states whose successors were \
                  computed; states merely discovered do not count) and report the partial \
                  exploration (exit code 3).")
-  in
-  let window_arg =
-    Arg.(value & opt pos_int 8 & info [ "window" ] ~docv:"W"
-           ~doc:"Out-of-order window for the wo model.")
   in
   let extmem_arg =
     Arg.(value & flag & info [ "extmem" ]
@@ -733,8 +716,9 @@ let enumerate_cmd =
   let spill_dir_arg =
     Arg.(value & opt (some string) None & info [ "spill-dir" ] ~docv:"DIR"
            ~doc:"Directory for the external-memory spill runs (default: a temporary \
-                 directory, removed after a complete run). An explicit DIR is kept, so a \
-                 killed run can continue with --resume.")
+                 directory). A run that completes removes its spill files, and DIR too if \
+                 nothing else is left in it; a run that stops early keeps them, so it can \
+                 continue with --resume.")
   in
   let mem_budget_arg =
     Arg.(value & opt pos_int 64 & info [ "mem-budget" ] ~docv:"MB"
@@ -744,9 +728,11 @@ let enumerate_cmd =
   in
   let resume_enum_arg =
     Arg.(value & flag & info [ "resume" ]
-           ~doc:"Resume a killed external-memory run from the per-level checkpoint in \
-                 --spill-dir. The final result is bit-identical to an uninterrupted run; \
-                 corrupt or mismatched spill state is rejected.")
+           ~doc:"Resume a stopped or killed external-memory run from the per-level \
+                 checkpoint in --spill-dir. The final result is bit-identical to an \
+                 uninterrupted run. The checkpoint is named by the daemon's cache key of \
+                 the same query (test hash, model, window, --por); corrupt spill state, or \
+                 a checkpoint of another enumeration, is rejected.")
   in
   let run name model por max_states window deadline max_mem extmem spill_dir mem_budget
       resume =
@@ -759,7 +745,8 @@ let enumerate_cmd =
   Cmd.v
     (Cmd.info "enumerate" ~exits:budget_exits
        ~doc:"Exhaustively enumerate a litmus test's state space with statistics.")
-    Term.(const run $ name_arg $ model_arg $ por_arg $ max_states_arg $ window_arg
+    Term.(const run $ name_arg $ model_arg $ por_arg $ max_states_arg
+          $ window_arg "Out-of-order window for the wo model."
           $ deadline_arg $ max_mem_arg $ extmem_arg $ spill_dir_arg $ mem_budget_arg
           $ resume_enum_arg)
 
@@ -857,7 +844,7 @@ let axiom_cmd =
             (List.length r.Axiom_differential.axiomatic)
             s.Axiom_solver.accepted s.Axiom_solver.log10_naive_space
             s.Axiom_solver.candidates_per_sec r.Axiom_differential.operational_states
-            (if List.mem_assoc t.relaxed_outcome r.Axiom_differential.axiomatic then "ALLOWED"
+            (if Litmus.shows_relaxed t r.Axiom_differential.axiomatic then "ALLOWED"
              else "forbidden");
           if detail then
             List.iter
@@ -905,10 +892,6 @@ let axiom_cmd =
     Arg.(value & flag & info [ "no-diff" ]
            ~doc:"Skip the operational cross-check; report the axiomatic side only.")
   in
-  let window_arg =
-    Arg.(value & opt pos_int 8 & info [ "window" ] ~docv:"W"
-           ~doc:"Out-of-order window for the wo model (both sides of the differential).")
-  in
   let max_candidates_arg =
     Arg.(value & opt (some nonneg_int) None & info [ "max-candidates" ] ~docv:"N"
            ~doc:"Stop each enumeration after N accepted candidate executions and report the \
@@ -925,7 +908,9 @@ let axiom_cmd =
              the operational enumeration. Budget flags (--deadline, --max-mem, \
              --max-candidates) apply per test and model, imply --no-diff, and report \
              partial coverage honestly.")
-    Term.(const run $ names_arg $ model_opt_arg $ no_diff_arg $ window_arg $ deadline_arg
+    Term.(const run $ names_arg $ model_opt_arg $ no_diff_arg
+          $ window_arg "Out-of-order window for the wo model (both sides of the differential)."
+          $ deadline_arg
           $ max_mem_arg $ max_candidates_arg)
 
 (* -- serve / query (service mode) -------------------------------------- *)

@@ -29,7 +29,7 @@ let () =
       Printf.printf "   asking about: %s\n" (outcome_to_string t.relaxed_outcome);
       List.iter
         (fun (family, name) ->
-          let r = Litmus.run_exhaustive t family in
+          let r, _ = Litmus.run_exhaustive t family in
           let reachable = List.mem_assoc t.relaxed_outcome r.Enumerate.outcomes in
           Printf.printf "   %-4s %-9s (%d outcomes, %d states): %s\n" name
             (if reachable then "ALLOWED" else "forbidden")

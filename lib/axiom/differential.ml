@@ -34,7 +34,7 @@ let run ?(window = 8) ?max_states ?por ?budget (t : Litmus.t) family =
   let axiomatic =
     List.map (fun (e : Solver.entry) -> (e.Solver.outcome, e.Solver.candidates)) r.Solver.entries
   in
-  let opr = Litmus.run_exhaustive ~window ?max_states ?por t family in
+  let opr, _ = Litmus.run_exhaustive ~window ?max_states ?por t family in
   let operational = Memrel_machine.Enumerate.outcome_set opr in
   (* a partial axiomatic run covers a subset of the allowed outcomes — it
      can honestly witness "allowed", never "forbidden", so the comparison

@@ -65,4 +65,4 @@ val outcome_set :
   Memrel_memmodel.Model.family ->
   Memrel_machine.Litmus.outcome list
 (** Just the distinct outcomes, sorted — comparable with
-    {!Memrel_machine.Litmus.outcome_set} (only when complete). *)
+    {!Memrel_machine.Enumerate.outcome_set} (only when complete). *)

@@ -333,6 +333,3 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
   }
 
 let outcome_set r = List.map fst r.outcomes
-
-let reachable_terminal_count ?max_states ?por discipline st =
-  (outcomes ?max_states ?por discipline st ~observe:(fun s -> State.packed_key s)).terminals

@@ -135,7 +135,3 @@ val outcome_set : 'a result -> 'a list
 (** The distinct observations of a result, without their terminal-state
     counts and in the same sorted order — the set an alternative semantics
     (e.g. the axiomatic checker in [lib/axiom]) must reproduce exactly. *)
-
-val reachable_terminal_count :
-  ?max_states:int -> ?por:bool -> Semantics.discipline -> State.t -> int
-(** Number of distinct terminal states. *)

@@ -320,12 +320,25 @@ let corpus_table () =
 
 let initial_state t = State.init ~programs:t.programs ~initial_mem:t.initial_mem
 
-let run_exhaustive ?window ?max_states ?por t family =
-  let discipline = Semantics.of_model ?window family in
-  Enumerate.outcomes ?max_states ?por discipline (initial_state t) ~observe:t.observe
+type spill = { dir : string; mem_budget_bytes : int; resume : bool; resume_key : string }
 
-let outcome_set ?window ?max_states ?por t family =
-  Enumerate.outcome_set (run_exhaustive ?window ?max_states ?por t family)
+let run_exhaustive ?window ?max_states ?por ?budget ?spill t family =
+  let discipline = Semantics.of_model ?window family in
+  let st = initial_state t in
+  match spill with
+  | None -> (Enumerate.outcomes ?max_states ?por ?budget discipline st ~observe:t.observe, None)
+  | Some s ->
+    let x =
+      Extmem.outcomes ?max_states ?por ?budget ~mem_budget_bytes:s.mem_budget_bytes
+        ~resume:s.resume ~spill_dir:s.dir ~resume_key:s.resume_key discipline st
+        ~observe:t.observe
+    in
+    (* a complete run's manifest would only replay this answer: give the
+       disk back. A partial run keeps its last level for a resume *)
+    if x.Extmem.base.Enumerate.exhausted = None then Extmem.remove_spill_dir s.dir;
+    (x.Extmem.base, Some x.Extmem.ext)
+
+let shows_relaxed t outcomes = List.mem_assoc t.relaxed_outcome outcomes
 
 type verdict = {
   test : string;
@@ -334,11 +347,12 @@ type verdict = {
   expected_relaxed : bool;
   agrees : bool;
   outcome_count : int;
+  terminals : int;
+  exhausted : Memrel_prob.Budget.exhaustion option;
 }
 
-let check ?window t family =
-  let r = run_exhaustive ?window t family in
-  let observed_relaxed = List.mem_assoc t.relaxed_outcome r.Enumerate.outcomes in
+let verdict t family (r : outcome Enumerate.result) =
+  let observed_relaxed = shows_relaxed t r.Enumerate.outcomes in
   let expected_relaxed = t.allowed_under family in
   {
     test = t.name;
@@ -347,7 +361,12 @@ let check ?window t family =
     expected_relaxed;
     agrees = observed_relaxed = expected_relaxed;
     outcome_count = List.length r.Enumerate.outcomes;
+    terminals = r.Enumerate.terminals;
+    exhausted = r.Enumerate.exhausted;
   }
+
+let check ?window ?por ?budget ?spill t family =
+  verdict t family (fst (run_exhaustive ?window ?por ?budget ?spill t family))
 
 let check_all ?window () =
   let families =

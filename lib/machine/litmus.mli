@@ -32,7 +32,8 @@ val y : int
 
 val observe_regs : (int * int) list -> State.t -> outcome
 (** [observe_regs specs] observes [(thread, reg)] pairs, named
-    ["<thread>:r<reg>"]. *)
+    ["<thread>:r<reg>"]. Kept for tests that build a test outside the
+    corpus. *)
 
 val all : t list
 (** The corpus: canonical increment (atomicity violation), the same bug
@@ -87,25 +88,30 @@ val corpus_table : unit -> string
 
 val initial_state : t -> State.t
 
+type spill = { dir : string; mem_budget_bytes : int; resume : bool; resume_key : string }
+(** Where {!run_exhaustive} spills, under what budget, and whether it
+    resumes the checkpoint there, which must carry [resume_key]: see
+    {!Extmem.outcomes}. *)
+
 val run_exhaustive :
   ?window:int ->
   ?max_states:int ->
   ?por:bool ->
+  ?budget:Memrel_prob.Budget.t ->
+  ?spill:spill ->
   t ->
   Memrel_memmodel.Model.family ->
-  outcome Enumerate.result
-(** All outcomes of the test under a model's discipline. [max_states] and
-    [por] are passed to {!Enumerate.outcomes}. *)
+  outcome Enumerate.result * Extmem.ext_stats option
+(** All outcomes of the test under a model's discipline: the one entry
+    that runs a resolved test. Without [spill], in RAM
+    ({!Enumerate.outcomes}); with it, through {!Extmem.outcomes} (no
+    default [max_states]), returning its statistics. A complete run removes
+    its spill state ({!Extmem.remove_spill_dir}), a partial one keeps it
+    for a resume. Complete runs give one result either way. Raises
+    {!Extmem.Spill_error} on unusable spill state. *)
 
-val outcome_set :
-  ?window:int ->
-  ?max_states:int ->
-  ?por:bool ->
-  t ->
-  Memrel_memmodel.Model.family ->
-  outcome list
-(** The distinct reachable observations only, sorted — the operational
-    side of the axiomatic-vs-operational differential check. *)
+val shows_relaxed : t -> (outcome * 'a) list -> bool
+(** Whether an outcome table holds the test's relaxed outcome. *)
 
 type verdict = {
   test : string;
@@ -114,11 +120,25 @@ type verdict = {
   expected_relaxed : bool;
   agrees : bool;
   outcome_count : int;
+  terminals : int;
+  exhausted : Memrel_prob.Budget.exhaustion option;
+      (** [Some _] when the exploration stopped early: then
+          [observed_relaxed = false] means "not seen", not "forbidden" *)
 }
 
-val check : ?window:int -> t -> Memrel_memmodel.Model.family -> verdict
-(** Compare observed reachability of the relaxed outcome against the
-    expectation. *)
+val verdict : t -> Memrel_memmodel.Model.family -> outcome Enumerate.result -> verdict
+(** The relaxed-outcome verdict of a {!run_exhaustive} result. *)
+
+val check :
+  ?window:int ->
+  ?por:bool ->
+  ?budget:Memrel_prob.Budget.t ->
+  ?spill:spill ->
+  t ->
+  Memrel_memmodel.Model.family ->
+  verdict
+(** {!verdict} of {!run_exhaustive}: compare observed reachability of the
+    relaxed outcome against the expectation. *)
 
 val check_all : ?window:int -> unit -> verdict list
 (** Every test under every standard model family. *)

@@ -44,9 +44,9 @@ val parse : string -> Litmus.t
 
 val parse_instruction : locations:(string * int) list -> string -> Instr.t
 (** [parse_instruction ~locations s] parses a single instruction given a
-    fixed location-name binding (exposed for tests and interactive use).
-    Raises {!Parse_error} with line 0. *)
+    fixed location-name binding. Raises {!Parse_error} with line 0. Kept
+    for tests of the instruction forms. *)
 
 val parse_with_locations : string -> Litmus.t * (string * int) list
 (** Like {!parse} but also returns the [(name, location)] binding assigned
-    while parsing. *)
+    while parsing. Kept for tests of the location numbering. *)

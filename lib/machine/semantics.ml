@@ -15,10 +15,6 @@ let buffered = function Tso | Pso -> true | Sc | Wo _ -> false
 
 type label = Exec of { thread : int; index : int } | Flush of { thread : int; loc : int }
 
-let label_to_string = function
-  | Exec { thread; index } -> Printf.sprintf "T%d.exec[%d]" thread index
-  | Flush { thread; loc } -> Printf.sprintf "T%d.flush[%d]" thread loc
-
 let eval th = function Instr.Reg r -> State.reg th r | Instr.Imm i -> i
 
 let apply_binop op a b =

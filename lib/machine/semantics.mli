@@ -39,8 +39,6 @@ type label =
   | Exec of { thread : int; index : int }  (** instruction issue *)
   | Flush of { thread : int; loc : int }  (** store-buffer publish *)
 
-val label_to_string : label -> string
-
 (** {2 Label codes}
 
     Per state space each label has a code, thread by thread: thread [k]'s
@@ -95,7 +93,7 @@ val thread_enabled : discipline -> State.t -> int -> label list
     location first). A thread's enabledness depends only on its own context
     (program counter, window hazards, its buffers) — never on other threads
     or on shared memory — a fact the reduction's soundness argument relies
-    on (DESIGN.md §8). *)
+    on (DESIGN.md §8). Kept for the plain-DFS oracle in test/oracle. *)
 
 val step : discipline -> State.t -> label -> State.t
 (** [step d st l]: the successor of [st] along [l], which must be enabled

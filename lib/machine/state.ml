@@ -98,11 +98,6 @@ let set_perloc_queue th loc q = { th with perloc = with_index "location" th.perl
 
 let is_executed th i = th.executed land (1 lsl i) <> 0
 
-let next_unexecuted th =
-  let n = Array.length th.prog in
-  let rec go i = if i >= n || not (is_executed th i) then i else go (i + 1) in
-  go 0
-
 let perloc_empty th = Array.for_all (fun q -> q = []) th.perloc
 
 let buffers_empty th = th.fifo = [] && perloc_empty th

@@ -62,16 +62,14 @@ val set_perloc_queue : thread -> int -> int list -> thread
 (** [th] with one location's PSO buffer replaced (a copy). *)
 
 val is_executed : thread -> int -> bool
-val next_unexecuted : thread -> int
-(** Lowest unexecuted instruction index ([Array.length prog] when done). *)
-
 val perloc_empty : thread -> bool
 (** Every PSO buffer of the thread is empty. *)
 
 val thread_done : thread -> bool
-(** All instructions executed and both buffers drained. *)
+(** All instructions executed and both buffers drained. Kept for tests. *)
 
 val all_done : t -> bool
+(** Every thread is done. Kept for tests, which check terminal states. *)
 
 val buffered_read_fifo : thread -> int -> int option
 (** Newest buffered value for a location in the TSO FIFO, if any. *)
@@ -99,7 +97,8 @@ val packed_bytes : packer -> Bytes.t
 
 val packed_length : packer -> int
 val packed_string : packer -> string
-(** A copy of the current key. *)
+(** A copy of the current key. Kept for tests; the engines read the
+    packer's bytes in place. *)
 
 val packed_ends : packer -> int array
 (** The current key's section ends, recorded as it was written (one int

@@ -34,6 +34,6 @@ val find_or_compute :
     [compute] error is returned verbatim and nothing is stored. *)
 
 val clear_memory : t -> unit
-(** Drop the in-memory tier (tests use this to force disk hits). *)
+(** Drop the in-memory tier. Kept for tests, which force disk hits with it. *)
 
 val stats : t -> Protocol.cache_stats

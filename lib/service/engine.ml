@@ -5,7 +5,6 @@ module Rng = Memrel_prob.Rng
 module Litmus = Memrel_machine.Litmus
 module Enumerate = Memrel_machine.Enumerate
 module Extmem = Memrel_machine.Extmem
-module Semantics = Memrel_machine.Semantics
 module Solver = Memrel_axiom.Solver
 module Mc = Memrel_settling.Mc
 module Process = Memrel_shift.Process
@@ -69,7 +68,10 @@ let check_family = function
   | Model.Custom -> unsupported "custom models have no wire encoding"
   | f -> Ok f
 
-let check_window w = if w >= 1 && w <= 1024 then Ok w else bad "window %d out of range 1..1024" w
+let max_window = 1024
+
+let check_window w =
+  if w >= 1 && w <= max_window then Ok w else bad "window %d out of range 1..%d" w max_window
 
 (* "kind|hash|family|wW", plus any [extra] fields: the key of a query on a
    litmus test, joined without Printf on the cache-hit path *)
@@ -171,39 +173,26 @@ let spill_dir_of extmem key =
   in
   Filename.concat extmem.spill_root safe
 
-let enumerate_run ?budget ?extmem ~key (t : Litmus.t) family ~window ~por =
-  let discipline = Semantics.of_model ~window family in
-  let st = Litmus.initial_state t in
-  let observe = t.Litmus.observe in
+(* The daemon's spill policy around [Litmus.run_exhaustive], which removes
+   a complete run's spill state: a retried query resumes what its directory
+   holds. Corrupt spill state (crash debris, a torn run file) must not
+   poison a query forever: sweep it and restart once; if that fails too,
+   sweep again so the next retry starts fresh, and surface the error. *)
+let with_spill ?extmem ~key run =
   match extmem with
-  | None -> Enumerate.outcomes ~por ?budget discipline st ~observe
+  | None -> run None
   | Some x ->
-    (* the engines agree exactly on complete runs (outcomes, per-outcome
-       terminal counts, states, terminals), so routing a query through the
-       disk-spilling BFS cannot change the bytes a client — or the result
-       cache — sees. A budget-tripped run leaves its spill state in place:
-       the next identical query resumes from the last complete level
-       instead of starting over. *)
     let dir = spill_dir_of x key in
-    let attempt ~resume =
-      Extmem.outcomes ~por ?budget ~mem_budget_bytes:x.mem_budget_bytes ~resume
-        ~spill_dir:dir ~resume_key:key discipline st ~observe
+    let spill resume =
+      Some { Litmus.dir; mem_budget_bytes = x.mem_budget_bytes; resume; resume_key = key }
     in
-    (* Corrupt spill state — crash debris, a torn or short run file — must
-       not poison this query forever: sweep the directory and restart the
-       run from scratch. If the clean restart fails too, sweep again so
-       the client's next retry also starts fresh, and surface the error. *)
-    let r =
-      try attempt ~resume:(Extmem.can_resume dir)
-      with Extmem.Spill_error _ ->
-        Extmem.remove_spill_dir dir;
-        (try attempt ~resume:false
-         with e ->
-           Extmem.remove_spill_dir dir;
-           raise e)
-    in
-    if r.Extmem.base.Enumerate.exhausted = None then Extmem.remove_spill_dir dir;
-    r.Extmem.base
+    (try run (spill (Extmem.can_resume dir))
+     with Extmem.Spill_error _ ->
+       Extmem.remove_spill_dir dir;
+       (try run (spill false)
+        with e ->
+          Extmem.remove_spill_dir dir;
+          raise e))
 
 let run ~caps ?extmem (q : P.query) (limits : P.limits) =
   (* check_limits and cache_key perform all parameter validation *)
@@ -213,22 +202,20 @@ let run ~caps ?extmem (q : P.query) (limits : P.limits) =
   match q with
   | P.Verify { test; family; window } ->
     let* _, t = litmus_hash test in
-    let r = enumerate_run ?budget ?extmem ~key t family ~window ~por:true in
-    let observed_relaxed = List.mem_assoc t.Litmus.relaxed_outcome r.Enumerate.outcomes in
-    let expected_relaxed = t.Litmus.allowed_under family in
+    let v =
+      with_spill ?extmem ~key (fun spill -> Litmus.check ~window ~por:true ?budget ?spill t family)
+    in
+    let { Litmus.observed_relaxed; expected_relaxed; agrees; terminals; exhausted; _ } = v in
+    let outcomes = v.Litmus.outcome_count in
     Ok
-      (result ?exhausted:r.Enumerate.exhausted
-         (P.Verdict
-            {
-              observed_relaxed;
-              expected_relaxed;
-              agrees = observed_relaxed = expected_relaxed;
-              outcomes = List.length r.Enumerate.outcomes;
-              terminals = r.Enumerate.terminals;
-            }))
+      (result ?exhausted
+         (P.Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals }))
   | P.Enumerate { test; family; window; por } ->
     let* _, t = litmus_hash test in
-    let r = enumerate_run ?budget ?extmem ~key t family ~window ~por in
+    let r, _ =
+      with_spill ?extmem ~key (fun spill ->
+          Litmus.run_exhaustive ~window ~por ?budget ?spill t family)
+    in
     Ok
       (result ?exhausted:r.Enumerate.exhausted
          (P.Outcomes

@@ -27,6 +27,9 @@ type extmem = { spill_root : string; mem_budget_bytes : int }
     state and the next identical query resumes it; complete runs delete
     their spill directory. *)
 
+val max_window : int
+(** The largest WO window (1024) a query, or the CLI's [--window], names. *)
+
 type error = { code : Protocol.error_code; message : string }
 
 val cache_key : Protocol.query -> (string, error) result

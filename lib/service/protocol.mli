@@ -14,9 +14,6 @@
 val version : int
 (** Protocol version byte, bumped on any incompatible change. *)
 
-val max_frame_bytes : int
-(** Frames above this size (16 MiB) are rejected on both ends. *)
-
 (** {1 Queries} *)
 
 type estimate_kind =
@@ -92,10 +89,12 @@ type result = { payload : payload; partial : partial_info option }
 type origin = Computed | Memory_hit | Disk_hit
 
 val origin_to_string : origin -> string
+(** Kept for tests, which name the origin they expected. *)
 
 type error_code = Bad_request | Unknown_test | Unsupported | Server_error
 
 val error_code_to_string : error_code -> string
+(** Kept for tests, which name the error code they expected. *)
 
 type cache_stats = {
   entries : int;
@@ -143,6 +142,7 @@ val encode_result : result -> string
     bytes. *)
 
 val decode_result : string -> (result, string) Stdlib.result
+(** Kept for tests: what a cached entry's bytes decode to. *)
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) Stdlib.result
@@ -243,7 +243,6 @@ val query_to_string : query -> string
 
 (** {1 Rendering} *)
 
-val render_result : result -> string
 val render_response : response -> string
 (** Human-readable rendering for the CLI; [Result] lines are prefixed with
     the origin tag [[computed]] / [[memory]] / [[disk]]. *)

@@ -45,14 +45,11 @@ val resolve_host : string -> Unix.inet_addr
 
 val default_config : Protocol.address -> string -> config
 (** 1 worker, 16 shards, no caps, queue bound 64, 30 s IO deadline, no
-    signal handlers. *)
+    signal handlers. Kept for in-process tests, which start from it. *)
 
 val unix_socket_live : string -> bool
-(** Does a live daemon answer on this Unix socket path? *)
-
-val retry_after_hint : backlog:int -> workers:int -> float
-(** The shed response's retry-after, sized from backlog over capacity and
-    clamped to [0.05, 2.0] seconds. *)
+(** Does a live daemon answer on this Unix socket path? Kept for tests of
+    the live-socket refusal. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serve until a [Shutdown] request arrives (or, with [drain_signals],

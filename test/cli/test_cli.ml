@@ -2,8 +2,9 @@
 
 let cli = Filename.concat (Filename.concat ".." "..") (Filename.concat "bin" "memrel_cli.exe")
 
-(* (exit code, stdout, stderr lines) of [memrel args] *)
-let memrel args =
+(* (exit code, stdout, stderr lines) of [memrel args], run with the
+   environment assignments [env] (e.g. "TMPDIR=/some/dir ") *)
+let memrel ?(env = "") args =
   let out = Filename.temp_file "memrel_cli" ".out" in
   let err = Filename.temp_file "memrel_cli" ".err" in
   Fun.protect
@@ -11,7 +12,7 @@ let memrel args =
     (fun () ->
       let code =
         Sys.command
-          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args (Filename.quote out)
+          (Printf.sprintf "%s%s %s > %s 2> %s" env (Filename.quote cli) args (Filename.quote out)
              (Filename.quote err))
       in
       let read f = In_channel.with_open_bin f In_channel.input_all in
@@ -270,6 +271,114 @@ let golden_enumerate_por =
     "max depth 4; max frontier 7; POR: ample at 2 states, 2 transitions pruned\n";
   ]
 
+(* -- the spill lifecycle of enumerate -------------------------------------- *)
+
+module P = Memrel_service.Protocol
+module Engine = Memrel_service.Engine
+module Model = Memrel_memmodel.Model
+
+let with_dir f =
+  let dir = Filename.temp_dir "memrel_cli" ".d" in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+let manifest dir = Sys.file_exists (Filename.concat dir "MANIFEST")
+let has line affix = Astring.String.is_infix ~affix line
+
+(* a state-capped run exits 3 keeping its level checkpoint; --resume
+   finishes it with the uninterrupted totals and gives the disk back *)
+let spill_resume () =
+  with_dir @@ fun root ->
+  let d = Filename.quote (Filename.concat root "spill") in
+  let code, _, _ = memrel ("enumerate inc4 --spill-dir " ^ d ^ " --max-states 1500") in
+  Alcotest.(check int) "capped run exit code" 3 code;
+  Alcotest.(check bool) "checkpoint kept" true (manifest (Filename.concat root "spill"));
+  let code, out, _ = memrel ("enumerate inc4 --spill-dir " ^ d ^ " --resume") in
+  Alcotest.(check int) "resumed run exit code" 0 code;
+  Alcotest.(check bool) "resumed at level 10" true (has out "resumed at level 10");
+  Alcotest.(check bool) "uninterrupted totals" true (has out "states 3931 (");
+  Alcotest.(check bool) "checkpoint removed" false (manifest (Filename.concat root "spill"))
+
+(* the temp-dir default leaves nothing behind after a complete run *)
+let temp_spill_removed () =
+  with_dir @@ fun tmp ->
+  let code, _, _ =
+    memrel ~env:("TMPDIR=" ^ Filename.quote tmp ^ " ") "enumerate inc4 --model tso --extmem"
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check (array string)) "TMPDIR left empty" [||] (Sys.readdir tmp)
+
+let enum_key test =
+  match
+    Engine.cache_key
+      (P.Enumerate { test; family = Model.Total_store_order; window = 8; por = false })
+  with
+  | Ok key -> key
+  | Error e -> Alcotest.fail e.Engine.message
+
+(* a checkpoint resumes only the enumeration that wrote it, named by the
+   daemon's key *)
+let spill_other_test_refused () =
+  with_dir @@ fun root ->
+  let d = Filename.quote root in
+  let code, _, _ = memrel ("enumerate inc4 --spill-dir " ^ d ^ " --max-states 1500") in
+  Alcotest.(check int) "capped run exit code" 3 code;
+  let code, out, err = memrel ("enumerate inc3 --spill-dir " ^ d ^ " --resume") in
+  Alcotest.(check int) "exit code" 123 code;
+  Alcotest.(check string) "nothing printed" "" out;
+  match err with
+  | [ line ] ->
+    Alcotest.(check bool) line true (has line (enum_key "inc4") && has line (enum_key "inc3"))
+  | _ -> Alcotest.failf "expected one stderr line, got %d" (List.length err)
+
+(* the CLI's outcome lines, terminal and state counts are the daemon
+   engine's Enumerate payload, rendered *)
+let same_as_engine () =
+  let render o = String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) o) in
+  List.iter
+    (fun test ->
+      List.iter
+        (fun (family, model) ->
+          List.iter
+            (fun por ->
+              let args =
+                Printf.sprintf "enumerate %s --model %s%s" test model (if por then " --por" else "")
+              in
+              let q = P.Enumerate { test; family; window = 8; por } in
+              match Engine.run ~caps:Engine.no_caps q P.no_limits with
+              | Ok { P.payload = P.Outcomes { entries; terminals; states }; partial = None } ->
+                let code, out, _ = memrel args in
+                Alcotest.(check int) (args ^ ": exit code") 0 code;
+                let lines = String.split_on_char '\n' out in
+                let first = List.hd lines in
+                Alcotest.(check bool) (args ^ ": counts") true
+                  (has first
+                     (Printf.sprintf ": %d distinct outcomes, %d terminal states"
+                        (List.length entries) terminals));
+                Alcotest.(check (list string)) (args ^ ": outcome lines")
+                  (List.map
+                     (fun (o, k) ->
+                       Printf.sprintf "  %-30s %8d terminal state%s" (render o) k
+                         (if k = 1 then "" else "s"))
+                     entries)
+                  (List.filter (fun l -> String.starts_with ~prefix:"  " l) lines);
+                Alcotest.(check bool) (args ^ ": states") true
+                  (List.mem (Printf.sprintf "states %d (" states)
+                     (List.map
+                        (fun l ->
+                          match String.index_opt l '(' with
+                          | Some i -> String.sub l 0 (i + 1)
+                          | None -> l)
+                        lines))
+              | _ -> Alcotest.failf "%s: no complete engine payload" args)
+            [ false; true ])
+        [
+          (Model.Sequential_consistency, "sc"); (Model.Total_store_order, "tso");
+          (Model.Partial_store_order, "pso"); (Model.Weak_ordering, "wo");
+        ])
+    (Memrel_machine.Litmus.names @ [ "inc3"; "inc4" ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -309,6 +418,16 @@ let () =
           Alcotest.test_case "enumerate sb --model wo --por" `Quick
             (golden ~mask:mask_rate "enumerate sb --model wo --por" golden_enumerate_por);
         ] );
+      ( "spill lifecycle",
+        [
+          Alcotest.test_case "capped run keeps, --resume finishes and removes" `Quick
+            spill_resume;
+          Alcotest.test_case "temp spill dir removed after a complete run" `Quick
+            temp_spill_removed;
+          Alcotest.test_case "--resume refuses another test's spill dir" `Quick
+            spill_other_test_refused;
+          Alcotest.test_case "enumerate prints the engine's payload" `Quick same_as_engine;
+        ] );
       ( "positive counts",
         List.map
           (fun args -> Alcotest.test_case args `Quick (usage_error args))
@@ -332,6 +451,7 @@ let () =
             ("expected an integer >= 0", "enumerate inc3 --max-mem=-5");
             ("expected an integer >= 0", "axiom sb --max-candidates=-1");
             ("expected a positive integer", "enumerate inc3 --extmem --mem-budget=-3");
+            ("expected an integer >= 0", "enumerate inc3 --max-states=-5");
             ("expected a number >= 0", "serve --max-deadline=-1 --socket /nonexistent/m.sock");
             ("expected an integer >= 0", "serve --max-work=-1 --socket /nonexistent/m.sock");
             ("expected an integer >= 0", "serve --max-mem=-1 --socket /nonexistent/m.sock");
@@ -342,6 +462,9 @@ let () =
         [
           Alcotest.test_case "scaling --n-max 1" `Quick
             (usage_error ~affix:"expected an integer >= 2" "scaling --n-max 1");
+          Alcotest.test_case "enumerate sb --model wo --window 5000" `Quick
+            (usage_error ~affix:"expected an integer <= 1024"
+               "enumerate sb --model wo --window 5000");
         ] );
       ( "unknown tests",
         [

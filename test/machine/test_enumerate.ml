@@ -104,7 +104,7 @@ let test_reachable_terminal_count () =
   let st =
     mk [ [| I.store ~loc:0 ~src:(I.Imm 1) |]; [| I.store ~loc:0 ~src:(I.Imm 2) |] ]
   in
-  Alcotest.(check int) "two terminals" 2 (E.reachable_terminal_count Sem.Sc st)
+  Alcotest.(check int) "two terminals" 2 (E.outcomes Sem.Sc st ~observe:(fun _ -> ())).E.terminals
 
 let test_dedup_effectiveness () =
   (* same program under TSO explores more states than SC (buffer states) *)
@@ -229,13 +229,13 @@ let test_increment3_pinned () =
   (* deep-state-space regression pins: exact exhaustive counts for the
      3-thread canonical bug (E14's n = 3 row, now exact) *)
   let t = L.increment_n 3 in
-  let sc = L.run_exhaustive t Model.Sequential_consistency in
+  let sc, _ = L.run_exhaustive t Model.Sequential_consistency in
   Alcotest.(check (list int)) "SC outcome set" [ 1; 2; 3 ] (outcome_xs sc);
   Alcotest.(check int) "SC terminals" 16 sc.terminals;
   Alcotest.(check (list int)) "SC per-outcome terminal counts" [ 4; 6; 6 ]
     (List.map snd sc.outcomes);
   Alcotest.(check int) "SC states" 175 sc.states_visited;
-  let tso = L.run_exhaustive t Model.Total_store_order in
+  let tso, _ = L.run_exhaustive t Model.Total_store_order in
   Alcotest.(check (list int)) "TSO outcome set" [ 1; 2; 3 ] (outcome_xs tso);
   Alcotest.(check int) "TSO terminals" 16 tso.terminals;
   Alcotest.(check int) "TSO states" 308 tso.states_visited
@@ -246,8 +246,8 @@ let test_increment4_smoke () =
   let t = L.increment_n 4 in
   List.iter
     (fun family ->
-      let full = L.run_exhaustive t family in
-      let por = L.run_exhaustive ~por:true t family in
+      let full, _ = L.run_exhaustive t family in
+      let por, _ = L.run_exhaustive ~por:true t family in
       Alcotest.(check (list int)) "outcome set is {1..4}" [ 1; 2; 3; 4 ] (outcome_xs full);
       Alcotest.(check int) "109 terminal states" 109 full.terminals;
       Alcotest.(check bool) "POR agrees" true (full.outcomes = por.outcomes);
@@ -258,8 +258,8 @@ let test_increment4_smoke () =
    outcome set and terminal count of inc6/TSO's 1.26M states *)
 let test_increment6_tso_por_agrees () =
   let t = L.increment_n 6 in
-  let full = L.run_exhaustive t Model.Total_store_order in
-  let por = L.run_exhaustive ~por:true t Model.Total_store_order in
+  let full, _ = L.run_exhaustive t Model.Total_store_order in
+  let por, _ = L.run_exhaustive ~por:true t Model.Total_store_order in
   Alcotest.(check bool) "complete" true (full.exhausted = None && por.exhausted = None);
   Alcotest.(check bool) "POR outcomes agree" true (full.outcomes = por.outcomes);
   Alcotest.(check int) "POR terminals agree" full.terminals por.terminals;
@@ -280,7 +280,7 @@ let test_deep_linear_space () =
 
 let test_stats_observability () =
   let t = L.increment_n 3 in
-  let r = L.run_exhaustive ~por:true t Model.Total_store_order in
+  let r, _ = L.run_exhaustive ~por:true t Model.Total_store_order in
   let s = r.stats in
   Alcotest.(check bool) "pruned some transitions" true (s.por_pruned > 0);
   Alcotest.(check bool) "ample states counted" true (s.por_ample_states > 0);

@@ -6,6 +6,7 @@ module State = Memrel_machine.State
 module I = Memrel_machine.Instr
 module Model = Memrel_memmodel.Model
 module Rng = Memrel_prob.Rng
+module Ref = Memrel_oracle.Enumerate_reference
 
 let test_run_terminates () =
   let rng = Rng.create 1 in
@@ -24,7 +25,7 @@ let test_run_deterministic_under_seed () =
   let run () =
     let rng = Rng.create 33 in
     let r = X.run Sem.Tso (L.initial_state t) rng in
-    List.map Sem.label_to_string r.trace
+    List.map Ref.label_to_string r.trace
   in
   Alcotest.(check (list string)) "same trace" (run ()) (run ())
 
@@ -56,7 +57,7 @@ let test_random_outcomes_within_enumerated () =
       let t = L.find name in
       List.iter
         (fun (d, family) ->
-          let enumerated = List.map fst (L.run_exhaustive t family).E.outcomes in
+          let enumerated = List.map fst (fst (L.run_exhaustive t family)).E.outcomes in
           let sampled =
             X.estimate_outcome ~trials:300 d (L.initial_state t) ~observe:t.observe rng
           in

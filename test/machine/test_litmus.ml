@@ -62,7 +62,7 @@ let test_outcome_monotonicity () =
   List.iter
     (fun (t : L.t) ->
       let outcomes family =
-        List.map fst (L.run_exhaustive t family).E.outcomes
+        List.map fst (fst (L.run_exhaustive t family)).E.outcomes
       in
       let sc = outcomes Model.Sequential_consistency in
       List.iter
@@ -80,7 +80,7 @@ let test_inc_outcomes () =
   (* the canonical bug: exactly {x=1, x=2} are reachable under every model *)
   List.iter
     (fun f ->
-      let r = L.run_exhaustive (L.find "inc") f in
+      let r, _ = L.run_exhaustive (L.find "inc") f in
       let outcomes = List.map fst r.E.outcomes in
       Alcotest.(check int) "two outcomes" 2 (List.length outcomes);
       Alcotest.(check bool) "x=1 reachable" true (List.mem [ ("x", 1) ] outcomes);
@@ -89,7 +89,7 @@ let test_inc_outcomes () =
 
 let test_sb_outcome_sets () =
   (* SC allows exactly 3 of the 4 (r0, r1) combinations; relaxed models all 4 *)
-  let count f = List.length (L.run_exhaustive (L.find "sb") f).E.outcomes in
+  let count f = List.length (fst (L.run_exhaustive (L.find "sb") f)).E.outcomes in
   Alcotest.(check int) "SC" 3 (count Model.Sequential_consistency);
   Alcotest.(check int) "TSO" 4 (count Model.Total_store_order);
   Alcotest.(check int) "WO" 4 (count Model.Weak_ordering)
@@ -98,7 +98,7 @@ let test_inc_atomic_fixes_bug () =
   (* the RMW version: x = 2 is the ONLY outcome under every model *)
   List.iter
     (fun f ->
-      let r = L.run_exhaustive (L.find "inc+rmw") f in
+      let r, _ = L.run_exhaustive (L.find "inc+rmw") f in
       match r.E.outcomes with
       | [ (o, _) ] -> Alcotest.(check (list (pair string int))) "only x=2" [ ("x", 2) ] o
       | l -> Alcotest.fail (Printf.sprintf "expected one outcome, got %d" (List.length l)))
@@ -108,7 +108,7 @@ let test_increment_n () =
   (* n = 2 must coincide with the corpus inc; outcomes of inc_n are exactly
      x in {1 .. n} under SC *)
   let t3 = L.increment_n 3 in
-  let r = L.run_exhaustive t3 Model.Sequential_consistency in
+  let r, _ = L.run_exhaustive t3 Model.Sequential_consistency in
   let outcomes = List.map fst r.E.outcomes in
   Alcotest.(check int) "three outcomes" 3 (List.length outcomes);
   List.iter

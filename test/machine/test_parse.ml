@@ -23,8 +23,8 @@ let test_parse_sb () =
   (* and the parsed test behaves exactly like the hand-built corpus SB *)
   List.iter
     (fun family ->
-      let parsed = L.run_exhaustive t family in
-      let builtin = L.run_exhaustive (L.find "sb") family in
+      let parsed, _ = L.run_exhaustive t family in
+      let builtin, _ = L.run_exhaustive (L.find "sb") family in
       Alcotest.(check int) "same outcome count" (List.length builtin.E.outcomes)
         (List.length parsed.E.outcomes);
       Alcotest.(check bool) "same relaxed verdict"
@@ -78,7 +78,7 @@ relaxed: x=41
 |}
   in
   let t = P.parse text in
-  let r = L.run_exhaustive t Model.Sequential_consistency in
+  let r, _ = L.run_exhaustive t Model.Sequential_consistency in
   let outcomes = List.map fst r.E.outcomes in
   (* sequential: 43; races: 41 (the +1 wins last over stale) or 42 *)
   Alcotest.(check bool) "43 reachable" true (List.mem [ ("x", 43) ] outcomes);
@@ -107,7 +107,7 @@ let test_rmw_parse_and_run () =
     P.parse
       "name: inc-rmw\nthread: r0 = rmw x + 1\nthread: r0 = rmw x + 1\nrelaxed: x=1\n"
   in
-  let r = L.run_exhaustive t Model.Weak_ordering in
+  let r, _ = L.run_exhaustive t Model.Weak_ordering in
   Alcotest.(check bool) "x=1 unreachable" false (List.mem_assoc t.L.relaxed_outcome r.E.outcomes);
   check_parse_error "name: t\nthread: x = rmw y + 1\nrelaxed: x=1\n" "rmw form"
 
@@ -143,7 +143,7 @@ relaxed: 0:r0=0 1:r0=1 1:r1=0
      observation; the relaxed (1,0) message-passing violation must stay
      unreachable even under WO thanks to the fences *)
   let t = P.parse text in
-  let r = L.run_exhaustive t Model.Weak_ordering in
+  let r, _ = L.run_exhaustive t Model.Weak_ordering in
   Alcotest.(check bool) "fenced MP forbidden" false
     (List.mem_assoc t.L.relaxed_outcome r.E.outcomes)
 

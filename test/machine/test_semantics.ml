@@ -3,6 +3,7 @@ module State = Memrel_machine.State
 module Sem = Memrel_machine.Semantics
 module Model = Memrel_memmodel.Model
 module Fence = Memrel_memmodel.Fence
+module Ref = Memrel_oracle.Enumerate_reference
 
 let mk programs = State.init ~programs ~initial_mem:[]
 
@@ -102,7 +103,7 @@ let test_tso_fence_requires_empty_buffer () =
    | ts ->
      Alcotest.fail
        (Printf.sprintf "expected only flush, got %s"
-          (String.concat "," (List.map (fun (l, _) -> Sem.label_to_string l) ts))));
+          (String.concat "," (List.map (fun (l, _) -> Ref.label_to_string l) ts))));
   ()
 
 let test_wo_reorders_independent () =

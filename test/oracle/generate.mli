@@ -88,5 +88,5 @@ val outcome_set :
   Memrel_memmodel.Model.family ->
   Memrel_machine.Litmus.outcome list
 (** Just the distinct outcomes, sorted — directly comparable with
-    {!Memrel_machine.Litmus.outcome_set} (only when complete; see
+    {!Memrel_machine.Enumerate.outcome_set} (only when complete; see
     {!run}). *)

@@ -53,7 +53,7 @@ let test_enumerate_matches_direct () =
   let q = P.Enumerate { test = "sb"; family = Model.Total_store_order; window = 8; por = false } in
   match (run_ok q P.no_limits).P.payload with
   | P.Outcomes { entries; terminals; _ } ->
-    let direct = Litmus.run_exhaustive (Litmus.find "sb") Model.Total_store_order in
+    let direct, _ = Litmus.run_exhaustive (Litmus.find "sb") Model.Total_store_order in
     Alcotest.(check int) "outcome count" (List.length direct.Memrel_machine.Enumerate.outcomes)
       (List.length entries);
     Alcotest.(check int) "terminals" direct.Memrel_machine.Enumerate.terminals terminals;
