@@ -202,11 +202,10 @@ let run ~caps ?extmem (q : P.query) (limits : P.limits) =
   match q with
   | P.Verify { test; family; window } ->
     let* _, t = litmus_hash test in
-    let v =
+    let { Litmus.observed_relaxed; expected_relaxed; agrees; outcome_count = outcomes; terminals;
+          exhausted; _ } =
       with_spill ?extmem ~key (fun spill -> Litmus.check ~window ~por:true ?budget ?spill t family)
     in
-    let { Litmus.observed_relaxed; expected_relaxed; agrees; terminals; exhausted; _ } = v in
-    let outcomes = v.Litmus.outcome_count in
     Ok
       (result ?exhausted
          (P.Verdict { observed_relaxed; expected_relaxed; agrees; outcomes; terminals }))
