@@ -271,6 +271,73 @@ let golden_enumerate_por =
     "max depth 4; max frontier 7; POR: ample at 2 states, 2 transitions pruned\n";
   ]
 
+(* Theorem 6.3's table: log2 Pr[A] from the exact window transforms; from
+   n = 28 on Pr[A] is below the float range, so these rows come from the
+   log2 of an exact rational *)
+let golden_scaling =
+  [
+    "   n   log2Pr(SC)   log2Pr(WO)  log2Pr(TSO)      nSC      nWO     nTSO  SCadv/n^2\n";
+    "   2        -2.58        -2.95        -2.90   0.6462   0.7369   0.7241   0.090643\n";
+    "   3        -7.81        -8.66        -8.57   0.8675   0.9617   0.9523   0.094222\n";
+    "   4       -15.71       -17.10       -17.00   0.9821   1.0687   1.0623   0.086603\n";
+    "   5       -26.35       -28.29       -28.18   1.0539   1.1318   1.1273   0.077901\n";
+    "   6       -39.74       -42.26       -42.14   1.1039   1.1739   1.1707   0.070030\n";
+    "   7       -55.92       -59.02       -58.90   1.1412   1.2045   1.2021   0.063273\n";
+    "   8       -74.91       -78.60       -78.48   1.1705   1.2281   1.2262   0.057539\n";
+    "   9       -96.74      -101.01      -100.89   1.1943   1.2470   1.2455   0.052668\n";
+    "  10      -121.42      -126.27      -126.15   1.2142   1.2627   1.2615   0.048503\n";
+    "  11      -148.96      -154.39      -154.27   1.2311   1.2760   1.2750   0.044917\n";
+    "  12      -179.37      -185.39      -185.27   1.2456   1.2874   1.2866   0.041804\n";
+    "  13      -212.67      -219.28      -219.16   1.2584   1.2975   1.2968   0.039080\n";
+    "  14      -248.86      -256.05      -255.93   1.2697   1.3064   1.3058   0.036681\n";
+    "  15      -287.96      -295.73      -295.61   1.2798   1.3144   1.3138   0.034553\n";
+    "  16      -329.96      -338.32      -338.20   1.2889   1.3216   1.3211   0.032654\n";
+  ]
+
+let golden_scaling_40 =
+  [
+    "   n   log2Pr(SC)   log2Pr(WO)  log2Pr(TSO)      nSC      nWO     nTSO  SCadv/n^2\n";
+    "   2        -2.58        -2.95        -2.90   0.6462   0.7369   0.7241   0.090643\n";
+    "   3        -7.81        -8.66        -8.57   0.8675   0.9617   0.9523   0.094222\n";
+    "   4       -15.71       -17.10       -17.00   0.9821   1.0687   1.0623   0.086603\n";
+    "   5       -26.35       -28.29       -28.18   1.0539   1.1318   1.1273   0.077901\n";
+    "   6       -39.74       -42.26       -42.14   1.1039   1.1739   1.1707   0.070030\n";
+    "   7       -55.92       -59.02       -58.90   1.1412   1.2045   1.2021   0.063273\n";
+    "   8       -74.91       -78.60       -78.48   1.1705   1.2281   1.2262   0.057539\n";
+    "   9       -96.74      -101.01      -100.89   1.1943   1.2470   1.2455   0.052668\n";
+    "  10      -121.42      -126.27      -126.15   1.2142   1.2627   1.2615   0.048503\n";
+    "  11      -148.96      -154.39      -154.27   1.2311   1.2760   1.2750   0.044917\n";
+    "  12      -179.37      -185.39      -185.27   1.2456   1.2874   1.2866   0.041804\n";
+    "  13      -212.67      -219.28      -219.16   1.2584   1.2975   1.2968   0.039080\n";
+    "  14      -248.86      -256.05      -255.93   1.2697   1.3064   1.3058   0.036681\n";
+    "  15      -287.96      -295.73      -295.61   1.2798   1.3144   1.3138   0.034553\n";
+    "  16      -329.96      -338.32      -338.20   1.2889   1.3216   1.3211   0.032654\n";
+    "  17      -374.87      -383.81      -383.69   1.2971   1.3281   1.3277   0.030949\n";
+    "  18      -422.70      -432.23      -432.11   1.3046   1.3340   1.3337   0.029412\n";
+    "  19      -473.45      -483.57      -483.45   1.3115   1.3395   1.3392   0.028017\n";
+    "  20      -527.13      -537.83      -537.71   1.3178   1.3446   1.3443   0.026748\n";
+    "  21      -583.74      -595.02      -594.90   1.3237   1.3493   1.3490   0.025588\n";
+    "  22      -643.28      -655.15      -655.03   1.3291   1.3536   1.3534   0.024523\n";
+    "  23      -705.76      -718.21      -718.09   1.3341   1.3577   1.3574   0.023543\n";
+    "  24      -771.17      -784.21      -784.09   1.3388   1.3615   1.3613   0.022637\n";
+    "  25      -839.53      -853.15      -853.03   1.3432   1.3650   1.3648   0.021799\n";
+    "  26      -910.83      -925.04      -924.91   1.3474   1.3684   1.3682   0.021019\n";
+    "  27      -985.07      -999.87      -999.74   1.3513   1.3716   1.3714   0.020294\n";
+    "  28     -1062.26     -1077.64     -1077.52   1.3549   1.3745   1.3744   0.019616\n";
+    "  29     -1142.41     -1158.37     -1158.25   1.3584   1.3774   1.3772   0.018982\n";
+    "  30     -1225.50     -1242.05     -1241.93   1.3617   1.3801   1.3799   0.018388\n";
+    "  31     -1311.54     -1328.68     -1328.56   1.3648   1.3826   1.3825   0.017829\n";
+    "  32     -1400.54     -1418.26     -1418.14   1.3677   1.3850   1.3849   0.017304\n";
+    "  33     -1492.50     -1510.80     -1510.68   1.3705   1.3873   1.3872   0.016808\n";
+    "  34     -1587.41     -1606.30     -1606.18   1.3732   1.3895   1.3894   0.016340\n";
+    "  35     -1685.28     -1704.76     -1704.64   1.3757   1.3916   1.3915   0.015897\n";
+    "  36     -1786.11     -1806.17     -1806.05   1.3782   1.3937   1.3936   0.015477\n";
+    "  37     -1889.90     -1910.55     -1910.43   1.3805   1.3956   1.3955   0.015079\n";
+    "  38     -1996.66     -2017.88     -2017.76   1.3827   1.3974   1.3973   0.014701\n";
+    "  39     -2106.37     -2128.18     -2128.06   1.3849   1.3992   1.3991   0.014342\n";
+    "  40     -2219.05     -2241.45     -2241.33   1.3869   1.4009   1.4008   0.013999\n";
+  ]
+
 (* -- the spill lifecycle of enumerate -------------------------------------- *)
 
 module P = Memrel_service.Protocol
@@ -417,6 +484,12 @@ let () =
                golden_enumerate_extmem);
           Alcotest.test_case "enumerate sb --model wo --por" `Quick
             (golden ~mask:mask_rate "enumerate sb --model wo --por" golden_enumerate_por);
+        ] );
+      ( "scaling output",
+        [
+          Alcotest.test_case "scaling" `Quick (golden "scaling" golden_scaling);
+          Alcotest.test_case "scaling --n-max 40" `Quick
+            (golden "scaling --n-max 40" golden_scaling_40);
         ] );
       ( "spill lifecycle",
         [
