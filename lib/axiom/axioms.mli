@@ -43,5 +43,5 @@ val fence_edges :
 (** Ordering edges contributed by Full/Release fences: per-thread event
     slices only (the seed scanned the whole event array twice per fence —
     O(fences * E^2)), emitting a transitively-irredundant subset whose
-    closure equals the full before x after product; the test oracle
-    library's dense emission pins that corpus-wide. *)
+    closure equals the full before x after product. Kept for tests: the
+    oracle library's dense emission pins that closure corpus-wide. *)

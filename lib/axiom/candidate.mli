@@ -16,22 +16,15 @@ type t = {
       (** per location, the write event ids in coherence order. *)
 }
 
-val fr_targets : t -> int -> int list
-(** [fr_targets c r]: the writes coherence-after [r]'s rf source (every
-    same-location write when [r] reads the initial value), excluding [r]
-    itself — the from-reads successors of read [r]. *)
-
-val to_state : t -> Memrel_machine.State.t
-(** The terminal state this candidate denotes: memory = coherence-maximal
-    writes over the initial memory, registers = full program-order replay
-    with loads returning their rf sources' values, buffers empty. Values
-    are well-defined because accepted candidates exclude value-dependency
-    cycles (they would be po/rf cycles); raises [Failure] on a cyclic
-    candidate. *)
-
 val outcome : t -> observe:(Memrel_machine.State.t -> 'a) -> 'a
-(** [observe (to_state c)] — the same observation function the operational
-    enumerator uses, so outcome sets are directly comparable. *)
+(** [observe] applied to the terminal state this candidate denotes:
+    memory = coherence-maximal writes over the initial memory, registers =
+    full program-order replay with loads returning their rf sources'
+    values, buffers empty. It is the same observation function the
+    operational enumerator uses, so outcome sets are directly comparable.
+    Values are well-defined because accepted candidates exclude
+    value-dependency cycles (they would be po/rf cycles); raises [Failure]
+    on a cyclic candidate. *)
 
 val describe : ?loc_name:(int -> string) -> t -> string
 (** Multi-line event-graph rendering (threads, per-event values, rf/co/fr

@@ -34,8 +34,6 @@ val kinds : t -> Memrel_memmodel.Op.kind list
     [ST] for [W], both for [U]. This is the bridge to
     {!Memrel_memmodel.Model.relaxes}. *)
 
-val dir_to_string : dir -> string
-
 val label : t -> string
 (** Short node name, ["e<id>"]. *)
 

@@ -15,7 +15,6 @@ type t = {
   trail : Trail.t;
   scratch : int array;
   restore : int -> int -> unit;
-  mutable additions : int;
   mutable rejections : int;
 }
 
@@ -32,7 +31,6 @@ let create n =
     trail = Trail.create ();
     scratch = Array.make words 0;
     restore = (fun slot old -> reach.(slot) <- old);
-    additions = 0;
     rejections = 0;
   }
 
@@ -44,7 +42,6 @@ let add t u v =
     false
   end
   else begin
-    t.additions <- t.additions + 1;
     (* everything v reaches — and v itself — becomes reachable from u and
        from every vertex that already reaches u. One sweep of word-parallel
        unions; only words that actually change are trailed. *)
@@ -76,5 +73,4 @@ let pop t =
   try Trail.undo t.trail ~restore:t.restore
   with Invalid_argument _ -> invalid_arg "Order.pop: no snapshot"
 
-let additions t = t.additions
 let rejections t = t.rejections

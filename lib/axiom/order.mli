@@ -40,8 +40,6 @@ val pop : t -> unit
 (** Rewind (and close) the most recent scope, restoring the closure
     bit-for-bit. Raises [Invalid_argument] with no open scope. *)
 
-val additions : t -> int
-(** Edges accepted since creation (monotonic; not rewound by {!pop}). *)
-
 val rejections : t -> int
-(** Insertions refused by the cycle check (monotonic). *)
+(** Insertions refused by the cycle check (monotonic). Kept for tests: the
+    oracle's generate-and-prune statistics count them. *)

@@ -12,12 +12,9 @@
 module Bigint = Memrel_prob.Bigint
 module Rational = Memrel_prob.Rational
 module Rng = Memrel_prob.Rng
-module Dist = Memrel_prob.Dist
 module Stats = Memrel_prob.Stats
 module Combinatorics = Memrel_prob.Combinatorics
 module Series = Memrel_prob.Series
-module Logspace = Memrel_prob.Logspace
-module Interval = Memrel_prob.Interval
 module Par = Memrel_prob.Par
 module Budget = Memrel_prob.Budget
 module Snapshot = Memrel_prob.Snapshot
@@ -87,7 +84,7 @@ module Service_engine = Memrel_service.Engine
 module Service_server = Memrel_service.Server
 module Service_client = Memrel_service.Client
 module Service_clock = Memrel_service.Clock
-module Faultio = Memrel_service.Faultio
+module Faultio = Memrel_prob.Faultio
 
 (** {1 Figure renderings} *)
 

@@ -18,10 +18,7 @@ let log2_pr w ~n =
 (* exact rational expectations keep the WO row exact even where the float
    series would round *)
 let log2_pr_exact w ~n =
-  let log2_expect i =
-    Memrel_prob.Logspace.log2
-      (Memrel_prob.Logspace.of_rational (SA.expect_pow2_window_exact w ~k:i))
-  in
+  let log2_expect i = Memrel_prob.Rational.log2 (SA.expect_pow2_window_exact w ~k:i) in
   Asym.log2_disjoint_symmetric ~log2_expect ~n
 
 let row n =

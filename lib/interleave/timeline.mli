@@ -26,7 +26,8 @@ val execute : schedule array -> int
 
 val windows_disjoint : schedule array -> bool
 (** Whether the inclusive integer windows [load_time .. store_time] are
-    pairwise disjoint. *)
+    pairwise disjoint. Kept for tests: on arbitrary schedules, x = n
+    exactly when the windows are disjoint. *)
 
 type sample = {
   final_value : int;

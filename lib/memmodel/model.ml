@@ -68,11 +68,6 @@ let swap_probability t ~earlier ~later =
 
 let relaxes t ~earlier ~later = swap_probability t ~earlier ~later > 0.0
 
-let relaxed_pairs t =
-  List.filter
-    (fun (earlier, later) -> relaxes t ~earlier ~later)
-    [ (Op.ST, Op.ST); (Op.ST, Op.LD); (Op.LD, Op.ST); (Op.LD, Op.LD) ]
-
 let equal a b =
   a.family = b.family && String.equal a.name b.name && a.st_st = b.st_st && a.st_ld = b.st_ld
   && a.ld_st = b.ld_st && a.ld_ld = b.ld_ld

@@ -40,7 +40,7 @@ val custom :
 
 val all_standard : t list
 (** [sc; tso (); pso (); wo ()] — the Table 1 models, in the table's
-    strength order. *)
+    strength order. Kept for tests, which sweep all four. *)
 
 val family : t -> family
 val name : t -> string
@@ -56,10 +56,6 @@ val swap_probability : t -> earlier:Op.kind -> later:Op.kind -> float
 
 val relaxes : t -> earlier:Op.kind -> later:Op.kind -> bool
 (** Whether the ordered pair may reorder at all (Table 1's check marks). *)
-
-val relaxed_pairs : t -> (Op.kind * Op.kind) list
-(** The pairs this model relaxes, as (earlier, later), in Table 1 column
-    order: ST/ST, ST/LD, LD/ST, LD/LD. *)
 
 val equal : t -> t -> bool
 (** Structural equality of name, family and matrix. *)

@@ -1,6 +1,5 @@
 type kind = LD | ST
 
-let kind_equal a b = match (a, b) with LD, LD | ST, ST -> true | (LD | ST), _ -> false
 let kind_to_string = function LD -> "LD" | ST -> "ST"
 
 type role = Plain | Critical_load | Critical_store

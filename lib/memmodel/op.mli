@@ -8,9 +8,6 @@
 
 type kind = LD | ST
 
-val kind_equal : kind -> kind -> bool
-val kind_to_string : kind -> string
-
 type role =
   | Plain  (** one of the [m] prefix instructions, unique location *)
   | Critical_load  (** x_{m+1}: Line 1 of the canonical bug, loads [x] *)

@@ -269,7 +269,6 @@ let to_big = function
 let zero = Small 0
 let one = Small 1
 let two = Small 2
-let minus_one = Small (-1)
 
 let of_int n = if n = min_int then make_big (-1) (mag_of_small n) else Small n
 

@@ -22,7 +22,6 @@ type t
 val zero : t
 val one : t
 val two : t
-val minus_one : t
 
 val of_int : int -> t
 (** [of_int n] converts a native integer exactly. *)
@@ -32,7 +31,8 @@ val to_int : t -> int
     Raises [Failure] if [t] does not fit. *)
 
 val to_int_opt : t -> int option
-(** [to_int_opt t] is [Some n] when [t] fits in a native integer. *)
+(** [to_int_opt t] is [Some n] when [t] fits in a native integer. Kept for
+    tests of the fixnum boundary against the seed implementation. *)
 
 val to_float : t -> float
 (** [to_float t] is the nearest(ish) float; intended for display and for
@@ -59,13 +59,11 @@ val mul : t -> t -> t
 val succ : t -> t
 val pred : t -> t
 
-val divmod : t -> t -> t * t
-(** [divmod a b] is [(q, r)] with [a = q*b + r], truncated division
-    (quotient rounded toward zero, [r] has the sign of [a], [|r| < |b|]).
-    Raises [Division_by_zero] if [b] is zero. *)
-
 val div : t -> t -> t
 val rem : t -> t -> t
+(** [div a b] and [rem a b] are [q] and [r] with [a = q*b + r], truncated
+    division (quotient rounded toward zero, [r] has the sign of [a],
+    [|r| < |b|]). Raise [Division_by_zero] if [b] is zero. *)
 
 val mul_int : t -> int -> t
 (** [mul_int t k] multiplies by a native integer. *)

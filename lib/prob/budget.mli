@@ -56,7 +56,8 @@ val elapsed_s : t -> float
 
 val sample_every : int
 (** 256: the work units {!spend} may record between two heap samples, so
-    a heap past the watermark trips [check] within that many units. *)
+    a heap past the watermark trips [check] within that many units. Kept
+    for tests, which trip the watermark at exactly this unit. *)
 
 val check : t -> cause option
 (** [check t] is [Some cause] once any armed limit is exhausted, testing the

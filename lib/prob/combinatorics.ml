@@ -154,22 +154,3 @@ let fold_permutations f init n =
 
 let permutations n =
   List.rev (fold_permutations (fun acc a -> Array.copy a :: acc) [] n)
-
-let compositions total parts f =
-  if parts < 0 || total < 0 then invalid_arg "Combinatorics.compositions: negative parameter";
-  if parts = 0 then (if total = 0 then f [||])
-  else begin
-    let a = Array.make parts 0 in
-    let rec go idx remaining =
-      if idx = parts - 1 then begin
-        a.(idx) <- remaining;
-        f a
-      end
-      else
-        for v = 0 to remaining do
-          a.(idx) <- v;
-          go (idx + 1) (remaining - v)
-        done
-    in
-    go 0 total
-  end

@@ -37,10 +37,6 @@ val fold_permutations : ('a -> int array -> 'a) -> 'a -> int -> 'a
     [0 .. n-1] without materializing the list. The array passed to [f] is
     reused between calls; copy it if you keep it. Same [n <= 9] guard. *)
 
-val compositions : int -> int -> (int array -> unit) -> unit
-(** [compositions total parts f] calls [f] on every array of [parts]
-    nonnegative integers summing to [total] (the array is reused). *)
-
 (** {1 Cache observability}
 
     The binomial and partition memo tables are global and mutex-guarded

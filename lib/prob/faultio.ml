@@ -35,16 +35,7 @@
 
 type site = Read | Write | Rename
 
-let site_to_string = function Read -> "read" | Write -> "write" | Rename -> "rename"
-
 type fault = Eintr | Short | Enospc | Torn | Crash
-
-let fault_to_string = function
-  | Eintr -> "eintr"
-  | Short -> "short"
-  | Enospc -> "enospc"
-  | Torn -> "torn"
-  | Crash -> "crash"
 
 exception Crash_point of string
 (** A simulated kill -9: raised mid-operation with debris left in place.

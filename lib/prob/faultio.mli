@@ -15,16 +15,12 @@
 
 type site = Read | Write | Rename
 
-val site_to_string : site -> string
-
 type fault =
   | Eintr  (** transient: the syscall raises EINTR once, the loop retries *)
   | Short  (** transient: a partial transfer, the loop continues *)
   | Enospc  (** hard: the operation fails with a typed {!Io} error *)
   | Torn  (** rename only: the destination receives a CRC-invalid image *)
   | Crash  (** kill -9 at this instant: partial debris + {!Crash_point} *)
-
-val fault_to_string : fault -> string
 
 exception Crash_point of string
 (** A simulated kill -9 mid-operation. Only a chaos harness should catch
@@ -69,7 +65,8 @@ val plan_rate : seed:int -> float -> plan
 val script : (site * int * fault) list -> seed:int -> plan
 (** Deal exactly the listed faults: [(site, n, fault)] hits the [n]th
     (1-based) operation of [site]. Raises [Invalid_argument] on a kind
-    inapplicable to its site. [seed] feeds cut points for torn/crash. *)
+    inapplicable to its site. [seed] feeds cut points for torn/crash. Kept
+    for tests, which place each fault on one operation. *)
 
 val seed_of : plan -> int
 val stats : plan -> stats
@@ -88,7 +85,8 @@ val clear : unit -> unit
 val installed : unit -> plan option
 
 val with_plan : plan -> (unit -> 'a) -> 'a
-(** [install], run, [clear] — exception-safe. *)
+(** [install], run, [clear] — exception-safe. Kept for tests, which run
+    one operation under a plan. *)
 
 (** {1 The facade} *)
 

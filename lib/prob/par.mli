@@ -169,11 +169,8 @@ val count :
     [<= target_width]; otherwise it runs all [trials]. [target_met] tells
     which. Raises [Invalid_argument] on nonpositive [target_width]. *)
 
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f a] is [Array.map f a] with the elements evaluated across
+val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map_list f l] is [List.map f l] with the elements evaluated across
     domains. [f] must be pure (it runs concurrently and in arbitrary
     order); the result order is the input order. Used for embarrassingly
     parallel analytic sweeps (e.g. scaling tables), not for Monte Carlo. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** List counterpart of {!map_array}. *)

@@ -140,6 +140,20 @@ let to_float t =
     B.to_float q *. Float.pow 2.0 (float_of_int (-shift))
   end
 
+(* bit length plus the log of the top 52 bits, so a value far below the
+   float range (Pr[A] ~ 2^-2241 at n = 40) still has a finite log *)
+let log2_bigint b =
+  let log2f x = Float.log x /. Float.log 2.0 in
+  let bits = B.num_bits b in
+  if bits <= 52 then log2f (B.to_float b)
+  else float_of_int (bits - 52) +. log2f (B.to_float (B.shift_right (B.abs b) (bits - 52)))
+
+let log2 t =
+  match sign t with
+  | 0 -> Float.neg_infinity
+  | s when s < 0 -> invalid_arg "Rational.log2: negative"
+  | _ -> log2_bigint t.n -. log2_bigint t.d
+
 let of_float_dyadic f =
   if not (Float.is_finite f) then invalid_arg "Rational.of_float_dyadic: not finite";
   if f = 0.0 then zero else

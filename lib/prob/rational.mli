@@ -67,6 +67,12 @@ val is_zero : t -> bool
 val to_float : t -> float
 (** Nearest float, via a 64-bit-safe scaled division. *)
 
+val log2 : t -> float
+(** [log2 t] is the base-2 logarithm of [t] ([neg_infinity] at zero), exact
+    up to float rounding of the two bit lengths, so it stays finite where
+    [to_float t] underflows: the scaling table's Pr[A] is 2^-2241 at n = 40
+    (Theorem 6.3). Raises [Invalid_argument] on a negative [t]. *)
+
 val of_float_dyadic : float -> t
 (** [of_float_dyadic f] is the exact rational value of the float [f]
     (every finite float is a dyadic rational). Raises [Invalid_argument]

@@ -32,17 +32,3 @@ let sum_range f lo hi =
   done;
   !sum
 
-let kahan_sum l =
-  let sum = ref 0.0 and comp = ref 0.0 in
-  List.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !sum +. y in
-      comp := (t -. !sum) -. y;
-      sum := t)
-    l;
-  !sum
-
-let geometric_tail ~ratio ~first_dropped =
-  if ratio >= 1.0 || ratio < 0.0 then invalid_arg "Series.geometric_tail: ratio must be in [0,1)";
-  Float.abs first_dropped /. (1.0 -. ratio)

@@ -3,7 +3,7 @@
     Sections 4–6 are full of sums over [q], [mu], [gamma] running to
     infinity whose terms decay geometrically. This module evaluates them in
     float with compensated (Kahan) summation and an explicit stopping rule,
-    and reports how much probability mass the truncation can have dropped. *)
+    and reports the last term it kept. *)
 
 type result = {
   value : float;  (** the truncated sum *)
@@ -20,10 +20,3 @@ val sum_to_convergence : ?eps:float -> ?max_terms:int -> (int -> float) -> resul
 val sum_range : (int -> float) -> int -> int -> float
 (** [sum_range f lo hi] is the compensated sum of [f lo .. f hi]. *)
 
-val kahan_sum : float list -> float
-(** Compensated sum of a list. *)
-
-val geometric_tail : ratio:float -> first_dropped:float -> float
-(** [geometric_tail ~ratio ~first_dropped] bounds
-    [sum_{k>=0} first_dropped * ratio^k], the mass a truncation can have
-    discarded when terms decay at least as fast as [ratio < 1]. *)

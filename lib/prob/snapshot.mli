@@ -22,8 +22,6 @@
     itself is opaque to this module (engines marshal their own state into
     it; the tag is what keeps one engine from decoding another's bytes). *)
 
-val current_version : int
-
 type error =
   | Io of string  (** open/read/write/rename failure, with the message *)
   | Not_a_snapshot  (** too short for a header, or wrong magic *)

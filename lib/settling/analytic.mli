@@ -56,11 +56,11 @@ val h : int -> Q.t
 
 val l_mu_lower : int -> Q.t
 (** [l_mu_lower mu = 2^-mu * h mu] for [mu >= 1] — the paper's per-mu lower
-    bound (hence >= (4/7) 2^-mu). *)
+    bound (hence >= (4/7) 2^-mu). Kept for tests, which pin Lemma 4.2. *)
 
 val remainder_mass : Q.t
 (** R = 2/21: total probability the lower bounds leave unattributed
-    (Claim B.1). *)
+    (Claim B.1). Kept for tests, which pin Claim B.1. *)
 
 val l_mu_series : ?q_max:int -> int -> float
 (** Exact-series value of Pr[L_mu] ([l0] for mu = 0). *)
@@ -73,7 +73,8 @@ val f_mu_given_q : mu:int -> q:int -> float
     probability that all [q] interspersed LDs clear the [mu]-ST region. *)
 
 val f_mu_given_q_lower : mu:int -> q:int -> Q.t
-(** Claim 4.4's bound [(2^-(q-1) - 2^-(mu q)) / C(mu+q-1, q)]. *)
+(** Claim 4.4's bound [(2^-(q-1) - 2^-(mu q)) / C(mu+q-1, q)]. Kept for
+    tests, which pin Claim 4.4 against the exact F_mu|q. *)
 
 (** {1 Window pmf and transforms (consumed by the joined model)} *)
 

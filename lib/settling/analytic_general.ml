@@ -1,12 +1,14 @@
 module C = Memrel_prob.Combinatorics
 module Series = Memrel_prob.Series
 
-let check_params ~p ~s =
-  if not (p > 0.0 && p < 1.0) then invalid_arg "Analytic_general: p must be in (0,1)";
-  if not (s > 0.0 && s < 1.0) then invalid_arg "Analytic_general: s must be in (0,1)"
-
 let check_s s =
   if not (s > 0.0 && s < 1.0) then invalid_arg "Analytic_general: s must be in (0,1)"
+
+(* the degenerate endpoints collapse the analysis: s = 0 is SC, s = 1
+   diverges, p in {0,1} makes the TSO conditioning vacuous *)
+let check_params ~p ~s =
+  if not (p > 0.0 && p < 1.0) then invalid_arg "Analytic_general: p must be in (0,1)";
+  check_s s
 
 let b_wo ~s gamma =
   if gamma < 0 then invalid_arg "Analytic_general.b_wo: gamma < 0";

@@ -19,11 +19,6 @@
     arbitrary (p, s) natively) in the test suite; at p = s = 1/2 these
     functions reproduce {!Analytic} exactly. *)
 
-val check_params : p:float -> s:float -> unit
-(** Raises [Invalid_argument] unless [0 < p < 1] and [0 < s < 1]. (The
-    degenerate endpoints collapse the analysis: s = 0 is SC, s = 1 diverges,
-    p in {0,1} makes the TSO conditioning vacuous.) *)
-
 (** {1 Weak Ordering} *)
 
 val b_wo : s:float -> int -> float

@@ -144,7 +144,3 @@ module Make (Q : Memrel_prob.Sigs.SCALAR) = struct
 end
 
 include Make (Memrel_prob.Rational)
-
-let expect_product_model ?(p = 0.5) ?b_max model ~m ~n =
-  expect_product ~p:(Q.of_float_dyadic p) ?b_max
-    ~s:(Q.of_float_dyadic (Model.s model)) (Model.family model) ~m ~n

@@ -37,9 +37,3 @@ end
 module Make (Q : Memrel_prob.Sigs.SCALAR) : S with type q = Q.t
 
 include S with type q = Q.t
-
-val expect_product_model :
-  ?p:float -> ?b_max:int -> Model.t -> m:int -> n:int -> Q.t
-(** Convenience wrapper lifting a float {!Model.t} exactly (every float
-    probability is dyadic): [expect_product] with [family = Model.family]
-    and [s = of_float_dyadic (Model.s model)]. *)

@@ -46,7 +46,8 @@ val probability_b :
   Memrel_memmodel.Model.t -> Memrel_prob.Rng.t ->
   float * Memrel_prob.Stats.interval
 (** [probability_b ~trials ~gamma model rng] is the point estimate of
-    Pr[B_gamma] with its 95% Wilson interval. *)
+    Pr[B_gamma] with its 95% Wilson interval. Kept for tests, which check
+    the kernel against the oracle's closure estimator at a fixed budget. *)
 
 val probability_b_adaptive :
   ?p:float -> ?m:int -> ?jobs:int ->

@@ -58,7 +58,6 @@ let with_fences ~every ~kind t =
   validate (Array.of_list (List.rev !out))
 
 let length t = Array.length t.arr
-let prefix_length t = t.cl
 let op t i = t.arr.(i)
 let ops t = Array.copy t.arr
 let critical_load_index t = t.cl

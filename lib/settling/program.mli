@@ -26,7 +26,7 @@ val generate_with_gap : ?p:float -> Memrel_prob.Rng.t -> m:int -> gap:int -> t
 
 val of_kinds : Memrel_memmodel.Op.kind list -> t
 (** [of_kinds ks] builds the deterministic program with prefix [ks] plus the
-    critical pair — for tests and worked examples. *)
+    critical pair. Kept for tests, which settle hand-written programs. *)
 
 val of_ops : Memrel_memmodel.Op.t list -> t
 (** [of_ops ops] builds a program from explicit operations (may include
@@ -41,9 +41,6 @@ val with_fences :
 
 val length : t -> int
 (** Total instruction count (m + 2 plus any fences). *)
-
-val prefix_length : t -> int
-(** Number of instructions before the critical load. *)
 
 val op : t -> int -> Memrel_memmodel.Op.t
 (** [op t i] is the instruction at initial position [i]. *)

@@ -79,22 +79,3 @@ let run_prefix model rng prog ~rounds =
     ignore (settle_round model rng ops order r)
   done;
   Array.map (fun i -> ops.(i)) order
-
-let final_order prog pi =
-  let ops = Program.ops prog in
-  let n = Array.length ops in
-  let out = Array.make n ops.(0) in
-  Array.iteri (fun init pos -> out.(pos) <- ops.(init)) pi;
-  out
-
-let is_valid_permutation pi =
-  let n = Array.length pi in
-  let seen = Array.make n false in
-  try
-    Array.iter
-      (fun p ->
-        if p < 0 || p >= n || seen.(p) then raise Exit;
-        seen.(p) <- true)
-      pi;
-    true
-  with Exit -> false

@@ -21,9 +21,6 @@ val run : Memrel_memmodel.Model.t -> Memrel_prob.Rng.t -> Program.t -> permutati
 (** [run model rng prog] executes the full settling process and returns the
     final permutation. *)
 
-val final_order : Program.t -> permutation -> Memrel_memmodel.Op.t array
-(** [final_order prog pi] lists the instructions in their settled order. *)
-
 type snapshot = {
   round : int;  (** the initial index just settled (0-based) *)
   start_pos : int;  (** position where the instruction began the round *)
@@ -59,5 +56,3 @@ val swap_probability :
 (** The effective per-swap success probability including the same-location
     and fence rules; exposed for the exact DP and for tests. *)
 
-val is_valid_permutation : permutation -> bool
-(** Whether the array is a permutation of [0 .. n-1]. *)

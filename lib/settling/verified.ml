@@ -9,10 +9,6 @@ let make lo hi =
 
 let width e = Q.sub e.hi e.lo
 
-let to_interval e =
-  let module I = Memrel_prob.Interval in
-  I.hull (I.of_rational e.lo) (I.of_rational e.hi)
-
 let add a b = make (Q.add a.lo b.lo) (Q.add a.hi b.hi)
 let scale q a = make (Q.mul q a.lo) (Q.mul q a.hi)
 let point q = make q q

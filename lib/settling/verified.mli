@@ -23,9 +23,6 @@ type enclosure = { lo : Q.t; hi : Q.t }
 
 val width : enclosure -> Q.t
 
-val to_interval : enclosure -> Memrel_prob.Interval.t
-(** Outward float view. *)
-
 val l_mu : ?q_max:int -> int -> enclosure
 (** Enclosure of Pr[L_mu] (exact 1/3 at mu = 0). [q_max] (default 60)
     truncates the Psi series; the dropped mass is added to [hi]. *)

@@ -6,7 +6,8 @@
     [Memrel_settling]); this module owns the shift-side algebra. *)
 
 val log2_c : int -> float
-(** log2 of Corollary 5.2's c(n) (converges to ~1.792 as n grows). *)
+(** log2 of Corollary 5.2's c(n) (converges to ~1.792 as n grows). Kept
+    for tests, which pin Corollary 5.2's c(n). *)
 
 val log2_factorial : int -> float
 
@@ -24,7 +25,8 @@ val log2_pr_sc : int -> float
 val log2_pr_floor_any_model : int -> float
 (** Theorem 6.3's universal lower bound: Claim B.2 gives Pr[B_0] >= 1/2 in
     every model, hence
-    [Pr[A] >= c(n) 2^-C(n+1,2) n! 2^(-2 C(n,2) - (n-1))]. *)
+    [Pr[A] >= c(n) 2^-C(n+1,2) n! 2^(-2 C(n,2) - (n-1))]. Kept for tests,
+    which pin Theorem 6.3's floor below the SC value. *)
 
 val normalized_exponent : log2_pr:float -> n:int -> float
 (** [-log2 Pr / n^2], the quantity Theorem 6.3 sends to 3/2. *)

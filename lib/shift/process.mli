@@ -57,7 +57,8 @@ val estimate_adaptive :
 val sample_geom : q:float -> Memrel_prob.Rng.t -> int array -> sample
 (** Like {!sample} but with geometric(q) shifts — pmf [(1-q) q^k] — the
     generalized dispersion of {!Memrel_shift.Exact.disjoint_probability_geom}.
-    Requires [0 < q < 1]. [q = 0.5] coincides with {!sample}'s law. *)
+    Requires [0 < q < 1]. [q = 0.5] coincides with {!sample}'s law. Kept
+    for tests: the oracle's closure estimator draws through it. *)
 
 val estimate_geom :
   ?jobs:int -> q:float -> trials:int -> Memrel_prob.Rng.t -> int array ->

@@ -84,8 +84,6 @@ let test_randomized_vs_reference () =
         decr depth;
         same_matrices (-(!depth))
       done;
-      Alcotest.(check int) "same accepted count" (R.additions r)
-        (Order.additions o);
       Alcotest.(check int) "same rejected count" (R.rejections r)
         (Order.rejections o))
     [ (40, 11, 4000); (70, 23, 4000); (100, 37, 3000) ]

@@ -39,9 +39,7 @@ let test_custom () =
   Alcotest.(check bool) "family" true (Model.family m = Model.Custom);
   Alcotest.(check (float 0.0)) "matrix honored" 0.25
     (Model.swap_probability m ~earlier:Op.LD ~later:Op.LD);
-  (match Model.relaxed_pairs m with
-   | [ (Op.LD, Op.LD) ] -> ()
-   | _ -> Alcotest.fail "relaxed_pairs should be exactly [LD,LD]");
+  Alcotest.(check (list bool)) "relaxes exactly LD/LD" [ false; false; false; true ] (relaxed m);
   Alcotest.check_raises "bad probability" (Invalid_argument "Model: st_ld probability out of [0,1]")
     (fun () -> ignore (Model.custom ~name:"bad" ~st_st:0.0 ~st_ld:1.5 ~ld_st:0.0 ~ld_ld:0.0))
 

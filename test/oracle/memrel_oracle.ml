@@ -10,6 +10,7 @@ module Order_reference = Order_reference
 module Bigint_reference = Bigint_reference
 module Rational_reference = Rational_reference
 module Crc32_reference = Crc32_reference
+module Goodness_of_fit = Goodness_of_fit
 
 (* The depth lemma's value, recomputed from a decoded state (the external
    enumerator's decoder sums it while it reads a key): instructions

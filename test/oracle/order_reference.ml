@@ -10,7 +10,6 @@ type t = {
   words : int;
   mutable reach : int array;
   mutable saved : int array list;
-  mutable additions : int;
   mutable rejections : int;
 }
 
@@ -18,8 +17,7 @@ let create n =
   if n < 0 || n > Memrel_axiom.Order.max_vertices then
     invalid_arg (Printf.sprintf "Order_reference.create: %d vertices" n);
   let words = max 1 ((n + bpw - 1) / bpw) in
-  { n; words; reach = Array.make (max 1 (n * words)) 0; saved = []; additions = 0;
-    rejections = 0 }
+  { n; words; reach = Array.make (max 1 (n * words)) 0; saved = []; rejections = 0 }
 
 let reaches t u v = t.reach.((u * t.words) + (v / bpw)) land (1 lsl (v mod bpw)) <> 0
 
@@ -29,7 +27,6 @@ let add t u v =
     false
   end
   else begin
-    t.additions <- t.additions + 1;
     let words = t.words and reach = t.reach in
     let closure = Array.make words 0 in
     let base_v = v * words in
@@ -57,5 +54,4 @@ let pop t =
     t.reach <- r;
     t.saved <- rest
 
-let additions t = t.additions
 let rejections t = t.rejections

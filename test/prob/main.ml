@@ -11,7 +11,4 @@ let () =
       ("fastpath", Test_fastpath.suite);
       ("stats", Test_stats.suite);
       ("series", Test_series.suite);
-      ("logspace", Test_logspace.suite);
-      ("interval", Test_interval.suite);
-      ("dist", Test_dist.suite);
     ]

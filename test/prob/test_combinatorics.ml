@@ -114,17 +114,6 @@ let test_fold_permutations_sum () =
   let total = C.fold_permutations (fun acc p -> acc + p.(0)) 0 4 in
   Alcotest.(check int) "sum of firsts" (6 * (0 + 1 + 2 + 3)) total
 
-let test_compositions () =
-  let collected = ref [] in
-  C.compositions 3 2 (fun a -> collected := Array.to_list a :: !collected);
-  let expected = [ [ 0; 3 ]; [ 1; 2 ]; [ 2; 1 ]; [ 3; 0 ] ] in
-  Alcotest.(check (list (list int))) "compositions of 3 into 2" expected
-    (List.sort compare !collected);
-  (* count = C(total+parts-1, parts-1) *)
-  let count = ref 0 in
-  C.compositions 7 4 (fun _ -> incr count);
-  Alcotest.(check int) "count" (B.to_int (C.binomial 10 3)) !count
-
 let test_cache_hammer () =
   (* the memo tables are shared across Par domains; hammer them from
      several domains at once on overlapping keys and check every domain
@@ -208,7 +197,6 @@ let suite =
       ("permutations", test_permutations);
       ("permutations guard", test_permutations_guard);
       ("fold_permutations", test_fold_permutations_sum);
-      ("compositions", test_compositions);
       ("cache hammer across domains", test_cache_hammer);
       ("cache stats accounting", test_cache_stats_accounting);
     ]

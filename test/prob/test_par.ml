@@ -154,7 +154,7 @@ let test_map_list_order_and_jobs () =
 
 let test_map_array_exception_propagates () =
   Alcotest.check_raises "worker exception resurfaces" Exit (fun () ->
-      ignore (Par.map_array ~jobs:2 (fun x -> if x = 3 then raise Exit else x) [| 1; 2; 3; 4 |]))
+      ignore (Par.map_list ~jobs:2 (fun x -> if x = 3 then raise Exit else x) [ 1; 2; 3; 4 ]))
 
 let test_guards () =
   let rng = Rng.create 1 in
@@ -173,7 +173,7 @@ let test_guards () =
         (fun () -> ignore (Par.count ~jobs ~trials:10 ~worker:always rng)))
     [ 0; -1; -7 ];
   Alcotest.check_raises "map_array jobs 0" (Invalid_argument "Par: jobs must be positive")
-    (fun () -> ignore (Par.map_array ~jobs:0 Fun.id [| 1 |]));
+    (fun () -> ignore (Par.map_list ~jobs:0 Fun.id [ 1 ]));
   Alcotest.check_raises "checkpoint_every 0"
     (Invalid_argument "Par.run: checkpoint_every must be positive") (fun () ->
       ignore (Par.count ~checkpoint_every:0 ~trials:10 ~worker:always rng));

@@ -52,6 +52,14 @@ let test_to_float () =
   let tiny = Q.pow2 (-500) in
   Alcotest.(check (float 1e-160)) "2^-500" (Float.pow 2.0 (-500.0)) (Q.to_float tiny)
 
+let test_log2_underflow_regime () =
+  (* 2^-2000 underflows float entirely, but its log2 must be exact *)
+  Alcotest.(check (float 1e-6)) "log2 2^-2000" (-2000.0) (Q.log2 (Q.pow2 (-2000)));
+  Alcotest.(check (float 1e-9)) "7/54" (Float.log (7.0 /. 54.0) /. Float.log 2.0)
+    (Q.log2 (Q.of_ints 7 54));
+  Alcotest.check_raises "negative rejected" (Invalid_argument "Rational.log2: negative") (fun () ->
+      ignore (Q.log2 (Q.of_ints (-1) 2)))
+
 let test_of_float_dyadic () =
   List.iter
     (fun f ->
@@ -117,6 +125,7 @@ let suite =
       ("inv", test_inv);
       ("compare and equal", test_compare);
       ("to_float", test_to_float);
+      ("log2 in underflow regime", test_log2_underflow_regime);
       ("of_float_dyadic", test_of_float_dyadic);
       ("sum and product", test_sum_product);
       ("num and den", test_num_den);

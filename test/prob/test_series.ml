@@ -25,16 +25,8 @@ let test_sum_range () =
 
 let test_kahan_catastrophic () =
   (* 1 + 1e-16 * 10 in naive order loses the small terms; Kahan keeps them *)
-  let terms = 1.0 :: List.init 10 (fun _ -> 1e-16) in
-  let v = S.kahan_sum terms in
+  let v = S.sum_range (fun k -> if k = 0 then 1.0 else 1e-16) 0 10 in
   Alcotest.(check bool) "small terms retained" true (v > 1.0)
-
-let test_geometric_tail () =
-  Alcotest.(check (float 1e-12)) "tail bound" 2e-10
-    (S.geometric_tail ~ratio:0.5 ~first_dropped:1e-10);
-  Alcotest.check_raises "ratio >= 1 rejected"
-    (Invalid_argument "Series.geometric_tail: ratio must be in [0,1)") (fun () ->
-      ignore (S.geometric_tail ~ratio:1.0 ~first_dropped:1.0))
 
 let prop name ?(count = 100) gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
 
@@ -45,10 +37,10 @@ let properties =
         Float.abs (v -. (1.0 /. (1.0 -. r))) < 1e-9);
     prop "kahan matches exact rational sum" QCheck.(list_of_size (Gen.int_range 0 30) (int_range (-1000) 1000))
       (fun ints ->
-        let floats = List.map (fun i -> float_of_int i /. 16.0) ints in
+        let floats = Array.of_list (List.map (fun i -> float_of_int i /. 16.0) ints) in
         (* sixteenths are exact dyadics: kahan must be exactly right *)
         let exact = float_of_int (List.fold_left ( + ) 0 ints) /. 16.0 in
-        S.kahan_sum floats = exact);
+        S.sum_range (Array.get floats) 0 (Array.length floats - 1) = exact);
   ]
 
 let suite =
@@ -61,6 +53,5 @@ let suite =
       ("max_terms cap", test_max_terms_cap);
       ("sum_range", test_sum_range);
       ("kahan compensation", test_kahan_catastrophic);
-      ("geometric tail bound", test_geometric_tail);
     ]
   @ properties

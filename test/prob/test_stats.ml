@@ -1,4 +1,10 @@
 module S = Memrel_prob.Stats
+module G = Memrel_oracle.Goodness_of_fit
+
+let of_samples l =
+  let t = S.create () in
+  List.iter (S.add t) l;
+  S.summary t
 
 let test_welford_basic () =
   let t = S.create () in
@@ -11,10 +17,10 @@ let test_welford_basic () =
   Alcotest.(check (float 1e-9)) "max" 9.0 s.max
 
 let test_empty_and_single () =
-  let s = S.of_samples [] in
+  let s = of_samples [] in
   Alcotest.(check int) "empty count" 0 s.count;
   Alcotest.(check bool) "empty min is nan" true (Float.is_nan s.min);
-  let s1 = S.of_samples [ 3.5 ] in
+  let s1 = of_samples [ 3.5 ] in
   Alcotest.(check (float 0.0)) "single mean" 3.5 s1.mean;
   Alcotest.(check (float 0.0)) "single variance 0" 0.0 s1.variance
 
@@ -25,12 +31,6 @@ let test_welford_stability () =
   List.iter (fun x -> S.add t (offset +. x)) [ 1.0; 2.0; 3.0 ];
   let s = S.summary t in
   Alcotest.(check (float 1e-6)) "variance stable" 1.0 s.variance
-
-let test_mean_ci () =
-  let s = S.of_samples (List.init 100 (fun i -> float_of_int (i mod 2))) in
-  let ci = S.mean_ci s ~z:1.96 in
-  Alcotest.(check bool) "contains mean" true (ci.lo <= s.mean && s.mean <= ci.hi);
-  Alcotest.(check bool) "nontrivial" true (ci.hi -. ci.lo > 0.0)
 
 let test_wilson_extremes () =
   let ci0 = S.wilson_ci ~successes:0 ~trials:100 ~z:1.96 in
@@ -68,9 +68,7 @@ let test_histogram_order_insensitive () =
      pmf) must be sorted by value, independent of hashtable insertion order,
      so the chunk-merge order of Par can never change output *)
   let of_pairs pairs =
-    let tbl = Hashtbl.create 7 in
-    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) pairs;
-    S.histogram_of_counts tbl
+    S.histogram (List.concat_map (fun (k, c) -> List.init c (Fun.const k)) pairs)
   in
   let pairs = [ (4, 1); (0, 3); (7, 2); (2, 5); (9, 1) ] in
   let forward = of_pairs pairs in
@@ -85,37 +83,30 @@ let test_histogram_order_insensitive () =
   Alcotest.(check (list int)) "pmf order follows bins" (List.map fst expected)
     (List.map fst (S.empirical_pmf forward))
 
-let test_total_variation () =
-  let p = [ (0, 0.5); (1, 0.5) ] and q = [ (0, 0.5); (1, 0.5) ] in
-  Alcotest.(check (float 1e-12)) "identical" 0.0 (S.total_variation p q);
-  let r = [ (0, 1.0) ] in
-  Alcotest.(check (float 1e-12)) "half" 0.5 (S.total_variation p r);
-  let s' = [ (5, 1.0) ] in
-  Alcotest.(check (float 1e-12)) "disjoint support" 1.0 (S.total_variation p s')
-
 let test_chi_squared () =
   (* textbook die example: perfectly uniform observations give 0 *)
   Alcotest.(check (float 1e-12)) "perfect fit" 0.0
-    (S.chi_squared ~observed:[| 10; 10; 10 |] ~expected:[| 10.0; 10.0; 10.0 |]);
+    (G.chi_squared ~observed:[| 10; 10; 10 |] ~expected:[| 10.0; 10.0; 10.0 |]);
   Alcotest.(check (float 1e-12)) "one cell off" 0.8
-    (S.chi_squared ~observed:[| 12; 10; 8 |] ~expected:[| 10.0; 10.0; 10.0 |]);
+    (G.chi_squared ~observed:[| 12; 10; 8 |] ~expected:[| 10.0; 10.0; 10.0 |]);
   Alcotest.(check (float 1e-12)) "zero-expectation cell ignored when empty" 0.0
-    (S.chi_squared ~observed:[| 0; 5 |] ~expected:[| 0.0; 5.0 |]);
+    (G.chi_squared ~observed:[| 0; 5 |] ~expected:[| 0.0; 5.0 |]);
   Alcotest.check_raises "observation in impossible cell"
-    (Invalid_argument "Stats.chi_squared: observation in a zero-expectation cell") (fun () ->
-      ignore (S.chi_squared ~observed:[| 1 |] ~expected:[| 0.0 |]));
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Stats.chi_squared: length mismatch")
-    (fun () -> ignore (S.chi_squared ~observed:[| 1 |] ~expected:[| 1.0; 1.0 |]))
+    (Invalid_argument "Goodness_of_fit.chi_squared: observation in a zero-expectation cell")
+    (fun () -> ignore (G.chi_squared ~observed:[| 1 |] ~expected:[| 0.0 |]));
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Goodness_of_fit.chi_squared: length mismatch")
+    (fun () -> ignore (G.chi_squared ~observed:[| 1 |] ~expected:[| 1.0; 1.0 |]))
 
 let test_chi_squared_thresholds () =
-  Alcotest.(check (float 1e-3)) "dof 1" 6.635 (S.chi_squared_threshold_99 ~dof:1);
-  Alcotest.(check (float 1e-3)) "dof 5" 15.086 (S.chi_squared_threshold_99 ~dof:5);
+  Alcotest.(check (float 1e-3)) "dof 1" 6.635 (G.chi_squared_threshold_99 ~dof:1);
+  Alcotest.(check (float 1e-3)) "dof 5" 15.086 (G.chi_squared_threshold_99 ~dof:5);
   (* Wilson-Hilferty approximation: dof 20 tabulated value is 37.566 *)
-  Alcotest.(check (float 0.2)) "dof 20" 37.566 (S.chi_squared_threshold_99 ~dof:20);
+  Alcotest.(check (float 0.2)) "dof 20" 37.566 (G.chi_squared_threshold_99 ~dof:20);
   (* monotone in dof *)
   for d = 1 to 29 do
     Alcotest.(check bool) "monotone" true
-      (S.chi_squared_threshold_99 ~dof:d < S.chi_squared_threshold_99 ~dof:(d + 1))
+      (G.chi_squared_threshold_99 ~dof:d < G.chi_squared_threshold_99 ~dof:(d + 1))
   done
 
 let prop name ?(count = 200) gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count gen f)
@@ -124,10 +115,10 @@ let properties =
   [
     prop "mean within [min,max]" QCheck.(list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.0))
       (fun l ->
-        let s = S.of_samples l in
+        let s = of_samples l in
         s.min <= s.mean +. 1e-9 && s.mean <= s.max +. 1e-9);
     prop "variance nonnegative" QCheck.(list_of_size (Gen.int_range 2 50) (float_bound_inclusive 100.0))
-      (fun l -> (S.of_samples l).variance >= -1e-9);
+      (fun l -> (of_samples l).variance >= -1e-9);
     prop "wilson contains point estimate"
       QCheck.(pair (int_range 0 1000) (int_range 1 1000))
       (fun (s, t) ->
@@ -135,11 +126,6 @@ let properties =
         let ci = S.wilson_ci ~successes:s ~trials:t ~z:1.96 in
         let p = float_of_int s /. float_of_int t in
         ci.lo <= p +. 1e-9 && p <= ci.hi +. 1e-9);
-    prop "tv distance symmetric"
-      QCheck.(pair (list (pair (int_range 0 5) (float_bound_inclusive 1.0)))
-                (list (pair (int_range 0 5) (float_bound_inclusive 1.0))))
-      (fun (p, q) ->
-        Float.abs (S.total_variation p q -. S.total_variation q p) < 1e-9);
   ]
 
 let suite =
@@ -149,13 +135,11 @@ let suite =
       ("welford basics", test_welford_basic);
       ("empty and single", test_empty_and_single);
       ("welford numerical stability", test_welford_stability);
-      ("mean ci", test_mean_ci);
       ("wilson extremes", test_wilson_extremes);
       ("wilson shape", test_wilson_coverage_shape);
       ("wilson rejects invalid successes", test_wilson_rejects_bad_successes);
       ("histogram", test_histogram);
       ("histogram order-insensitive", test_histogram_order_insensitive);
-      ("total variation", test_total_variation);
       ("chi squared", test_chi_squared);
       ("chi squared thresholds", test_chi_squared_thresholds);
     ]

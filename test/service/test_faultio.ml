@@ -2,7 +2,7 @@
    typed, CRC-detected, or crash debris), and the cache's repair path
    under injected faults. *)
 
-module F = Memrel_service.Faultio
+module F = Memrel_prob.Faultio
 module Snapshot = Memrel_prob.Snapshot
 module Cache = Memrel_service.Cache
 module P = Memrel_service.Protocol

@@ -391,7 +391,7 @@ let test_overload_shed_and_retry () =
    byte-identical result payloads — faults may change origins (a failed
    store forces a recompute) but never a single result byte *)
 let test_chaos_responses_byte_identical () =
-  let module F = Memrel_service.Faultio in
+  let module F = Memrel_prob.Faultio in
   let trace_queries =
     [
       q_verify;
@@ -497,7 +497,7 @@ let test_warm_hit_100x_faster_than_cold () =
    then serves the last chaos-battered cache directory byte-identically:
    a corrupt entry is recomputed, never served *)
 let test_mixed_trace_chaos_then_clean_restart () =
-  let module F = Memrel_service.Faultio in
+  let module F = Memrel_prob.Faultio in
   let clean_dir = temp_path ".cache" and cache_dir = temp_path ".cache" in
   Fun.protect ~finally:(fun () -> rm_rf clean_dir; rm_rf cache_dir) @@ fun () ->
   let clean = List.map fst (trace_answers ~cache_dir:clean_dir) in

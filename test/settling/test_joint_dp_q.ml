@@ -28,7 +28,10 @@ let test_agrees_with_float_dp () =
     (fun (name, model, m, n, pinned) ->
       let float_dp = J.expect_product model ~m ~n in
       check_float (name ^ " float pin") pinned float_dp;
-      let exact = JQ.expect_product_model model ~m ~n in
+      (* every float probability is dyadic, so the model lifts exactly *)
+      let exact =
+        JQ.expect_product ~s:(Q.of_float_dyadic (Model.s model)) (Model.family model) ~m ~n
+      in
       check_float (name ^ " exact vs float") float_dp (Q.to_float exact))
     cases
 

@@ -7,7 +7,6 @@ let test_generate_shape () =
   let rng = Rng.create 1 in
   let p = Program.generate rng ~m:10 in
   Alcotest.(check int) "length" 12 (Program.length p);
-  Alcotest.(check int) "prefix" 10 (Program.prefix_length p);
   Alcotest.(check int) "cl index" 10 (Program.critical_load_index p);
   Alcotest.(check int) "cs index" 11 (Program.critical_store_index p);
   Alcotest.(check bool) "cl op" true (Op.is_critical_load (Program.op p 10));

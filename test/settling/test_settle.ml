@@ -6,6 +6,23 @@ module Model = Memrel_memmodel.Model
 module Fence = Memrel_memmodel.Fence
 module Rng = Memrel_prob.Rng
 
+(* the instructions of [prog] in the settled order [pi] gives them *)
+let final_order prog pi =
+  let ops = Program.ops prog in
+  let out = Array.make (Array.length ops) ops.(0) in
+  Array.iteri (fun init pos -> out.(pos) <- ops.(init)) pi;
+  out
+
+(* whether [pi] is a permutation of [0 .. n-1] *)
+let is_valid_permutation pi =
+  let seen = Array.make (Array.length pi) false in
+  Array.for_all
+    (fun p ->
+      let fresh = p >= 0 && p < Array.length pi && not seen.(p) in
+      if fresh then seen.(p) <- true;
+      fresh)
+    pi
+
 let test_sc_is_identity () =
   let rng = Rng.create 1 in
   for _ = 1 to 50 do
@@ -22,7 +39,7 @@ let test_permutation_validity () =
         let prog = Program.generate rng ~m:30 in
         let pi = Settle.run model rng prog in
         Alcotest.(check bool) (Model.name model ^ " valid perm") true
-          (Settle.is_valid_permutation pi)
+          (is_valid_permutation pi)
       done)
     Model.all_standard
 
@@ -153,14 +170,14 @@ let test_traced_consistency () =
   (* the last snapshot equals the final order *)
   let last = List.nth snaps (List.length snaps - 1) in
   Alcotest.(check (array char)) "final order"
-    (Array.map Op.to_char (Settle.final_order prog pi))
+    (Array.map Op.to_char (final_order prog pi))
     (Array.map Op.to_char last.order)
 
 let test_final_order_roundtrip () =
   let rng = Rng.create 10 in
   let prog = Program.generate rng ~m:15 in
   let pi = Settle.run (Model.wo ()) rng prog in
-  let order = Settle.final_order prog pi in
+  let order = final_order prog pi in
   Array.iteri (fun init pos -> Alcotest.(check char) "op placed at pi(i)"
       (Op.to_char (Program.op prog init)) (Op.to_char order.(pos))) pi
 
@@ -179,7 +196,7 @@ let prop_moves_up =
          (* an instruction can be pushed down only by later-settling
             instructions that passed it; the LAST instruction can never be
             pushed down *)
-         Settle.is_valid_permutation pi
+         is_valid_permutation pi
          && pi.(Program.length prog - 1) <= Program.length prog - 1))
 
 let suite =

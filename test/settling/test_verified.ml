@@ -1,6 +1,5 @@
 module V = Memrel_settling.Verified
 module A = Memrel_settling.Analytic
-module I = Memrel_prob.Interval
 module Q = Memrel_prob.Rational
 
 (* smaller cutoffs than the defaults keep the suite fast; widths stay far
@@ -74,12 +73,6 @@ let test_theorem_6_2_verified () =
   Alcotest.(check bool) "float value inside" true
     (Q.to_float e.lo -. 1e-12 <= f && f <= Q.to_float e.hi +. 1e-12)
 
-let test_to_interval () =
-  let e = V.b_tso ~q_max ~mu_max 1 in
-  let i = V.to_interval e in
-  Alcotest.(check bool) "float view contains rational view" true
-    (I.contains i (Q.to_float e.lo) && I.contains i (Q.to_float e.hi))
-
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
@@ -90,5 +83,4 @@ let suite =
       ("B_gamma encloses the float series", test_b_tso_encloses_float_series);
       ("Theorem 4.1 bounds, rigorous", test_b_tso_within_paper_bounds);
       ("Theorem 6.2 TSO bracket, machine-verified", test_theorem_6_2_verified);
-      ("interval view", test_to_interval);
     ]

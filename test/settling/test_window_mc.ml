@@ -118,8 +118,8 @@ let test_goodness_of_fit_chi2 () =
         in
         p *. float_of_int trials)
   in
-  let chi2 = Memrel_prob.Stats.chi_squared ~observed ~expected in
-  let threshold = Memrel_prob.Stats.chi_squared_threshold_99 ~dof:cells in
+  let chi2 = Memrel_oracle.Goodness_of_fit.chi_squared ~observed ~expected in
+  let threshold = Memrel_oracle.Goodness_of_fit.chi_squared_threshold_99 ~dof:cells in
   Alcotest.(check bool)
     (Printf.sprintf "chi2 %.2f < %.2f (dof %d)" chi2 threshold cells)
     true (chi2 < threshold)

@@ -19,7 +19,7 @@ let test_log2_pr_sc_matches_exact () =
     let exact = E.symmetric_disjoint_probability [ (2, Q.one) ] ~n in
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "n=%d" n)
-      (Memrel_prob.Logspace.log2 (Memrel_prob.Logspace.of_rational exact))
+      (Q.log2 exact)
       (A.log2_pr_sc n)
   done
 
