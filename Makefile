@@ -104,6 +104,9 @@ ci:
 	dune exec bin/memrel_cli.exe -- window --trials 0 > /dev/null 2>&1; test $$? -eq 124
 	# so are negative budgets
 	dune exec bin/memrel_cli.exe -- window --deadline=-1 > /dev/null 2>&1; test $$? -eq 124
+	# and a thread count or probability out of range
+	dune exec bin/memrel_cli.exe -- joint -n 1 > /dev/null 2>&1; test $$? -eq 124
+	dune exec bin/memrel_cli.exe -- window -p 2 > /dev/null 2>&1; test $$? -eq 124
 
 clean:
 	dune clean

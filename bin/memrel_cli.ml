@@ -55,11 +55,24 @@ let nonneg_float =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* probabilities and interval widths: p and s lie in (0, 1), the bound
+   Analytic_general applies to both; a width may be 1, the daemon's bound *)
+let unit_float ?(one = false) () =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0.0 && (f < 1.0 || (one && f = 1.0)) -> Ok f
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid value %S, expected a number in (0, 1%s" s
+                     (if one then "]" else ")")))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let trials_arg default =
   Arg.(value & opt pos_int default & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials.")
 
 let threads_arg =
-  Arg.(value & opt int 2 & info [ "n"; "threads" ] ~docv:"N" ~doc:"Number of threads.")
+  Arg.(value & opt (int_at_least 2) 2 & info [ "n"; "threads" ] ~docv:"N"
+         ~doc:"Number of threads.")
 
 (* 0 = auto (Par.default_jobs: one worker per core, minus the caller) *)
 let jobs_arg =
@@ -72,7 +85,7 @@ let resolve_jobs j = if j <= 0 then None else Some j
 (* -- adaptive (CI-width) stopping --------------------------------------- *)
 
 let target_width_arg =
-  Arg.(value & opt (some float) None & info [ "target-width" ] ~docv:"W"
+  Arg.(value & opt (some (unit_float ~one:true ())) None & info [ "target-width" ] ~docv:"W"
          ~doc:"Adaptive stopping: run until the 95% Wilson interval of the simulated \
                probability has width at most W (checked at chunk boundaries; the stopping \
                trial count is deterministic per seed and identical at every --jobs), capped \
@@ -321,10 +334,11 @@ let window_cmd =
     Arg.(value & opt int 8 & info [ "gamma-max" ] ~docv:"G" ~doc:"Largest gamma to print.")
   in
   let p_arg =
-    Arg.(value & opt float 0.5 & info [ "p" ] ~docv:"P" ~doc:"Store density of the program.")
+    Arg.(value & opt (unit_float ()) 0.5 & info [ "p" ] ~docv:"P"
+           ~doc:"Store density of the program.")
   in
   let s_arg =
-    Arg.(value & opt (some float) None & info [ "s" ] ~docv:"S"
+    Arg.(value & opt (some (unit_float ())) None & info [ "s" ] ~docv:"S"
            ~doc:"Swap probability (defaults to the model's 1/2).")
   in
   Cmd.v (Cmd.info "window" ~exits:budget_exits ~doc:"Critical-window distribution (Theorem 4.1).")
@@ -371,8 +385,18 @@ let shift_cmd =
           s.Par.exhausted
     end
   in
+  (* Shift_exact takes 1 to 8 segments, each of length >= 0 *)
+  let gammas =
+    let parse s =
+      match Arg.conv_parser Arg.(list int) s with
+      | Ok gs when gs <> [] && List.length gs <= 8 && List.for_all (fun g -> g >= 0) gs -> Ok gs
+      | Ok _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected 1 to 8 lengths >= 0" s))
+      | Error _ as e -> e
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.(list int))
+  in
   let gammas_arg =
-    Arg.(value & opt (list int) [ 3; 2; 5 ] & info [ "gammas" ] ~docv:"G,G,..."
+    Arg.(value & opt gammas [ 3; 2; 5 ] & info [ "gammas" ] ~docv:"G,G,..."
            ~doc:"Segment lengths (at most 8).")
   in
   Cmd.v

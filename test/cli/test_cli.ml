@@ -538,7 +538,17 @@ let () =
           Alcotest.test_case "enumerate sb --model wo --window 5000" `Quick
             (usage_error ~affix:"expected an integer <= 1024"
                "enumerate sb --model wo --window 5000");
-        ] );
+        ]
+        @ List.map
+            (fun (affix, args) -> Alcotest.test_case args `Quick (usage_error ~affix args))
+            [
+              ("expected an integer >= 2", "joint -n 1");
+              ("expected a number in (0, 1)", "window -p 2");
+              ("expected a number in (0, 1)", "window -s 0");
+              ("expected 1 to 8 lengths >= 0", "shift --gammas=-1,2");
+              ("expected 1 to 8 lengths >= 0", "shift --gammas 1,2,3,4,5,6,7,8,9");
+              ("expected a number in (0, 1]", "shift --target-width 0");
+            ] );
       ( "unknown tests",
         [
           Alcotest.test_case "enumerate nosuchtest" `Quick (unknown_test "nosuchtest");
