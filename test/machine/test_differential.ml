@@ -11,10 +11,15 @@ module P = Memrel_machine.Parse
 module D = Memrel_axiom.Differential
 module Model = Memrel_memmodel.Model
 
+(* the operational side is capped at the plain-DFS oracle's count of the
+   whole space: an engine fault that makes a space unbounded fails the test
+   there instead of growing to the default 2,000,000 states *)
+let max_states = Memrel_oracle.Enumerate_reference.litmus_states
+
 let check_test (t : L.t) () =
   List.iter
     (fun family ->
-      let r = D.run t family in
+      let r = D.run ~max_states:(max_states t family) t family in
       if not r.D.agree then
         Alcotest.fail
           (Printf.sprintf "%s under %s:\n%s" t.L.name (Model.family_name family)
@@ -36,7 +41,8 @@ let check_file file () = check_test (P.parse (read file)) ()
 let check_windows (t : L.t) () =
   List.iter
     (fun window ->
-      let r = D.run ~window t Model.Weak_ordering in
+      let max_states = max_states ~window t Model.Weak_ordering in
+      let r = D.run ~window ~max_states t Model.Weak_ordering in
       if not r.D.agree then
         Alcotest.fail (Printf.sprintf "%s under WO window=%d:\n%s" t.L.name window (D.describe r)))
     [ 1; 2; 3 ]

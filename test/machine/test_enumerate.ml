@@ -5,13 +5,22 @@ module L = Memrel_machine.Litmus
 module I = Memrel_machine.Instr
 module Model = Memrel_memmodel.Model
 
+(* every run below is capped at a state count the test pins or at the
+   plain-DFS oracle's count of the whole space: an engine fault that makes
+   a space unbounded fails the test at that many states instead of growing
+   to the default 2,000,000 *)
+let oracle = Memrel_oracle.Enumerate_reference.states
+
 let mk programs = State.init ~programs ~initial_mem:[]
 
 let disciplines = [ ("SC", Sem.Sc); ("TSO", Sem.Tso); ("PSO", Sem.Pso); ("WO", Sem.Wo { window = 8 }) ]
 
 let test_single_thread_single_outcome () =
   let st = mk [ [| I.store ~loc:0 ~src:(I.Imm 1); I.load ~reg:0 ~loc:0 |] ] in
-  let r = E.outcomes Sem.Sc st ~observe:(fun s -> State.reg s.State.threads.(0) 0) in
+  let r =
+    E.outcomes ~max_states:(oracle Sem.Sc st) Sem.Sc st
+      ~observe:(fun s -> State.reg s.State.threads.(0) 0)
+  in
   Alcotest.(check (list (pair int int))) "one outcome" [ (1, 1) ] r.outcomes;
   Alcotest.(check int) "one terminal" 1 r.terminals
 
@@ -21,12 +30,14 @@ let test_interleaving_count_sc () =
   let st =
     mk [ [| I.store ~loc:0 ~src:(I.Imm 1) |]; [| I.store ~loc:0 ~src:(I.Imm 2) |] ]
   in
-  let r = E.outcomes Sem.Sc st ~observe:(fun s -> State.mem_read s 0) in
+  let r =
+    E.outcomes ~max_states:(oracle Sem.Sc st) Sem.Sc st ~observe:(fun s -> State.mem_read s 0)
+  in
   Alcotest.(check (list int)) "both final values" [ 1; 2 ] (List.map fst r.outcomes)
 
 let test_visited_accounting () =
   let st = mk [ [| I.load ~reg:0 ~loc:0 |]; [| I.load ~reg:0 ~loc:1 |] ] in
-  let r = E.outcomes Sem.Sc st ~observe:(fun _ -> ()) in
+  let r = E.outcomes ~max_states:4 Sem.Sc st ~observe:(fun _ -> ()) in
   (* states: 4 combinations of progress, loads read zeros so registers do
      not distinguish: 00,10,01,11 *)
   Alcotest.(check int) "4 states" 4 r.states_visited;
@@ -55,7 +66,7 @@ let test_budget_deadline_partial () =
   let st = mk [ Array.init 6 (fun i -> I.load ~reg:i ~loc:i);
                 Array.init 6 (fun i -> I.load ~reg:i ~loc:i) ] in
   let budget = Memrel_prob.Budget.create ~deadline_s:0.0 () in
-  let r = E.outcomes ~budget Sem.Sc st ~observe:(fun _ -> ()) in
+  let r = E.outcomes ~max_states:(oracle Sem.Sc st) ~budget Sem.Sc st ~observe:(fun _ -> ()) in
   Alcotest.(check bool) "exhausted" true (r.exhausted <> None);
   Alcotest.(check int) "no states admitted" 0 r.states_visited;
   Alcotest.(check int) "no terminals" 0 r.terminals;
@@ -66,7 +77,7 @@ let test_budget_complete_run_not_exhausted () =
      budget, exhausted = None, work counter = admitted states *)
   let st = mk [ [| I.load ~reg:0 ~loc:0 |]; [| I.load ~reg:0 ~loc:1 |] ] in
   let budget = Memrel_prob.Budget.create ~max_work:1_000 () in
-  let r = E.outcomes ~budget Sem.Sc st ~observe:(fun _ -> ()) in
+  let r = E.outcomes ~max_states:4 ~budget Sem.Sc st ~observe:(fun _ -> ()) in
   Alcotest.(check bool) "not exhausted" true (r.exhausted = None);
   Alcotest.(check int) "4 states" 4 r.states_visited;
   Alcotest.(check int) "work = expanded states" 4 (Memrel_prob.Budget.work_done budget)
@@ -104,14 +115,17 @@ let test_reachable_terminal_count () =
   let st =
     mk [ [| I.store ~loc:0 ~src:(I.Imm 1) |]; [| I.store ~loc:0 ~src:(I.Imm 2) |] ]
   in
-  Alcotest.(check int) "two terminals" 2 (E.outcomes Sem.Sc st ~observe:(fun _ -> ())).E.terminals
+  Alcotest.(check int) "two terminals" 2
+    (E.outcomes ~max_states:(oracle Sem.Sc st) Sem.Sc st ~observe:(fun _ -> ())).E.terminals
 
 let test_dedup_effectiveness () =
   (* same program under TSO explores more states than SC (buffer states) *)
   let prog () = [| I.store ~loc:0 ~src:(I.Imm 1); I.load ~reg:0 ~loc:1 |] in
   let st = mk [ prog (); prog () ] in
-  let sc = (E.outcomes Sem.Sc st ~observe:(fun _ -> ())).states_visited in
-  let tso = (E.outcomes Sem.Tso st ~observe:(fun _ -> ())).states_visited in
+  let states d =
+    (E.outcomes ~max_states:(oracle d st) d st ~observe:(fun _ -> ())).states_visited
+  in
+  let sc = states Sem.Sc and tso = states Sem.Tso in
   Alcotest.(check bool) (Printf.sprintf "SC %d < TSO %d" sc tso) true (sc < tso)
 
 let test_packed_key_agrees_with_legacy () =
@@ -123,10 +137,10 @@ let test_packed_key_agrees_with_legacy () =
     (fun (t : L.t) ->
       List.iter
         (fun (dname, d) ->
-          let packed = E.outcomes d (L.initial_state t) ~observe:t.observe in
           let states, terminals, outcomes =
             Legacy_key.enumerate d (L.initial_state t) ~observe:t.observe
           in
+          let packed = E.outcomes ~max_states:states d (L.initial_state t) ~observe:t.observe in
           let label = Printf.sprintf "%s/%s" t.name dname in
           Alcotest.(check int) (label ^ " states") states packed.states_visited;
           Alcotest.(check int) (label ^ " terminals") terminals packed.terminals;
@@ -142,8 +156,11 @@ let test_por_equals_full_on_corpus () =
     (fun (t : L.t) ->
       List.iter
         (fun (dname, d) ->
-          let full = E.outcomes d (L.initial_state t) ~observe:t.observe in
-          let por = E.outcomes ~por:true d (L.initial_state t) ~observe:t.observe in
+          let root = L.initial_state t in
+          let full = E.outcomes ~max_states:(oracle d root) d root ~observe:t.observe in
+          let por =
+            E.outcomes ~max_states:full.states_visited ~por:true d root ~observe:t.observe
+          in
           let label = Printf.sprintf "%s/%s" t.name dname in
           Alcotest.(check bool) (label ^ " outcome sets equal") true (full.outcomes = por.outcomes);
           Alcotest.(check int) (label ^ " terminals equal") full.terminals por.terminals;
@@ -229,13 +246,13 @@ let test_increment3_pinned () =
   (* deep-state-space regression pins: exact exhaustive counts for the
      3-thread canonical bug (E14's n = 3 row, now exact) *)
   let t = L.increment_n 3 in
-  let sc, _ = L.run_exhaustive t Model.Sequential_consistency in
+  let sc, _ = L.run_exhaustive ~max_states:175 t Model.Sequential_consistency in
   Alcotest.(check (list int)) "SC outcome set" [ 1; 2; 3 ] (outcome_xs sc);
   Alcotest.(check int) "SC terminals" 16 sc.terminals;
   Alcotest.(check (list int)) "SC per-outcome terminal counts" [ 4; 6; 6 ]
     (List.map snd sc.outcomes);
   Alcotest.(check int) "SC states" 175 sc.states_visited;
-  let tso, _ = L.run_exhaustive t Model.Total_store_order in
+  let tso, _ = L.run_exhaustive ~max_states:308 t Model.Total_store_order in
   Alcotest.(check (list int)) "TSO outcome set" [ 1; 2; 3 ] (outcome_xs tso);
   Alcotest.(check int) "TSO terminals" 16 tso.terminals;
   Alcotest.(check int) "TSO states" 308 tso.states_visited
@@ -246,8 +263,9 @@ let test_increment4_smoke () =
   let t = L.increment_n 4 in
   List.iter
     (fun family ->
-      let full, _ = L.run_exhaustive t family in
-      let por, _ = L.run_exhaustive ~por:true t family in
+      let max_states = Memrel_oracle.Enumerate_reference.litmus_states t family in
+      let full, _ = L.run_exhaustive ~max_states t family in
+      let por, _ = L.run_exhaustive ~max_states ~por:true t family in
       Alcotest.(check (list int)) "outcome set is {1..4}" [ 1; 2; 3; 4 ] (outcome_xs full);
       Alcotest.(check int) "109 terminal states" 109 full.terminals;
       Alcotest.(check bool) "POR agrees" true (full.outcomes = por.outcomes);
@@ -255,11 +273,12 @@ let test_increment4_smoke () =
     [ Model.Sequential_consistency; Model.Total_store_order ]
 
 (* the largest in-RAM enumeration of the enum bench: POR keeps the
-   outcome set and terminal count of inc6/TSO's 1.26M states *)
+   outcome set and terminal count of inc6/TSO's 1,262,849 states *)
 let test_increment6_tso_por_agrees () =
   let t = L.increment_n 6 in
-  let full, _ = L.run_exhaustive t Model.Total_store_order in
-  let por, _ = L.run_exhaustive ~por:true t Model.Total_store_order in
+  let max_states = 1_262_849 in
+  let full, _ = L.run_exhaustive ~max_states t Model.Total_store_order in
+  let por, _ = L.run_exhaustive ~max_states ~por:true t Model.Total_store_order in
   Alcotest.(check bool) "complete" true (full.exhausted = None && por.exhausted = None);
   Alcotest.(check bool) "POR outcomes agree" true (full.outcomes = por.outcomes);
   Alcotest.(check int) "POR terminals agree" full.terminals por.terminals;
@@ -271,7 +290,7 @@ let test_deep_linear_space () =
      enumerate without Stack_overflow *)
   let prog = Array.init 60 (fun i -> I.store ~loc:(i mod 4) ~src:(I.Imm i)) in
   let st = mk [ prog ] in
-  let r = E.outcomes ~max_states:500_000 Sem.Tso st ~observe:(fun _ -> ()) in
+  let r = E.outcomes ~max_states:(oracle Sem.Tso st) Sem.Tso st ~observe:(fun _ -> ()) in
   Alcotest.(check bool)
     (Printf.sprintf "deep path explored (max_depth %d)" r.stats.max_depth)
     true
@@ -280,7 +299,7 @@ let test_deep_linear_space () =
 
 let test_stats_observability () =
   let t = L.increment_n 3 in
-  let r, _ = L.run_exhaustive ~por:true t Model.Total_store_order in
+  let r, _ = L.run_exhaustive ~max_states:308 ~por:true t Model.Total_store_order in
   let s = r.stats in
   Alcotest.(check bool) "pruned some transitions" true (s.por_pruned > 0);
   Alcotest.(check bool) "ample states counted" true (s.por_ample_states > 0);
@@ -299,8 +318,9 @@ let test_two_domains_agree () =
   (* serve workers enumerate from several domains at once: each call owns
      its packer, arena and worklist, so concurrent runs cannot interfere *)
   let t = L.increment_n 4 in
+  let max_states = oracle Sem.Tso (L.initial_state t) in
   let run () =
-    let r = E.outcomes Sem.Tso (L.initial_state t) ~observe:t.L.observe in
+    let r = E.outcomes ~max_states Sem.Tso (L.initial_state t) ~observe:t.L.observe in
     (r.outcomes, r.states_visited, r.terminals, r.stats.transitions, r.stats.dedup_hits)
   in
   let alone = run () in
@@ -316,9 +336,10 @@ let test_minor_words_per_transition () =
      of those (without them this reads about 62) *)
   let t = L.increment_n 4 in
   let root = L.initial_state t in
-  ignore (E.outcomes Sem.Tso root ~observe:t.L.observe);
+  let max_states = oracle Sem.Tso root in
+  ignore (E.outcomes ~max_states Sem.Tso root ~observe:t.L.observe);
   let before = Gc.minor_words () in
-  let r = E.outcomes Sem.Tso root ~observe:t.L.observe in
+  let r = E.outcomes ~max_states Sem.Tso root ~observe:t.L.observe in
   let words = (Gc.minor_words () -. before) /. float_of_int r.stats.transitions in
   Alcotest.(check bool) (Printf.sprintf "%.1f minor words per transition <= 45" words) true
     (words <= 45.0)
@@ -344,7 +365,10 @@ let test_increment5_counters_pinned () =
   List.iter
     (fun (dname, por, (states, transitions, dedup_hits, max_depth, max_frontier, ample, pruned)) ->
       let label = Printf.sprintf "inc5/%s por=%b" dname por in
-      let r = E.outcomes ~por (List.assoc dname disciplines) root ~observe:t.L.observe in
+      let r =
+        E.outcomes ~max_states:states ~por (List.assoc dname disciplines) root
+          ~observe:t.L.observe
+      in
       let s = r.stats in
       Alcotest.(check bool) (label ^ " complete") true (r.exhausted = None);
       Alcotest.(check int) (label ^ " states") states r.states_visited;

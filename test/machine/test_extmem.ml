@@ -21,6 +21,15 @@ let with_dir f =
 
 let key t dname por = Printf.sprintf "%s|%s|por%b" (L.hash t) dname por
 
+(* every run below is capped at a state count the test pins or at the
+   plain-DFS oracle's count of the whole space: an engine fault that makes
+   a space unbounded fails the test at that many states instead of growing
+   to the default 2,000,000 *)
+let oracle = Memrel_oracle.Enumerate_reference.states
+
+let inc5_tso_states = 64_050
+let inc6_tso_states = 1_262_849
+
 let tiny_budget = 65536
 
 let outcomes_t = Alcotest.(list (pair (list (pair string int)) int))
@@ -42,13 +51,14 @@ let check_base ctx (ram : _ E.result) (ext : _ E.result) =
 let check_parity ~por name t dname d =
   let st = L.initial_state t in
   let observe = t.L.observe in
-  let ram = E.outcomes ~por d st ~observe in
+  let max_states = oracle d st in
+  let ram = E.outcomes ~max_states ~por d st ~observe in
   List.iter
     (fun mem_budget_bytes ->
       with_dir (fun dir ->
           let ext =
-            X.outcomes ?mem_budget_bytes ~por ~spill_dir:dir ~resume_key:(key t dname por) d st
-              ~observe
+            X.outcomes ~max_states ?mem_budget_bytes ~por ~spill_dir:dir
+              ~resume_key:(key t dname por) d st ~observe
           in
           let ctx =
             Printf.sprintf "%s/%s por=%b budget=%s: %s" name dname por
@@ -114,12 +124,15 @@ let run_keys dir f = List.length (run_entries dir f)
    goes on. Returns the complete run's result and a digest of every
    frontier's keys in the order the runs hold them, sleep sets stripped:
    the digest follows from the key bytes and their sort order alone, so
-   it does not move with the run format. *)
-let frontier_digest ~mem_budget_bytes name =
+   it does not move with the run format. A boundary past the [states] of
+   the whole space fails. *)
+let frontier_digest ~mem_budget_bytes ~states name =
   let t = L.find name in
   let st = L.initial_state t and rk = key t "TSO" false in
   with_dir (fun dir ->
       let rec go level boundary digest =
+        if boundary > states then
+          Alcotest.failf "%s: level %d starts past %d states" name level states;
         let r =
           X.outcomes ~max_states:boundary ~mem_budget_bytes ~resume:(level > 0) ~spill_dir:dir
             ~resume_key:rk Sem.Tso st ~observe:t.L.observe
@@ -181,7 +194,7 @@ let inc5_frontier_digest = "9376b76d57ee948b47ccfa88879f1416"
 let test_spill_stream_pinned () =
   (* at 1 MiB no level of inc5/TSO overflows: the stream is the 21
      frontiers as written straight from the arena *)
-  let digest, r = frontier_digest ~mem_budget_bytes:(1024 * 1024) "inc5" in
+  let digest, r = frontier_digest ~mem_budget_bytes:(1024 * 1024) ~states:inc5_tso_states "inc5" in
   Alcotest.(check string) "inc5/TSO at 1 MiB: frontier digest" inc5_frontier_digest digest;
   check_spill_stream "inc5/TSO at 1 MiB" ~levels:21 ~runs:27 ~bytes:875_712 ~generations:0
     ~merges:0 r.X.ext
@@ -193,11 +206,12 @@ let test_tiny_budget_overflows_and_merges () =
   let t = L.find "inc5" in
   let st = L.initial_state t and observe = t.L.observe in
   let rk = key t "TSO" false in
+  let max_states = inc5_tso_states in
   with_dir (fun dir ->
-      let ram = E.outcomes Sem.Tso st ~observe in
+      let ram = E.outcomes ~max_states Sem.Tso st ~observe in
       let ext =
-        X.outcomes ~mem_budget_bytes:tiny_budget ~spill_dir:dir ~resume_key:rk Sem.Tso st
-          ~observe
+        X.outcomes ~max_states ~mem_budget_bytes:tiny_budget ~spill_dir:dir ~resume_key:rk
+          Sem.Tso st ~observe
       in
       check_base (( ^ ) "inc5/TSO tiny: ") ram ext.X.base;
       let e = ext.X.ext in
@@ -242,15 +256,15 @@ let test_tiny_budget_overflows_and_merges () =
           boundary := !boundary + width)
         widths;
       let full =
-        X.outcomes ~mem_budget_bytes:tiny_budget ~resume:true ~spill_dir:dir ~resume_key:rk
-          Sem.Tso st ~observe
+        X.outcomes ~max_states ~mem_budget_bytes:tiny_budget ~resume:true ~spill_dir:dir
+          ~resume_key:rk Sem.Tso st ~observe
       in
       Alcotest.(check int) "chained resumes complete" (List.fold_left ( + ) 0 widths)
         full.X.base.E.states_visited);
   (* the merged frontiers hold the same keys in the same order as the
      frontiers written straight from the arena at 1 MiB *)
   Alcotest.(check string) "inc5/TSO at 64 KiB: frontier digest" inc5_frontier_digest
-    (fst (frontier_digest ~mem_budget_bytes:tiny_budget "inc5"))
+    (fst (frontier_digest ~mem_budget_bytes:tiny_budget ~states:max_states "inc5"))
 
 (* inc6/TSO (1.26M states) at 1 MiB: the wider levels overflow the arena
    into several runs, and the result must not change. The run goes level
@@ -259,8 +273,10 @@ let test_tiny_budget_overflows_and_merges () =
 let test_inc6_tso_1mib () =
   let t = L.find "inc6" in
   let st = L.initial_state t and observe = t.L.observe in
-  let ram = E.outcomes Sem.Tso st ~observe in
-  let digest, ext = frontier_digest ~mem_budget_bytes:(1024 * 1024) "inc6" in
+  let ram = E.outcomes ~max_states:inc6_tso_states Sem.Tso st ~observe in
+  let digest, ext =
+    frontier_digest ~mem_budget_bytes:(1024 * 1024) ~states:inc6_tso_states "inc6"
+  in
   check_base (( ^ ) "inc6/TSO at 1 MiB: ") ram ext.X.base;
   Alcotest.(check string) "inc6/TSO at 1 MiB: frontier digest" "d2826e061b972f7611bf5f0d97b85dfd"
     digest;
@@ -278,10 +294,10 @@ let check_kill_resume ?mem_budget_bytes ~cap name =
   let t = L.find name in
   let st = L.initial_state t in
   let observe = t.L.observe in
-  let rk = key t "TSO" false in
+  let rk = key t "TSO" false and max_states = oracle Sem.Tso st in
   let run ?budget ?(resume = false) dir =
-    X.outcomes ?budget ?mem_budget_bytes ~resume ~spill_dir:dir ~resume_key:rk Sem.Tso st
-      ~observe
+    X.outcomes ~max_states ?budget ?mem_budget_bytes ~resume ~spill_dir:dir ~resume_key:rk
+      Sem.Tso st ~observe
   in
   let ctx s = Printf.sprintf "%s cap %d: %s" name cap s in
   with_dir (fun refdir ->
@@ -323,7 +339,9 @@ let test_orphan_files_cleaned_on_resume () =
       in
       drop "r999999.run" "garbage not in any manifest";
       drop "r999998.run.tmp" "torn write";
-      let full = X.outcomes ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Sc st ~observe in
+      let full =
+        X.outcomes ~max_states:175 ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Sc st ~observe
+      in
       Alcotest.(check bool) "completed" true (full.X.base.E.exhausted = None);
       Alcotest.(check int) "inc3 states" 175 full.X.base.E.states_visited;
       Alcotest.(check int) "inc3 terminals" 16 full.X.base.E.terminals;
@@ -345,10 +363,10 @@ let test_truncated_run_rejected () =
   let t = L.find "inc3" in
   let st = L.initial_state t in
   let observe = t.L.observe in
-  let rk = key t "TSO" false in
+  let rk = key t "TSO" false and max_states = oracle Sem.Tso st in
   with_dir (fun dir ->
       let b = B.create ~max_work:100 () in
-      ignore (X.outcomes ~budget:b ~spill_dir:dir ~resume_key:rk Sem.Tso st ~observe);
+      ignore (X.outcomes ~max_states ~budget:b ~spill_dir:dir ~resume_key:rk Sem.Tso st ~observe);
       (* mid-level kill simulation: truncate a manifest-referenced run *)
       let victim =
         Sys.readdir dir |> Array.to_list
@@ -361,23 +379,27 @@ let test_truncated_run_rejected () =
       ignore (Unix.ftruncate fd (size / 2));
       Unix.close fd;
       expect_spill_error "truncated spill run" (fun () ->
-          X.outcomes ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Tso st ~observe))
+          X.outcomes ~max_states ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Tso st ~observe))
 
 let test_resume_key_mismatch_rejected () =
   let t = L.find "sb" in
   let st = L.initial_state t in
   let observe = t.L.observe in
   with_dir (fun dir ->
-      ignore (X.outcomes ~spill_dir:dir ~resume_key:"sb|TSO" Sem.Tso st ~observe);
+      ignore
+        (X.outcomes ~max_states:(oracle Sem.Tso st) ~spill_dir:dir ~resume_key:"sb|TSO" Sem.Tso
+           st ~observe);
       expect_spill_error "resume key mismatch" (fun () ->
-          X.outcomes ~resume:true ~spill_dir:dir ~resume_key:"sb|SC" Sem.Sc st ~observe))
+          X.outcomes ~max_states:(oracle Sem.Sc st) ~resume:true ~spill_dir:dir
+            ~resume_key:"sb|SC" Sem.Sc st ~observe))
 
 let test_resume_without_manifest_rejected () =
   with_dir (fun dir ->
       let t = L.find "sb" in
+      let st = L.initial_state t in
       expect_spill_error "missing manifest" (fun () ->
-          X.outcomes ~resume:true ~spill_dir:dir ~resume_key:"sb|TSO" Sem.Tso
-            (L.initial_state t) ~observe:t.L.observe))
+          X.outcomes ~max_states:(oracle Sem.Tso st) ~resume:true ~spill_dir:dir
+            ~resume_key:"sb|TSO" Sem.Tso st ~observe:t.L.observe))
 
 let test_old_manifest_version_rejected () =
   (* a spill directory from an earlier layout: the visited-run layout's
@@ -388,13 +410,13 @@ let test_old_manifest_version_rejected () =
      then sweeps the directory *)
   let t = L.find "inc3" in
   let st = L.initial_state t in
-  let rk = key t "TSO" false in
+  let rk = key t "TSO" false and max_states = oracle Sem.Tso st in
   List.iter
     (fun tag ->
       with_dir (fun dir ->
           ignore
-            (X.outcomes ~budget:(B.create ~max_work:40 ()) ~spill_dir:dir ~resume_key:rk Sem.Tso
-               st ~observe:t.L.observe);
+            (X.outcomes ~max_states ~budget:(B.create ~max_work:40 ()) ~spill_dir:dir
+               ~resume_key:rk Sem.Tso st ~observe:t.L.observe);
           let file = Filename.concat dir "MANIFEST" in
           (match Memrel_prob.Snapshot.read ~file ~tag:"extmem/manifest3" with
            | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e)
@@ -404,7 +426,7 @@ let test_old_manifest_version_rejected () =
              | Error e -> Alcotest.fail (Memrel_prob.Snapshot.error_to_string e)));
           Alcotest.(check bool) (tag ^ " found") true (X.can_resume dir);
           expect_spill_error tag (fun () ->
-              X.outcomes ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Tso st
+              X.outcomes ~max_states ~resume:true ~spill_dir:dir ~resume_key:rk Sem.Tso st
                 ~observe:t.L.observe)))
     [ "extmem/manifest"; "extmem/manifest2" ]
 
@@ -415,19 +437,28 @@ let test_fresh_run_clears_stale_spill_state () =
   let st = L.initial_state t in
   let observe = t.L.observe in
   with_dir (fun dir ->
-      ignore (X.outcomes ~spill_dir:dir ~resume_key:"mp|TSO" Sem.Tso st ~observe);
-      let ram = E.outcomes Sem.Sc st ~observe in
-      let ext = X.outcomes ~spill_dir:dir ~resume_key:"mp|SC" Sem.Sc st ~observe in
+      ignore
+        (X.outcomes ~max_states:(oracle Sem.Tso st) ~spill_dir:dir ~resume_key:"mp|TSO" Sem.Tso
+           st ~observe);
+      let max_states = oracle Sem.Sc st in
+      let ram = E.outcomes ~max_states Sem.Sc st ~observe in
+      let ext =
+        X.outcomes ~max_states ~spill_dir:dir ~resume_key:"mp|SC" Sem.Sc st ~observe
+      in
       Alcotest.(check (list (pair (list (pair string int)) int)))
         "fresh run over stale dir is exact" ram.E.outcomes ext.X.base.E.outcomes)
 
 (* every frontier of a run at [mem_budget_bytes], level by level: a state
    cap at each level boundary stops the run with that level's frontier on
-   disk, [f] reads its files in order, and a resume goes on *)
+   disk, [f] reads its files in order, and a resume goes on. A boundary
+   past the oracle's count of the whole space fails. *)
 let iter_frontiers ~mem_budget_bytes ~por t d f =
   let st = L.initial_state t in
+  let states = oracle d st in
   with_dir (fun dir ->
       let rec go resume boundary =
+        if boundary > states then
+          Alcotest.failf "%s: a level starts past %d states" t.L.name states;
         let r =
           X.outcomes ~max_states:boundary ~mem_budget_bytes ~por ~resume ~spill_dir:dir
             ~resume_key:"frontiers" d st ~observe:t.L.observe

@@ -3,6 +3,15 @@ module E = Memrel_machine.Enumerate
 module Sem = Memrel_machine.Semantics
 module Model = Memrel_memmodel.Model
 
+(* [run_exhaustive] capped at the plain-DFS oracle's count of the whole
+   space: an engine fault that makes a space unbounded fails the test at
+   that many states instead of growing to the default 2,000,000 *)
+let run ?window t family =
+  let max_states = Memrel_oracle.Enumerate_reference.litmus_states ?window t family in
+  fst (L.run_exhaustive ?window ~max_states t family)
+
+let check ?window t family = L.verdict t family (run ?window t family)
+
 let families =
   [ Model.Sequential_consistency; Model.Total_store_order; Model.Partial_store_order;
     Model.Weak_ordering ]
@@ -48,7 +57,7 @@ let verdict_cases =
                | Model.Custom -> "custom")
           in
           Alcotest.test_case name `Quick (fun () ->
-              let v = L.check t family in
+              let v = check t family in
               if not v.agrees then
                 Alcotest.fail
                   (Printf.sprintf "observed_relaxed=%b expected=%b" v.observed_relaxed
@@ -62,7 +71,7 @@ let test_outcome_monotonicity () =
   List.iter
     (fun (t : L.t) ->
       let outcomes family =
-        List.map fst (fst (L.run_exhaustive t family)).E.outcomes
+        List.map fst (run t family).E.outcomes
       in
       let sc = outcomes Model.Sequential_consistency in
       List.iter
@@ -80,7 +89,7 @@ let test_inc_outcomes () =
   (* the canonical bug: exactly {x=1, x=2} are reachable under every model *)
   List.iter
     (fun f ->
-      let r, _ = L.run_exhaustive (L.find "inc") f in
+      let r = run (L.find "inc") f in
       let outcomes = List.map fst r.E.outcomes in
       Alcotest.(check int) "two outcomes" 2 (List.length outcomes);
       Alcotest.(check bool) "x=1 reachable" true (List.mem [ ("x", 1) ] outcomes);
@@ -89,7 +98,7 @@ let test_inc_outcomes () =
 
 let test_sb_outcome_sets () =
   (* SC allows exactly 3 of the 4 (r0, r1) combinations; relaxed models all 4 *)
-  let count f = List.length (fst (L.run_exhaustive (L.find "sb") f)).E.outcomes in
+  let count f = List.length (run (L.find "sb") f).E.outcomes in
   Alcotest.(check int) "SC" 3 (count Model.Sequential_consistency);
   Alcotest.(check int) "TSO" 4 (count Model.Total_store_order);
   Alcotest.(check int) "WO" 4 (count Model.Weak_ordering)
@@ -98,7 +107,7 @@ let test_inc_atomic_fixes_bug () =
   (* the RMW version: x = 2 is the ONLY outcome under every model *)
   List.iter
     (fun f ->
-      let r, _ = L.run_exhaustive (L.find "inc+rmw") f in
+      let r = run (L.find "inc+rmw") f in
       match r.E.outcomes with
       | [ (o, _) ] -> Alcotest.(check (list (pair string int))) "only x=2" [ ("x", 2) ] o
       | l -> Alcotest.fail (Printf.sprintf "expected one outcome, got %d" (List.length l)))
@@ -108,7 +117,7 @@ let test_increment_n () =
   (* n = 2 must coincide with the corpus inc; outcomes of inc_n are exactly
      x in {1 .. n} under SC *)
   let t3 = L.increment_n 3 in
-  let r, _ = L.run_exhaustive t3 Model.Sequential_consistency in
+  let r = run t3 Model.Sequential_consistency in
   let outcomes = List.map fst r.E.outcomes in
   Alcotest.(check int) "three outcomes" 3 (List.length outcomes);
   List.iter
@@ -119,7 +128,7 @@ let test_increment_n () =
   (* the maximal-loss outcome x = 1 stays reachable under every model *)
   List.iter
     (fun f ->
-      let v = L.check t3 f in
+      let v = check t3 f in
       Alcotest.(check bool) "x=1 reachable" true v.observed_relaxed)
     families;
   Alcotest.check_raises "n=1 rejected" (Invalid_argument "Litmus.increment_n: n >= 2 required")
@@ -128,7 +137,7 @@ let test_increment_n () =
 let test_window_parameter_matters () =
   (* with window 1, WO degrades to in-order issue: LB's relaxed outcome
      disappears *)
-  let v = L.check ~window:1 (L.find "lb") Model.Weak_ordering in
+  let v = check ~window:1 (L.find "lb") Model.Weak_ordering in
   Alcotest.(check bool) "window=1 forbids LB" false v.observed_relaxed
 
 (* -- structural hash ---------------------------------------------------- *)

@@ -191,8 +191,11 @@ let prop_outcome_monotonicity =
        (fun (p0, p1) ->
          let st = mk [ Array.of_list p0; Array.of_list p1 ] in
          let observe s = Legacy_key.key s in
+         (* capped at the plain-DFS oracle's count: an engine fault that
+            makes the space unbounded stops there *)
          let outcomes d =
-           List.map fst (Memrel_machine.Enumerate.outcomes d st ~observe).outcomes
+           let max_states = Memrel_oracle.Enumerate_reference.states d st in
+           List.map fst (Memrel_machine.Enumerate.outcomes ~max_states d st ~observe).outcomes
          in
          let sc = outcomes Sem.Sc in
          List.for_all

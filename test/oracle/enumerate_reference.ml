@@ -211,6 +211,16 @@ let outcomes ?(max_states = 2_000_000) ?(por = false) ?budget discipline st ~obs
     exhausted = !exhausted;
   }
 
+(* the size of [st]'s whole space under [discipline]: the machine tests
+   cap the engine under test at it, so an engine fault that makes a space
+   unbounded stops there instead of at the default 2,000,000 states *)
+let states discipline st = (outcomes discipline st ~observe:ignore).Enumerate.states_visited
+
+(* the same for a litmus test under a model family, as
+   [Litmus.run_exhaustive] resolves them *)
+let litmus_states ?window (t : Litmus.t) family =
+  states (Semantics.of_model ?window family) (Litmus.initial_state t)
+
 (* A seeded small program for the differential test: 2-4 threads of 1-4
    instructions each, drawn from loads, stores, RMWs, binops and the three
    fences over [locs] (1-3) locations and three registers. *)
