@@ -57,10 +57,8 @@ let test_random_outcomes_within_enumerated () =
       let t = L.find name in
       List.iter
         (fun (d, family) ->
-          (* capped at the plain-DFS oracle's count of the whole space *)
-          let max_states = Memrel_oracle.Enumerate_reference.litmus_states t family in
           let enumerated =
-            List.map fst (fst (L.run_exhaustive ~max_states t family)).E.outcomes
+            List.map fst (fst (Memrel_oracle.Enumerate_reference.run_capped t family)).E.outcomes
           in
           let sampled =
             X.estimate_outcome ~trials:300 d (L.initial_state t) ~observe:t.observe rng

@@ -3,12 +3,7 @@ module E = Memrel_machine.Enumerate
 module Sem = Memrel_machine.Semantics
 module Model = Memrel_memmodel.Model
 
-(* [run_exhaustive] capped at the plain-DFS oracle's count of the whole
-   space: an engine fault that makes a space unbounded fails the test at
-   that many states instead of growing to the default 2,000,000 *)
-let run ?window t family =
-  let max_states = Memrel_oracle.Enumerate_reference.litmus_states ?window t family in
-  fst (L.run_exhaustive ?window ~max_states t family)
+let run ?window t family = fst (Memrel_oracle.Enumerate_reference.run_capped ?window t family)
 
 let check ?window t family = L.verdict t family (run ?window t family)
 

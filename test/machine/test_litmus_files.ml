@@ -14,12 +14,7 @@ let read path =
   close_in ic;
   s
 
-(* [run_exhaustive] capped at the plain-DFS oracle's count of the whole
-   space: an engine fault that makes a space unbounded fails the test at
-   that many states instead of growing to the default 2,000,000 *)
-let run t family =
-  let max_states = Memrel_oracle.Enumerate_reference.litmus_states t family in
-  fst (L.run_exhaustive ~max_states t family)
+let run t family = fst (Memrel_oracle.Enumerate_reference.run_capped t family)
 
 let reachable t family = List.mem_assoc t.L.relaxed_outcome (run t family).E.outcomes
 

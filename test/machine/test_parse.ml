@@ -5,11 +5,7 @@ module E = Memrel_machine.Enumerate
 module Model = Memrel_memmodel.Model
 module Fence = Memrel_memmodel.Fence
 
-(* [run_exhaustive] capped at the plain-DFS oracle's count of the whole
-   space: an engine fault that makes a space unbounded fails the test at
-   that many states instead of growing to the default 2,000,000 *)
-let run t family =
-  L.run_exhaustive ~max_states:(Memrel_oracle.Enumerate_reference.litmus_states t family) t family
+let run t family = Memrel_oracle.Enumerate_reference.run_capped t family
 
 let sb_text =
   {|# classic store buffering

@@ -221,6 +221,10 @@ let states discipline st = (outcomes discipline st ~observe:ignore).Enumerate.st
 let litmus_states ?window (t : Litmus.t) family =
   states (Semantics.of_model ?window family) (Litmus.initial_state t)
 
+(* [Litmus.run_exhaustive] capped at [litmus_states] *)
+let run_capped ?window t family =
+  Litmus.run_exhaustive ?window ~max_states:(litmus_states ?window t family) t family
+
 (* A seeded small program for the differential test: 2-4 threads of 1-4
    instructions each, drawn from loads, stores, RMWs, binops and the three
    fences over [locs] (1-3) locations and three registers. *)
